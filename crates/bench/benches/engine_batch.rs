@@ -7,14 +7,12 @@
 //! derived speedups in the JSON report).
 //!
 //! Besides the console output, the run emits machine-readable
-//! `results/BENCH_engine_batch.json` (perf trajectory),
-//! `results/BENCH_artifact_size.json` (w4 artifact bytes, v1 legacy format
-//! versus the nibble-packed v2 — tracking the on-disk halving, not just
-//! claiming it) and `results/BENCH_thread_scaling.json` (sharded batch
-//! execution across worker-pool sizes, with speedups over the serial
-//! engine and the host's CPU count so a 1-core box's flat curve is
-//! interpretable) via the fqbert-bench JSON emitter; CI runs this in quick
-//! mode (`FQBERT_BENCH_MS`).
+//! `results/BENCH_engine_batch.json` (perf trajectory) and
+//! `results/BENCH_thread_scaling.json` (sharded batch execution across
+//! worker-pool sizes, with speedups over the serial engine and the host's
+//! CPU count so a 1-core box's flat curve is interpretable) via the
+//! fqbert-bench JSON emitter; CI runs this in quick mode
+//! (`FQBERT_BENCH_MS`).
 
 use criterion::{BenchmarkId, Criterion};
 use fqbert_autograd::Graph;
@@ -497,68 +495,6 @@ fn w4_artifact(config: BertConfig, seed: u64) -> ModelArtifact {
     ModelArtifact::new(TaskKind::Sst2, int_model, Tokenizer::new(vocab, max_len))
 }
 
-struct ArtifactSizeRow {
-    id: String,
-    weight_bits: u64,
-    v1_bytes: u64,
-    v2_bytes: u64,
-    v2_over_v1: f64,
-}
-
-impl_to_json!(ArtifactSizeRow {
-    id,
-    weight_bits,
-    v1_bytes,
-    v2_bytes,
-    v2_over_v1
-});
-
-struct ArtifactSizeReport {
-    bench: String,
-    results: Vec<ArtifactSizeRow>,
-}
-
-impl_to_json!(ArtifactSizeReport { bench, results });
-
-/// Measures the on-disk size of w4 artifacts in the legacy v1 format versus
-/// the nibble-packed v2 format, for the tiny serving model of this bench
-/// and for an encoder-dominated architecture (the regime real checkpoints
-/// live in, where the packing should roughly halve the file).
-fn artifact_size_rows() -> Vec<ArtifactSizeRow> {
-    let shapes = [
-        ("tiny_serving", BertConfig::tiny(44, MAX_LEN, 2)),
-        (
-            "encoder_dominated",
-            BertConfig {
-                vocab_size: 44,
-                hidden: 128,
-                layers: 4,
-                heads: 4,
-                intermediate: 512,
-                max_len: MAX_LEN,
-                type_vocab_size: 2,
-                num_classes: 2,
-                layer_norm_eps: 1e-5,
-            },
-        ),
-    ];
-    shapes
-        .into_iter()
-        .map(|(id, config)| {
-            let artifact = w4_artifact(config, 5);
-            let v1 = artifact.to_bytes_v1().len() as u64;
-            let v2 = artifact.to_bytes().len() as u64;
-            ArtifactSizeRow {
-                id: id.to_string(),
-                weight_bits: u64::from(artifact.model.weight_bits()),
-                v1_bytes: v1,
-                v2_bytes: v2,
-                v2_over_v1: v2 as f64 / v1 as f64,
-            }
-        })
-        .collect()
-}
-
 struct BenchRow {
     group: String,
     id: String,
@@ -635,24 +571,6 @@ fn main() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     let path = fqbert_bench::save_json_in(&dir, "BENCH_engine_batch", &report)
         .expect("write BENCH_engine_batch.json");
-    println!("wrote {}", path.display());
-
-    let sizes = ArtifactSizeReport {
-        bench: "artifact_size".to_string(),
-        results: artifact_size_rows(),
-    };
-    for row in &sizes.results {
-        println!(
-            "artifact {} (w{}): v1 {} B → v2 {} B ({:.1}%)",
-            row.id,
-            row.weight_bits,
-            row.v1_bytes,
-            row.v2_bytes,
-            100.0 * row.v2_over_v1
-        );
-    }
-    let path = fqbert_bench::save_json_in(&dir, "BENCH_artifact_size", &sizes)
-        .expect("write BENCH_artifact_size.json");
     println!("wrote {}", path.display());
 
     let scaling = thread_scaling_report(&scaling_rows);

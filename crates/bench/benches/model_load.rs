@@ -1,14 +1,14 @@
-//! Model-loading benchmark: zero-copy lazy artifact loads against the
-//! eager unpack path, cross-variant float-tensor dedup, and the serving
-//! stack's response-cache hit path against a full engine round trip.
+//! Model-loading benchmark: artifact cold start, cross-variant
+//! float-tensor dedup, and the serving stack's response-cache hit path
+//! against a full engine round trip.
 //!
 //! Emits `results/BENCH_model_load.json` with, per variant, cold-start
-//! time and resident bytes for the eager and lazy paths (before and after
-//! the first forward materializes the weight panels), the dedup savings
-//! of co-loading the w4 + w8 variants of one task through a shared
-//! [`TensorCache`], and the cache-hit-over-engine speedup. Every
-//! comparison asserts bit-identity before any timing, so the numbers can
-//! never come from diverging outputs.
+//! time and resident bytes before and after the first forward builds the
+//! weight panels, the dedup savings of co-loading the w4 + w8 variants of
+//! one task through a shared [`TensorCache`], and the
+//! cache-hit-over-engine speedup. The cache comparison asserts
+//! bit-identity before any timing, so its numbers can never come from
+//! diverging outputs.
 
 use fqbert_autograd::Graph;
 use fqbert_bench::impl_to_json;
@@ -83,16 +83,6 @@ fn time_load(reps: usize, load: impl Fn() -> Engine) -> (f64, Engine) {
     (best, last.expect("at least one rep"))
 }
 
-/// Flattened logit bit patterns over the shared benchmark texts.
-fn logits(engine: &Engine) -> Vec<u32> {
-    engine
-        .classify_texts(&TEXTS)
-        .expect("classify")
-        .iter()
-        .flat_map(|s| s.logits.iter().map(|x| x.to_bits()))
-        .collect()
-}
-
 struct VariantRow {
     id: String,
     cold_start_us: f64,
@@ -110,8 +100,6 @@ impl_to_json!(VariantRow {
 struct Report {
     bench: String,
     budget_ms: u64,
-    lazy_over_eager_cold_start_speedup: f64,
-    lazy_panel_fraction_of_eager: f64,
     independent_resident_bytes: u64,
     dedup_resident_bytes: u64,
     dedup_fraction: f64,
@@ -125,8 +113,6 @@ struct Report {
 impl_to_json!(Report {
     bench,
     budget_ms,
-    lazy_over_eager_cold_start_speedup,
-    lazy_panel_fraction_of_eager,
     independent_resident_bytes,
     dedup_resident_bytes,
     dedup_fraction,
@@ -143,67 +129,26 @@ fn main() {
     let (w4_path, w8_path) = save_artifacts(&dir);
     let reps = (criterion::budget_ms() / 10).clamp(3, 20) as usize;
 
-    // Phase 1: cold start. The eager path reads, CRC-checks, unpacks every
-    // weight tensor to i16 codes and packs GEMM panels up front; the
-    // zero-copy path validates the same bytes but defers all
-    // materialization to first use.
+    // Phase 1: cold start. A load reads, CRC-checks and validates the
+    // file but builds no panels; the first forward pays for those.
     let mut rows = Vec::new();
-    let mut speedups = Vec::new();
-    let mut fractions = Vec::new();
     for (name, path) in [("w4", &w4_path), ("w8", &w8_path)] {
-        let (eager_us, eager) = time_load(reps, || builder().load_eager(path).expect("eager load"));
-        let (lazy_us, lazy) = time_load(reps, || builder().load(path).expect("lazy load"));
-        // Identity first: lazily materialized panels must reproduce the
-        // eager logits bit for bit — otherwise the timings are meaningless.
-        assert_eq!(
-            logits(&eager),
-            logits(&lazy),
-            "{name}: lazy load diverges from eager"
-        );
-        let lazy_before = {
-            let fresh = builder().load(path).expect("fresh lazy load");
-            fresh.resident_bytes()
-        };
-        let (eager_resident, lazy_resident) = (eager.resident_bytes(), lazy.resident_bytes());
-        // Per-variant with 10% noise headroom — the tiny test model makes
-        // the w8 margin thin; the mean across variants is asserted strictly
-        // below.
-        assert!(
-            lazy_us < eager_us * 1.1,
-            "{name}: lazy cold start ({lazy_us:.0} us) must beat eager ({eager_us:.0} us)"
-        );
-        assert!(
-            lazy_resident < eager_resident,
-            "{name}: materialized lazy model ({lazy_resident} B) must stay below \
-             the eager unpack path ({eager_resident} B)"
-        );
-        speedups.push(eager_us / lazy_us);
-        fractions.push(lazy_resident as f64 / eager_resident as f64);
+        let (cold_start_us, engine) = time_load(reps, || builder().load(path).expect("load"));
+        let before = engine.resident_bytes();
+        engine.classify_texts(&TEXTS).expect("first forward");
+        let after = engine.resident_bytes();
+        assert!(after > before, "{name}: first forward must build panels");
         println!(
-            "{name}: cold start eager {eager_us:>8.0} us, lazy {lazy_us:>8.0} us \
-             ({:.1}x); resident eager {eager_resident} B, lazy {lazy_before} B \
-             cold / {lazy_resident} B after first forward",
-            eager_us / lazy_us
+            "{name}: cold start {cold_start_us:>8.0} us; resident {before} B cold / \
+             {after} B after first forward"
         );
         rows.push(VariantRow {
-            id: format!("{name}_eager"),
-            cold_start_us: eager_us,
-            resident_bytes: eager_resident as u64,
-            resident_after_forward_bytes: eager_resident as u64,
-        });
-        rows.push(VariantRow {
-            id: format!("{name}_lazy"),
-            cold_start_us: lazy_us,
-            resident_bytes: lazy_before as u64,
-            resident_after_forward_bytes: lazy_resident as u64,
+            id: name.to_string(),
+            cold_start_us,
+            resident_bytes: before as u64,
+            resident_after_forward_bytes: after as u64,
         });
     }
-
-    let mean_speedup = speedups.iter().sum::<f64>() / speedups.len() as f64;
-    assert!(
-        mean_speedup > 1.0,
-        "lazy cold start must beat eager on average ({mean_speedup:.2}x)"
-    );
 
     // Phase 2: dedup. Loading both variants through one TensorCache shares
     // their float tensors (embeddings, layer norms, classifier); loading
@@ -211,12 +156,14 @@ fn main() {
     let independent = builder().load(&w4_path).expect("w4").resident_bytes()
         + builder().load(&w8_path).expect("w8").resident_bytes();
     let mut cache = TensorCache::new();
-    let first = builder()
-        .load_with_cache(&w4_path, &mut cache)
-        .expect("w4 shared");
-    let second = builder()
-        .load_with_cache(&w8_path, &mut cache)
-        .expect("w8 shared");
+    let mut load_shared = |path: &Path| {
+        let bytes: Arc<[u8]> = std::fs::read(path).expect("read artifact").into();
+        builder()
+            .load_shared_bytes(&bytes, &mut cache)
+            .expect("shared load")
+    };
+    let first = load_shared(&w4_path);
+    let second = load_shared(&w8_path);
     let shared = second.load_stats();
     // Naive per-engine sums double-count the tensors the second load
     // interned onto the first's allocations; subtracting the shared bytes
@@ -296,8 +243,6 @@ fn main() {
     let report = Report {
         bench: "model_load".to_string(),
         budget_ms: criterion::budget_ms(),
-        lazy_over_eager_cold_start_speedup: mean_speedup,
-        lazy_panel_fraction_of_eager: fractions.iter().sum::<f64>() / fractions.len() as f64,
         independent_resident_bytes: independent as u64,
         dedup_resident_bytes: dedup as u64,
         dedup_fraction: fraction,

@@ -23,56 +23,39 @@ use fqbert_quant::{
 };
 use fqbert_tensor::gemm::{gemm_i8_requant, GemmScratch, PackedWeights, RequantParams, MAX_K};
 use fqbert_tensor::ops::{argmax_slice, gelu_scalar};
-use fqbert_tensor::{unpack_i4, IntTensor, Tensor};
+use fqbert_tensor::{pack_i4, unpack_i4, IntTensor, Tensor};
 use std::sync::{Arc, OnceLock};
 
 /// Output levels used for quantized attention probabilities.
 const PROB_LEVELS: u32 = 255;
 
-/// Where a layer's weight codes come from.
+/// A fully quantized dense layer: int4/int8 weight codes, int32 bias,
+/// fixed-point requantization to int8 outputs.
 ///
-/// Eager layers (quantized from float or reassembled from parts) own their
-/// codes outright. Zero-copy layers instead hold a shared reference into the
-/// raw artifact byte buffer — the v2 on-disk encoding — and materialize GEMM
-/// panels (and, only if asked, unpacked codes) on first use, straight from
-/// the encoded bytes.
-#[derive(Debug, Clone)]
-enum WeightSource {
-    /// Codes supplied at construction; both caches are pre-filled.
-    Eager,
-    /// Nibble-packed v2 bytes (`weight_bits ≤ 4`): two codes per byte,
-    /// row-major, low nibble first, at `offset` in the shared buffer.
-    V2Nibble { bytes: Arc<[u8]>, offset: usize },
-    /// Raw `i8`-as-`u8` v2 bytes (`weight_bits > 4`), row-major, at
-    /// `offset` in the shared buffer.
-    V2Wide { bytes: Arc<[u8]>, offset: usize },
-}
-
-/// A fully quantized dense layer: int8 weight codes, int32 bias, fixed-point
-/// requantization to int8 outputs.
-///
-/// The weight matrix is packed into the blocked panel layout of
-/// [`fqbert_tensor::gemm`], so every forward pass runs the cache-friendly
-/// kernel with the bias add and requantization fused into its epilogue.
-/// Low-bit layers (`weight_bits ≤ 4`, i.e. w4/w2 configs) pack into nibble
-/// panels that the SIMD kernels decode in-register — a quarter of the
-/// resident panel bytes, with no unpack-to-i16 copy.
-///
-/// Layers built eagerly ([`IntLinear::from_float`],
-/// [`IntLinear::from_quantized`]) pack at construction. Layers built from a
-/// shared artifact buffer ([`IntLinear::from_v2_bytes`]) defer both the
-/// panels and the unpacked codes until first use; all inputs are validated
-/// at construction so deferred materialization cannot fail. Clones share the
-/// lazily materialized state, so cloning a loaded model does not duplicate
-/// panel storage.
+/// The weight matrix has exactly one stored form: its **v2 artifact
+/// encoding** — row-major `[in, out]` codes, two per byte (low nibble
+/// first, see [`fqbert_tensor::pack4`]) when `weight_bits ≤ 4`, one
+/// two's-complement byte per code otherwise — held as `(buffer, offset)`.
+/// A layer loaded from an artifact points into the file's shared buffer; a
+/// layer quantized from float ([`IntLinear::from_float`]) encodes its codes
+/// into a private buffer and goes through the same constructor, so both
+/// behave identically from there on. The only other copy a layer ever makes
+/// is its GEMM panels ([`fqbert_tensor::gemm`]), built straight from the
+/// encoded bytes on first forward pass — nibble panels for low-bit layers
+/// (decoded in-register by the int4 kernels, a quarter of the wide panels'
+/// bytes), wide `i16` panels otherwise. Everything is validated at
+/// construction so that deferred build cannot fail. Clones share the
+/// buffer and the panels.
 // fqlint::allow(float-escape): the stored scales are per-tensor calibration
 // metadata carried for conversion and inspection; `forward` is integer-only.
 #[derive(Debug, Clone)]
 pub struct IntLinear {
-    source: WeightSource,
-    /// `[in_features, out_features]`, known without materialization.
+    /// Buffer holding the encoded weight matrix at `offset..end`.
+    bytes: Arc<[u8]>,
+    offset: usize,
+    end: usize,
+    /// `[in_features, out_features]`.
     dims: [usize; 2],
-    weight: Arc<OnceLock<IntTensor<i8>>>,
     packed: Arc<OnceLock<PackedWeights>>,
     bias: IntTensor<i32>,
     weight_scale: f32,
@@ -83,9 +66,9 @@ pub struct IntLinear {
 }
 
 /// Layer equality compares the logical layer — codes, bias, scales and
-/// bit-width — not the lazy-cache state, so a zero-copy load compares equal
-/// to the eager load of the same artifact. Comparing codes forces
-/// materialization on both sides.
+/// bit-width — not which buffer holds the codes or whether the panels are
+/// built. Equal codes at equal bit-width have equal encodings (the padding
+/// nibble of an odd-sized low-bit matrix is validated to be zero).
 impl PartialEq for IntLinear {
     fn eq(&self, other: &Self) -> bool {
         self.dims == other.dims
@@ -94,30 +77,14 @@ impl PartialEq for IntLinear {
             && self.input_scale == other.input_scale
             && self.output_scale == other.output_scale
             && self.bias == other.bias
-            && self.weight_codes() == other.weight_codes()
+            && self.weight_bytes() == other.weight_bytes()
     }
 }
 
-/// Pre-fills a lazy cache slot for eagerly constructed layers.
-fn once_filled<T>(value: T) -> Arc<OnceLock<T>> {
-    let cell = OnceLock::new();
-    let _ = cell.set(value);
-    Arc::new(cell)
-}
-
-/// Builds the GEMM panels for `weight`: direct-compute nibble panels for
-/// low-bit codes (`weight_bits ≤ 4` — a quarter of the wide panels'
-/// resident bytes, decoded in-register by the int4 kernel path) and wide
-/// `i16` panels otherwise. A low-bit layer whose codes unexpectedly exceed
-/// the nibble range (e.g. a hand-edited artifact) still loads, on the wide
-/// path.
-fn pack_panels(weight: &IntTensor<i8>, weight_bits: u32) -> Result<PackedWeights> {
-    if weight_bits <= 4 {
-        if let Ok(packed) = PackedWeights::pack_nibble(weight) {
-            return Ok(packed);
-        }
-    }
-    Ok(PackedWeights::pack(weight)?)
+/// Whether weights of this bit-width are stored two codes per byte (and run
+/// on nibble panels) rather than one.
+fn nibble_packed(weight_bits: u32) -> bool {
+    weight_bits <= 4
 }
 
 impl IntLinear {
@@ -144,77 +111,31 @@ impl IntLinear {
         let ap = QuantParams::new(8, input_scale)?;
         let weight_q = wp.quantize_tensor_i8(weight);
         let bias_q = quantize_bias(bias, &ap, &wp)?;
-        let effective = f64::from(output_scale) / (f64::from(input_scale) * f64::from(wp.scale()));
-        let requant = Requantizer::from_scale(effective, 8)?;
-        let packed = pack_panels(&weight_q, weight_bits)?;
-        Ok(Self {
-            source: WeightSource::Eager,
-            dims: [weight_q.dims()[0], weight_q.dims()[1]],
-            weight: once_filled(weight_q),
-            packed: once_filled(packed),
-            bias: bias_q,
-            weight_scale: wp.scale(),
+        let (in_features, out_features) = weight_q.as_matrix_dims()?;
+        let encoded: Vec<u8> = if nibble_packed(weight_bits) {
+            pack_i4(weight_q.as_slice())?
+        } else {
+            weight_q.as_slice().iter().map(|&c| c as u8).collect()
+        };
+        Self::from_v2_bytes(
+            encoded.into(),
+            0,
+            in_features,
+            out_features,
+            bias_q,
+            wp.scale(),
             input_scale,
             output_scale,
             weight_bits,
-            requant,
-        })
+        )
     }
 
-    /// Reassembles a quantized layer from stored parts (the inverse of the
-    /// accessors below), used when loading model artifacts. The requantizer
-    /// is rebuilt deterministically from the three scales, so a layer
-    /// reconstructed from its own accessors is bit-identical to the original.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the shapes are inconsistent or a scale is invalid.
-    // fqlint::allow(float-escape): load-time boundary — rebuilds the layer
-    // from stored codes and float scale metadata read from the artifact.
-    pub fn from_quantized(
-        weight: IntTensor<i8>,
-        bias: IntTensor<i32>,
-        weight_scale: f32,
-        input_scale: f32,
-        output_scale: f32,
-        weight_bits: u32,
-    ) -> Result<Self> {
-        if weight.dims().len() != 2 || bias.numel() != weight.dims()[1] {
-            return Err(FqBertError::InvalidArgument(format!(
-                "weight {:?} and bias {:?} shapes are inconsistent",
-                weight.dims(),
-                bias.dims()
-            )));
-        }
-        let effective =
-            f64::from(output_scale) / (f64::from(input_scale) * f64::from(weight_scale));
-        let requant = Requantizer::from_scale(effective, 8)?;
-        let packed = pack_panels(&weight, weight_bits)?;
-        Ok(Self {
-            source: WeightSource::Eager,
-            dims: [weight.dims()[0], weight.dims()[1]],
-            weight: once_filled(weight),
-            packed: once_filled(packed),
-            bias,
-            weight_scale,
-            input_scale,
-            output_scale,
-            weight_bits,
-            requant,
-        })
-    }
-
-    /// Builds a layer over the raw v2 artifact encoding of its weight
-    /// matrix, without unpacking or copying it: `bytes` is the shared
-    /// artifact buffer and `offset` the start of this tensor's weight
-    /// bytes — nibble-packed (two codes per byte, row-major, low nibble
-    /// first) when `weight_bits ≤ 4`, raw `i8`-as-`u8` codes otherwise.
-    ///
-    /// GEMM panels are materialized from the encoded bytes on first forward
-    /// pass (a pure nibble shuffle for low-bit layers — the codes never
-    /// round-trip through `i16`); the unpacked code tensor is materialized
-    /// only if [`IntLinear::weight_codes`] is called. Everything is
-    /// validated here so deferred materialization cannot fail.
+    /// Builds a layer over the v2 artifact encoding of its weight matrix,
+    /// without unpacking or copying it: `offset` is where this tensor's
+    /// weight bytes start in `bytes` — nibble-packed (two codes per byte,
+    /// row-major, low nibble first) when `weight_bits ≤ 4`, raw
+    /// `i8`-as-`u8` codes otherwise. The requantizer is rebuilt
+    /// deterministically from the three scales.
     ///
     /// # Errors
     ///
@@ -253,8 +174,7 @@ impl IntLinear {
                 "weight element count {in_features}×{out_features} overflows"
             ))
         })?;
-        let nibble = weight_bits <= 4;
-        let encoded_len = if nibble { numel.div_ceil(2) } else { numel };
+        let encoded_len = Self::encoded_len(weight_bits, numel);
         let end = offset
             .checked_add(encoded_len)
             .filter(|&end| end <= bytes.len())
@@ -265,7 +185,7 @@ impl IntLinear {
                     bytes.len()
                 ))
             })?;
-        if nibble && numel % 2 == 1 && bytes[end - 1] & 0xf0 != 0 {
+        if nibble_packed(weight_bits) && numel % 2 == 1 && bytes[end - 1] & 0xf0 != 0 {
             return Err(FqBertError::InvalidArgument(
                 "odd-element nibble encoding has a nonzero trailing high nibble".to_string(),
             ));
@@ -273,15 +193,11 @@ impl IntLinear {
         let effective =
             f64::from(output_scale) / (f64::from(input_scale) * f64::from(weight_scale));
         let requant = Requantizer::from_scale(effective, 8)?;
-        let source = if nibble {
-            WeightSource::V2Nibble { bytes, offset }
-        } else {
-            WeightSource::V2Wide { bytes, offset }
-        };
         Ok(Self {
-            source,
+            bytes,
+            offset,
+            end,
             dims: [in_features, out_features],
-            weight: Arc::new(OnceLock::new()),
             packed: Arc::new(OnceLock::new()),
             bias,
             weight_scale,
@@ -292,64 +208,61 @@ impl IntLinear {
         })
     }
 
-    /// The GEMM panels, materializing them from the artifact bytes on first
-    /// use for zero-copy layers.
+    /// Bytes the v2 encoding takes for `numel` weight codes at
+    /// `weight_bits`: two codes per byte up to 4 bits, one per byte above.
+    pub fn encoded_len(weight_bits: u32, numel: usize) -> usize {
+        if nibble_packed(weight_bits) {
+            numel.div_ceil(2)
+        } else {
+            numel
+        }
+    }
+
+    /// The weight matrix in its v2 artifact encoding — what the artifact
+    /// writer copies out verbatim.
+    pub fn weight_bytes(&self) -> &[u8] {
+        &self.bytes[self.offset..self.end]
+    }
+
+    /// The GEMM panels, built from the encoded bytes on first use.
     fn packed_panels(&self) -> &PackedWeights {
         self.packed.get_or_init(|| {
             let [k, n] = self.dims;
-            match &self.source {
-                WeightSource::Eager => unreachable!("eager layers pre-fill their panels"),
-                WeightSource::V2Nibble { bytes, offset } => {
-                    let enc = &bytes[*offset..*offset + (k * n).div_ceil(2)];
-                    PackedWeights::from_v2_nibble_bytes(enc, k, n)
-                        .expect("validated at construction")
-                }
-                WeightSource::V2Wide { bytes, offset } => {
-                    let enc = &bytes[*offset..*offset + k * n];
-                    PackedWeights::pack_wide_from_bytes(enc, k, n)
-                        .expect("validated at construction")
-                }
+            if nibble_packed(self.weight_bits) {
+                PackedWeights::from_v2_nibble_bytes(self.weight_bytes(), k, n)
+            } else {
+                PackedWeights::pack_wide_from_bytes(self.weight_bytes(), k, n)
             }
+            .expect("validated at construction")
         })
     }
 
-    /// Weight codes (row-major `[in, out]`), materializing them from the
-    /// artifact bytes on first use for zero-copy layers. The forward path
-    /// never calls this — it runs on the packed panels; prefer
-    /// [`IntLinear::weight_dims`] for shape checks.
-    pub fn weight_codes(&self) -> &IntTensor<i8> {
-        self.weight.get_or_init(|| {
-            let [k, n] = self.dims;
-            let codes = match &self.source {
-                WeightSource::Eager => unreachable!("eager layers pre-fill their codes"),
-                WeightSource::V2Nibble { bytes, offset } => {
-                    let enc = &bytes[*offset..*offset + (k * n).div_ceil(2)];
-                    unpack_i4(enc, k * n).expect("validated at construction")
-                }
-                WeightSource::V2Wide { bytes, offset } => bytes[*offset..*offset + k * n]
-                    .iter()
-                    .map(|&b| b as i8)
-                    .collect(),
-            };
-            IntTensor::from_vec(codes, &[k, n]).expect("validated at construction")
-        })
+    /// Decodes the weight codes (row-major `[in, out]`) into an owned
+    /// tensor. The forward path never calls this — it runs on the packed
+    /// panels; this is for the naive reference and for inspection.
+    pub fn weight_codes(&self) -> IntTensor<i8> {
+        let [k, n] = self.dims;
+        let codes = if nibble_packed(self.weight_bits) {
+            unpack_i4(self.weight_bytes(), k * n).expect("validated at construction")
+        } else {
+            self.weight_bytes().iter().map(|&b| b as i8).collect()
+        };
+        IntTensor::from_vec(codes, &[k, n]).expect("validated at construction")
     }
 
-    /// Weight matrix shape `[in_features, out_features]`, available without
-    /// materializing the codes.
+    /// Weight matrix shape `[in_features, out_features]`.
     pub fn weight_dims(&self) -> [usize; 2] {
         self.dims
     }
 
     /// Bytes of private weight storage currently resident for this layer:
-    /// materialized GEMM panels, materialized code tensors and the int32
-    /// bias. The shared artifact byte buffer zero-copy layers borrow from is
-    /// deliberately excluded — it is counted once per model at the
-    /// engine/registry level, not once per layer.
+    /// the GEMM panels once built, plus the int32 bias. The buffer holding
+    /// the encoded weight bytes is deliberately excluded — for a loaded
+    /// model it is the artifact file's one shared buffer, counted once per
+    /// file at the engine/registry level, not once per layer.
     pub fn resident_bytes(&self) -> usize {
         let panels = self.packed.get().map_or(0, PackedWeights::resident_bytes);
-        let codes = self.weight.get().map_or(0, IntTensor::numel);
-        panels + codes + self.bias.numel() * std::mem::size_of::<i32>()
+        panels + self.bias.numel() * std::mem::size_of::<i32>()
     }
 
     /// Bias codes.
@@ -406,8 +319,7 @@ impl IntLinear {
     }
 
     /// Integer forward pass through the blocked GEMM kernel: the packed
-    /// weight panels (built at construction for eager layers, materialized
-    /// from the artifact bytes on first use for zero-copy layers),
+    /// weight panels (built from the encoded bytes on first use),
     /// activations packed into `scratch`, and the bias add + fixed-point
     /// requantization fused into the kernel's SIMD epilogue. Bit-identical
     /// to [`IntLinear::forward_naive`] (the property tests pin this).
@@ -435,16 +347,17 @@ impl IntLinear {
         Ok(out)
     }
 
-    /// The naive reference datapath this layer used before the blocked
-    /// kernel: `matmul_i32` followed by a scalar per-element requantize.
-    /// Kept as the bit-exactness oracle for tests and benchmarks — the
-    /// blocked [`IntLinear::forward`] must produce identical codes.
+    /// The naive reference datapath: `matmul_i32` over the decoded weight
+    /// codes followed by a scalar per-element requantize. It shares no code
+    /// with the panel packers or the kernels, which makes it the
+    /// bit-exactness oracle for both — the blocked [`IntLinear::forward`]
+    /// must produce identical codes.
     ///
     /// # Errors
     ///
     /// Returns an error if the input width does not match the layer.
     pub fn forward_naive(&self, x: &IntTensor<i8>) -> Result<IntTensor<i8>> {
-        let acc = x.matmul_i32(self.weight_codes())?;
+        let acc = x.matmul_i32(&self.weight_codes())?;
         let (rows, cols) = acc.as_matrix_dims()?;
         let mut out = IntTensor::<i8>::zeros(&[rows, cols]);
         for r in 0..rows {
@@ -1119,9 +1032,9 @@ impl IntBertModel {
     /// float tensors (each counted once per model, even when the `Arc` is
     /// shared with another model — cross-model sharing is accounted at the
     /// registry level via [`IntBertModel::shared_float_tensors`]) plus the
-    /// materialized integer storage of every encoder layer. Zero-copy
-    /// loaded layers contribute nothing until their panels materialize on
-    /// first use.
+    /// integer storage of every encoder layer, whose GEMM panels count
+    /// from the first forward pass that builds them (see
+    /// [`IntLinear::resident_bytes`]).
     pub fn resident_bytes(&self) -> usize {
         let floats: usize = self
             .shared_float_tensors()

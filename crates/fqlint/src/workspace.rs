@@ -88,8 +88,10 @@ pub fn is_aux_target(rel: &str) -> bool {
 }
 
 /// Recursively collects every `.rs` file under `root`, skipping build
-/// output, VCS metadata and fqlint's own rule fixtures. Paths come back
-/// sorted for deterministic reports.
+/// output, VCS metadata, fqlint's own rule fixtures and any nested
+/// directory that is a Cargo workspace of its own (not this workspace's
+/// code, so not this policy's to enforce). Paths come back sorted for
+/// deterministic reports.
 ///
 /// # Errors
 ///
@@ -108,7 +110,7 @@ pub fn collect_rust_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
                     continue;
                 }
                 // fqlint's golden fixtures are deliberate rule violations.
-                if path.ends_with("crates/fqlint/tests/fixtures") {
+                if path.ends_with("crates/fqlint/tests/fixtures") || declares_workspace(&path) {
                     continue;
                 }
                 stack.push(path);
@@ -160,13 +162,15 @@ pub fn run(root: &Path) -> std::io::Result<WorkspaceReport> {
 pub fn find_root(start: &Path) -> Option<PathBuf> {
     let mut dir = Some(start.to_path_buf());
     while let Some(d) = dir {
-        let manifest = d.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(d);
-            }
+        if declares_workspace(&d) {
+            return Some(d);
         }
         dir = d.parent().map(Path::to_path_buf);
     }
     None
+}
+
+/// Whether `dir` holds a `Cargo.toml` declaring `[workspace]`.
+fn declares_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|text| text.contains("[workspace]"))
 }

@@ -215,3 +215,34 @@ fn policy_matches_layout() {
     assert!(!fqlint::rules_for_path("crates/serve/src/bin/serve.rs").any());
     assert!(!fqlint::rules_for_path("crates/tensor/benches/gemm.rs").any());
 }
+
+#[test]
+fn nested_workspaces_are_not_walked() {
+    // A sub-directory with its own `[workspace]` manifest (the repo's
+    // `benchmark/`) is someone else's code: its files are neither checked
+    // nor counted. The same tree without that manifest is walked, so the
+    // skip is what removes the finding.
+    let root = std::env::temp_dir().join(format!("fqlint_nested_ws_{}", std::process::id()));
+    let nested = root.join("nested");
+    std::fs::create_dir_all(root.join("src")).expect("root src");
+    std::fs::create_dir_all(nested.join("src")).expect("nested src");
+    std::fs::write(root.join("Cargo.toml"), "[workspace]\n").expect("root manifest");
+    std::fs::write(root.join("src/lib.rs"), "pub fn ok() {}\n").expect("root lib");
+    std::fs::write(
+        nested.join("src/measure.rs"),
+        "pub fn peek(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n",
+    )
+    .expect("nested source");
+
+    let report = fqlint::run(&root).expect("walk");
+    assert_eq!(report.files_scanned, 2);
+    let rules: Vec<RuleId> = report.findings.iter().map(|f| f.rule).collect();
+    assert_eq!(rules, vec![RuleId::UnsafeOutsideKernels]);
+
+    std::fs::write(nested.join("Cargo.toml"), "[package]\n\n[workspace]\n").expect("manifest");
+    let report = fqlint::run(&root).expect("walk");
+    assert_eq!(report.files_scanned, 1);
+    assert!(report.findings.is_empty(), "{:#?}", report.findings);
+
+    std::fs::remove_dir_all(&root).ok();
+}

@@ -10,13 +10,13 @@
 //! deterministic function of the stored scales and is rebuilt by the same
 //! constructors the converter uses.
 //!
-//! # Format (version 2)
+//! # Format (version 2, the only version)
 //!
 //! Little-endian throughout:
 //!
 //! ```text
 //! magic      b"FQBT"
-//! version    u32              (writer emits 2; loader accepts 1 and 2)
+//! version    u32              (2; anything else is rejected by number)
 //! payload    ...              (task, config, tensors, layers, vocab)
 //! checksum   u32              CRC-32 (IEEE) of the payload bytes
 //! ```
@@ -29,17 +29,26 @@
 //! linears and two quantized layer norms. A linear is encoded as its weight
 //! bit-width, three scales (weight/input/output), the weight code tensor and
 //! the `i32` bias tensor; weight tensors of **at most 4 bits** store two
-//! codes per byte (low nibble first, see [`fqbert_tensor::pack4`]), halving
-//! w4 artifacts on disk, while wider weights stay one code per byte.
+//! codes per byte (low nibble first, see [`fqbert_tensor::pack4`]), while
+//! wider weights stay one code per byte. Measured against the retired
+//! one-byte-per-code encoding: a w4 artifact is 0.536× the size on an
+//! encoder-dominated shape (hidden 128, intermediate 512, 4 layers:
+//! 453 739 vs 846 923 bytes) and 0.636× on the tiny serving model, whose
+//! float embedding tables weigh more.
 //!
-//! Version-1 artifacts (seven per-layer scales — one scale shared by the
-//! Q/K/V projections — and unpacked weight codes in a different field
-//! order) remain loadable: the shared scale is widened into three equal
-//! per-projection scales, which reconstructs exactly the attention
-//! arithmetic the v1 engine used. The writer emits only version 2
-//! ([`ModelArtifact::to_bytes_v1`] keeps the legacy encoder for
-//! backward-compatibility tests and the artifact-size bench). Any
-//! truncation, bit flip or unsupported version is rejected at load time
+//! # One decoder, and where the bytes live after load
+//!
+//! There is one writer ([`ModelArtifact::to_bytes`]) and one decoder behind
+//! [`ModelArtifact::from_shared_bytes`]; [`ModelArtifact::load`] and
+//! [`ModelArtifact::from_bytes`] only put the bytes into an `Arc<[u8]>`
+//! first. The whole file stays resident in that one buffer: every
+//! [`IntLinear`] keeps `(buffer, offset)` of its encoded weight matrix —
+//! that encoding is the only form weights take outside the GEMM panels,
+//! which each linear builds from it on first forward pass — and the writer
+//! copies those encoded bytes back out verbatim. The float tensors are
+//! decoded into owned storage and interned through a [`TensorCache`], so
+//! artifacts loaded with one cache share identical tensors. Any truncation,
+//! bit flip or unsupported version is rejected at load time
 //! ([`RuntimeError::Artifact`]).
 
 use crate::tensor_cache::{LoadStats, TensorCache};
@@ -57,11 +66,9 @@ use std::sync::Arc;
 pub const MAGIC: &[u8; 4] = b"FQBT";
 /// Byte offset of the payload inside the artifact (magic + version).
 const PAYLOAD_OFFSET: usize = 8;
-/// Current artifact format version — what [`ModelArtifact::to_bytes`]
-/// emits.
+/// The artifact format version: what [`ModelArtifact::to_bytes`] emits and
+/// the only one the loader accepts.
 pub const VERSION: u32 = 2;
-/// Oldest artifact version the loader still accepts.
-pub const MIN_SUPPORTED_VERSION: u32 = 1;
 
 /// A deserialized model artifact: the quantized model plus everything needed
 /// to serve it.
@@ -96,7 +103,10 @@ impl ModelArtifact {
         Ok(())
     }
 
-    /// Loads an artifact from `path`.
+    /// Loads an artifact from `path`: the file is read once into a shared
+    /// buffer and decoded by [`ModelArtifact::from_shared_bytes`] with a
+    /// fresh private [`TensorCache`]. Use `from_shared_bytes` with a
+    /// longer-lived cache to dedup tensors *across* artifacts.
     ///
     /// # Errors
     ///
@@ -107,34 +117,25 @@ impl ModelArtifact {
         Self::from_bytes(&std::fs::read(path)?)
     }
 
-    /// Loads an artifact from `path` on the zero-copy path: the file is
-    /// read once into a shared buffer, v2 weight tensors stay in their
-    /// on-disk encoding behind that buffer (GEMM panels materialize
-    /// per-tensor on first use), and the float tensors are interned in a
-    /// fresh private [`TensorCache`]. Use
-    /// [`ModelArtifact::from_shared_bytes`] with a longer-lived cache to
-    /// dedup tensors *across* artifacts. Bit-identical to
-    /// [`ModelArtifact::load`] (property-tested).
+    /// Deserialises an artifact from a byte slice by copying it into a
+    /// shared buffer of its own — a convenience for tests and tools that
+    /// hold plain bytes; loaders that already own the file's bytes use
+    /// [`ModelArtifact::from_shared_bytes`].
     ///
     /// # Errors
     ///
-    /// As for [`ModelArtifact::load`].
-    pub fn load_zero_copy(path: &Path) -> Result<(Self, LoadStats)> {
-        let bytes: Arc<[u8]> = std::fs::read(path)?.into();
-        let mut cache = TensorCache::new();
-        Self::from_shared_bytes(&bytes, &mut cache)
+    /// Returns [`RuntimeError::Artifact`] on any structural problem.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
+        Ok(Self::from_shared_bytes(&Arc::from(bytes), &mut TensorCache::new())?.0)
     }
 
     /// Deserialises an artifact from a shared byte buffer without copying
-    /// or unpacking v2 weight tensors: each encoder linear holds
-    /// `(buffer, offset)` into `bytes` and materializes its GEMM panels
-    /// straight from the encoded nibbles/codes on first forward pass.
-    /// Float tensors (embedding tables, classifier head) are interned
-    /// through `cache`, so identical tensors across artifacts loaded with
-    /// the same cache share one allocation; the returned [`LoadStats`] says
-    /// how much was shared. Version-1 artifacts parse eagerly (their field
-    /// order predates the zero-copy encoding) but still dedup float
-    /// tensors.
+    /// or unpacking weight tensors: each encoder linear holds
+    /// `(buffer, offset)` into `bytes` and builds its GEMM panels straight
+    /// from the encoded nibbles/codes on first forward pass. Float tensors
+    /// (embedding tables, classifier head) are interned through `cache`, so
+    /// identical tensors across artifacts loaded with the same cache share
+    /// one allocation; the returned [`LoadStats`] says how much was shared.
     ///
     /// # Errors
     ///
@@ -143,37 +144,11 @@ impl ModelArtifact {
         bytes: &Arc<[u8]>,
         cache: &mut TensorCache,
     ) -> Result<(Self, LoadStats)> {
-        Self::parse(bytes, Some(bytes), Some(cache))
+        Self::parse(bytes, cache)
     }
 
     /// Serialises the artifact into a byte vector (format [`VERSION`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a linear declares a weight bit-width of at most 4 while
-    /// holding codes outside the signed-nibble range `[-8, 7]` — impossible
-    /// for any model produced by the converter or reloaded from an
-    /// artifact, both of which keep 4-bit codes within `±7`.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.encode(VERSION, write_layer)
-    }
-
-    /// Serialises the artifact in the **legacy version-1 format** (shared
-    /// Q/K/V activation scale, unpacked weight codes).
-    ///
-    /// Kept so the backward-compatibility tests and the artifact-size bench
-    /// can produce genuine v1 byte streams without pinning old binaries.
-    /// The encoding is lossy for a per-projection model: the three Q/K/V
-    /// scales collapse into their minimum — the scale a shared observer
-    /// over the union of the three ranges would have derived (scales count
-    /// levels per unit, so the widest range yields the smallest scale),
-    /// keeping every code range sound — exactly the coarsening the v1
-    /// engine imposed.
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        self.encode(1, write_layer_v1)
-    }
-
-    fn encode(&self, version: u32, layer_codec: fn(&mut Writer, &IntEncoderLayer)) -> Vec<u8> {
         let mut payload = Writer::default();
         payload.u8(task_tag(self.task));
         write_config(&mut payload, self.model.config());
@@ -192,39 +167,22 @@ impl ModelArtifact {
         }
         payload.u64(self.model.layers.len() as u64);
         for layer in &self.model.layers {
-            layer_codec(&mut payload, layer);
+            write_layer(&mut payload, layer);
         }
         write_vocab(&mut payload, self.tokenizer.vocab());
         payload.u64(self.tokenizer.max_len() as u64);
 
         let mut out = Vec::with_capacity(payload.buf.len() + 12);
         out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&payload.buf);
         out.extend_from_slice(&crc32(&payload.buf).to_le_bytes());
         out
     }
 
-    /// Deserialises an artifact from bytes (the eager path: weight codes
-    /// are unpacked and panel-packed immediately; nothing borrows the input
-    /// buffer). Kept as the bit-identity oracle for the zero-copy path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Artifact`] on any structural problem.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        Ok(Self::parse(bytes, None, None)?.0)
-    }
-
-    /// The one decoder behind both load paths. `shared` (the same
-    /// allocation as `bytes`, when present) switches v2 weight tensors to
-    /// zero-copy references into it; `cache` interns float tensors for
-    /// cross-artifact dedup.
-    fn parse(
-        bytes: &[u8],
-        shared: Option<&Arc<[u8]>>,
-        cache: Option<&mut TensorCache>,
-    ) -> Result<(Self, LoadStats)> {
+    /// The one decoder: weight tensors become references into `bytes`,
+    /// float tensors are interned through `cache`.
+    fn parse(bytes: &Arc<[u8]>, cache: &mut TensorCache) -> Result<(Self, LoadStats)> {
         if bytes.len() < 12 {
             return Err(RuntimeError::Artifact("file too short".to_string()));
         }
@@ -235,10 +193,9 @@ impl ModelArtifact {
             )));
         }
         let version = u32::from_le_bytes(fixed_bytes(bytes, 4)?);
-        if !(MIN_SUPPORTED_VERSION..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(RuntimeError::Artifact(format!(
-                "unsupported artifact version {version} \
-                 (this build reads {MIN_SUPPORTED_VERSION}..={VERSION})"
+                "unsupported artifact version {version} (this build reads {VERSION})"
             )));
         }
         let payload = bytes.get(8..bytes.len() - 4).unwrap_or_default();
@@ -285,13 +242,13 @@ impl ModelArtifact {
                 )));
             }
         }
-        // Intern the CPU-side float tensors through the dedup cache (when
-        // one was supplied): identical tensors across artifacts — the
-        // embedding tables and classifier heads of w4/w8 variants of one
-        // task — collapse onto one shared allocation.
+        // Intern the CPU-side float tensors through the dedup cache:
+        // identical tensors across artifacts — the embedding tables and
+        // classifier heads of w4/w8 variants of one task — collapse onto
+        // one shared allocation.
         let mut stats = LoadStats::default();
-        let [word, pos, seg, gamma, beta, cls_w, cls_b] = match cache {
-            Some(cache) => [word, pos, seg, gamma, beta, cls_w, cls_b].map(|t| {
+        let [word, pos, seg, gamma, beta, cls_w, cls_b] =
+            [word, pos, seg, gamma, beta, cls_w, cls_b].map(|t| {
                 let nbytes = std::mem::size_of_val(t.as_slice());
                 let (arc, shared) = cache.intern(t);
                 if shared {
@@ -299,9 +256,7 @@ impl ModelArtifact {
                     stats.shared_bytes += nbytes;
                 }
                 arc
-            }),
-            None => [word, pos, seg, gamma, beta, cls_w, cls_b].map(Arc::new),
-        };
+            });
         let num_layers = r.u64()? as usize;
         if num_layers != config.layers {
             return Err(RuntimeError::Artifact(format!(
@@ -311,7 +266,7 @@ impl ModelArtifact {
         }
         let mut layers = Vec::with_capacity(num_layers);
         for _ in 0..num_layers {
-            layers.push(read_layer(&mut r, &config, version, shared)?);
+            layers.push(read_layer(&mut r, &config, bytes)?);
         }
         let vocab = read_vocab(&mut r)?;
         let max_len = r.u64()? as usize;
@@ -556,23 +511,6 @@ fn read_tensor(r: &mut Reader<'_>) -> Result<Tensor> {
         .map_err(|e| RuntimeError::Artifact(format!("inconsistent tensor: {e}")))
 }
 
-fn write_i8_tensor(w: &mut Writer, t: &IntTensor<i8>) {
-    w.u32(t.dims().len() as u32);
-    for &d in t.dims() {
-        w.u64(d as u64);
-    }
-    let raw: Vec<u8> = t.as_slice().iter().map(|&v| v as u8).collect();
-    w.buf.extend_from_slice(&raw);
-}
-
-fn read_i8_tensor(r: &mut Reader<'_>) -> Result<IntTensor<i8>> {
-    let (dims, numel) = read_dims(r, 1)?;
-    let raw = r.take(numel)?;
-    let data: Vec<i8> = raw.iter().map(|&b| b as i8).collect();
-    IntTensor::from_vec(data, &dims)
-        .map_err(|e| RuntimeError::Artifact(format!("inconsistent int8 tensor: {e}")))
-}
-
 fn write_i32_tensor(w: &mut Writer, t: &IntTensor<i32>) {
     w.u32(t.dims().len() as u32);
     for &d in t.dims() {
@@ -593,154 +531,52 @@ fn read_i32_tensor(r: &mut Reader<'_>) -> Result<IntTensor<i32>> {
         .map_err(|e| RuntimeError::Artifact(format!("inconsistent int32 tensor: {e}")))
 }
 
-/// Writes one quantized linear in the v2 encoding: bit-width and scales
-/// first (so the reader knows how the weight codes are stored), then the
-/// weight tensor — nibble-packed for bit-widths of at most 4, raw `i8`
-/// otherwise — then the bias.
+/// Writes one quantized linear: bit-width and scales first (so the reader
+/// knows how the weight codes are stored), then the weight tensor — its
+/// encoded bytes copied verbatim from the layer, nibble-packed for
+/// bit-widths of at most 4, raw `i8` otherwise — then the bias.
 fn write_linear(w: &mut Writer, l: &IntLinear) {
     w.u32(l.weight_bits());
     w.f32(l.weight_scale());
     w.f32(l.input_scale());
     w.f32(l.output_scale());
-    let weight = l.weight_codes();
-    w.u32(weight.dims().len() as u32);
-    for &d in weight.dims() {
+    w.u32(2);
+    for d in l.weight_dims() {
         w.u64(d as u64);
     }
-    if l.weight_bits() <= 4 {
-        // fqlint::allow(panic-path): quantizer invariant — codes for
-        // bits <= 4 are clamped to a signed nibble at quantization time,
-        // and writing a corrupt artifact silently would be worse than
-        // failing loudly at save time.
-        let packed = fqbert_tensor::pack_i4(weight.as_slice())
-            .expect("4-bit weight codes fit a signed nibble");
-        w.buf.extend_from_slice(&packed);
-    } else {
-        let raw: Vec<u8> = weight.as_slice().iter().map(|&v| v as u8).collect();
-        w.buf.extend_from_slice(&raw);
-    }
+    w.buf.extend_from_slice(l.weight_bytes());
     write_i32_tensor(w, l.bias_codes());
 }
 
-/// Reads one quantized linear in the v2 encoding. With `shared` set (the
-/// artifact buffer this reader's payload slice came from), the weight
-/// tensor is **not** decoded: the layer keeps a `(buffer, offset)`
-/// reference to the encoded bytes and materializes its GEMM panels from
-/// them on first use — nibble-packed low-bit weights never round-trip
-/// through unpacked `i8` codes, let alone `i16` panels.
-fn read_linear(r: &mut Reader<'_>, shared: Option<&Arc<[u8]>>) -> Result<IntLinear> {
+/// Reads one quantized linear. The weight tensor is **not** decoded: the
+/// layer keeps a `(buffer, offset)` reference to the encoded bytes inside
+/// `shared` (the artifact buffer this reader's payload slice came from) and
+/// builds its GEMM panels from them on first use — nibble-packed low-bit
+/// weights never round-trip through unpacked `i8` codes, let alone `i16`
+/// panels.
+fn read_linear(r: &mut Reader<'_>, shared: &Arc<[u8]>) -> Result<IntLinear> {
     let weight_bits = r.u32()?;
     let weight_scale = r.f32()?;
     let input_scale = r.f32()?;
     let output_scale = r.f32()?;
-    let packed = weight_bits <= 4;
-    let (dims, numel) = read_dims_checked(r, |numel| {
-        Some(if packed { numel.div_ceil(2) } else { numel })
-    })?;
-    if let Some(buf) = shared {
-        let (rows, cols) = match dims.as_slice() {
-            &[rows, cols] => (rows, cols),
-            _ => {
-                return Err(RuntimeError::Artifact(format!(
-                    "weight tensor rank {} (expected a matrix)",
-                    dims.len()
-                )))
-            }
-        };
-        // The payload slice starts PAYLOAD_OFFSET bytes into the artifact
-        // buffer, so the reader position maps to an absolute offset there.
-        let offset = PAYLOAD_OFFSET + r.pos;
-        let encoded_len = if packed { numel.div_ceil(2) } else { numel };
-        r.take(encoded_len)?;
-        let bias = read_i32_tensor(r)?;
-        return IntLinear::from_v2_bytes(
-            Arc::clone(buf),
-            offset,
-            rows,
-            cols,
-            bias,
-            weight_scale,
-            input_scale,
-            output_scale,
-            weight_bits,
-        )
-        .map_err(|e| RuntimeError::Artifact(format!("invalid quantized linear: {e}")));
-    }
-    let data: Vec<i8> = if packed {
-        let raw = r.take(numel.div_ceil(2))?;
-        fqbert_tensor::unpack_i4(raw, numel)
-            .map_err(|e| RuntimeError::Artifact(format!("invalid packed int4 weights: {e}")))?
-    } else {
-        r.take(numel)?.iter().map(|&b| b as i8).collect()
+    let encoded_len = |numel| IntLinear::encoded_len(weight_bits, numel);
+    let (dims, numel) = read_dims_checked(r, |numel| Some(encoded_len(numel)))?;
+    let &[rows, cols] = dims.as_slice() else {
+        return Err(RuntimeError::Artifact(format!(
+            "weight tensor rank {} (expected a matrix)",
+            dims.len()
+        )));
     };
-    let weight = IntTensor::from_vec(data, &dims)
-        .map_err(|e| RuntimeError::Artifact(format!("inconsistent weight tensor: {e}")))?;
+    // The payload slice starts PAYLOAD_OFFSET bytes into the artifact
+    // buffer, so the reader position maps to an absolute offset there.
+    let offset = PAYLOAD_OFFSET + r.pos;
+    r.take(encoded_len(numel))?;
     let bias = read_i32_tensor(r)?;
-    IntLinear::from_quantized(
-        weight,
-        bias,
-        weight_scale,
-        input_scale,
-        output_scale,
-        weight_bits,
-    )
-    .map_err(|e| RuntimeError::Artifact(format!("invalid quantized linear: {e}")))
-}
-
-/// Writes one quantized linear in the legacy v1 encoding (raw `i8` weight
-/// codes, scales trailing), with the activation scales overridden so a
-/// per-projection layer collapses consistently onto the v1 shared scale.
-/// Bias codes are quantized at `input_scale · weight_scale`, so a linear
-/// whose declared input scale moves must carry its bias codes along:
-/// `bias_rescale` is the ratio of the declared scale to the scale the
-/// stored codes were produced at (at most 1 here — the collapsed shared
-/// scale is the minimum — so the rescaled codes cannot overflow `i32`).
-fn write_linear_v1(
-    w: &mut Writer,
-    l: &IntLinear,
-    input_scale: f32,
-    output_scale: f32,
-    bias_rescale: f64,
-) {
-    write_i8_tensor(w, l.weight_codes());
-    if bias_rescale == 1.0 {
-        write_i32_tensor(w, l.bias_codes());
-    } else {
-        let bias = l.bias_codes();
-        w.u32(bias.dims().len() as u32);
-        for &d in bias.dims() {
-            w.u64(d as u64);
-        }
-        for &code in bias.as_slice() {
-            w.u32((f64::from(code) * bias_rescale).round() as i32 as u32);
-        }
-    }
-    w.f32(l.weight_scale());
-    w.f32(input_scale);
-    w.f32(output_scale);
-    w.u32(l.weight_bits());
-}
-
-/// Reads one quantized linear in the legacy v1 encoding. 4-bit codes from
-/// old artifacts always fit the nibble range (the quantizer clamps to
-/// `±(2^(k-1) - 1)`), so a v1 model re-saved at v2 packs losslessly; codes
-/// that do not are rejected here rather than poisoning a later save.
-fn read_linear_v1(r: &mut Reader<'_>) -> Result<IntLinear> {
-    let weight = read_i8_tensor(r)?;
-    let bias = read_i32_tensor(r)?;
-    let weight_scale = r.f32()?;
-    let input_scale = r.f32()?;
-    let output_scale = r.f32()?;
-    let weight_bits = r.u32()?;
-    if weight_bits <= 4 {
-        if let Some(&bad) = weight.as_slice().iter().find(|&&c| !(-8..=7).contains(&c)) {
-            return Err(RuntimeError::Artifact(format!(
-                "4-bit weight code {bad} outside the signed nibble range"
-            )));
-        }
-    }
-    IntLinear::from_quantized(
-        weight,
+    IntLinear::from_v2_bytes(
+        Arc::clone(shared),
+        offset,
+        rows,
+        cols,
         bias,
         weight_scale,
         input_scale,
@@ -796,102 +632,25 @@ fn write_layer(w: &mut Writer, layer: &IntEncoderLayer) {
     write_layer_norm(w, layer.ffn_layer_norm());
 }
 
-/// Writes one encoder layer in the legacy v1 encoding: seven scales with a
-/// single shared Q/K/V entry. Scales count levels per unit, so a shared
-/// observer over the union of the Q/K/V ranges would see the **widest**
-/// range and derive the **smallest** of the three per-projection scales —
-/// that minimum is what the collapsed entry records, keeping every
-/// projection's code range sound (no projection is clipped harder than its
-/// own calibration allowed). The projection linears (plus the attention
-/// output's input side, whose bias codes are rescaled from the V scale to
-/// the shared one) are written against it so the artifact is
-/// self-consistent, exactly as if calibration had observed one shared
-/// range.
-fn write_layer_v1(w: &mut Writer, layer: &IntEncoderLayer) {
-    let scales = layer.scales();
-    let qkv = scales.q.min(scales.k).min(scales.v);
-    w.u64(layer.heads() as u64);
-    for s in [
-        scales.input,
-        qkv,
-        scales.scores,
-        scales.attn_output,
-        scales.layer_norm,
-        scales.ffn_hidden,
-        scales.ffn_output,
-    ] {
-        w.f32(s);
-    }
-    write_linear_v1(w, &layer.query, scales.input, qkv, 1.0);
-    write_linear_v1(w, &layer.key, scales.input, qkv, 1.0);
-    write_linear_v1(w, &layer.value, scales.input, qkv, 1.0);
-    // attn_output's bias codes were quantized at its true input scale
-    // (s_v · s_w); re-declaring the input side at the shared scale means
-    // the codes must move with it.
-    write_linear_v1(
-        w,
-        &layer.attn_output,
-        qkv,
-        scales.attn_output,
-        f64::from(qkv) / f64::from(scales.v),
-    );
-    write_linear_v1(w, &layer.ffn1, scales.layer_norm, scales.ffn_hidden, 1.0);
-    write_linear_v1(w, &layer.ffn2, scales.ffn_hidden, scales.ffn_output, 1.0);
-    write_layer_norm(w, layer.attn_layer_norm());
-    write_layer_norm(w, layer.ffn_layer_norm());
-}
-
-fn read_layer(
-    r: &mut Reader<'_>,
-    cfg: &BertConfig,
-    version: u32,
-    shared: Option<&Arc<[u8]>>,
-) -> Result<IntEncoderLayer> {
+fn read_layer(r: &mut Reader<'_>, cfg: &BertConfig, shared: &Arc<[u8]>) -> Result<IntEncoderLayer> {
     let heads = r.u64()? as usize;
-    let scales = if version == 1 {
-        // v1 shared one activation scale across Q, K and V; widening it
-        // into three equal scales reproduces the old attention arithmetic
-        // bit for bit (s_q·s_k = s_qkv², context at s_v = s_qkv).
-        let input = r.f32()?;
-        let qkv = r.f32()?;
-        LayerScales {
-            input,
-            q: qkv,
-            k: qkv,
-            v: qkv,
-            scores: r.f32()?,
-            attn_output: r.f32()?,
-            layer_norm: r.f32()?,
-            ffn_hidden: r.f32()?,
-            ffn_output: r.f32()?,
-        }
-    } else {
-        LayerScales {
-            input: r.f32()?,
-            q: r.f32()?,
-            k: r.f32()?,
-            v: r.f32()?,
-            scores: r.f32()?,
-            attn_output: r.f32()?,
-            layer_norm: r.f32()?,
-            ffn_hidden: r.f32()?,
-            ffn_output: r.f32()?,
-        }
+    let scales = LayerScales {
+        input: r.f32()?,
+        q: r.f32()?,
+        k: r.f32()?,
+        v: r.f32()?,
+        scores: r.f32()?,
+        attn_output: r.f32()?,
+        layer_norm: r.f32()?,
+        ffn_hidden: r.f32()?,
+        ffn_output: r.f32()?,
     };
-    let linear = |r: &mut Reader<'_>| {
-        if version == 1 {
-            // v1 predates the zero-copy encoding; it always parses eagerly.
-            read_linear_v1(r)
-        } else {
-            read_linear(r, shared)
-        }
-    };
-    let query = linear(r)?;
-    let key = linear(r)?;
-    let value = linear(r)?;
-    let attn_output = linear(r)?;
-    let ffn1 = linear(r)?;
-    let ffn2 = linear(r)?;
+    let query = read_linear(r, shared)?;
+    let key = read_linear(r, shared)?;
+    let value = read_linear(r, shared)?;
+    let attn_output = read_linear(r, shared)?;
+    let ffn1 = read_linear(r, shared)?;
+    let ffn2 = read_linear(r, shared)?;
     let attn_ln = read_layer_norm(r)?;
     let ffn_ln = read_layer_norm(r)?;
     if heads == 0 || !cfg.hidden.is_multiple_of(heads) {
@@ -911,8 +670,6 @@ fn read_layer(
         ("ffn1", &ffn1, [h, i]),
         ("ffn2", &ffn2, [i, h]),
     ] {
-        // `weight_dims` avoids materializing lazily loaded weight codes
-        // just to shape-check them.
         if linear.weight_dims() != expected {
             return Err(RuntimeError::Artifact(format!(
                 "{name} weight shape {:?} disagrees with config (expected {expected:?})",

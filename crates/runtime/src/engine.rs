@@ -269,7 +269,7 @@ pub struct Engine {
     telemetry: Arc<Registry>,
     metrics: EngineMetrics,
     /// Dedup statistics of the artifact load that produced this engine
-    /// (all-zero for engines built from in-memory models or eager loads).
+    /// (all-zero for engines built from in-memory models).
     load_stats: LoadStats,
 }
 
@@ -344,8 +344,8 @@ impl Engine {
 
     /// Bytes of model weight storage currently resident for this engine's
     /// quantized model (0 for the float backend): the seven float tensors
-    /// plus every layer's materialized panel/code/bias storage. Grows as
-    /// zero-copy loaded layers materialize their GEMM panels on first use.
+    /// plus every layer's bias and GEMM panel storage. Grows as layers
+    /// build their panels on first use.
     pub fn resident_bytes(&self) -> usize {
         self.backend
             .int_model()
@@ -355,7 +355,7 @@ impl Engine {
     /// Dedup statistics of the artifact load that produced this engine:
     /// how many tensors (and bytes) were shared with previously loaded
     /// models instead of being loaded privately. All-zero for engines
-    /// built from in-memory models or via the eager load path.
+    /// built from in-memory models.
     pub fn load_stats(&self) -> LoadStats {
         self.load_stats
     }
@@ -803,13 +803,11 @@ impl EngineBuilder {
     /// Builds the engine by loading a saved artifact (`quantize once →
     /// serve many`): no float model, no retraining, no recalibration.
     ///
-    /// Loads on the zero-copy path: v2 weight tensors stay in their
-    /// on-disk encoding behind one shared buffer and materialize GEMM
-    /// panels on first use, so cold start does not pay for unpacking every
-    /// layer up front. Bit-identical to the eager
-    /// [`EngineBuilder::load_eager`] path (property-tested). Use
-    /// [`EngineBuilder::load_with_cache`] to dedup float tensors across
-    /// several loaded models.
+    /// The file is read once into a shared buffer; weight tensors stay in
+    /// their on-disk encoding behind it and each linear builds its GEMM
+    /// panels on first use, so cold start does not pay for packing every
+    /// layer up front. Use [`EngineBuilder::load_shared_bytes`] to share
+    /// the buffer, and dedup float tensors, across several loaded models.
     ///
     /// The artifact supplies the task and tokenizer; the builder's task is
     /// overridden by the artifact's. The float backend cannot be built from
@@ -820,28 +818,17 @@ impl EngineBuilder {
     /// Propagates artifact I/O and validation errors; returns
     /// [`RuntimeError::InvalidConfig`] for [`BackendKind::Float`].
     pub fn load(self, path: &Path) -> Result<Engine> {
-        let mut cache = TensorCache::new();
-        self.load_with_cache(path, &mut cache)
-    }
-
-    /// As [`EngineBuilder::load`], interning float tensors through a
-    /// caller-owned [`TensorCache`] so identical tensors across models
-    /// loaded with the same cache (embedding tables and classifier heads
-    /// of w4/w8 variants of one task) share one allocation. The engine's
-    /// [`Engine::load_stats`] reports what was shared.
-    ///
-    /// # Errors
-    ///
-    /// As for [`EngineBuilder::load`].
-    pub fn load_with_cache(self, path: &Path, cache: &mut TensorCache) -> Result<Engine> {
         let bytes: Arc<[u8]> = std::fs::read(path)?.into();
-        self.load_shared_bytes(&bytes, cache)
+        self.load_shared_bytes(&bytes, &mut TensorCache::new())
     }
 
-    /// As [`EngineBuilder::load_with_cache`], from an already-loaded
-    /// artifact byte buffer — so several registry entries pointing at the
-    /// same artifact file share one read and one backing buffer instead of
-    /// loading it per entry.
+    /// As [`EngineBuilder::load`], from an already-loaded artifact byte
+    /// buffer — so several registry entries pointing at the same artifact
+    /// file share one read and one backing buffer — interning float tensors
+    /// through a caller-owned [`TensorCache`] so identical tensors across
+    /// models loaded with the same cache (embedding tables and classifier
+    /// heads of w4/w8 variants of one task) share one allocation. The
+    /// engine's [`Engine::load_stats`] reports what was shared.
     ///
     /// # Errors
     ///
@@ -852,19 +839,6 @@ impl EngineBuilder {
         let mut engine = self.from_artifact(artifact)?;
         engine.load_stats = stats;
         Ok(engine)
-    }
-
-    /// Builds the engine by loading a saved artifact on the **eager** path:
-    /// every weight tensor is unpacked and panel-packed at load time.
-    /// Kept as the bit-identity oracle and cold-start baseline for the
-    /// zero-copy [`EngineBuilder::load`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`EngineBuilder::load`].
-    pub fn load_eager(self, path: &Path) -> Result<Engine> {
-        let artifact = ModelArtifact::load(path)?;
-        self.from_artifact(artifact)
     }
 
     /// Builds the engine from an in-memory artifact.

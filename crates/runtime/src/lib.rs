@@ -59,10 +59,16 @@
 //!
 //! [`ModelArtifact`] persists the quantized model (weight/bias codes,
 //! activation scales, layer-norm codes, bit-widths), the task and the
-//! vocabulary in a versioned, checksummed binary format (see
-//! [`artifact`]). Loading rebuilds all derived state (requantizers, LUTs)
-//! deterministically, so a reloaded model produces bit-identical logits —
-//! guaranteed by a property test.
+//! vocabulary in a checksummed binary format with one version, one writer
+//! and one decoder (see [`artifact`]). A loaded file stays resident as one
+//! shared byte buffer: every quantized linear refers to its encoded weight
+//! bytes inside it (≤4-bit codes two per byte) and builds its GEMM panels
+//! from them on first use — the same form, and the same constructor, a
+//! freshly converted model uses — while float tensors are interned through
+//! a [`TensorCache`] so variants of one task share them. Loading rebuilds
+//! all derived state (requantizers, LUTs) deterministically, so a reloaded
+//! model produces bit-identical logits and re-saves byte-identical files —
+//! guaranteed by property tests.
 //!
 //! # Example
 //!

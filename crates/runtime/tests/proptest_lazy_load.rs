@@ -1,7 +1,9 @@
-//! Property tests of the zero-copy artifact load path: lazily materialized
-//! models must be bit-identical to eagerly loaded ones at every weight
-//! bit-width, dedup must actually share float tensors across variants, and
-//! residency must stay below the eager path until panels materialize.
+//! Property tests of the artifact load path: a loaded model must be
+//! bit-identical to the converter-built model that produced its bytes at
+//! every weight bit-width, every loaded projection must agree with the
+//! naive reference, dedup must actually share float tensors across
+//! variants, residency must grow by exactly the panels a forward pass
+//! builds, and `save ∘ load ∘ save` must be byte-identical.
 
 use fqbert_autograd::Graph;
 use fqbert_bert::{BertConfig, BertModel};
@@ -9,6 +11,7 @@ use fqbert_core::{convert_mixed, QatHook};
 use fqbert_nlp::{Example, TaskKind, Tokenizer, Vocab};
 use fqbert_quant::{LayerBits, QuantConfig};
 use fqbert_runtime::{ModelArtifact, TensorCache};
+use fqbert_tensor::{IntTensor, PackedWeights};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
@@ -44,10 +47,11 @@ fn build_artifact(bits: &[LayerBits]) -> ModelArtifact {
     ModelArtifact::new(TaskKind::Sst2, int_model, Tokenizer::new(vocab, MAX_LEN))
 }
 
-/// Artifact byte streams for w2, w4, w8 and a mixed-precision stack, built
-/// once from one float model and shared across cases.
-fn artifact_bytes() -> &'static Vec<(&'static str, Vec<u8>)> {
-    static CELL: OnceLock<Vec<(&'static str, Vec<u8>)>> = OnceLock::new();
+/// Converter-built artifacts and their byte streams for w2, w4, w8 and a
+/// mixed-precision stack, built once from one float model and shared
+/// across cases.
+fn artifacts() -> &'static Vec<(&'static str, ModelArtifact, Vec<u8>)> {
+    static CELL: OnceLock<Vec<(&'static str, ModelArtifact, Vec<u8>)>> = OnceLock::new();
     CELL.get_or_init(|| {
         let layers = BertConfig::tiny(28, MAX_LEN, 2).layers;
         let mut mixed = vec![LayerBits::uniform(4); layers];
@@ -66,9 +70,29 @@ fn artifact_bytes() -> &'static Vec<(&'static str, Vec<u8>)> {
             ("mixed", mixed),
         ]
         .into_iter()
-        .map(|(name, bits)| (name, build_artifact(&bits).to_bytes()))
+        .map(|(name, bits)| {
+            let built = build_artifact(&bits);
+            let bytes = built.to_bytes();
+            (name, built, bytes)
+        })
         .collect()
     })
+}
+
+/// Loads `bytes` through the shared-buffer decoder with a fresh cache.
+fn load(bytes: &[u8]) -> ModelArtifact {
+    let shared: Arc<[u8]> = bytes.into();
+    ModelArtifact::from_shared_bytes(&shared, &mut TensorCache::new())
+        .expect("load")
+        .0
+}
+
+/// The six projections of every layer of `model`.
+fn projections(model: &fqbert_core::IntBertModel) -> impl Iterator<Item = &fqbert_core::IntLinear> {
+    model
+        .layers
+        .iter()
+        .flat_map(|l| [&l.query, &l.key, &l.value, &l.attn_output, &l.ffn1, &l.ffn2])
 }
 
 /// A random batch of encoded examples valid for the test model.
@@ -96,28 +120,49 @@ fn batch_strategy() -> impl Strategy<Value = Vec<Example>> {
 }
 
 proptest! {
-    // The heart of the zero-copy contract: logits from a lazily
-    // materialized model equal the eager load bit for bit, at every
-    // supported bit-width and for a mixed-precision stack.
+    // The heart of the load contract: logits from a loaded model equal
+    // those of the converter-built model that produced the bytes, bit for
+    // bit, at every supported bit-width and for a mixed-precision stack.
+    // Both sides build their panels with the same packer, so the packer
+    // itself is pinned separately: every projection of every *loaded*
+    // layer must equal `forward_naive` — a plain `matmul_i32` over
+    // `unpack_i4`-decoded codes that shares no code with the panel shuffle.
     #[test]
-    fn zero_copy_load_is_bit_identical_to_eager(examples in batch_strategy()) {
-        for (name, bytes) in artifact_bytes() {
-            let eager = ModelArtifact::from_bytes(bytes).expect("eager load");
-            let shared: Arc<[u8]> = bytes.clone().into();
-            let mut cache = TensorCache::new();
-            let (lazy, stats) =
-                ModelArtifact::from_shared_bytes(&shared, &mut cache).expect("zero-copy load");
-            prop_assert_eq!(stats.shared_tensors, 0, "first load shares nothing");
-            let a = eager.model.logits_batch(&examples).expect("eager logits");
-            let b = lazy.model.logits_batch(&examples).expect("lazy logits");
+    fn loaded_model_is_bit_identical_to_converter_built(
+        examples in batch_strategy(),
+        rows in 1usize..4,
+        input_seed in 0u64..u64::MAX,
+    ) {
+        for (name, built, bytes) in artifacts() {
+            let loaded = load(bytes);
+            let a = built.model.logits_batch(&examples).expect("built logits");
+            let b = loaded.model.logits_batch(&examples).expect("loaded logits");
             prop_assert_eq!(a.len(), b.len());
             for (la, lb) in a.iter().zip(b.iter()) {
                 for (x, y) in la.iter().zip(lb.iter()) {
                     prop_assert_eq!(
                         x.to_bits(), y.to_bits(),
-                        "{} zero-copy logits diverge from eager", name
+                        "{} loaded logits diverge from the converter-built model", name
                     );
                 }
+            }
+            let mut s = input_seed;
+            for linear in projections(&loaded.model) {
+                let codes: Vec<i8> = (0..rows * linear.in_features())
+                    .map(|_| {
+                        s = s
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        (s >> 56) as i8
+                    })
+                    .collect();
+                let x = IntTensor::from_vec(codes, &[rows, linear.in_features()]).expect("input");
+                prop_assert_eq!(
+                    linear.forward(&x).expect("blocked"),
+                    linear.forward_naive(&x).expect("naive"),
+                    "{} w{} projection diverges from the naive reference",
+                    name, linear.weight_bits()
+                );
             }
         }
     }
@@ -125,9 +170,9 @@ proptest! {
 
 #[test]
 fn variants_of_one_task_share_their_float_tensors() {
-    let bytes = artifact_bytes();
-    let w4: Arc<[u8]> = bytes[1].1.clone().into();
-    let w8: Arc<[u8]> = bytes[2].1.clone().into();
+    let all = artifacts();
+    let w4: Arc<[u8]> = all[1].2.clone().into();
+    let w8: Arc<[u8]> = all[2].2.clone().into();
     let mut cache = TensorCache::new();
     let (first, stats_first) = ModelArtifact::from_shared_bytes(&w4, &mut cache).expect("w4");
     assert_eq!(stats_first.shared_tensors, 0);
@@ -149,58 +194,67 @@ fn variants_of_one_task_share_their_float_tensors() {
 
 #[test]
 fn residency_stays_lazy_until_first_forward() {
-    let (_, bytes) = &artifact_bytes()[1]; // w4
-    let eager = ModelArtifact::from_bytes(bytes).expect("eager load");
-    let shared: Arc<[u8]> = bytes.clone().into();
-    let mut cache = TensorCache::new();
-    let (lazy, _) = ModelArtifact::from_shared_bytes(&shared, &mut cache).expect("lazy load");
-    let before = lazy.model.resident_bytes();
-    let full = eager.model.resident_bytes();
-    assert!(
-        before < full,
-        "unused zero-copy model resides {before} bytes, eager {full}"
-    );
+    let (_, _, bytes) = &artifacts()[1]; // w4
+    let loaded = load(bytes);
+    let before = loaded.model.resident_bytes();
     let examples = vec![Example {
         token_ids: vec![2, 7, 11, 3],
         segment_ids: vec![0; 4],
         attention_mask: vec![1; 4],
         label: 0,
     }];
-    lazy.model.logits_batch(&examples).expect("first forward");
-    // The forward pass materializes every layer's panels but never the
-    // unpacked code tensors, so the lazy model converges to the panel+bias
-    // portion of the eager residency without the code copies.
-    let after = lazy.model.resident_bytes();
-    assert!(after > before, "first forward must materialize panels");
-    assert!(
-        after < full,
-        "lazy model must skip the unpacked code copies"
-    );
+    loaded.model.logits_batch(&examples).expect("first forward");
+    // The forward pass builds every projection's GEMM panels and nothing
+    // else — there is no decoded code copy to materialize — so residency
+    // grows by exactly the panels' bytes.
+    let panels: usize = projections(&loaded.model)
+        .map(|l| {
+            let [k, n] = l.weight_dims();
+            PackedWeights::from_v2_nibble_bytes(l.weight_bytes(), k, n)
+                .expect("w4 panels")
+                .resident_bytes()
+        })
+        .sum();
+    assert!(panels > 0);
+    assert_eq!(loaded.model.resident_bytes(), before + panels);
+    // A second forward builds nothing more.
+    loaded
+        .model
+        .logits_batch(&examples)
+        .expect("second forward");
+    assert_eq!(loaded.model.resident_bytes(), before + panels);
 }
 
 #[test]
 fn zero_copy_loaded_model_saves_identical_bytes() {
-    // `save` walks `weight_codes()`, which zero-copy layers materialize on
-    // demand from the artifact buffer: re-encoding must reproduce the
-    // original byte stream exactly.
-    let (_, bytes) = &artifact_bytes()[3]; // mixed
-    let shared: Arc<[u8]> = bytes.clone().into();
-    let mut cache = TensorCache::new();
-    let (lazy, _) = ModelArtifact::from_shared_bytes(&shared, &mut cache).expect("lazy load");
-    assert_eq!(&lazy.to_bytes(), bytes);
+    // The writer copies each linear's encoded weight bytes verbatim —
+    // whether they sit in a converted layer's private buffer or in a loaded
+    // file's shared one — so `save → load → save` moves no byte at any
+    // width, starting from the converter-built model (`bytes` is its save)
+    // and, one more turn, from the loaded one.
+    for (name, built, bytes) in artifacts() {
+        let loaded = load(bytes);
+        assert_eq!(built.model, loaded.model, "{name}");
+        let resaved = loaded.to_bytes();
+        assert_eq!(&resaved, bytes, "{name}: converter-built round trip");
+        assert_eq!(
+            load(&resaved).to_bytes(),
+            resaved,
+            "{name}: loaded round trip"
+        );
+    }
 }
 
 #[test]
-fn load_zero_copy_reads_files_and_clones_share_state() {
-    let (_, bytes) = &artifact_bytes()[0]; // w2
+fn load_reads_files_and_clones_share_state() {
+    let (_, _, bytes) = &artifacts()[0]; // w2
     let dir = std::env::temp_dir().join("fqbert_lazy_load_test");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("w2.fqbt");
     std::fs::write(&path, bytes).expect("write artifact");
-    let (artifact, stats) = ModelArtifact::load_zero_copy(&path).expect("load");
-    assert_eq!(stats.shared_tensors, 0);
-    // Clones share the lazily materialized panels: a clone taken before
-    // the first forward still sees the original's materialization.
+    let artifact = ModelArtifact::load(&path).expect("load");
+    // Clones share the lazily built panels: a clone taken before the first
+    // forward still sees the original's panels.
     let clone = artifact.model.clone();
     let examples = vec![Example {
         token_ids: vec![2, 5, 3],
@@ -212,7 +266,7 @@ fn load_zero_copy_reads_files_and_clones_share_state() {
     assert_eq!(
         clone.resident_bytes(),
         artifact.model.resident_bytes(),
-        "clones must share materialized panel storage"
+        "clones must share panel storage"
     );
     std::fs::remove_file(&path).ok();
 }

@@ -40,10 +40,10 @@
 //! [`PackedWeights::from_v2_nibble_bytes`] gathers nibble panels straight
 //! from the `pack_i4` encoding (element `e = kk·n + c` lives in nibble
 //! `e % 2` of byte `e / 2`), and [`PackedWeights::pack_wide_from_bytes`]
-//! widens raw two's-complement `i8` code bytes in place. This is the
-//! zero-copy load path: w4 weights go from artifact bytes to compute-ready
-//! panels without ever round-tripping through unpacked `i8` codes or `i16`
-//! widening.
+//! widens raw two's-complement `i8` code bytes in place. This is how every
+//! quantized linear builds its panels: w4 weights go from artifact bytes to
+//! compute-ready panels without ever round-tripping through unpacked `i8`
+//! codes or `i16` widening.
 //!
 //! Activations are packed per call into row blocks of height [`MR`] with the
 //! same k-pair interleave (`a[pp][2r + t] = X[r0 + r][2pp + t]`), inside a

@@ -52,18 +52,18 @@ fn pu_datapath_matches_integer_engine_bit_exactly() {
         ("key", &int_model.layers[0].key),
         ("ffn1", &int_model.layers[0].ffn1),
     ] {
+        let weight = layer.weight_codes();
+        let columns: Vec<Vec<i8>> = (0..layer.out_features())
+            .map(|c| (0..layer.in_features()).map(|r| weight.row(r)[c]).collect())
+            .collect();
+        let effective = f64::from(layer.output_scale())
+            / (f64::from(layer.input_scale()) * f64::from(layer.weight_scale()));
+        let requant = Requantizer::from_scale(effective, 8).expect("scale");
         for row in 0..embedded.dims()[0] {
             let x_row = embedded.row(row);
             let x = IntTensor::from_vec(x_row.to_vec(), &[1, x_row.len()]).expect("shape");
             let reference = layer.forward(&x).expect("reference forward");
 
-            let weight = layer.weight_codes();
-            let columns: Vec<Vec<i8>> = (0..layer.out_features())
-                .map(|c| (0..layer.in_features()).map(|r| weight.row(r)[c]).collect())
-                .collect();
-            let effective = f64::from(layer.output_scale())
-                / (f64::from(layer.input_scale()) * f64::from(layer.weight_scale()));
-            let requant = Requantizer::from_scale(effective, 8).expect("scale");
             let (codes, cycles) = pu.matvec(
                 x_row,
                 &columns,
