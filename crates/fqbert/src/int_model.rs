@@ -8,20 +8,32 @@
 //! * weights are int4/int8 codes, activations int8 codes, biases int32;
 //! * every matrix multiply accumulates in int32 and is requantized back to
 //!   int8 with a fixed-point [`Requantizer`] (Eq. 5);
-//! * softmax uses the 256-entry [`SoftmaxLut`] with max-subtraction;
+//! * attention is fused per `MR`-row block of queries on the GEMM tile
+//!   kernels ([`fqbert_tensor::gemm::attention`]): score tile → requantize →
+//!   the 256-entry [`SoftmaxLut`] with max-subtraction → context tile →
+//!   requantize, so the `seq × seq` score matrix never exists;
 //! * `Add & LN` uses the fixed-point [`QuantizedLayerNorm`];
 //! * GELU uses a 256-entry int8→int8 lookup table (the paper fuses it with
 //!   FFN1; a table is the standard HLS realisation).
 //!
 //! The engine is the functional reference executed by the accelerator
 //! simulator in `fqbert-accel`.
+//!
+//! A layer keeps its intermediates in the caller's [`GemmScratch`] — every
+//! stage writes into a buffer the scratch owns (GELU in place), and the
+//! model ping-pongs the hidden state between two such buffers across
+//! layers — so a forward pass on a shape the scratch has seen allocates
+//! only what it returns.
 
 use crate::{FqBertError, Result};
 use fqbert_bert::BertConfig;
 use fqbert_quant::{
     quantize_bias, LayerBits, QuantParams, QuantizedLayerNorm, Requantizer, SoftmaxLut,
 };
-use fqbert_tensor::gemm::{gemm_i8_requant, GemmScratch, PackedWeights, RequantParams, MAX_K};
+use fqbert_tensor::gemm::{
+    gemm_i8_requant, gemm_i8_requant_into, ActivationBlock, AttentionScratch, GemmScratch,
+    PackedWeights, RequantParams, StridedView, MAX_ATTN_SEQ, MAX_K,
+};
 use fqbert_tensor::ops::{argmax_slice, gelu_scalar};
 use fqbert_tensor::{pack_i4, unpack_i4, IntTensor, Tensor};
 use std::sync::{Arc, OnceLock};
@@ -318,11 +330,33 @@ impl IntLinear {
         self.forward_with_scratch(x, &mut GemmScratch::new())
     }
 
-    /// Integer forward pass through the blocked GEMM kernel: the packed
-    /// weight panels (built from the encoded bytes on first use),
-    /// activations packed into `scratch`, and the bias add + fixed-point
-    /// requantization fused into the kernel's SIMD epilogue. Bit-identical
-    /// to [`IntLinear::forward_naive`] (the property tests pin this).
+    /// Integer forward pass through the blocked GEMM kernel, into a
+    /// caller-owned buffer: `x` is `rows` rows of `in_features` codes, `out`
+    /// receives `rows × out_features` codes. The packed weight panels are
+    /// built from the encoded bytes on first use, the activations are
+    /// packed into `pack`, and the bias add + fixed-point requantization
+    /// are fused into the kernel's SIMD epilogue. Bit-identical to
+    /// [`IntLinear::forward_naive`] (the property tests pin this).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `x` or `out` does not hold `rows` rows of the
+    /// layer's input / output width.
+    pub fn forward_into(
+        &self,
+        x: &[i8],
+        rows: usize,
+        pack: &mut ActivationBlock,
+        out: &mut [i8],
+    ) -> Result<()> {
+        let (panels, bias) = (self.packed_panels(), self.bias.as_slice());
+        let params = requant_params(&self.requant);
+        Ok(gemm_i8_requant_into(
+            x, rows, panels, bias, params, pack, out,
+        )?)
+    }
+
+    /// [`IntLinear::forward_into`] over tensors, allocating the output.
     ///
     /// # Errors
     ///
@@ -332,19 +366,9 @@ impl IntLinear {
         x: &IntTensor<i8>,
         scratch: &mut GemmScratch,
     ) -> Result<IntTensor<i8>> {
-        let params = RequantParams {
-            multiplier: self.requant.multiplier(),
-            shift: self.requant.shift(),
-            clamp: self.requant.out_max().min(127),
-        };
-        let out = gemm_i8_requant(
-            x,
-            self.packed_panels(),
-            self.bias.as_slice(),
-            params,
-            scratch,
-        )?;
-        Ok(out)
+        let (panels, bias) = (self.packed_panels(), self.bias.as_slice());
+        let params = requant_params(&self.requant);
+        Ok(gemm_i8_requant(x, panels, bias, params, scratch)?)
     }
 
     /// The naive reference datapath: `matmul_i32` over the decoded weight
@@ -368,6 +392,16 @@ impl IntLinear {
             }
         }
         Ok(out)
+    }
+}
+
+/// The kernel-epilogue form of a requantizer: the same multiplier and shift,
+/// saturating at the `i8` code range.
+fn requant_params(requant: &Requantizer) -> RequantParams {
+    RequantParams {
+        multiplier: requant.multiplier(),
+        shift: requant.shift(),
+        clamp: requant.out_max().min(127),
     }
 }
 
@@ -405,10 +439,18 @@ impl IntGelu {
         self.table[(code as i32 + 128) as usize]
     }
 
+    /// Applies the table to every code of `codes`, in place.
+    pub fn apply_in_place(&self, codes: &mut [i8]) {
+        for code in codes {
+            *code = self.apply(*code);
+        }
+    }
+
     /// Applies the table element-wise.
     pub fn apply_tensor(&self, x: &IntTensor<i8>) -> IntTensor<i8> {
-        let data = x.as_slice().iter().map(|&c| self.apply(c)).collect();
-        IntTensor::from_vec(data, x.dims()).expect("shape preserved")
+        let mut out = x.clone();
+        self.apply_in_place(out.as_mut_slice());
+        out
     }
 
     /// Output activation scale.
@@ -444,6 +486,7 @@ pub struct IntEncoderLayer {
     attn_layer_norm: QuantizedLayerNorm,
     ffn_layer_norm: QuantizedLayerNorm,
     heads: usize,
+    head_dim: usize,
     input_scale: f32,
     q_scale: f32,
     k_scale: f32,
@@ -589,17 +632,6 @@ impl IntEncoderLayer {
             scales.ffn_hidden,
             scales.ffn_output,
         )?;
-        let gelu = IntGelu::new(scales.ffn_hidden, scales.ffn_hidden);
-
-        // Attention scores: real = acc / (s_q · s_k · √d); codes at s_scores.
-        let score_effective = f64::from(scales.scores)
-            / (f64::from(scales.q) * f64::from(scales.k) * (head_dim as f64).sqrt());
-        let score_requant = Requantizer::from_scale(score_effective, 8)?;
-        let softmax = SoftmaxLut::new(scales.scores, PROB_LEVELS)?;
-        // Attention context: real = acc / (PROB_LEVELS · s_v); codes at s_v,
-        // so the effective requantization scale is scale-free.
-        let context_requant = Requantizer::from_scale(1.0 / f64::from(PROB_LEVELS), 8)?;
-
         let attn_layer_norm = QuantizedLayerNorm::from_float(
             layer.attn_layer_norm.gamma.as_slice(),
             layer.attn_layer_norm.beta.as_slice(),
@@ -610,44 +642,37 @@ impl IntEncoderLayer {
             layer.ffn_layer_norm.beta.as_slice(),
             layer_norm_eps,
         )?;
-        Ok(Self {
+        Self::from_quantized_parts(
             query,
             key,
             value,
             attn_output,
             ffn1,
             ffn2,
-            gelu,
-            score_requant,
-            score_scale: scales.scores,
-            softmax,
-            context_requant,
+            heads,
+            head_dim,
+            scales,
             attn_layer_norm,
             ffn_layer_norm,
-            heads,
-            input_scale: scales.input,
-            q_scale: scales.q,
-            k_scale: scales.k,
-            v_scale: scales.v,
-            attn_out_scale: scales.attn_output,
-            ln_out_scale: scales.layer_norm,
-            ffn_out_scale: scales.ffn_output,
-        })
+        )
     }
 
-    /// Reassembles an encoder layer from quantized parts (the inverse of the
-    /// accessors on this type), used when loading model artifacts.
+    /// Assembles an encoder layer from quantized parts (the inverse of the
+    /// accessors on this type) — the one place a layer is put together,
+    /// used by the float converter and when loading model artifacts.
     ///
-    /// All derived state (GELU table, softmax LUT, requantizers) is rebuilt
-    /// deterministically from `scales`, exactly as
-    /// [`IntEncoderLayer::from_float`] builds it, so a layer reconstructed
-    /// from its own accessors computes bit-identical outputs.
+    /// All derived state (GELU table, softmax LUT, requantizers) is built
+    /// deterministically from `scales`, so a layer reconstructed from its
+    /// own accessors computes bit-identical outputs.
     ///
     /// # Errors
     ///
-    /// Returns an error if a scale is invalid.
-    // fqlint::allow(float-escape): load-time boundary — reassembles the
-    // layer from stored codes and float scale metadata.
+    /// Returns an error if a scale is invalid or the head geometry does not
+    /// fit the projections: `heads` must be non-zero and `heads · head_dim`
+    /// must be the output width of `query`, `key` and `value` and the input
+    /// width of `attn_output`; Q, K and V must read the same input width.
+    // fqlint::allow(float-escape): assembly boundary — folds float scale
+    // metadata into requantizers and LUTs; the built layer is integer-only.
     #[allow(clippy::too_many_arguments)]
     pub fn from_quantized_parts(
         query: IntLinear,
@@ -662,16 +687,34 @@ impl IntEncoderLayer {
         attn_layer_norm: QuantizedLayerNorm,
         ffn_layer_norm: QuantizedLayerNorm,
     ) -> Result<Self> {
-        if heads == 0 || head_dim == 0 {
-            return Err(FqBertError::InvalidArgument(
-                "heads and head_dim must be non-zero".to_string(),
-            ));
+        let width = heads.checked_mul(head_dim).filter(|&w| w > 0);
+        let projections_agree = [&key, &value].iter().all(|p| {
+            p.out_features() == query.out_features() && p.in_features() == query.in_features()
+        });
+        if width != Some(query.out_features())
+            || width != Some(attn_output.in_features())
+            || !projections_agree
+        {
+            return Err(FqBertError::InvalidArgument(format!(
+                "{heads} heads of dimension {head_dim} do not fit Q/K/V projections \
+                 {}x{} / {}x{} / {}x{} feeding an attention output of {} inputs",
+                query.in_features(),
+                query.out_features(),
+                key.in_features(),
+                key.out_features(),
+                value.in_features(),
+                value.out_features(),
+                attn_output.in_features()
+            )));
         }
         let gelu = IntGelu::new(scales.ffn_hidden, scales.ffn_hidden);
+        // Attention scores: real = acc / (s_q · s_k · √d); codes at s_scores.
         let score_effective = f64::from(scales.scores)
             / (f64::from(scales.q) * f64::from(scales.k) * (head_dim as f64).sqrt());
         let score_requant = Requantizer::from_scale(score_effective, 8)?;
         let softmax = SoftmaxLut::new(scales.scores, PROB_LEVELS)?;
+        // Attention context: real = acc / (PROB_LEVELS · s_v); codes at s_v,
+        // so the effective requantization scale is scale-free.
         let context_requant = Requantizer::from_scale(1.0 / f64::from(PROB_LEVELS), 8)?;
         Ok(Self {
             query,
@@ -688,6 +731,7 @@ impl IntEncoderLayer {
             attn_layer_norm,
             ffn_layer_norm,
             heads,
+            head_dim,
             input_scale: scales.input,
             q_scale: scales.q,
             k_scale: scales.k,
@@ -796,17 +840,19 @@ impl IntEncoderLayer {
     ///
     /// The linear projections (Q/K/V, attention output, both FFN matrices)
     /// run as single blocked integer GEMMs over the whole pack — the
-    /// batching win — while attention and `Add & LN` are applied per
-    /// sequence. All six projections share `scratch`, which the engine also
-    /// reuses across every encoder layer of a forward pass. For a single
-    /// segment this is bit-identical to [`IntEncoderLayer::forward`].
+    /// batching win — attention runs per (sequence, head) as one fused
+    /// row-block pass on the same tile kernels, and `Add & LN` is row-wise.
+    /// Every intermediate lives in `scratch`, which the engine also reuses
+    /// across every encoder layer of a forward pass; on a shape the scratch
+    /// has served before, the returned tensor is the only allocation. For a
+    /// single segment this is bit-identical to [`IntEncoderLayer::forward`].
     ///
     /// # Errors
     ///
     /// Returns an error if `seq_lens` does not sum to the number of rows,
     /// contains a zero-length sequence (an all-padding attention mask must
-    /// be rejected before attention, which is undefined over zero tokens),
-    /// or on shape inconsistencies.
+    /// be rejected before attention, which is undefined over zero tokens)
+    /// or one longer than [`MAX_ATTN_SEQ`], or on shape inconsistencies.
     pub fn forward_batch_with_scratch(
         &self,
         x: &IntTensor<i8>,
@@ -814,10 +860,46 @@ impl IntEncoderLayer {
         scratch: &mut GemmScratch,
     ) -> Result<IntTensor<i8>> {
         let (total, hidden) = x.as_matrix_dims()?;
-        if seq_lens.iter().sum::<usize>() != total {
+        let mut out = IntTensor::<i8>::zeros(&[total, hidden]);
+        let GemmScratch { pack, attn, arena } = scratch;
+        let mut buffers = arena.slices(self.buffer_sizes(total));
+        let out_rows = out.as_mut_slice();
+        self.forward_rows(x.as_slice(), seq_lens, pack, attn, &mut buffers, out_rows)?;
+        Ok(out)
+    }
+
+    /// Lengths of the eight intermediates of a forward pass over `total`
+    /// rows, in the order [`IntEncoderLayer::forward_rows`] takes them: Q,
+    /// K, V, context, attention output, first `Add & LN`, FFN hidden, FFN
+    /// output.
+    fn buffer_sizes(&self, total: usize) -> [usize; 8] {
+        let attn = total * self.heads * self.head_dim;
+        let hidden = total * self.attn_output.out_features();
+        let ffn = total * self.ffn1.out_features();
+        [attn, attn, attn, attn, hidden, hidden, ffn, hidden]
+    }
+
+    /// The forward pass proper, over row-major codes: `x` and `out` are
+    /// `Σ seq_lens` rows of the hidden width, `buffers` are at least
+    /// [`IntEncoderLayer::buffer_sizes`] long each. Allocates nothing once
+    /// `pack` and `attn` have served the shape.
+    fn forward_rows(
+        &self,
+        x: &[i8],
+        seq_lens: &[usize],
+        pack: &mut ActivationBlock,
+        attn: &mut AttentionScratch,
+        buffers: &mut [&mut [i8]; 8],
+        out: &mut [i8],
+    ) -> Result<()> {
+        let hidden = self.query.in_features();
+        let total: usize = seq_lens.iter().sum();
+        if x.len() != total * hidden || out.len() != x.len() {
             return Err(FqBertError::InvalidArgument(format!(
-                "seq_lens sum to {} but the input has {total} rows",
-                seq_lens.iter().sum::<usize>()
+                "seq_lens sum to {total} rows of {hidden} codes but the input \
+                 holds {} codes and the output {}",
+                x.len(),
+                out.len()
             )));
         }
         if seq_lens.contains(&0) {
@@ -827,92 +909,77 @@ impl IntEncoderLayer {
                     .to_string(),
             ));
         }
-        let head_dim = hidden / self.heads;
+        if let Some(seq) = seq_lens.iter().find(|&&seq| seq > MAX_ATTN_SEQ) {
+            return Err(FqBertError::InvalidArgument(format!(
+                "sequence of {seq} tokens exceeds the attention bound {MAX_ATTN_SEQ}"
+            )));
+        }
+        let mut sizes = self.buffer_sizes(total).into_iter();
+        let [q, k, v, context, attn_out, normed, ffn_hidden, ffn_out] = buffers
+            .each_mut()
+            .map(|buffer| &mut buffer[..sizes.next().expect("one size per buffer")]);
 
         // One packed GEMM each for Q, K and V across the whole batch.
-        let q = self.query.forward_with_scratch(x, scratch)?;
-        let k = self.key.forward_with_scratch(x, scratch)?;
-        let v = self.value.forward_with_scratch(x, scratch)?;
+        self.query.forward_into(x, total, pack, q)?;
+        self.key.forward_into(x, total, pack, k)?;
+        self.value.forward_into(x, total, pack, v)?;
 
-        // Per-sequence, per-head scaled dot-product attention.
-        let mut context = IntTensor::<i8>::zeros(&[total, hidden]);
+        // Per-sequence, per-head scaled dot-product attention, each head
+        // read in place out of Q/K/V and written in place into `context`.
+        let width = self.heads * self.head_dim;
+        let score_params = requant_params(&self.score_requant);
+        let context_params = requant_params(&self.context_requant);
         let mut start = 0usize;
         for &seq in seq_lens {
-            let end = start + seq;
-            for h in 0..self.heads {
-                let lo = h * head_dim;
-                let hi = lo + head_dim;
-                let qh = slice_block_i8(&q, start, end, lo, hi);
-                let kh = slice_block_i8(&k, start, end, lo, hi);
-                let vh = slice_block_i8(&v, start, end, lo, hi);
-                // scores[i][j] = Σ_d q[i][d]·k[j][d], then requantize.
-                let score_acc = qh.matmul_transposed_i32(&kh)?;
-                let mut scores = vec![0i32; seq * seq];
-                for (idx, &acc) in score_acc.as_slice().iter().enumerate() {
-                    scores[idx] = self.score_requant.apply(i64::from(acc));
-                }
-                let probs = self.softmax.apply_matrix(&scores, seq);
-                // context_h = probs · V_h, requantized back to the V scale.
-                for i in 0..seq {
-                    for d in 0..head_dim {
-                        let mut acc: i64 = 0;
-                        for j in 0..seq {
-                            acc += i64::from(probs[i * seq + j]) * i64::from(vh.row(j)[d]);
-                        }
-                        let code = self.context_requant.apply(acc).clamp(-127, 127) as i8;
-                        context.as_mut_slice()[(start + i) * hidden + lo + d] = code;
-                    }
-                }
+            let rows = start..start + seq;
+            for lo in (0..width).step_by(self.head_dim) {
+                let cols = lo..lo + self.head_dim;
+                let [qh, kh, vh] =
+                    [&*q, &*k, &*v].map(|m| StridedView::new(m, width, rows.clone(), cols.clone()));
+                attn.attend_head(
+                    qh?,
+                    kh?,
+                    vh?,
+                    score_params,
+                    context_params,
+                    |scores, mut probs| {
+                        self.softmax
+                            .apply_row_into(scores, |j, prob| probs.set(j, prob));
+                    },
+                    &mut context[start * width + lo..],
+                    width,
+                )?;
             }
-            start = end;
+            start += seq;
         }
 
-        let attn_out = self.attn_output.forward_with_scratch(&context, scratch)?;
-
+        self.attn_output
+            .forward_into(context, total, pack, attn_out)?;
         // Add & LN (attention residual) — row-wise, so batch-oblivious.
-        let mut normed = IntTensor::<i8>::zeros(&[total, hidden]);
-        for i in 0..total {
-            let row = self.attn_layer_norm.apply_residual(
-                x.row(i),
-                self.input_scale,
-                attn_out.row(i),
-                self.attn_out_scale,
-                self.ln_out_scale,
-            )?;
-            normed.as_mut_slice()[i * hidden..(i + 1) * hidden].copy_from_slice(&row);
-        }
+        self.attn_layer_norm.apply_residual_into(
+            normed,
+            x,
+            self.input_scale,
+            attn_out,
+            self.attn_out_scale,
+            self.ln_out_scale,
+        )?;
 
         // FFN with LUT GELU, again as packed GEMMs.
-        let ffn_pre = self.ffn1.forward_with_scratch(&normed, scratch)?;
-        let ffn_hidden = self.gelu.apply_tensor(&ffn_pre);
-        let ffn_out = self.ffn2.forward_with_scratch(&ffn_hidden, scratch)?;
-
+        self.ffn1.forward_into(normed, total, pack, ffn_hidden)?;
+        self.gelu.apply_in_place(ffn_hidden);
+        self.ffn2.forward_into(ffn_hidden, total, pack, ffn_out)?;
         // Add & LN (FFN residual).
-        let mut out = IntTensor::<i8>::zeros(&[total, hidden]);
-        for i in 0..total {
-            let row = self.ffn_layer_norm.apply_residual(
-                normed.row(i),
-                self.ln_out_scale,
-                ffn_out.row(i),
-                self.ffn_out_scale,
-                self.ln_out_scale,
-            )?;
-            out.as_mut_slice()[i * hidden..(i + 1) * hidden].copy_from_slice(&row);
-        }
-        Ok(out)
+        self.ffn_layer_norm.apply_residual_into(
+            out,
+            normed,
+            self.ln_out_scale,
+            ffn_out,
+            self.ffn_out_scale,
+            self.ln_out_scale,
+        )?;
+        Ok(())
     }
-}
-
-/// Extracts the sub-matrix of rows `[r0, r1)` × columns `[c0, c1)` of an
-/// int8 matrix.
-fn slice_block_i8(x: &IntTensor<i8>, r0: usize, r1: usize, c0: usize, c1: usize) -> IntTensor<i8> {
-    let width = c1 - c0;
-    let mut out = IntTensor::<i8>::zeros(&[r1 - r0, width]);
-    for r in r0..r1 {
-        out.as_mut_slice()[(r - r0) * width..(r - r0 + 1) * width]
-            .copy_from_slice(&x.row(r)[c0..c1]);
-    }
-    out
 }
 
 /// The complete integer FQ-BERT model: float CPU-side embedding/classifier
@@ -1273,7 +1340,6 @@ impl IntBertModel {
         }
         let hidden = self.config.hidden;
         let mut seq_lens = Vec::with_capacity(examples.len());
-        let mut packed: Vec<i8> = Vec::new();
         for (i, ex) in examples.iter().enumerate() {
             let real_len = real_length(ex);
             if real_len == 0 {
@@ -1282,15 +1348,30 @@ impl IntBertModel {
                      (zero-length sequence)"
                 )));
             }
-            let emb = self.embed(&ex.token_ids[..real_len], &ex.segment_ids[..real_len])?;
-            packed.extend_from_slice(emb.as_slice());
             seq_lens.push(real_len);
         }
         let total: usize = seq_lens.iter().sum();
-        let mut hidden_states = IntTensor::from_vec(packed, &[total, hidden])?;
-        // One GEMM scratch serves all six projections of all encoder layers.
+
+        // The hidden state ping-pongs between two arena buffers; the eight
+        // layer intermediates are shared by every layer.
+        let GemmScratch { pack, attn, arena } = scratch;
+        let mut sizes = [0usize; 10];
+        sizes[..2].fill(total * hidden);
         for layer in &self.layers {
-            hidden_states = layer.forward_batch_with_scratch(&hidden_states, &seq_lens, scratch)?;
+            for (size, need) in sizes[2..].iter_mut().zip(layer.buffer_sizes(total)) {
+                *size = need.max(*size);
+            }
+        }
+        let [mut hidden_states, mut next, mut buffers @ ..] = arena.slices(sizes);
+        let mut start = 0usize;
+        for (ex, &len) in examples.iter().zip(&seq_lens) {
+            let emb = self.embed(&ex.token_ids[..len], &ex.segment_ids[..len])?;
+            hidden_states[start * hidden..][..len * hidden].copy_from_slice(emb.as_slice());
+            start += len;
+        }
+        for layer in &self.layers {
+            layer.forward_rows(hidden_states, &seq_lens, pack, attn, &mut buffers, next)?;
+            std::mem::swap(&mut hidden_states, &mut next);
         }
         let out_scale = self
             .layers
@@ -1302,8 +1383,7 @@ impl IntBertModel {
         let mut logits = Vec::with_capacity(examples.len());
         let mut start = 0usize;
         for &seq in &seq_lens {
-            let cls: Vec<f32> = hidden_states
-                .row(start)
+            let cls: Vec<f32> = hidden_states[start * hidden..][..hidden]
                 .iter()
                 .map(|&c| c as f32 / out_scale)
                 .collect();
@@ -1477,32 +1557,59 @@ mod tests {
         }
     }
 
+    const TEST_SCALES: LayerScales = LayerScales {
+        input: 16.0,
+        q: 16.0,
+        k: 16.0,
+        v: 16.0,
+        scores: 8.0,
+        attn_output: 16.0,
+        layer_norm: 16.0,
+        ffn_hidden: 16.0,
+        ffn_output: 16.0,
+    };
+
+    /// A hidden-8 layer built by the float converter with the given head
+    /// geometry.
+    fn converted(heads: usize, head_dim: usize) -> Result<IntEncoderLayer> {
+        let mut rng = RngSource::seed_from_u64(3);
+        let params = fqbert_bert::layers::EncoderLayerParams::new(&mut rng, 8, 16);
+        IntEncoderLayer::from_float(&params, heads, head_dim, 8, false, &TEST_SCALES, 1e-5)
+    }
+
+    /// The parts of a sound 2×4 layer, reassembled with another geometry.
+    fn reassembled(heads: usize, head_dim: usize) -> Result<IntEncoderLayer> {
+        let l = converted(2, 4).unwrap();
+        IntEncoderLayer::from_quantized_parts(
+            l.query.clone(),
+            l.key.clone(),
+            l.value.clone(),
+            l.attn_output.clone(),
+            l.ffn1.clone(),
+            l.ffn2.clone(),
+            heads,
+            head_dim,
+            &TEST_SCALES,
+            l.attn_layer_norm.clone(),
+            l.ffn_layer_norm.clone(),
+        )
+    }
+
+    fn assert_geometry_rejected(result: Result<IntEncoderLayer>) {
+        match result {
+            Err(FqBertError::InvalidArgument(msg)) => {
+                assert!(
+                    msg.contains("heads of dimension"),
+                    "unexpected message: {msg}"
+                )
+            }
+            other => panic!("expected InvalidArgument, got {other:?}"),
+        }
+    }
+
     #[test]
     fn zero_length_sequence_is_rejected_not_panicking() {
-        let mut rng = RngSource::seed_from_u64(3);
-        let layer = {
-            let params = fqbert_bert::layers::EncoderLayerParams::new(&mut rng, 8, 16);
-            IntEncoderLayer::from_float(
-                &params,
-                2,
-                4,
-                8,
-                false,
-                &LayerScales {
-                    input: 16.0,
-                    q: 16.0,
-                    k: 16.0,
-                    v: 16.0,
-                    scores: 8.0,
-                    attn_output: 16.0,
-                    layer_norm: 16.0,
-                    ffn_hidden: 16.0,
-                    ffn_output: 16.0,
-                },
-                1e-5,
-            )
-            .unwrap()
-        };
+        let layer = converted(2, 4).unwrap();
         let x = IntTensor::<i8>::from_vec(vec![1; 3 * 8], &[3, 8]).unwrap();
         let err = layer.forward_batch(&x, &[3, 0]).unwrap_err();
         match err {
@@ -1514,13 +1621,53 @@ mod tests {
     }
 
     #[test]
-    fn slice_block_helper() {
-        let x = IntTensor::<i8>::from_vec((0..12).map(|v| v as i8).collect(), &[3, 4]).unwrap();
-        let s = slice_block_i8(&x, 0, 3, 1, 3);
-        assert_eq!(s.dims(), &[3, 2]);
-        assert_eq!(s.as_slice(), &[1, 2, 5, 6, 9, 10]);
-        let b = slice_block_i8(&x, 1, 3, 0, 2);
-        assert_eq!(b.dims(), &[2, 2]);
-        assert_eq!(b.as_slice(), &[4, 5, 8, 9]);
+    fn zero_heads_are_rejected_not_dividing_by_zero() {
+        assert_geometry_rejected(converted(0, 4));
+        assert_geometry_rejected(reassembled(0, 4));
+        assert_geometry_rejected(reassembled(2, 0));
+    }
+
+    #[test]
+    fn heads_that_do_not_tile_the_hidden_width_are_rejected() {
+        // 3 heads of 8 / 3 = 2 would leave context columns 6..8 unwritten.
+        assert_geometry_rejected(converted(3, 2));
+        assert_geometry_rejected(reassembled(3, 2));
+    }
+
+    #[test]
+    fn head_dim_disagreeing_with_the_projection_width_is_rejected() {
+        // 2 heads over 8 columns are 4 wide; 2 would scale scores by √2.
+        assert_geometry_rejected(converted(2, 2));
+        assert_geometry_rejected(reassembled(2, 8));
+        assert_eq!(reassembled(2, 4).unwrap(), converted(2, 4).unwrap());
+        assert_eq!(reassembled(4, 2).unwrap().heads(), 4);
+    }
+
+    #[test]
+    fn projections_of_different_widths_are_rejected() {
+        let l = converted(2, 4).unwrap();
+        let mut rng = RngSource::seed_from_u64(9);
+        let narrow = IntLinear::from_float(
+            &rng.normal_tensor(&[8, 6], 0.0, 0.3),
+            &rng.normal_tensor(&[6], 0.0, 0.1),
+            8,
+            None,
+            16.0,
+            16.0,
+        )
+        .unwrap();
+        assert_geometry_rejected(IntEncoderLayer::from_quantized_parts(
+            l.query.clone(),
+            narrow,
+            l.value.clone(),
+            l.attn_output.clone(),
+            l.ffn1.clone(),
+            l.ffn2.clone(),
+            2,
+            4,
+            &TEST_SCALES,
+            l.attn_layer_norm.clone(),
+            l.ffn_layer_norm.clone(),
+        ));
     }
 }

@@ -1,0 +1,425 @@
+//! Identity properties of the integer encoder layer: the allocation-free,
+//! row-block fused `forward_batch_with_scratch` must equal, bit for bit and
+//! on **every kernel available on this host**, an oracle assembled only from
+//! the public scalar pieces — `IntLinear::forward_naive`,
+//! `matmul_transposed_i32`, `Requantizer::apply`, `SoftmaxLut::apply_matrix`,
+//! an `i64` `P · V` loop, `QuantizedLayerNorm::apply_residual` and
+//! `IntGelu::apply` — plus the worst-case vectors the `i32` overflow
+//! argument of the two attention reductions rests on (`gemm` module docs).
+//!
+//! Kernel selection is process-global, so every test serialises on
+//! [`harness`], which also hands out the one [`GemmScratch`] all of them
+//! share: each forward pass runs on a scratch that earlier cases left sized
+//! for other — larger and smaller — shapes.
+
+use fqbert_bert::layers::EncoderLayerParams;
+use fqbert_core::int_model::{IntEncoderLayer, IntGelu, LayerScales};
+use fqbert_quant::{QuantizedLayerNorm, Requantizer, SoftmaxLut};
+use fqbert_tensor::gemm::kernels;
+use fqbert_tensor::gemm::{
+    AttentionScratch, GemmScratch, RequantParams, StridedView, MAX_ATTN_SEQ, MAX_K, MR, NR, WIDE_A,
+    WIDE_B,
+};
+use fqbert_tensor::{IntTensor, RngSource};
+use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+
+/// Probability levels of the attention softmax (`c / 255`).
+const PROB_LEVELS: u32 = 255;
+
+const HEAD_DIMS: [usize; 5] = [1, 3, 8, 33, 64];
+const WEIGHT_BITS: [u32; 3] = [2, 4, 8];
+/// 1, `MR ± 1`, `NR ± 1` and the block sizes themselves.
+const SEQ_LENS: [usize; 7] = [1, MR - 1, MR, MR + 1, NR - 1, NR, NR + 1];
+
+const SCALES: LayerScales = LayerScales {
+    input: 18.0,
+    q: 14.0,
+    k: 15.0,
+    v: 17.0,
+    scores: 9.0,
+    attn_output: 16.0,
+    layer_norm: 21.0,
+    ffn_hidden: 19.0,
+    ffn_output: 13.0,
+};
+
+fn harness() -> MutexGuard<'static, GemmScratch> {
+    static SHARED: OnceLock<Mutex<GemmScratch>> = OnceLock::new();
+    SHARED
+        .get_or_init(|| Mutex::new(GemmScratch::new()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
+fn requant_params(requant: &Requantizer) -> RequantParams {
+    RequantParams {
+        multiplier: requant.multiplier(),
+        shift: requant.shift(),
+        clamp: requant.out_max(),
+    }
+}
+
+fn layer(seed: u64, heads: usize, head_dim: usize, bits: u32) -> IntEncoderLayer {
+    let hidden = heads * head_dim;
+    let mut rng = RngSource::seed_from_u64(seed);
+    let params = EncoderLayerParams::new(&mut rng, hidden, hidden + 5);
+    IntEncoderLayer::from_float(&params, heads, head_dim, bits, false, &SCALES, 1e-5)
+        .expect("layer")
+}
+
+fn codes(seed: u64, rows: usize, cols: usize) -> IntTensor<i8> {
+    let mut rng = RngSource::seed_from_u64(seed);
+    let data = rng
+        .normal_tensor(&[rows * cols], 0.0, 45.0)
+        .as_slice()
+        .iter()
+        .map(|&v| v.round().clamp(-127.0, 127.0) as i8)
+        .collect();
+    IntTensor::from_vec(data, &[rows, cols]).expect("codes")
+}
+
+/// Rows `rows` × columns `cols` of `t`, copied out.
+fn block(
+    t: &IntTensor<i8>,
+    rows: std::ops::Range<usize>,
+    cols: std::ops::Range<usize>,
+) -> IntTensor<i8> {
+    let data: Vec<i8> = rows
+        .clone()
+        .flat_map(|r| t.row(r)[cols.clone()].to_vec())
+        .collect();
+    IntTensor::from_vec(data, &[rows.len(), cols.len()]).expect("block")
+}
+
+/// Row-wise `Add & LN` through the allocating single-row entry point.
+fn add_ln(
+    norm: &QuantizedLayerNorm,
+    (a, scale_a): (&IntTensor<i8>, f32),
+    (b, scale_b): (&IntTensor<i8>, f32),
+    out_scale: f32,
+) -> IntTensor<i8> {
+    let (rows, hidden) = a.as_matrix_dims().expect("matrix");
+    let data: Vec<i8> = (0..rows)
+        .flat_map(|i| {
+            norm.apply_residual(a.row(i), scale_a, b.row(i), scale_b, out_scale)
+                .expect("Add&LN")
+        })
+        .collect();
+    IntTensor::from_vec(data, &[rows, hidden]).expect("normed")
+}
+
+/// The layer as the scalar pieces compute it, one stage after the other,
+/// every intermediate materialised.
+fn oracle(layer: &IntEncoderLayer, x: &IntTensor<i8>, seq_lens: &[usize]) -> IntTensor<i8> {
+    let scales = layer.scales();
+    let (total, _hidden) = x.as_matrix_dims().expect("input");
+    let width = layer.query.out_features();
+    let head_dim = width / layer.heads();
+    let q = layer.query.forward_naive(x).expect("q");
+    let k = layer.key.forward_naive(x).expect("k");
+    let v = layer.value.forward_naive(x).expect("v");
+
+    let score_requant = Requantizer::from_scale(
+        f64::from(scales.scores)
+            / (f64::from(scales.q) * f64::from(scales.k) * (head_dim as f64).sqrt()),
+        8,
+    )
+    .expect("score requantizer");
+    let softmax = SoftmaxLut::new(scales.scores, PROB_LEVELS).expect("softmax LUT");
+    let context_requant =
+        Requantizer::from_scale(1.0 / f64::from(PROB_LEVELS), 8).expect("context requantizer");
+    let mut context = IntTensor::<i8>::zeros(&[total, width]);
+    let mut start = 0usize;
+    for &seq in seq_lens {
+        for lo in (0..width).step_by(head_dim) {
+            let head = |t| block(t, start..start + seq, lo..lo + head_dim);
+            let (qh, kh, vh) = (head(&q), head(&k), head(&v));
+            let scores: Vec<i32> = qh
+                .matmul_transposed_i32(&kh)
+                .expect("scores")
+                .as_slice()
+                .iter()
+                .map(|&acc| score_requant.apply(i64::from(acc)))
+                .collect();
+            let probs = softmax.apply_matrix(&scores, seq);
+            for i in 0..seq {
+                for d in 0..head_dim {
+                    let acc: i64 = (0..seq)
+                        .map(|j| i64::from(probs[i * seq + j]) * i64::from(vh.row(j)[d]))
+                        .sum();
+                    let code = context_requant.apply(acc).clamp(-127, 127) as i8;
+                    context.as_mut_slice()[(start + i) * width + lo + d] = code;
+                }
+            }
+        }
+        start += seq;
+    }
+
+    let attn_out = layer
+        .attn_output
+        .forward_naive(&context)
+        .expect("attn_output");
+    let normed = add_ln(
+        layer.attn_layer_norm(),
+        (x, scales.input),
+        (&attn_out, scales.attn_output),
+        scales.layer_norm,
+    );
+    let ffn_pre = layer.ffn1.forward_naive(&normed).expect("ffn1");
+    let gelu = IntGelu::new(scales.ffn_hidden, scales.ffn_hidden);
+    let ffn_hidden: Vec<i8> = ffn_pre.as_slice().iter().map(|&c| gelu.apply(c)).collect();
+    let ffn_hidden = IntTensor::from_vec(ffn_hidden, ffn_pre.dims()).expect("ffn hidden");
+    let ffn_out = layer.ffn2.forward_naive(&ffn_hidden).expect("ffn2");
+    add_ln(
+        layer.ffn_layer_norm(),
+        (&normed, scales.layer_norm),
+        (&ffn_out, scales.ffn_output),
+        scales.layer_norm,
+    )
+}
+
+/// Asserts the fused layer equals the oracle under every available kernel,
+/// on the shared scratch.
+fn assert_layer_matches_oracle(layer: &IntEncoderLayer, x: &IntTensor<i8>, seq_lens: &[usize]) {
+    let expected = oracle(layer, x, seq_lens);
+    let mut scratch = harness();
+    for kind in kernels::available() {
+        kernels::force(kind);
+        let got = layer
+            .forward_batch_with_scratch(x, seq_lens, &mut scratch)
+            .expect("fused layer");
+        assert_eq!(
+            got,
+            expected,
+            "kernel {} on seq_lens {seq_lens:?}",
+            kind.name()
+        );
+    }
+    kernels::force(kernels::best_available());
+}
+
+proptest! {
+    #[test]
+    fn fused_layer_equals_the_scalar_oracle_on_every_kernel(
+        heads in 1usize..=4,
+        head_dim_index in 0usize..HEAD_DIMS.len(),
+        bits_index in 0usize..WEIGHT_BITS.len(),
+        seq_indices in collection::vec(0usize..SEQ_LENS.len(), 1..=4),
+        seed in 0u64..1_000_000,
+    ) {
+        let head_dim = HEAD_DIMS[head_dim_index];
+        let layer = layer(seed, heads, head_dim, WEIGHT_BITS[bits_index]);
+        let seq_lens: Vec<usize> = seq_indices.iter().map(|&i| SEQ_LENS[i]).collect();
+        let x = codes(seed + 1, seq_lens.iter().sum(), heads * head_dim);
+        assert_layer_matches_oracle(&layer, &x, &seq_lens);
+    }
+
+    #[test]
+    fn softmax_into_equals_the_allocating_row_form(
+        scores in collection::vec(-128i8..=127, 0..=300),
+        scale in 0.5f32..40.0,
+        levels in 1u32..=255,
+    ) {
+        let lut = SoftmaxLut::new(scale, levels).expect("LUT");
+        let wide: Vec<i32> = scores.iter().map(|&s| i32::from(s)).collect();
+        let mut got = vec![-1i32; scores.len()];
+        lut.apply_row_into(&scores, |j, prob| got[j] = i32::from(prob));
+        prop_assert_eq!(got, lut.apply_row(&wide));
+    }
+
+    #[test]
+    fn layer_norm_matrix_form_equals_the_row_form(
+        hidden in 1usize..80,
+        rows in 0usize..6,
+        seed in 0u64..1_000_000,
+        scale_a in 2.0f32..60.0,
+        scale_b in 2.0f32..60.0,
+        out_scale in 2.0f32..60.0,
+    ) {
+        let mut rng = RngSource::seed_from_u64(seed);
+        let gamma = rng.normal_tensor(&[hidden], 1.0, 0.5);
+        let beta = rng.normal_tensor(&[hidden], 0.0, 0.5);
+        let norm = QuantizedLayerNorm::from_float(gamma.as_slice(), beta.as_slice(), 1e-5)
+            .expect("layer norm");
+        let (a, b) = (codes(seed + 1, rows, hidden), codes(seed + 2, rows, hidden));
+        let mut got = vec![0i8; rows * hidden];
+        norm.apply_residual_into(&mut got, a.as_slice(), scale_a, b.as_slice(), scale_b, out_scale)
+            .expect("matrix form");
+        let expected = add_ln(&norm, (&a, scale_a), (&b, scale_b), out_scale);
+        prop_assert_eq!(got.as_slice(), expected.as_slice());
+    }
+}
+
+#[test]
+fn every_block_boundary_and_a_128_token_sequence_in_one_batch() {
+    // The paper's shape (4 heads of 64 over 128 tokens) next to the shortest
+    // and every block-straddling length, low-bit and 8-bit weights, and an
+    // odd head dimension that pads both panel directions.
+    let seq_lens = [1, MR - 1, 128, MR + 1, NR - 1, NR + 1];
+    for &(heads, head_dim, bits) in &[(4usize, 64usize, 4u32), (3, 33, 8), (2, 1, 2)] {
+        let layer = layer(7, heads, head_dim, bits);
+        let x = codes(8, seq_lens.iter().sum(), heads * head_dim);
+        assert_layer_matches_oracle(&layer, &x, &seq_lens);
+    }
+}
+
+fn dense_view(t: &IntTensor<i8>, rows: usize, cols: usize) -> StridedView<'_> {
+    StridedView::dense(t.as_slice(), rows, cols).expect("dense view")
+}
+
+/// One head through `attend_head` against the scalar composition, with
+/// `prob_of` standing in for the softmax.
+fn assert_head_matches_scalar(
+    attn: &mut AttentionScratch,
+    (q, k, v): (&IntTensor<i8>, &IntTensor<i8>, &IntTensor<i8>),
+    (score_requant, context_requant): (&Requantizer, &Requantizer),
+    prob_of: impl Fn(i32) -> u8,
+) {
+    let (seq, head_dim) = q.as_matrix_dims().expect("head");
+    let view = |t| dense_view(t, seq, head_dim);
+    let scores = q.matmul_transposed_i32(k).expect("scores");
+    let mut expected = vec![0i8; seq * head_dim];
+    for i in 0..seq {
+        for d in 0..head_dim {
+            let acc: i64 = (0..seq)
+                .map(|j| {
+                    let score = score_requant.apply(i64::from(scores.row(i)[j]));
+                    i64::from(prob_of(score)) * i64::from(v.row(j)[d])
+                })
+                .sum();
+            expected[i * head_dim + d] = context_requant.apply(acc).clamp(-127, 127) as i8;
+        }
+    }
+    for kind in kernels::available() {
+        kernels::force(kind);
+        let mut got = vec![0i8; seq * head_dim];
+        attn.attend_head(
+            view(q),
+            view(k),
+            view(v),
+            requant_params(score_requant),
+            requant_params(context_requant),
+            |scores, mut probs| {
+                for (j, &s) in scores.iter().enumerate() {
+                    probs.set(j, prob_of(i32::from(s)));
+                }
+            },
+            &mut got,
+            head_dim,
+        )
+        .expect("attend_head");
+        assert_eq!(got, expected, "kernel {}", kind.name());
+    }
+    kernels::force(kernels::best_available());
+}
+
+#[test]
+fn scores_of_all_minus_128_at_the_deepest_head_do_not_overflow() {
+    // MAX_K · 128² is the largest score accumulator an i8 head can produce;
+    // `matmul_transposed_i32`'s i64→i32 saturation must not be what makes
+    // the two sides agree, so check the oracle's value is the exact one.
+    let mut scratch = harness();
+    let seq = MR + 1;
+    let all = |code: i8| IntTensor::from_vec(vec![code; seq * MAX_K], &[seq, MAX_K]).expect("head");
+    let (q, v) = (all(-128), all(-128));
+    let exact = MAX_K as i64 * 128 * 128;
+    assert!(exact <= i64::from(i32::MAX));
+    assert_eq!(
+        q.matmul_transposed_i32(&q).expect("scores").as_slice()[0],
+        exact as i32
+    );
+    // A scale that lands the extreme accumulator inside the code range, so
+    // an off-by-anything in it would show.
+    let score_requant = Requantizer::from_scale(100.0 / exact as f64, 8).expect("requantizer");
+    let context_requant =
+        Requantizer::from_scale(1.0 / f64::from(PROB_LEVELS), 8).expect("requantizer");
+    assert_head_matches_scalar(
+        &mut scratch.attn,
+        (&q, &q, &v),
+        (&score_requant, &context_requant),
+        |score| (score + 128) as u8,
+    );
+    // One past the bound is refused rather than computed inexactly.
+    let deep = vec![0i8; MAX_K + 1];
+    let view = StridedView::dense(&deep, 1, MAX_K + 1).expect("view");
+    let params = requant_params(&score_requant);
+    let refused =
+        scratch
+            .attn
+            .attend_head(view, view, view, params, params, |_, _| {}, &mut [0; 0], 0);
+    assert!(refused.is_err());
+}
+
+#[test]
+fn context_of_full_probabilities_times_minus_128_does_not_overflow() {
+    let mut scratch = harness();
+    // Every product at its extreme (255 · −128 exceeds i16 once paired) over
+    // a sequence that straddles many panels and k-pairs.
+    let (seq, head_dim) = (8 * NR + 3, 3);
+    let q = codes(3, seq, head_dim);
+    let v = IntTensor::from_vec(vec![-128i8; seq * head_dim], &[seq, head_dim]).expect("v");
+    let score_requant = Requantizer::from_scale(0.01, 8).expect("requantizer");
+    // A scale that keeps −seq·255·128 inside the code range.
+    let context_requant =
+        Requantizer::from_scale(100.0 / (seq as f64 * 255.0 * 128.0), 8).expect("requantizer");
+    assert_head_matches_scalar(
+        &mut scratch.attn,
+        (&q, &q, &v),
+        (&score_requant, &context_requant),
+        |_| 255,
+    );
+
+    // The reduction bound itself: MAX_ATTN_SEQ extreme products into one
+    // accumulator, on every tile kernel. (A whole head of that length is
+    // seq² work; one tile reaches the same accumulator.)
+    let pairs = MAX_ATTN_SEQ.div_ceil(2);
+    let mut probs = vec![[255i16; WIDE_A]; pairs];
+    let mut values = vec![[-128i16; WIDE_B]; pairs];
+    if MAX_ATTN_SEQ % 2 == 1 {
+        // The zero padding of an odd reduction depth.
+        probs[pairs - 1]
+            .iter_mut()
+            .skip(1)
+            .step_by(2)
+            .for_each(|p| *p = 0);
+        values[pairs - 1]
+            .iter_mut()
+            .skip(1)
+            .step_by(2)
+            .for_each(|v| *v = 0);
+    }
+    let exact = -(MAX_ATTN_SEQ as i64) * 255 * 128;
+    assert!(exact >= i64::from(i32::MIN));
+    assert!(
+        exact - 255 * 128 < i64::from(i32::MIN),
+        "MAX_ATTN_SEQ is the last exact length"
+    );
+    for kind in kernels::available() {
+        let mut acc = [[0i32; NR]; MR];
+        (kernels::dispatch_for(kind).wide)(&probs, &values, &mut acc);
+        assert!(
+            acc.iter().flatten().all(|&a| i64::from(a) == exact),
+            "kernel {}",
+            kind.name()
+        );
+    }
+    let long = vec![0i8; MAX_ATTN_SEQ + 1];
+    let view = StridedView::dense(&long, MAX_ATTN_SEQ + 1, 1).expect("view");
+    let params = requant_params(&score_requant);
+    let refused =
+        scratch
+            .attn
+            .attend_head(view, view, view, params, params, |_, _| {}, &mut [0; 0], 1);
+    assert!(refused.is_err());
+}
+
+#[test]
+fn overlong_sequences_are_rejected_by_the_layer() {
+    let layer = layer(5, 1, 1, 8);
+    let x = IntTensor::<i8>::zeros(&[MAX_ATTN_SEQ + 1, 1]);
+    let err = layer
+        .forward_batch_with_scratch(&x, &[MAX_ATTN_SEQ + 1], &mut harness())
+        .expect_err("beyond the attention bound");
+    assert!(err.to_string().contains("attention bound"), "{err}");
+}

@@ -25,9 +25,10 @@ use std::path::{Path, PathBuf};
 /// Files R1 float-escape applies to (workspace-relative, `/`-separated).
 /// The SIMD kernel modules under `gemm/kernels/` are included: they are
 /// the innermost integer datapath and must never touch a float.
-const FLOAT_ESCAPE_FILES: [&str; 5] = [
+const FLOAT_ESCAPE_FILES: [&str; 6] = [
     "crates/fqbert/src/int_model.rs",
     "crates/tensor/src/gemm/mod.rs",
+    "crates/tensor/src/gemm/attention.rs",
     "crates/tensor/src/pack4.rs",
     "crates/quant/src/requant.rs",
     "crates/quant/src/softmax_lut.rs",

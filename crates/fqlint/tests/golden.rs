@@ -182,8 +182,11 @@ fn policy_matches_layout() {
     let rs = fqlint::rules_for_path("crates/fqbert/src/int_model.rs");
     assert!(rs.float_escape && !rs.panic_path);
 
-    let rs = fqlint::rules_for_path("crates/tensor/src/gemm/mod.rs");
-    assert!(rs.float_escape && rs.narrowing_cast);
+    for gemm in ["mod.rs", "attention.rs"] {
+        let rs = fqlint::rules_for_path(&format!("crates/tensor/src/gemm/{gemm}"));
+        assert!(rs.float_escape && rs.narrowing_cast);
+        assert!(rs.unsafe_outside_kernels && !rs.in_kernel_module);
+    }
 
     // The SIMD kernel modules: innermost integer datapath (R1 applies),
     // and the only place justified `unsafe` is legitimate.

@@ -27,7 +27,18 @@ const PARAM_FRAC_BITS: u32 = 6;
 pub struct QuantizedLayerNorm {
     gamma: Vec<i8>,
     beta: Vec<i8>,
+    /// `gamma` / `beta` on the internal Q16 grid, as stage 3 consumes them.
+    gamma_q16: Vec<Fixed>,
+    beta_q16: Vec<Fixed>,
     eps: f32,
+}
+
+/// Parameter codes re-encoded on the internal fixed-point grid.
+fn to_internal(codes: &[i8]) -> Vec<Fixed> {
+    codes
+        .iter()
+        .map(|&c| Fixed::from_raw(i32::from(c), PARAM_FRAC_BITS).rescale(INTERNAL_FRAC_BITS))
+        .collect()
 }
 
 impl QuantizedLayerNorm {
@@ -53,11 +64,11 @@ impl QuantizedLayerNorm {
                 .round()
                 .clamp(i8::MIN as f32, i8::MAX as f32) as i8
         };
-        Ok(Self {
-            gamma: gamma.iter().copied().map(quantize).collect(),
-            beta: beta.iter().copied().map(quantize).collect(),
+        Self::from_codes(
+            gamma.iter().copied().map(quantize).collect(),
+            beta.iter().copied().map(quantize).collect(),
             eps,
-        })
+        )
     }
 
     /// Reassembles a layer norm from stored parameter codes (the inverse of
@@ -76,7 +87,13 @@ impl QuantizedLayerNorm {
                 beta.len()
             )));
         }
-        Ok(Self { gamma, beta, eps })
+        Ok(Self {
+            gamma_q16: to_internal(&gamma),
+            beta_q16: to_internal(&beta),
+            gamma,
+            beta,
+            eps,
+        })
     }
 
     /// The epsilon added to the variance.
@@ -146,73 +163,115 @@ impl QuantizedLayerNorm {
                 self.hidden()
             )));
         }
+        let mut out = vec![0i8; self.hidden()];
+        self.apply_residual_into(&mut out, a, scale_a, b, scale_b, out_scale)?;
+        Ok(out)
+    }
+
+    /// [`QuantizedLayerNorm::apply_residual`] over whole matrices, into a
+    /// caller-owned buffer: `a`, `b` and `out` hold the same number of
+    /// `hidden`-wide rows, and row `i` of `out` is the `Add & LN` of rows
+    /// `i` of `a` and `b`. The scale constants are folded once per call and
+    /// nothing is allocated.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::InvalidArgument`] if the three buffers differ
+    /// in length or are not whole rows, or [`QuantError::InvalidScale`] for
+    /// non-positive scales.
+    pub fn apply_residual_into(
+        &self,
+        out: &mut [i8],
+        a: &[i8],
+        scale_a: f32,
+        b: &[i8],
+        scale_b: f32,
+        out_scale: f32,
+    ) -> Result<()> {
+        let hidden = self.hidden();
+        if a.len() != out.len() || b.len() != out.len() || !out.len().is_multiple_of(hidden) {
+            return Err(QuantError::InvalidArgument(format!(
+                "inputs of {} / {} elements and an output of {} are not equal \
+                 numbers of {hidden}-wide rows",
+                a.len(),
+                b.len(),
+                out.len()
+            )));
+        }
         for &s in &[scale_a, scale_b, out_scale] {
             if !(s.is_finite() && s > 0.0) {
                 return Err(QuantError::InvalidScale(s));
             }
         }
-        let n = self.hidden() as i64;
-
-        // Stage 1: dequantize both operands onto the shared internal
-        // fixed-point grid, add them, and accumulate the mean.
-        let inv_a = Fixed::from_f32(1.0 / scale_a, INTERNAL_FRAC_BITS);
-        let inv_b = Fixed::from_f32(1.0 / scale_b, INTERNAL_FRAC_BITS);
-        let mut summed: Vec<Fixed> = Vec::with_capacity(self.hidden());
-        let mut total: i64 = 0;
-        for (&xa, &xb) in a.iter().zip(b.iter()) {
-            let va = Fixed::from_raw(i32::from(xa), 0)
-                .rescale(INTERNAL_FRAC_BITS)
-                .mul(inv_a);
-            let vb = Fixed::from_raw(i32::from(xb), 0)
-                .rescale(INTERNAL_FRAC_BITS)
-                .mul(inv_b);
-            let v = va.saturating_add(vb);
-            total += i64::from(v.raw());
-            summed.push(v);
-        }
-        // fqlint::allow(narrowing-cast): the mean of `i32`-ranged raw
-        // values is itself in `i32` range.
-        let mean = Fixed::from_raw((total / n) as i32, INTERNAL_FRAC_BITS);
-
-        // Stage 2: subtract the mean and accumulate the variance.
-        let mut centered: Vec<Fixed> = Vec::with_capacity(self.hidden());
-        let mut var_acc: i64 = 0;
-        for v in &summed {
-            let c = v.saturating_sub(mean);
-            // Accumulate (x-mean)^2 in a wide integer with 2*frac bits, then
-            // renormalise once at the end.
-            var_acc += i64::from(c.raw()) * i64::from(c.raw());
-            centered.push(c);
-        }
-        let var_raw = (var_acc / n) >> INTERNAL_FRAC_BITS;
-        let var = Fixed::from_raw(
-            var_raw.clamp(0, i64::from(i32::MAX)) as i32,
-            INTERNAL_FRAC_BITS,
-        );
-        let eps_fixed = Fixed::from_f32(
+        let n = hidden as i64;
+        let eps = Fixed::from_f32(
             self.eps.max(1.0 / (1 << INTERNAL_FRAC_BITS) as f32),
             INTERNAL_FRAC_BITS,
         );
-        let inv_std = fixed_inv_sqrt(var.saturating_add(eps_fixed), 20);
+        let out_scale = Fixed::from_f32(out_scale, INTERNAL_FRAC_BITS);
+        // An operand code takes 256 values, so its dequantized value on the
+        // internal grid is tabulated once per call instead of multiplied
+        // out per element.
+        let dequantized = |scale: f32| -> [Fixed; 256] {
+            let inv = Fixed::from_f32(1.0 / scale, INTERNAL_FRAC_BITS);
+            let mut code = i32::from(i8::MIN);
+            [(); 256].map(|()| {
+                let value = Fixed::from_raw(code, 0)
+                    .rescale(INTERNAL_FRAC_BITS)
+                    .mul(inv);
+                code += 1;
+                value
+            })
+        };
+        let (values_a, values_b) = (dequantized(scale_a), dequantized(scale_b));
+        let at = |code: i8| usize::from((i16::from(code) - i16::from(i8::MIN)).unsigned_abs());
+        let summed = |xa: i8, xb: i8| values_a[at(xa)].saturating_add(values_b[at(xb)]);
 
-        // Stage 3: element-wise gamma/beta and output requantization.
-        let out_scale_fixed = Fixed::from_f32(out_scale, INTERNAL_FRAC_BITS);
-        let mut out = Vec::with_capacity(self.hidden());
-        for (i, c) in centered.iter().enumerate() {
-            let gamma = Fixed::from_raw(i32::from(self.gamma[i]), PARAM_FRAC_BITS)
-                .rescale(INTERNAL_FRAC_BITS);
-            let beta = Fixed::from_raw(i32::from(self.beta[i]), PARAM_FRAC_BITS)
-                .rescale(INTERNAL_FRAC_BITS);
-            let normalised = c.mul(inv_std).mul(gamma).saturating_add(beta);
-            let scaled = normalised.mul(out_scale_fixed);
-            // Round the fixed-point value to the nearest integer code.
-            let code = scaled
-                .rescale(0)
-                .raw()
-                .clamp(i8::MIN as i32, i8::MAX as i32) as i8;
-            out.push(code);
+        let rows = a.chunks_exact(hidden).zip(b.chunks_exact(hidden));
+        for (out, (a, b)) in out.chunks_exact_mut(hidden).zip(rows) {
+            // Stage 1: add the two operands and accumulate the mean.
+            let total: i64 = a
+                .iter()
+                .zip(b)
+                .map(|(&xa, &xb)| i64::from(summed(xa, xb).raw()))
+                .sum();
+            // fqlint::allow(narrowing-cast): the mean of `i32`-ranged raw
+            // values is itself in `i32` range.
+            let mean = Fixed::from_raw((total / n) as i32, INTERNAL_FRAC_BITS);
+
+            // Stage 2: subtract the mean and accumulate the variance in a
+            // wide integer with 2*frac bits, renormalised once at the end.
+            let var_acc: i64 = a
+                .iter()
+                .zip(b)
+                .map(|(&xa, &xb)| {
+                    let c = i64::from(summed(xa, xb).saturating_sub(mean).raw());
+                    c * c
+                })
+                .sum();
+            let var_raw = (var_acc / n) >> INTERNAL_FRAC_BITS;
+            let var = Fixed::from_raw(
+                var_raw.clamp(0, i64::from(i32::MAX)) as i32,
+                INTERNAL_FRAC_BITS,
+            );
+            let inv_std = fixed_inv_sqrt(var.saturating_add(eps), 20);
+
+            // Stage 3: element-wise gamma/beta and output requantization.
+            let params = self.gamma_q16.iter().zip(&self.beta_q16);
+            for ((code, (&xa, &xb)), (&gamma, &beta)) in
+                out.iter_mut().zip(a.iter().zip(b)).zip(params)
+            {
+                let centered = summed(xa, xb).saturating_sub(mean);
+                let normalised = centered.mul(inv_std).mul(gamma).saturating_add(beta);
+                // Round the fixed-point value to the nearest integer code.
+                *code = normalised
+                    .mul(out_scale)
+                    .rescale(0)
+                    .raw()
+                    .clamp(i8::MIN as i32, i8::MAX as i32) as i8;
+            }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Runs layer normalization on a single quantized row (no residual).
@@ -324,6 +383,109 @@ mod tests {
         assert!((var - 1.0).abs() < 0.2, "variance {var} should be near 1");
     }
 
+    /// The pipeline as first written: one row, every stage multiplied out
+    /// through [`Fixed`] into per-stage vectors. Kept as the oracle for the
+    /// tabulated, allocation-free form.
+    fn reference_residual(
+        ln: &QuantizedLayerNorm,
+        a: &[i8],
+        scale_a: f32,
+        b: &[i8],
+        scale_b: f32,
+        out_scale: f32,
+    ) -> Vec<i8> {
+        let n = ln.hidden() as i64;
+        let inv_a = Fixed::from_f32(1.0 / scale_a, INTERNAL_FRAC_BITS);
+        let inv_b = Fixed::from_f32(1.0 / scale_b, INTERNAL_FRAC_BITS);
+        let dequant = |x: i8, inv: Fixed| {
+            Fixed::from_raw(i32::from(x), 0)
+                .rescale(INTERNAL_FRAC_BITS)
+                .mul(inv)
+        };
+        let summed: Vec<Fixed> = a
+            .iter()
+            .zip(b)
+            .map(|(&xa, &xb)| dequant(xa, inv_a).saturating_add(dequant(xb, inv_b)))
+            .collect();
+        let total: i64 = summed.iter().map(|v| i64::from(v.raw())).sum();
+        let mean = Fixed::from_raw((total / n) as i32, INTERNAL_FRAC_BITS);
+        let centered: Vec<Fixed> = summed.iter().map(|v| v.saturating_sub(mean)).collect();
+        let var_acc: i64 = centered
+            .iter()
+            .map(|c| i64::from(c.raw()) * i64::from(c.raw()))
+            .sum();
+        let var_raw = (var_acc / n) >> INTERNAL_FRAC_BITS;
+        let var = Fixed::from_raw(
+            var_raw.clamp(0, i64::from(i32::MAX)) as i32,
+            INTERNAL_FRAC_BITS,
+        );
+        let eps = Fixed::from_f32(
+            ln.eps.max(1.0 / (1 << INTERNAL_FRAC_BITS) as f32),
+            INTERNAL_FRAC_BITS,
+        );
+        let inv_std = fixed_inv_sqrt(var.saturating_add(eps), 20);
+        let out_scale = Fixed::from_f32(out_scale, INTERNAL_FRAC_BITS);
+        centered
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let gamma = Fixed::from_raw(i32::from(ln.gamma[i]), PARAM_FRAC_BITS)
+                    .rescale(INTERNAL_FRAC_BITS);
+                let beta = Fixed::from_raw(i32::from(ln.beta[i]), PARAM_FRAC_BITS)
+                    .rescale(INTERNAL_FRAC_BITS);
+                let normalised = c.mul(inv_std).mul(gamma).saturating_add(beta);
+                normalised
+                    .mul(out_scale)
+                    .rescale(0)
+                    .raw()
+                    .clamp(i8::MIN as i32, i8::MAX as i32) as i8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn matrix_form_matches_the_row_reference_bit_for_bit() {
+        let mut rng = fqbert_tensor::RngSource::seed_from_u64(11);
+        for &(hidden, rows) in &[(1usize, 3usize), (7, 4), (64, 5), (256, 2)] {
+            let gamma = rng.normal_tensor(&[hidden], 1.0, 0.6);
+            let beta = rng.normal_tensor(&[hidden], 0.0, 0.7);
+            let ln =
+                QuantizedLayerNorm::from_float(gamma.as_slice(), beta.as_slice(), 1e-5).unwrap();
+            for &(sa, sb, so) in &[
+                (20.0f32, 30.0f32, 25.0f32),
+                (3.5, 90.0, 12.0),
+                (0.5, 0.7, 40.0),
+            ] {
+                let codes = |rng: &mut fqbert_tensor::RngSource| -> Vec<i8> {
+                    rng.normal_tensor(&[rows * hidden], 0.0, 60.0)
+                        .as_slice()
+                        .iter()
+                        .map(|&v| v.round().clamp(-128.0, 127.0) as i8)
+                        .collect()
+                };
+                let (a, b) = (codes(&mut rng), codes(&mut rng));
+                let mut out = vec![0i8; rows * hidden];
+                ln.apply_residual_into(&mut out, &a, sa, &b, sb, so)
+                    .unwrap();
+                for r in 0..rows {
+                    let span = r * hidden..(r + 1) * hidden;
+                    let expected =
+                        reference_residual(&ln, &a[span.clone()], sa, &b[span.clone()], sb, so);
+                    assert_eq!(
+                        &out[span.clone()],
+                        expected.as_slice(),
+                        "hidden {hidden} row {r}"
+                    );
+                    assert_eq!(
+                        ln.apply_residual(&a[span.clone()], sa, &b[span], sb, so)
+                            .unwrap(),
+                        expected
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn input_validation() {
         let ln = QuantizedLayerNorm::from_float(&[1.0, 1.0], &[0.0, 0.0], 1e-5).unwrap();
@@ -332,5 +494,16 @@ mod tests {
         assert!(ln.apply(&[1, 2], 1.0, -1.0).is_err());
         assert!(QuantizedLayerNorm::from_float(&[1.0], &[0.0, 0.0], 1e-5).is_err());
         assert!(QuantizedLayerNorm::from_float(&[], &[], 1e-5).is_err());
+        // The matrix form takes whole rows of equal count only.
+        let mut out = [0i8; 4];
+        assert!(ln
+            .apply_residual_into(&mut out, &[1, 2, 3, 4], 1.0, &[0; 4], 1.0, 1.0)
+            .is_ok());
+        assert!(ln
+            .apply_residual_into(&mut out[..3], &[1, 2, 3], 1.0, &[0; 3], 1.0, 1.0)
+            .is_err());
+        assert!(ln
+            .apply_residual_into(&mut out, &[1, 2], 1.0, &[0; 4], 1.0, 1.0)
+            .is_err());
     }
 }

@@ -131,6 +131,33 @@ impl SoftmaxLut {
             .collect()
     }
 
+    /// [`SoftmaxLut::apply_row`] for a row of `i8` scores — what the
+    /// attention requantizer produces — without allocating: probability
+    /// `j` is handed to `emit(j, code)`, which lets the caller store it in
+    /// whatever layout its next stage reads. Bit-identical to `apply_row`
+    /// on the same scores.
+    ///
+    /// For `i8` scores the difference from the row maximum lies in
+    /// `[0, 255]`, inside the table, so the saturation in
+    /// [`SoftmaxLut::exp_lookup`] cannot fire; the maximum itself looks up
+    /// `table[0] = 255`, so the denominator is never zero.
+    pub fn apply_row_into(&self, scores: &[i8], mut emit: impl FnMut(usize, u8)) {
+        let Some(&max) = scores.iter().max() else {
+            return;
+        };
+        let numerator = |s: i8| {
+            let diff = i16::from(max) - i16::from(s);
+            u64::from(self.table[usize::from(diff.unsigned_abs())])
+        };
+        let denom: u64 = scores.iter().map(|&s| numerator(s)).sum();
+        let levels = u64::from(self.out_levels);
+        for (j, &s) in scores.iter().enumerate() {
+            // fqlint::allow(narrowing-cast): the numerator is at most
+            // `denom`, so the quotient is at most `out_levels <= 255`.
+            emit(j, ((numerator(s) * levels + denom / 2) / denom) as u8);
+        }
+    }
+
     /// Applies the integer softmax to every row of a matrix stored row-major.
     ///
     /// A `0 × 0` matrix (`cols == 0` with empty data) is valid and yields an
@@ -236,6 +263,17 @@ mod tests {
         assert_eq!(out.len(), 8);
         assert_eq!(&out[..4], lut.apply_row(&data[..4]).as_slice());
         assert_eq!(&out[4..], lut.apply_row(&data[4..]).as_slice());
+    }
+
+    #[test]
+    fn apply_row_into_matches_apply_row_on_i8_scores() {
+        let lut = SoftmaxLut::new(6.0, 255).unwrap();
+        for scores in [vec![], vec![-128i8], vec![127, -128, 0, 127], vec![-5; 9]] {
+            let wide: Vec<i32> = scores.iter().map(|&s| i32::from(s)).collect();
+            let mut got = vec![-1i32; scores.len()];
+            lut.apply_row_into(&scores, |j, p| got[j] = i32::from(p));
+            assert_eq!(got, lut.apply_row(&wide));
+        }
     }
 
     #[test]

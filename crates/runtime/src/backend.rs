@@ -9,6 +9,7 @@ use fqbert_autograd::Graph;
 use fqbert_bert::{BertConfig, BertModel, NoopHook};
 use fqbert_core::IntBertModel;
 use fqbert_tensor::GemmScratch;
+use std::sync::{Mutex, TryLockError};
 
 /// Numeric precision a backend computes at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,19 +167,34 @@ impl InferenceBackend for FloatBackend {
 /// Batching packs all sequences into one matrix so every linear projection
 /// runs as a single blocked integer GEMM over panel-packed weights with the
 /// requantize fused into the kernel epilogue (see
-/// `IntEncoderLayer::forward_batch` and `fqbert_tensor::gemm`); one packing
-/// scratch buffer is reused across all encoder layers of a batch. Batches
-/// containing an all-padding (zero-length) sequence are rejected with an
-/// `InvalidArgument` error rather than panicking.
-#[derive(Debug, Clone)]
+/// `IntEncoderLayer::forward_batch` and `fqbert_tensor::gemm`); one scratch
+/// holds the packing buffer, the attention panels and every layer
+/// intermediate, and is reused across all encoder layers of a batch.
+/// Batches containing an all-padding (zero-length) sequence are rejected
+/// with an `InvalidArgument` error rather than panicking.
+#[derive(Debug)]
 pub struct IntBackend {
     model: IntBertModel,
+    /// The serial path's scratch, kept across calls so a shape served once
+    /// is served again without re-growing the arena. (Pool workers bring
+    /// their own through [`InferenceBackend::classify_shard`].)
+    scratch: Mutex<GemmScratch>,
+}
+
+/// A clone serves the same model from a scratch of its own.
+impl Clone for IntBackend {
+    fn clone(&self) -> Self {
+        Self::new(self.model.clone())
+    }
 }
 
 impl IntBackend {
     /// Wraps a converted integer model.
     pub fn new(model: IntBertModel) -> Self {
-        Self { model }
+        Self {
+            model,
+            scratch: Mutex::new(GemmScratch::new()),
+        }
     }
 
     /// The wrapped integer model.
@@ -189,8 +205,15 @@ impl IntBackend {
 
 impl InferenceBackend for IntBackend {
     fn classify_batch(&self, batch: &EncodedBatch) -> Result<BatchOutput> {
-        let logits = self.model.logits_batch(batch.examples())?;
-        Ok(BatchOutput::from_logits(logits, None))
+        // Callers that overlap on one backend do not wait for each other:
+        // the one that finds the scratch taken runs on a fresh one. A
+        // scratch holds no numeric state, so one left behind by a panicked
+        // call is as good as any.
+        match self.scratch.try_lock() {
+            Ok(mut kept) => self.classify_shard(batch, &mut kept),
+            Err(TryLockError::Poisoned(kept)) => self.classify_shard(batch, &mut kept.into_inner()),
+            Err(TryLockError::WouldBlock) => self.classify_shard(batch, &mut GemmScratch::new()),
+        }
     }
 
     fn classify_shard(
@@ -345,5 +368,56 @@ impl InferenceBackend for SimBackend {
 
     fn int_model(&self) -> Option<&IntBertModel> {
         self.int.int_model()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fqbert_core::QatHook;
+    use fqbert_nlp::Example;
+    use fqbert_quant::QuantConfig;
+
+    fn example(ids: &[usize]) -> Example {
+        Example {
+            token_ids: ids.to_vec(),
+            segment_ids: vec![0; ids.len()],
+            attention_mask: vec![1; ids.len()],
+            label: 0,
+        }
+    }
+
+    #[test]
+    fn serial_int_path_answers_the_same_whoever_holds_its_scratch() {
+        let model = BertModel::new(BertConfig::tiny(24, 12, 2), 5);
+        let mut hook = QatHook::calibration_only(QuantConfig::fq_bert());
+        for i in 0..4 {
+            let mut graph = Graph::new();
+            model
+                .bind(&mut graph)
+                .forward(&mut graph, &example(&[2, 4 + i, 9, 3]), &mut hook)
+                .expect("calibration");
+        }
+        let backend = IntBackend::new(fqbert_core::convert(&model, &hook).expect("convert"));
+        let batch =
+            EncodedBatch::from_examples(vec![example(&[2, 5, 6, 7, 3]), example(&[2, 11, 3])]);
+        let kept = backend.classify_batch(&batch).expect("kept scratch");
+        // A second call reuses the kept scratch; a caller that finds it
+        // taken, or poisoned by a panicked holder, still gets the same bits.
+        assert_eq!(backend.classify_batch(&batch).expect("reused"), kept);
+        {
+            let _held = backend.scratch.lock().expect("unpoisoned");
+            assert_eq!(backend.classify_batch(&batch).expect("contended"), kept);
+        }
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _held = backend.scratch.lock().expect("unpoisoned");
+                panic!("poison the scratch lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(backend.scratch.is_poisoned());
+        assert_eq!(backend.classify_batch(&batch).expect("poisoned"), kept);
+        assert_eq!(backend.clone().classify_batch(&batch).expect("clone"), kept);
     }
 }

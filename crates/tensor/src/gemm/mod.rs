@@ -53,6 +53,31 @@
 //! iterate full tiles only — no partial-panel or remainder special cases,
 //! and no fallible slice chunking in the hot loop.
 //!
+//! # Strided views and the attention panels
+//!
+//! Attention multiplies activations by activations, so its "weight" side
+//! cannot be packed ahead of time. The [`attention`] module packs one
+//! head's `Kᵀ` and `V` per call into the same wide panels, reading the head
+//! in place through a [`StridedView`] — a `rows × cols` window of a
+//! row-major matrix addressed by row stride, so the `[seq, head_dim]` block
+//! of head `h` inside the packed `[Σ seq, heads · head_dim]` projection
+//! output needs no copy:
+//!
+//! ```text
+//! Kᵀ (k = head_dim, n = seq):  kt[p·k_pairs + pp][2j + t] = K[p·NR + j][2pp + t]
+//! V  (k = seq, n = head_dim):   v[p·k_pairs + pp][2j + t] = V[2pp + t][p·NR + j]
+//! ```
+//!
+//! A `Kᵀ` k-pair is two adjacent bytes of one K row. The activation packer
+//! reads through the same view type (a dense matrix is the view whose
+//! stride equals its width), and the softmax probabilities — `u8` codes in
+//! `[0, 255]` — are written straight into the activation-block layout, so
+//! both attention products run on the unchanged `wide` tile kernels and the
+//! requantize kernels (with a zero bias). [`GemmScratch`] owns those
+//! panels, the `MR`-row score block and, in its [`ByteArena`], every `i8`
+//! intermediate of an encoder layer: its three parts are separate public
+//! fields so a caller can borrow them disjointly.
+//!
 //! # Kernel dispatch
 //!
 //! The per-tile micro-kernel is selected once per process by the
@@ -77,10 +102,33 @@
 //! property tests in `tests/proptest_gemm.rs` pin every available kernel to
 //! the naive loop across random shapes (including empty matrices,
 //! non-multiple-of-block dimensions and int4/int2 nibble panels).
+//!
+//! The two attention reductions rest on the same argument with their own
+//! bounds:
+//!
+//! * **Scores** `Q · Kᵀ` reduce over `head_dim` with `i8 × i8` products, so
+//!   `head_dim · 128² ≤ i32::MAX` for `head_dim ≤` [`MAX_K`]. The scalar
+//!   reference [`IntTensor::matmul_transposed_i32`] accumulates in `i64`
+//!   and saturates to `i32` at the end; under this bound that saturation
+//!   never fires, so the tile kernels reproduce it bit for bit.
+//! * **Context** `P · V` reduces over `seq` with `u8 × i8` products
+//!   (`|p·v| ≤ 255 · 128 = 32 640`, which also fits the `i16` product the
+//!   scalar kernel forms), so `seq · 255 · 128 ≤ i32::MAX` for `seq ≤`
+//!   [`MAX_ATTN_SEQ`]` = 65 793`; the scalar reference sums the same
+//!   products in `i64` without saturation.
+//!
+//! [`attention::AttentionScratch::attend_head`] rejects shapes beyond
+//! either bound. The requantized scores are `i8` codes, so the softmax
+//! lookup index `max − s` lies in `[0, 255)` and the 256-entry table's
+//! clamp is dead as well.
 
+pub mod attention;
 pub mod kernels;
 
+pub use attention::AttentionScratch;
+
 use crate::{IntTensor, Result, TensorError};
+use std::ops::Range;
 
 /// Width (output columns) of one packed weight panel and of the micro-kernel
 /// accumulator tile.
@@ -106,6 +154,98 @@ pub type AccTile = [[i32; NR]; MR];
 /// worst-case product `(-128)·(-128)`), and therefore the largest `k`
 /// [`PackedWeights::pack`] accepts.
 pub const MAX_K: usize = i32::MAX as usize / (128 * 128);
+
+/// Longest attention sequence for which unsaturated `i32` accumulation of
+/// the context product cannot overflow (`seq · 255 · 128 ≤ 2³¹ - 1`:
+/// probabilities are `u8` codes, values `i8` codes).
+pub const MAX_ATTN_SEQ: usize = i32::MAX as usize / (255 * 128);
+
+/// A `rows × cols` window of a row-major `i8` matrix, read in place: row
+/// `r` of the view is `cols` contiguous codes starting `r · stride` past
+/// the window's first element. This is how one attention head's
+/// `[seq, head_dim]` block is read out of the packed Q/K/V projection
+/// outputs without copying it.
+#[derive(Debug, Clone, Copy)]
+pub struct StridedView<'a> {
+    data: &'a [i8],
+    stride: usize,
+    rows: usize,
+    cols: usize,
+}
+
+impl<'a> StridedView<'a> {
+    /// The window `rows × cols` of a row-major matrix whose rows are
+    /// `stride` codes apart.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if a range is reversed, the
+    /// column range exceeds `stride`, or `matrix` holds fewer than
+    /// `rows.end` full rows.
+    pub fn new(
+        matrix: &'a [i8],
+        stride: usize,
+        rows: Range<usize>,
+        cols: Range<usize>,
+    ) -> Result<Self> {
+        let fits = rows.start <= rows.end
+            && cols.start <= cols.end
+            && cols.end <= stride
+            && rows
+                .end
+                .checked_mul(stride)
+                .is_some_and(|end| end <= matrix.len());
+        if !fits {
+            return Err(TensorError::ShapeMismatch {
+                op: "strided_view (window exceeds the matrix)",
+                lhs: vec![rows.end, cols.end],
+                rhs: vec![matrix.len(), stride],
+            });
+        }
+        let data = if rows.is_empty() || cols.is_empty() {
+            &matrix[..0]
+        } else {
+            &matrix[rows.start * stride + cols.start..rows.end * stride]
+        };
+        Ok(Self {
+            data,
+            // An empty window has no row to step to.
+            stride: if data.is_empty() { 0 } else { stride },
+            rows: rows.len(),
+            cols: cols.len(),
+        })
+    }
+
+    /// The view of a whole dense `rows × cols` matrix.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if `matrix` holds fewer than
+    /// `rows · cols` codes.
+    pub fn dense(matrix: &'a [i8], rows: usize, cols: usize) -> Result<Self> {
+        Self::new(matrix, cols, 0..rows, 0..cols)
+    }
+
+    /// Rows in the window.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Columns in the window.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Row `r` of the window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is not below [`StridedView::rows`].
+    pub fn row(&self, r: usize) -> &'a [i8] {
+        assert!(r < self.rows, "row {r} of a {}-row view", self.rows);
+        &self.data[r * self.stride..][..self.cols]
+    }
+}
 
 /// Panel storage of a packed weight matrix: pre-widened `i16` pairs, or raw
 /// two's-complement nibbles for low-bit weights (decoded in-register by the
@@ -140,26 +280,8 @@ impl PackedWeights {
     /// bit-exactness contract with `matmul_i32` would break).
     pub fn pack(weight: &IntTensor<i8>) -> Result<Self> {
         let (k, n) = Self::checked_dims(weight)?;
-        let panels = n.div_ceil(NR);
-        let k_pairs = k.div_ceil(2);
-        let mut data = vec![[0i16; WIDE_B]; panels * k_pairs];
-        let src = weight.as_slice();
-        for p in 0..panels {
-            let c0 = p * NR;
-            let width = NR.min(n - c0);
-            for (pp, dst) in data[p * k_pairs..(p + 1) * k_pairs].iter_mut().enumerate() {
-                for t in 0..2 {
-                    let kk = 2 * pp + t;
-                    if kk >= k {
-                        break;
-                    }
-                    let row = &src[kk * n + c0..kk * n + c0 + width];
-                    for (j, &s) in row.iter().enumerate() {
-                        dst[2 * j + t] = i16::from(s);
-                    }
-                }
-            }
-        }
+        let mut data = Vec::new();
+        pack_wide_panels(&mut data, StridedView::dense(weight.as_slice(), k, n)?);
         Ok(Self {
             store: PanelStore::Wide(data),
             k,
@@ -357,15 +479,108 @@ impl PackedWeights {
     }
 }
 
-/// Reusable packing buffer for the activation side of the GEMM.
+/// Packs the `[k, n]` matrix behind `src` into wide column panels in `data`
+/// (cleared first, capacity kept): `data[p·k_pairs + pp][2j + t] =
+/// src[2pp + t][p·NR + j]`, zero-padded past `n` and for the odd-`k` tail.
+fn pack_wide_panels(data: &mut Vec<[i16; WIDE_B]>, src: StridedView<'_>) {
+    let (k, n) = (src.rows(), src.cols());
+    let k_pairs = k.div_ceil(2);
+    data.clear();
+    data.resize(n.div_ceil(NR) * k_pairs, [0i16; WIDE_B]);
+    if k_pairs == 0 {
+        return;
+    }
+    for (p, panel) in data.chunks_exact_mut(k_pairs).enumerate() {
+        let c0 = p * NR;
+        let width = NR.min(n - c0);
+        for kk in 0..k {
+            let dst = &mut panel[kk / 2];
+            for (j, &s) in src.row(kk)[c0..c0 + width].iter().enumerate() {
+                dst[2 * j + kk % 2] = i16::from(s);
+            }
+        }
+    }
+}
+
+/// The activation side of one tile step: an [`MR`]-row block of a matrix,
+/// k-pair-interleaved and widened to the kernels' `i16` operand width
+/// (`rows[pp][2r + t] = X[r0 + r][2pp + t]`). The buffer never shrinks, so
+/// a block reused across projections settles at the deepest one.
+#[derive(Debug, Default)]
+pub struct ActivationBlock {
+    rows: Vec<[i16; WIDE_A]>,
+}
+
+impl ActivationBlock {
+    /// Packs rows `r0 .. r0+rows` of `x` into the k-pair-interleaved
+    /// layout, zero-padding missing rows up to [`MR`] and the odd-`k` tail.
+    fn pack_rows(&mut self, x: StridedView<'_>, r0: usize, rows: usize) -> &[[i16; WIDE_A]] {
+        self.rows.clear();
+        self.rows.resize(x.cols().div_ceil(2), [0i16; WIDE_A]);
+        for r in 0..rows {
+            interleave_pairs(x.row(r0 + r), &mut self.rows, r);
+        }
+        &self.rows
+    }
+}
+
+/// Spreads `src` over lane `lane` of consecutive k-pair rows, widened to
+/// `i16`: `block[pp][2·lane + t] = src[2pp + t]`. An odd tail leaves its
+/// second slot untouched.
+fn interleave_pairs<const W: usize>(src: &[i8], block: &mut [[i16; W]], lane: usize) {
+    for (pair, dst) in src.chunks(2).zip(block) {
+        dst[2 * lane] = i16::from(pair[0]);
+        if let Some(&odd) = pair.get(1) {
+            dst[2 * lane + 1] = i16::from(odd);
+        }
+    }
+}
+
+/// Grow-only backing store for the `i8` intermediates of a forward pass:
+/// one call hands out disjoint slices of the sizes asked for, and a store
+/// that has served a shape once serves it again without allocating.
+#[derive(Debug, Default)]
+pub struct ByteArena {
+    bytes: Vec<i8>,
+}
+
+impl ByteArena {
+    /// `N` disjoint mutable slices of the given lengths. Their contents are
+    /// whatever an earlier use left there — callers overwrite before they
+    /// read.
+    pub fn slices<const N: usize>(&mut self, sizes: [usize; N]) -> [&mut [i8]; N] {
+        let need: usize = sizes.iter().sum();
+        if self.bytes.len() < need {
+            self.bytes.resize(need, 0);
+        }
+        let mut rest = self.bytes.as_mut_slice();
+        sizes.map(|len| {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            head
+        })
+    }
+}
+
+/// Every reusable buffer of the integer forward pass, in three
+/// independently borrowable parts: the activation block of the linear
+/// GEMMs, the per-head state of the fused attention pass, and the arena
+/// holding a layer's `i8` intermediates.
 ///
-/// One scratch serves every projection of every encoder layer in a forward
-/// pass; reusing it avoids an allocation per GEMM (12 layers × 6 projections
-/// per batch).
+/// One scratch serves every projection and every attention head of every
+/// encoder layer in a forward pass. Nothing in it ever shrinks, so after
+/// the first call on a shape the forward pass allocates nothing it will
+/// need again — a long-lived owner (a pool worker, a serial backend) keeps
+/// one alive across all the batches it serves. It holds no numeric state:
+/// outputs do not depend on what a scratch served before.
 #[derive(Debug, Default)]
 pub struct GemmScratch {
-    /// One `[i16; 2·MR]` row per k-pair: `a_block[pp][2r + t] = X[r0+r][2pp+t]`.
-    a_block: Vec<[i16; WIDE_A]>,
+    /// Activation row block of the linear GEMMs.
+    pub pack: ActivationBlock,
+    /// K/V panels and score/probability row block of the attention pass.
+    pub attn: AttentionScratch,
+    /// Layer intermediates (projection outputs, context, FFN hidden, …).
+    pub arena: ByteArena,
 }
 
 impl GemmScratch {
@@ -374,67 +589,93 @@ impl GemmScratch {
         Self::default()
     }
 
-    /// Creates a scratch whose packing buffer is already sized for
-    /// reduction depths up to `k`, so the first GEMM through it allocates
-    /// nothing. Long-lived owners (e.g. a worker thread that keeps one
-    /// scratch across every batch it serves) size it once for the deepest
-    /// projection of their model.
+    /// Creates a scratch whose activation block is already sized for
+    /// reduction depths up to `k`, the one buffer whose size is known from
+    /// the model alone. The attention panels and the arena depend on the
+    /// batch (rows, sequence lengths); they grow on the first call that
+    /// needs them and are kept, so a worker that holds one scratch across
+    /// every batch it serves pays for each shape once.
     pub fn with_depth(k: usize) -> Self {
         let mut scratch = Self::default();
         scratch.reserve_depth(k);
         scratch
     }
 
-    /// Grows the packing buffer to hold an activation block of reduction
-    /// depth `k` (no-op when already large enough). The buffer never
-    /// shrinks, so a scratch reused across layers settles at the deepest
-    /// projection and stays allocation-free from then on.
+    /// Grows the activation block to hold reduction depth `k` (no-op when
+    /// already large enough).
     pub fn reserve_depth(&mut self, k: usize) {
-        let need = k.div_ceil(2);
-        if self.a_block.capacity() < need {
-            self.a_block.reserve(need - self.a_block.len());
-        }
+        let rows = &mut self.pack.rows;
+        rows.reserve(k.div_ceil(2).saturating_sub(rows.len()));
     }
 
-    /// Largest reduction depth the current buffer can pack without
+    /// Largest reduction depth the activation block can pack without
     /// reallocating.
     pub fn depth_capacity(&self) -> usize {
-        self.a_block.capacity() * 2
-    }
-
-    /// Packs rows `r0 .. r0+rows` of `x` (row-major, `k` columns) into the
-    /// k-pair-interleaved `[pp][2r + t]` layout, widening to the kernels'
-    /// `i16` operand width and zero-padding missing rows up to [`MR`] and
-    /// the odd-`k` tail.
-    fn pack_rows(&mut self, x: &[i8], k: usize, r0: usize, rows: usize) -> &[[i16; WIDE_A]] {
-        let k_pairs = k.div_ceil(2);
-        self.a_block.clear();
-        self.a_block.resize(k_pairs, [0i16; WIDE_A]);
-        for r in 0..rows {
-            let src = &x[(r0 + r) * k..(r0 + r + 1) * k];
-            for (pair, dst) in src.chunks(2).zip(self.a_block.iter_mut()) {
-                dst[2 * r] = i16::from(pair[0]);
-                if let Some(&v) = pair.get(1) {
-                    dst[2 * r + 1] = i16::from(v);
-                }
-            }
-        }
-        &self.a_block
+        self.pack.rows.capacity() * 2
     }
 }
 
-/// Drives the blocked GEMM `x (m×k) · W (k×n)` and feeds every finished
-/// accumulator row segment to `sink(row, c0, accs)` in row-block/panel
-/// order (`accs[j]` is the accumulator for column `c0 + j`), through the
-/// process-selected micro-kernel. Handing the epilogue a contiguous
-/// segment instead of one element at a time is what lets
-/// [`gemm_i8_requant`] run a SIMD fixup over it.
+/// The requantize kernel for `params`: the process-selected SIMD kernel
+/// inside its exactness envelope, the 128-bit scalar reference outside it.
+fn requant_kernel(params: RequantParams) -> kernels::RequantKernel {
+    if params.simd_exact() {
+        kernels::selected().requant
+    } else {
+        kernels::scalar::requant_row
+    }
+}
+
+/// Drives the blocked GEMM `x (m×k) · W (k×n)` over the row-major codes
+/// `x` and feeds every finished accumulator row segment to
+/// `sink(row, c0, accs)` in row-block/panel order (`accs[j]` is the
+/// accumulator for column `c0 + j`), through the process-selected
+/// micro-kernel. Handing the epilogue a contiguous segment instead of one
+/// element at a time is what lets [`gemm_i8_requant_into`] run a SIMD fixup
+/// over it.
 fn gemm_drive<F: FnMut(usize, usize, &[i32])>(
-    x: &IntTensor<i8>,
+    x: &[i8],
+    m: usize,
     weights: &PackedWeights,
-    scratch: &mut GemmScratch,
+    pack: &mut ActivationBlock,
     mut sink: F,
-) -> Result<(usize, usize)> {
+) -> Result<()> {
+    let (k, n) = (weights.k, weights.n);
+    if m.checked_mul(k) != Some(x.len()) {
+        return Err(TensorError::ShapeMismatch {
+            op: "gemm_i8",
+            lhs: vec![m, x.len()],
+            rhs: vec![k, n],
+        });
+    }
+    let x = StridedView::dense(x, m, k)?;
+    let panels = n.div_ceil(NR);
+    let k_pairs = k.div_ceil(2);
+    let kernel = kernels::selected();
+    for r0 in (0..m).step_by(MR) {
+        let rows = MR.min(m - r0);
+        let a_block = pack.pack_rows(x, r0, rows);
+        for p in 0..panels {
+            let c0 = p * NR;
+            let cols = NR.min(n - c0);
+            let mut acc = [[0i32; NR]; MR];
+            match &weights.store {
+                PanelStore::Wide(data) => {
+                    (kernel.wide)(a_block, &data[p * k_pairs..(p + 1) * k_pairs], &mut acc);
+                }
+                PanelStore::Nibble(data) => {
+                    (kernel.nibble)(a_block, &data[p * k_pairs..(p + 1) * k_pairs], &mut acc);
+                }
+            }
+            for (r, row) in acc.iter().enumerate().take(rows) {
+                sink(r0 + r, c0, &row[..cols]);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Rows of the matrix `x`, after checking its width against the packed `k`.
+fn checked_rows(x: &IntTensor<i8>, weights: &PackedWeights) -> Result<usize> {
     let (m, k) = x.as_matrix_dims()?;
     if k != weights.k {
         return Err(TensorError::ShapeMismatch {
@@ -443,46 +684,13 @@ fn gemm_drive<F: FnMut(usize, usize, &[i32])>(
             rhs: vec![weights.k, weights.n],
         });
     }
-    let n = weights.n;
-    let panels = n.div_ceil(NR);
-    let k_pairs = k.div_ceil(2);
-    let kernel = kernels::selected();
-    let xs = x.as_slice();
-    for r0 in (0..m).step_by(MR) {
-        let rows = MR.min(m - r0);
-        scratch.pack_rows(xs, k, r0, rows);
-        for p in 0..panels {
-            let c0 = p * NR;
-            let cols = NR.min(n - c0);
-            let mut acc = [[0i32; NR]; MR];
-            match &weights.store {
-                PanelStore::Wide(data) => {
-                    (kernel.wide)(
-                        &scratch.a_block,
-                        &data[p * k_pairs..(p + 1) * k_pairs],
-                        &mut acc,
-                    );
-                }
-                PanelStore::Nibble(data) => {
-                    (kernel.nibble)(
-                        &scratch.a_block,
-                        &data[p * k_pairs..(p + 1) * k_pairs],
-                        &mut acc,
-                    );
-                }
-            }
-            for (r, row) in acc.iter().enumerate().take(rows) {
-                sink(r0 + r, c0, &row[..cols]);
-            }
-        }
-    }
-    Ok((m, n))
+    Ok(m)
 }
 
 /// Blocked GEMM returning the raw `i32` accumulators,
 /// bit-identical to [`IntTensor::matmul_i32`] (see the module docs for the
 /// contract). Mostly useful for tests and diagnostics — the engine uses the
-/// fused [`gemm_i8_fused`].
+/// fused [`gemm_i8_requant_into`].
 ///
 /// # Errors
 ///
@@ -493,14 +701,19 @@ pub fn gemm_i8_i32(
     weights: &PackedWeights,
     scratch: &mut GemmScratch,
 ) -> Result<IntTensor<i32>> {
-    let mut out = IntTensor::<i32>::zeros(&[x.as_matrix_dims()?.0, weights.n]);
+    let m = checked_rows(x, weights)?;
     let n = weights.n;
-    {
-        let slice = out.as_mut_slice();
-        gemm_drive(x, weights, scratch, |r, c0, accs| {
+    let mut out = IntTensor::<i32>::zeros(&[m, n]);
+    let slice = out.as_mut_slice();
+    gemm_drive(
+        x.as_slice(),
+        m,
+        weights,
+        &mut scratch.pack,
+        |r, c0, accs| {
             slice[r * n + c0..r * n + c0 + accs.len()].copy_from_slice(accs);
-        })?;
-    }
+        },
+    )?;
     Ok(out)
 }
 
@@ -519,16 +732,21 @@ pub fn gemm_i8_fused<F: Fn(i32, usize) -> i8>(
     scratch: &mut GemmScratch,
     epilogue: F,
 ) -> Result<IntTensor<i8>> {
-    let mut out = IntTensor::<i8>::zeros(&[x.as_matrix_dims()?.0, weights.n]);
+    let m = checked_rows(x, weights)?;
     let n = weights.n;
-    {
-        let slice = out.as_mut_slice();
-        gemm_drive(x, weights, scratch, |r, c0, accs| {
+    let mut out = IntTensor::<i8>::zeros(&[m, n]);
+    let slice = out.as_mut_slice();
+    gemm_drive(
+        x.as_slice(),
+        m,
+        weights,
+        &mut scratch.pack,
+        |r, c0, accs| {
             for (j, &acc) in accs.iter().enumerate() {
                 slice[r * n + c0 + j] = epilogue(acc, c0 + j);
             }
-        })?;
-    }
+        },
+    )?;
     Ok(out)
 }
 
@@ -571,12 +789,51 @@ impl RequantParams {
     }
 }
 
-/// Blocked GEMM with the requantization epilogue fused and SIMD-accelerated:
-/// every accumulator row segment gets `+ bias[col]`, the fixed-point
-/// multiply/shift/round and the symmetric clamp applied by the
-/// process-selected requantize kernel — bit-identical to applying
-/// `Requantizer::apply(acc + bias).clamp(-127, 127)` per element (the
-/// cross-kernel property tests pin this).
+/// Blocked GEMM with the requantization epilogue fused and SIMD-accelerated,
+/// written into a caller-owned buffer: `x` is `m` rows of `k` row-major
+/// codes, `out` receives the `m × n` output codes. Every accumulator row
+/// segment gets `+ bias[col]`, the fixed-point multiply/shift/round and the
+/// symmetric clamp applied by the process-selected requantize kernel —
+/// bit-identical to applying `Requantizer::apply(acc + bias).clamp(-127,
+/// 127)` per element (the cross-kernel property tests pin this). Allocates
+/// nothing once `pack` has reached depth `k`.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if `bias` is not one entry per
+/// output column, `x` is not `m · k` codes or `out` is not `m · n` codes.
+pub fn gemm_i8_requant_into(
+    x: &[i8],
+    m: usize,
+    weights: &PackedWeights,
+    bias: &[i32],
+    params: RequantParams,
+    pack: &mut ActivationBlock,
+    out: &mut [i8],
+) -> Result<()> {
+    let n = weights.n;
+    if bias.len() != n {
+        return Err(TensorError::ShapeMismatch {
+            op: "gemm_i8_requant (bias length)",
+            lhs: vec![bias.len()],
+            rhs: vec![n],
+        });
+    }
+    if m.checked_mul(n) != Some(out.len()) {
+        return Err(TensorError::ShapeMismatch {
+            op: "gemm_i8_requant (output length)",
+            lhs: vec![out.len()],
+            rhs: vec![m, n],
+        });
+    }
+    let kernel = requant_kernel(params);
+    gemm_drive(x, m, weights, pack, |r, c0, accs| {
+        let cols = c0..c0 + accs.len();
+        kernel(accs, &bias[cols.clone()], params, &mut out[r * n..][cols]);
+    })
+}
+
+/// [`gemm_i8_requant_into`] over tensors, allocating the output.
 ///
 /// # Errors
 ///
@@ -590,31 +847,10 @@ pub fn gemm_i8_requant(
     params: RequantParams,
     scratch: &mut GemmScratch,
 ) -> Result<IntTensor<i8>> {
-    if bias.len() != weights.n {
-        return Err(TensorError::ShapeMismatch {
-            op: "gemm_i8_requant (bias length)",
-            lhs: vec![bias.len()],
-            rhs: vec![weights.n],
-        });
-    }
-    let kernel: kernels::RequantKernel = if params.simd_exact() {
-        kernels::selected().requant
-    } else {
-        kernels::scalar::requant_row
-    };
-    let mut out = IntTensor::<i8>::zeros(&[x.as_matrix_dims()?.0, weights.n]);
-    let n = weights.n;
-    {
-        let slice = out.as_mut_slice();
-        gemm_drive(x, weights, scratch, |r, c0, accs| {
-            kernel(
-                accs,
-                &bias[c0..c0 + accs.len()],
-                params,
-                &mut slice[r * n + c0..r * n + c0 + accs.len()],
-            );
-        })?;
-    }
+    let m = checked_rows(x, weights)?;
+    let mut out = IntTensor::<i8>::zeros(&[m, weights.n]);
+    let (x, pack) = (x.as_slice(), &mut scratch.pack);
+    gemm_i8_requant_into(x, m, weights, bias, params, pack, out.as_mut_slice())?;
     Ok(out)
 }
 
