@@ -18,6 +18,14 @@
 //! land in one tree) or **per multiplier** (Type B — `m` shifters and wider
 //! adders). Both produce bit-identical results; Type A is cheaper, which is
 //! exactly the trade-off Fig. 4 illustrates.
+//!
+//! The CPU engine has the same primitive in software: for 4-bit weights
+//! `fqbert_tensor::gemm` keeps both operands bytes and multiplies 8b × 4b
+//! products four to a 32-bit lane (`vpmaddubsw` / `vpdpbusd` in
+//! `crates/tensor/src/gemm/kernels/x86.rs`, over the biased-nibble k-quad
+//! panels described in the `gemm` module docs), where 8-bit weights take
+//! the `i16 × i16` path at half the products per instruction — the
+//! `w4_over_w8` column of `BENCH_engine_batch.json` is that ratio measured.
 
 use crate::config::BimVariant;
 

@@ -4,7 +4,8 @@
 //! packed-weight GEMM kernel against the naive `matmul_i32` + scalar
 //! requantize path it replaced, and every SIMD micro-kernel available on
 //! this host against the scalar reference (`kernel_comparison`, with
-//! derived speedups in the JSON report).
+//! derived speedups over scalar and the int4-over-int8 ratio of each kernel
+//! in the JSON report).
 //!
 //! Besides the console output, the run emits machine-readable
 //! `results/BENCH_engine_batch.json` (perf trajectory) and
@@ -314,6 +315,10 @@ struct KernelComparisonRow {
     shape: String,
     mean_ns: f64,
     speedup_vs_scalar: f64,
+    /// On `w4` rows: how many times faster the int4 projection runs than
+    /// the `w8` one of the same kernel and shape (`w8 ns / w4 ns`) — the CPU
+    /// counterpart of a BIM fitting two 8b×4b products in one 8b×8b slot.
+    w4_over_w8: Option<f64>,
 }
 
 impl_to_json!(KernelComparisonRow {
@@ -322,11 +327,13 @@ impl_to_json!(KernelComparisonRow {
     panel,
     shape,
     mean_ns,
-    speedup_vs_scalar
+    speedup_vs_scalar,
+    w4_over_w8
 });
 
-/// Derives per-kernel speedups over the scalar reference from the raw
-/// `kernel_comparison` bench rows (ids look like `w4_avx2/64x128x512`).
+/// Derives per-kernel speedups over the scalar reference, and the int4
+/// over int8 ratio within each kernel, from the raw `kernel_comparison`
+/// bench rows (ids look like `w4_avx2/64x128x512`).
 fn kernel_comparison_report(rows: &[criterion::BenchResult]) -> Vec<KernelComparisonRow> {
     let mut results = Vec::new();
     for row in rows {
@@ -336,10 +343,9 @@ fn kernel_comparison_report(rows: &[criterion::BenchResult]) -> Vec<KernelCompar
         let Some((panel, kernel)) = bench.split_once('_') else {
             continue;
         };
-        let scalar_ns = rows
-            .iter()
-            .find(|r| r.id == format!("{panel}_scalar/{shape}"))
-            .map(|r| r.mean_ns);
+        let mean_ns_of = |id: String| rows.iter().find(|r| r.id == id).map(|r| r.mean_ns);
+        let scalar_ns = mean_ns_of(format!("{panel}_scalar/{shape}"));
+        let w8_ns = mean_ns_of(format!("w8_{kernel}/{shape}")).filter(|_| panel == "w4");
         results.push(KernelComparisonRow {
             id: row.id.clone(),
             kernel: kernel.to_string(),
@@ -347,6 +353,7 @@ fn kernel_comparison_report(rows: &[criterion::BenchResult]) -> Vec<KernelCompar
             shape: shape.to_string(),
             mean_ns: row.mean_ns,
             speedup_vs_scalar: scalar_ns.map_or(1.0, |s| s / row.mean_ns),
+            w4_over_w8: w8_ns.map(|w8| w8 / row.mean_ns),
         });
     }
     results
@@ -552,8 +559,11 @@ fn main() {
         .collect();
     let kernel_comparison = kernel_comparison_report(&kernel_rows);
     for row in &kernel_comparison {
+        let w4_over_w8 = row
+            .w4_over_w8
+            .map_or(String::new(), |ratio| format!(", {ratio:.2}x vs w8"));
         println!(
-            "kernel_comparison {}: {:.3} ms, {:.2}x vs scalar",
+            "kernel_comparison {}: {:.3} ms, {:.2}x vs scalar{w4_over_w8}",
             row.id,
             row.mean_ns / 1e6,
             row.speedup_vs_scalar

@@ -53,9 +53,11 @@ const PROB_LEVELS: u32 = 255;
 /// into a private buffer and goes through the same constructor, so both
 /// behave identically from there on. The only other copy a layer ever makes
 /// is its GEMM panels ([`fqbert_tensor::gemm`]), built straight from the
-/// encoded bytes on first forward pass — nibble panels for low-bit layers
-/// (decoded in-register by the int4 kernels, a quarter of the wide panels'
-/// bytes), wide `i16` panels otherwise. Everything is validated at
+/// encoded bytes on first forward pass — biased-nibble k-quad panels for
+/// low-bit layers (multiplied as unsigned bytes against byte activations by
+/// the int4 kernels — `vpmaddubsw` / `vpdpbusd` on x86, the CPU image of
+/// the paper's 8b×4b multiplier — a quarter of the wide panels' bytes),
+/// wide `i16` panels otherwise. Everything is validated at
 /// construction so that deferred build cannot fail. Clones share the
 /// buffer and the panels.
 // fqlint::allow(float-escape): the stored scales are per-tensor calibration

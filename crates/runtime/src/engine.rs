@@ -335,9 +335,9 @@ impl Engine {
         self.pool.as_ref().map_or(1, WorkerPool::threads)
     }
 
-    /// Name of the GEMM micro-kernel serving this process: `avx2`, `sse2`,
-    /// `neon` or `scalar` — whatever the runtime dispatch selected (or
-    /// `FQBERT_KERNEL` forced) at first use.
+    /// Name of the GEMM micro-kernel serving this process: `vnni`, `avx2`,
+    /// `sse2`, `neon` or `scalar` — whatever the runtime dispatch selected
+    /// (or `FQBERT_KERNEL` forced) at first use.
     pub fn kernel(&self) -> &'static str {
         gemm_kernels::selected().name
     }

@@ -73,7 +73,7 @@ pub struct ClientModelInfo {
     pub num_classes: usize,
     /// Worker threads serving the model's batches.
     pub threads: usize,
-    /// GEMM micro-kernel serving the engine (`avx2`, `sse2`, `neon`,
+    /// GEMM micro-kernel serving the engine (`vnni`, `avx2`, `sse2`, `neon`,
     /// `scalar`).
     pub kernel: String,
     /// Bytes of materialized weight panels plus shared float tensors

@@ -128,7 +128,7 @@ pub struct ModelInfo {
     pub num_classes: usize,
     /// Worker threads the engine shards batches across (1 = serial).
     pub threads: usize,
-    /// GEMM micro-kernel serving the engine (`avx2`, `sse2`, `neon`,
+    /// GEMM micro-kernel serving the engine (`vnni`, `avx2`, `sse2`, `neon`,
     /// `scalar`) — the runtime-dispatch choice, or the `FQBERT_KERNEL`
     /// override.
     pub kernel: String,

@@ -1,38 +1,50 @@
 //! Micro-kernel dispatch: one process-wide selection of the SIMD tile
 //! kernels the blocked GEMM runs on.
 //!
-//! Every kernel computes the same `MR × NR` accumulator tile update from a
-//! k-pair-interleaved activation block and weight panel (see the `gemm`
-//! module docs for the layouts) and is **bit-identical** to the scalar
-//! reference: absent `i32` overflow — excluded by the `MAX_K` pack bound —
-//! integer accumulation is exact in any order, so lane-parallel SIMD sums
-//! equal the sequential reduction bit for bit. The cross-kernel property
-//! tests in `tests/proptest_gemm.rs` pin this for every kernel the host can
-//! run.
+//! Every kernel computes the same `MR × NR` accumulator tile update from an
+//! activation block and a weight panel — `i16` k-pairs against wide panels,
+//! byte k-quads against biased-nibble panels (see the `gemm` module docs
+//! for the layouts) — and is **bit-identical** to the scalar reference:
+//! absent `i32` overflow — excluded by the `MAX_K` pack bound — integer
+//! accumulation is exact in any order, so lane-parallel SIMD sums equal the
+//! sequential reduction bit for bit. The cross-kernel property tests in
+//! `tests/proptest_gemm.rs` pin this for every kernel the host can run.
+//! Panels are built once and never depend on the kernel: [`force`] switches
+//! kernels over panels that already exist, so every row reads the one
+//! layout.
 //!
 //! # Selection
 //!
 //! [`selected`] resolves once per process (lock-free, one relaxed atomic
 //! load on the hot path afterwards):
 //!
-//! 1. If `FQBERT_KERNEL=scalar|sse2|avx2|neon` is set, that kernel is used
+//! 1. If `FQBERT_KERNEL=scalar|sse2|avx2|vnni|neon` is set, that kernel is used
 //!    when available on this CPU; an unavailable or unrecognised request
 //!    falls back to `scalar` (never an error — serving must come up), which
 //!    is visible in telemetry/`list_models` since the kernel name is
 //!    surfaced everywhere.
-//! 2. Otherwise the best available kernel wins: `avx2` > `sse2` on x86_64
-//!    (via `is_x86_feature_detected!`), `neon` on aarch64, else `scalar`.
+//! 2. Otherwise the best available kernel wins — the last available entry
+//!    of [`KernelKind::ALL`]: `vnni` > `avx2` > `sse2` on x86_64 (via
+//!    `is_x86_feature_detected!`), `neon` on aarch64, else `scalar`. The
+//!    `vnni` row is the `avx2` row with the int4 tile on `vpdpbusd`
+//!    (AVX-VNNI, or AVX-512 VNNI + VL) instead of `vpmaddubsw`.
 //!
 //! Tests and benches switch kernels in-process with [`force`].
 //!
 //! # Adding a kernel
 //!
 //! Implement the two tile functions (`wide` for `i16` panels, `nibble` for
-//! int4 nibble panels) in a new submodule, add a [`KernelKind`] variant,
-//! its availability check, and its [`KernelDispatch`] row — then the
-//! cross-kernel proptests automatically cover it. `unsafe` is allowed only
-//! inside `gemm/kernels/*` (fqlint R5 `unsafe-outside-kernels`), and every
-//! unsafe item there must carry a justified allow annotation.
+//! biased-nibble int4 panels; a row may borrow either from another row, as
+//! `vnni` borrows `wide` and `requant` from `avx2`), add a [`KernelKind`]
+//! variant **at its place in the preference order** — the enum and
+//! [`KernelKind::ALL`] list the kinds in the same, ascending order, which a
+//! unit test pins — its availability check, and its [`KernelDispatch`] row;
+//! then the cross-kernel proptests automatically cover it. A nibble kernel
+//! adds `Σ a·u` over the panel's unsigned `u = w + 8` to the tile it is
+//! given; the driver has already started the tile at `−8 · Σ a`. `unsafe`
+//! is allowed only inside `gemm/kernels/*` (fqlint R5
+//! `unsafe-outside-kernels`), and every unsafe item there must carry a
+//! justified allow annotation.
 
 pub mod scalar;
 
@@ -41,15 +53,16 @@ pub mod neon;
 #[cfg(target_arch = "x86_64")]
 pub mod x86;
 
-use super::{AccTile, RequantParams, WIDE_A, WIDE_B};
-use crate::gemm::NR;
+use super::{AccTile, RequantParams, QUAD_A, QUAD_B, WIDE_A, WIDE_B};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Tile kernel over wide (`i16`-pair) weight panels.
 pub type WideKernel = fn(&[[i16; WIDE_A]], &[[i16; WIDE_B]], &mut AccTile);
 
-/// Tile kernel over nibble-packed (int4) weight panels.
-pub type NibbleKernel = fn(&[[i16; WIDE_A]], &[[u8; NR]], &mut AccTile);
+/// Tile kernel over biased-nibble (int4) weight panels and a byte
+/// activation block: adds `Σ a · (w + 8)` to a tile the driver started at
+/// `−8 · Σ a`.
+pub type NibbleKernel = fn(&[[i8; QUAD_A]], &[[u8; QUAD_B]], &mut AccTile);
 
 /// Requantize epilogue over one accumulator row segment:
 /// `out[j] = clamp(round((acc[j] + bias[j]) · multiplier / 2^shift), ±clamp)`
@@ -66,18 +79,24 @@ pub enum KernelKind {
     Scalar,
     /// x86_64 128-bit `pmaddwd` path.
     Sse2,
-    /// x86_64 256-bit `vpmaddwd` path.
+    /// x86_64 256-bit `vpmaddwd` path; int4 panels on `vpmaddubsw`.
     Avx2,
+    /// The AVX2 row with int4 panels on `vpdpbusd` (AVX-VNNI, or
+    /// AVX-512 VNNI + VL).
+    Vnni,
     /// aarch64 128-bit `smlal` path.
     Neon,
 }
 
 impl KernelKind {
-    /// Every kind, in ascending preference order.
-    pub const ALL: [KernelKind; 4] = [
+    /// Every kind, in declaration order, which is ascending preference
+    /// order: [`best_available`] takes the last available entry, and the
+    /// stored selection indexes this array by discriminant.
+    pub const ALL: [KernelKind; 5] = [
         KernelKind::Scalar,
         KernelKind::Sse2,
         KernelKind::Avx2,
+        KernelKind::Vnni,
         KernelKind::Neon,
     ];
 
@@ -87,6 +106,7 @@ impl KernelKind {
             KernelKind::Scalar => "scalar",
             KernelKind::Sse2 => "sse2",
             KernelKind::Avx2 => "avx2",
+            KernelKind::Vnni => "vnni",
             KernelKind::Neon => "neon",
         }
     }
@@ -116,6 +136,16 @@ impl KernelKind {
                 #[cfg(target_arch = "x86_64")]
                 {
                     std::arch::is_x86_feature_detected!("avx2")
+                }
+                #[cfg(not(target_arch = "x86_64"))]
+                {
+                    false
+                }
+            }
+            KernelKind::Vnni => {
+                #[cfg(target_arch = "x86_64")]
+                {
+                    std::arch::is_x86_feature_detected!("avx2") && x86::vnni_detected()
                 }
                 #[cfg(not(target_arch = "x86_64"))]
                 {
@@ -168,6 +198,17 @@ static AVX2: KernelDispatch = KernelDispatch {
     requant: x86::requant_row_avx2,
 };
 
+// VNNI changes the byte-operand product only: wide panels and the requantize
+// epilogue run on the AVX2 kernels.
+#[cfg(target_arch = "x86_64")]
+static VNNI: KernelDispatch = KernelDispatch {
+    kind: KernelKind::Vnni,
+    name: "vnni",
+    wide: x86::tile_wide_avx2,
+    nibble: x86::tile_nibble_vnni,
+    requant: x86::requant_row_avx2,
+};
+
 // The NEON row reuses the scalar requant epilogue: the epilogue is a small
 // fraction of GEMM time and the aarch64 SIMD variant has not been written
 // yet.
@@ -188,6 +229,8 @@ pub fn dispatch_for(kind: KernelKind) -> &'static KernelDispatch {
         KernelKind::Sse2 => &SSE2,
         #[cfg(target_arch = "x86_64")]
         KernelKind::Avx2 => &AVX2,
+        #[cfg(target_arch = "x86_64")]
+        KernelKind::Vnni => &VNNI,
         #[cfg(target_arch = "aarch64")]
         KernelKind::Neon => &NEON,
         _ => &SCALAR,
@@ -220,10 +263,12 @@ pub fn resolve(requested: Option<&str>) -> KernelKind {
     best_available()
 }
 
-/// The fastest kernel this CPU can run.
+/// The fastest kernel this CPU can run: the last available entry of
+/// [`KernelKind::ALL`].
 pub fn best_available() -> KernelKind {
-    [KernelKind::Avx2, KernelKind::Neon, KernelKind::Sse2]
+    KernelKind::ALL
         .into_iter()
+        .rev()
         .find(|k| k.is_available())
         .unwrap_or(KernelKind::Scalar)
 }
@@ -272,7 +317,26 @@ mod tests {
             assert_eq!(KernelKind::parse(&kind.name().to_uppercase()), Some(kind));
         }
         assert_eq!(KernelKind::parse(" avx2 "), Some(KernelKind::Avx2));
+        assert_eq!(KernelKind::parse("VNNI"), Some(KernelKind::Vnni));
         assert_eq!(KernelKind::parse("avx512"), None);
+    }
+
+    /// `SELECTED` stores a discriminant and reads it back through `ALL`,
+    /// and `best_available` walks `ALL` from the back: both need `ALL` to be
+    /// the declaration order, and that order to be the preference order.
+    #[test]
+    fn all_is_indexed_by_discriminant_and_ordered_by_preference() {
+        for (index, kind) in KernelKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, index, "{} is out of place", kind.name());
+            assert_eq!(kind_from_index(kind as usize), kind);
+        }
+        assert_eq!(Some(&best_available()), available().last());
+        // The byte-operand row outranks the row it borrows the rest from.
+        assert!((KernelKind::Vnni as usize) > KernelKind::Avx2 as usize);
+        if KernelKind::Vnni.is_available() {
+            assert!(KernelKind::Avx2.is_available());
+            assert_eq!(best_available(), KernelKind::Vnni);
+        }
     }
 
     #[test]
@@ -287,6 +351,10 @@ mod tests {
         // An explicit request for an available kernel is honoured.
         for kind in available() {
             assert_eq!(resolve(Some(kind.name())), kind);
+        }
+        // ... and one for a kernel this CPU lacks serves on scalar.
+        for kind in KernelKind::ALL.into_iter().filter(|k| !k.is_available()) {
+            assert_eq!(resolve(Some(kind.name())), KernelKind::Scalar);
         }
     }
 

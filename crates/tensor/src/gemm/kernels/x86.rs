@@ -1,14 +1,38 @@
 //! x86_64 micro-kernels: AVX2 (`_mm256_madd_epi16`) and SSE2 (`pmaddwd`)
-//! accumulator tiles over the k-pair-interleaved panels.
+//! accumulator tiles over the k-pair-interleaved wide panels, and the
+//! byte-operand tiles (`vpmaddubsw`, `vpdpbusd`) over the biased-nibble
+//! k-quad panels.
 //!
-//! Both paths broadcast one activation pair `(a0, a1)` into every 32-bit
-//! lane and `madd` it against the panel's interleaved weight pairs: lane
-//! `j` computes `a0·W[2pp][c+j] + a1·W[2pp+1][c+j]` with exact 32-bit
+//! The wide paths broadcast one activation pair `(a0, a1)` into every
+//! 32-bit lane and `madd` it against the panel's interleaved weight pairs:
+//! lane `j` computes `a0·W[2pp][c+j] + a1·W[2pp+1][c+j]` with exact 32-bit
 //! intermediate products — the identical value the scalar reference sums
 //! for that column, so accumulation is bit-identical (no overflow by the
-//! `MAX_K` pack bound). The int4 path loads raw nibble panels and
-//! sign-extends in-register with an arithmetic shift pair instead of
-//! reading pre-widened `i16`s.
+//! `MAX_K` pack bound).
+//!
+//! The int4 paths never widen a weight. A 32-byte half row of a nibble
+//! panel decodes with `and 0x0F` and `srli 4` + `and` into two vectors of
+//! unsigned bytes whose 32-bit lane `j` is one column's four consecutive
+//! reduction steps, and the broadcast activation quad `(a0, a1, a2, a3)` of
+//! a row supplies the signed bytes:
+//!
+//! * **AVX2** multiplies with `_mm256_maddubs_epi16(u, a)`. Its `i16`
+//!   lanes hold `u0·a0 + u1·a1` and `u2·a2 + u3·a3`; the instruction
+//!   saturates, but with `u ≤ 15` a lane is at most `2 · 15 · 128 = 3 840`
+//!   in magnitude, so it never does. The lanes of up to `I16_QUADS = 8`
+//!   consecutive k-quads are summed in `i16` (`8 · 3 840 = 30 720 ≤
+//!   i16::MAX`) before one `_mm256_madd_epi16(·, 1)` widens the pair of
+//!   lanes of each column into the `i32` tile.
+//! * **VNNI** issues `vpdpbusd`, the non-saturating form that adds all
+//!   four byte products of a lane straight into the `i32` accumulator.
+//!
+//! Both compute `Σ a·(w + 8)` exactly; the driver started the tile at
+//! `−8 · Σ a` (see the `gemm` module docs). They are the software image of
+//! the accelerator's 8b×4b mode, where one Bit-split Inner-product Module
+//! fits two 4-bit-weight products in the slot of one 8b×8b product
+//! (`crates/accel/src/bim.rs`). **SSE2** has neither instruction: it
+//! zero-extends the decoded bytes to `i16`, regroups them into k-pairs per
+//! column and runs `pmaddwd` against sign-extended activation pairs.
 //!
 //! # Safety
 //!
@@ -16,25 +40,26 @@
 //! `unsafe-outside-kernels`): the only unsafety is (a) calling
 //! `#[target_feature]` functions, sound because the dispatch table installs
 //! them only after `is_x86_feature_detected!` confirms the feature, and
-//! (b) unaligned SIMD loads/stores through raw pointers derived from
-//! fixed-size array references, in-bounds by construction.
+//! (b) unaligned SIMD loads/stores (and one unaligned 4-byte read per
+//! activation quad) through raw pointers derived from fixed-size array
+//! references, in-bounds by construction.
 
 use super::scalar;
-use crate::gemm::{AccTile, RequantParams, MR, NR, WIDE_A, WIDE_B};
+use crate::gemm::{AccTile, RequantParams, MR, QUAD_A, QUAD_B, WIDE_A, WIDE_B};
 use core::arch::x86_64::{
-    __m128i, __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_and_si256, _mm256_andnot_si256,
-    _mm256_castsi256_si128, _mm256_cmpgt_epi32, _mm256_cvtepi32_epi64, _mm256_cvtepu8_epi16,
-    _mm256_extracti128_si256, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_mul_epu32,
-    _mm256_or_si256, _mm256_permute2x128_si256, _mm256_permute4x64_epi64, _mm256_set1_epi32,
-    _mm256_set1_epi64x, _mm256_setzero_si256, _mm256_shuffle_epi32, _mm256_slli_epi16,
-    _mm256_slli_epi64, _mm256_srai_epi16, _mm256_srai_epi32, _mm256_srl_epi64, _mm256_srli_epi64,
-    _mm256_storeu_si256, _mm256_sub_epi64, _mm256_unpackhi_epi16, _mm256_unpacklo_epi16,
-    _mm256_xor_si256, _mm_add_epi32, _mm_add_epi64, _mm_and_si128, _mm_andnot_si128,
-    _mm_cmpgt_epi32, _mm_cvtsi128_si32, _mm_cvtsi32_si128, _mm_loadu_si128, _mm_madd_epi16,
-    _mm_mul_epu32, _mm_or_si128, _mm_packs_epi16, _mm_packs_epi32, _mm_set1_epi32, _mm_set1_epi64x,
-    _mm_setzero_si128, _mm_shuffle_epi32, _mm_slli_epi16, _mm_slli_epi64, _mm_srai_epi16,
-    _mm_srai_epi32, _mm_srl_epi64, _mm_srli_epi64, _mm_storel_epi64, _mm_storeu_si128,
-    _mm_sub_epi64, _mm_unpackhi_epi16, _mm_unpackhi_epi32, _mm_unpackhi_epi8, _mm_unpacklo_epi16,
+    __m128i, __m256i, _mm256_add_epi16, _mm256_add_epi32, _mm256_add_epi64, _mm256_and_si256,
+    _mm256_andnot_si256, _mm256_castsi256_si128, _mm256_cmpgt_epi32, _mm256_cvtepi32_epi64,
+    _mm256_dpbusd_avx_epi32, _mm256_dpbusd_epi32, _mm256_extracti128_si256, _mm256_loadu_si256,
+    _mm256_madd_epi16, _mm256_maddubs_epi16, _mm256_mul_epu32, _mm256_or_si256,
+    _mm256_permute4x64_epi64, _mm256_set1_epi16, _mm256_set1_epi32, _mm256_set1_epi64x,
+    _mm256_set1_epi8, _mm256_setzero_si256, _mm256_shuffle_epi32, _mm256_slli_epi64,
+    _mm256_srai_epi32, _mm256_srl_epi64, _mm256_srli_epi16, _mm256_srli_epi64, _mm256_storeu_si256,
+    _mm256_sub_epi64, _mm256_xor_si256, _mm_add_epi32, _mm_add_epi64, _mm_and_si128,
+    _mm_andnot_si128, _mm_cmpgt_epi32, _mm_cmpgt_epi8, _mm_cvtsi128_si32, _mm_cvtsi32_si128,
+    _mm_loadu_si128, _mm_madd_epi16, _mm_mul_epu32, _mm_or_si128, _mm_packs_epi16, _mm_packs_epi32,
+    _mm_set1_epi32, _mm_set1_epi64x, _mm_set1_epi8, _mm_setzero_si128, _mm_shuffle_epi32,
+    _mm_slli_epi64, _mm_srai_epi32, _mm_srl_epi64, _mm_srli_epi16, _mm_srli_epi64,
+    _mm_storel_epi64, _mm_storeu_si128, _mm_sub_epi64, _mm_unpackhi_epi32, _mm_unpackhi_epi8,
     _mm_unpacklo_epi32, _mm_unpacklo_epi64, _mm_unpacklo_epi8, _mm_xor_si128,
 };
 
@@ -59,15 +84,47 @@ pub fn tile_wide_avx2(a: &[[i16; WIDE_A]], b: &[[i16; WIDE_B]], acc: &mut AccTil
     unsafe { wide_avx2(a, b, acc) }
 }
 
-/// AVX2 tile kernel over nibble-packed (int4) panels.
+/// AVX2 tile kernel over biased-nibble (int4) panels: `vpmaddubsw`.
 ///
 /// Same installation contract as [`tile_wide_avx2`].
 // fqlint::allow(unsafe-outside-kernels): designated kernel module; the
 // target-feature call is guarded by runtime AVX2 detection at dispatch
 // installation.
-pub fn tile_nibble_avx2(a: &[[i16; WIDE_A]], b: &[[u8; NR]], acc: &mut AccTile) {
+pub fn tile_nibble_avx2(a: &[[i8; QUAD_A]], b: &[[u8; QUAD_B]], acc: &mut AccTile) {
     debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
     unsafe { nibble_avx2(a, b, acc) }
+}
+
+/// Whether this CPU has the EVEX `vpdpbusd` on 256-bit registers.
+fn evex_vnni_detected() -> bool {
+    std::arch::is_x86_feature_detected!("avx512vnni")
+        && std::arch::is_x86_feature_detected!("avx512vl")
+}
+
+/// Whether this CPU has a 256-bit `vpdpbusd` in either encoding.
+pub(super) fn vnni_detected() -> bool {
+    evex_vnni_detected() || std::arch::is_x86_feature_detected!("avxvnni")
+}
+
+/// VNNI tile kernel over biased-nibble (int4) panels: `vpdpbusd` in its
+/// EVEX encoding where the CPU has it (32 vector registers hold the whole
+/// tile), in its VEX encoding otherwise.
+///
+/// Installed in the dispatch table only when AVX2 and `vnni_detected`
+/// hold ([`super::dispatch_for`] and [`super::force`] guarantee that);
+/// called anywhere else it computes the same tile on the scalar kernel.
+// fqlint::allow(unsafe-outside-kernels): designated kernel module; each
+// target-feature call sits directly behind the runtime detection of its
+// VNNI features, and no CPU has either of them without AVX2.
+pub fn tile_nibble_vnni(a: &[[i8; QUAD_A]], b: &[[u8; QUAD_B]], acc: &mut AccTile) {
+    debug_assert!(std::arch::is_x86_feature_detected!("avx2") && vnni_detected());
+    if evex_vnni_detected() {
+        unsafe { nibble_vnni_evex(a, b, acc) }
+    } else if std::arch::is_x86_feature_detected!("avxvnni") {
+        unsafe { nibble_vnni_vex(a, b, acc) }
+    } else {
+        scalar::tile_nibble(a, b, acc);
+    }
 }
 
 /// SSE2 tile kernel over wide (`i16`-pair) panels. SSE2 is part of the
@@ -79,11 +136,11 @@ pub fn tile_wide_sse2(a: &[[i16; WIDE_A]], b: &[[i16; WIDE_B]], acc: &mut AccTil
     unsafe { wide_sse2(a, b, acc) }
 }
 
-/// SSE2 tile kernel over nibble-packed (int4) panels.
+/// SSE2 tile kernel over biased-nibble (int4) panels.
 // fqlint::allow(unsafe-outside-kernels): designated kernel module; SSE2 is
 // baseline on x86_64 and the loads/stores are in-bounds by the fixed array
 // types.
-pub fn tile_nibble_sse2(a: &[[i16; WIDE_A]], b: &[[u8; NR]], acc: &mut AccTile) {
+pub fn tile_nibble_sse2(a: &[[i8; QUAD_A]], b: &[[u8; QUAD_B]], acc: &mut AccTile) {
     unsafe { nibble_sse2(a, b, acc) }
 }
 
@@ -126,60 +183,131 @@ unsafe fn wide_avx2(a: &[[i16; WIDE_A]], b: &[[i16; WIDE_B]], acc: &mut AccTile)
     }
 }
 
-/// Sign-extends 16 nibble-pair bytes (columns `c..c+16`) into two vectors
-/// of interleaved `i16` weight pairs: columns `c..c+8` and `c+8..c+16`.
-///
-/// The zero-extended byte sits in bits 0..8 of each 16-bit lane; shifting
-/// left by 12 (resp. 8) parks the low (resp. high) nibble in the top four
-/// bits and an arithmetic right shift by 12 sign-extends it. The 256-bit
-/// `unpack[lo|hi]_epi16` interleave works per 128-bit half, so a cross-lane
-/// permute restores ascending column order.
-// fqlint::allow(unsafe-outside-kernels): register-only decode; inherits
-// the wrapper-installation contract for AVX2.
-#[target_feature(enable = "avx2")]
-unsafe fn decode_half_avx2(bytes: __m128i) -> (__m256i, __m256i) {
-    let w = _mm256_cvtepu8_epi16(bytes);
-    let lo = _mm256_srai_epi16::<12>(_mm256_slli_epi16::<12>(w));
-    let hi = _mm256_srai_epi16::<12>(_mm256_slli_epi16::<8>(w));
-    let even = _mm256_unpacklo_epi16(lo, hi);
-    let odd = _mm256_unpackhi_epi16(lo, hi);
-    (
-        _mm256_permute2x128_si256::<0x20>(even, odd),
-        _mm256_permute2x128_si256::<0x31>(even, odd),
-    )
-}
+/// Consecutive k-quads whose `vpmaddubsw` lanes [`nibble_avx2`] sums in
+/// `i16` before widening: a lane is at most `2 · 15 · 128 = 3 840` in
+/// magnitude, and `8 · 3 840 = 30 720` is the largest multiple inside `i16`.
+const I16_QUADS: usize = 8;
+const _: () = assert!(I16_QUADS * 2 * 15 * 128 <= i16::MAX as usize);
 
-/// The int4 direct-compute AVX2 kernel: one 32-byte load per k-pair covers
-/// all `NR` columns, the decode runs once and feeds all `MR` rows.
-// fqlint::allow(unsafe-outside-kernels): loads/stores bounded by the
-// `[u8; NR]` / `[i32; NR]` array types; AVX2 guaranteed by the wrapper's
+/// Row `r`'s activation quad `(a0, a1, a2, a3)` broadcast into every
+/// 32-bit lane, in memory order — the signed-byte operand of `vpmaddubsw`
+/// and `vpdpbusd`.
+// fqlint::allow(unsafe-outside-kernels): one unaligned 4-byte read at
+// offset `4r ≤ 12` of a 16-byte array; AVX2 guaranteed by the callers'
 // installation contract.
 #[target_feature(enable = "avx2")]
-unsafe fn nibble_avx2(a: &[[i16; WIDE_A]], b: &[[u8; NR]], acc: &mut AccTile) {
-    let mut v = [[_mm256_setzero_si256(); 4]; MR];
-    for (row, out) in v.iter_mut().zip(acc.iter()) {
-        for (i, slot) in row.iter_mut().enumerate() {
-            *slot = _mm256_loadu_si256(out.as_ptr().add(8 * i).cast());
-        }
-    }
-    for (ap, bp) in a.iter().zip(b) {
-        let bytes = _mm256_loadu_si256(bp.as_ptr().cast());
-        let (b0, b1) = decode_half_avx2(_mm256_castsi256_si128(bytes));
-        let (b2, b3) = decode_half_avx2(_mm256_extracti128_si256::<1>(bytes));
-        for (r, row) in v.iter_mut().enumerate() {
-            let pair = _mm256_set1_epi32(pair_lanes(ap, r));
-            row[0] = _mm256_add_epi32(row[0], _mm256_madd_epi16(pair, b0));
-            row[1] = _mm256_add_epi32(row[1], _mm256_madd_epi16(pair, b1));
-            row[2] = _mm256_add_epi32(row[2], _mm256_madd_epi16(pair, b2));
-            row[3] = _mm256_add_epi32(row[3], _mm256_madd_epi16(pair, b3));
-        }
-    }
-    for (row, out) in v.iter().zip(acc.iter_mut()) {
-        for (i, slot) in row.iter().enumerate() {
-            _mm256_storeu_si256(out.as_mut_ptr().add(8 * i).cast(), *slot);
+unsafe fn quad_lanes(aq: &[i8; QUAD_A], r: usize) -> __m256i {
+    debug_assert!(r < MR);
+    _mm256_set1_epi32(aq.as_ptr().add(4 * r).cast::<i32>().read_unaligned())
+}
+
+/// Decodes half row `half` of a nibble-panel k-quad into its two vectors of
+/// unsigned weight bytes `u ∈ [0, 15]`: columns `16·half + 0..8` from the
+/// low nibbles and `16·half + 8..16` from the high ones, 32-bit lane `j`
+/// holding reduction steps `4q .. 4q+4` of column `j`.
+// fqlint::allow(unsafe-outside-kernels): one 32-byte load at offset 0 or 32
+// of a 64-byte array; AVX2 guaranteed by the callers' installation
+// contract.
+#[target_feature(enable = "avx2")]
+unsafe fn decode_quad_half(bq: &[u8; QUAD_B], half: usize) -> [__m256i; 2] {
+    debug_assert!(half < 2);
+    let mask = _mm256_set1_epi8(0x0F);
+    let bytes = _mm256_loadu_si256(bq.as_ptr().add(32 * half).cast());
+    [
+        _mm256_and_si256(bytes, mask),
+        _mm256_and_si256(_mm256_srli_epi16::<4>(bytes), mask),
+    ]
+}
+
+/// The int4 AVX2 kernel. Per block of [`I16_QUADS`] k-quads and per
+/// 16-column half, the `vpmaddubsw` lanes of all `MR` rows are summed in
+/// eight `i16` registers, then widened by `madd_epi16(·, 1)` into the
+/// `i32` tile — one decode feeds all `MR` rows, and the panel streams past
+/// once.
+// fqlint::allow(unsafe-outside-kernels): loads/stores at constant offsets
+// below `NR` of `[i32; NR]` rows; AVX2 guaranteed by the wrapper's
+// installation contract.
+#[target_feature(enable = "avx2")]
+unsafe fn nibble_avx2(a: &[[i8; QUAD_A]], b: &[[u8; QUAD_B]], acc: &mut AccTile) {
+    let ones = _mm256_set1_epi16(1);
+    for (a_block, b_block) in a.chunks(I16_QUADS).zip(b.chunks(I16_QUADS)) {
+        for half in 0..2 {
+            let mut sums = [[_mm256_setzero_si256(); 2]; MR];
+            for (aq, bq) in a_block.iter().zip(b_block) {
+                let w = decode_quad_half(bq, half);
+                for (r, row) in sums.iter_mut().enumerate() {
+                    let quad = quad_lanes(aq, r);
+                    row[0] = _mm256_add_epi16(row[0], _mm256_maddubs_epi16(w[0], quad));
+                    row[1] = _mm256_add_epi16(row[1], _mm256_maddubs_epi16(w[1], quad));
+                }
+            }
+            for (row, out) in sums.iter().zip(acc.iter_mut()) {
+                for (i, sum) in row.iter().enumerate() {
+                    let p = out.as_mut_ptr().add(16 * half + 8 * i);
+                    let wide = _mm256_madd_epi16(*sum, ones);
+                    _mm256_storeu_si256(
+                        p.cast(),
+                        _mm256_add_epi32(_mm256_loadu_si256(p.cast()), wide),
+                    );
+                }
+            }
         }
     }
 }
+
+/// The int4 `vpdpbusd` kernels: `$halves` half rows (`2 · $halves` column
+/// vectors) of all `MR` rows stay in `i32` registers while the whole
+/// reduction streams past, one `vpdpbusd` per vector, row and k-quad.
+macro_rules! nibble_vnni {
+    ($name:ident, $features:literal, $dpbusd:ident, $halves:literal) => {
+        // fqlint::allow(unsafe-outside-kernels): loads/stores at constant
+        // offsets below `NR` of `[i32; NR]` rows; the features are
+        // guaranteed by `tile_nibble_vnni`'s detection.
+        #[target_feature(enable = $features)]
+        unsafe fn $name(a: &[[i8; QUAD_A]], b: &[[u8; QUAD_B]], acc: &mut AccTile) {
+            const HALVES: usize = $halves;
+            for pass in 0..2 / HALVES {
+                let mut v = [[[_mm256_setzero_si256(); 2]; HALVES]; MR];
+                for (row, out) in v.iter_mut().zip(acc.iter()) {
+                    for (i, slot) in row.as_flattened_mut().iter_mut().enumerate() {
+                        *slot =
+                            _mm256_loadu_si256(out.as_ptr().add(16 * HALVES * pass + 8 * i).cast());
+                    }
+                }
+                for (aq, bq) in a.iter().zip(b) {
+                    let mut w = [[_mm256_setzero_si256(); 2]; HALVES];
+                    for (h, half) in w.iter_mut().enumerate() {
+                        *half = decode_quad_half(bq, HALVES * pass + h);
+                    }
+                    for (r, row) in v.iter_mut().enumerate() {
+                        let quad = quad_lanes(aq, r);
+                        for (slot, u) in row.as_flattened_mut().iter_mut().zip(w.as_flattened()) {
+                            *slot = $dpbusd(*slot, *u, quad);
+                        }
+                    }
+                }
+                for (row, out) in v.iter().zip(acc.iter_mut()) {
+                    for (i, slot) in row.as_flattened().iter().enumerate() {
+                        _mm256_storeu_si256(
+                            out.as_mut_ptr().add(16 * HALVES * pass + 8 * i).cast(),
+                            *slot,
+                        );
+                    }
+                }
+            }
+        }
+    };
+}
+
+// VEX has 16 vector registers: one half row (8 accumulators) per pass.
+nibble_vnni!(nibble_vnni_vex, "avx2,avxvnni", _mm256_dpbusd_avx_epi32, 1);
+// EVEX has 32: the whole tile (16 accumulators) in one pass.
+nibble_vnni!(
+    nibble_vnni_evex,
+    "avx2,avx512vnni,avx512vl",
+    _mm256_dpbusd_epi32,
+    2
+);
 
 /// 128-bit variant of [`wide_avx2`]: eight `pmaddwd` lanes per row.
 // fqlint::allow(unsafe-outside-kernels): loads/stores bounded by the fixed
@@ -206,28 +334,6 @@ unsafe fn wide_sse2(a: &[[i16; WIDE_A]], b: &[[i16; WIDE_B]], acc: &mut AccTile)
             _mm_storeu_si128(p.add(4 * i).cast(), *slot);
         }
     }
-}
-
-/// SSE2 version of the nibble decode for 16 bytes (columns `c..c+16`):
-/// four vectors of four interleaved column pairs each, in ascending column
-/// order (128-bit unpacks need no cross-lane fixup).
-// fqlint::allow(unsafe-outside-kernels): register-only decode; SSE2 is
-// baseline on x86_64.
-#[target_feature(enable = "sse2")]
-unsafe fn decode_half_sse2(bytes: __m128i) -> [__m128i; 4] {
-    let zero = _mm_setzero_si128();
-    let w0 = _mm_unpacklo_epi8(bytes, zero);
-    let w1 = _mm_unpackhi_epi8(bytes, zero);
-    let lo0 = _mm_srai_epi16::<12>(_mm_slli_epi16::<12>(w0));
-    let hi0 = _mm_srai_epi16::<12>(_mm_slli_epi16::<8>(w0));
-    let lo1 = _mm_srai_epi16::<12>(_mm_slli_epi16::<12>(w1));
-    let hi1 = _mm_srai_epi16::<12>(_mm_slli_epi16::<8>(w1));
-    [
-        _mm_unpacklo_epi16(lo0, hi0),
-        _mm_unpackhi_epi16(lo0, hi0),
-        _mm_unpacklo_epi16(lo1, hi1),
-        _mm_unpackhi_epi16(lo1, hi1),
-    ]
 }
 
 /// SSE2 requantize epilogue over one accumulator row segment.
@@ -415,30 +521,131 @@ unsafe fn requant_avx2(acc: &[i32], bias: &[i32], params: RequantParams, out: &m
     scalar::requant_row(&acc[i..len], &bias[i..len], params, &mut out[i..len]);
 }
 
-/// The int4 direct-compute SSE2 kernel.
-// fqlint::allow(unsafe-outside-kernels): loads/stores bounded by the fixed
-// array types; SSE2 is baseline on x86_64.
+/// Regroups 16 decoded weight bytes — four columns × four reduction steps,
+/// column-major — into the two `pmaddwd` operands of those columns: `i16`
+/// pairs `(k0, k1)` and `(k2, k3)`, one 32-bit lane per column.
+// fqlint::allow(unsafe-outside-kernels): register-only shuffle; SSE2 is
+// baseline on x86_64.
 #[target_feature(enable = "sse2")]
-unsafe fn nibble_sse2(a: &[[i16; WIDE_A]], b: &[[u8; NR]], acc: &mut AccTile) {
-    let mut v = [[_mm_setzero_si128(); 8]; MR];
-    for (row, out) in v.iter_mut().zip(acc.iter()) {
-        for (i, slot) in row.iter_mut().enumerate() {
-            *slot = _mm_loadu_si128(out.as_ptr().add(4 * i).cast());
+unsafe fn k_pairs_sse2(bytes: __m128i) -> [__m128i; 2] {
+    let zero = _mm_setzero_si128();
+    // 32-bit lanes: [c0(k0k1), c0(k2k3), c1(k0k1), c1(k2k3)] and c2, c3.
+    let c01 = _mm_unpacklo_epi8(bytes, zero);
+    let c23 = _mm_unpackhi_epi8(bytes, zero);
+    let even = _mm_unpacklo_epi32(c01, c23); // c0(k0k1) c2(k0k1) c0(k2k3) c2(k2k3)
+    let odd = _mm_unpackhi_epi32(c01, c23); // c1(k0k1) c3(k0k1) c1(k2k3) c3(k2k3)
+    [_mm_unpacklo_epi32(even, odd), _mm_unpackhi_epi32(even, odd)]
+}
+
+/// The int4 SSE2 kernel: one pass per 16-byte quarter of the k-quad rows,
+/// i.e. per four low-nibble and four high-nibble columns, with their
+/// `MR × 2` accumulators in registers.
+// fqlint::allow(unsafe-outside-kernels): loads/stores at offsets the fixed
+// array types bound (`16·quarter < 64` panel bytes, all 16 activation
+// bytes, `first + 12 ≤ NR` tile columns); SSE2 is baseline on x86_64.
+#[target_feature(enable = "sse2")]
+unsafe fn nibble_sse2(a: &[[i8; QUAD_A]], b: &[[u8; QUAD_B]], acc: &mut AccTile) {
+    let mask = _mm_set1_epi8(0x0F);
+    for quarter in 0..4 {
+        // Bytes `16·quarter ..` of a k-quad row: low nibbles are columns
+        // `first .. first+4`, high nibbles columns `first+8 .. first+12`.
+        let first = 16 * (quarter / 2) + 4 * (quarter % 2);
+        let mut v = [[_mm_setzero_si128(); 2]; MR];
+        for (row, out) in v.iter_mut().zip(acc.iter()) {
+            row[0] = _mm_loadu_si128(out.as_ptr().add(first).cast());
+            row[1] = _mm_loadu_si128(out.as_ptr().add(first + 8).cast());
         }
-    }
-    for (ap, bp) in a.iter().zip(b) {
-        let d0 = decode_half_sse2(_mm_loadu_si128(bp.as_ptr().cast()));
-        let d1 = decode_half_sse2(_mm_loadu_si128(bp.as_ptr().add(16).cast()));
-        for (r, row) in v.iter_mut().enumerate() {
-            let pair = _mm_set1_epi32(pair_lanes(ap, r));
-            for (slot, bvec) in row.iter_mut().zip(d0.iter().chain(d1.iter())) {
-                *slot = _mm_add_epi32(*slot, _mm_madd_epi16(pair, *bvec));
+        for (aq, bq) in a.iter().zip(b) {
+            let bytes = _mm_loadu_si128(bq.as_ptr().add(16 * quarter).cast());
+            let lo = k_pairs_sse2(_mm_and_si128(bytes, mask));
+            let hi = k_pairs_sse2(_mm_and_si128(_mm_srli_epi16::<4>(bytes), mask));
+            // The activation quads sign-extended to `i16`: 32-bit lanes
+            // `[r(k0k1), r(k2k3), r'(k0k1), r'(k2k3)]` for rows 0, 1 and 2, 3.
+            let quads = _mm_loadu_si128(aq.as_ptr().cast());
+            let sign = _mm_cmpgt_epi8(_mm_setzero_si128(), quads);
+            let (r01, r23) = (
+                _mm_unpacklo_epi8(quads, sign),
+                _mm_unpackhi_epi8(quads, sign),
+            );
+            let pairs = [
+                [
+                    _mm_shuffle_epi32::<0x00>(r01),
+                    _mm_shuffle_epi32::<0x55>(r01),
+                ],
+                [
+                    _mm_shuffle_epi32::<0xAA>(r01),
+                    _mm_shuffle_epi32::<0xFF>(r01),
+                ],
+                [
+                    _mm_shuffle_epi32::<0x00>(r23),
+                    _mm_shuffle_epi32::<0x55>(r23),
+                ],
+                [
+                    _mm_shuffle_epi32::<0xAA>(r23),
+                    _mm_shuffle_epi32::<0xFF>(r23),
+                ],
+            ];
+            for (row, [a01, a23]) in v.iter_mut().zip(pairs) {
+                row[0] = _mm_add_epi32(
+                    row[0],
+                    _mm_add_epi32(_mm_madd_epi16(lo[0], a01), _mm_madd_epi16(lo[1], a23)),
+                );
+                row[1] = _mm_add_epi32(
+                    row[1],
+                    _mm_add_epi32(_mm_madd_epi16(hi[0], a01), _mm_madd_epi16(hi[1], a23)),
+                );
             }
         }
+        for (row, out) in v.iter().zip(acc.iter_mut()) {
+            _mm_storeu_si128(out.as_mut_ptr().add(first).cast(), row[0]);
+            _mm_storeu_si128(out.as_mut_ptr().add(first + 8).cast(), row[1]);
+        }
     }
-    for (row, out) in v.iter().zip(acc.iter_mut()) {
-        for (i, slot) in row.iter().enumerate() {
-            _mm_storeu_si128(out.as_mut_ptr().add(4 * i).cast(), *slot);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `i16` headroom of `nibble_avx2`: a `vpmaddubsw` lane is at most
+    /// `2 · 15 · 128 = 3 840` in magnitude, 8 of them fit `i16`, 9 do not.
+    #[test]
+    fn eight_k_quads_is_the_largest_i16_block() {
+        let lane = 2 * 15 * 128;
+        assert_eq!(I16_QUADS * lane, 30_720);
+        assert!(I16_QUADS * lane <= i16::MAX as usize);
+        assert!((I16_QUADS + 1) * lane > i16::MAX as usize);
+    }
+
+    /// The dispatch row prefers the EVEX encoding, so on a CPU with both
+    /// the VEX kernel would otherwise never run under test: drive each
+    /// detected encoding directly against the scalar tile.
+    #[test]
+    fn both_vnni_encodings_match_the_scalar_tile() {
+        let k_quads = 2 * I16_QUADS + 3;
+        let byte = |i: usize| (i.wrapping_mul(2_654_435_761) >> 11) as u8;
+        let a: Vec<[i8; QUAD_A]> = (0..k_quads)
+            .map(|q| std::array::from_fn(|i| byte(q * QUAD_A + i) as i8))
+            .collect();
+        let b: Vec<[u8; QUAD_B]> = (0..k_quads)
+            .map(|q| std::array::from_fn(|i| byte(7 + q * QUAD_B + i)))
+            .collect();
+        let start: AccTile = std::array::from_fn(|r| [-1000 * r as i32; crate::gemm::NR]);
+        let mut want = start;
+        scalar::tile_nibble(&a, &b, &mut want);
+        type Tile = unsafe fn(&[[i8; QUAD_A]], &[[u8; QUAD_B]], &mut AccTile);
+        let encodings: [(&str, bool, Tile); 2] = [
+            ("vex", is_x86_feature_detected!("avxvnni"), nibble_vnni_vex),
+            ("evex", evex_vnni_detected(), nibble_vnni_evex),
+        ];
+        for (name, detected, kernel) in encodings {
+            if detected && is_x86_feature_detected!("avx2") {
+                let mut got = start;
+                // fqlint::allow(unsafe-outside-kernels): the kernel's
+                // features were detected on the line above.
+                unsafe { kernel(&a, &b, &mut got) };
+                assert_eq!(got, want, "{name} encoding");
+            }
         }
     }
 }

@@ -23,35 +23,57 @@
 //! Weights are stored pre-widened to `i16` — the kernels' multiply operand
 //! width — so no sign-extension happens in the hot loop.
 //!
-//! Low-bit weights (4-bit and 2-bit codes, `[-8, 7]`) can instead be packed
-//! with [`PackedWeights::pack_nibble`] into **nibble panels** that the int4
-//! kernels consume directly, sign-extending in-register and skipping the
-//! unpack-to-i16 copy entirely:
+//! Low-bit weights (4-bit and 2-bit codes, `[-8, 7]`) are instead packed
+//! with [`PackedWeights::pack_nibble`] into **biased-nibble k-quad panels**
+//! that the int4 kernels consume as *bytes*, never widening a weight — the
+//! CPU image of the paper's 8-bit × 4-bit multiplier. The reduction
+//! dimension is walked **four steps at a time**; per panel and k-quad `q`
+//! there are two 32-byte half rows (`h = 0, 1`, [`QUAD_B`]` = 64` bytes
+//! together), and with `u(w) = w + 8 ∈ [0, 15]`:
 //!
 //! ```text
-//!     nib[p·k_pairs + pp][j] = nibble(W[2pp][c]) | nibble(W[2pp+1][c]) << 4
+//!     nib[p·k_quads + q][32h + 4j + t] = u(W[4q+t][c0 + 16h + j])
+//!                                      | u(W[4q+t][c0 + 16h + 8 + j]) << 4
+//!     (c0 = p·NR,  j = 0..8,  t = 0..4,  k_quads = ceil(k / 4))
 //! ```
 //!
-//! — one byte per column per k-pair, a quarter of the wide panel's resident
-//! bytes.
+//! The whole decode of a half row is `and 0x0F` for columns `16h + 0..8`
+//! and `srli 4` + `and 0x0F` for columns `16h + 8..16` — four vector
+//! operations per 64 weights — and each 32-bit lane of a decoded vector is
+//! one column's `(k, k+1, k+2, k+3)` as unsigned bytes: exactly the operand
+//! shape of `vpdpbusd` and of `vpmaddubsw` → `vpmaddwd(ones)`. Half a byte
+//! per weight is a quarter of the wide panel's resident bytes. Bytes past
+//! `n` and past `k` are zero. The panel bytes do not depend on the selected
+//! kernel: every kernel row reads this one layout.
 //!
 //! Both layouts can also be built **directly from the v2 artifact byte
 //! stream** without materialising an intermediate `IntTensor`:
 //! [`PackedWeights::from_v2_nibble_bytes`] gathers nibble panels straight
 //! from the `pack_i4` encoding (element `e = kk·n + c` lives in nibble
-//! `e % 2` of byte `e / 2`), and [`PackedWeights::pack_wide_from_bytes`]
+//! `e % 2` of byte `e / 2`; biasing a two's-complement nibble is `^ 8`), and [`PackedWeights::pack_wide_from_bytes`]
 //! widens raw two's-complement `i8` code bytes in place. This is how every
 //! quantized linear builds its panels: w4 weights go from artifact bytes to
 //! compute-ready panels without ever round-tripping through unpacked `i8`
 //! codes or `i16` widening.
 //!
-//! Activations are packed per call into row blocks of height [`MR`] with the
-//! same k-pair interleave (`a[pp][2r + t] = X[r0 + r][2pp + t]`), inside a
-//! caller-provided [`GemmScratch`] that is reused across layers instead of
-//! re-allocated per projection. Because every panel row is a fixed-size
-//! array and odd-`k` tails are zero-padded at pack time, the micro-kernels
-//! iterate full tiles only — no partial-panel or remainder special cases,
-//! and no fallible slice chunking in the hot loop.
+//! Activations are packed per call into row blocks of height [`MR`] in the
+//! layout of the panels they meet: against wide panels the same k-pair
+//! interleave widened to `i16` (`a[pp][2r + t] = X[r0 + r][2pp + t]`),
+//! against nibble panels a **byte block** of k-quads
+//! (`a[q][4r + t] = X[r0 + r][4q + t]`, [`QUAD_A`] bytes per k-quad) whose
+//! row `r` is the signed-byte operand of the same instructions. Either
+//! lives inside a caller-provided [`GemmScratch`] that is reused across
+//! layers instead of re-allocated per projection. Because every panel row
+//! is a fixed-size array and missing rows and k-tails are zero-padded at
+//! pack time, the micro-kernels iterate full tiles only — no partial-panel
+//! or remainder special cases, and no fallible slice chunking in the hot
+//! loop.
+//!
+//! The `+8` bias is taken out again without touching the kernels or the
+//! epilogue: while packing a byte block the driver sums each row, and
+//! starts row `r` of every accumulator tile of that block at
+//! `−8 · Σ_k X[r0 + r][k]` instead of zero, so that a nibble kernel adding
+//! `Σ a·(w + 8)` leaves `Σ a·w`.
 //!
 //! # Strided views and the attention panels
 //!
@@ -81,11 +103,13 @@
 //! # Kernel dispatch
 //!
 //! The per-tile micro-kernel is selected once per process by the
-//! [`kernels`] module: an AVX2 path (`_mm256_madd_epi16` accumulator tiles)
-//! and an SSE2 fallback on x86_64, a NEON (`smlal`-shaped) path on aarch64,
-//! and a portable scalar kernel that doubles as the property-test reference.
-//! Selection uses `is_x86_feature_detected!` / compile-target gating and can
-//! be overridden with `FQBERT_KERNEL=scalar|sse2|avx2|neon`; see
+//! [`kernels`] module: on x86_64 a VNNI row (int4 tiles on `vpdpbusd`,
+//! everything else shared with AVX2), an AVX2 row (`_mm256_madd_epi16`
+//! wide tiles, `_mm256_maddubs_epi16` int4 tiles) and an SSE2 fallback, a
+//! NEON (`smlal`-shaped) path on aarch64, and a portable scalar kernel that
+//! doubles as the property-test reference. Selection uses
+//! `is_x86_feature_detected!` / compile-target gating and can be
+//! overridden with `FQBERT_KERNEL=scalar|sse2|avx2|vnni|neon`; see
 //! [`kernels::selected`].
 //!
 //! # Bit-exactness contract
@@ -102,6 +126,21 @@
 //! property tests in `tests/proptest_gemm.rs` pin every available kernel to
 //! the naive loop across random shapes (including empty matrices,
 //! non-multiple-of-block dimensions and int4/int2 nibble panels).
+//!
+//! The byte-operand int4 path computes `Σ a·(w + 8) − 8·Σ a`. Both terms
+//! are sums of exact integer products, and even taken separately they stay
+//! inside `i32` for `k ≤` [`MAX_K`] (`k · 128 · 15 + 8 · k · 128 < k ·
+//! 128²`), so the identity `Σ a·(w + 8) − 8·Σ a = Σ a·w` holds bit for bit
+//! in whatever order a kernel adds — and it would hold in wrapping `i32`
+//! arithmetic regardless. What a kernel must not do is *saturate*:
+//! `vpmaddubsw` saturates its `i16` lanes, but a lane is `u0·a0 + u1·a1`
+//! with `u ≤ 15`, at most `2 · 15 · 128 = 3 840` in magnitude, so it cannot;
+//! the AVX2 kernel adds at most 8 such lanes in `i16` (`8 · 3 840 =
+//! 30 720 ≤ i16::MAX`; 9 would not fit) before widening to `i32`; and the
+//! VNNI kernel uses `vpdpbusd`, the non-saturating form (not `vpdpbusds`).
+//! `tests/proptest_gemm.rs` drives every kernel through all-(−128) and
+//! all-(+127) activations against all-(+7) and all-(−8) weights at the
+//! depths that straddle the 8-k-quad boundary and the k-quad tail.
 //!
 //! The two attention reductions rest on the same argument with their own
 //! bounds:
@@ -145,6 +184,14 @@ pub const WIDE_B: usize = 2 * NR;
 /// Length of one k-pair row of a packed activation block: an interleaved
 /// `(X[r][2pp], X[r][2pp+1])` pair per row.
 pub const WIDE_A: usize = 2 * MR;
+
+/// Bytes of one k-quad row of a nibble weight panel: four reduction steps ×
+/// [`NR`] columns × 4 bits, as two 32-byte half rows (see the module docs).
+pub const QUAD_B: usize = 2 * NR;
+
+/// Bytes of one k-quad row of a byte activation block: the four codes
+/// `X[r][4q .. 4q+4]` of each of the [`MR`] rows.
+pub const QUAD_A: usize = 4 * MR;
 
 /// The `MR × NR` accumulator tile every micro-kernel updates in place.
 pub type AccTile = [[i32; NR]; MR];
@@ -247,15 +294,15 @@ impl<'a> StridedView<'a> {
     }
 }
 
-/// Panel storage of a packed weight matrix: pre-widened `i16` pairs, or raw
-/// two's-complement nibbles for low-bit weights (decoded in-register by the
-/// int4 kernel path).
+/// Panel storage of a packed weight matrix: pre-widened `i16` pairs, or
+/// biased nibbles for low-bit weights (consumed as unsigned bytes by the
+/// byte-operand kernel path).
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum PanelStore {
     /// `panels · k_pairs` rows of interleaved `i16` pairs.
     Wide(Vec<[i16; WIDE_B]>),
-    /// `panels · k_pairs` rows of one nibble-pair byte per column.
-    Nibble(Vec<[u8; NR]>),
+    /// `panels · k_quads` rows of biased nibbles, two columns per byte.
+    Nibble(Vec<[u8; QUAD_B]>),
 }
 
 /// An int8 weight matrix re-laid-out into [`NR`]-wide, k-pair-interleaved
@@ -290,9 +337,10 @@ impl PackedWeights {
     }
 
     /// Packs a `[k, n]` weight matrix of low-bit codes (each in `[-8, 7]`,
-    /// i.e. 4-bit or 2-bit quantized weights) into nibble panels consumed
-    /// directly by the int4 kernel path — one byte per column per k-pair,
-    /// a quarter of the resident bytes of [`PackedWeights::pack`].
+    /// i.e. 4-bit or 2-bit quantized weights) into biased-nibble k-quad
+    /// panels consumed directly by the byte-operand kernel path — half a
+    /// byte per weight, a quarter of the resident bytes of
+    /// [`PackedWeights::pack`].
     ///
     /// # Errors
     ///
@@ -301,25 +349,15 @@ impl PackedWeights {
     /// [`PackedWeights::pack`].
     pub fn pack_nibble(weight: &IntTensor<i8>) -> Result<Self> {
         let (k, n) = Self::checked_dims(weight)?;
-        let panels = n.div_ceil(NR);
-        let k_pairs = k.div_ceil(2);
-        let mut data = vec![[0u8; NR]; panels * k_pairs];
-        let src = weight.as_slice();
-        for p in 0..panels {
-            let c0 = p * NR;
-            let width = NR.min(n - c0);
-            for (pp, dst) in data[p * k_pairs..(p + 1) * k_pairs].iter_mut().enumerate() {
-                for (j, d) in dst.iter_mut().enumerate().take(width) {
-                    let lo = crate::pack4::nibble(src[2 * pp * n + c0 + j])?;
-                    let hi = if 2 * pp + 1 < k {
-                        crate::pack4::nibble(src[(2 * pp + 1) * n + c0 + j])?
-                    } else {
-                        0
-                    };
-                    *d = lo | (hi << 4);
-                }
-            }
-        }
+        // Biasing a two's-complement nibble by 8 flips its top bit.
+        let biased = weight
+            .as_slice()
+            .iter()
+            .map(|&code| Ok(crate::pack4::nibble(code)? ^ 8))
+            .collect::<Result<Vec<u8>>>()?;
+        let data = gather_nibble_panels(k, n, |kk, c0, row| {
+            row.copy_from_slice(&biased[kk * n + c0..][..row.len()]);
+        });
         Ok(Self {
             store: PanelStore::Nibble(data),
             k,
@@ -378,11 +416,10 @@ impl PackedWeights {
     /// Builds nibble panels directly from the v2 artifact's `pack_i4` byte
     /// stream for a `[k, n]` weight matrix: flat element `e = kk·n + c`
     /// occupies nibble `e % 2` of byte `e / 2` (low nibble first). The
-    /// panel gather pairs the nibbles of rows `2pp` and `2pp + 1` of each
-    /// column — a pure nibble shuffle with no widening, producing panels
-    /// bit-identical to [`PackedWeights::pack_nibble`] over the unpacked
-    /// codes. Every nibble is a valid two's-complement code, so unlike the
-    /// unpack path no per-element range check is needed.
+    /// panel gather is one pass of nibble moves with no widening, producing
+    /// panels bit-identical to [`PackedWeights::pack_nibble`] over the
+    /// unpacked codes. Every nibble is a valid two's-complement code, so
+    /// unlike the unpack path no per-element range check is needed.
     ///
     /// # Errors
     ///
@@ -409,25 +446,12 @@ impl PackedWeights {
                 });
             }
         }
-        let nib_at = |e: usize| (bytes[e / 2] >> (4 * (e % 2))) & 0x0f;
-        let panels = n.div_ceil(NR);
-        let k_pairs = k.div_ceil(2);
-        let mut data = vec![[0u8; NR]; panels * k_pairs];
-        for p in 0..panels {
-            let c0 = p * NR;
-            let width = NR.min(n - c0);
-            for (pp, dst) in data[p * k_pairs..(p + 1) * k_pairs].iter_mut().enumerate() {
-                for (j, d) in dst.iter_mut().enumerate().take(width) {
-                    let lo = nib_at(2 * pp * n + c0 + j);
-                    let hi = if 2 * pp + 1 < k {
-                        nib_at((2 * pp + 1) * n + c0 + j)
-                    } else {
-                        0
-                    };
-                    *d = lo | (hi << 4);
-                }
+        let data = gather_nibble_panels(k, n, |kk, c0, row| {
+            for (i, u) in row.iter_mut().enumerate() {
+                let e = kk * n + c0 + i;
+                *u = ((bytes[e / 2] >> (4 * (e % 2))) & 0x0f) ^ 8;
             }
-        }
+        });
         Ok(Self {
             store: PanelStore::Nibble(data),
             k,
@@ -464,8 +488,8 @@ impl PackedWeights {
         self.n
     }
 
-    /// Whether the panels hold raw nibbles (int4 compute path) rather than
-    /// pre-widened `i16` pairs.
+    /// Whether the panels hold biased nibbles (byte-operand compute path)
+    /// rather than pre-widened `i16` pairs.
     pub fn is_nibble(&self) -> bool {
         matches!(self.store, PanelStore::Nibble(_))
     }
@@ -474,7 +498,7 @@ impl PackedWeights {
     pub fn resident_bytes(&self) -> usize {
         match &self.store {
             PanelStore::Wide(data) => data.len() * WIDE_B * std::mem::size_of::<i16>(),
-            PanelStore::Nibble(data) => data.len() * NR,
+            PanelStore::Nibble(data) => data.len() * QUAD_B,
         }
     }
 }
@@ -502,13 +526,49 @@ fn pack_wide_panels(data: &mut Vec<[i16; WIDE_B]>, src: StridedView<'_>) {
     }
 }
 
-/// The activation side of one tile step: an [`MR`]-row block of a matrix,
+/// Gathers the biased-nibble k-quad panels of a `[k, n]` matrix.
+/// `biased_row(kk, c0, row)` writes `u(W[kk][c0 + i]) = W[kk][c0 + i] + 8`
+/// to `row[i]`; for panel `p`, k-quad `q` and 16-column half `h`,
+/// `data[p·k_quads + q][32h + 4j + t]` then holds `u(W[4q+t][c0+16h+j])` in
+/// its low and `u(W[4q+t][c0+16h+8+j])` in its high nibble, `c0 = p·NR`.
+/// Bytes past `n` and past `k` stay zero: they only ever meet zero
+/// activations or columns the driver drops.
+fn gather_nibble_panels(
+    k: usize,
+    n: usize,
+    biased_row: impl Fn(usize, usize, &mut [u8]),
+) -> Vec<[u8; QUAD_B]> {
+    let k_quads = k.div_ceil(4);
+    let mut data = vec![[0u8; QUAD_B]; n.div_ceil(NR) * k_quads];
+    for (p, c0) in (0..n).step_by(NR).enumerate() {
+        let width = NR.min(n - c0);
+        let panel = &mut data[p * k_quads..(p + 1) * k_quads];
+        let mut row = [0u8; NR];
+        for kk in 0..k {
+            biased_row(kk, c0, &mut row[..width]);
+            let (src_halves, _) = row.as_chunks::<16>();
+            let (dst_halves, _) = panel[kk / 4].as_chunks_mut::<NR>();
+            for (dst, src) in dst_halves.iter_mut().zip(src_halves) {
+                for j in 0..8 {
+                    dst[4 * j + kk % 4] = src[j] | src[j + 8] << 4;
+                }
+            }
+        }
+    }
+    data
+}
+
+/// The activation side of one tile step: an [`MR`]-row block of a matrix in
+/// the layout of the panels it meets. Against wide panels the block is
 /// k-pair-interleaved and widened to the kernels' `i16` operand width
-/// (`rows[pp][2r + t] = X[r0 + r][2pp + t]`). The buffer never shrinks, so
-/// a block reused across projections settles at the deepest one.
+/// (`rows[pp][2r + t] = X[r0 + r][2pp + t]`); against nibble panels it
+/// stays bytes, one k-quad of every row per entry
+/// (`quads[q][4r + t] = X[r0 + r][4q + t]`). Neither buffer ever shrinks,
+/// so a block reused across projections settles at the deepest one.
 #[derive(Debug, Default)]
 pub struct ActivationBlock {
     rows: Vec<[i16; WIDE_A]>,
+    quads: Vec<[i8; QUAD_A]>,
 }
 
 impl ActivationBlock {
@@ -521,6 +581,29 @@ impl ActivationBlock {
             interleave_pairs(x.row(r0 + r), &mut self.rows, r);
         }
         &self.rows
+    }
+
+    /// Packs rows `r0 .. r0+rows` of `x` into the byte k-quad layout,
+    /// zero-padding missing rows up to [`MR`] and the k-tail, and returns
+    /// the value every accumulator of tile row `r` starts from:
+    /// `−8 · Σ_k X[r0 + r][k]`, the term that cancels the `+8` bias of the
+    /// nibble panels (`Σ a·(w + 8) − 8·Σ a = Σ a·w`).
+    fn pack_quads(&mut self, x: StridedView<'_>, r0: usize, rows: usize) -> [i32; MR] {
+        self.quads.clear();
+        self.quads.resize(x.cols().div_ceil(4), [0i8; QUAD_A]);
+        let mut start = [0i32; MR];
+        for (r, start) in start.iter_mut().enumerate().take(rows) {
+            let src = x.row(r0 + r);
+            let (quads, tail) = src.as_chunks::<4>();
+            for (quad, dst) in quads.iter().zip(&mut self.quads) {
+                dst[4 * r..4 * r + 4].copy_from_slice(quad);
+            }
+            if let Some(dst) = self.quads.get_mut(quads.len()) {
+                dst[4 * r..4 * r + tail.len()].copy_from_slice(tail);
+            }
+            *start = -8 * src.iter().map(|&a| i32::from(a)).sum::<i32>();
+        }
+        start
     }
 }
 
@@ -589,8 +672,9 @@ impl GemmScratch {
         Self::default()
     }
 
-    /// Creates a scratch whose activation block is already sized for
-    /// reduction depths up to `k`, the one buffer whose size is known from
+    /// Creates a scratch whose activation block (both layouts) is already
+    /// sized for reduction depths up to `k`, the one buffer whose size is
+    /// known from
     /// the model alone. The attention panels and the arena depend on the
     /// batch (rows, sequence lengths); they grow on the first call that
     /// needs them and are kept, so a worker that holds one scratch across
@@ -604,14 +688,15 @@ impl GemmScratch {
     /// Grows the activation block to hold reduction depth `k` (no-op when
     /// already large enough).
     pub fn reserve_depth(&mut self, k: usize) {
-        let rows = &mut self.pack.rows;
+        let ActivationBlock { rows, quads } = &mut self.pack;
         rows.reserve(k.div_ceil(2).saturating_sub(rows.len()));
+        quads.reserve(k.div_ceil(4).saturating_sub(quads.len()));
     }
 
     /// Largest reduction depth the activation block can pack without
     /// reallocating.
     pub fn depth_capacity(&self) -> usize {
-        self.pack.rows.capacity() * 2
+        (self.pack.rows.capacity() * 2).min(self.pack.quads.capacity() * 4)
     }
 }
 
@@ -648,24 +733,30 @@ fn gemm_drive<F: FnMut(usize, usize, &[i32])>(
         });
     }
     let x = StridedView::dense(x, m, k)?;
-    let panels = n.div_ceil(NR);
-    let k_pairs = k.div_ceil(2);
     let kernel = kernels::selected();
     for r0 in (0..m).step_by(MR) {
         let rows = MR.min(m - r0);
-        let a_block = pack.pack_rows(x, r0, rows);
-        for p in 0..panels {
-            let c0 = p * NR;
-            let cols = NR.min(n - c0);
-            let mut acc = [[0i32; NR]; MR];
+        // What every accumulator of tile row `r` starts from.
+        let start = match &weights.store {
+            PanelStore::Wide(_) => {
+                pack.pack_rows(x, r0, rows);
+                [0i32; MR]
+            }
+            PanelStore::Nibble(_) => pack.pack_quads(x, r0, rows),
+        };
+        for (p, c0) in (0..n).step_by(NR).enumerate() {
+            let mut acc = start.map(|s| [s; NR]);
             match &weights.store {
                 PanelStore::Wide(data) => {
-                    (kernel.wide)(a_block, &data[p * k_pairs..(p + 1) * k_pairs], &mut acc);
+                    let k_pairs = pack.rows.len();
+                    (kernel.wide)(&pack.rows, &data[p * k_pairs..][..k_pairs], &mut acc);
                 }
                 PanelStore::Nibble(data) => {
-                    (kernel.nibble)(a_block, &data[p * k_pairs..(p + 1) * k_pairs], &mut acc);
+                    let k_quads = pack.quads.len();
+                    (kernel.nibble)(&pack.quads, &data[p * k_quads..][..k_quads], &mut acc);
                 }
             }
+            let cols = NR.min(n - c0);
             for (r, row) in acc.iter().enumerate().take(rows) {
                 sink(r0 + r, c0, &row[..cols]);
             }
@@ -924,6 +1015,52 @@ mod tests {
         assert_eq!(nib.resident_bytes() * 4, wide.resident_bytes());
     }
 
+    /// Nibble panels take `panels · ceil(k/4) · 64` bytes, which is exactly
+    /// half a byte per weight of a full panel (`panels · ceil(k/2) · 32`)
+    /// whenever `k % 4 == 0` — every BERT and benchmark shape.
+    #[test]
+    fn nibble_panel_bytes_are_k_quads_of_64() {
+        for &(k, n) in &[(1usize, 1usize), (5, 33), (6, 64), (256, 256), (768, 100)] {
+            let nib = PackedWeights::pack_nibble(&tensor_i8(vec![0; k * n], &[k, n])).unwrap();
+            let panels = n.div_ceil(NR);
+            assert_eq!(nib.resident_bytes(), panels * k.div_ceil(4) * QUAD_B);
+            if k % 4 == 0 {
+                assert_eq!(nib.resident_bytes(), panels * k.div_ceil(2) * NR);
+            }
+        }
+    }
+
+    /// The documented byte: `32h + 4j + t` of k-quad `q` holds
+    /// `u(W[4q+t][c0+16h+j]) | u(W[4q+t][c0+16h+8+j]) << 4`, zero past the
+    /// matrix.
+    #[test]
+    fn nibble_panels_follow_the_documented_layout() {
+        let (k, n) = (6usize, 40usize);
+        let w = tensor_i8((0..k * n).map(pseudo4).collect(), &[k, n]);
+        let packed = PackedWeights::pack_nibble(&w).unwrap();
+        let PanelStore::Nibble(data) = &packed.store else {
+            panic!("pack_nibble builds nibble panels");
+        };
+        let k_quads = k.div_ceil(4);
+        assert_eq!(data.len(), n.div_ceil(NR) * k_quads);
+        let u = |kk: usize, c: usize| -> u8 {
+            if kk < k && c < n {
+                (w.as_slice()[kk * n + c] + 8) as u8
+            } else {
+                0
+            }
+        };
+        for (row, bytes) in data.iter().enumerate() {
+            let (p, q) = (row / k_quads, row % k_quads);
+            for (i, &byte) in bytes.iter().enumerate() {
+                let (h, j, t) = (i / 32, i % 32 / 4, i % 4);
+                let c = p * NR + 16 * h + j;
+                let want = u(4 * q + t, c) | u(4 * q + t, c + 8) << 4;
+                assert_eq!(byte, want, "panel {p} k-quad {q} byte {i}");
+            }
+        }
+    }
+
     #[test]
     fn empty_matrices_produce_empty_outputs() {
         let mut scratch = GemmScratch::new();
@@ -988,6 +1125,15 @@ mod tests {
         assert!(scratch.depth_capacity() >= 64);
         scratch.reserve_depth(128);
         assert!(scratch.depth_capacity() >= 128);
+        // The capacity covers both activation layouts: a nibble GEMM at the
+        // reserved depth leaves the block where it was.
+        let (rows, quads) = (scratch.pack.rows.as_ptr(), scratch.pack.quads.as_ptr());
+        let x = tensor_i8((0..3 * 128).map(pseudo).collect(), &[3, 128]);
+        let w = tensor_i8((0..128 * 2).map(pseudo4).collect(), &[128, 2]);
+        gemm_i8_i32(&x, &PackedWeights::pack_nibble(&w).unwrap(), &mut scratch).unwrap();
+        gemm_i8_i32(&x, &PackedWeights::pack(&w).unwrap(), &mut scratch).unwrap();
+        assert_eq!(scratch.pack.rows.as_ptr(), rows);
+        assert_eq!(scratch.pack.quads.as_ptr(), quads);
     }
 
     #[test]

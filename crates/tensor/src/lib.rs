@@ -14,7 +14,7 @@
 //! than on raw speed. The one performance-tuned exception is the [`gemm`]
 //! module: a blocked int8 GEMM with packed weights, a fused requantize
 //! epilogue, and runtime-dispatched SIMD micro-kernels
-//! (AVX2/SSE2/NEON/scalar, selectable via `FQBERT_KERNEL` — see
+//! (VNNI/AVX2/SSE2/NEON/scalar, selectable via `FQBERT_KERNEL` — see
 //! [`gemm::kernels`]) — every path proven bit-identical to the naive
 //! [`IntTensor::matmul_i32`] reduction order. See `README.md` in this crate
 //! for the panel layouts and how to add a kernel.

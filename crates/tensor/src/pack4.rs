@@ -12,8 +12,8 @@
 //! `i8` codes with [`unpack_i4`] on load. At layer construction the GEMM
 //! either re-packs the widened codes into its `i16` panel layout exactly as
 //! for 8-bit weights, or — for `weight_bits ≤ 4` — builds nibble panels
-//! (`PackedWeights::pack_nibble`) with this same two's-complement encoding
-//! that the SIMD kernels consume directly, sign-extending in-register. The
+//! (`PackedWeights::pack_nibble`) holding the same nibbles biased by 8
+//! (`nibble ^ 8`), which the SIMD kernels multiply as unsigned bytes. The
 //! property tests in `tests/proptest_pack4.rs` pin `unpack(pack(x)) == x`
 //! over the whole nibble range.
 
@@ -71,8 +71,8 @@ pub fn unpack_i4(bytes: &[u8], len: usize) -> Result<Vec<i8>> {
 
 /// The two's-complement nibble of a code in `[-8, 7]`.
 ///
-/// Shared with `gemm::PackedWeights::pack_nibble`, which builds the
-/// direct-compute nibble panels with the same encoding.
+/// Shared with `gemm::PackedWeights::pack_nibble`, which biases it
+/// (`^ 8`) into the direct-compute nibble panels.
 pub(crate) fn nibble(code: i8) -> Result<u8> {
     if !(-8..=7).contains(&code) {
         return Err(TensorError::ValueOutOfRange {
@@ -86,10 +86,7 @@ pub(crate) fn nibble(code: i8) -> Result<u8> {
 }
 
 /// Sign-extends a two's-complement nibble back to `i8`.
-///
-/// Also the scalar reference for the in-register nibble decode in the
-/// `gemm::kernels` int4 compute path.
-pub(crate) fn sign_extend(nibble: u8) -> i8 {
+fn sign_extend(nibble: u8) -> i8 {
     // fqlint::allow(narrowing-cast): same-width `u8 -> i8`
     // reinterpretation — the shift pair is the sign extension.
     ((nibble << 4) as i8) >> 4

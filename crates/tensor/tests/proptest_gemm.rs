@@ -3,7 +3,7 @@
 //! fused outputs, across random shapes including non-multiple-of-block
 //! dimensions, empty matrices and int4-range weights — and, since the SIMD
 //! dispatch landed, across **every kernel available on this host**
-//! (scalar/sse2/avx2/neon × wide/int4-nibble panels).
+//! (scalar/sse2/avx2/vnni/neon × wide/int4-nibble panels).
 //!
 //! Kernel selection is process-global, so tests that force a kernel
 //! serialise on [`kernel_lock`] and restore the auto-detected default
@@ -360,11 +360,94 @@ fn cross_kernel_edge_shapes_and_all_padding_blocks() {
     kernels::force(kernels::best_available());
 }
 
+/// The byte-operand int4 path at its arithmetic edges, on every kernel row:
+/// extreme activations against extreme nibbles (and w2 codes) make every
+/// `vpmaddubsw` lane as large as it can get, and the depths straddle the
+/// 8-k-quad block after which the AVX2 kernel must leave `i16` (`k = 32`
+/// fills one block exactly, `33` opens the next, `255..=257` is eight
+/// blocks and a tail) as well as the k-quad tail (`k % 4 != 0`), where the
+/// zero-padded activations must cancel the panel's padding. The row-sum
+/// correction is largest here too: `−8 · k · (−128)`.
+#[test]
+fn extreme_codes_at_the_widening_boundary_and_k_quad_tail() {
+    let _guard = kernel_lock();
+    let depths = [1usize, 3, 4, 5, 31, 32, 33, 63, 64, 65, 255, 256, 257];
+    let heights = [1usize, MR - 1, MR, MR + 1];
+    let widths = [1usize, 15, 16, 17, NR - 1, NR, NR + 1];
+    let mut scratch = GemmScratch::new();
+    for &k in &depths {
+        for &n in &widths {
+            for weight in [7i8, -8, 1, -2] {
+                let w = build(&[weight], k, n);
+                let packed = PackedWeights::pack_nibble(&w).expect("pack nibble");
+                for &m in &heights {
+                    for activation in [-128i8, 127] {
+                        let x = build(&[activation], m, k);
+                        let naive = x.matmul_i32(&w).expect("naive");
+                        for kind in kernels::available() {
+                            kernels::force(kind);
+                            assert_eq!(
+                                gemm_i8_i32(&x, &packed, &mut scratch).expect("nibble gemm"),
+                                naive,
+                                "{activation} x {weight} at ({m},{k},{n}) on {}",
+                                kind.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    kernels::force(kernels::best_available());
+}
+
+/// One layout serves every kernel: `kernels::force` switches kernels over
+/// panels that already exist, so the panel bytes must not depend on which
+/// kernel was selected when they were built.
+#[test]
+fn nibble_panels_do_not_depend_on_the_selected_kernel() {
+    let _guard = kernel_lock();
+    let (k, n) = (37usize, 45usize);
+    let w = IntTensor::from_vec(
+        (0..k * n)
+            .map(|i| ((i * 7 % 16) as i64 - 8) as i8)
+            .collect(),
+        &[k, n],
+    )
+    .expect("w4");
+    let bytes = pack4::pack_i4(w.as_slice()).expect("pack_i4");
+    let build_both = || {
+        (
+            PackedWeights::pack_nibble(&w).expect("pack nibble"),
+            PackedWeights::from_v2_nibble_bytes(&bytes, k, n).expect("from bytes"),
+        )
+    };
+    kernels::force(KernelKind::Scalar);
+    let reference = build_both();
+    for kind in kernels::available() {
+        kernels::force(kind);
+        assert_eq!(
+            build_both(),
+            reference,
+            "panels differ under {}",
+            kind.name()
+        );
+    }
+    kernels::force(kernels::best_available());
+}
+
 /// This container/CI lane must actually exercise what it claims: scalar is
 /// always present, and on x86_64 the SSE2 baseline path must be available.
+/// Prints the rows the cross-kernel properties ran on (visible with
+/// `--nocapture`), so a CI log shows whether `avx2` / `vnni` were covered.
 #[test]
 fn expected_kernels_are_available() {
     let available = kernels::available();
+    let names: Vec<&str> = available.iter().map(|k| k.name()).collect();
+    println!(
+        "kernels::available() = {names:?}, default = {}",
+        kernels::selected().name
+    );
     assert!(available.contains(&KernelKind::Scalar));
     if cfg!(target_arch = "x86_64") {
         assert!(available.contains(&KernelKind::Sse2));
