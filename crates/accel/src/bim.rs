@@ -25,7 +25,8 @@
 //! `crates/tensor/src/gemm/kernels/x86.rs`, over the biased-nibble k-quad
 //! panels described in the `gemm` module docs), where 8-bit weights take
 //! the `i16 × i16` path at half the products per instruction — the
-//! `w4_over_w8` column of `BENCH_engine_batch.json` is that ratio measured.
+//! `w4_over_w8` column of the `kernel_rows` bench
+//! (`crates/bench/benches/kernel_rows.rs`) is that ratio measured.
 
 use crate::config::BimVariant;
 

@@ -154,8 +154,8 @@ impl FromStr for BitConfig {
 }
 
 impl fqbert_bench::ToJson for BitConfig {
-    fn to_json(&self) -> String {
-        fqbert_bench::ToJson::to_json(&self.to_string())
+    fn to_json(&self) -> fqbert_bench::Json {
+        fqbert_bench::Json::str(self.to_string())
     }
 }
 

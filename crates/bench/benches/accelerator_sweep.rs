@@ -1,15 +1,15 @@
-//! Criterion benchmark of the accelerator cycle model itself (it is evaluated
-//! thousands of times by design-space sweeps, so its own cost matters), plus
-//! the scheduler over the three published configurations.
+//! Cost of the accelerator cycle model itself (it is evaluated thousands of
+//! times by design-space sweeps, so its own cost matters), plus the
+//! scheduler over the three published configurations. Run with
+//! `cargo bench -p fqbert-bench --bench accelerator_sweep`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fqbert_accel::dataflow::EncoderShape;
 use fqbert_accel::{cycle_model, AcceleratorConfig, ResourceModel, Scheduler};
+use fqbert_bench::time_ns;
 use std::hint::black_box;
 
-fn bench_models(c: &mut Criterion) {
+fn main() {
     let shape = EncoderShape::bert_base();
-    let mut group = c.benchmark_group("accelerator_models");
     for config in AcceleratorConfig::table_iii_configs() {
         let label = format!(
             "{}_{}x{}",
@@ -17,26 +17,14 @@ fn bench_models(c: &mut Criterion) {
             config.pes_per_pu,
             config.multipliers_per_bim
         );
-        group.bench_with_input(
-            BenchmarkId::new("latency_estimate", &label),
-            &config,
-            |b, cfg| b.iter(|| cycle_model::estimate_latency(black_box(cfg), &shape, 12)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("layer_schedule", &label),
-            &config,
-            |b, cfg| {
-                let scheduler = Scheduler::new(cfg.clone());
-                b.iter(|| scheduler.schedule_layer(black_box(&shape)))
-            },
-        );
+        let estimate = time_ns(|| cycle_model::estimate_latency(black_box(&config), &shape, 12));
+        println!("accelerator_models latency_estimate/{label}: {estimate:.1} ns");
+        let scheduler = Scheduler::new(config.clone());
+        let schedule = time_ns(|| scheduler.schedule_layer(black_box(&shape)));
+        println!("accelerator_models layer_schedule/{label}: {schedule:.1} ns");
     }
     let resource_model = ResourceModel::new();
-    group.bench_function("resource_estimate", |b| {
-        b.iter(|| resource_model.estimate(black_box(&AcceleratorConfig::zcu111_n16_m16())))
-    });
-    group.finish();
+    let config = AcceleratorConfig::zcu111_n16_m16();
+    let resources = time_ns(|| resource_model.estimate(black_box(&config)));
+    println!("accelerator_models resource_estimate: {resources:.1} ns");
 }
-
-criterion_group!(benches, bench_models);
-criterion_main!(benches);

@@ -1,0 +1,138 @@
+//! Row against row: every GEMM dispatch row available on this host
+//! (`kernels::available()`) against the scalar row, on whole int8
+//! (wide-panel) and int4 (nibble-panel) projections and on the requantize
+//! epilogue alone — the one comparison `benchmark/` (fqbench) cannot make,
+//! because it refuses to run with `FQBERT_KERNEL` set.
+//!
+//! Each output is asserted bit-identical to the scalar row's before it is
+//! timed. Prints one table per shape, nanoseconds per call, with each
+//! row's speedup over scalar and `w4_over_w8` (w8 ns / w4 ns within one
+//! row — the CPU counterpart of a BIM fitting two 8b×4b products in one
+//! 8b×8b slot). Run with `cargo bench -p fqbert-bench --bench kernel_rows`.
+
+use fqbert_bench::{markdown_table, time_ns};
+use fqbert_core::IntLinear;
+use fqbert_tensor::gemm::kernels::{self, KernelKind};
+use fqbert_tensor::gemm::RequantParams;
+use fqbert_tensor::{GemmScratch, IntTensor, RngSource};
+use std::hint::black_box;
+
+/// Projection shapes swept: rows are packed batch tokens, in/out features
+/// are hidden/intermediate sized.
+const SHAPES: [(usize, usize, usize); 2] = [(64, 128, 512), (128, 256, 256)];
+
+/// Nanoseconds per forward of `layer` on each available row, after
+/// checking the row's output against the scalar row's.
+fn time_projection(layer: &IntLinear, x: &IntTensor<i8>) -> Vec<f64> {
+    let mut scratch = GemmScratch::new();
+    kernels::force(KernelKind::Scalar);
+    let reference = layer.forward(x).expect("scalar reference");
+    let times = kernels::available()
+        .into_iter()
+        .map(|kind| {
+            kernels::force(kind);
+            assert_eq!(
+                layer.forward(x).expect("forward"),
+                reference,
+                "w{} outputs must stay bit-identical on {}",
+                layer.weight_bits(),
+                kind.name()
+            );
+            time_ns(|| {
+                layer
+                    .forward_with_scratch(black_box(x), &mut scratch)
+                    .expect("forward")
+            })
+        })
+        .collect();
+    kernels::force(kernels::best_available());
+    times
+}
+
+/// Nanoseconds per `rows × outf` block of each available row's requantize
+/// epilogue, checked against the scalar row first. The parameters sit
+/// inside the SIMD-exact envelope, the regime `gemm_i8_requant` routes to
+/// these kernels.
+fn time_requant(rows: usize, outf: usize) -> Vec<f64> {
+    let acc: Vec<i32> = (0..rows * outf)
+        .map(|i| ((i as i64 * 2654435761 + 12345) % 200_000 - 100_000) as i32)
+        .collect();
+    let bias: Vec<i32> = (0..outf).map(|i| (i as i32 * 977) % 3000 - 1500).collect();
+    let params = RequantParams {
+        multiplier: (1 << 30) / 3,
+        shift: 38,
+        clamp: 127,
+    };
+    assert!(params.simd_exact());
+    let run = |kind: KernelKind, out: &mut [i8]| {
+        let requant = kernels::dispatch_for(kind).requant;
+        for (acc_row, out_row) in acc.chunks_exact(outf).zip(out.chunks_exact_mut(outf)) {
+            requant(black_box(acc_row), &bias, params, out_row);
+        }
+    };
+    let mut reference = vec![0i8; rows * outf];
+    run(KernelKind::Scalar, &mut reference);
+    kernels::available()
+        .into_iter()
+        .map(|kind| {
+            let mut out = vec![0i8; rows * outf];
+            run(kind, &mut out);
+            assert_eq!(
+                out,
+                reference,
+                "requant epilogue must stay bit-identical on {}",
+                kind.name()
+            );
+            time_ns(|| run(kind, &mut out))
+        })
+        .collect()
+}
+
+fn main() {
+    let mut rng = RngSource::seed_from_u64(7);
+    let available = kernels::available();
+    let scalar = available
+        .iter()
+        .position(|&kind| kind == KernelKind::Scalar)
+        .expect("the scalar row is always available");
+    for (rows, inf, outf) in SHAPES {
+        let bias = rng.normal_tensor(&[outf], 0.0, 0.1);
+        let mut layer = |bits: u32| {
+            let weight = rng.normal_tensor(&[inf, outf], 0.0, 0.3);
+            IntLinear::from_float(&weight, &bias, bits, None, 16.0, 16.0).expect("layer")
+        };
+        let (w8_layer, w4_layer) = (layer(8), layer(4));
+        let codes = (0..rows * inf).map(|i| ((i * 37 + 5) % 255) as i8);
+        let x = IntTensor::<i8>::from_vec(codes.collect(), &[rows, inf]).expect("activations");
+        let w8 = time_projection(&w8_layer, &x);
+        let w4 = time_projection(&w4_layer, &x);
+        let requant = time_requant(rows, outf);
+
+        let table: Vec<Vec<String>> = available
+            .iter()
+            .enumerate()
+            .map(|(row, kind)| {
+                let mut cells = vec![kind.name().to_string()];
+                for column in [&w8, &w4, &requant] {
+                    cells.push(format!("{:.0}", column[row]));
+                    cells.push(format!("{:.2}", column[scalar] / column[row]));
+                }
+                cells.push(format!("{:.2}", w8[row] / w4[row]));
+                cells
+            })
+            .collect();
+        println!("kernel_rows {rows}x{inf}x{outf} (rows x in x out), ns per call:");
+        let speedup = "speedup_vs_scalar";
+        let headers = [
+            "kernel",
+            "w8_ns",
+            speedup,
+            "w4_ns",
+            speedup,
+            "requant_ns",
+            speedup,
+            "w4_over_w8",
+        ];
+        println!("{}", markdown_table(&headers, &table));
+    }
+}

@@ -3,9 +3,9 @@
 //!
 //! Run with `cargo run -p fqbert-bench --bin table4_comparison --release`.
 
+use fqbert_bench::platforms::comparison_table;
 use fqbert_bench::{markdown_table, save_json};
 use fqbert_bert::BertConfig;
-use fqbert_perf::comparison_table;
 
 fn main() {
     println!(

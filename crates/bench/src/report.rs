@@ -1,103 +1,81 @@
 //! Report formatting and result persistence for the experiment binaries.
 //!
-//! Serialization is hand-rolled ([`ToJson`] plus the [`impl_to_json!`]
-//! macro) because the repository builds without network access and therefore
-//! without `serde`; the emitted files are plain JSON either way.
+//! The repository builds without network access and therefore without
+//! `serde`: a report type lists its fields through [`ToJson`] (usually via
+//! the [`impl_to_json!`](crate::impl_to_json) macro) and becomes a [`Json`] tree, which the
+//! workspace's one JSON writer (`fqbert_telemetry::json`) renders.
 
+use fqbert_telemetry::json::Json;
 use std::path::Path;
 
-/// Minimal JSON serialization used by [`save_json`].
+/// Conversion into a [`Json`] value, used by [`save_json`].
 ///
-/// Implement via [`impl_to_json!`] for plain field structs; enums can
+/// Implement via [`impl_to_json!`](crate::impl_to_json) for plain field structs; enums can
 /// implement it manually (usually as a string of the variant name).
 pub trait ToJson {
-    /// Renders the value as a JSON document fragment.
-    fn to_json(&self) -> String;
+    /// The value as a JSON tree.
+    fn to_json(&self) -> Json;
 }
 
-macro_rules! to_json_display {
+impl ToJson for bool {
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+}
+
+/// Numbers ride as `f64` (integers exact up to 2^53); the writer renders
+/// non-finite floats as `null`.
+macro_rules! to_json_number {
     ($($t:ty),+) => {$(
         impl ToJson for $t {
-            fn to_json(&self) -> String {
-                self.to_string()
+            fn to_json(&self) -> Json {
+                Json::Num(*self as f64)
             }
         }
     )+};
 }
 
-to_json_display!(bool, i8, i16, i32, i64, u8, u16, u32, u64, usize, isize);
+to_json_number!(i8, i16, i32, i64, u8, u16, u32, u64, usize, isize, f32);
 
-macro_rules! to_json_float {
-    ($($t:ty),+) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> String {
-                if self.is_finite() {
-                    self.to_string()
-                } else {
-                    "null".to_string()
-                }
-            }
-        }
-    )+};
+impl ToJson for f64 {
+    fn to_json(&self) -> Json {
+        Json::Num(*self)
+    }
 }
-
-to_json_float!(f32, f64);
 
 impl ToJson for str {
-    fn to_json(&self) -> String {
-        // Proper JSON escaping — Rust's `{:?}` uses `\u{..}` for control
-        // characters, which JSON parsers reject.
-        let mut out = String::with_capacity(self.len() + 2);
-        out.push('"');
-        for ch in self.chars() {
-            match ch {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    out.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
+    fn to_json(&self) -> Json {
+        Json::str(self)
     }
 }
 
 impl ToJson for String {
-    fn to_json(&self) -> String {
-        self.as_str().to_json()
+    fn to_json(&self) -> Json {
+        Json::str(self.as_str())
     }
 }
 
 impl<T: ToJson + ?Sized> ToJson for &T {
-    fn to_json(&self) -> String {
+    fn to_json(&self) -> Json {
         (**self).to_json()
     }
 }
 
 impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> String {
-        let items: Vec<String> = self.iter().map(ToJson::to_json).collect();
-        format!("[\n  {}\n]", items.join(",\n  "))
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(ToJson::to_json).collect())
     }
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> String {
+    fn to_json(&self) -> Json {
         self.as_slice().to_json()
     }
 }
 
 impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> String {
-        match self {
-            Some(v) => v.to_json(),
-            None => "null".to_string(),
-        }
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, ToJson::to_json)
     }
 }
 
@@ -107,19 +85,18 @@ impl<T: ToJson> ToJson for Option<T> {
 macro_rules! impl_to_json {
     ($ty:ty { $($field:ident),+ $(,)? }) => {
         impl $crate::ToJson for $ty {
-            fn to_json(&self) -> String {
-                let fields: Vec<String> = vec![$(
-                    format!("{:?}: {}", stringify!($field), $crate::ToJson::to_json(&self.$field)),
-                )+];
-                format!("{{{}}}", fields.join(", "))
+            fn to_json(&self) -> $crate::Json {
+                $crate::Json::obj([$(
+                    (stringify!($field), $crate::ToJson::to_json(&self.$field)),
+                )+])
             }
         }
     };
 }
 
 impl ToJson for fqbert_accel::dataflow::StageKind {
-    fn to_json(&self) -> String {
-        format!("{self:?}").to_json()
+    fn to_json(&self) -> Json {
+        Json::str(format!("{self:?}"))
     }
 }
 
@@ -144,7 +121,7 @@ impl_to_json!(fqbert_accel::ScheduleTrace {
     pe_critical_cycles,
 });
 
-impl_to_json!(fqbert_perf::PlatformResult {
+impl_to_json!(crate::platforms::PlatformResult {
     platform,
     latency_ms,
     power_watts,
@@ -196,7 +173,7 @@ pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Serialises `value` as pretty JSON under `results/<name>.json` (creating
+/// Serialises `value` as JSON under `results/<name>.json` (creating
 /// the directory if needed) and returns the path written.
 ///
 /// # Errors
@@ -221,7 +198,7 @@ pub fn save_json_in<T: ToJson + ?Sized>(
 ) -> std::io::Result<std::path::PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
-    std::fs::write(&path, value.to_json())?;
+    std::fs::write(&path, value.to_json().render())?;
     Ok(path)
 }
 
@@ -253,19 +230,40 @@ mod tests {
 
     #[test]
     fn json_strings_are_escaped_with_valid_json_sequences() {
-        assert_eq!("plain".to_json(), "\"plain\"");
-        assert_eq!("say \"hi\"\\".to_json(), "\"say \\\"hi\\\"\\\\\"");
-        assert_eq!("line\nbreak\ttab".to_json(), "\"line\\nbreak\\ttab\"");
+        let render = |s: &str| s.to_json().render();
+        assert_eq!(render("plain"), "\"plain\"");
+        assert_eq!(render("say \"hi\"\\"), "\"say \\\"hi\\\"\\\\\"");
+        assert_eq!(render("line\nbreak\ttab"), "\"line\\nbreak\\ttab\"");
         // Control characters must use JSON \u00XX, not Rust's \u{..}.
-        assert_eq!("bell\u{7}".to_json(), "\"bell\\u0007\"");
-        assert_eq!("esc\u{1b}[0m".to_json(), "\"esc\\u001b[0m\"");
+        assert_eq!(render("bell\u{7}"), "\"bell\\u0007\"");
+        assert_eq!(render("esc\u{1b}[0m"), "\"esc\\u001b[0m\"");
     }
 
     #[test]
     fn json_composites_render() {
-        assert_eq!(Some(1u32).to_json(), "1");
-        assert_eq!(Option::<u32>::None.to_json(), "null");
-        assert_eq!(f64::NAN.to_json(), "null");
-        assert_eq!(vec![1u32, 2].to_json(), "[\n  1,\n  2\n]");
+        assert_eq!(Some(1u32).to_json().render(), "1");
+        assert_eq!(Option::<u32>::None.to_json().render(), "null");
+        assert_eq!(f64::NAN.to_json().render(), "null");
+        assert_eq!(vec![1u32, 2].to_json().render(), "[1,2]");
+
+        struct Row {
+            name: String,
+            accuracy: f32,
+            bits: Option<u8>,
+        }
+        impl_to_json!(Row {
+            name,
+            accuracy,
+            bits
+        });
+        let row = Row {
+            name: "w4/a8".to_string(),
+            accuracy: 0.5,
+            bits: None,
+        };
+        assert_eq!(
+            row.to_json().render(),
+            r#"{"accuracy":0.5,"bits":null,"name":"w4/a8"}"#
+        );
     }
 }

@@ -8,7 +8,8 @@
 //! regressing. This crate turns them into CI-enforced invariants with a
 //! dependency-free, hand-rolled Rust lexer ([`lexer`]) and a token-stream
 //! rule engine ([`rules`]) in the same offline spirit as the in-tree
-//! proptest/criterion/JSON shims.
+//! proptest shim; the JSON report is written by `fqbert-telemetry`,
+//! the dependency-free crate that holds the workspace's one JSON writer.
 //!
 //! Rule families (see [`rules`] for details and `README.md` for the
 //! policy rationale):
@@ -37,5 +38,5 @@ pub mod workspace;
 
 pub use lexer::{lex, LexError, TokKind, Token};
 pub use report::WorkspaceReport;
-pub use rules::{analyze_source, Finding, RuleId, RuleSet, Severity, Suppressed};
+pub use rules::{analyze_source, Finding, RuleId, RuleSet, Severity, SourceStats, Suppressed};
 pub use workspace::{find_root, rules_for_path, run};

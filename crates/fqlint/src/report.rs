@@ -1,9 +1,12 @@
 //! Human and machine-readable rendering of an analysis run.
 //!
-//! The JSON writer is hand-rolled (the workspace builds fully offline, no
-//! serde); the format is stable and consumed by the CI artifact upload.
+//! The JSON report is built as a `fqbert_telemetry::json::Json` tree and
+//! rendered by the workspace's one JSON writer (the workspace builds fully
+//! offline, no serde); the format is stable and consumed by the CI artifact
+//! upload.
 
-use crate::rules::{Finding, RuleId, Suppressed};
+use crate::rules::{Finding, RuleId, SourceStats, Suppressed};
+use fqbert_telemetry::json::Json;
 use std::collections::BTreeMap;
 
 /// Outcome of analysing the whole workspace.
@@ -20,6 +23,10 @@ pub struct WorkspaceReport {
     /// Files the lexer failed on, with the error message. Always a hard
     /// failure: the tool must be able to read the whole workspace.
     pub lex_errors: Vec<(String, String)>,
+    /// Source size per crate (`crates/serve`, …; the root-level `tests` and
+    /// `examples` directories count as one entry each), over every scanned
+    /// file.
+    pub crates: BTreeMap<String, SourceStats>,
 }
 
 impl WorkspaceReport {
@@ -56,9 +63,14 @@ impl WorkspaceReport {
                 finding.message
             ));
         }
+        let mut total = SourceStats::default();
+        for (name, stats) in &self.crates {
+            out.push_str(&format!("size: {name}: {stats}\n"));
+            total += *stats;
+        }
         out.push_str(&format!(
             "fqlint: {} file(s) scanned, {} checked by rules; {} finding(s), \
-             {} suppressed with justification, {} lexer error(s)\n",
+             {} suppressed with justification, {} lexer error(s); {total}\n",
             self.files_scanned,
             self.files_checked,
             self.findings.len(),
@@ -68,97 +80,61 @@ impl WorkspaceReport {
         out
     }
 
-    /// Renders the machine-readable JSON report.
+    /// Renders the machine-readable JSON report (one line, keys sorted).
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"tool\": \"fqlint\",\n");
-        out.push_str("  \"format_version\": 1,\n");
-        out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        out.push_str(&format!("  \"files_checked\": {},\n", self.files_checked));
-        out.push_str("  \"summary\": {");
-        let counts = self.counts();
-        let entries: Vec<String> = counts
-            .iter()
-            .map(|(rule, count)| format!("\"{rule}\": {count}"))
+        let num = |n: usize| Json::Num(n as f64);
+        let summary = self
+            .counts()
+            .into_iter()
+            .map(|(rule, count)| (rule.to_string(), num(count)))
             .collect();
-        out.push_str(&entries.join(", "));
-        out.push_str("},\n");
-        out.push_str("  \"findings\": [\n");
-        let rows: Vec<String> = self
-            .findings
+        let crates = self
+            .crates
             .iter()
-            .map(|f| {
-                format!(
-                    "    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"severity\": {}, \
-                     \"message\": {}}}",
-                    json_str(&f.file),
-                    f.line,
-                    json_str(f.rule.name()),
-                    json_str(f.rule.severity().name()),
-                    json_str(&f.message)
-                )
+            .map(|(name, stats)| {
+                let stats = Json::obj([
+                    ("code_lines", num(stats.code_lines)),
+                    ("pub_items", num(stats.pub_items)),
+                    ("allows", num(stats.allows)),
+                ]);
+                (name.clone(), stats)
             })
             .collect();
-        out.push_str(&rows.join(",\n"));
-        if !rows.is_empty() {
-            out.push('\n');
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"suppressed\": [\n");
-        let rows: Vec<String> = self
-            .suppressed
-            .iter()
-            .map(|s| {
-                format!(
-                    "    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"justification\": {}}}",
-                    json_str(&s.finding.file),
-                    s.finding.line,
-                    json_str(s.finding.rule.name()),
-                    json_str(&s.justification)
-                )
-            })
-            .collect();
-        out.push_str(&rows.join(",\n"));
-        if !rows.is_empty() {
-            out.push('\n');
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"lex_errors\": [\n");
-        let rows: Vec<String> = self
+        let located = |f: &Finding| {
+            [
+                ("file", Json::str(&f.file)),
+                ("line", Json::Num(f64::from(f.line))),
+                ("rule", Json::str(f.rule.name())),
+            ]
+        };
+        let findings = self.findings.iter().map(|f| {
+            let detail = [
+                ("severity", Json::str(f.rule.severity().name())),
+                ("message", Json::str(&f.message)),
+            ];
+            Json::obj(located(f).into_iter().chain(detail))
+        });
+        let suppressed = self.suppressed.iter().map(|s| {
+            let detail = [("justification", Json::str(&s.justification))];
+            Json::obj(located(&s.finding).into_iter().chain(detail))
+        });
+        let lex_errors = self
             .lex_errors
             .iter()
-            .map(|(file, err)| {
-                format!(
-                    "    {{\"file\": {}, \"error\": {}}}",
-                    json_str(file),
-                    json_str(err)
-                )
-            })
-            .collect();
-        out.push_str(&rows.join(",\n"));
-        if !rows.is_empty() {
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
+            .map(|(file, err)| Json::obj([("file", Json::str(file)), ("error", Json::str(err))]));
+        let mut out = Json::obj([
+            ("tool", Json::str("fqlint")),
+            ("format_version", Json::Num(1.0)),
+            ("files_scanned", num(self.files_scanned)),
+            ("files_checked", num(self.files_checked)),
+            ("summary", Json::Obj(summary)),
+            ("crates", Json::Obj(crates)),
+            ("findings", Json::Arr(findings.collect())),
+            ("suppressed", Json::Arr(suppressed.collect())),
+            ("lex_errors", Json::Arr(lex_errors.collect())),
+        ])
+        .render();
+        out.push('\n');
         out
     }
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

@@ -128,6 +128,38 @@ pub struct Suppressed {
     pub justification: String,
 }
 
+/// How much source there is — the numbers the roadmap's "design" aim
+/// tracks, per file here and summed per crate in the report.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct SourceStats {
+    /// Lines carrying at least one code token (blank and comment-only
+    /// lines do not count; a multi-line literal counts once).
+    pub code_lines: usize,
+    /// `pub` items (functions, types, traits, modules, constants — not
+    /// fields, re-exports or `pub(crate)`) outside `#[cfg(test)]` items.
+    pub pub_items: usize,
+    /// Well-formed `fqlint::allow` directives in files some rule runs on.
+    pub allows: usize,
+}
+
+impl std::fmt::Display for SourceStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} code line(s), {} pub item(s), {} allow(s)",
+            self.code_lines, self.pub_items, self.allows
+        )
+    }
+}
+
+impl std::ops::AddAssign for SourceStats {
+    fn add_assign(&mut self, other: Self) {
+        self.code_lines += other.code_lines;
+        self.pub_items += other.pub_items;
+        self.allows += other.allows;
+    }
+}
+
 /// Outcome of analysing one file.
 #[derive(Debug, Default)]
 pub struct FileAnalysis {
@@ -135,6 +167,8 @@ pub struct FileAnalysis {
     pub findings: Vec<Finding>,
     /// Findings silenced by a justified allow comment.
     pub suppressed: Vec<Suppressed>,
+    /// Size of the file, counted whether or not any rule runs on it.
+    pub stats: SourceStats,
 }
 
 /// Which rule families to run on a file.
@@ -238,6 +272,14 @@ const ITEM_KEYWORDS: [&str; 12] = [
     "unsafe",
 ];
 
+/// Keywords that follow `pub` at the head of an item [`SourceStats`] counts.
+/// A field is `pub name:`, a re-export `pub use`, a restricted item
+/// `pub(...)` — none of them match.
+const PUB_ITEM_KEYWORDS: [&str; 12] = [
+    "fn", "struct", "enum", "union", "trait", "mod", "const", "static", "type", "unsafe", "async",
+    "extern",
+];
+
 /// One parsed `fqlint::allow` directive and the line span it covers.
 #[derive(Debug)]
 struct Allow {
@@ -255,19 +297,38 @@ struct Allow {
 /// Returns the lexer error for source the lexer cannot tokenise.
 pub fn analyze_source(path: &str, src: &str, rules: RuleSet) -> Result<FileAnalysis, LexError> {
     let tokens = lex(src)?;
-    if !rules.any() {
-        return Ok(FileAnalysis::default());
-    }
     // Code tokens only; comments drive suppressions and nothing else.
     let code: Vec<&Token> = tokens
         .iter()
         .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
         .collect();
-    let mut analysis = FileAnalysis::default();
-    let allows = collect_allows(path, &tokens, &code, &mut analysis.findings);
     let test_spans = test_item_spans(&code);
-
     let in_tests = |line: u32| test_spans.iter().any(|(a, b)| (*a..=*b).contains(&line));
+
+    let mut code_lines: Vec<u32> = code.iter().map(|t| t.line).collect();
+    code_lines.dedup();
+    let pub_items = code
+        .windows(2)
+        .filter(|pair| {
+            pair[0].text == "pub"
+                && PUB_ITEM_KEYWORDS.contains(&pair[1].text.as_str())
+                && !in_tests(pair[0].line)
+        })
+        .count();
+    let mut analysis = FileAnalysis {
+        stats: SourceStats {
+            code_lines: code_lines.len(),
+            pub_items,
+            allows: 0,
+        },
+        ..FileAnalysis::default()
+    };
+    if !rules.any() {
+        return Ok(analysis);
+    }
+    let allows = collect_allows(path, &tokens, &code, &mut analysis.findings);
+    analysis.stats.allows = allows.len();
+
     let mut raw: Vec<Finding> = Vec::new();
     let mut emit = |line: u32, rule: RuleId, message: String| {
         if !in_tests(line) {

@@ -88,6 +88,18 @@ pub fn is_aux_target(rel: &str) -> bool {
     AUX_MARKERS.iter().any(|m| slashed.contains(m)) || rel.ends_with("build.rs")
 }
 
+/// The crate a workspace-relative path belongs to — everything before its
+/// first `src/`, `tests/`, `benches/` or `examples/` component
+/// (`crates/devtools/proptest/src/lib.rs` → `crates/devtools/proptest`) —
+/// or, for the root-level `tests/` and `examples/`, that directory.
+fn crate_of(rel: &str) -> &str {
+    ["/src/", "/tests/", "/benches/", "/examples/"]
+        .iter()
+        .filter_map(|dir| rel.find(dir))
+        .min()
+        .map_or_else(|| rel.split('/').next().unwrap_or(rel), |at| &rel[..at])
+}
+
 /// Recursively collects every `.rs` file under `root`, skipping build
 /// output, VCS metadata, fqlint's own rule fixtures and any nested
 /// directory that is a Cargo workspace of its own (not this workspace's
@@ -145,9 +157,14 @@ pub fn run(root: &Path) -> std::io::Result<WorkspaceReport> {
             report.files_checked += 1;
         }
         match analyze_source(&rel, &src, rules) {
-            Ok(analysis) => {
+            Ok(mut analysis) => {
                 report.findings.extend(analysis.findings);
                 report.suppressed.extend(analysis.suppressed);
+                if is_aux_target(&rel) {
+                    // A test helper's `pub fn` is no public surface.
+                    analysis.stats.pub_items = 0;
+                }
+                *report.crates.entry(crate_of(&rel).to_string()).or_default() += analysis.stats;
             }
             Err(err) => report.lex_errors.push((rel, err.to_string())),
         }

@@ -249,3 +249,67 @@ fn nested_workspaces_are_not_walked() {
 
     std::fs::remove_dir_all(&root).ok();
 }
+
+#[test]
+fn source_stats_and_the_json_report_carry_per_crate_sizes() {
+    let src = "\
+//! A module doc line is not code.
+
+/// Nor is an item doc.
+pub struct Shape {
+    pub rows: usize, // a field is not an item
+}
+
+pub(crate) fn hidden() {}
+pub use std::fmt; /* nor is a re-export */
+
+impl Shape {
+    // fqlint::allow(panic-path): the caller checked the length.
+    pub const fn first(xs: &[u8]) -> u8 {
+        xs[0]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    pub fn helper() {}
+}
+";
+    let analysis = analyze_source("crates/x/src/lib.rs", src, RuleSet::all()).expect("lexes");
+    assert_eq!(analysis.stats.code_lines, 14);
+    assert_eq!(analysis.stats.pub_items, 2, "`Shape` and `first`");
+    assert_eq!(analysis.stats.allows, 1);
+    // Sizes are counted even where no rule runs; allow comments are not.
+    let unruled = analyze_source("x.rs", src, RuleSet::default()).expect("lexes");
+    assert_eq!(unruled.stats.code_lines, 14);
+    assert_eq!(unruled.stats.allows, 0);
+
+    // The walk sums them per crate, drops a test helper's `pub fn`, and the
+    // JSON report — written by the workspace's one writer — re-parses.
+    let root = std::env::temp_dir().join(format!("fqlint_stats_{}", std::process::id()));
+    for dir in ["crates/x/src", "crates/x/tests", "tests"] {
+        std::fs::create_dir_all(root.join(dir)).expect("dirs");
+    }
+    std::fs::write(root.join("crates/x/src/lib.rs"), src).expect("lib");
+    std::fs::write(root.join("crates/x/tests/t.rs"), "pub fn common() {}\n").expect("test");
+    std::fs::write(root.join("tests/it.rs"), "fn main() {\n}\n").expect("root test");
+    let report = fqlint::run(&root).expect("walk");
+    std::fs::remove_dir_all(&root).ok();
+
+    let sizes: Vec<(&str, usize, usize)> = report
+        .crates
+        .iter()
+        .map(|(name, s)| (name.as_str(), s.code_lines, s.pub_items))
+        .collect();
+    assert_eq!(sizes, vec![("crates/x", 15, 2), ("tests", 2, 0)]);
+    let json = fqbert_telemetry::json::parse(report.render_json().trim()).expect("valid JSON");
+    let x = json
+        .get("crates")
+        .and_then(|c| c.get("crates/x"))
+        .expect("crate entry");
+    assert_eq!(x.get("code_lines").and_then(|v| v.as_f64()), Some(15.0));
+    assert_eq!(x.get("pub_items").and_then(|v| v.as_f64()), Some(2.0));
+    assert!(report
+        .render_human()
+        .contains("17 code line(s), 2 pub item(s)"));
+}

@@ -153,7 +153,7 @@ fn line_numbers_track_every_token_form() {
 
 #[test]
 fn every_workspace_file_lexes() {
-    // The acceptance criterion in one test: the lexer must parse every
+    // The acceptance bar in one test: the lexer must parse every
     // `.rs` file in this repository without error.
     let root = fqlint::find_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("workspace root");

@@ -4,7 +4,7 @@
 //! carefully tuned during training". We implement the tuning as a
 //! deterministic grid search that picks the symmetric threshold minimising
 //! the mean squared quantization error of the tensor — the standard
-//! MSE-optimal clipping criterion. At low bit-widths the optimal threshold is
+//! MSE-optimal clipping rule. At low bit-widths the optimal threshold is
 //! noticeably smaller than `max|x|`, which is exactly why the CLIP curves of
 //! Fig. 3 degrade more gracefully than the NO_CLIP curves.
 

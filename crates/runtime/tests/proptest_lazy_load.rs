@@ -190,6 +190,16 @@ fn variants_of_one_task_share_their_float_tensors() {
     {
         assert!(Arc::ptr_eq(a, b), "variants must share one allocation");
     }
+    // What the sharing buys: per-model sums count the interned tensors
+    // twice, so the pair's true footprint is the sum minus the shared
+    // bytes, and it stays under 0.8x of two independent loads.
+    let independent = load(&w4).model.resident_bytes() + load(&w8).model.resident_bytes();
+    let pair =
+        first.model.resident_bytes() + second.model.resident_bytes() - stats_second.shared_bytes;
+    assert!(
+        pair * 5 < independent * 4,
+        "dedup pair ({pair} B) must reside under 0.8x of independent loads ({independent} B)"
+    );
 }
 
 #[test]

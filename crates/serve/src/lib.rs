@@ -43,7 +43,6 @@
 pub mod cache;
 pub mod client;
 pub mod error;
-pub mod json;
 pub mod protocol;
 pub mod queue;
 pub mod registry;
@@ -55,7 +54,9 @@ pub use client::{
 };
 pub use error::ServeError;
 pub use fqbert_telemetry as telemetry;
-pub use json::Json;
+// The JSON value model, parser and writer live in `fqbert-telemetry` (the
+// workspace's one copy); the old paths stay valid.
+pub use fqbert_telemetry::json::{self, Json};
 pub use protocol::{Command, Request, RequestInputs};
 pub use queue::{BatchPolicy, BatchQueue, QueueStats, Ticket, TicketResponse};
 pub use registry::{ModelInfo, ModelRegistry, ModelSpec};

@@ -10,7 +10,6 @@ use crate::queue::TicketResponse;
 use crate::registry::ModelInfo;
 use crate::{Result, ServeError};
 use fqbert_telemetry::Snapshot;
-use std::collections::BTreeMap;
 
 /// Inputs of one classification request.
 ///
@@ -279,83 +278,11 @@ pub fn models_frame(infos: &[ModelInfo]) -> Json {
     )])
 }
 
-/// Renders the `stats` response: the merged telemetry snapshot as
-///
-/// ```json
-/// {"ok":true,"stats":{
-///   "counters":{"model.sst2.queue.requests":12,...},
-///   "gauges":{"model.sst2.queue.depth":0,...},
-///   "histograms":{"model.sst2.request_us":{
-///     "count":12,"sum":..., "min":..., "max":...,
-///     "mean":..., "p50":..., "p95":..., "p99":...,
-///     "buckets":[[lower,upper,count],...]},...},
-///   "labels":{"model.sst2.engine.kernel":"avx2",...}}}
-/// ```
-///
-/// Metric names are dynamic (they embed model names), so the maps are
-/// built as [`Json::Obj`] trees directly. Counter/gauge values ride as
-/// JSON numbers (`f64`): exact up to 2^53, plenty for live monitoring.
+/// Renders the `stats` response, `{"ok":true,"stats":{...}}`: the merged
+/// telemetry snapshot's `counters` / `gauges` / `histograms` / `labels`
+/// maps as [`Snapshot::to_json`] builds them.
 pub fn stats_frame(snapshot: &Snapshot) -> Json {
-    let counters: BTreeMap<String, Json> = snapshot
-        .counters
-        .iter()
-        .map(|(name, value)| (name.clone(), Json::Num(*value as f64)))
-        .collect();
-    let gauges: BTreeMap<String, Json> = snapshot
-        .gauges
-        .iter()
-        .map(|(name, value)| (name.clone(), Json::Num(*value as f64)))
-        .collect();
-    let histograms: BTreeMap<String, Json> = snapshot
-        .histograms
-        .iter()
-        .map(|(name, view)| {
-            let buckets = view
-                .buckets
-                .iter()
-                .map(|bucket| {
-                    Json::Arr(vec![
-                        Json::Num(bucket.lower as f64),
-                        Json::Num(bucket.upper as f64),
-                        Json::Num(bucket.count as f64),
-                    ])
-                })
-                .collect();
-            let body = Json::obj([
-                ("count", Json::Num(view.count as f64)),
-                ("sum", Json::Num(view.sum as f64)),
-                ("min", Json::Num(view.min as f64)),
-                ("max", Json::Num(view.max as f64)),
-                ("mean", Json::Num(view.mean())),
-                ("p50", Json::Num(view.p50())),
-                ("p95", Json::Num(view.p95())),
-                ("p99", Json::Num(view.p99())),
-                ("buckets", Json::Arr(buckets)),
-            ]);
-            (name.clone(), body)
-        })
-        .collect();
-    let labels: BTreeMap<String, Json> = snapshot
-        .labels
-        .iter()
-        .map(|(name, text)| (name.clone(), Json::str(text)))
-        .collect();
-    Json::obj([
-        ("ok", Json::Bool(true)),
-        (
-            "stats",
-            Json::Obj(
-                [
-                    ("counters".to_string(), Json::Obj(counters)),
-                    ("gauges".to_string(), Json::Obj(gauges)),
-                    ("histograms".to_string(), Json::Obj(histograms)),
-                    ("labels".to_string(), Json::Obj(labels)),
-                ]
-                .into_iter()
-                .collect(),
-            ),
-        ),
-    ])
+    Json::obj([("ok", Json::Bool(true)), ("stats", snapshot.to_json())])
 }
 
 /// Renders the `ping` acknowledgement.
@@ -478,6 +405,20 @@ mod tests {
         registry.label("model.sst2.engine.kernel").set("avx2");
         let frame = stats_frame(&registry.snapshot());
         let line = frame.render();
+        // Clients and dashboards parse this frame; its bytes are pinned so a
+        // change to the JSON writer or to `Snapshot::to_json` cannot move
+        // them unnoticed.
+        assert_eq!(
+            line,
+            concat!(
+                r#"{"ok":true,"stats":{"counters":{"model.sst2.queue.requests":3},"#,
+                r#""gauges":{"model.sst2.queue.depth":2},"#,
+                r#""histograms":{"model.sst2.request_us":{"#,
+                r#""buckets":[[64,127,1],[128,255,1],[256,511,1]],"count":3,"max":400,"#,
+                r#""mean":233.33333333333334,"min":100,"p50":255,"p95":400,"p99":400,"#,
+                r#""sum":700}},"labels":{"model.sst2.engine.kernel":"avx2"}}}"#,
+            )
+        );
         assert!(!line.contains('\n'), "stats frame must be one line");
         let parsed = crate::json::parse(&line).expect("stats frame must re-parse");
         assert_eq!(

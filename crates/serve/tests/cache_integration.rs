@@ -15,7 +15,7 @@ use fqbert_serve::{
 };
 use std::collections::BTreeMap;
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Flattened logit bit patterns of a response, for exact comparisons.
 fn logit_bits(response: &TicketResponse) -> Vec<u32> {
@@ -172,5 +172,52 @@ fn cached_and_coalesced_responses_are_bit_identical_to_the_queue() {
     assert_eq!(logit_bits(&replay), direct_bits);
     assert_eq!(queue.stats().requests, 2);
 
+    queue.shutdown();
+}
+
+#[test]
+fn cache_hit_is_at_least_5x_faster_than_an_engine_round_trip() {
+    let engine = engine(BackendKind::Int);
+    // Immediate flushes: the engine-side number measures the engine, not
+    // the batching delay window.
+    let queue = BatchQueue::start(Arc::clone(&engine), BatchPolicy::immediate());
+    let cache = ResponseCache::new(32, &Scope::detached(""));
+    let texts = ["w1 w2 w3 w4", "w5 w6", "w7 w8 w9"];
+    let key = CacheKey {
+        model: "sst2".to_string(),
+        inputs: RequestInputs::Texts(texts.iter().map(|t| t.to_string()).collect()),
+    };
+    let submit = || {
+        let batch = EncodedBatch::from_texts(engine.tokenizer(), &texts);
+        queue.submit(batch.examples().to_vec()).wait()
+    };
+    cache
+        .get_or_serve(key.clone(), None, submit)
+        .expect("seed the cache");
+
+    // Best of ten each; measured ~500x, so 5x holds on a busy host too.
+    let best_of_10 = |op: &dyn Fn() -> TicketResponse| {
+        (0..10)
+            .map(|_| {
+                let start = Instant::now();
+                op();
+                start.elapsed()
+            })
+            .min()
+            .expect("ten repetitions")
+    };
+    let round_trip = best_of_10(&|| submit().expect("engine round trip"));
+    let hit = best_of_10(&|| {
+        let replay = cache
+            .get_or_serve(key.clone(), None, || panic!("must replay"))
+            .expect("cache hit");
+        assert!(replay.cached);
+        replay
+    });
+    assert!(
+        round_trip >= 5 * hit,
+        "a cache hit ({hit:?}) must be at least 5x faster than the engine round trip \
+         ({round_trip:?})"
+    );
     queue.shutdown();
 }

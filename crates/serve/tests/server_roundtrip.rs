@@ -228,6 +228,34 @@ fn server_round_trip_with_concurrent_clients_and_graceful_shutdown() {
 }
 
 #[test]
+fn deeply_nested_frame_gets_a_protocol_error_and_the_connection_survives() {
+    let server = test_server();
+    let raw = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+    let mut writer = raw;
+    // 10 000 unclosed arrays: ~10 kB, far under the frame cap, and enough
+    // recursion to overflow a connection thread's stack (and with it the
+    // whole process) if the parser followed it down.
+    let mut hostile = "[".repeat(10_000);
+    hostile.push('\n');
+    writer.write_all(hostile.as_bytes()).expect("write");
+    writer.write_all(b"{\"cmd\":\"ping\"}\n").expect("write");
+    writer.flush().expect("flush");
+
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error frame");
+    assert!(line.contains("\"kind\":\"protocol\""), "{line}");
+    assert!(line.contains("nesting deeper than 64"), "{line}");
+    // Exactly one frame per hostile line: the next line is the pong.
+    line.clear();
+    reader.read_line(&mut line).expect("pong");
+    assert_eq!(line.trim(), "{\"ok\":true,\"pong\":true}");
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn stats_command_reports_live_per_model_telemetry() {
     let server = test_server();
     let addr = server.local_addr();

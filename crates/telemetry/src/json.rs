@@ -1,11 +1,15 @@
-//! Minimal JSON value model, parser and writer for the wire protocol.
+//! Minimal JSON value model, parser and writer — the workspace's one way
+//! to read and write JSON (wire frames, `stats` snapshots, experiment
+//! reports, the fqlint report).
 //!
 //! The repository builds without network access and therefore without
 //! `serde`; requests and responses are small (a handful of strings and
 //! numbers per line), so a recursive-descent parser over an owned
 //! [`Json`] tree is all the server needs. The writer emits compact
 //! single-line documents — the protocol is line-delimited, so a frame must
-//! never contain a raw newline.
+//! never contain a raw newline. The parser faces the network: it never
+//! panics, and container nesting is bounded ([`parse`]) so a hostile frame
+//! cannot exhaust the stack of the thread that reads it.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -147,16 +151,24 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per open container, so the bound is what keeps a frame of 10 000
+/// `[` (far below the server's frame-size cap) from overflowing a
+/// connection thread's stack; the deepest frame the protocol itself
+/// produces is `stats`, at 6.
+const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document, requiring the whole input to be consumed
 /// (trailing whitespace allowed).
 ///
 /// # Errors
 ///
-/// Returns a position-annotated message for malformed input.
+/// Returns a position-annotated message for malformed input, including
+/// containers nested deeper than 64 levels.
 pub fn parse(input: &str) -> Result<Json, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -183,12 +195,17 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// `depth` is the number of containers already open around this value.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -276,7 +293,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -285,7 +302,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -298,7 +315,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -311,7 +328,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -362,6 +379,31 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1x", "{\"a\":1} extra"] {
             assert!(parse(bad).is_err(), "must reject {bad:?}");
         }
+    }
+
+    /// `depth` nested containers (arrays, or objects under key `a`) around
+    /// one `0`, parsed on a spawned thread with the default stack — the
+    /// kind of thread a server connection runs on.
+    fn parse_nested(depth: usize, open: &str, close: &str) -> Result<Json, String> {
+        let doc = format!("{}0{}", open.repeat(depth), close.repeat(depth));
+        std::thread::spawn(move || parse(&doc))
+            .join()
+            .expect("the parser must not take its thread down")
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            assert!(parse_nested(MAX_DEPTH, open, close).is_ok());
+            for depth in [1_000_000, MAX_DEPTH + 1] {
+                let err = parse_nested(depth, open, close).expect_err("too deep");
+                let at = MAX_DEPTH * open.len();
+                assert_eq!(err, format!("nesting deeper than 64 at byte {at}"));
+            }
+        }
+        // Unclosed openers — the cheapest hostile frame — fail the same way.
+        let err = parse_nested(10_000, "[", "").expect_err("too deep");
+        assert!(err.starts_with("nesting deeper than 64"), "{err}");
     }
 
     #[test]

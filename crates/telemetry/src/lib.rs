@@ -12,7 +12,12 @@
 //! - [`Label`] — a string-valued annotation (selected GEMM kernel, build
 //!   id), set rarely and exported verbatim;
 //! - [`Registry`] — a named get-or-create map of the above, exported as a
-//!   consistent [`Snapshot`] renderable to one line of JSON.
+//!   consistent [`Snapshot`] renderable to one line of JSON;
+//!
+//! plus [`json`], the workspace's one JSON value model, depth-bounded
+//! parser and writer (it lives here because this crate has no dependencies
+//! and every JSON producer — the wire protocol, the experiment reports,
+//! fqlint — can therefore reach it).
 //!
 //! Everything on the record path is a handful of `Relaxed` atomic adds —
 //! no locks, no allocation, no syscalls — so instrumentation stays cheap
@@ -27,6 +32,7 @@
 //! hierarchically; [`Snapshot::merge_prefixed`] folds private registries
 //! (e.g. one per engine) into a single wire snapshot.
 
+pub mod json;
 mod metrics;
 mod registry;
 

@@ -7,9 +7,9 @@
 //! back in deterministic (sorted-name) order, so two snapshots of the same
 //! quiescent registry render byte-identical JSON.
 
-use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Label};
+use crate::json::Json;
+use crate::metrics::{BucketCount, Counter, Gauge, Histogram, HistogramSnapshot, Label};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Locks the registry map, recovering from poisoning: every locked section
@@ -264,111 +264,60 @@ impl Snapshot {
         self.labels.sort_by(|a, b| a.0.cmp(&b.0));
     }
 
-    /// Renders the snapshot as one line of JSON:
+    /// The snapshot as a [`Json`] tree (the body of the server's `stats`
+    /// frame), which renders as one line:
     ///
     /// ```json
     /// {"counters":{"name":1},"gauges":{"name":-2},
-    ///  "histograms":{"name":{"count":3,"sum":30,"min":9,"max":11,
-    ///    "mean":10.0,"p50":10.0,"p95":11.0,"p99":11.0,
-    ///    "buckets":[[8,15,3]]}},"labels":{"name":"text"}}
+    ///  "histograms":{"name":{"buckets":[[8,15,3]],"count":3,"max":11,
+    ///    "mean":10,"min":9,"p50":10,"p95":11,"p99":11,"sum":30}},
+    ///  "labels":{"name":"text"}}
     /// ```
     ///
     /// Buckets are `[lower, upper, count]` triples of the non-empty log2
-    /// buckets. The output is deterministic (sorted names) and contains no
-    /// raw newlines, so it drops straight into a line-delimited protocol.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"counters\":{");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            render_key(name, &mut out);
-            let _ = write!(out, "{value}");
+    /// buckets. Every object renders its keys sorted, so the output is
+    /// deterministic. Counter/gauge
+    /// values ride as JSON numbers (`f64`): exact up to 2^53, plenty for
+    /// live monitoring.
+    pub fn to_json(&self) -> Json {
+        fn object<T>(entries: &[(String, T)], value: impl Fn(&T) -> Json) -> Json {
+            Json::Obj(
+                entries
+                    .iter()
+                    .map(|(name, v)| (name.clone(), value(v)))
+                    .collect(),
+            )
         }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            render_key(name, &mut out);
-            let _ = write!(out, "{value}");
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, view)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            render_key(name, &mut out);
-            let _ = write!(
-                out,
-                "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\
-                 \"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"buckets\":[",
-                view.count,
-                view.sum,
-                view.min,
-                view.max,
-                finite(view.mean()),
-                finite(view.p50()),
-                finite(view.p95()),
-                finite(view.p99()),
-            );
-            for (j, bucket) in view.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{},{},{}]", bucket.lower, bucket.upper, bucket.count);
-            }
-            out.push_str("]}");
-        }
-        out.push_str("},\"labels\":{");
-        for (i, (name, text)) in self.labels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            render_key(name, &mut out);
-            render_string(text, &mut out);
-        }
-        out.push_str("}}");
-        out
+        let histogram = |view: &HistogramSnapshot| {
+            let bucket = |b: &BucketCount| {
+                Json::Arr(vec![
+                    Json::Num(b.lower as f64),
+                    Json::Num(b.upper as f64),
+                    Json::Num(b.count as f64),
+                ])
+            };
+            Json::obj([
+                ("count", Json::Num(view.count as f64)),
+                ("sum", Json::Num(view.sum as f64)),
+                ("min", Json::Num(view.min as f64)),
+                ("max", Json::Num(view.max as f64)),
+                ("mean", Json::Num(view.mean())),
+                ("p50", Json::Num(view.p50())),
+                ("p95", Json::Num(view.p95())),
+                ("p99", Json::Num(view.p99())),
+                (
+                    "buckets",
+                    Json::Arr(view.buckets.iter().map(bucket).collect()),
+                ),
+            ])
+        };
+        Json::obj([
+            ("counters", object(&self.counters, |v| Json::Num(*v as f64))),
+            ("gauges", object(&self.gauges, |v| Json::Num(*v as f64))),
+            ("histograms", object(&self.histograms, histogram)),
+            ("labels", object(&self.labels, |text| Json::str(text))),
+        ])
     }
-}
-
-/// A finite JSON-safe rendering of `value` (NaN/inf become 0 — they cannot
-/// arise from histogram math, but JSON must never see them).
-fn finite(value: f64) -> f64 {
-    if value.is_finite() {
-        value
-    } else {
-        0.0
-    }
-}
-
-/// Renders `"name":` with minimal string escaping (metric names are
-/// code-chosen identifiers, but a stray quote must not corrupt the frame).
-fn render_key(name: &str, out: &mut String) {
-    escape_into(name, out);
-    out.push(':');
-}
-
-/// Renders a label value as a JSON string with the same minimal escaping.
-fn render_string(text: &str, out: &mut String) {
-    escape_into(text, out);
-}
-
-fn escape_into(text: &str, out: &mut String) {
-    out.push('"');
-    for ch in text.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -468,16 +417,16 @@ mod tests {
             hist.record(v);
         }
         registry.label("kernel").set("avx2");
-        let json = registry.snapshot().to_json();
+        let json = registry.snapshot().to_json().render();
         assert!(!json.contains('\n'));
-        assert_eq!(json, registry.snapshot().to_json());
+        assert_eq!(json, registry.snapshot().to_json().render());
         assert!(json.contains("\"a\":1"));
         assert!(json.contains("\"b\":2"));
         assert!(json.contains("\"depth\":-3"));
         assert!(json.contains("\"count\":3"));
         assert!(json.contains("\"buckets\":[[8,15,3]]"));
         assert!(json.contains("\"kernel\":\"avx2\""));
-        // Counters render before gauges before histograms before labels.
+        // Sorted keys: counters before gauges before histograms before labels.
         let (ci, gi, hi, li) = (
             json.find("counters").expect("counters"),
             json.find("gauges").expect("gauges"),
@@ -491,8 +440,8 @@ mod tests {
     fn label_values_are_escaped_in_json() {
         let registry = Registry::new();
         registry.label("build").set("a\"b\\c\nd");
-        let json = registry.snapshot().to_json();
-        assert!(json.contains("\"build\":\"a\\\"b\\\\c\\u000ad\""));
+        let json = registry.snapshot().to_json().render();
+        assert!(json.contains("\"build\":\"a\\\"b\\\\c\\nd\""));
         assert!(!json.contains('\n'));
     }
 

@@ -119,7 +119,7 @@ fn weight_streaming_is_overlapped_at_published_bandwidths() {
 
 #[test]
 fn fpga_beats_cpu_and_gpu_on_energy_efficiency() {
-    let rows = fqbert_perf::comparison_table(&BertConfig::bert_base(), 128);
+    let rows = fqbert_bench::platforms::comparison_table(&BertConfig::bert_base(), 128);
     assert_eq!(rows.len(), 4);
     let cpu = &rows[0];
     let gpu = &rows[1];
