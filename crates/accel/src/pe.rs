@@ -111,11 +111,6 @@ impl ProcessingUnit {
         }
     }
 
-    /// Number of PEs in this PU.
-    pub fn num_pes(&self) -> usize {
-        self.pes.len()
-    }
-
     /// Computes a matrix–vector product `W · x` where `weights` holds one row
     /// per output element (row-major `[out][len]`) — the PU processes the
     /// output elements in groups of `N` PEs working in lock step.

@@ -11,7 +11,6 @@
 //! floor.
 
 use fqbert_accel::AcceleratorConfig;
-use fqbert_autograd::Graph;
 use fqbert_autotune::{search, Autotuner, Candidate, SearchOutcome, SearchSettings};
 use fqbert_bench::{impl_to_json, markdown_table, save_json_in, ExperimentConfig};
 use fqbert_core::QatHook;
@@ -96,14 +95,12 @@ fn tune_task(name: &str, experiment: &ExperimentConfig) -> TaskReport {
         other => panic!("unknown task `{other}`"),
     };
     let calib = task.dataset.dev.len().min(16);
-    let mut hook = QatHook::calibration_only(QuantConfig::fq_bert());
-    for example in &task.dataset.dev[..calib] {
-        let mut graph = Graph::new();
-        let bound = task.model.bind(&mut graph);
-        bound
-            .forward(&mut graph, example, &mut hook)
-            .expect("calibration forward");
-    }
+    let hook = QatHook::calibrated(
+        &task.model,
+        QuantConfig::fq_bert(),
+        &task.dataset.dev[..calib],
+    )
+    .expect("calibration forward");
     let tuner = Autotuner::new(
         &task.model,
         &hook,

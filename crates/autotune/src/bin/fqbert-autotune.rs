@@ -12,7 +12,6 @@
 //! standard v2 artifact that `fqbert-serve` loads unchanged.
 
 use fqbert_accel::AcceleratorConfig;
-use fqbert_autograd::Graph;
 use fqbert_autotune::{search, Autotuner, SearchSettings};
 use fqbert_bench::{markdown_table, ExperimentConfig};
 use fqbert_core::QatHook;
@@ -99,14 +98,12 @@ fn main() {
     // Post-training calibration on dev examples, the same scales the engine
     // builder would derive.
     let calib = task.dataset.dev.len().min(CALIBRATION_EXAMPLES);
-    let mut hook = QatHook::calibration_only(QuantConfig::fq_bert());
-    for example in &task.dataset.dev[..calib] {
-        let mut graph = Graph::new();
-        let bound = task.model.bind(&mut graph);
-        bound
-            .forward(&mut graph, example, &mut hook)
-            .expect("calibration forward");
-    }
+    let hook = QatHook::calibrated(
+        &task.model,
+        QuantConfig::fq_bert(),
+        &task.dataset.dev[..calib],
+    )
+    .expect("calibration forward");
 
     let tuner = Autotuner::new(
         &task.model,

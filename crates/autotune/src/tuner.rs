@@ -16,8 +16,10 @@ use fqbert_accel::cycle_model::estimate_latency_mixed;
 use fqbert_accel::dataflow::EncoderShape;
 use fqbert_accel::AcceleratorConfig;
 use fqbert_bert::{BertConfig, BertModel};
-use fqbert_core::{convert_mixed, IntBertModel, IntEncoderLayer, IntLinear, QatHook};
-use fqbert_nlp::{accuracy, Example};
+use fqbert_core::{
+    convert_mixed, evaluate_int_model, IntBertModel, IntEncoderLayer, IntLinear, QatHook,
+};
+use fqbert_nlp::Example;
 use fqbert_quant::LAYER_SITES;
 
 /// The weight widths the search explores, narrowest first. These are the
@@ -122,11 +124,6 @@ impl Autotuner {
         self.num_layers() * LAYER_SITES
     }
 
-    /// The evaluation examples accuracy is measured on.
-    pub fn eval_set(&self) -> &[Example] {
-        &self.eval
-    }
-
     /// The cycle oracle candidates are priced with.
     pub fn oracle(&self) -> &CycleOracle {
         &self.oracle
@@ -184,16 +181,11 @@ impl Autotuner {
                 reference.ffn_layer_norm().clone(),
             )?);
         }
+        // Every candidate shares the bank's float tensors: cloning the
+        // host side clones seven `Arc`s, not the embedding tables.
         Ok(IntBertModel::from_parts(
             cfg,
-            base.word_embeddings().clone(),
-            base.position_embeddings().clone(),
-            base.segment_embeddings().clone(),
-            base.embedding_gamma().clone(),
-            base.embedding_beta().clone(),
-            base.classifier_weight().clone(),
-            base.classifier_bias().clone(),
-            base.embedding_out_scale(),
+            base.host().clone(),
             layers,
             config.max_bits(),
         ))
@@ -207,11 +199,9 @@ impl Autotuner {
     /// Propagates assembly and inference errors.
     pub fn evaluate(&self, config: &BitConfig) -> Result<Candidate> {
         let model = self.assemble(config)?;
-        let predictions = model.predict_batch(&self.eval)?;
-        let labels: Vec<usize> = self.eval.iter().map(|e| e.label).collect();
         Ok(Candidate {
             config: config.clone(),
-            accuracy: accuracy(&predictions, &labels),
+            accuracy: evaluate_int_model(&model, &self.eval)?.accuracy,
             cycles: self.oracle.cycles(config),
         })
     }

@@ -2,13 +2,14 @@
 //! beats-uniform-w8 guarantee, and artifact round-trips of searched models.
 
 use fqbert_accel::AcceleratorConfig;
-use fqbert_autograd::Graph;
 use fqbert_autotune::{search, Autotuner, BitConfig, SearchSettings};
 use fqbert_bert::{BertConfig, BertModel};
 use fqbert_core::QatHook;
 use fqbert_nlp::{Example, TaskKind, Tokenizer, Vocab};
 use fqbert_quant::QuantConfig;
 use fqbert_runtime::{BackendKind, EngineBuilder, ModelArtifact};
+use fqbert_tensor::GemmScratch;
+use std::sync::Arc;
 
 const MAX_LEN: usize = 12;
 
@@ -27,14 +28,8 @@ fn example(i: usize) -> Example {
 fn tuner(seed: u64) -> Autotuner {
     let model = BertModel::new(BertConfig::tiny(30, MAX_LEN, 2), seed);
     let examples: Vec<Example> = (0..10).map(example).collect();
-    let mut hook = QatHook::calibration_only(QuantConfig::fq_bert());
-    for ex in &examples[..6] {
-        let mut graph = Graph::new();
-        let bound = model.bind(&mut graph);
-        bound
-            .forward(&mut graph, ex, &mut hook)
-            .expect("calibration");
-    }
+    let hook =
+        QatHook::calibrated(&model, QuantConfig::fq_bert(), &examples[..6]).expect("calibration");
     Autotuner::new(
         &model,
         &hook,
@@ -119,6 +114,23 @@ fn assembled_models_match_direct_conversion_and_report_their_bits() {
 }
 
 #[test]
+fn assembled_candidates_share_the_banks_float_tensors() {
+    // The embedding tables are most of a small model's bytes; a search
+    // assembles hundreds of candidates and must not copy them once each.
+    let t = tuner(7);
+    let mixed = t.assemble(&"284448/444444".parse().expect("parse"));
+    let uniform = t.assemble(&BitConfig::uniform(2, 8));
+    let (mixed, uniform) = (mixed.expect("mixed"), uniform.expect("uniform"));
+    for (a, b) in mixed
+        .shared_float_tensors()
+        .into_iter()
+        .zip(uniform.shared_float_tensors())
+    {
+        assert!(Arc::ptr_eq(a, b), "a candidate copied a float tensor");
+    }
+}
+
+#[test]
 fn searched_artifact_round_trips_bit_identically_on_every_backend() {
     let t = tuner(11);
     let outcome = search(
@@ -132,7 +144,10 @@ fn searched_artifact_round_trips_bit_identically_on_every_backend() {
     .expect("search");
     let model = t.assemble(&outcome.best.config).expect("assembly");
     let examples: Vec<Example> = (0..10).map(example).collect();
-    let reference = model.logits_batch(&examples).expect("reference logits");
+    let scratch = &mut GemmScratch::new();
+    let reference = model
+        .logits_batch_with_scratch(&examples, scratch)
+        .expect("reference logits");
 
     let words: Vec<String> = (0..26).map(|i| format!("w{i}")).collect();
     let tokenizer = Tokenizer::new(Vocab::from_tokens(&words), MAX_LEN);
@@ -157,7 +172,7 @@ fn searched_artifact_round_trips_bit_identically_on_every_backend() {
             .backend()
             .int_model()
             .expect("quantized backend")
-            .logits_batch(&examples)
+            .logits_batch_with_scratch(&examples, scratch)
             .expect("served logits");
         assert_eq!(served, reference, "{kind:?} logits must be bit-identical");
     }

@@ -26,13 +26,17 @@ const SHAPES: [(usize, usize, usize); 2] = [(64, 128, 512), (128, 256, 256)];
 fn time_projection(layer: &IntLinear, x: &IntTensor<i8>) -> Vec<f64> {
     let mut scratch = GemmScratch::new();
     kernels::force(KernelKind::Scalar);
-    let reference = layer.forward(x).expect("scalar reference");
+    let reference = layer
+        .forward_with_scratch(x, &mut scratch)
+        .expect("scalar reference");
     let times = kernels::available()
         .into_iter()
         .map(|kind| {
             kernels::force(kind);
             assert_eq!(
-                layer.forward(x).expect("forward"),
+                layer
+                    .forward_with_scratch(x, &mut scratch)
+                    .expect("forward"),
                 reference,
                 "w{} outputs must stay bit-identical on {}",
                 layer.weight_bits(),

@@ -7,11 +7,12 @@
 //! (Eq. 3); weight scales and clips are recomputed from the final weights
 //! (Eq. 2).
 
-use crate::int_model::{IntBertModel, IntEncoderLayer, LayerScales};
+use crate::int_model::{HostSide, IntBertModel, IntEncoderLayer, LayerScales};
 use crate::qat::QatHook;
 use crate::{FqBertError, Result};
 use fqbert_bert::{BertModel, Site, SiteKind};
 use fqbert_quant::LayerBits;
+use std::sync::Arc;
 
 /// Converts a calibrated float model into the integer-only FQ-BERT model.
 ///
@@ -90,19 +91,17 @@ pub fn convert_mixed(
         .map(LayerBits::max_bits)
         .max()
         .unwrap_or(quant_cfg.weight_bits);
-    Ok(IntBertModel::from_parts(
-        cfg,
-        model.word_embeddings.clone(),
-        model.position_embeddings.clone(),
-        model.segment_embeddings.clone(),
-        model.embedding_layer_norm.gamma.clone(),
-        model.embedding_layer_norm.beta.clone(),
-        model.classifier.weight.clone(),
-        model.classifier.bias.clone(),
+    let host = HostSide {
+        word_embeddings: Arc::new(model.word_embeddings.clone()),
+        position_embeddings: Arc::new(model.position_embeddings.clone()),
+        segment_embeddings: Arc::new(model.segment_embeddings.clone()),
+        embedding_gamma: Arc::new(model.embedding_layer_norm.gamma.clone()),
+        embedding_beta: Arc::new(model.embedding_layer_norm.beta.clone()),
+        classifier_weight: Arc::new(model.classifier.weight.clone()),
+        classifier_bias: Arc::new(model.classifier.bias.clone()),
         embedding_out_scale,
-        layers,
-        headline_bits,
-    ))
+    };
+    Ok(IntBertModel::from_parts(cfg, host, layers, headline_bits))
 }
 
 #[cfg(test)]
@@ -112,6 +111,8 @@ mod tests {
     use fqbert_bert::{BertConfig, NoopHook};
     use fqbert_nlp::Example;
     use fqbert_quant::QuantConfig;
+    use fqbert_tensor::gemm::GemmScratch;
+    use fqbert_tensor::ops::argmax_slice;
 
     fn example(tokens: &[usize]) -> Example {
         Example {
@@ -120,18 +121,6 @@ mod tests {
             attention_mask: vec![1; tokens.len()],
             label: 0,
         }
-    }
-
-    fn calibrated(model: &BertModel, config: QuantConfig, examples: &[Example]) -> QatHook {
-        let mut hook = QatHook::calibration_only(config);
-        for ex in examples {
-            let mut graph = Graph::new();
-            let bound = model.bind(&mut graph);
-            bound
-                .forward(&mut graph, ex, &mut hook)
-                .expect("calibration forward");
-        }
-        hook
     }
 
     #[test]
@@ -150,19 +139,21 @@ mod tests {
         let examples: Vec<Example> = (0..8)
             .map(|i| example(&[2, 4 + i % 10, 5 + (i * 3) % 10, 7, 3]))
             .collect();
-        let hook = calibrated(&model, QuantConfig::w8a8(), &examples);
+        let hook = QatHook::calibrated(&model, QuantConfig::w8a8(), &examples).unwrap();
         let int_model = convert(&model, &hook).expect("conversion succeeds");
         assert_eq!(int_model.layers.len(), model.config().layers);
         assert_eq!(int_model.weight_bits(), 8);
 
+        let int_logits = int_model
+            .logits_batch_with_scratch(&examples, &mut GemmScratch::new())
+            .unwrap();
         let mut agreement = 0usize;
-        for ex in &examples {
+        for (ex, int_logits) in examples.iter().zip(&int_logits) {
             let mut graph = Graph::new();
             let bound = model.bind(&mut graph);
             let logits = bound.forward(&mut graph, ex, &mut NoopHook).unwrap();
             let float_pred = graph.value(logits).argmax().unwrap();
-            let int_pred = int_model.predict(ex).unwrap();
-            if float_pred == int_pred {
+            if float_pred == argmax_slice(int_logits) {
                 agreement += 1;
             }
         }
@@ -178,7 +169,7 @@ mod tests {
     fn int_logits_track_float_logits() {
         let model = BertModel::new(BertConfig::tiny(30, 12, 2), 6);
         let examples: Vec<Example> = (0..6).map(|i| example(&[2, 4 + i, 6 + i, 3])).collect();
-        let hook = calibrated(&model, QuantConfig::w8a8(), &examples);
+        let hook = QatHook::calibrated(&model, QuantConfig::w8a8(), &examples).unwrap();
         let int_model = convert(&model, &hook).unwrap();
         for ex in &examples {
             let mut graph = Graph::new();
@@ -204,7 +195,7 @@ mod tests {
         let examples: Vec<Example> = (0..8)
             .map(|i| example(&[2, 4 + i % 10, 5 + (i * 3) % 10, 7, 3]))
             .collect();
-        let hook = calibrated(&model, QuantConfig::fq_bert(), &examples);
+        let hook = QatHook::calibrated(&model, QuantConfig::fq_bert(), &examples).unwrap();
 
         let mut wide = LayerBits::uniform(4);
         wide.ffn1 = 8;
@@ -238,7 +229,7 @@ mod tests {
     fn invalid_inputs_to_int_model_are_rejected() {
         let model = BertModel::new(BertConfig::tiny(30, 12, 2), 4);
         let examples = vec![example(&[2, 4, 3])];
-        let hook = calibrated(&model, QuantConfig::fq_bert(), &examples);
+        let hook = QatHook::calibrated(&model, QuantConfig::fq_bert(), &examples).unwrap();
         let int_model = convert(&model, &hook).unwrap();
         assert!(int_model.forward_logits(&[], &[]).is_err());
         assert!(int_model.forward_logits(&[2, 99], &[0, 0]).is_err());

@@ -4,6 +4,8 @@ use crate::int_model::IntBertModel;
 use crate::Result;
 use fqbert_bert::{BertModel, ForwardHook, Trainer};
 use fqbert_nlp::{accuracy, Example};
+use fqbert_tensor::gemm::GemmScratch;
+use fqbert_tensor::ops::argmax_slice;
 
 /// Accuracy of a model variant on one evaluation split.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,7 +28,11 @@ pub fn evaluate_int_model(model: &IntBertModel, examples: &[Example]) -> Result<
             num_examples: 0,
         });
     }
-    let predictions = model.predict_batch(examples)?;
+    let predictions: Vec<usize> = model
+        .logits_batch_with_scratch(examples, &mut GemmScratch::new())?
+        .iter()
+        .map(|logits| argmax_slice(logits))
+        .collect();
     let labels: Vec<usize> = examples.iter().map(|e| e.label).collect();
     Ok(AccuracyReport {
         accuracy: accuracy(&predictions, &labels),
@@ -57,7 +63,6 @@ mod tests {
     use super::*;
     use crate::convert::convert;
     use crate::qat::QatHook;
-    use fqbert_autograd::Graph;
     use fqbert_bert::{BertConfig, NoopHook};
     use fqbert_quant::QuantConfig;
 
@@ -74,12 +79,7 @@ mod tests {
     fn int_and_hook_evaluations_run_end_to_end() {
         let model = BertModel::new(BertConfig::tiny(30, 12, 2), 8);
         let examples: Vec<Example> = (0..6).map(|i| example(&[2, 4 + i, 6, 3], i % 2)).collect();
-        let mut hook = QatHook::calibration_only(QuantConfig::w8a8());
-        for ex in &examples {
-            let mut graph = Graph::new();
-            let bound = model.bind(&mut graph);
-            bound.forward(&mut graph, ex, &mut hook).unwrap();
-        }
+        let hook = QatHook::calibrated(&model, QuantConfig::w8a8(), &examples).unwrap();
         let int_model = convert(&model, &hook).unwrap();
         let int_report = evaluate_int_model(&int_model, &examples).unwrap();
         assert_eq!(int_report.num_examples, examples.len());
@@ -92,12 +92,8 @@ mod tests {
     #[test]
     fn empty_evaluation_is_zero() {
         let model = BertModel::new(BertConfig::tiny(30, 12, 2), 8);
-        let mut hook = QatHook::calibration_only(QuantConfig::w8a8());
-        let mut graph = Graph::new();
-        let bound = model.bind(&mut graph);
-        bound
-            .forward(&mut graph, &example(&[2, 4, 3], 0), &mut hook)
-            .unwrap();
+        let hook =
+            QatHook::calibrated(&model, QuantConfig::w8a8(), &[example(&[2, 4, 3], 0)]).unwrap();
         let int_model = convert(&model, &hook).unwrap();
         let report = evaluate_int_model(&int_model, &[]).unwrap();
         assert_eq!(report.num_examples, 0);

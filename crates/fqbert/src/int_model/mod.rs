@@ -1,0 +1,53 @@
+//! The integer-only FQ-BERT inference engine.
+//!
+//! The paper partitions the system in §III-A: the embedding lookup and the
+//! small task head run in floating point "on the CPU", while the whole
+//! encoder stack — every intermediate result included — runs on integers
+//! only, the part the FPGA accelerator executes. The three files of this
+//! module *are* that partition:
+//!
+//! * `encoder.rs` — **the accelerator side.** [`IntLinear`], [`IntGelu`],
+//!   [`IntEncoderLayer`] and everything that runs between codes in and
+//!   codes out. It is the only file of this crate fqlint's `float-escape`
+//!   rule covers, and it carries no suppression: the structs hold scale
+//!   *types* ([`LayerScales`]), never a float, so a float on the encoder
+//!   path is a finding with no precedent near it.
+//! * `assemble.rs` — **conversion and load time, float by nature.** The
+//!   constructors that fold float weights and calibrated scales into codes,
+//!   requantizers and lookup tables, the scale structs and their accessors.
+//! * `host.rs` — **the CPU side, float by the paper's design.**
+//!   [`IntBertModel`], its [`HostSide`] tensors, the embedding, the
+//!   classifier head and the two logits entry points.
+//!
+//! What the encoder computes:
+//!
+//! * weights are int4/int8 codes, activations int8 codes, biases int32;
+//! * every matrix multiply accumulates in int32 and is requantized back to
+//!   int8 with a fixed-point [`fqbert_quant::Requantizer`] (Eq. 5);
+//! * attention is fused per `MR`-row block of queries on the GEMM tile
+//!   kernels ([`fqbert_tensor::gemm::attention`]): score tile → requantize →
+//!   the 256-entry [`fqbert_quant::SoftmaxLut`] with max-subtraction →
+//!   context tile → requantize, so the `seq × seq` score matrix never
+//!   exists;
+//! * `Add & LN` uses the fixed-point [`fqbert_quant::QuantizedLayerNorm`];
+//! * GELU uses a 256-entry int8→int8 lookup table (the paper fuses it with
+//!   FFN1; a table is the standard HLS realisation).
+//!
+//! The engine is the functional reference executed by the accelerator
+//! simulator in `fqbert-accel`.
+//!
+//! Every module has one way in, and it takes the caller's
+//! [`fqbert_tensor::gemm::GemmScratch`]: a layer keeps its intermediates in
+//! buffers the scratch owns (GELU in place), and the model ping-pongs the
+//! hidden state between two such buffers across layers — so a forward pass
+//! on a shape the scratch has seen allocates only what it returns.
+
+mod assemble;
+mod encoder;
+mod host;
+#[cfg(test)]
+mod tests;
+
+pub use assemble::LayerScales;
+pub use encoder::{IntEncoderLayer, IntGelu, IntLinear};
+pub use host::{HostSide, IntBertModel};

@@ -17,8 +17,10 @@
 //! After fine-tuning, the hook doubles as the calibration record: the
 //! float→integer converter reads the per-site activation scales from it.
 
+use crate::Result;
 use fqbert_autograd::{FakeQuantSpec, Graph, VarId};
-use fqbert_bert::{ForwardHook, Site, SiteKind};
+use fqbert_bert::{BertModel, ForwardHook, Site, SiteKind};
+use fqbert_nlp::Example;
 use fqbert_quant::{tune_clip_threshold, EmaObserver, QuantConfig};
 use std::collections::HashMap;
 
@@ -62,15 +64,33 @@ impl QatHook {
         }
     }
 
+    /// Post-training calibration in one call: a
+    /// [`QatHook::calibration_only`] hook that has observed one float
+    /// forward pass of `model` over each of `examples` — the record
+    /// [`crate::convert()`] reads its activation scales from.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if a forward pass fails (an empty or overlong
+    /// example, or one with out-of-vocabulary ids).
+    pub fn calibrated(
+        model: &BertModel,
+        config: QuantConfig,
+        examples: &[Example],
+    ) -> Result<Self> {
+        let mut hook = Self::calibration_only(config);
+        for example in examples {
+            let mut graph = Graph::new();
+            model
+                .bind(&mut graph)
+                .forward(&mut graph, example, &mut hook)?;
+        }
+        Ok(hook)
+    }
+
     /// The quantization configuration in effect.
     pub fn config(&self) -> &QuantConfig {
         &self.config
-    }
-
-    /// Switches fake quantization during the forward pass on or off
-    /// (observers always run).
-    pub fn set_quantize_in_forward(&mut self, enabled: bool) {
-        self.quantize_in_forward = enabled;
     }
 
     /// The EMA-calibrated maximum absolute activation for a site, if that

@@ -8,7 +8,6 @@
 //! counting global allocator pins both; it counts this thread's calls only,
 //! so the test harness's own threads cannot disturb it.
 
-use fqbert_autograd::Graph;
 use fqbert_bert::{BertConfig, BertModel};
 use fqbert_core::{convert, IntBertModel, QatHook};
 use fqbert_nlp::Example;
@@ -83,14 +82,9 @@ fn model(hidden: usize, layers: usize, heads: usize) -> IntBertModel {
         layer_norm_eps: 1e-5,
     };
     let float = BertModel::new(config, 13);
-    let mut hook = QatHook::calibration_only(QuantConfig::fq_bert());
-    for salt in 0..4 {
-        let mut graph = Graph::new();
-        float
-            .bind(&mut graph)
-            .forward(&mut graph, &example(9, salt), &mut hook)
-            .expect("calibration");
-    }
+    let calibration: Vec<Example> = (0..4).map(|salt| example(9, salt)).collect();
+    let hook =
+        QatHook::calibrated(&float, QuantConfig::fq_bert(), &calibration).expect("calibration");
     convert(&float, &hook).expect("convert")
 }
 

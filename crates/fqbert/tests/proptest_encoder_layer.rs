@@ -6,6 +6,9 @@
 //! an `i64` `P · V` loop, `QuantizedLayerNorm::apply_residual` and
 //! `IntGelu::apply` — plus the worst-case vectors the `i32` overflow
 //! argument of the two attention reductions rests on (`gemm` module docs).
+//! One level up, `IntBertModel::forward_logits` must equal its sequence's
+//! row of `logits_batch_with_scratch` the same way, and both must refuse
+//! the same inputs.
 //!
 //! Kernel selection is process-global, so every test serialises on
 //! [`harness`], which also hands out the one [`GemmScratch`] all of them
@@ -13,8 +16,12 @@
 //! for other — larger and smaller — shapes.
 
 use fqbert_bert::layers::EncoderLayerParams;
+use fqbert_bert::{BertConfig, BertModel};
 use fqbert_core::int_model::{IntEncoderLayer, IntGelu, LayerScales};
-use fqbert_quant::{QuantizedLayerNorm, Requantizer, SoftmaxLut};
+use fqbert_core::{convert, IntBertModel, QatHook};
+use fqbert_nlp::Example;
+use fqbert_quant::QuantConfig;
+use fqbert_quant::{LayerBits, QuantizedLayerNorm, Requantizer, SoftmaxLut};
 use fqbert_tensor::gemm::kernels;
 use fqbert_tensor::gemm::{
     AttentionScratch, GemmScratch, RequantParams, StridedView, MAX_ATTN_SEQ, MAX_K, MR, NR, WIDE_A,
@@ -64,7 +71,8 @@ fn layer(seed: u64, heads: usize, head_dim: usize, bits: u32) -> IntEncoderLayer
     let hidden = heads * head_dim;
     let mut rng = RngSource::seed_from_u64(seed);
     let params = EncoderLayerParams::new(&mut rng, hidden, hidden + 5);
-    IntEncoderLayer::from_float(&params, heads, head_dim, bits, false, &SCALES, 1e-5)
+    let bits = LayerBits::uniform(bits);
+    IntEncoderLayer::from_float_mixed(&params, heads, head_dim, &bits, false, &SCALES, 1e-5)
         .expect("layer")
 }
 
@@ -199,6 +207,41 @@ fn assert_layer_matches_oracle(layer: &IntEncoderLayer, x: &IntTensor<i8>, seq_l
     kernels::force(kernels::best_available());
 }
 
+/// Vocabulary and position-table sizes of [`model`].
+const VOCAB: usize = 48;
+const MAX_LEN: usize = 20;
+
+/// `len` real tokens derived from `seed`, then `padding` masked-out slots
+/// whose ids would be out of vocabulary if anything read them.
+fn example(seed: u64, len: usize, padding: usize) -> Example {
+    let padded = |real: Vec<usize>, fill: usize| [real, vec![fill; padding]].concat();
+    let token = |i: usize| (seed as usize).wrapping_mul(31).wrapping_add(i * 7) % VOCAB;
+    Example {
+        token_ids: padded((0..len).map(token).collect(), VOCAB),
+        segment_ids: padded((0..len).map(|i| usize::from(i > len / 2)).collect(), 0),
+        attention_mask: padded(vec![1; len], 0),
+        label: 0,
+    }
+}
+
+/// A small converted model (3 heads of 8, two w4 layers), built once.
+fn model() -> &'static IntBertModel {
+    static MODEL: OnceLock<IntBertModel> = OnceLock::new();
+    MODEL.get_or_init(|| {
+        let config = BertConfig {
+            hidden: 24,
+            heads: 3,
+            intermediate: 40,
+            ..BertConfig::tiny(VOCAB, MAX_LEN, 3)
+        };
+        let float = BertModel::new(config, 17);
+        let calibration: Vec<Example> = (0..4).map(|seed| example(seed, 9, 0)).collect();
+        let hook =
+            QatHook::calibrated(&float, QuantConfig::fq_bert(), &calibration).expect("calibration");
+        convert(&float, &hook).expect("convert")
+    })
+}
+
 proptest! {
     #[test]
     fn fused_layer_equals_the_scalar_oracle_on_every_kernel(
@@ -213,6 +256,36 @@ proptest! {
         let seq_lens: Vec<usize> = seq_indices.iter().map(|&i| SEQ_LENS[i]).collect();
         let x = codes(seed + 1, seq_lens.iter().sum(), heads * head_dim);
         assert_layer_matches_oracle(&layer, &x, &seq_lens);
+    }
+
+    #[test]
+    fn forward_logits_equals_its_row_of_the_batch_on_every_kernel(
+        shapes in collection::vec((1usize..=MAX_LEN, 0usize..=3), 1..=5),
+        seed in 0u64..1_000_000,
+    ) {
+        let model = model();
+        let examples: Vec<Example> = shapes
+            .iter()
+            .zip(seed..)
+            .map(|(&(len, padding), seed)| example(seed, len, padding))
+            .collect();
+        let mut scratch = harness();
+        for kind in kernels::available() {
+            kernels::force(kind);
+            let batch = model
+                .logits_batch_with_scratch(&examples, &mut scratch)
+                .expect("batch");
+            prop_assert_eq!(batch.len(), examples.len());
+            for ((ex, row), &(len, _)) in examples.iter().zip(&batch).zip(&shapes) {
+                let alone = model
+                    .forward_logits(&ex.token_ids[..len], &ex.segment_ids[..len])
+                    .expect("one sequence");
+                // Bit for bit: compare the floats' representations.
+                let bits = |logits: &[f32]| logits.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&alone), bits(row), "kernel {}", kind.name());
+            }
+        }
+        kernels::force(kernels::best_available());
     }
 
     #[test]
@@ -422,4 +495,31 @@ fn overlong_sequences_are_rejected_by_the_layer() {
         .forward_batch_with_scratch(&x, &[MAX_ATTN_SEQ + 1], &mut harness())
         .expect_err("beyond the attention bound");
     assert!(err.to_string().contains("attention bound"), "{err}");
+}
+
+#[test]
+fn both_logits_entry_points_refuse_the_same_sequences() {
+    let model = model();
+    let mut scratch = harness();
+    let mut out_of_vocabulary = example(1, 5, 0);
+    out_of_vocabulary.token_ids[3] = VOCAB;
+    let refused = [
+        ("empty", example(2, 0, 4)),
+        ("overlong", example(3, MAX_LEN + 1, 0)),
+        ("out of vocabulary", out_of_vocabulary),
+    ];
+    for (what, bad) in refused {
+        let len = bad.attention_mask.iter().filter(|&&m| m == 1).count();
+        let alone = model.forward_logits(&bad.token_ids[..len], &bad.segment_ids[..len]);
+        assert!(alone.is_err(), "forward_logits accepted an {what} sequence");
+        // Alone and buried in an otherwise sound batch.
+        let buried = vec![example(4, 7, 1), bad.clone(), example(5, 2, 0)];
+        for batch in [vec![bad], buried] {
+            let batched = model.logits_batch_with_scratch(&batch, &mut scratch);
+            assert!(
+                batched.is_err(),
+                "the batch path accepted an {what} sequence"
+            );
+        }
+    }
 }

@@ -19,8 +19,8 @@
 //! comments (justification mandatory). A trailing comment suppresses its
 //! own line; a standalone comment before an item (`fn`, `impl`, `struct`,
 //! ...) suppresses the rule for the whole item — that is the "annotated
-//! boundary" form used where the datapath legitimately touches floats
-//! (conversion, calibration, scale storage); anywhere else a standalone
+//! boundary" form used where a covered file legitimately touches floats
+//! (table construction, scale storage); anywhere else a standalone
 //! comment covers the following line. `#[cfg(test)]` items, and files
 //! under `tests/`, `benches/`, `examples/` or `src/bin/`, are exempt from
 //! the library-code rules.

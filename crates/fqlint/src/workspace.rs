@@ -4,7 +4,12 @@
 //!
 //! * **R1 `float-escape`** runs on the designated integer-datapath
 //!   modules — the int forward path, the integer GEMM and nibble packing,
-//!   and the requantize/softmax-LUT apply paths.
+//!   and the requantize/softmax-LUT apply paths. In `fqbert-core` the
+//!   boundary is a module boundary, not an annotated one: `int_model/`
+//!   keeps everything between codes in and codes out in `encoder.rs`, which
+//!   the rule covers and which carries no suppression, and everything that
+//!   is float on purpose (conversion in `assemble.rs`, the paper's CPU side
+//!   in `host.rs`) in files the rule does not cover.
 //! * **R2 `narrowing-cast`** runs on all library code of the datapath
 //!   crates (`crates/tensor`, `crates/quant`).
 //! * **R3 `panic-path`** and **R4 `lock-hygiene`** run on all library code
@@ -26,7 +31,7 @@ use std::path::{Path, PathBuf};
 /// The SIMD kernel modules under `gemm/kernels/` are included: they are
 /// the innermost integer datapath and must never touch a float.
 const FLOAT_ESCAPE_FILES: [&str; 6] = [
-    "crates/fqbert/src/int_model.rs",
+    "crates/fqbert/src/int_model/encoder.rs",
     "crates/tensor/src/gemm/mod.rs",
     "crates/tensor/src/gemm/attention.rs",
     "crates/tensor/src/pack4.rs",

@@ -34,7 +34,6 @@ pub struct SoftmaxLut {
     /// `d` between an element and its row maximum.
     table: Vec<u8>,
     /// Scale (levels per unit) of the integer input scores.
-    input_scale_bits: u32,
     input_scale: f32,
     /// Maximum output level (e.g. 127 for signed 8-bit probabilities).
     out_levels: u32,
@@ -68,7 +67,6 @@ impl SoftmaxLut {
             .collect();
         Ok(Self {
             table,
-            input_scale_bits: 8,
             input_scale,
             out_levels,
         })
@@ -184,11 +182,6 @@ impl SoftmaxLut {
     // tests and reporting; the attention datapath consumes the codes.
     pub fn dequantize_output(&self, code: i32) -> f32 {
         code as f32 / self.out_levels as f32
-    }
-
-    /// Number of bits used to index the table (always 8).
-    pub fn index_bits(&self) -> u32 {
-        self.input_scale_bits
     }
 }
 

@@ -54,7 +54,7 @@
 use crate::tensor_cache::{LoadStats, TensorCache};
 use crate::{Result, RuntimeError};
 use fqbert_bert::BertConfig;
-use fqbert_core::int_model::LayerScales;
+use fqbert_core::int_model::{HostSide, LayerScales};
 use fqbert_core::{IntBertModel, IntEncoderLayer, IntLinear};
 use fqbert_nlp::{TaskKind, Tokenizer, Vocab};
 use fqbert_quant::QuantizedLayerNorm;
@@ -154,15 +154,7 @@ impl ModelArtifact {
         write_config(&mut payload, self.model.config());
         payload.f32(self.model.embedding_out_scale());
         payload.u32(self.model.weight_bits());
-        for t in [
-            self.model.word_embeddings(),
-            self.model.position_embeddings(),
-            self.model.segment_embeddings(),
-            self.model.embedding_gamma(),
-            self.model.embedding_beta(),
-            self.model.classifier_weight(),
-            self.model.classifier_bias(),
-        ] {
+        for t in self.model.shared_float_tensors() {
             write_tensor(&mut payload, t);
         }
         payload.u64(self.model.layers.len() as u64);
@@ -247,16 +239,25 @@ impl ModelArtifact {
         // classifier heads of w4/w8 variants of one task — collapse onto
         // one shared allocation.
         let mut stats = LoadStats::default();
-        let [word, pos, seg, gamma, beta, cls_w, cls_b] =
-            [word, pos, seg, gamma, beta, cls_w, cls_b].map(|t| {
-                let nbytes = std::mem::size_of_val(t.as_slice());
-                let (arc, shared) = cache.intern(t);
-                if shared {
-                    stats.shared_tensors += 1;
-                    stats.shared_bytes += nbytes;
-                }
-                arc
-            });
+        let mut intern = |t: Tensor| {
+            let nbytes = std::mem::size_of_val(t.as_slice());
+            let (arc, shared) = cache.intern(t);
+            if shared {
+                stats.shared_tensors += 1;
+                stats.shared_bytes += nbytes;
+            }
+            arc
+        };
+        let host = HostSide {
+            word_embeddings: intern(word),
+            position_embeddings: intern(pos),
+            segment_embeddings: intern(seg),
+            embedding_gamma: intern(gamma),
+            embedding_beta: intern(beta),
+            classifier_weight: intern(cls_w),
+            classifier_bias: intern(cls_b),
+            embedding_out_scale,
+        };
         let num_layers = r.u64()? as usize;
         if num_layers != config.layers {
             return Err(RuntimeError::Artifact(format!(
@@ -290,19 +291,7 @@ impl ModelArtifact {
             )));
         }
 
-        let model = IntBertModel::from_shared_parts(
-            config,
-            word,
-            pos,
-            seg,
-            gamma,
-            beta,
-            cls_w,
-            cls_b,
-            embedding_out_scale,
-            layers,
-            weight_bits,
-        );
+        let model = IntBertModel::from_parts(config, host, layers, weight_bits);
         let tokenizer = Tokenizer::new(vocab, max_len);
         Ok((
             Self {

@@ -167,9 +167,9 @@ impl InferenceBackend for FloatBackend {
 /// Batching packs all sequences into one matrix so every linear projection
 /// runs as a single blocked integer GEMM over panel-packed weights with the
 /// requantize fused into the kernel epilogue (see
-/// `IntEncoderLayer::forward_batch` and `fqbert_tensor::gemm`); one scratch
-/// holds the packing buffer, the attention panels and every layer
-/// intermediate, and is reused across all encoder layers of a batch.
+/// `IntEncoderLayer::forward_batch_with_scratch` and `fqbert_tensor::gemm`);
+/// one scratch holds the packing buffer, the attention panels and every
+/// layer intermediate, and is reused across all encoder layers of a batch.
 /// Batches containing an all-padding (zero-length) sequence are rejected
 /// with an `InvalidArgument` error rather than panicking.
 #[derive(Debug)]
@@ -390,14 +390,9 @@ mod tests {
     #[test]
     fn serial_int_path_answers_the_same_whoever_holds_its_scratch() {
         let model = BertModel::new(BertConfig::tiny(24, 12, 2), 5);
-        let mut hook = QatHook::calibration_only(QuantConfig::fq_bert());
-        for i in 0..4 {
-            let mut graph = Graph::new();
-            model
-                .bind(&mut graph)
-                .forward(&mut graph, &example(&[2, 4 + i, 9, 3]), &mut hook)
-                .expect("calibration");
-        }
+        let calibration: Vec<Example> = (0..4).map(|i| example(&[2, 4 + i, 9, 3])).collect();
+        let hook =
+            QatHook::calibrated(&model, QuantConfig::fq_bert(), &calibration).expect("calibration");
         let backend = IntBackend::new(fqbert_core::convert(&model, &hook).expect("convert"));
         let batch =
             EncodedBatch::from_examples(vec![example(&[2, 5, 6, 7, 3]), example(&[2, 11, 3])]);

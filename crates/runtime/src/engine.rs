@@ -7,7 +7,6 @@ use crate::pool::WorkerPool;
 use crate::tensor_cache::{LoadStats, TensorCache};
 use crate::{Result, RuntimeError};
 use fqbert_accel::AcceleratorConfig;
-use fqbert_autograd::Graph;
 use fqbert_bert::BertModel;
 use fqbert_core::{convert, FqBertError, QatHook};
 use fqbert_nlp::{accuracy, Example, TaskKind, Tokenizer, Vocab};
@@ -262,9 +261,9 @@ pub struct Engine {
     backend: Arc<dyn InferenceBackend>,
     batch_size: usize,
     /// Present iff the execution policy resolved to more than one thread.
-    /// Each worker owns one GEMM scratch pre-sized for the model's deepest
-    /// projection, so the integer hot path neither contends on a shared
-    /// buffer nor reallocates per shard.
+    /// Each worker owns one GEMM scratch it keeps across every shard it
+    /// serves, so the integer hot path neither contends on a shared buffer
+    /// nor reallocates per shard.
     pool: Option<WorkerPool<GemmScratch>>,
     telemetry: Arc<Registry>,
     metrics: EngineMetrics,
@@ -285,11 +284,7 @@ impl Engine {
         telemetry: Option<Arc<Registry>>,
     ) -> Self {
         let threads = exec.effective_threads();
-        let pool = (threads > 1).then(|| {
-            let cfg = backend.config();
-            let depth = cfg.hidden.max(cfg.intermediate);
-            WorkerPool::new(threads, move |_| GemmScratch::with_depth(depth))
-        });
+        let pool = (threads > 1).then(|| WorkerPool::new(threads, |_| GemmScratch::new()));
         let telemetry = telemetry.unwrap_or_else(|| Arc::new(Registry::new()));
         let metrics = EngineMetrics::new(&telemetry);
         // Resolve the GEMM kernel dispatch now (first call latches the
@@ -749,12 +744,7 @@ impl EngineBuilder {
                             .to_string(),
                     ));
                 }
-                let mut hook = QatHook::calibration_only(self.quant);
-                for example in &self.calibration {
-                    let mut graph = Graph::new();
-                    let bound = model.bind(&mut graph);
-                    bound.forward(&mut graph, example, &mut hook)?;
-                }
+                let hook = QatHook::calibrated(model, self.quant, &self.calibration)?;
                 let int_model = convert(model, &hook)?;
                 match self.backend {
                     BackendKind::Sim => Arc::new(SimBackend::new(int_model, self.accel.clone())?),

@@ -33,8 +33,8 @@
 //! [`EncodedBatch`] tokenizes once per batch. The float backend binds model
 //! parameters onto a single autograd tape per batch; the integer backends
 //! pack all sequences into one matrix so each linear projection runs as a
-//! single integer GEMM (`IntEncoderLayer::forward_batch`). Batched and
-//! one-at-a-time execution are bit-identical.
+//! single integer GEMM (`IntEncoderLayer::forward_batch_with_scratch`).
+//! Batched and one-at-a-time execution are bit-identical.
 //!
 //! # Parallel execution
 //!

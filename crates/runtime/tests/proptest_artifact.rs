@@ -1,16 +1,23 @@
 //! Property tests of the model-artifact format: `save → load` must
 //! reproduce bit-identical logits, and any tampering must be rejected.
 
-use fqbert_autograd::Graph;
 use fqbert_bert::{BertConfig, BertModel};
-use fqbert_core::{convert, QatHook};
+use fqbert_core::{convert, IntBertModel, QatHook};
 use fqbert_nlp::{Example, TaskKind, Tokenizer, Vocab};
 use fqbert_quant::QuantConfig;
 use fqbert_runtime::{EncodedBatch, InferenceBackend, IntBackend, ModelArtifact};
+use fqbert_tensor::GemmScratch;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
 const MAX_LEN: usize = 12;
+
+/// Logits of `examples`, on a scratch of the call's own.
+fn logits(model: &IntBertModel, examples: &[Example]) -> Vec<Vec<f32>> {
+    model
+        .logits_batch_with_scratch(examples, &mut GemmScratch::new())
+        .expect("logits")
+}
 
 /// Builds a calibrated quantized artifact for an arbitrary architecture and
 /// quantization configuration.
@@ -21,21 +28,18 @@ fn build_artifact(quant: QuantConfig, config: BertConfig, seed: u64) -> ModelArt
     let vocab = Vocab::from_tokens(&words);
     assert_eq!(vocab.len(), config.vocab_size);
     let model = BertModel::new(config, seed);
-    let mut hook = QatHook::calibration_only(quant);
-    for i in 0..8usize {
-        let tokens = vec![2, 4 + i, 9 + (i * 3) % 12, 6, 3];
-        let example = Example {
-            segment_ids: vec![0; tokens.len()],
-            attention_mask: vec![1; tokens.len()],
-            token_ids: tokens,
-            label: 0,
-        };
-        let mut graph = Graph::new();
-        let bound = model.bind(&mut graph);
-        bound
-            .forward(&mut graph, &example, &mut hook)
-            .expect("calibration forward");
-    }
+    let calibration: Vec<Example> = (0..8usize)
+        .map(|i| {
+            let tokens = vec![2, 4 + i, 9 + (i * 3) % 12, 6, 3];
+            Example {
+                segment_ids: vec![0; tokens.len()],
+                attention_mask: vec![1; tokens.len()],
+                token_ids: tokens,
+                label: 0,
+            }
+        })
+        .collect();
+    let hook = QatHook::calibrated(&model, quant, &calibration).expect("calibration forward");
     let int_model = convert(&model, &hook).expect("conversion");
     ModelArtifact::new(TaskKind::Sst2, int_model, Tokenizer::new(vocab, MAX_LEN))
 }
@@ -79,8 +83,8 @@ proptest! {
     fn reloaded_model_is_bit_identical(examples in batch_strategy()) {
         let (original, bytes) = artifact();
         let reloaded = ModelArtifact::from_bytes(bytes).expect("round trip");
-        let a = original.model.logits_batch(&examples).expect("original logits");
-        let b = reloaded.model.logits_batch(&examples).expect("reloaded logits");
+        let a = logits(&original.model, &examples);
+        let b = logits(&reloaded.model, &examples);
         prop_assert_eq!(a.len(), b.len());
         for (la, lb) in a.iter().zip(b.iter()) {
             for (x, y) in la.iter().zip(lb.iter()) {
@@ -178,8 +182,8 @@ fn w4_artifacts_are_at_most_55_percent_of_the_unpacked_encoding() {
         attention_mask: vec![1; 5],
         label: 0,
     }];
-    let a = artifact.model.logits_batch(&examples).expect("original");
-    let b = reloaded.model.logits_batch(&examples).expect("reloaded");
+    let a = logits(&artifact.model, &examples);
+    let b = logits(&reloaded.model, &examples);
     for (x, y) in a.iter().flatten().zip(b.iter().flatten()) {
         assert_eq!(x.to_bits(), y.to_bits());
     }
@@ -198,8 +202,8 @@ fn w8_artifacts_round_trip_through_the_unpacked_path() {
         attention_mask: vec![1; 4],
         label: 0,
     }];
-    let a = artifact.model.logits_batch(&examples).expect("original");
-    let b = reloaded.model.logits_batch(&examples).expect("reloaded");
+    let a = logits(&artifact.model, &examples);
+    let b = logits(&reloaded.model, &examples);
     for (x, y) in a.iter().flatten().zip(b.iter().flatten()) {
         assert_eq!(x.to_bits(), y.to_bits());
     }

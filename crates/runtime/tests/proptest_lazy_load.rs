@@ -5,17 +5,23 @@
 //! variants, residency must grow by exactly the panels a forward pass
 //! builds, and `save ∘ load ∘ save` must be byte-identical.
 
-use fqbert_autograd::Graph;
 use fqbert_bert::{BertConfig, BertModel};
-use fqbert_core::{convert_mixed, QatHook};
+use fqbert_core::{convert_mixed, IntBertModel, QatHook};
 use fqbert_nlp::{Example, TaskKind, Tokenizer, Vocab};
 use fqbert_quant::{LayerBits, QuantConfig};
 use fqbert_runtime::{ModelArtifact, TensorCache};
-use fqbert_tensor::{IntTensor, PackedWeights};
+use fqbert_tensor::{GemmScratch, IntTensor, PackedWeights};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
 const MAX_LEN: usize = 12;
+
+/// Logits of `examples`, on a scratch of the call's own.
+fn logits(model: &IntBertModel, examples: &[Example]) -> Vec<Vec<f32>> {
+    model
+        .logits_batch_with_scratch(examples, &mut GemmScratch::new())
+        .expect("logits")
+}
 
 /// Builds a calibrated quantized artifact with per-layer bit-widths from
 /// one shared float model, so every variant carries identical float tensors
@@ -28,21 +34,19 @@ fn build_artifact(bits: &[LayerBits]) -> ModelArtifact {
         .collect();
     let vocab = Vocab::from_tokens(&words);
     let model = BertModel::new(config, 23);
-    let mut hook = QatHook::calibration_only(QuantConfig::fq_bert());
-    for i in 0..8usize {
-        let tokens = vec![2, 4 + i, 9 + (i * 3) % 12, 6, 3];
-        let example = Example {
-            segment_ids: vec![0; tokens.len()],
-            attention_mask: vec![1; tokens.len()],
-            token_ids: tokens,
-            label: 0,
-        };
-        let mut graph = Graph::new();
-        let bound = model.bind(&mut graph);
-        bound
-            .forward(&mut graph, &example, &mut hook)
-            .expect("calibration forward");
-    }
+    let calibration: Vec<Example> = (0..8usize)
+        .map(|i| {
+            let tokens = vec![2, 4 + i, 9 + (i * 3) % 12, 6, 3];
+            Example {
+                segment_ids: vec![0; tokens.len()],
+                attention_mask: vec![1; tokens.len()],
+                token_ids: tokens,
+                label: 0,
+            }
+        })
+        .collect();
+    let hook = QatHook::calibrated(&model, QuantConfig::fq_bert(), &calibration)
+        .expect("calibration forward");
     let int_model = convert_mixed(&model, &hook, bits).expect("conversion");
     ModelArtifact::new(TaskKind::Sst2, int_model, Tokenizer::new(vocab, MAX_LEN))
 }
@@ -135,8 +139,8 @@ proptest! {
     ) {
         for (name, built, bytes) in artifacts() {
             let loaded = load(bytes);
-            let a = built.model.logits_batch(&examples).expect("built logits");
-            let b = loaded.model.logits_batch(&examples).expect("loaded logits");
+            let a = logits(&built.model, &examples);
+            let b = logits(&loaded.model, &examples);
             prop_assert_eq!(a.len(), b.len());
             for (la, lb) in a.iter().zip(b.iter()) {
                 for (x, y) in la.iter().zip(lb.iter()) {
@@ -158,7 +162,9 @@ proptest! {
                     .collect();
                 let x = IntTensor::from_vec(codes, &[rows, linear.in_features()]).expect("input");
                 prop_assert_eq!(
-                    linear.forward(&x).expect("blocked"),
+                    linear
+                        .forward_with_scratch(&x, &mut GemmScratch::new())
+                        .expect("blocked"),
                     linear.forward_naive(&x).expect("naive"),
                     "{} w{} projection diverges from the naive reference",
                     name, linear.weight_bits()
@@ -213,7 +219,7 @@ fn residency_stays_lazy_until_first_forward() {
         attention_mask: vec![1; 4],
         label: 0,
     }];
-    loaded.model.logits_batch(&examples).expect("first forward");
+    logits(&loaded.model, &examples);
     // The forward pass builds every projection's GEMM panels and nothing
     // else — there is no decoded code copy to materialize — so residency
     // grows by exactly the panels' bytes.
@@ -228,10 +234,7 @@ fn residency_stays_lazy_until_first_forward() {
     assert!(panels > 0);
     assert_eq!(loaded.model.resident_bytes(), before + panels);
     // A second forward builds nothing more.
-    loaded
-        .model
-        .logits_batch(&examples)
-        .expect("second forward");
+    logits(&loaded.model, &examples);
     assert_eq!(loaded.model.resident_bytes(), before + panels);
 }
 
@@ -272,7 +275,7 @@ fn load_reads_files_and_clones_share_state() {
         attention_mask: vec![1; 3],
         label: 0,
     }];
-    artifact.model.logits_batch(&examples).expect("forward");
+    logits(&artifact.model, &examples);
     assert_eq!(
         clone.resident_bytes(),
         artifact.model.resident_bytes(),

@@ -5,7 +5,6 @@
 //! the same order. Also pins the empty-batch rejection contract of
 //! `Engine::classify_batch`.
 
-use fqbert_autograd::Graph;
 use fqbert_bert::{BertConfig, BertModel};
 use fqbert_core::QatHook;
 use fqbert_nlp::{Example, TaskKind, Vocab};
@@ -48,14 +47,9 @@ fn engines() -> &'static Vec<BackendEngines> {
         let words: Vec<String> = (0..WORDS).map(|i| format!("w{i}")).collect();
         let vocab = Vocab::from_tokens(&words);
         let model = BertModel::new(BertConfig::tiny(vocab.len(), MAX_LEN, 2), 11);
-        let mut hook = QatHook::calibration_only(QuantConfig::fq_bert());
-        for i in 0..6 {
-            let mut graph = Graph::new();
-            let bound = model.bind(&mut graph);
-            bound
-                .forward(&mut graph, &example_from(&[i, i + 3, i + 5]), &mut hook)
-                .expect("calibration");
-        }
+        let calibration: Vec<Example> = (0..6).map(|i| example_from(&[i, i + 3, i + 5])).collect();
+        let hook =
+            QatHook::calibrated(&model, QuantConfig::fq_bert(), &calibration).expect("calibration");
         BackendKind::ALL
             .iter()
             .map(|&kind| {

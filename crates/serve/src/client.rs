@@ -317,32 +317,6 @@ impl Client {
         Ok(())
     }
 
-    /// Pipelines one sentence-pair classification request (see
-    /// [`Client::submit`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors from writing the frame.
-    pub fn submit_pairs(&mut self, model: &str, pairs: &[(&str, &str)]) -> Result<String> {
-        let id = self.fresh_id();
-        let frame = Json::obj([
-            ("id", Json::str(&id)),
-            ("model", Json::str(model)),
-            (
-                "pairs",
-                Json::Arr(
-                    pairs
-                        .iter()
-                        .map(|(a, b)| Json::Arr(vec![Json::str(*a), Json::str(*b)]))
-                        .collect(),
-                ),
-            ),
-        ]);
-        self.send_frame(&frame)?;
-        self.pending.push_back(id.clone());
-        Ok(id)
-    }
-
     /// Number of pipelined requests whose responses are still unread.
     pub fn pending(&self) -> usize {
         self.pending.len()

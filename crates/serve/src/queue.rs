@@ -110,16 +110,6 @@ impl Ticket {
     pub fn wait(self) -> Result<TicketResponse> {
         self.rx.recv().unwrap_or(Err(ServeError::ShuttingDown))
     }
-
-    /// Non-blocking poll; `None` while the request is still queued or
-    /// in flight.
-    pub fn try_wait(&self) -> Option<Result<TicketResponse>> {
-        match self.rx.try_recv() {
-            Ok(result) => Some(result),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some(Err(ServeError::ShuttingDown)),
-        }
-    }
 }
 
 /// Counters describing how a queue has batched its traffic.

@@ -193,12 +193,6 @@ impl Server {
         stats_snapshot(&self.shared)
     }
 
-    /// The idempotent response cache fronting every model queue
-    /// (hit/miss/coalesce totals via [`ResponseCache::stats`]).
-    pub fn response_cache(&self) -> &ResponseCache {
-        &self.shared.cache
-    }
-
     /// Requests shutdown and blocks until the accept loop, every
     /// connection handler and every queue worker have exited. Idempotent.
     pub fn shutdown(&self) {

@@ -2,7 +2,6 @@
 //! built without training (deterministic logits are all the queue and
 //! protocol tests need).
 
-use fqbert_autograd::Graph;
 use fqbert_bert::{BertConfig, BertModel};
 use fqbert_core::QatHook;
 use fqbert_nlp::{Example, TaskKind, Vocab};
@@ -37,14 +36,8 @@ pub fn engine_with_quant(kind: BackendKind, quant: QuantConfig) -> Arc<Engine> {
     let words: Vec<String> = (0..40).map(|i| format!("w{i}")).collect();
     let vocab = Vocab::from_tokens(&words);
     let model = BertModel::new(BertConfig::tiny(vocab.len(), MAX_LEN, 2), 5);
-    let mut hook = QatHook::calibration_only(quant);
-    for i in 0..6 {
-        let mut graph = Graph::new();
-        let bound = model.bind(&mut graph);
-        bound
-            .forward(&mut graph, &example(i), &mut hook)
-            .expect("calibration");
-    }
+    let calibration: Vec<Example> = (0..6).map(example).collect();
+    let hook = QatHook::calibrated(&model, quant, &calibration).expect("calibration");
     Arc::new(
         EngineBuilder::new(TaskKind::Sst2)
             .vocab(vocab, MAX_LEN)

@@ -281,13 +281,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so the
-                // bytes are valid UTF-8).
+                // Copy the whole run of plain bytes up to the next `"` or
+                // `\` at once. The input is a &str and both delimiters are
+                // ASCII, so the run between them is valid UTF-8 — validated
+                // once per run, never once per character.
                 let tail = bytes.get(*pos..).unwrap_or_default();
-                let rest = std::str::from_utf8(tail).map_err(|e| e.to_string())?;
-                let ch = rest.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
+                let len = tail
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(tail.len());
+                let run = tail.get(..len).unwrap_or_default();
+                out.push_str(std::str::from_utf8(run).map_err(|e| e.to_string())?);
+                *pos += len;
             }
         }
     }
@@ -379,6 +384,27 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1x", "{\"a\":1} extra"] {
             assert!(parse(bad).is_err(), "must reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn a_megabyte_string_parses_in_linear_time() {
+        // Plain runs, multi-byte scalars and every kind of escape, 1 MiB of
+        // it in one string: per-character revalidation of the remaining
+        // input made this quadratic (minutes for one frame under the
+        // server's 4 MiB bound).
+        let unit = "sixteen plain words é 中 \"quoted\" back\\slash\ttab\n\u{1}";
+        let text = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(text.len() >= 1 << 20);
+        let frame = Json::obj([("texts", Json::Arr(vec![Json::str(&text)]))]);
+        let line = frame.render();
+        let begin = std::time::Instant::now();
+        let parsed = parse(&line).unwrap();
+        let elapsed = begin.elapsed();
+        assert_eq!(parsed, frame);
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "parsing one 1 MiB string took {elapsed:?}"
+        );
     }
 
     /// `depth` nested containers (arrays, or objects under key `a`) around

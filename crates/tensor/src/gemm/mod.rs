@@ -671,33 +671,6 @@ impl GemmScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Creates a scratch whose activation block (both layouts) is already
-    /// sized for reduction depths up to `k`, the one buffer whose size is
-    /// known from
-    /// the model alone. The attention panels and the arena depend on the
-    /// batch (rows, sequence lengths); they grow on the first call that
-    /// needs them and are kept, so a worker that holds one scratch across
-    /// every batch it serves pays for each shape once.
-    pub fn with_depth(k: usize) -> Self {
-        let mut scratch = Self::default();
-        scratch.reserve_depth(k);
-        scratch
-    }
-
-    /// Grows the activation block to hold reduction depth `k` (no-op when
-    /// already large enough).
-    pub fn reserve_depth(&mut self, k: usize) {
-        let ActivationBlock { rows, quads } = &mut self.pack;
-        rows.reserve(k.div_ceil(2).saturating_sub(rows.len()));
-        quads.reserve(k.div_ceil(4).saturating_sub(quads.len()));
-    }
-
-    /// Largest reduction depth the activation block can pack without
-    /// reallocating.
-    pub fn depth_capacity(&self) -> usize {
-        (self.pack.rows.capacity() * 2).min(self.pack.quads.capacity() * 4)
-    }
 }
 
 /// The requantize kernel for `params`: the process-selected SIMD kernel
@@ -803,39 +776,6 @@ pub fn gemm_i8_i32(
         &mut scratch.pack,
         |r, c0, accs| {
             slice[r * n + c0..r * n + c0 + accs.len()].copy_from_slice(accs);
-        },
-    )?;
-    Ok(out)
-}
-
-/// Blocked GEMM with a fused epilogue: every `i32` accumulator is mapped to
-/// an output `i8` code by `epilogue(acc, col)` — typically bias add plus
-/// fixed-point requantization — without materialising an intermediate `i32`
-/// tensor.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `x`'s width differs from the
-/// packed `k`, or a rank error for non-matrix inputs.
-pub fn gemm_i8_fused<F: Fn(i32, usize) -> i8>(
-    x: &IntTensor<i8>,
-    weights: &PackedWeights,
-    scratch: &mut GemmScratch,
-    epilogue: F,
-) -> Result<IntTensor<i8>> {
-    let m = checked_rows(x, weights)?;
-    let n = weights.n;
-    let mut out = IntTensor::<i8>::zeros(&[m, n]);
-    let slice = out.as_mut_slice();
-    gemm_drive(
-        x.as_slice(),
-        m,
-        weights,
-        &mut scratch.pack,
-        |r, c0, accs| {
-            for (j, &acc) in accs.iter().enumerate() {
-                slice[r * n + c0 + j] = epilogue(acc, c0 + j);
-            }
         },
     )?;
     Ok(out)
@@ -1075,20 +1015,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_epilogue_sees_column_indices() {
-        let x = tensor_i8(vec![1, 2, 3, 4], &[2, 2]);
-        let w = tensor_i8(vec![1, 0, 0, 0, 1, 0], &[2, 3]);
-        let packed = PackedWeights::pack(&w).unwrap();
-        let mut scratch = GemmScratch::new();
-        let out = gemm_i8_fused(&x, &packed, &mut scratch, |acc, c| {
-            (acc + c as i32).clamp(-128, 127) as i8
-        })
-        .unwrap();
-        // x·w = [[1,2,0],[3,4,0]]; epilogue adds the column index.
-        assert_eq!(out.as_slice(), &[1, 3, 2, 3, 5, 2]);
-    }
-
-    #[test]
     fn scratch_is_reusable_across_shapes() {
         let mut scratch = GemmScratch::new();
         for &(m, k, n) in &[(5usize, 40usize, 12usize), (2, 3, 2), (7, 19, 31)] {
@@ -1109,31 +1035,6 @@ mod tests {
         let packed = PackedWeights::pack(&w).unwrap();
         assert!(gemm_i8_i32(&x, &packed, &mut GemmScratch::new()).is_err());
         assert!(PackedWeights::pack(&tensor_i8(vec![0; 3], &[3])).is_err());
-    }
-
-    #[test]
-    fn scratch_depth_reservation_is_sticky() {
-        let mut scratch = GemmScratch::with_depth(64);
-        assert!(scratch.depth_capacity() >= 64);
-        // Packing a shallower block must not shrink the buffer.
-        let x = tensor_i8((0..2 * 3).map(pseudo).collect(), &[2, 3]);
-        let w = tensor_i8((0..3 * 2).map(pseudo).collect(), &[3, 2]);
-        let packed = PackedWeights::pack(&w).unwrap();
-        gemm_i8_i32(&x, &packed, &mut scratch).unwrap();
-        assert!(scratch.depth_capacity() >= 64);
-        scratch.reserve_depth(16); // no-op below capacity
-        assert!(scratch.depth_capacity() >= 64);
-        scratch.reserve_depth(128);
-        assert!(scratch.depth_capacity() >= 128);
-        // The capacity covers both activation layouts: a nibble GEMM at the
-        // reserved depth leaves the block where it was.
-        let (rows, quads) = (scratch.pack.rows.as_ptr(), scratch.pack.quads.as_ptr());
-        let x = tensor_i8((0..3 * 128).map(pseudo).collect(), &[3, 128]);
-        let w = tensor_i8((0..128 * 2).map(pseudo4).collect(), &[128, 2]);
-        gemm_i8_i32(&x, &PackedWeights::pack_nibble(&w).unwrap(), &mut scratch).unwrap();
-        gemm_i8_i32(&x, &PackedWeights::pack(&w).unwrap(), &mut scratch).unwrap();
-        assert_eq!(scratch.pack.rows.as_ptr(), rows);
-        assert_eq!(scratch.pack.quads.as_ptr(), quads);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use fqbert_tensor::gemm::kernels::{self, KernelKind};
 use fqbert_tensor::gemm::{
-    gemm_i8_fused, gemm_i8_i32, gemm_i8_requant, GemmScratch, PackedWeights, RequantParams, MR, NR,
+    gemm_i8_i32, gemm_i8_requant, GemmScratch, PackedWeights, RequantParams, MR, NR,
 };
 use fqbert_tensor::{pack4, IntTensor};
 use proptest::prelude::*;
@@ -124,63 +124,6 @@ proptest! {
             prop_assert_eq!(&got2, &naive2, "int2 nibble panels diverge on {}", name);
         }
         kernels::force(kernels::best_available());
-    }
-
-    // The fused epilogue sees identical accumulators on every kernel, so
-    // requantized int8 outputs are identical too.
-    #[test]
-    fn fused_outputs_are_identical_across_kernels(
-        m in 1usize..10,
-        k in 1usize..50,
-        n in 1usize..40,
-        seed_x in proptest::collection::vec(i8_full(), 1..64),
-        seed_w in proptest::collection::vec(i8_full(), 1..64),
-        seed_b in proptest::collection::vec(-20_000i32..20_000, 1..64),
-    ) {
-        let _guard = kernel_lock();
-        let x = build(&seed_x, m, k);
-        let w = build(&seed_w, k, n);
-        let bias: Vec<i32> = (0..n).map(|i| seed_b[i % seed_b.len()]).collect();
-        let packed = PackedWeights::pack(&w).expect("pack");
-        let epilogue = |acc: i32, c: usize| -> i8 {
-            ((i64::from(acc) + i64::from(bias[c])) / 37).clamp(-127, 127) as i8
-        };
-        let mut scratch = GemmScratch::new();
-        kernels::force(KernelKind::Scalar);
-        let reference = gemm_i8_fused(&x, &packed, &mut scratch, epilogue).expect("scalar fused");
-        for kind in kernels::available() {
-            kernels::force(kind);
-            let got = gemm_i8_fused(&x, &packed, &mut scratch, epilogue).expect("fused");
-            prop_assert_eq!(&got, &reference, "fused outputs diverge on {}", kind.name());
-        }
-        kernels::force(kernels::best_available());
-    }
-
-    #[test]
-    fn fused_epilogue_matches_scalar_postprocessing(
-        m in 1usize..16,
-        k in 1usize..48,
-        n in 1usize..32,
-        seed_x in proptest::collection::vec(i8_full(), 1..64),
-        seed_w in proptest::collection::vec(i8_full(), 1..64),
-        seed_b in proptest::collection::vec(-20_000i32..20_000, 1..64),
-    ) {
-        let x = build(&seed_x, m, k);
-        let w = build(&seed_w, k, n);
-        let bias: Vec<i32> = (0..n).map(|i| seed_b[i % seed_b.len()]).collect();
-        let packed = PackedWeights::pack(&w).expect("pack");
-        let mut scratch = GemmScratch::new();
-        // Epilogue mirroring IntLinear: bias add + divide + clamp to int8.
-        let epilogue = |acc: i32, c: usize| -> i8 {
-            ((i64::from(acc) + i64::from(bias[c])) / 37).clamp(-127, 127) as i8
-        };
-        let fused = gemm_i8_fused(&x, &packed, &mut scratch, epilogue).expect("fused");
-        let naive = x.matmul_i32(&w).expect("naive");
-        for r in 0..m {
-            for c in 0..n {
-                prop_assert_eq!(fused.row(r)[c], epilogue(naive.row(r)[c], c));
-            }
-        }
     }
 
     // Nibble panels gathered straight from the v2 `pack_i4` byte stream

@@ -10,7 +10,7 @@ use fqbert_bert::{BertConfig, BertModel};
 use fqbert_core::{convert, IntLinear, QatHook};
 use fqbert_nlp::Example;
 use fqbert_quant::{QuantConfig, Requantizer};
-use fqbert_tensor::IntTensor;
+use fqbert_tensor::{GemmScratch, IntTensor};
 
 /// Runs an [`IntLinear`] matrix–vector product through the PU datapath and
 /// checks it against the integer reference engine.
@@ -21,7 +21,9 @@ fn run_layer_on_pu(
 ) -> (Vec<i8>, Vec<i8>, u64) {
     // Reference: the integer engine.
     let x = IntTensor::from_vec(x_row.to_vec(), &[1, x_row.len()]).expect("valid shape");
-    let reference = layer.forward(&x).expect("reference forward");
+    let reference = layer
+        .forward_with_scratch(&x, &mut GemmScratch::new())
+        .expect("reference forward");
 
     // Accelerator datapath: one weight column per PE.
     let weight = layer.weight_codes();
@@ -45,19 +47,18 @@ fn run_layer_on_pu(
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Build a small calibrated FQ-BERT so we have a real quantized layer.
     let model = BertModel::new(BertConfig::tiny(60, 24, 2), 5);
-    let mut hook = QatHook::calibration_only(QuantConfig::fq_bert());
-    for i in 0..8usize {
-        let tokens = vec![2, 4 + i, 10 + i, 7, 3];
-        let example = Example {
-            segment_ids: vec![0; tokens.len()],
-            attention_mask: vec![1; tokens.len()],
-            token_ids: tokens,
-            label: 0,
-        };
-        let mut graph = fqbert_autograd::Graph::new();
-        let bound = model.bind(&mut graph);
-        bound.forward(&mut graph, &example, &mut hook)?;
-    }
+    let calibration: Vec<Example> = (0..8usize)
+        .map(|i| {
+            let tokens = vec![2, 4 + i, 10 + i, 7, 3];
+            Example {
+                segment_ids: vec![0; tokens.len()],
+                attention_mask: vec![1; tokens.len()],
+                token_ids: tokens,
+                label: 0,
+            }
+        })
+        .collect();
+    let hook = QatHook::calibrated(&model, QuantConfig::fq_bert(), &calibration)?;
     let int_model = convert(&model, &hook)?;
 
     // Feed the first encoder layer's query projection through the PU array.

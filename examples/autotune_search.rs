@@ -5,7 +5,6 @@
 //! Run with `FQBERT_QUICK=1 cargo run --release --example autotune_search`.
 
 use fqbert_accel::AcceleratorConfig;
-use fqbert_autograd::Graph;
 use fqbert_autotune::{search, Autotuner, SearchSettings};
 use fqbert_bench::ExperimentConfig;
 use fqbert_core::QatHook;
@@ -21,12 +20,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Calibrate activation scales on a few dev examples.
     let calib = task.dataset.dev.len().min(16);
-    let mut hook = QatHook::calibration_only(QuantConfig::fq_bert());
-    for example in &task.dataset.dev[..calib] {
-        let mut graph = Graph::new();
-        let bound = task.model.bind(&mut graph);
-        bound.forward(&mut graph, example, &mut hook)?;
-    }
+    let hook = QatHook::calibrated(
+        &task.model,
+        QuantConfig::fq_bert(),
+        &task.dataset.dev[..calib],
+    )?;
 
     // 3. Search: greedy descent from uniform w8 plus seeded refinement.
     let tuner = Autotuner::new(

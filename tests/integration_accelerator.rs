@@ -12,25 +12,23 @@ use fqbert_bert::{BertConfig, BertModel};
 use fqbert_core::{convert, QatHook};
 use fqbert_nlp::Example;
 use fqbert_quant::{QuantConfig, Requantizer};
-use fqbert_tensor::IntTensor;
+use fqbert_tensor::{GemmScratch, IntTensor};
 
 fn calibrated_int_model() -> fqbert_core::IntBertModel {
     let model = BertModel::new(BertConfig::tiny(40, 16, 2), 21);
-    let mut hook = QatHook::calibration_only(QuantConfig::fq_bert());
-    for i in 0..6usize {
-        let tokens = vec![2, 4 + i, 9 + i, 6, 3];
-        let example = Example {
-            segment_ids: vec![0; tokens.len()],
-            attention_mask: vec![1; tokens.len()],
-            token_ids: tokens,
-            label: 0,
-        };
-        let mut graph = fqbert_autograd::Graph::new();
-        let bound = model.bind(&mut graph);
-        bound
-            .forward(&mut graph, &example, &mut hook)
-            .expect("calibration forward");
-    }
+    let calibration: Vec<Example> = (0..6usize)
+        .map(|i| {
+            let tokens = vec![2, 4 + i, 9 + i, 6, 3];
+            Example {
+                segment_ids: vec![0; tokens.len()],
+                attention_mask: vec![1; tokens.len()],
+                token_ids: tokens,
+                label: 0,
+            }
+        })
+        .collect();
+    let hook = QatHook::calibrated(&model, QuantConfig::fq_bert(), &calibration)
+        .expect("calibration forward");
     convert(&model, &hook).expect("conversion")
 }
 
@@ -62,7 +60,9 @@ fn pu_datapath_matches_integer_engine_bit_exactly() {
         for row in 0..embedded.dims()[0] {
             let x_row = embedded.row(row);
             let x = IntTensor::from_vec(x_row.to_vec(), &[1, x_row.len()]).expect("shape");
-            let reference = layer.forward(&x).expect("reference forward");
+            let reference = layer
+                .forward_with_scratch(&x, &mut GemmScratch::new())
+                .expect("reference forward");
 
             let (codes, cycles) = pu.matvec(
                 x_row,

@@ -6,6 +6,8 @@ use fqbert_bert::{BertConfig, BertModel, NoopHook, Trainer, TrainerConfig};
 use fqbert_core::{convert, evaluate_int_model, CompressionReport, QatHook};
 use fqbert_nlp::{Sst2Config, Sst2Generator};
 use fqbert_quant::QuantConfig;
+use fqbert_tensor::ops::argmax_slice;
+use fqbert_tensor::GemmScratch;
 
 fn small_trainer(epochs: usize, lr: f32) -> Trainer {
     Trainer::new(TrainerConfig {
@@ -107,32 +109,24 @@ fn int_engine_and_float_model_agree_on_most_predictions() {
         .expect("float training");
 
     // Calibrate (8-bit weights for a near-lossless comparison).
-    let mut hook = QatHook::calibration_only(QuantConfig::w8a8());
-    for example in dataset.dev.iter().take(16) {
-        let mut graph = fqbert_autograd::Graph::new();
-        let bound = model.bind(&mut graph);
-        bound
-            .forward(&mut graph, example, &mut NoopHook)
-            .expect("forward");
-        let mut graph = fqbert_autograd::Graph::new();
-        let bound = model.bind(&mut graph);
-        bound
-            .forward(&mut graph, example, &mut hook)
-            .expect("calibration forward");
-    }
+    let calibration = &dataset.dev[..dataset.dev.len().min(16)];
+    let hook =
+        QatHook::calibrated(&model, QuantConfig::w8a8(), calibration).expect("calibration forward");
     let int_model = convert(&model, &hook).expect("conversion");
 
     let mut agree = 0usize;
-    let sample: Vec<_> = dataset.dev.iter().take(40).collect();
-    for example in &sample {
+    let sample = &dataset.dev[..dataset.dev.len().min(40)];
+    let int_logits = int_model
+        .logits_batch_with_scratch(sample, &mut GemmScratch::new())
+        .expect("int logits");
+    for (example, int_logits) in sample.iter().zip(&int_logits) {
         let mut graph = fqbert_autograd::Graph::new();
         let bound = model.bind(&mut graph);
         let logits = bound
             .forward(&mut graph, example, &mut NoopHook)
             .expect("forward");
         let float_pred = graph.value(logits).argmax().expect("argmax");
-        let int_pred = int_model.predict(example).expect("int predict");
-        if float_pred == int_pred {
+        if float_pred == argmax_slice(int_logits) {
             agree += 1;
         }
     }

@@ -5,6 +5,7 @@
 use fqbert_bench::ExperimentConfig;
 use fqbert_quant::QuantConfig;
 use fqbert_runtime::{BackendKind, EncodedBatch, EngineBuilder, InferenceBackend};
+use fqbert_tensor::GemmScratch;
 
 fn quick_task() -> (fqbert_bench::TrainedTask, fqbert_core::QatHook) {
     let mut config = ExperimentConfig::quick();
@@ -246,7 +247,9 @@ fn blocked_gemm_logits_match_naive_projection_path() {
             )
             .expect("probe shape");
             assert_eq!(
-                linear.forward(&x).expect("blocked"),
+                linear
+                    .forward_with_scratch(&x, &mut GemmScratch::new())
+                    .expect("blocked"),
                 linear.forward_naive(&x).expect("naive"),
                 "blocked kernel diverges from naive reference"
             );
