@@ -188,8 +188,12 @@ impl AcceleratorConfig {
                 "the BIM needs an even number of multipliers to fuse 8b×8b products".to_string(),
             );
         }
-        if self.frequency_hz <= 0.0 {
-            return Err("frequency must be positive".to_string());
+        if self.softmax_lanes == 0 || self.ln_simd_width == 0 {
+            // The cycle model divides a stage's elements by these.
+            return Err("softmax lanes and LN SIMD width must be non-zero".to_string());
+        }
+        if !(self.frequency_hz.is_finite() && self.frequency_hz > 0.0) {
+            return Err("frequency must be positive and finite".to_string());
         }
         if !(2..=8).contains(&self.weight_bits) || self.activation_bits != 8 {
             return Err(format!(
@@ -248,20 +252,40 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_configs() {
-        let cfg = AcceleratorConfig {
-            multipliers_per_bim: 7,
-            ..AcceleratorConfig::default()
-        };
-        assert!(cfg.validate().is_err());
-        let cfg = AcceleratorConfig {
-            num_pus: 0,
-            ..AcceleratorConfig::default()
-        };
-        assert!(cfg.validate().is_err());
-        let cfg = AcceleratorConfig {
-            weight_bits: 16,
-            ..AcceleratorConfig::default()
-        };
-        assert!(cfg.validate().is_err());
+        let default = AcceleratorConfig::default;
+        for cfg in [
+            AcceleratorConfig {
+                multipliers_per_bim: 7,
+                ..default()
+            },
+            AcceleratorConfig {
+                num_pus: 0,
+                ..default()
+            },
+            AcceleratorConfig {
+                weight_bits: 16,
+                ..default()
+            },
+            // What the cycle model divides by, and the clock it divides
+            // cycles by.
+            AcceleratorConfig {
+                softmax_lanes: 0,
+                ..default()
+            },
+            AcceleratorConfig {
+                ln_simd_width: 0,
+                ..default()
+            },
+            AcceleratorConfig {
+                frequency_hz: f64::NAN,
+                ..default()
+            },
+            AcceleratorConfig {
+                frequency_hz: f64::INFINITY,
+                ..default()
+            },
+        ] {
+            assert!(cfg.validate().is_err(), "{cfg:?}");
+        }
     }
 }

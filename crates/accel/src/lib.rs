@@ -6,8 +6,10 @@
 //!   Inner-product Module (M 8b×4b multipliers plus shift-add logic, Type A
 //!   and Type B variants) and proves it equal to exact integer arithmetic;
 //!   [`pe`] builds the dot-product Processing Element and Processing Unit on
-//!   top of it; [`cores`] wraps the LUT softmax and the 3-stage SIMD layer
-//!   norm with their cycle costs.
+//!   top of it. The softmax and layer-norm cores have no datapath of their
+//!   own here: functionally they *are* `fqbert-quant`'s `SoftmaxLut` and
+//!   `AddLayerNorm`, and their cycle costs live in [`scheduler`] with every
+//!   other stage's.
 //! * **Performance / cost models** — [`dataflow`] decomposes one encoder
 //!   layer into the stages of Fig. 5, [`scheduler`] overlaps weight streaming
 //!   with compute (double-buffered weight buffer), [`cycle_model`] produces
@@ -21,7 +23,6 @@
 
 pub mod bim;
 pub mod config;
-pub mod cores;
 pub mod cycle_model;
 pub mod dataflow;
 pub mod memory;
@@ -32,7 +33,6 @@ pub mod scheduler;
 
 pub use bim::{Bim, BimType};
 pub use config::{AcceleratorConfig, FpgaDevice};
-pub use cores::{LnCore, SoftmaxCore};
 pub use cycle_model::{LatencyBreakdown, LatencyReport};
 pub use dataflow::{EncoderStage, StageKind};
 pub use memory::{BufferPlan, DdrModel};

@@ -1,8 +1,11 @@
 //! Conversion and load time, float by nature: float weights and calibrated
 //! scales enter here once — from the QAT converter or from an artifact —
-//! and leave as integer codes, fixed-point requantizers and lookup tables.
-//! The scale structs `encoder.rs` stores whole, and their accessors, live
-//! here so that file never has to name a float.
+//! and leave as integer codes, fixed-point requantizers, lookup tables and
+//! folded `Add & LN` blocks. [`IntEncoderLayer::from_quantized_parts`] is
+//! the one place a layer's scales are folded, so it is also where an
+//! invalid one is refused: at assembly or load, never per request. The
+//! scale structs `encoder.rs` stores whole, and their accessors, live here
+//! so that file never has to name a float.
 
 use super::encoder::{nibble_packed, IntEncoderLayer, IntGelu, IntLinear};
 use crate::{FqBertError, Result};
@@ -275,9 +278,10 @@ impl IntEncoderLayer {
     /// accessors on this type) — the one place a layer is put together,
     /// used by the float converter and when loading model artifacts.
     ///
-    /// All derived state (GELU table, softmax LUT, requantizers) is built
-    /// deterministically from `scales`, so a layer reconstructed from its
-    /// own accessors computes bit-identical outputs.
+    /// All derived state (GELU table, softmax LUT, requantizers, the two
+    /// folded `Add & LN` blocks) is built deterministically from `scales`,
+    /// so a layer reconstructed from its own accessors computes
+    /// bit-identical outputs.
     ///
     /// # Errors
     ///
@@ -328,6 +332,12 @@ impl IntEncoderLayer {
         // Attention context: real = acc / (PROB_LEVELS · s_v); codes at s_v,
         // so the effective requantization scale is scale-free.
         let context_requant = Requantizer::from_scale(1.0 / f64::from(PROB_LEVELS), 8)?;
+        // Add & LN: the layer input plus the attention output, then that
+        // sum plus the FFN output; both land on the `layer_norm` grid.
+        let attn_add_norm =
+            attn_layer_norm.fold(scales.input, scales.attn_output, scales.layer_norm)?;
+        let ffn_add_norm =
+            ffn_layer_norm.fold(scales.layer_norm, scales.ffn_output, scales.layer_norm)?;
         Ok(Self {
             query,
             key,
@@ -340,7 +350,9 @@ impl IntEncoderLayer {
             softmax,
             context_requant,
             attn_layer_norm,
+            attn_add_norm,
             ffn_layer_norm,
+            ffn_add_norm,
             heads,
             head_dim,
             scales: *scales,

@@ -1,12 +1,15 @@
 //! The accelerator side of §III-A: everything between int8 codes in and
 //! int8 codes out. fqlint's `float-escape` rule covers this file and it
-//! carries no suppression: calibrated scales are held as whole scale
-//! *types* ([`LayerScales`], `LinearScales`) that are stored, compared and
-//! handed on to the fixed-point `Add & LN`, never computed with here.
+//! carries no suppression: every stage arrives here already folded into
+//! integers by `assemble.rs` — requantizers, the softmax and GELU tables,
+//! both `Add & LN` blocks — and the forward pass reads no scale at all.
+//! The calibrated scales are held as whole scale *types* ([`LayerScales`],
+//! `LinearScales`): metadata that is stored, compared and written back to
+//! artifacts, never computed with here.
 
 use super::assemble::{LayerScales, LinearScales};
 use crate::{FqBertError, Result};
-use fqbert_quant::{LayerBits, QuantizedLayerNorm, Requantizer, SoftmaxLut};
+use fqbert_quant::{AddLayerNorm, LayerBits, QuantizedLayerNorm, Requantizer, SoftmaxLut};
 use fqbert_tensor::gemm::{
     gemm_i8_requant, gemm_i8_requant_into, ActivationBlock, AttentionScratch, GemmScratch,
     PackedWeights, RequantParams, StridedView, MAX_ATTN_SEQ,
@@ -271,13 +274,17 @@ pub struct IntEncoderLayer {
     pub(super) score_requant: Requantizer,
     pub(super) softmax: SoftmaxLut,
     pub(super) context_requant: Requantizer,
+    /// The stored `Add & LN` parameters (what the artifact writer reads)
+    /// and, next to each, the block the forward pass applies: the same
+    /// parameters folded with their three scales at assembly.
     pub(super) attn_layer_norm: QuantizedLayerNorm,
+    pub(super) attn_add_norm: AddLayerNorm,
     pub(super) ffn_layer_norm: QuantizedLayerNorm,
+    pub(super) ffn_add_norm: AddLayerNorm,
     pub(super) heads: usize,
     pub(super) head_dim: usize,
-    /// The calibrated activation scales the layer was assembled from, kept
-    /// whole: `Add & LN` takes the three it rescales by, the artifact
-    /// writer the rest.
+    /// The calibrated activation scales the layer was assembled from:
+    /// metadata for the artifact writer; the forward path never reads it.
     pub(super) scales: LayerScales,
 }
 
@@ -446,28 +453,14 @@ impl IntEncoderLayer {
         self.attn_output
             .forward_into(context, total, pack, attn_out)?;
         // Add & LN (attention residual) — row-wise, so batch-oblivious.
-        self.attn_layer_norm.apply_residual_into(
-            normed,
-            x,
-            self.scales.input,
-            attn_out,
-            self.scales.attn_output,
-            self.scales.layer_norm,
-        )?;
+        self.attn_add_norm.apply(normed, x, attn_out)?;
 
         // FFN with LUT GELU, again as packed GEMMs.
         self.ffn1.forward_into(normed, total, pack, ffn_hidden)?;
         self.gelu.apply_in_place(ffn_hidden);
         self.ffn2.forward_into(ffn_hidden, total, pack, ffn_out)?;
         // Add & LN (FFN residual).
-        self.ffn_layer_norm.apply_residual_into(
-            out,
-            normed,
-            self.scales.layer_norm,
-            ffn_out,
-            self.scales.ffn_output,
-            self.scales.layer_norm,
-        )?;
+        self.ffn_add_norm.apply(out, normed, ffn_out)?;
         Ok(())
     }
 }

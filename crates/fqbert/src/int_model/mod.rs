@@ -10,11 +10,13 @@
 //!   [`IntEncoderLayer`] and everything that runs between codes in and
 //!   codes out. It is the only file of this crate fqlint's `float-escape`
 //!   rule covers, and it carries no suppression: the structs hold scale
-//!   *types* ([`LayerScales`]), never a float, so a float on the encoder
-//!   path is a finding with no precedent near it.
+//!   *types* ([`LayerScales`]) as metadata, never a float, and the forward
+//!   pass reads no scale at all, so a float on the encoder path is a
+//!   finding with no precedent near it.
 //! * `assemble.rs` — **conversion and load time, float by nature.** The
-//!   constructors that fold float weights and calibrated scales into codes,
-//!   requantizers and lookup tables, the scale structs and their accessors.
+//!   constructors that fold float weights and calibrated scales, once,
+//!   into codes, requantizers, lookup tables and `Add & LN` blocks (and
+//!   refuse an invalid scale there), the scale structs and their accessors.
 //! * `host.rs` — **the CPU side, float by the paper's design.**
 //!   [`IntBertModel`], its [`HostSide`] tensors, the embedding, the
 //!   classifier head and the two logits entry points.
@@ -29,7 +31,8 @@
 //!   the 256-entry [`fqbert_quant::SoftmaxLut`] with max-subtraction →
 //!   context tile → requantize, so the `seq × seq` score matrix never
 //!   exists;
-//! * `Add & LN` uses the fixed-point [`fqbert_quant::QuantizedLayerNorm`];
+//! * `Add & LN` applies the fixed-point [`fqbert_quant::AddLayerNorm`] its
+//!   [`fqbert_quant::QuantizedLayerNorm`] was folded into at assembly;
 //! * GELU uses a 256-entry int8→int8 lookup table (the paper fuses it with
 //!   FFN1; a table is the standard HLS realisation).
 //!

@@ -317,7 +317,9 @@ proptest! {
             .expect("layer norm");
         let (a, b) = (codes(seed + 1, rows, hidden), codes(seed + 2, rows, hidden));
         let mut got = vec![0i8; rows * hidden];
-        norm.apply_residual_into(&mut got, a.as_slice(), scale_a, b.as_slice(), scale_b, out_scale)
+        norm.fold(scale_a, scale_b, out_scale)
+            .expect("fold")
+            .apply(&mut got, a.as_slice(), b.as_slice())
             .expect("matrix form");
         let expected = add_ln(&norm, (&a, scale_a), (&b, scale_b), out_scale);
         prop_assert_eq!(got.as_slice(), expected.as_slice());

@@ -24,12 +24,14 @@
 //! Suppressions are inline comments with a mandatory justification:
 //!
 //! ```text
-//! // fqlint::allow(float-escape): scale storage — floats never enter the
-//! // per-token compute, only the per-tensor metadata.
+//! // fqlint::allow(narrowing-cast): the mean of `i32`-ranged raw values
+//! // is itself in `i32` range.
 //! ```
 //!
-//! placed directly above an item (annotating the whole item as a
-//! quantization *boundary*) or trailing the offending line.
+//! placed directly above an item (annotating the whole item) or a
+//! statement, or trailing the offending line. No `float-escape` finding is
+//! suppressed anywhere in the workspace: that boundary is drawn with files
+//! ([`workspace`]).
 
 pub mod lexer;
 pub mod report;

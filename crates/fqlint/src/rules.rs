@@ -1,7 +1,9 @@
 //! The token-stream rule engine: four rule families over lexed Rust.
 //!
-//! * **R1 `float-escape`** — `f32`/`f64` idents, float literals and
-//!   float-only methods inside the designated integer-datapath modules.
+//! * **R1 `float-escape`** — `f32`/`f64` idents, idents ending in `_f32` /
+//!   `_f64` (a `from_f32(x, 16)` call carries a float behind an inferred
+//!   type), float literals and float-only methods inside the designated
+//!   integer-datapath modules.
 //! * **R2 `narrowing-cast`** — `as` casts to integer types of ≤ 32 bits in
 //!   the datapath crates, unless the source is a literal that provably
 //!   fits or the value was `clamp`ed immediately before the cast.
@@ -19,11 +21,12 @@
 //! comments (justification mandatory). A trailing comment suppresses its
 //! own line; a standalone comment before an item (`fn`, `impl`, `struct`,
 //! ...) suppresses the rule for the whole item — that is the "annotated
-//! boundary" form used where a covered file legitimately touches floats
-//! (table construction, scale storage); anywhere else a standalone
-//! comment covers the following line. `#[cfg(test)]` items, and files
-//! under `tests/`, `benches/`, `examples/` or `src/bin/`, are exempt from
-//! the library-code rules.
+//! boundary" form, which the SIMD kernel modules use on each function that
+//! wraps `unsafe` (no `float-escape` finding is suppressed anywhere: that
+//! boundary is drawn with files, see `workspace.rs`); anywhere else a
+//! standalone comment covers the following line. `#[cfg(test)]` items, and
+//! files under `tests/`, `benches/`, `examples/` or `src/bin/`, are exempt
+//! from the library-code rules.
 
 use crate::lexer::{lex, LexError, TokKind, Token};
 
@@ -585,7 +588,8 @@ fn test_item_spans(code: &[&Token]) -> Vec<(u32, u32)> {
     spans
 }
 
-/// R1: float types, float literals and float-only method calls.
+/// R1: float types, float-converting names, float literals and float-only
+/// method calls.
 fn scan_float_escape(code: &[&Token], emit: &mut impl FnMut(u32, RuleId, String)) {
     for (i, tok) in code.iter().enumerate() {
         match tok.kind {
@@ -594,6 +598,18 @@ fn scan_float_escape(code: &[&Token], emit: &mut impl FnMut(u32, RuleId, String)
                     tok.line,
                     RuleId::FloatEscape,
                     format!("`{}` in integer-datapath module", tok.text),
+                );
+            }
+            // `Fixed::from_f32(x, 16)`, `v.to_f64()`: no float token of its
+            // own, the value's type is inferred.
+            TokKind::Ident if tok.text.ends_with("_f32") || tok.text.ends_with("_f64") => {
+                emit(
+                    tok.line,
+                    RuleId::FloatEscape,
+                    format!(
+                        "`{}` names a float conversion in integer-datapath module",
+                        tok.text
+                    ),
                 );
             }
             TokKind::Ident

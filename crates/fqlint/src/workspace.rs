@@ -4,12 +4,17 @@
 //!
 //! * **R1 `float-escape`** runs on the designated integer-datapath
 //!   modules — the int forward path, the integer GEMM and nibble packing,
-//!   and the requantize/softmax-LUT apply paths. In `fqbert-core` the
-//!   boundary is a module boundary, not an annotated one: `int_model/`
-//!   keeps everything between codes in and codes out in `encoder.rs`, which
-//!   the rule covers and which carries no suppression, and everything that
-//!   is float on purpose (conversion in `assemble.rs`, the paper's CPU side
-//!   in `host.rs`) in files the rule does not cover.
+//!   and the requantize / softmax-LUT / `Add & LN` / fixed-point apply
+//!   paths: every file a forward pass executes between `embed` and the
+//!   classifier head. The boundary is a file boundary, not an annotated
+//!   one, and no covered file carries a `float-escape` suppression.
+//!   `fqbert-core`'s `int_model/` keeps everything between codes in and
+//!   codes out in `encoder.rs` and everything that is float on purpose
+//!   (conversion in `assemble.rs`, the paper's CPU side in `host.rs`) in
+//!   files the rule does not cover; `fqbert-quant` keeps what is applied
+//!   in `requant.rs`, `softmax_lut.rs`, `layernorm_q.rs` and
+//!   `fixedpoint.rs`, and every constructor that takes a real number in
+//!   `fold.rs`.
 //! * **R2 `narrowing-cast`** runs on all library code of the datapath
 //!   crates (`crates/tensor`, `crates/quant`).
 //! * **R3 `panic-path`** and **R4 `lock-hygiene`** run on all library code
@@ -30,13 +35,15 @@ use std::path::{Path, PathBuf};
 /// Files R1 float-escape applies to (workspace-relative, `/`-separated).
 /// The SIMD kernel modules under `gemm/kernels/` are included: they are
 /// the innermost integer datapath and must never touch a float.
-const FLOAT_ESCAPE_FILES: [&str; 6] = [
+pub const FLOAT_ESCAPE_FILES: [&str; 8] = [
     "crates/fqbert/src/int_model/encoder.rs",
     "crates/tensor/src/gemm/mod.rs",
     "crates/tensor/src/gemm/attention.rs",
     "crates/tensor/src/pack4.rs",
     "crates/quant/src/requant.rs",
     "crates/quant/src/softmax_lut.rs",
+    "crates/quant/src/layernorm_q.rs",
+    "crates/quant/src/fixedpoint.rs",
 ];
 
 /// Module trees where `unsafe` is legitimate — the SIMD micro-kernels,

@@ -18,3 +18,8 @@ pub fn missing_justification() {}
 
 // fqlint::allow(not-a-rule): the rule name is unknown
 pub fn unknown_rule() {}
+
+pub fn inferred(raw: i32) -> i32 {
+    let x = Fixed::from_f32(scale_of(raw), 16);
+    x.raw()
+}

@@ -65,6 +65,7 @@ fn float_escape_fixture() {
             (12, FloatEscape),    // return type NOT covered by the line-13 trailing allow
             (16, BadSuppression), // missing justification
             (19, BadSuppression), // unknown rule name
+            (23, FloatEscape),    // `from_f32(` — a float behind an inferred type
         ],
         &[
             (8, FloatEscape),  // item-level boundary: param `f32`
@@ -188,6 +189,28 @@ fn policy_matches_layout() {
         let rs = fqlint::rules_for_path(&format!("crates/fqbert/src/int_model/{float_side}"));
         assert!(!rs.float_escape && rs.unsafe_outside_kernels);
     }
+    // `fqbert-quant` draws the same line: what a forward pass applies is
+    // covered, what folds a real number into it is not.
+    for applied in [
+        "requant.rs",
+        "softmax_lut.rs",
+        "layernorm_q.rs",
+        "fixedpoint.rs",
+    ] {
+        let rs = fqlint::rules_for_path(&format!("crates/quant/src/{applied}"));
+        assert!(rs.float_escape && rs.narrowing_cast, "{applied}");
+    }
+    for float_side in [
+        "fold.rs",
+        "scheme.rs",
+        "observer.rs",
+        "clip.rs",
+        "bias.rs",
+        "lib.rs",
+    ] {
+        let rs = fqlint::rules_for_path(&format!("crates/quant/src/{float_side}"));
+        assert!(!rs.float_escape && rs.narrowing_cast, "{float_side}");
+    }
 
     for gemm in ["mod.rs", "attention.rs"] {
         let rs = fqlint::rules_for_path(&format!("crates/tensor/src/gemm/{gemm}"));
@@ -224,6 +247,36 @@ fn policy_matches_layout() {
     assert!(!fqlint::rules_for_path("crates/serve/tests/integration.rs").any());
     assert!(!fqlint::rules_for_path("crates/serve/src/bin/serve.rs").any());
     assert!(!fqlint::rules_for_path("crates/tensor/benches/gemm.rs").any());
+}
+
+#[test]
+fn the_integer_datapath_files_are_float_free_with_no_exception() {
+    // The structure, not a claim in a PR description: every file R1 covers
+    // is clean *without* a suppression — there is no precedent in any of
+    // them for waving a float through — and the rule is live on each, so a
+    // float pasted into one is a finding.
+    let root = fqlint::find_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
+        .expect("workspace root");
+    let float_escapes = |rel: &str, src: &str| {
+        let analysis =
+            analyze_source(rel, src, fqlint::rules_for_path(rel)).unwrap_or_else(|e| panic!("{e}"));
+        let is_r1 = |f: &&fqlint::Finding| f.rule == RuleId::FloatEscape;
+        (
+            analysis.findings.iter().filter(is_r1).count(),
+            analysis
+                .suppressed
+                .iter()
+                .map(|s| &s.finding)
+                .filter(is_r1)
+                .count(),
+        )
+    };
+    for rel in fqlint::workspace::FLOAT_ESCAPE_FILES {
+        let src = std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"));
+        assert_eq!(float_escapes(rel, &src), (0, 0), "{rel}");
+        let mutated = format!("{src}\nfn _m() {{ let _ = 1.0f32; }}\n");
+        assert_eq!(float_escapes(rel, &mutated), (1, 0), "{rel} (mutated)");
+    }
 }
 
 #[test]

@@ -4,37 +4,35 @@
 //! parameters to 8-bit fixed point. [`Fixed`] models a signed fixed-point
 //! value with a configurable number of fractional bits and saturating
 //! arithmetic, which is how the HLS implementation behaves.
-
-use std::fmt;
+//!
+//! Integer side of the crate (see the crate docs): this file holds the
+//! integer operations and [`fixed_inv_sqrt`]; the conversions from and to
+//! a real number are in [`crate::fold`].
 
 /// A signed fixed-point number: `value = raw / 2^frac_bits`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fixed {
-    raw: i32,
-    frac_bits: u32,
+    pub(crate) raw: i32,
+    pub(crate) frac_bits: u32,
+}
+
+/// `wide / 2^shift`, rounded half away from zero and saturated to `i32`.
+/// In `i64` neither the rounding add nor the negation can overflow for an
+/// `i32`-ranged or `i32 × i32` operand.
+fn round_shift(wide: i64, shift: u32) -> i32 {
+    let half = if shift > 0 { 1i64 << (shift - 1) } else { 0 };
+    let rounded = if wide >= 0 {
+        (wide + half) >> shift
+    } else {
+        -((-wide + half) >> shift)
+    };
+    rounded.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32
 }
 
 impl Fixed {
     /// Creates a fixed-point value from its raw integer representation.
     pub fn from_raw(raw: i32, frac_bits: u32) -> Self {
         Self { raw, frac_bits }
-    }
-
-    /// Converts a real number, rounding to the nearest representable value
-    /// and saturating at the `i32` raw range.
-    pub fn from_f32(value: f32, frac_bits: u32) -> Self {
-        // fqlint::allow(narrowing-cast): `frac_bits` is a bit-shift
-        // amount, always < 32.
-        let scaled = (value as f64 * f64::powi(2.0, frac_bits as i32)).round();
-        let raw = scaled.clamp(i32::MIN as f64, i32::MAX as f64) as i32;
-        Self { raw, frac_bits }
-    }
-
-    /// Converts back to `f32`.
-    pub fn to_f32(self) -> f32 {
-        // fqlint::allow(narrowing-cast): `frac_bits` is a bit-shift
-        // amount, always < 32.
-        self.raw as f32 / f32::powi(2.0, self.frac_bits as i32)
     }
 
     /// Raw integer representation.
@@ -83,44 +81,22 @@ impl Fixed {
     /// rounding the dropped fraction bits.
     #[allow(clippy::should_implement_trait)]
     pub fn mul(self, other: Fixed) -> Fixed {
-        let wide = self.raw as i64 * other.raw as i64;
-        let shift = other.frac_bits;
-        let half = if shift > 0 { 1i64 << (shift - 1) } else { 0 };
-        let rounded = if wide >= 0 {
-            (wide + half) >> shift
-        } else {
-            -((-wide + half) >> shift)
-        };
         Fixed {
-            raw: rounded.clamp(i32::MIN as i64, i32::MAX as i64) as i32,
+            raw: round_shift(i64::from(self.raw) * i64::from(other.raw), other.frac_bits),
             frac_bits: self.frac_bits,
         }
     }
 
-    /// Re-encodes the value with a different number of fractional bits.
+    /// Re-encodes the value with a different number of fractional bits,
+    /// saturating when widening and rounding half away from zero when
+    /// narrowing.
     pub fn rescale(self, frac_bits: u32) -> Fixed {
-        if frac_bits >= self.frac_bits {
-            let shift = frac_bits - self.frac_bits;
-            Fixed {
-                raw: self.raw.saturating_mul(1 << shift),
-                frac_bits,
-            }
+        let raw = if frac_bits >= self.frac_bits {
+            self.raw.saturating_mul(1 << (frac_bits - self.frac_bits))
         } else {
-            let shift = self.frac_bits - frac_bits;
-            let half = 1i32 << (shift - 1);
-            let raw = if self.raw >= 0 {
-                (self.raw.saturating_add(half)) >> shift
-            } else {
-                -((-self.raw).saturating_add(half) >> shift)
-            };
-            Fixed { raw, frac_bits }
-        }
-    }
-}
-
-impl fmt::Display for Fixed {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} (Q.{})", self.to_f32(), self.frac_bits)
+            round_shift(i64::from(self.raw), self.frac_bits - frac_bits)
+        };
+        Fixed { raw, frac_bits }
     }
 }
 
@@ -148,7 +124,8 @@ pub fn fixed_inv_sqrt(x: Fixed, iterations: u32) -> Fixed {
     let frac = x.frac_bits();
     // fqlint::allow(narrowing-cast): `frac` is a bit-shift amount < 32.
     let mut y = Fixed::from_raw(1i32 << (frac as i32 + guess_log2).clamp(0, 30), frac);
-    let three_halves = Fixed::from_f32(1.5, frac);
+    // 1.5 is 3 on the one-fraction-bit grid: 98 304 at the layer norm's Q16.
+    let three_halves = Fixed::from_raw(3, 1).rescale(frac);
     let half_x = Fixed::from_raw(x.raw() / 2, frac);
     for _ in 0..iterations {
         // y = y * (1.5 - 0.5 * x * y * y)
@@ -209,6 +186,30 @@ mod tests {
         assert!((b.to_f32() - 3.75).abs() < 1e-3);
         let c = b.rescale(4);
         assert!((c.to_f32() - 3.75).abs() < 0.07);
+    }
+
+    #[test]
+    fn rescale_rounds_away_from_zero_over_the_whole_raw_range() {
+        // `i32::MIN` is what `mul` saturates a downward overflow to; its
+        // negation does not fit `i32`, and used to come back positive.
+        assert_eq!(Fixed::from_raw(i32::MIN, 16).rescale(0).raw(), -32_768);
+        assert_eq!(Fixed::from_raw(i32::MAX, 16).rescale(0).raw(), 32_768);
+        assert_eq!(Fixed::from_raw(i32::MIN, 31).rescale(30).raw(), -(1 << 30));
+        for &(raw, want) in &[(98_304, 2), (-98_304, -2), (32_767, 0), (-32_768, -1)] {
+            assert_eq!(Fixed::from_raw(raw, 16).rescale(0).raw(), want, "{raw}");
+        }
+    }
+
+    #[test]
+    fn three_halves_is_the_same_integer_on_every_grid() {
+        assert_eq!(Fixed::from_raw(3, 1).rescale(16).raw(), 98_304);
+        for frac in 0..32 {
+            assert_eq!(
+                Fixed::from_raw(3, 1).rescale(frac),
+                Fixed::from_f32(1.5, frac),
+                "Q{frac}"
+            );
+        }
     }
 
     #[test]

@@ -1,0 +1,296 @@
+//! The float side of the executed path: every place a real number — a
+//! calibrated scale, an exponential, a float parameter — is folded, once,
+//! into the integers the datapath is applied with.
+//!
+//! | here (float by nature) | applied in (integers only) |
+//! |---|---|
+//! | [`Requantizer::from_scale`] | [`crate::requant`]: `apply`, `apply_slice` |
+//! | [`SoftmaxLut::new`] | [`crate::softmax_lut`]: `apply_row`, `apply_row_into`, `apply_matrix` |
+//! | [`QuantizedLayerNorm`] and its [`QuantizedLayerNorm::fold`] | [`crate::layernorm_q`]: [`AddLayerNorm::apply`] |
+//! | [`Fixed::from_f32`], [`Fixed::to_f32`], `Display` | [`crate::fixedpoint`]: the arithmetic, `fixed_inv_sqrt` |
+//!
+//! fqlint's `float-escape` rule covers the four files on the right and not
+//! this one, so a float on the apply side is a finding with no suppression
+//! to hide behind, and none is needed here.
+
+use crate::fixedpoint::Fixed;
+use crate::layernorm_q::{AddLayerNorm, INTERNAL_FRAC_BITS};
+use crate::requant::{Requantizer, MAX_SHIFT, MULTIPLIER_FRAC_BITS};
+use crate::softmax_lut::{SoftmaxLut, LUT_ENTRIES};
+use crate::{QuantError, Result};
+use std::fmt;
+
+impl Fixed {
+    /// Converts a real number, rounding to the nearest representable value
+    /// and saturating at the `i32` raw range.
+    pub fn from_f32(value: f32, frac_bits: u32) -> Self {
+        // fqlint::allow(narrowing-cast): `frac_bits` is a bit-shift
+        // amount, always < 32.
+        let scaled = (value as f64 * f64::powi(2.0, frac_bits as i32)).round();
+        let raw = scaled.clamp(i32::MIN as f64, i32::MAX as f64) as i32;
+        Self { raw, frac_bits }
+    }
+
+    /// Converts back to `f32`.
+    pub fn to_f32(self) -> f32 {
+        // fqlint::allow(narrowing-cast): `frac_bits` is a bit-shift
+        // amount, always < 32.
+        self.raw as f32 / f32::powi(2.0, self.frac_bits as i32)
+    }
+}
+
+impl fmt::Display for Fixed {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} (Q.{})", self.to_f32(), self.frac_bits)
+    }
+}
+
+impl Requantizer {
+    /// Builds a requantizer for the effective scale
+    /// `s_f = s_y / (s_a · s_w)` and an output bit-width.
+    ///
+    /// Every positive finite scale is representable: for scales so small
+    /// that the normalised shift would exceed `MAX_SHIFT = 62` (below
+    /// roughly `2^-32`) the excess is folded into the multiplier with rounded
+    /// halving — down to a zero multiplier for scales under `~2^-63`, where
+    /// rounding every representable accumulator to zero *is* the correct
+    /// result. For huge scales whose normalised shift would go negative
+    /// (scale ≥ `2^30`), the shift is clamped to zero; the multiplier alone
+    /// then already exceeds every supported output bound, so all non-zero
+    /// accumulators saturate exactly as they would with the true scale.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::InvalidScale`] if `effective_scale` is not a
+    /// positive finite number, or [`QuantError::UnsupportedBitWidth`] for an
+    /// output width outside `2..=16`.
+    pub fn from_scale(effective_scale: f64, out_bits: u32) -> Result<Self> {
+        if !(effective_scale.is_finite() && effective_scale > 0.0) {
+            return Err(QuantError::InvalidScale(effective_scale as f32));
+        }
+        if !(2..=16).contains(&out_bits) {
+            return Err(QuantError::UnsupportedBitWidth(out_bits));
+        }
+        // Normalise the scale into [0.5, 1.0) × 2^exp.
+        let mut scale = effective_scale;
+        let mut exp = 0i32;
+        while scale >= 1.0 {
+            scale /= 2.0;
+            exp += 1;
+        }
+        while scale < 0.5 {
+            scale *= 2.0;
+            exp -= 1;
+        }
+        let mut multiplier = (scale * f64::from(1u32 << MULTIPLIER_FRAC_BITS)).round() as i64;
+        // fqlint::allow(narrowing-cast): `MULTIPLIER_FRAC_BITS` is a
+        // bit-shift amount < 32.
+        let mut shift = MULTIPLIER_FRAC_BITS as i32 - exp;
+        if shift > MAX_SHIFT {
+            // Tiny scale: fold the unrepresentable part of the shift into
+            // the multiplier (rounded halving; underflows to 0 for scales
+            // below ~2^-63, which maps every accumulator to the correctly
+            // rounded output 0).
+            let excess = shift - MAX_SHIFT;
+            multiplier = if excess >= 63 {
+                0
+            } else {
+                (multiplier + (1i64 << (excess - 1))) >> excess
+            };
+            shift = MAX_SHIFT;
+        } else if shift < 0 {
+            // Huge scale: with the Q1.30 multiplier ≥ 2^29 > out_max, every
+            // non-zero accumulator saturates whether the product is shifted
+            // left or not, so clamping the shift to 0 changes no output.
+            shift = 0;
+        }
+        Ok(Self {
+            multiplier,
+            shift,
+            out_max: (1i32 << (out_bits - 1)) - 1,
+        })
+    }
+}
+
+impl SoftmaxLut {
+    /// Builds the lookup table for input scores quantized with
+    /// `input_scale` levels per unit, producing probabilities quantized to
+    /// `out_levels` levels (so an output code `c` represents `c / out_levels`).
+    /// The exponential is evaluated once per entry here; inference only
+    /// indexes the table.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::InvalidScale`] for a non-positive input scale or
+    /// [`QuantError::InvalidArgument`] for `out_levels` outside `1..=255`.
+    pub fn new(input_scale: f32, out_levels: u32) -> Result<Self> {
+        if !(input_scale.is_finite() && input_scale > 0.0) {
+            return Err(QuantError::InvalidScale(input_scale));
+        }
+        if !(1..=255).contains(&out_levels) {
+            return Err(QuantError::InvalidArgument(format!(
+                "out_levels must be in 1..=255, got {out_levels}"
+            )));
+        }
+        let table = (0..LUT_ENTRIES)
+            .map(|d| {
+                let x = -(d as f32) / input_scale;
+                (x.exp() * 255.0).round().clamp(0.0, 255.0) as u8
+            })
+            .collect();
+        Ok(Self { table, out_levels })
+    }
+}
+
+/// Fractional bits used to store the 8-bit gamma/beta parameters.
+pub(crate) const PARAM_FRAC_BITS: u32 = 6;
+
+/// The parameters of a layer-norm layer as the paper stores them: `gamma`
+/// and `beta` as 8-bit fixed-point codes, and the epsilon. Folded with the
+/// scales of one `Add & LN` block ([`QuantizedLayerNorm::fold`]) it becomes
+/// the integer-only [`AddLayerNorm`] the datapath applies.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QuantizedLayerNorm {
+    gamma: Vec<i8>,
+    beta: Vec<i8>,
+    eps: f32,
+}
+
+/// Parameter codes re-encoded on the internal fixed-point grid.
+fn to_internal(codes: &[i8]) -> Vec<Fixed> {
+    codes
+        .iter()
+        .map(|&c| Fixed::from_raw(i32::from(c), PARAM_FRAC_BITS).rescale(INTERNAL_FRAC_BITS))
+        .collect()
+}
+
+impl QuantizedLayerNorm {
+    /// Quantizes float `gamma`/`beta` parameters into the 8-bit fixed-point
+    /// representation used on the accelerator.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::InvalidArgument`] if the parameter vectors have
+    /// different lengths or are empty.
+    pub fn from_float(gamma: &[f32], beta: &[f32], eps: f32) -> Result<Self> {
+        // fqlint::allow(narrowing-cast): `PARAM_FRAC_BITS` is a bit-shift
+        // amount < 32.
+        let quantize = |v: f32| -> i8 {
+            (v * f32::powi(2.0, PARAM_FRAC_BITS as i32))
+                .round()
+                .clamp(i8::MIN as f32, i8::MAX as f32) as i8
+        };
+        Self::from_codes(
+            gamma.iter().copied().map(quantize).collect(),
+            beta.iter().copied().map(quantize).collect(),
+            eps,
+        )
+    }
+
+    /// Reassembles a layer norm from stored parameter codes (the inverse of
+    /// [`QuantizedLayerNorm::gamma_codes`]/[`QuantizedLayerNorm::beta_codes`]
+    /// plus [`QuantizedLayerNorm::eps`]), used when loading model artifacts.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::InvalidArgument`] if the code vectors have
+    /// different lengths or are empty.
+    pub fn from_codes(gamma: Vec<i8>, beta: Vec<i8>, eps: f32) -> Result<Self> {
+        if gamma.len() != beta.len() || gamma.is_empty() {
+            return Err(QuantError::InvalidArgument(format!(
+                "gamma ({}) and beta ({}) must be equal-length and non-empty",
+                gamma.len(),
+                beta.len()
+            )));
+        }
+        Ok(Self { gamma, beta, eps })
+    }
+
+    /// The epsilon added to the variance.
+    pub fn eps(&self) -> f32 {
+        self.eps
+    }
+
+    /// Hidden size normalised over.
+    pub fn hidden(&self) -> usize {
+        self.gamma.len()
+    }
+
+    /// The quantized gamma codes (Q2.5 fixed point).
+    pub fn gamma_codes(&self) -> &[i8] {
+        &self.gamma
+    }
+
+    /// The quantized beta codes (Q2.5 fixed point).
+    pub fn beta_codes(&self) -> &[i8] {
+        &self.beta
+    }
+
+    /// Folds these parameters with the scales of one `Add & LN` block into
+    /// its integer-only form: operand `a` arrives as int8 codes with
+    /// `scale_a` levels per unit (value = code / scale), operand `b` with
+    /// `scale_b`, and the output is requantized to int8 codes with
+    /// `out_scale` levels per unit. This is the only place the three scales
+    /// are looked at, so it is where an invalid one is refused.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::InvalidScale`] for a scale that is not a
+    /// positive finite number.
+    pub fn fold(&self, scale_a: f32, scale_b: f32, out_scale: f32) -> Result<AddLayerNorm> {
+        for &s in &[scale_a, scale_b, out_scale] {
+            if !(s.is_finite() && s > 0.0) {
+                return Err(QuantError::InvalidScale(s));
+            }
+        }
+        // An operand code takes 256 values, so its dequantized value on the
+        // internal grid is tabulated instead of multiplied out per element.
+        let dequantized = |scale: f32| -> Box<[Fixed; 256]> {
+            let inv = Fixed::from_f32(1.0 / scale, INTERNAL_FRAC_BITS);
+            let mut code = i32::from(i8::MIN);
+            Box::new([(); 256].map(|()| {
+                let value = Fixed::from_raw(code, 0)
+                    .rescale(INTERNAL_FRAC_BITS)
+                    .mul(inv);
+                code += 1;
+                value
+            }))
+        };
+        Ok(AddLayerNorm {
+            values_a: dequantized(scale_a),
+            values_b: dequantized(scale_b),
+            gamma: to_internal(&self.gamma),
+            beta: to_internal(&self.beta),
+            eps: Fixed::from_f32(
+                self.eps.max(1.0 / (1 << INTERNAL_FRAC_BITS) as f32),
+                INTERNAL_FRAC_BITS,
+            ),
+            out_scale: Fixed::from_f32(out_scale, INTERNAL_FRAC_BITS),
+        })
+    }
+
+    /// The one-row oracle of the `Add & LN` block: folds the three scales
+    /// and applies the result to rows `a` and `b`, returning the output
+    /// codes. The encoder layer folds once at assembly and applies whole
+    /// matrices; this is the same arithmetic, one row and one fold per call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::InvalidArgument`] if the row lengths do not match
+    /// the parameter length, or [`QuantError::InvalidScale`] for non-positive
+    /// scales.
+    pub fn apply_residual(
+        &self,
+        a: &[i8],
+        scale_a: f32,
+        b: &[i8],
+        scale_b: f32,
+        out_scale: f32,
+    ) -> Result<Vec<i8>> {
+        // One output row: `apply` refuses operands of any other length.
+        let mut out = vec![0i8; self.hidden()];
+        self.fold(scale_a, scale_b, out_scale)?
+            .apply(&mut out, a, b)?;
+        Ok(out)
+    }
+}

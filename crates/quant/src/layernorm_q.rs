@@ -9,186 +9,57 @@
 //! 3. apply the element-wise `gamma * (x - mean) / sqrt(var + eps) + beta`
 //!    multiplication and requantize to 8-bit.
 //!
-//! [`QuantizedLayerNorm`] reproduces those three stages with fixed-point
+//! [`AddLayerNorm`] reproduces those three stages with fixed-point
 //! arithmetic only ([`Fixed`] values and the Newton–Raphson
-//! [`fixed_inv_sqrt`]); `gamma` and `beta` are stored as the 8-bit
-//! fixed-point parameters the paper describes.
+//! [`fixed_inv_sqrt`]), over constants that already sit on the fixed-point
+//! grid — the accelerator's parameter buffer.
+//!
+//! Integer side of the crate (see the crate docs): this file holds the
+//! folded block and its apply loop; the stored 8-bit parameters
+//! ([`crate::QuantizedLayerNorm`]) and the one place the three scales exist
+//! as real numbers, [`crate::QuantizedLayerNorm::fold`], are in
+//! [`crate::fold`].
 
 use crate::fixedpoint::{fixed_inv_sqrt, Fixed};
 use crate::{QuantError, Result};
 
 /// Fractional bits used for the internal fixed-point pipeline.
-const INTERNAL_FRAC_BITS: u32 = 16;
-/// Fractional bits used to store the 8-bit gamma/beta parameters.
-const PARAM_FRAC_BITS: u32 = 6;
+pub(crate) const INTERNAL_FRAC_BITS: u32 = 16;
 
-/// A layer-norm layer whose parameters and arithmetic are fully quantized.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantizedLayerNorm {
-    gamma: Vec<i8>,
-    beta: Vec<i8>,
-    /// `gamma` / `beta` on the internal Q16 grid, as stage 3 consumes them.
-    gamma_q16: Vec<Fixed>,
-    beta_q16: Vec<Fixed>,
-    eps: f32,
+/// One `Add & LN` block with its three scales folded in: what
+/// [`crate::QuantizedLayerNorm::fold`] makes, once, of the layer-norm
+/// parameters, the scales of the two operands and the output scale. It is
+/// applied any number of times and holds no state.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AddLayerNorm {
+    /// The dequantized value on the internal grid of each of the 256 codes
+    /// operand `a` can take, indexed by `code + 128`: an operand is a table
+    /// lookup, not a multiplication.
+    pub(crate) values_a: Box<[Fixed; 256]>,
+    /// The same table for operand `b`.
+    pub(crate) values_b: Box<[Fixed; 256]>,
+    /// `gamma` on the internal grid, as stage 3 consumes it.
+    pub(crate) gamma: Vec<Fixed>,
+    /// `beta` on the internal grid.
+    pub(crate) beta: Vec<Fixed>,
+    /// The epsilon added to the variance, at least one step of the grid.
+    pub(crate) eps: Fixed,
+    /// Output levels per unit.
+    pub(crate) out_scale: Fixed,
 }
 
-/// Parameter codes re-encoded on the internal fixed-point grid.
-fn to_internal(codes: &[i8]) -> Vec<Fixed> {
-    codes
-        .iter()
-        .map(|&c| Fixed::from_raw(i32::from(c), PARAM_FRAC_BITS).rescale(INTERNAL_FRAC_BITS))
-        .collect()
-}
-
-impl QuantizedLayerNorm {
-    /// Quantizes float `gamma`/`beta` parameters into the 8-bit fixed-point
-    /// representation used on the accelerator.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::InvalidArgument`] if the parameter vectors have
-    /// different lengths or are empty.
-    pub fn from_float(gamma: &[f32], beta: &[f32], eps: f32) -> Result<Self> {
-        if gamma.len() != beta.len() || gamma.is_empty() {
-            return Err(QuantError::InvalidArgument(format!(
-                "gamma ({}) and beta ({}) must be equal-length and non-empty",
-                gamma.len(),
-                beta.len()
-            )));
-        }
-        // fqlint::allow(narrowing-cast): `PARAM_FRAC_BITS` is a bit-shift
-        // amount < 32.
-        let quantize = |v: f32| -> i8 {
-            (v * f32::powi(2.0, PARAM_FRAC_BITS as i32))
-                .round()
-                .clamp(i8::MIN as f32, i8::MAX as f32) as i8
-        };
-        Self::from_codes(
-            gamma.iter().copied().map(quantize).collect(),
-            beta.iter().copied().map(quantize).collect(),
-            eps,
-        )
-    }
-
-    /// Reassembles a layer norm from stored parameter codes (the inverse of
-    /// [`QuantizedLayerNorm::gamma_codes`]/[`QuantizedLayerNorm::beta_codes`]
-    /// plus [`QuantizedLayerNorm::eps`]), used when loading model artifacts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::InvalidArgument`] if the code vectors have
-    /// different lengths or are empty.
-    pub fn from_codes(gamma: Vec<i8>, beta: Vec<i8>, eps: f32) -> Result<Self> {
-        if gamma.len() != beta.len() || gamma.is_empty() {
-            return Err(QuantError::InvalidArgument(format!(
-                "gamma ({}) and beta ({}) codes must be equal-length and non-empty",
-                gamma.len(),
-                beta.len()
-            )));
-        }
-        Ok(Self {
-            gamma_q16: to_internal(&gamma),
-            beta_q16: to_internal(&beta),
-            gamma,
-            beta,
-            eps,
-        })
-    }
-
-    /// The epsilon added to the variance.
-    pub fn eps(&self) -> f32 {
-        self.eps
-    }
-
-    /// Hidden size normalised over.
-    pub fn hidden(&self) -> usize {
-        self.gamma.len()
-    }
-
-    /// The quantized gamma codes (Q2.5 fixed point).
-    pub fn gamma_codes(&self) -> &[i8] {
-        &self.gamma
-    }
-
-    /// The quantized beta codes (Q2.5 fixed point).
-    pub fn beta_codes(&self) -> &[i8] {
-        &self.beta
-    }
-
-    /// Dequantized gamma values (for comparison against the float reference).
-    pub fn gamma_f32(&self) -> Vec<f32> {
-        // fqlint::allow(narrowing-cast): `PARAM_FRAC_BITS` is a bit-shift
-        // amount < 32.
-        self.gamma
-            .iter()
-            .map(|&g| g as f32 / f32::powi(2.0, PARAM_FRAC_BITS as i32))
-            .collect()
-    }
-
-    /// Dequantized beta values.
-    pub fn beta_f32(&self) -> Vec<f32> {
-        // fqlint::allow(narrowing-cast): `PARAM_FRAC_BITS` is a bit-shift
-        // amount < 32.
-        self.beta
-            .iter()
-            .map(|&b| b as f32 / f32::powi(2.0, PARAM_FRAC_BITS as i32))
-            .collect()
-    }
-
-    /// Runs the 3-stage `Add & LN` pipeline on two quantized input rows.
-    ///
-    /// `a` and `b` are int8 codes with scales `scale_a` / `scale_b`
-    /// (values = code / scale). The output is requantized to int8 codes with
-    /// `out_scale` levels per unit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::InvalidArgument`] if the row lengths do not match
-    /// the parameter length, or [`QuantError::InvalidScale`] for non-positive
-    /// scales.
-    pub fn apply_residual(
-        &self,
-        a: &[i8],
-        scale_a: f32,
-        b: &[i8],
-        scale_b: f32,
-        out_scale: f32,
-    ) -> Result<Vec<i8>> {
-        if a.len() != self.hidden() || b.len() != self.hidden() {
-            return Err(QuantError::InvalidArgument(format!(
-                "input rows of {} / {} elements do not match hidden size {}",
-                a.len(),
-                b.len(),
-                self.hidden()
-            )));
-        }
-        let mut out = vec![0i8; self.hidden()];
-        self.apply_residual_into(&mut out, a, scale_a, b, scale_b, out_scale)?;
-        Ok(out)
-    }
-
-    /// [`QuantizedLayerNorm::apply_residual`] over whole matrices, into a
-    /// caller-owned buffer: `a`, `b` and `out` hold the same number of
-    /// `hidden`-wide rows, and row `i` of `out` is the `Add & LN` of rows
-    /// `i` of `a` and `b`. The scale constants are folded once per call and
-    /// nothing is allocated.
+impl AddLayerNorm {
+    /// Runs the 3-stage pipeline over whole matrices, into a caller-owned
+    /// buffer: `a`, `b` and `out` hold the same number of `hidden`-wide
+    /// rows of int8 codes, and row `i` of `out` is the `Add & LN` of rows
+    /// `i` of `a` and `b`. Nothing is allocated.
     ///
     /// # Errors
     ///
     /// Returns [`QuantError::InvalidArgument`] if the three buffers differ
-    /// in length or are not whole rows, or [`QuantError::InvalidScale`] for
-    /// non-positive scales.
-    pub fn apply_residual_into(
-        &self,
-        out: &mut [i8],
-        a: &[i8],
-        scale_a: f32,
-        b: &[i8],
-        scale_b: f32,
-        out_scale: f32,
-    ) -> Result<()> {
-        let hidden = self.hidden();
+    /// in length or are not whole rows.
+    pub fn apply(&self, out: &mut [i8], a: &[i8], b: &[i8]) -> Result<()> {
+        let hidden = self.gamma.len();
         if a.len() != out.len() || b.len() != out.len() || !out.len().is_multiple_of(hidden) {
             return Err(QuantError::InvalidArgument(format!(
                 "inputs of {} / {} elements and an output of {} are not equal \
@@ -198,34 +69,9 @@ impl QuantizedLayerNorm {
                 out.len()
             )));
         }
-        for &s in &[scale_a, scale_b, out_scale] {
-            if !(s.is_finite() && s > 0.0) {
-                return Err(QuantError::InvalidScale(s));
-            }
-        }
         let n = hidden as i64;
-        let eps = Fixed::from_f32(
-            self.eps.max(1.0 / (1 << INTERNAL_FRAC_BITS) as f32),
-            INTERNAL_FRAC_BITS,
-        );
-        let out_scale = Fixed::from_f32(out_scale, INTERNAL_FRAC_BITS);
-        // An operand code takes 256 values, so its dequantized value on the
-        // internal grid is tabulated once per call instead of multiplied
-        // out per element.
-        let dequantized = |scale: f32| -> [Fixed; 256] {
-            let inv = Fixed::from_f32(1.0 / scale, INTERNAL_FRAC_BITS);
-            let mut code = i32::from(i8::MIN);
-            [(); 256].map(|()| {
-                let value = Fixed::from_raw(code, 0)
-                    .rescale(INTERNAL_FRAC_BITS)
-                    .mul(inv);
-                code += 1;
-                value
-            })
-        };
-        let (values_a, values_b) = (dequantized(scale_a), dequantized(scale_b));
         let at = |code: i8| usize::from((i16::from(code) - i16::from(i8::MIN)).unsigned_abs());
-        let summed = |xa: i8, xb: i8| values_a[at(xa)].saturating_add(values_b[at(xb)]);
+        let summed = |xa: i8, xb: i8| self.values_a[at(xa)].saturating_add(self.values_b[at(xb)]);
 
         let rows = a.chunks_exact(hidden).zip(b.chunks_exact(hidden));
         for (out, (a, b)) in out.chunks_exact_mut(hidden).zip(rows) {
@@ -254,10 +100,10 @@ impl QuantizedLayerNorm {
                 var_raw.clamp(0, i64::from(i32::MAX)) as i32,
                 INTERNAL_FRAC_BITS,
             );
-            let inv_std = fixed_inv_sqrt(var.saturating_add(eps), 20);
+            let inv_std = fixed_inv_sqrt(var.saturating_add(self.eps), 20);
 
             // Stage 3: element-wise gamma/beta and output requantization.
-            let params = self.gamma_q16.iter().zip(&self.beta_q16);
+            let params = self.gamma.iter().zip(&self.beta);
             for ((code, (&xa, &xb)), (&gamma, &beta)) in
                 out.iter_mut().zip(a.iter().zip(b)).zip(params)
             {
@@ -265,7 +111,7 @@ impl QuantizedLayerNorm {
                 let normalised = centered.mul(inv_std).mul(gamma).saturating_add(beta);
                 // Round the fixed-point value to the nearest integer code.
                 *code = normalised
-                    .mul(out_scale)
+                    .mul(self.out_scale)
                     .rescale(0)
                     .raw()
                     .clamp(i8::MIN as i32, i8::MAX as i32) as i8;
@@ -273,21 +119,13 @@ impl QuantizedLayerNorm {
         }
         Ok(())
     }
-
-    /// Runs layer normalization on a single quantized row (no residual).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the same errors as [`Self::apply_residual`].
-    pub fn apply(&self, x: &[i8], scale_x: f32, out_scale: f32) -> Result<Vec<i8>> {
-        let zeros = vec![0i8; x.len()];
-        self.apply_residual(x, scale_x, &zeros, 1.0, out_scale)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fold::PARAM_FRAC_BITS;
+    use crate::QuantizedLayerNorm;
     use fqbert_tensor::Tensor;
 
     fn float_layer_norm(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32) -> Vec<f32> {
@@ -301,15 +139,21 @@ mod tests {
             .collect()
     }
 
+    /// The values the stored parameter codes stand for.
+    fn dequantized(codes: &[i8]) -> Vec<f32> {
+        let step = f32::powi(2.0, PARAM_FRAC_BITS as i32);
+        codes.iter().map(|&c| f32::from(c) / step).collect()
+    }
+
     #[test]
     fn parameters_roundtrip_within_fixed_point_step() {
         let gamma = vec![1.0f32, 0.5, -1.25, 2.0];
         let beta = vec![0.1f32, -0.3, 0.0, 1.5];
         let ln = QuantizedLayerNorm::from_float(&gamma, &beta, 1e-5).unwrap();
-        for (a, b) in gamma.iter().zip(ln.gamma_f32().iter()) {
+        for (a, b) in gamma.iter().zip(dequantized(ln.gamma_codes()).iter()) {
             assert!((a - b).abs() <= 1.0 / 32.0 + 1e-6);
         }
-        for (a, b) in beta.iter().zip(ln.beta_f32().iter()) {
+        for (a, b) in beta.iter().zip(dequantized(ln.beta_codes()).iter()) {
             assert!((a - b).abs() <= 1.0 / 32.0 + 1e-6);
         }
     }
@@ -349,7 +193,12 @@ mod tests {
             .zip(b_f.as_slice())
             .map(|(&x, &y)| x + y)
             .collect();
-        let reference = float_layer_norm(&sum, &ln.gamma_f32(), &ln.beta_f32(), 1e-5);
+        let reference = float_layer_norm(
+            &sum,
+            &dequantized(ln.gamma_codes()),
+            &dequantized(ln.beta_codes()),
+            1e-5,
+        );
         let mut max_err = 0.0f32;
         for (o, r) in out.iter().zip(reference.iter()) {
             let approx = *o as f32 / out_scale;
@@ -375,7 +224,9 @@ mod tests {
             .iter()
             .map(|&v| (v * scale_x).round() as i8)
             .collect();
-        let out = ln.apply(&x_q, scale_x, 32.0).unwrap();
+        let out = ln
+            .apply_residual(&x_q, scale_x, &vec![0; hidden], 1.0, 32.0)
+            .unwrap();
         let vals =
             Tensor::from_vec(out.iter().map(|&c| c as f32 / 32.0).collect(), &[hidden]).unwrap();
         assert!(vals.mean().unwrap().abs() < 0.1);
@@ -385,7 +236,7 @@ mod tests {
 
     /// The pipeline as first written: one row, every stage multiplied out
     /// through [`Fixed`] into per-stage vectors. Kept as the oracle for the
-    /// tabulated, allocation-free form.
+    /// folded, tabulated, allocation-free form.
     fn reference_residual(
         ln: &QuantizedLayerNorm,
         a: &[i8],
@@ -420,7 +271,7 @@ mod tests {
             INTERNAL_FRAC_BITS,
         );
         let eps = Fixed::from_f32(
-            ln.eps.max(1.0 / (1 << INTERNAL_FRAC_BITS) as f32),
+            ln.eps().max(1.0 / (1 << INTERNAL_FRAC_BITS) as f32),
             INTERNAL_FRAC_BITS,
         );
         let inv_std = fixed_inv_sqrt(var.saturating_add(eps), 20);
@@ -429,9 +280,9 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, c)| {
-                let gamma = Fixed::from_raw(i32::from(ln.gamma[i]), PARAM_FRAC_BITS)
+                let gamma = Fixed::from_raw(i32::from(ln.gamma_codes()[i]), PARAM_FRAC_BITS)
                     .rescale(INTERNAL_FRAC_BITS);
-                let beta = Fixed::from_raw(i32::from(ln.beta[i]), PARAM_FRAC_BITS)
+                let beta = Fixed::from_raw(i32::from(ln.beta_codes()[i]), PARAM_FRAC_BITS)
                     .rescale(INTERNAL_FRAC_BITS);
                 let normalised = c.mul(inv_std).mul(gamma).saturating_add(beta);
                 normalised
@@ -463,47 +314,98 @@ mod tests {
                         .map(|&v| v.round().clamp(-128.0, 127.0) as i8)
                         .collect()
                 };
-                let (a, b) = (codes(&mut rng), codes(&mut rng));
-                let mut out = vec![0i8; rows * hidden];
-                ln.apply_residual_into(&mut out, &a, sa, &b, sb, so)
-                    .unwrap();
-                for r in 0..rows {
-                    let span = r * hidden..(r + 1) * hidden;
-                    let expected =
-                        reference_residual(&ln, &a[span.clone()], sa, &b[span.clone()], sb, so);
-                    assert_eq!(
-                        &out[span.clone()],
-                        expected.as_slice(),
-                        "hidden {hidden} row {r}"
-                    );
-                    assert_eq!(
-                        ln.apply_residual(&a[span.clone()], sa, &b[span], sb, so)
-                            .unwrap(),
-                        expected
-                    );
+                let random = (codes(&mut rng), codes(&mut rng));
+                // One row each of: both operands at the bottom of the code
+                // range, both at the top, constant rows (zero variance),
+                // opposed extremes and aligned extremes.
+                let zigzag: Vec<i8> = (0..hidden)
+                    .map(|i| if i % 2 == 0 { i8::MIN } else { i8::MAX })
+                    .collect();
+                let opposed: Vec<i8> = zigzag.iter().map(|&c| !c).collect();
+                let extremes: (Vec<i8>, Vec<i8>) = (
+                    [
+                        vec![i8::MIN; hidden],
+                        vec![i8::MAX; hidden],
+                        vec![17; hidden],
+                        zigzag.clone(),
+                        zigzag.clone(),
+                    ]
+                    .concat(),
+                    [
+                        vec![i8::MIN; hidden],
+                        vec![i8::MAX; hidden],
+                        vec![-3; hidden],
+                        opposed,
+                        zigzag,
+                    ]
+                    .concat(),
+                );
+                // One folded value serves every matrix: it holds no state,
+                // so the third application repeats the first, and each
+                // agrees with the oracle and with a fresh fold per row.
+                let folded = ln.fold(sa, sb, so).unwrap();
+                for (a, b) in [&random, &extremes, &random] {
+                    let mut out = vec![0i8; a.len()];
+                    folded.apply(&mut out, a, b).unwrap();
+                    for r in 0..a.len() / hidden {
+                        let span = r * hidden..(r + 1) * hidden;
+                        let expected =
+                            reference_residual(&ln, &a[span.clone()], sa, &b[span.clone()], sb, so);
+                        assert_eq!(
+                            &out[span.clone()],
+                            expected.as_slice(),
+                            "hidden {hidden} row {r}"
+                        );
+                        assert_eq!(
+                            ln.apply_residual(&a[span.clone()], sa, &b[span], sb, so)
+                                .unwrap(),
+                            expected
+                        );
+                    }
                 }
             }
         }
     }
 
     #[test]
+    fn a_product_saturating_downward_keeps_its_sign() {
+        // Element 0 normalises to about -5 and the output scale takes it
+        // far below the `i32` raw range: `mul` saturates to `i32::MIN`,
+        // which the final `rescale(0)` used to negate with overflow.
+        let ln = QuantizedLayerNorm::from_float(&[1.9; 8], &[-1.9; 8], 1e-5).unwrap();
+        let mut a = [10i8; 8];
+        a[0] = i8::MIN;
+        let out = ln
+            .apply_residual(&a, 20.0, &[0; 8], 30.0, 20_000.0)
+            .unwrap();
+        assert_eq!(out[0], i8::MIN);
+    }
+
+    #[test]
     fn input_validation() {
         let ln = QuantizedLayerNorm::from_float(&[1.0, 1.0], &[0.0, 0.0], 1e-5).unwrap();
-        assert!(ln.apply(&[1, 2, 3], 1.0, 1.0).is_err());
-        assert!(ln.apply(&[1, 2], 0.0, 1.0).is_err());
-        assert!(ln.apply(&[1, 2], 1.0, -1.0).is_err());
+        assert!(ln
+            .apply_residual(&[1, 2, 3], 1.0, &[0; 3], 1.0, 1.0)
+            .is_err());
+        assert!(ln.apply_residual(&[1, 2], 0.0, &[0; 2], 1.0, 1.0).is_err());
+        assert!(ln.apply_residual(&[1, 2], 1.0, &[0; 2], 1.0, -1.0).is_err());
         assert!(QuantizedLayerNorm::from_float(&[1.0], &[0.0, 0.0], 1e-5).is_err());
         assert!(QuantizedLayerNorm::from_float(&[], &[], 1e-5).is_err());
+        // A scale is refused where it is folded, whichever of the three.
+        for bad in [0.0, -1.0, f32::NAN, f32::INFINITY] {
+            for scales in [[bad, 1.0, 1.0], [1.0, bad, 1.0], [1.0, 1.0, bad]] {
+                let [a, b, out] = scales;
+                assert!(matches!(
+                    ln.fold(a, b, out),
+                    Err(QuantError::InvalidScale(_))
+                ));
+            }
+        }
         // The matrix form takes whole rows of equal count only.
+        let folded = ln.fold(1.0, 1.0, 1.0).unwrap();
         let mut out = [0i8; 4];
-        assert!(ln
-            .apply_residual_into(&mut out, &[1, 2, 3, 4], 1.0, &[0; 4], 1.0, 1.0)
-            .is_ok());
-        assert!(ln
-            .apply_residual_into(&mut out[..3], &[1, 2, 3], 1.0, &[0; 3], 1.0, 1.0)
-            .is_err());
-        assert!(ln
-            .apply_residual_into(&mut out, &[1, 2], 1.0, &[0; 4], 1.0, 1.0)
-            .is_err());
+        assert!(folded.apply(&mut out, &[1, 2, 3, 4], &[0; 4]).is_ok());
+        assert!(folded.apply(&mut out[..3], &[1, 2, 3], &[0; 3]).is_err());
+        assert!(folded.apply(&mut out, &[1, 2], &[0; 4]).is_err());
     }
 }

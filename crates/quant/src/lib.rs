@@ -21,7 +21,29 @@
 //!   max-subtraction (paper §III-B, Softmax Core).
 //! * [`layernorm_q`] — integer/fixed-point layer normalization (paper §III-B,
 //!   LN Core).
+//! * [`fold`] — where the four above get their constants from real numbers.
 //! * [`bitwidth`] — the per-part bit-width configuration of FQ-BERT.
+//!
+//! # Fold once, apply in integers
+//!
+//! The paper keeps the scale factors in the accelerator's parameter buffer
+//! as fixed-point constants (§III-A/B): a real number is seen once, when
+//! the constant is made, never while the datapath runs. The crate draws
+//! that line with files, the way `fqbert-core`'s `int_model/` does:
+//!
+//! * **Integer side** — [`requant`], [`softmax_lut`], [`layernorm_q`] and
+//!   [`fixedpoint`] hold the values a forward pass is *applied* with
+//!   ([`Requantizer`], [`SoftmaxLut`], [`AddLayerNorm`], [`Fixed`]'s
+//!   arithmetic and [`fixedpoint::fixed_inv_sqrt`]). Outside their
+//!   `#[cfg(test)]` modules they contain no float type, literal or method;
+//!   fqlint's `float-escape` rule covers all four and none carries a
+//!   suppression.
+//! * **Float side** — [`fold`] holds every constructor that takes a real
+//!   number ([`Requantizer::from_scale`], [`SoftmaxLut::new`],
+//!   [`QuantizedLayerNorm`] with its [`QuantizedLayerNorm::fold`],
+//!   [`Fixed::from_f32`] / [`Fixed::to_f32`]); the rule does not cover it.
+//!   So are the calibration-time modules ([`scheme`], [`observer`],
+//!   [`clip`], [`bias`]), which no forward pass executes.
 //!
 //! # Examples
 //!
@@ -42,6 +64,7 @@ pub mod bitwidth;
 pub mod clip;
 pub mod error;
 pub mod fixedpoint;
+pub mod fold;
 pub mod layernorm_q;
 pub mod observer;
 pub mod requant;
@@ -53,7 +76,8 @@ pub use bitwidth::{LayerBits, PartBits, QuantConfig, LAYER_SITES, LAYER_SITE_NAM
 pub use clip::tune_clip_threshold;
 pub use error::QuantError;
 pub use fixedpoint::Fixed;
-pub use layernorm_q::QuantizedLayerNorm;
+pub use fold::QuantizedLayerNorm;
+pub use layernorm_q::AddLayerNorm;
 pub use observer::{EmaObserver, MinMaxObserver};
 pub use requant::Requantizer;
 pub use scheme::QuantParams;

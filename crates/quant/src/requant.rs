@@ -11,19 +11,22 @@
 //! as a 32-bit fixed-point multiplier and a right shift. [`Requantizer`]
 //! reproduces that datapath bit-exactly and is what both the integer
 //! inference engine and the accelerator simulator use.
-
-use crate::{QuantError, Result};
+//!
+//! Integer side of the crate (see the crate docs): this file holds the
+//! encoded multiplier/shift pair and its application; the one place `s_f`
+//! exists as a real number, [`Requantizer::from_scale`], is in
+//! [`crate::fold`].
 
 /// Number of fractional bits used for the fixed-point requantization
 /// multiplier (the paper stores `s_f` as a 32-bit integer; we use a Q1.30
 /// normalised-mantissa encoding, the common HLS implementation).
-const MULTIPLIER_FRAC_BITS: u32 = 30;
+pub(crate) const MULTIPLIER_FRAC_BITS: u32 = 30;
 
 /// Largest representable right shift. Capped below 63 so that the rounding
 /// term `1 << (shift - 1)` and the shift itself always stay inside the
 /// product's integer width; scales too small for this shift fold the excess
 /// into the multiplier instead (see [`Requantizer::from_scale`]).
-const MAX_SHIFT: i32 = 62;
+pub(crate) const MAX_SHIFT: i32 = 62;
 
 /// Fixed-point requantizer implementing Eq. 5 with integer arithmetic only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,97 +34,15 @@ pub struct Requantizer {
     /// Normalised multiplier in Q1.30 (in `[2^29, 2^30]` for scales inside
     /// the normalised range; denormalised — possibly zero — for scales below
     /// `2^-32`, where the excess shift is folded in).
-    multiplier: i64,
+    pub(crate) multiplier: i64,
     /// Total right shift applied after the multiplication, always in
     /// `0..=MAX_SHIFT`.
-    shift: i32,
+    pub(crate) shift: i32,
     /// Output saturation bound (`2^(bits-1) - 1`).
-    out_max: i32,
+    pub(crate) out_max: i32,
 }
 
 impl Requantizer {
-    /// Builds a requantizer for the effective scale
-    /// `s_f = s_y / (s_a · s_w)` and an output bit-width.
-    ///
-    /// Every positive finite scale is representable: for scales so small
-    /// that the normalised shift would exceed [`MAX_SHIFT`] (below roughly
-    /// `2^-32`) the excess is folded into the multiplier with rounded
-    /// halving — down to a zero multiplier for scales under `~2^-63`, where
-    /// rounding every representable accumulator to zero *is* the correct
-    /// result. For huge scales whose normalised shift would go negative
-    /// (scale ≥ `2^30`), the shift is clamped to zero; the multiplier alone
-    /// then already exceeds every supported output bound, so all non-zero
-    /// accumulators saturate exactly as they would with the true scale.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::InvalidScale`] if `effective_scale` is not a
-    /// positive finite number, or [`QuantError::UnsupportedBitWidth`] for an
-    /// output width outside `2..=16`.
-    // fqlint::allow(float-escape): construction-time boundary — the float
-    // effective scale is folded into a fixed-point multiplier/shift pair
-    // exactly once; `apply` is integer-only.
-    pub fn from_scale(effective_scale: f64, out_bits: u32) -> Result<Self> {
-        if !(effective_scale.is_finite() && effective_scale > 0.0) {
-            return Err(QuantError::InvalidScale(effective_scale as f32));
-        }
-        if !(2..=16).contains(&out_bits) {
-            return Err(QuantError::UnsupportedBitWidth(out_bits));
-        }
-        // Normalise the scale into [0.5, 1.0) × 2^exp.
-        let mut scale = effective_scale;
-        let mut exp = 0i32;
-        while scale >= 1.0 {
-            scale /= 2.0;
-            exp += 1;
-        }
-        while scale < 0.5 {
-            scale *= 2.0;
-            exp -= 1;
-        }
-        let mut multiplier = (scale * f64::from(1u32 << MULTIPLIER_FRAC_BITS)).round() as i64;
-        // fqlint::allow(narrowing-cast): `MULTIPLIER_FRAC_BITS` is a
-        // bit-shift amount < 32.
-        let mut shift = MULTIPLIER_FRAC_BITS as i32 - exp;
-        if shift > MAX_SHIFT {
-            // Tiny scale: fold the unrepresentable part of the shift into
-            // the multiplier (rounded halving; underflows to 0 for scales
-            // below ~2^-63, which maps every accumulator to the correctly
-            // rounded output 0).
-            let excess = shift - MAX_SHIFT;
-            multiplier = if excess >= 63 {
-                0
-            } else {
-                (multiplier + (1i64 << (excess - 1))) >> excess
-            };
-            shift = MAX_SHIFT;
-        } else if shift < 0 {
-            // Huge scale: with the Q1.30 multiplier ≥ 2^29 > out_max, every
-            // non-zero accumulator saturates whether the product is shifted
-            // left or not, so clamping the shift to 0 changes no output.
-            shift = 0;
-        }
-        Ok(Self {
-            multiplier,
-            shift,
-            out_max: (1i32 << (out_bits - 1)) - 1,
-        })
-    }
-
-    /// Effective scale represented by this requantizer (for inspection).
-    ///
-    /// For scales inside the representable band (roughly `2^-63` to `2^30`)
-    /// this closely tracks the scale passed to
-    /// [`Requantizer::from_scale`]. Outside it, the clamped encoding is
-    /// reported: huge scales read as `~2^29..2^30` (every non-zero
-    /// accumulator saturates either way) and fully underflowed tiny scales
-    /// read as `0` (every accumulator requantizes to zero).
-    // fqlint::allow(float-escape): inspection/debug accessor reporting the
-    // encoded scale; the requantization path never calls it.
-    pub fn effective_scale(&self) -> f64 {
-        self.multiplier as f64 / f64::powi(2.0, self.shift)
-    }
-
     /// Requantizes one accumulator value to the output grid, using only
     /// integer multiply, add and shift (round-half-away-from-zero, saturating).
     ///
@@ -201,10 +122,11 @@ mod tests {
     }
 
     #[test]
-    fn effective_scale_is_close_to_requested() {
+    fn encoded_scale_is_close_to_requested() {
         for &scale in &[0.01f64, 0.5, 2.0, 1e-4] {
             let rq = Requantizer::from_scale(scale, 8).unwrap();
-            let rel_err = (rq.effective_scale() - scale).abs() / scale;
+            let encoded = rq.multiplier() as f64 / f64::powi(2.0, rq.shift());
+            let rel_err = (encoded - scale).abs() / scale;
             assert!(rel_err < 1e-6, "scale {scale}: rel err {rel_err}");
         }
     }

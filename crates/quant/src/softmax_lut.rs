@@ -6,8 +6,10 @@
 //! to `(-∞, 0]` and its value to `(0, 1]`, so an 8-bit table indexed by the
 //! (integer) difference from the maximum suffices. The numerator and the
 //! softmax output are both quantized to 8 bits, exactly as in the paper.
-
-use crate::{QuantError, Result};
+//!
+//! Integer side of the crate (see the crate docs): this file holds the
+//! table and the row evaluation that indexes it; the one place the
+//! exponential is evaluated, [`SoftmaxLut::new`], is in [`crate::fold`].
 
 /// Number of entries in the exponential lookup table.
 pub const LUT_ENTRIES: usize = 256;
@@ -26,63 +28,20 @@ pub const LUT_ENTRIES: usize = 256;
 /// assert!(probs[0] > probs[1] && probs[1] > probs[2]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-// fqlint::allow(float-escape): the stored `input_scale` is per-tensor
-// calibration metadata; row evaluation itself is integer-only.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoftmaxLut {
     /// `table[d] ≈ exp(-d / input_scale) · 255`, for the integer difference
     /// `d` between an element and its row maximum.
-    table: Vec<u8>,
-    /// Scale (levels per unit) of the integer input scores.
-    input_scale: f32,
+    pub(crate) table: Vec<u8>,
     /// Maximum output level (e.g. 127 for signed 8-bit probabilities).
-    out_levels: u32,
+    pub(crate) out_levels: u32,
 }
 
 impl SoftmaxLut {
-    /// Builds the lookup table for input scores quantized with
-    /// `input_scale` levels per unit, producing probabilities quantized to
-    /// `out_levels` levels (so an output code `c` represents `c / out_levels`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::InvalidScale`] for a non-positive input scale or
-    /// [`QuantError::InvalidArgument`] for `out_levels` outside `1..=255`.
-    // fqlint::allow(float-escape): construction-time boundary — the exp
-    // table is built once from float math; inference only indexes it.
-    pub fn new(input_scale: f32, out_levels: u32) -> Result<Self> {
-        if !(input_scale.is_finite() && input_scale > 0.0) {
-            return Err(QuantError::InvalidScale(input_scale));
-        }
-        if !(1..=255).contains(&out_levels) {
-            return Err(QuantError::InvalidArgument(format!(
-                "out_levels must be in 1..=255, got {out_levels}"
-            )));
-        }
-        let table = (0..LUT_ENTRIES)
-            .map(|d| {
-                let x = -(d as f32) / input_scale;
-                (x.exp() * 255.0).round().clamp(0.0, 255.0) as u8
-            })
-            .collect();
-        Ok(Self {
-            table,
-            input_scale,
-            out_levels,
-        })
-    }
-
     /// The 256-entry exponential table (for the accelerator's parameter
     /// buffer initialisation).
     pub fn table(&self) -> &[u8] {
         &self.table
-    }
-
-    /// Scale of the integer input scores.
-    // fqlint::allow(float-escape): scale-metadata accessor for calibration
-    // and artifact serialization; not on the per-token compute path.
-    pub fn input_scale(&self) -> f32 {
-        self.input_scale
     }
 
     /// Maximum output level (the quantized value representing probability 1).
@@ -176,13 +135,6 @@ impl SoftmaxLut {
             .flat_map(|row| self.apply_row(row))
             .collect()
     }
-
-    /// Dequantizes an output code back to a probability in `[0, 1]`.
-    // fqlint::allow(float-escape): explicit dequantization exit point for
-    // tests and reporting; the attention datapath consumes the codes.
-    pub fn dequantize_output(&self, code: i32) -> f32 {
-        code as f32 / self.out_levels as f32
-    }
 }
 
 #[cfg(test)]
@@ -224,7 +176,7 @@ mod tests {
         let float_scores: Vec<f32> = scores.iter().map(|&s| s as f32 / 8.0).collect();
         let reference = float_softmax(&float_scores);
         for (q, r) in quantized.iter().zip(reference.iter()) {
-            let approx = lut.dequantize_output(*q);
+            let approx = *q as f32 / lut.out_levels() as f32;
             assert!(
                 (approx - r).abs() < 0.02,
                 "quantized softmax {approx} deviates from float {r}"

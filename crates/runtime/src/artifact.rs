@@ -6,9 +6,9 @@
 //! float CPU-side tensors (embedding tables, classifier head), the task,
 //! and the tokenizer vocabulary. Loading reconstructs an
 //! [`IntBertModel`] whose outputs are **bit-identical** to the saved model:
-//! all derived state (requantizers, softmax LUT, GELU table) is a
-//! deterministic function of the stored scales and is rebuilt by the same
-//! constructors the converter uses.
+//! all derived state (requantizers, softmax LUT, GELU table, the folded
+//! `Add & LN` blocks) is a deterministic function of the stored scales and
+//! is rebuilt by the same constructors the converter uses.
 //!
 //! # Format (version 2, the only version)
 //!
@@ -49,7 +49,12 @@
 //! decoded into owned storage and interned through a [`TensorCache`], so
 //! artifacts loaded with one cache share identical tensors. Any truncation,
 //! bit flip or unsupported version is rejected at load time
-//! ([`RuntimeError::Artifact`]).
+//! ([`RuntimeError::Artifact`]) — and so is a CRC-valid file whose contents
+//! do not fit together: shapes that disagree with the config, and every
+//! scale a stage is folded from (a projection's three, the attention score
+//! scales, the four `Add & LN` computes with). Each is looked at exactly
+//! once, by the constructor that folds it, so a zero, negative, `NaN` or
+//! infinite one fails the load, never a request.
 
 use crate::tensor_cache::{LoadStats, TensorCache};
 use crate::{Result, RuntimeError};

@@ -387,13 +387,49 @@ mod tests {
         }
     }
 
-    #[test]
-    fn serial_int_path_answers_the_same_whoever_holds_its_scratch() {
+    fn int_model() -> IntBertModel {
         let model = BertModel::new(BertConfig::tiny(24, 12, 2), 5);
         let calibration: Vec<Example> = (0..4).map(|i| example(&[2, 4 + i, 9, 3])).collect();
         let hook =
             QatHook::calibrated(&model, QuantConfig::fq_bert(), &calibration).expect("calibration");
-        let backend = IntBackend::new(fqbert_core::convert(&model, &hook).expect("convert"));
+        fqbert_core::convert(&model, &hook).expect("convert")
+    }
+
+    #[test]
+    fn sim_backend_refuses_a_configuration_the_cycle_model_would_divide_by() {
+        // Each of these used to validate and then panic (zero lanes / SIMD
+        // width) or price every batch at NaN / zero latency.
+        let model = int_model();
+        let default = AcceleratorConfig::default;
+        for accel in [
+            AcceleratorConfig {
+                softmax_lanes: 0,
+                ..default()
+            },
+            AcceleratorConfig {
+                ln_simd_width: 0,
+                ..default()
+            },
+            AcceleratorConfig {
+                frequency_hz: f64::NAN,
+                ..default()
+            },
+            AcceleratorConfig {
+                frequency_hz: f64::INFINITY,
+                ..default()
+            },
+        ] {
+            let refused = SimBackend::new(model.clone(), accel);
+            assert!(matches!(refused, Err(RuntimeError::InvalidConfig(_))));
+        }
+        let batch = EncodedBatch::from_examples(vec![example(&[2, 5, 6, 7, 3])]);
+        let sim = SimBackend::new(model, default()).expect("published configuration");
+        assert!(sim.classify_batch(&batch).is_ok());
+    }
+
+    #[test]
+    fn serial_int_path_answers_the_same_whoever_holds_its_scratch() {
+        let backend = IntBackend::new(int_model());
         let batch =
             EncodedBatch::from_examples(vec![example(&[2, 5, 6, 7, 3]), example(&[2, 11, 3])]);
         let kept = backend.classify_batch(&batch).expect("kept scratch");

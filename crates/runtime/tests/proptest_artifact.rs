@@ -220,6 +220,80 @@ fn bad_magic_and_truncation_are_rejected() {
 }
 
 #[test]
+fn a_crc_valid_artifact_with_an_invalid_add_ln_scale_is_refused_at_load() {
+    use fqbert_core::int_model::{IntEncoderLayer, LayerScales};
+    let (original, bytes) = artifact();
+    let layer = &original.model.layers[0];
+    let scales = layer.scales();
+    let stored = [
+        scales.input,
+        scales.q,
+        scales.k,
+        scales.v,
+        scales.scores,
+        scales.attn_output,
+        scales.layer_norm,
+        scales.ffn_hidden,
+        scales.ffn_output,
+    ];
+    // Layer 0's nine scales sit in the file as consecutive `f32`s.
+    let block: Vec<u8> = stored.iter().flat_map(|s| s.to_le_bytes()).collect();
+    let at = bytes
+        .windows(block.len())
+        .position(|w| w == block)
+        .expect("layer 0 scale block");
+    // The four scales only `Add & LN` computes with (index in the block).
+    type Patch = fn(&mut LayerScales, f32);
+    let add_ln_scales: [(usize, Patch); 4] = [
+        (0, |s, v| s.input = v),
+        (5, |s, v| s.attn_output = v),
+        (6, |s, v| s.layer_norm = v),
+        (8, |s, v| s.ffn_output = v),
+    ];
+    let payload_end = bytes.len() - 4;
+    for (index, patch) in add_ln_scales {
+        for bad in [0.0f32, -1.0, f32::NAN, f32::INFINITY] {
+            let mut hostile = bytes.clone();
+            hostile[at + 4 * index..at + 4 * index + 4].copy_from_slice(&bad.to_le_bytes());
+            let crc = fqbert_runtime::artifact::crc32(&hostile[8..payload_end]);
+            hostile[payload_end..].copy_from_slice(&crc.to_le_bytes());
+            let msg = ModelArtifact::from_bytes(&hostile)
+                .err()
+                .unwrap_or_else(|| panic!("scale {index} = {bad} loaded"))
+                .to_string();
+            assert!(
+                msg.contains("invalid scale"),
+                "scale {index} = {bad}: {msg}"
+            );
+
+            let mut scales = scales;
+            patch(&mut scales, bad);
+            let assembled = IntEncoderLayer::from_quantized_parts(
+                layer.query.clone(),
+                layer.key.clone(),
+                layer.value.clone(),
+                layer.attn_output.clone(),
+                layer.ffn1.clone(),
+                layer.ffn2.clone(),
+                layer.heads(),
+                layer.query.out_features() / layer.heads(),
+                &scales,
+                layer.attn_layer_norm().clone(),
+                layer.ffn_layer_norm().clone(),
+            );
+            let msg = assembled
+                .err()
+                .unwrap_or_else(|| panic!("scale {index} = {bad} assembled"))
+                .to_string();
+            assert!(
+                msg.contains("invalid scale"),
+                "scale {index} = {bad}: {msg}"
+            );
+        }
+    }
+}
+
+#[test]
 fn file_round_trip_via_engine() {
     use fqbert_runtime::{BackendKind, EngineBuilder};
     let (original, _) = artifact();

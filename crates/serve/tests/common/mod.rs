@@ -33,13 +33,22 @@ pub fn engine(kind: BackendKind) -> Arc<Engine> {
 /// As [`engine`], with an explicit quantization profile (e.g.
 /// [`QuantConfig::w8a8`] for a second bit-width of the same task).
 pub fn engine_with_quant(kind: BackendKind, quant: QuantConfig) -> Arc<Engine> {
+    engine_for_task(TaskKind::Sst2, kind, quant)
+}
+
+/// As [`engine_with_quant`], for any task: the classifier head gets the
+/// task's class count (three for the paper's second task, MNLI).
+pub fn engine_for_task(task: TaskKind, kind: BackendKind, quant: QuantConfig) -> Arc<Engine> {
     let words: Vec<String> = (0..40).map(|i| format!("w{i}")).collect();
     let vocab = Vocab::from_tokens(&words);
-    let model = BertModel::new(BertConfig::tiny(vocab.len(), MAX_LEN, 2), 5);
+    let model = BertModel::new(
+        BertConfig::tiny(vocab.len(), MAX_LEN, task.num_classes()),
+        5,
+    );
     let calibration: Vec<Example> = (0..6).map(example).collect();
     let hook = QatHook::calibrated(&model, quant, &calibration).expect("calibration");
     Arc::new(
-        EngineBuilder::new(TaskKind::Sst2)
+        EngineBuilder::new(task)
             .vocab(vocab, MAX_LEN)
             .backend(kind)
             .batch_size(64)

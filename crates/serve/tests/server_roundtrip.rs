@@ -6,9 +6,10 @@
 
 mod common;
 
-use common::{engine, engine_with_quant};
+use common::{engine, engine_for_task, engine_with_quant};
+use fqbert_nlp::TaskKind;
 use fqbert_quant::QuantConfig;
-use fqbert_runtime::BackendKind;
+use fqbert_runtime::{BackendKind, EncodedBatch};
 use fqbert_serve::{BatchPolicy, Client, ModelRegistry, ServeError, Server, ServerConfig};
 use fqbert_tensor::gemm::kernels;
 use std::io::{BufRead, BufReader, Write};
@@ -225,6 +226,57 @@ fn server_round_trip_with_concurrent_clients_and_graceful_shutdown() {
         std::net::TcpStream::connect_timeout(&addr, Duration::from_millis(250)).is_err(),
         "listener must be closed after shutdown"
     );
+}
+
+#[test]
+fn sentence_pairs_round_trip_through_the_three_class_task() {
+    // The paper's second task: (premise, hypothesis) pairs into a
+    // three-class head, over the wire and through both engine entry points.
+    let task = TaskKind::MnliMatched;
+    let mnli = engine_for_task(task, BackendKind::Int, QuantConfig::fq_bert());
+    let mut registry = ModelRegistry::new();
+    registry
+        .register("mnli-w4", mnli.clone())
+        .expect("register mnli");
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        ..ServerConfig::default()
+    };
+    let server = Server::spawn(registry, config).expect("spawn server");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+
+    let pairs = [
+        ("w1 w2 w3", "w4 w5"),
+        ("w6 w7", "w8 w9 w10 w11"),
+        ("w12", "w13"),
+    ];
+    let bits = |logits: &[Vec<f32>]| -> Vec<u32> {
+        logits.iter().flatten().map(|l| l.to_bits()).collect()
+    };
+    let served = client.classify_pairs("mnli-w4", &pairs).expect("pairs");
+    let served_logits: Vec<Vec<f32>> = served.results.iter().map(|r| r.logits.clone()).collect();
+    let batch = mnli
+        .classify_batch(&EncodedBatch::from_pairs(mnli.tokenizer(), &pairs))
+        .expect("classify_batch");
+    let direct = mnli.classify_pairs(&pairs).expect("classify_pairs");
+    let direct_logits: Vec<Vec<f32>> = direct.iter().map(|c| c.logits.clone()).collect();
+    assert_eq!(bits(&served_logits), bits(&batch.logits));
+    assert_eq!(bits(&served_logits), bits(&direct_logits));
+    for (result, prediction) in served.results.iter().zip(&batch.predictions) {
+        assert_eq!(result.logits.len(), 3);
+        assert_eq!(result.prediction, *prediction);
+        assert_eq!(result.label, task.class_name(*prediction));
+    }
+
+    // The segment ids matter: hypothesis first is a different input.
+    let swapped: Vec<(&str, &str)> = pairs.iter().map(|&(a, b)| (b, a)).collect();
+    let swapped = client.classify_pairs("mnli-w4", &swapped).expect("swapped");
+    for (there, back) in served.results.iter().zip(&swapped.results) {
+        assert_ne!(there.logits, back.logits);
+    }
+
+    server.shutdown();
+    server.join();
 }
 
 #[test]
