@@ -8,12 +8,14 @@
 //! timed. Prints one table per shape, nanoseconds per call, with each
 //! row's speedup over scalar and `w4_over_w8` (w8 ns / w4 ns within one
 //! row — the CPU counterpart of a BIM fitting two 8b×4b products in one
-//! 8b×8b slot). Run with `cargo bench -p fqbert-bench --bench kernel_rows`.
+//! 8b×8b slot), then one table of `Add & LN` nanoseconds per 256- and
+//! 768-wide row at calibrated parameters. Run with
+//! `cargo bench -p fqbert-bench --bench kernel_rows`.
 
 use fqbert_bench::{markdown_table, time_ns};
 use fqbert_core::IntLinear;
 use fqbert_tensor::gemm::kernels::{self, KernelKind};
-use fqbert_tensor::gemm::RequantParams;
+use fqbert_tensor::gemm::{AddNormParams, RequantParams, ADD_NORM_FRAC_BITS};
 use fqbert_tensor::{GemmScratch, IntTensor, RngSource};
 use std::hint::black_box;
 
@@ -92,6 +94,57 @@ fn time_requant(rows: usize, outf: usize) -> Vec<f64> {
         .collect()
 }
 
+/// Nanoseconds per `hidden`-wide row of each available row's `Add & LN`
+/// over 128 rows, checked against the scalar row first: operands at 20 and
+/// 30 levels per unit, 25 output levels per unit, parameters on the stored
+/// 6-bit grid.
+fn time_add_norm(hidden: usize) -> Vec<f64> {
+    const ROWS: usize = 128;
+    let one = 1i32 << ADD_NORM_FRAC_BITS;
+    let table = |step: i32| Box::new(std::array::from_fn(|i| (i as i32 - 128) * step));
+    let param = |i: usize, salt: usize| ((i * 37 + salt) % 256) as i32 - 128;
+    let params = AddNormParams::new(
+        table(one / 20),
+        table(one / 30),
+        (0..hidden).map(|i| param(i, 3) * (one / 64)).collect(),
+        (0..hidden).map(|i| param(i, 101) * (one / 64)).collect(),
+        1,
+        25 * one,
+    )
+    .expect("Add & LN parameters");
+    assert!(params.simd_exact());
+    let codes = |salt: usize| -> Vec<i8> {
+        (0..ROWS * hidden)
+            .map(|i| ((i * 2_654_435_761 + salt) >> 7) as i8)
+            .collect()
+    };
+    let (a, b) = (codes(1), codes(99));
+    let mut sums = vec![0i32; hidden];
+    let mut reference = vec![0i8; ROWS * hidden];
+    (kernels::dispatch_for(KernelKind::Scalar).add_norm)(
+        &params,
+        &mut sums,
+        &a,
+        &b,
+        &mut reference,
+    );
+    kernels::available()
+        .into_iter()
+        .map(|kind| {
+            let add_norm = kernels::dispatch_for(kind).add_norm;
+            let mut out = vec![0i8; ROWS * hidden];
+            add_norm(&params, &mut sums, &a, &b, &mut out);
+            assert_eq!(
+                out,
+                reference,
+                "Add & LN must stay bit-identical on {}",
+                kind.name()
+            );
+            time_ns(|| add_norm(&params, &mut sums, black_box(&a), &b, &mut out)) / ROWS as f64
+        })
+        .collect()
+}
+
 fn main() {
     let mut rng = RngSource::seed_from_u64(7);
     let available = kernels::available();
@@ -139,4 +192,22 @@ fn main() {
         ];
         println!("{}", markdown_table(&headers, &table));
     }
+
+    let columns = [time_add_norm(256), time_add_norm(768)];
+    let table: Vec<Vec<String>> = available
+        .iter()
+        .enumerate()
+        .map(|(row, kind)| {
+            let mut cells = vec![kind.name().to_string()];
+            for column in &columns {
+                cells.push(format!("{:.0}", column[row]));
+                cells.push(format!("{:.2}", column[scalar] / column[row]));
+            }
+            cells
+        })
+        .collect();
+    println!("kernel_rows Add & LN, ns per row:");
+    let speedup = "speedup_vs_scalar";
+    let headers = ["kernel", "ln256_ns", speedup, "ln768_ns", speedup];
+    println!("{}", markdown_table(&headers, &table));
 }

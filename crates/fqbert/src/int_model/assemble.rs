@@ -171,12 +171,10 @@ impl IntGelu {
     /// at `output_scale`: the float GELU is evaluated once per code here,
     /// inference only indexes the table.
     pub fn new(input_scale: f32, output_scale: f32) -> Self {
-        let table = (-128i32..=127)
-            .map(|code| {
-                let x = code as f32 / input_scale;
-                (gelu_scalar(x) * output_scale).round().clamp(-127.0, 127.0) as i8
-            })
-            .collect();
+        let table = std::array::from_fn(|index| {
+            let x = (index as f32 - 128.0) / input_scale;
+            (gelu_scalar(x) * output_scale).round().clamp(-127.0, 127.0) as i8
+        });
         Self { table }
     }
 }

@@ -11,8 +11,8 @@ use super::assemble::{LayerScales, LinearScales};
 use crate::{FqBertError, Result};
 use fqbert_quant::{AddLayerNorm, LayerBits, QuantizedLayerNorm, Requantizer, SoftmaxLut};
 use fqbert_tensor::gemm::{
-    gemm_i8_requant, gemm_i8_requant_into, ActivationBlock, AttentionScratch, GemmScratch,
-    PackedWeights, RequantParams, StridedView, MAX_ATTN_SEQ,
+    gemm_i8_requant, gemm_i8_requant_into, ActivationBlock, AddNormRow, AttentionScratch,
+    GemmScratch, PackedWeights, RequantParams, StridedView, MAX_ATTN_SEQ,
 };
 use fqbert_tensor::{unpack_i4, IntTensor};
 use std::sync::{Arc, OnceLock};
@@ -231,13 +231,15 @@ fn requant_params(requant: &Requantizer) -> RequantParams {
 /// 256-entry int8→int8 GELU lookup table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntGelu {
-    pub(super) table: Vec<i8>,
+    /// Indexed by `code + 128`.
+    pub(super) table: [i8; 256],
 }
 
 impl IntGelu {
-    /// Applies the table to one code.
+    /// Applies the table to one code. The index is a byte and the table
+    /// has 256 entries, so the lookup carries no bounds check.
     pub fn apply(&self, code: i8) -> i8 {
-        self.table[(code as i32 + 128) as usize]
+        self.table[usize::from(code.cast_unsigned() ^ 0x80)]
     }
 
     /// Applies the table to every code of `codes`, in place.
@@ -358,10 +360,15 @@ impl IntEncoderLayer {
     ) -> Result<IntTensor<i8>> {
         let (total, hidden) = x.as_matrix_dims()?;
         let mut out = IntTensor::<i8>::zeros(&[total, hidden]);
-        let GemmScratch { pack, attn, arena } = scratch;
+        let GemmScratch {
+            pack,
+            attn,
+            arena,
+            norm,
+        } = scratch;
         let mut buffers = arena.slices(self.buffer_sizes(total));
-        let out_rows = out.as_mut_slice();
-        self.forward_rows(x.as_slice(), seq_lens, pack, attn, &mut buffers, out_rows)?;
+        let (x, out_rows) = (x.as_slice(), out.as_mut_slice());
+        self.forward_rows(x, seq_lens, pack, attn, norm, &mut buffers, out_rows)?;
         Ok(out)
     }
 
@@ -379,13 +386,15 @@ impl IntEncoderLayer {
     /// The forward pass proper, over row-major codes: `x` and `out` are
     /// `Σ seq_lens` rows of the hidden width, `buffers` are at least
     /// [`IntEncoderLayer::buffer_sizes`] long each. Allocates nothing once
-    /// `pack` and `attn` have served the shape.
+    /// `pack`, `attn` and `norm` have served the shape.
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn forward_rows(
         &self,
         x: &[i8],
         seq_lens: &[usize],
         pack: &mut ActivationBlock,
         attn: &mut AttentionScratch,
+        norm: &mut AddNormRow,
         buffers: &mut [&mut [i8]; 8],
         out: &mut [i8],
     ) -> Result<()> {
@@ -453,14 +462,14 @@ impl IntEncoderLayer {
         self.attn_output
             .forward_into(context, total, pack, attn_out)?;
         // Add & LN (attention residual) — row-wise, so batch-oblivious.
-        self.attn_add_norm.apply(normed, x, attn_out)?;
+        self.attn_add_norm.apply(normed, x, attn_out, norm)?;
 
         // FFN with LUT GELU, again as packed GEMMs.
         self.ffn1.forward_into(normed, total, pack, ffn_hidden)?;
         self.gelu.apply_in_place(ffn_hidden);
         self.ffn2.forward_into(ffn_hidden, total, pack, ffn_out)?;
         // Add & LN (FFN residual).
-        self.ffn_add_norm.apply(out, normed, ffn_out)?;
+        self.ffn_add_norm.apply(out, normed, ffn_out, norm)?;
         Ok(())
     }
 }

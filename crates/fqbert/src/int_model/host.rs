@@ -215,10 +215,12 @@ impl IntBertModel {
                     "token id {tok} or segment id {seg} out of range"
                 )));
             }
-            for d in 0..hidden {
-                emb.row_mut(i)[d] = self.host.word_embeddings.row(tok)[d]
-                    + self.host.position_embeddings.row(i)[d]
-                    + self.host.segment_embeddings.row(seg)[d];
+            let word = self.host.word_embeddings.row(tok);
+            let position = self.host.position_embeddings.row(i);
+            let segment = self.host.segment_embeddings.row(seg);
+            let sums = word.iter().zip(position).zip(segment);
+            for (e, ((&w, &p), &s)) in emb.row_mut(i).iter_mut().zip(sums) {
+                *e = w + p + s;
             }
         }
         let normed = emb.layer_norm(
@@ -273,7 +275,12 @@ impl IntBertModel {
         let hidden = self.config.hidden;
         let total: usize = seq_lens.iter().sum();
 
-        let GemmScratch { pack, attn, arena } = scratch;
+        let GemmScratch {
+            pack,
+            attn,
+            arena,
+            norm,
+        } = scratch;
         let mut sizes = [0usize; 10];
         sizes[..2].fill(total * hidden);
         for layer in &self.layers {
@@ -289,7 +296,15 @@ impl IntBertModel {
             start += token_ids.len();
         }
         for layer in &self.layers {
-            layer.forward_rows(hidden_states, &seq_lens, pack, attn, &mut buffers, next)?;
+            layer.forward_rows(
+                hidden_states,
+                &seq_lens,
+                pack,
+                attn,
+                norm,
+                &mut buffers,
+                next,
+            )?;
             std::mem::swap(&mut hidden_states, &mut next);
         }
 

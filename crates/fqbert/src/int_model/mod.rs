@@ -32,7 +32,10 @@
 //!   context tile → requantize, so the `seq × seq` score matrix never
 //!   exists;
 //! * `Add & LN` applies the fixed-point [`fqbert_quant::AddLayerNorm`] its
-//!   [`fqbert_quant::QuantizedLayerNorm`] was folded into at assembly;
+//!   [`fqbert_quant::QuantizedLayerNorm`] was folded into at assembly: raw
+//!   Q16 integers handed, like a GEMM's requantizer, to the `add_norm`
+//!   entry of the selected kernel row (`fqbert_tensor::gemm::kernels` —
+//!   eight elements per step on AVX2, bit-identical to the scalar row);
 //! * GELU uses a 256-entry int8→int8 lookup table (the paper fuses it with
 //!   FFN1; a table is the standard HLS realisation).
 //!
@@ -41,7 +44,8 @@
 //!
 //! Every module has one way in, and it takes the caller's
 //! [`fqbert_tensor::gemm::GemmScratch`]: a layer keeps its intermediates in
-//! buffers the scratch owns (GELU in place), and the model ping-pongs the
+//! buffers the scratch owns (GELU in place, `Add & LN`'s operand sums in
+//! the scratch's one `i32` row), and the model ping-pongs the
 //! hidden state between two such buffers across layers — so a forward pass
 //! on a shape the scratch has seen allocates only what it returns.
 

@@ -316,13 +316,19 @@ proptest! {
         let norm = QuantizedLayerNorm::from_float(gamma.as_slice(), beta.as_slice(), 1e-5)
             .expect("layer norm");
         let (a, b) = (codes(seed + 1, rows, hidden), codes(seed + 2, rows, hidden));
-        let mut got = vec![0i8; rows * hidden];
-        norm.fold(scale_a, scale_b, out_scale)
-            .expect("fold")
-            .apply(&mut got, a.as_slice(), b.as_slice())
-            .expect("matrix form");
+        let folded = norm.fold(scale_a, scale_b, out_scale).expect("fold");
+        // The row form runs the scalar row whatever is forced.
         let expected = add_ln(&norm, (&a, scale_a), (&b, scale_b), out_scale);
-        prop_assert_eq!(got.as_slice(), expected.as_slice());
+        let mut scratch = harness();
+        for kind in kernels::available() {
+            kernels::force(kind);
+            let mut got = vec![0i8; rows * hidden];
+            folded
+                .apply(&mut got, a.as_slice(), b.as_slice(), &mut scratch.norm)
+                .expect("matrix form");
+            prop_assert_eq!(got.as_slice(), expected.as_slice(), "kernel {}", kind.name());
+        }
+        kernels::force(kernels::best_available());
     }
 }
 

@@ -9,6 +9,8 @@
 //! integer operations and [`fixed_inv_sqrt`]; the conversions from and to
 //! a real number are in [`crate::fold`].
 
+use fqbert_tensor::gemm::kernels::scalar::inv_sqrt_fixed;
+
 /// A signed fixed-point number: `value = raw / 2^frac_bits`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fixed {
@@ -102,45 +104,17 @@ impl Fixed {
 
 /// Integer inverse square root via Newton–Raphson on fixed-point values,
 /// used by the quantized layer-norm core. Returns `1/sqrt(x)` for `x > 0`
-/// encoded with `frac_bits` fractional bits.
+/// encoded with `frac_bits` fractional bits. The iteration itself lives
+/// beside the `Add & LN` kernels that run it once per row
+/// (`fqbert_tensor::gemm::kernels::scalar::inv_sqrt_fixed`); this is its
+/// [`Fixed`]-typed form.
 ///
 /// # Panics
 ///
 /// Panics if `x` is not strictly positive.
 pub fn fixed_inv_sqrt(x: Fixed, iterations: u32) -> Fixed {
-    assert!(x.raw() > 0, "inverse square root requires a positive input");
-    // Start from a floating-point-free initial guess y0 = 2^(-ceil(log2(x)/2)).
-    //
-    // The ceiling matters: with x = 2^e·m (m in [1, 2)) this guarantees
-    // 0.5·x·y0² < 1, so the first Newton correction `1.5 - 0.5·x·y0²` stays
-    // positive, and every later iterate lands in (0, 1/sqrt(x)] — the basin
-    // of the positive root. A truncating `e/2` guess overshoots for odd
-    // positive e (e.g. x in [3,4) or [12,16)) and Newton then converges to
-    // the *negative* root -1/sqrt(x), sign-flipping the caller's output.
-    // fqlint::allow(narrowing-cast): `leading_zeros()` is at most 32 and
-    // `frac_bits` is a bit-shift amount < 32 — both fit `i32`.
-    let value_log2 = 31 - x.raw().leading_zeros() as i32 - x.frac_bits() as i32;
-    let guess_log2 = -(value_log2 + 1).div_euclid(2);
     let frac = x.frac_bits();
-    // fqlint::allow(narrowing-cast): `frac` is a bit-shift amount < 32.
-    let mut y = Fixed::from_raw(1i32 << (frac as i32 + guess_log2).clamp(0, 30), frac);
-    // 1.5 is 3 on the one-fraction-bit grid: 98 304 at the layer norm's Q16.
-    let three_halves = Fixed::from_raw(3, 1).rescale(frac);
-    let half_x = Fixed::from_raw(x.raw() / 2, frac);
-    for _ in 0..iterations {
-        // y = y * (1.5 - 0.5 * x * y * y)
-        let y2 = y.mul(y);
-        let term = half_x.mul(y2);
-        let correction = three_halves.saturating_sub(term);
-        if correction.raw() <= 0 {
-            // Defensive guard (unreachable with the guess above): back off
-            // towards zero rather than crossing into the negative basin.
-            y = Fixed::from_raw(y.raw() / 2, frac);
-            continue;
-        }
-        y = y.mul(correction);
-    }
-    y
+    Fixed::from_raw(inv_sqrt_fixed(x.raw(), frac, iterations), frac)
 }
 
 #[cfg(test)]
@@ -230,6 +204,57 @@ mod tests {
                 "1/sqrt({v}): got {} want {expected}",
                 y.to_f32()
             );
+        }
+    }
+
+    /// The Newton iteration as it was first written — [`Fixed`] operations,
+    /// every one of `iterations` steps taken — against which the kernels'
+    /// raw-integer, early-stopping form is checked.
+    fn newton_every_step(x: Fixed, iterations: u32) -> Fixed {
+        let frac = x.frac_bits();
+        let value_log2 = 31 - x.raw().leading_zeros() as i32 - frac as i32;
+        let guess_log2 = -(value_log2 + 1).div_euclid(2);
+        let mut y = Fixed::from_raw(1i32 << (frac as i32 + guess_log2).clamp(0, 30), frac);
+        let three_halves = Fixed::from_raw(3, 1).rescale(frac);
+        let half_x = Fixed::from_raw(x.raw() / 2, frac);
+        for _ in 0..iterations {
+            let correction = three_halves.saturating_sub(half_x.mul(y.mul(y)));
+            y = if correction.raw() <= 0 {
+                Fixed::from_raw(y.raw() / 2, frac)
+            } else {
+                y.mul(correction)
+            };
+        }
+        y
+    }
+
+    #[test]
+    fn stopping_at_a_repeated_iterate_changes_no_result() {
+        let check = |raw: i32| {
+            let x = Fixed::from_raw(raw, 16);
+            assert_eq!(fixed_inv_sqrt(x, 20), newton_every_step(x, 20), "x = {raw}");
+        };
+        // A strided sweep of the whole positive range at the layer norm's
+        // Q16 (56 k points), the small inputs densely, and the inputs whose
+        // truncated first guess used to converge to the negative root:
+        // x in [3, 4) and [12, 16).
+        (1..=i32::MAX).step_by(38_347).for_each(check);
+        (1..=4_096).for_each(check);
+        (3 << 16..4 << 16).step_by(97).for_each(check);
+        (12 << 16..16 << 16).step_by(97).for_each(check);
+        check(i32::MAX);
+        // Fewer steps than convergence takes, and other grids, agree too.
+        for frac in [0u32, 1, 8, 12, 24, 30] {
+            for iterations in [0u32, 1, 2, 5, 20] {
+                for raw in [1, 2, 3, 1 << 10, 12_345_678, i32::MAX] {
+                    let x = Fixed::from_raw(raw, frac);
+                    assert_eq!(
+                        fixed_inv_sqrt(x, iterations),
+                        newton_every_step(x, iterations),
+                        "x = {raw} at Q{frac}, {iterations} steps"
+                    );
+                }
+            }
         }
     }
 

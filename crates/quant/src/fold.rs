@@ -6,8 +6,12 @@
 //! |---|---|
 //! | [`Requantizer::from_scale`] | [`crate::requant`]: `apply`, `apply_slice` |
 //! | [`SoftmaxLut::new`] | [`crate::softmax_lut`]: `apply_row`, `apply_row_into`, `apply_matrix` |
-//! | [`QuantizedLayerNorm`] and its [`QuantizedLayerNorm::fold`] | [`crate::layernorm_q`]: [`AddLayerNorm::apply`] |
-//! | [`Fixed::from_f32`], [`Fixed::to_f32`], `Display` | [`crate::fixedpoint`]: the arithmetic, `fixed_inv_sqrt` |
+//! | [`QuantizedLayerNorm`] and its [`QuantizedLayerNorm::fold`] | [`crate::layernorm_q`]: [`AddLayerNorm::apply`], dispatching to a kernel row of `fqbert_tensor::gemm::kernels` |
+//! | [`Fixed::from_f32`], [`Fixed::to_f32`], `Display` | [`crate::fixedpoint`]: the arithmetic, `fixed_inv_sqrt` (a wrapper over the kernels' `inv_sqrt_fixed`) |
+//!
+//! [`QuantizedLayerNorm::apply_residual`], the one-row oracle of `Add & LN`,
+//! is here too because it takes the scales; it folds and then runs the
+//! scalar kernel row unconditionally.
 //!
 //! fqlint's `float-escape` rule covers the four files on the right and not
 //! this one, so a float on the apply side is a finding with no suppression
@@ -18,6 +22,8 @@ use crate::layernorm_q::{AddLayerNorm, INTERNAL_FRAC_BITS};
 use crate::requant::{Requantizer, MAX_SHIFT, MULTIPLIER_FRAC_BITS};
 use crate::softmax_lut::{SoftmaxLut, LUT_ENTRIES};
 use crate::{QuantError, Result};
+use fqbert_tensor::gemm::kernels::scalar;
+use fqbert_tensor::gemm::AddNormParams;
 use std::fmt;
 
 impl Fixed {
@@ -157,11 +163,9 @@ pub struct QuantizedLayerNorm {
 }
 
 /// Parameter codes re-encoded on the internal fixed-point grid.
-fn to_internal(codes: &[i8]) -> Vec<Fixed> {
-    codes
-        .iter()
-        .map(|&c| Fixed::from_raw(i32::from(c), PARAM_FRAC_BITS).rescale(INTERNAL_FRAC_BITS))
-        .collect()
+fn to_internal(codes: &[i8]) -> Vec<i32> {
+    let on_grid = |c| Fixed::from_raw(i32::from(c), PARAM_FRAC_BITS).rescale(INTERNAL_FRAC_BITS);
+    codes.iter().map(|&c| on_grid(c).raw()).collect()
 }
 
 impl QuantizedLayerNorm {
@@ -245,7 +249,7 @@ impl QuantizedLayerNorm {
         }
         // An operand code takes 256 values, so its dequantized value on the
         // internal grid is tabulated instead of multiplied out per element.
-        let dequantized = |scale: f32| -> Box<[Fixed; 256]> {
+        let dequantized = |scale: f32| -> Box<[i32; 256]> {
             let inv = Fixed::from_f32(1.0 / scale, INTERNAL_FRAC_BITS);
             let mut code = i32::from(i8::MIN);
             Box::new([(); 256].map(|()| {
@@ -253,26 +257,28 @@ impl QuantizedLayerNorm {
                     .rescale(INTERNAL_FRAC_BITS)
                     .mul(inv);
                 code += 1;
-                value
+                value.raw()
             }))
         };
-        Ok(AddLayerNorm {
-            values_a: dequantized(scale_a),
-            values_b: dequantized(scale_b),
-            gamma: to_internal(&self.gamma),
-            beta: to_internal(&self.beta),
-            eps: Fixed::from_f32(
-                self.eps.max(1.0 / (1 << INTERNAL_FRAC_BITS) as f32),
-                INTERNAL_FRAC_BITS,
-            ),
-            out_scale: Fixed::from_f32(out_scale, INTERNAL_FRAC_BITS),
-        })
+        // At least one step of the grid, so `var + eps` is positive.
+        let eps = self.eps.max(1.0 / (1 << INTERNAL_FRAC_BITS) as f32);
+        let params = AddNormParams::new(
+            dequantized(scale_a),
+            dequantized(scale_b),
+            to_internal(&self.gamma),
+            to_internal(&self.beta),
+            Fixed::from_f32(eps, INTERNAL_FRAC_BITS).raw(),
+            Fixed::from_f32(out_scale, INTERNAL_FRAC_BITS).raw(),
+        )?;
+        Ok(AddLayerNorm { params })
     }
 
     /// The one-row oracle of the `Add & LN` block: folds the three scales
     /// and applies the result to rows `a` and `b`, returning the output
     /// codes. The encoder layer folds once at assembly and applies whole
-    /// matrices; this is the same arithmetic, one row and one fold per call.
+    /// matrices on the selected kernel row; this is one row and one fold
+    /// per call on the **scalar** row, whatever kernel is selected, so a
+    /// test that compares the two never compares a kernel with itself.
     ///
     /// # Errors
     ///
@@ -287,10 +293,11 @@ impl QuantizedLayerNorm {
         scale_b: f32,
         out_scale: f32,
     ) -> Result<Vec<i8>> {
-        // One output row: `apply` refuses operands of any other length.
+        let folded = self.fold(scale_a, scale_b, out_scale)?;
+        // One output row: operands of any other length are refused.
         let mut out = vec![0i8; self.hidden()];
-        self.fold(scale_a, scale_b, out_scale)?
-            .apply(&mut out, a, b)?;
+        let hidden = folded.check_rows(&out, a, b)?;
+        scalar::add_norm_rows(&folded.params, &mut vec![0; hidden], a, b, &mut out);
         Ok(out)
     }
 }

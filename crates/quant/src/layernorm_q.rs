@@ -9,57 +9,62 @@
 //! 3. apply the element-wise `gamma * (x - mean) / sqrt(var + eps) + beta`
 //!    multiplication and requantize to 8-bit.
 //!
-//! [`AddLayerNorm`] reproduces those three stages with fixed-point
-//! arithmetic only ([`Fixed`] values and the Newton–Raphson
-//! [`fixed_inv_sqrt`]), over constants that already sit on the fixed-point
-//! grid — the accelerator's parameter buffer.
+//! [`AddLayerNorm`] is that block with its three scales folded in: plain
+//! Q16 integers ([`AddNormParams`] — the accelerator's parameter buffer)
+//! handed, like every GEMM stage's parameters, to a kernel row of
+//! `fqbert_tensor::gemm::kernels`. The arithmetic of the three stages lives
+//! there and nowhere else: the scalar row
+//! (`kernels::scalar::add_norm_rows`, with the Newton–Raphson inverse
+//! square root beside it) is the reference, the SIMD rows are bit-identical
+//! to it inside [`AddNormParams::simd_exact`].
 //!
 //! Integer side of the crate (see the crate docs): this file holds the
-//! folded block and its apply loop; the stored 8-bit parameters
-//! ([`crate::QuantizedLayerNorm`]) and the one place the three scales exist
-//! as real numbers, [`crate::QuantizedLayerNorm::fold`], are in
-//! [`crate::fold`].
+//! folded block and its dispatching [`AddLayerNorm::apply`]; the stored
+//! 8-bit parameters ([`crate::QuantizedLayerNorm`]), the one place the
+//! three scales exist as real numbers, [`crate::QuantizedLayerNorm::fold`],
+//! and the one-row oracle `apply_residual` — which runs the scalar row
+//! whatever kernel is selected — are in [`crate::fold`].
 
-use crate::fixedpoint::{fixed_inv_sqrt, Fixed};
 use crate::{QuantError, Result};
+use fqbert_tensor::gemm::{AddNormParams, AddNormRow, ADD_NORM_FRAC_BITS};
 
 /// Fractional bits used for the internal fixed-point pipeline.
-pub(crate) const INTERNAL_FRAC_BITS: u32 = 16;
+pub(crate) const INTERNAL_FRAC_BITS: u32 = ADD_NORM_FRAC_BITS;
 
 /// One `Add & LN` block with its three scales folded in: what
 /// [`crate::QuantizedLayerNorm::fold`] makes, once, of the layer-norm
-/// parameters, the scales of the two operands and the output scale. It is
+/// parameters, the scales of the two operands and the output scale — two
+/// 256-entry tables of dequantized operand values, `gamma` / `beta`, the
+/// epsilon and the output scale, all raw integers on the Q16 grid. It is
 /// applied any number of times and holds no state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AddLayerNorm {
-    /// The dequantized value on the internal grid of each of the 256 codes
-    /// operand `a` can take, indexed by `code + 128`: an operand is a table
-    /// lookup, not a multiplication.
-    pub(crate) values_a: Box<[Fixed; 256]>,
-    /// The same table for operand `b`.
-    pub(crate) values_b: Box<[Fixed; 256]>,
-    /// `gamma` on the internal grid, as stage 3 consumes it.
-    pub(crate) gamma: Vec<Fixed>,
-    /// `beta` on the internal grid.
-    pub(crate) beta: Vec<Fixed>,
-    /// The epsilon added to the variance, at least one step of the grid.
-    pub(crate) eps: Fixed,
-    /// Output levels per unit.
-    pub(crate) out_scale: Fixed,
+    pub(crate) params: AddNormParams,
 }
 
 impl AddLayerNorm {
     /// Runs the 3-stage pipeline over whole matrices, into a caller-owned
-    /// buffer: `a`, `b` and `out` hold the same number of `hidden`-wide
-    /// rows of int8 codes, and row `i` of `out` is the `Add & LN` of rows
-    /// `i` of `a` and `b`. Nothing is allocated.
+    /// buffer, on the process-selected kernel row
+    /// ([`AddNormParams::kernel`]): `a`, `b` and `out` hold the same number
+    /// of `hidden`-wide rows of int8 codes, and row `i` of `out` is the
+    /// `Add & LN` of rows `i` of `a` and `b`. `row` is the kernel's one row
+    /// of scratch (a [`fqbert_tensor::GemmScratch`] owns one); nothing is
+    /// allocated once it has served this width.
     ///
     /// # Errors
     ///
     /// Returns [`QuantError::InvalidArgument`] if the three buffers differ
     /// in length or are not whole rows.
-    pub fn apply(&self, out: &mut [i8], a: &[i8], b: &[i8]) -> Result<()> {
-        let hidden = self.gamma.len();
+    pub fn apply(&self, out: &mut [i8], a: &[i8], b: &[i8], row: &mut AddNormRow) -> Result<()> {
+        let hidden = self.check_rows(out, a, b)?;
+        (self.params.kernel())(&self.params, row.sized(hidden), a, b, out);
+        Ok(())
+    }
+
+    /// The row width, after checking that `a`, `b` and `out` are the same
+    /// number of whole rows.
+    pub(crate) fn check_rows(&self, out: &[i8], a: &[i8], b: &[i8]) -> Result<usize> {
+        let hidden = self.params.hidden();
         if a.len() != out.len() || b.len() != out.len() || !out.len().is_multiple_of(hidden) {
             return Err(QuantError::InvalidArgument(format!(
                 "inputs of {} / {} elements and an output of {} are not equal \
@@ -69,63 +74,17 @@ impl AddLayerNorm {
                 out.len()
             )));
         }
-        let n = hidden as i64;
-        let at = |code: i8| usize::from((i16::from(code) - i16::from(i8::MIN)).unsigned_abs());
-        let summed = |xa: i8, xb: i8| self.values_a[at(xa)].saturating_add(self.values_b[at(xb)]);
-
-        let rows = a.chunks_exact(hidden).zip(b.chunks_exact(hidden));
-        for (out, (a, b)) in out.chunks_exact_mut(hidden).zip(rows) {
-            // Stage 1: add the two operands and accumulate the mean.
-            let total: i64 = a
-                .iter()
-                .zip(b)
-                .map(|(&xa, &xb)| i64::from(summed(xa, xb).raw()))
-                .sum();
-            // fqlint::allow(narrowing-cast): the mean of `i32`-ranged raw
-            // values is itself in `i32` range.
-            let mean = Fixed::from_raw((total / n) as i32, INTERNAL_FRAC_BITS);
-
-            // Stage 2: subtract the mean and accumulate the variance in a
-            // wide integer with 2*frac bits, renormalised once at the end.
-            let var_acc: i64 = a
-                .iter()
-                .zip(b)
-                .map(|(&xa, &xb)| {
-                    let c = i64::from(summed(xa, xb).saturating_sub(mean).raw());
-                    c * c
-                })
-                .sum();
-            let var_raw = (var_acc / n) >> INTERNAL_FRAC_BITS;
-            let var = Fixed::from_raw(
-                var_raw.clamp(0, i64::from(i32::MAX)) as i32,
-                INTERNAL_FRAC_BITS,
-            );
-            let inv_std = fixed_inv_sqrt(var.saturating_add(self.eps), 20);
-
-            // Stage 3: element-wise gamma/beta and output requantization.
-            let params = self.gamma.iter().zip(&self.beta);
-            for ((code, (&xa, &xb)), (&gamma, &beta)) in
-                out.iter_mut().zip(a.iter().zip(b)).zip(params)
-            {
-                let centered = summed(xa, xb).saturating_sub(mean);
-                let normalised = centered.mul(inv_std).mul(gamma).saturating_add(beta);
-                // Round the fixed-point value to the nearest integer code.
-                *code = normalised
-                    .mul(self.out_scale)
-                    .rescale(0)
-                    .raw()
-                    .clamp(i8::MIN as i32, i8::MAX as i32) as i8;
-            }
-        }
-        Ok(())
+        Ok(hidden)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixedpoint::{fixed_inv_sqrt, Fixed};
     use crate::fold::PARAM_FRAC_BITS;
     use crate::QuantizedLayerNorm;
+    use fqbert_tensor::gemm::kernels;
     use fqbert_tensor::Tensor;
 
     fn float_layer_norm(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32) -> Vec<f32> {
@@ -236,7 +195,9 @@ mod tests {
 
     /// The pipeline as first written: one row, every stage multiplied out
     /// through [`Fixed`] into per-stage vectors. Kept as the oracle for the
-    /// folded, tabulated, allocation-free form.
+    /// folded, tabulated, allocation-free kernels — it shares no arithmetic
+    /// with them but the Newton iteration. The variance sum is `i128`: at
+    /// operand scales far below 1 it does not fit `i64`.
     fn reference_residual(
         ln: &QuantizedLayerNorm,
         a: &[i8],
@@ -245,7 +206,7 @@ mod tests {
         scale_b: f32,
         out_scale: f32,
     ) -> Vec<i8> {
-        let n = ln.hidden() as i64;
+        let n = ln.hidden() as i128;
         let inv_a = Fixed::from_f32(1.0 / scale_a, INTERNAL_FRAC_BITS);
         let inv_b = Fixed::from_f32(1.0 / scale_b, INTERNAL_FRAC_BITS);
         let dequant = |x: i8, inv: Fixed| {
@@ -258,16 +219,16 @@ mod tests {
             .zip(b)
             .map(|(&xa, &xb)| dequant(xa, inv_a).saturating_add(dequant(xb, inv_b)))
             .collect();
-        let total: i64 = summed.iter().map(|v| i64::from(v.raw())).sum();
+        let total: i128 = summed.iter().map(|v| i128::from(v.raw())).sum();
         let mean = Fixed::from_raw((total / n) as i32, INTERNAL_FRAC_BITS);
         let centered: Vec<Fixed> = summed.iter().map(|v| v.saturating_sub(mean)).collect();
-        let var_acc: i64 = centered
+        let var_acc: i128 = centered
             .iter()
-            .map(|c| i64::from(c.raw()) * i64::from(c.raw()))
+            .map(|c| i128::from(c.raw()) * i128::from(c.raw()))
             .sum();
         let var_raw = (var_acc / n) >> INTERNAL_FRAC_BITS;
         let var = Fixed::from_raw(
-            var_raw.clamp(0, i64::from(i32::MAX)) as i32,
+            var_raw.clamp(0, i128::from(i32::MAX)) as i32,
             INTERNAL_FRAC_BITS,
         );
         let eps = Fixed::from_f32(
@@ -294,9 +255,38 @@ mod tests {
             .collect()
     }
 
+    /// One row each of: both operands at the bottom of the code range, both
+    /// at the top, constant rows (zero variance), opposed extremes and
+    /// aligned extremes.
+    fn extreme_rows(hidden: usize) -> (Vec<i8>, Vec<i8>) {
+        let zigzag: Vec<i8> = (0..hidden)
+            .map(|i| if i % 2 == 0 { i8::MIN } else { i8::MAX })
+            .collect();
+        let opposed: Vec<i8> = zigzag.iter().map(|&c| !c).collect();
+        (
+            [
+                vec![i8::MIN; hidden],
+                vec![i8::MAX; hidden],
+                vec![17; hidden],
+                zigzag.clone(),
+                zigzag.clone(),
+            ]
+            .concat(),
+            [
+                vec![i8::MIN; hidden],
+                vec![i8::MAX; hidden],
+                vec![-3; hidden],
+                opposed,
+                zigzag,
+            ]
+            .concat(),
+        )
+    }
+
     #[test]
     fn matrix_form_matches_the_row_reference_bit_for_bit() {
         let mut rng = fqbert_tensor::RngSource::seed_from_u64(11);
+        let mut row = AddNormRow::default();
         for &(hidden, rows) in &[(1usize, 3usize), (7, 4), (64, 5), (256, 2)] {
             let gamma = rng.normal_tensor(&[hidden], 1.0, 0.6);
             let beta = rng.normal_tensor(&[hidden], 0.0, 0.7);
@@ -315,55 +305,74 @@ mod tests {
                         .collect()
                 };
                 let random = (codes(&mut rng), codes(&mut rng));
-                // One row each of: both operands at the bottom of the code
-                // range, both at the top, constant rows (zero variance),
-                // opposed extremes and aligned extremes.
-                let zigzag: Vec<i8> = (0..hidden)
-                    .map(|i| if i % 2 == 0 { i8::MIN } else { i8::MAX })
-                    .collect();
-                let opposed: Vec<i8> = zigzag.iter().map(|&c| !c).collect();
-                let extremes: (Vec<i8>, Vec<i8>) = (
-                    [
-                        vec![i8::MIN; hidden],
-                        vec![i8::MAX; hidden],
-                        vec![17; hidden],
-                        zigzag.clone(),
-                        zigzag.clone(),
-                    ]
-                    .concat(),
-                    [
-                        vec![i8::MIN; hidden],
-                        vec![i8::MAX; hidden],
-                        vec![-3; hidden],
-                        opposed,
-                        zigzag,
-                    ]
-                    .concat(),
-                );
+                let extremes = extreme_rows(hidden);
                 // One folded value serves every matrix: it holds no state,
-                // so the third application repeats the first, and each
-                // agrees with the oracle and with a fresh fold per row.
+                // so the third application repeats the first, and on every
+                // kernel row each agrees with the oracle and with a fresh
+                // fold per row on the scalar one.
                 let folded = ln.fold(sa, sb, so).unwrap();
+                assert!(folded.params.simd_exact());
                 for (a, b) in [&random, &extremes, &random] {
+                    let expected: Vec<i8> = (0..a.len() / hidden)
+                        .flat_map(|r| {
+                            let span = r * hidden..(r + 1) * hidden;
+                            reference_residual(&ln, &a[span.clone()], sa, &b[span], sb, so)
+                        })
+                        .collect();
                     let mut out = vec![0i8; a.len()];
-                    folded.apply(&mut out, a, b).unwrap();
-                    for r in 0..a.len() / hidden {
+                    folded.apply(&mut out, a, b, &mut row).unwrap();
+                    assert_eq!(out, expected, "hidden {hidden}");
+                    // Every row by its table entry: forcing the process
+                    // default would race the other tests of this binary.
+                    for kind in kernels::available() {
+                        let add_norm = kernels::dispatch_for(kind).add_norm;
+                        let mut out = vec![0i8; a.len()];
+                        add_norm(&folded.params, row.sized(hidden), a, b, &mut out);
+                        assert_eq!(out, expected, "hidden {hidden} on {}", kind.name());
+                    }
+                    for (r, expected) in expected.chunks_exact(hidden).enumerate() {
                         let span = r * hidden..(r + 1) * hidden;
-                        let expected =
-                            reference_residual(&ln, &a[span.clone()], sa, &b[span.clone()], sb, so);
-                        assert_eq!(
-                            &out[span.clone()],
-                            expected.as_slice(),
-                            "hidden {hidden} row {r}"
-                        );
                         assert_eq!(
                             ln.apply_residual(&a[span.clone()], sa, &b[span], sb, so)
                                 .unwrap(),
-                            expected
+                            expected,
+                            "hidden {hidden} row {r}"
                         );
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn small_operand_scales_do_not_overflow_the_variance() {
+        // At 0.01 levels per unit a code dequantizes to ~2^30 on the grid:
+        // a zigzag row's squared deviations sum past `i64`. The fold puts
+        // such a block outside the SIMD envelope and the scalar row
+        // accumulates in `i128` — an `i64` sum panics here in the
+        // overflow-checked profile and is a garbage variance in release.
+        let hidden = 256;
+        let ln =
+            QuantizedLayerNorm::from_float(&vec![1.0; hidden], &vec![0.25; hidden], 1e-5).unwrap();
+        let (a, b) = extreme_rows(hidden);
+        let mut row = AddNormRow::default();
+        for scale in [1e-2f32, 1e-3, 1e-4, 1e-5, 1e-6] {
+            let folded = ln.fold(scale, scale, 25.0).unwrap();
+            assert!(!folded.params.simd_exact(), "scale {scale}");
+            let mut out = vec![0i8; a.len()];
+            folded.apply(&mut out, &a, &b, &mut row).unwrap();
+            for (r, got) in out.chunks_exact(hidden).enumerate() {
+                let span = r * hidden..(r + 1) * hidden;
+                let (a, b) = (&a[span.clone()], &b[span]);
+                let expected = reference_residual(&ln, a, scale, b, scale, 25.0);
+                assert_eq!(got, expected, "scale {scale} row {r}");
+                let oracle = ln.apply_residual(a, scale, b, scale, 25.0).unwrap();
+                assert_eq!(oracle, expected, "scale {scale} row {r}");
+            }
+            // The variance itself saturates at `i32::MAX` on the aligned
+            // zigzag, so its deviations stay huge and the codes saturate —
+            // each with the sign of its element.
+            assert_eq!(&out[4 * hidden..], &a[4 * hidden..], "scale {scale}");
         }
     }
 
@@ -404,8 +413,12 @@ mod tests {
         // The matrix form takes whole rows of equal count only.
         let folded = ln.fold(1.0, 1.0, 1.0).unwrap();
         let mut out = [0i8; 4];
-        assert!(folded.apply(&mut out, &[1, 2, 3, 4], &[0; 4]).is_ok());
-        assert!(folded.apply(&mut out[..3], &[1, 2, 3], &[0; 3]).is_err());
-        assert!(folded.apply(&mut out, &[1, 2], &[0; 4]).is_err());
+        let mut row = AddNormRow::default();
+        assert!(folded
+            .apply(&mut out, &[1, 2, 3, 4], &[0; 4], &mut row)
+            .is_ok());
+        let short = folded.apply(&mut out[..3], &[1, 2, 3], &[0; 3], &mut row);
+        assert!(short.is_err());
+        assert!(folded.apply(&mut out, &[1, 2], &[0; 4], &mut row).is_err());
     }
 }

@@ -20,7 +20,8 @@
 //! * [`softmax_lut`] — the 256-entry lookup-table softmax with
 //!   max-subtraction (paper §III-B, Softmax Core).
 //! * [`layernorm_q`] — integer/fixed-point layer normalization (paper §III-B,
-//!   LN Core).
+//!   LN Core): the folded block, applied by the `Add & LN` kernels of
+//!   `fqbert_tensor::gemm::kernels`.
 //! * [`fold`] — where the four above get their constants from real numbers.
 //! * [`bitwidth`] — the per-part bit-width configuration of FQ-BERT.
 //!
@@ -37,10 +38,16 @@
 //!   arithmetic and [`fixedpoint::fixed_inv_sqrt`]). Outside their
 //!   `#[cfg(test)]` modules they contain no float type, literal or method;
 //!   fqlint's `float-escape` rule covers all four and none carries a
-//!   suppression.
+//!   suppression. [`AddLayerNorm`] stores raw Q16 integers
+//!   (`fqbert_tensor::gemm::AddNormParams`) and its `apply` dispatches to
+//!   the selected kernel row; the three stages' arithmetic and the one
+//!   Newton inverse square root ([`fixedpoint::fixed_inv_sqrt`] wraps it)
+//!   live with those kernels, which the rule covers too.
 //! * **Float side** — [`fold`] holds every constructor that takes a real
 //!   number ([`Requantizer::from_scale`], [`SoftmaxLut::new`],
-//!   [`QuantizedLayerNorm`] with its [`QuantizedLayerNorm::fold`],
+//!   [`QuantizedLayerNorm`] with its [`QuantizedLayerNorm::fold`] and the
+//!   one-row oracle [`QuantizedLayerNorm::apply_residual`], which folds and
+//!   then runs the scalar kernel row whatever kernel is selected,
 //!   [`Fixed::from_f32`] / [`Fixed::to_f32`]); the rule does not cover it.
 //!   So are the calibration-time modules ([`scheme`], [`observer`],
 //!   [`clip`], [`bias`]), which no forward pass executes.

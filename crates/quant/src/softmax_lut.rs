@@ -10,9 +10,49 @@
 //! Integer side of the crate (see the crate docs): this file holds the
 //! table and the row evaluation that indexes it; the one place the
 //! exponential is evaluated, [`SoftmaxLut::new`], is in [`crate::fold`].
+//!
+//! The row form the engine runs, [`SoftmaxLut::apply_row_into`], divides
+//! once per row — a `2⁴⁸ / denom` reciprocal, then a multiply and a shift
+//! per element, exact up to the attention bound (`RowReciprocal`);
+//! [`SoftmaxLut::apply_row`] keeps the accelerator's division per element
+//! and is the reference it is tested against.
+
+use fqbert_tensor::gemm::MAX_ATTN_SEQ;
 
 /// Number of entries in the exponential lookup table.
 pub const LUT_ENTRIES: usize = 256;
+
+/// The one division of a softmax row: `round(p / denom)` for every scaled
+/// numerator `p = n · levels` of the row as `(p + denom/2) · m >> 48` with
+/// `m = ⌊2⁴⁸ / denom⌋ + 1`.
+///
+/// Exact for `x = p + denom/2 < 2²⁴` and `denom < 2²⁴`: `m · denom = 2⁴⁸ + e`
+/// with `0 < e ≤ denom`, so `x · m / 2⁴⁸` exceeds `x / denom` by
+/// `x · e / (denom · 2⁴⁸) < 1 / denom` — too little to reach the next
+/// integer — as `x · e ≤ x · denom < 2⁴⁸`. A row of `i8` scores has
+/// `255 ≤ denom ≤ 255 ·`[`MAX_ATTN_SEQ`]` = 2²⁴ − 1` and
+/// `x ≤ 255 · 255 + denom/2 < 2²⁴`; and `x · m ≤ (x / denom) · 2⁴⁸ + x <
+/// 2⁵⁶` stays inside `u64`, since `x / denom ≤ 255.5`.
+struct RowReciprocal {
+    half: u64,
+    reciprocal: u64,
+}
+
+impl RowReciprocal {
+    fn new(denom: u64) -> Self {
+        Self {
+            half: denom >> 1,
+            reciprocal: (1u64 << 48) / denom + 1,
+        }
+    }
+
+    /// `round(scaled / denom)` for `scaled = n · levels`, `n ≤ denom`.
+    fn rounded(&self, scaled: u64) -> u8 {
+        // fqlint::allow(narrowing-cast): the numerator is at most `denom`,
+        // so the quotient is at most `out_levels <= 255`.
+        (((scaled + self.half) * self.reciprocal) >> 48) as u8
+    }
+}
 
 /// An integer-only softmax evaluator backed by a 256-entry exponential LUT.
 ///
@@ -98,20 +138,32 @@ impl SoftmaxLut {
     /// `[0, 255]`, inside the table, so the saturation in
     /// [`SoftmaxLut::exp_lookup`] cannot fire; the maximum itself looks up
     /// `table[0] = 255`, so the denominator is never zero.
+    ///
+    /// The row divides once: every element's rounded quotient is a multiply
+    /// and a shift by the row's `RowReciprocal`.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a row longer than [`MAX_ATTN_SEQ`], the attention bound
+    /// of the engine and the range the reciprocal is exact on.
     pub fn apply_row_into(&self, scores: &[i8], mut emit: impl FnMut(usize, u8)) {
         let Some(&max) = scores.iter().max() else {
             return;
         };
+        assert!(
+            scores.len() <= MAX_ATTN_SEQ,
+            "softmax row of {} scores exceeds the attention bound {MAX_ATTN_SEQ}",
+            scores.len()
+        );
         let numerator = |s: i8| {
             let diff = i16::from(max) - i16::from(s);
             u64::from(self.table[usize::from(diff.unsigned_abs())])
         };
         let denom: u64 = scores.iter().map(|&s| numerator(s)).sum();
+        let divide = RowReciprocal::new(denom);
         let levels = u64::from(self.out_levels);
         for (j, &s) in scores.iter().enumerate() {
-            // fqlint::allow(narrowing-cast): the numerator is at most
-            // `denom`, so the quotient is at most `out_levels <= 255`.
-            emit(j, ((numerator(s) * levels + denom / 2) / denom) as u8);
+            emit(j, divide.rounded(numerator(s) * levels));
         }
     }
 
@@ -219,6 +271,46 @@ mod tests {
             lut.apply_row_into(&scores, |j, p| got[j] = i32::from(p));
             assert_eq!(got, lut.apply_row(&wide));
         }
+    }
+
+    #[test]
+    fn the_row_reciprocal_is_the_division_for_every_denominator_a_row_can_have() {
+        let check = |denom: u64| {
+            let divide = RowReciprocal::new(denom);
+            for levels in [1u64, 127, 255] {
+                for n in 0..=255u64 {
+                    let exact = (n * levels + denom / 2) / denom;
+                    assert_eq!(
+                        u64::from(divide.rounded(n * levels)),
+                        exact,
+                        "n {n} levels {levels} denom {denom}"
+                    );
+                }
+            }
+        };
+        // Every denominator of a row of up to 512 scores (the maximum
+        // alone contributes 255), then a sweep up to the attention bound
+        // with its end points.
+        (255..=255 * 512).for_each(check);
+        let bound = 255 * MAX_ATTN_SEQ as u64;
+        (255 * 512..=bound).step_by(4_099).for_each(check);
+        (bound - 300..=bound).for_each(check);
+        assert_eq!(bound, (1 << 24) - 1);
+    }
+
+    #[test]
+    fn a_row_at_the_attention_bound_divides_exactly_and_a_longer_one_is_refused() {
+        // All-equal scores: every numerator is 255 and the denominator is
+        // the largest a row can have.
+        let lut = SoftmaxLut::new(4.0, 255).unwrap();
+        let row = vec![7i8; MAX_ATTN_SEQ];
+        let mut codes = Vec::with_capacity(row.len());
+        lut.apply_row_into(&row, |_, p| codes.push(p));
+        let uniform = ((255 * 255 + (255 * row.len() as u64) / 2) / (255 * row.len() as u64)) as u8;
+        assert!(codes.iter().all(|&p| p == uniform));
+        let too_long = vec![7i8; MAX_ATTN_SEQ + 1];
+        let refused = std::panic::catch_unwind(|| lut.apply_row_into(&too_long, |_, _| {}));
+        assert!(refused.is_err());
     }
 
     #[test]

@@ -13,6 +13,13 @@
 //! kernels over panels that already exist, so every row reads the one
 //! layout.
 //!
+//! A row also carries the two element-wise stages that run on the tiles'
+//! output: the requantize epilogue and `Add & LN` ([`AddNormKernel`], the
+//! accelerator's 3-stage LN pipeline). Both are bit-identical to their
+//! scalar reference inside an envelope computed from the parameters
+//! ([`RequantParams::simd_exact`], [`AddNormParams::simd_exact`]);
+//! parameters outside it never reach a SIMD row.
+//!
 //! # Selection
 //!
 //! [`selected`] resolves once per process (lock-free, one relaxed atomic
@@ -33,16 +40,27 @@
 //!
 //! # Adding a kernel
 //!
-//! Implement the two tile functions (`wide` for `i16` panels, `nibble` for
-//! biased-nibble int4 panels; a row may borrow either from another row, as
-//! `vnni` borrows `wide` and `requant` from `avx2`), add a [`KernelKind`]
-//! variant **at its place in the preference order** — the enum and
-//! [`KernelKind::ALL`] list the kinds in the same, ascending order, which a
-//! unit test pins — its availability check, and its [`KernelDispatch`] row;
-//! then the cross-kernel proptests automatically cover it. A nibble kernel
-//! adds `Σ a·u` over the panel's unsigned `u = w + 8` to the tile it is
-//! given; the driver has already started the tile at `−8 · Σ a`. `unsafe`
-//! is allowed only inside `gemm/kernels/*` (fqlint R5
+//! A row has four entries: the two tile functions (`wide` for `i16`
+//! panels, `nibble` for biased-nibble int4 panels), the `requant` epilogue
+//! and `add_norm`. Implement the tiles; any entry may be borrowed from
+//! another row — `vnni` borrows `wide`, `requant` and `add_norm` from
+//! `avx2`; `neon` borrows `requant` and `add_norm`, and `sse2` borrows
+//! `add_norm`, from `scalar`. Add a [`KernelKind`] variant **at its place
+//! in the preference order** — the enum and [`KernelKind::ALL`] list the
+//! kinds in the same, ascending order, which a unit test pins — its
+//! availability check, and its [`KernelDispatch`] row; then the
+//! cross-kernel tests automatically cover it.
+//!
+//! A nibble kernel adds `Σ a·u` over the panel's unsigned `u = w + 8` to
+//! the tile it is given; the driver has already started the tile at
+//! `−8 · Σ a`. An `add_norm` entry must equal [`scalar::add_norm_rows`] bit
+//! for bit on every [`AddNormParams`] inside [`AddNormParams::simd_exact`]
+//! — stage 3's three rounded, saturating Q16 products included — for every
+//! width (a tail shorter than a vector too), and must write every slot of
+//! the sum row before reading it; `tests/add_norm_kernels.rs` drives every
+//! available row through saturating and non-saturating parameter sets.
+//!
+//! `unsafe` is allowed only inside `gemm/kernels/*` (fqlint R5
 //! `unsafe-outside-kernels`), and every unsafe item there must carry a
 //! justified allow annotation.
 
@@ -53,7 +71,7 @@ pub mod neon;
 #[cfg(target_arch = "x86_64")]
 pub mod x86;
 
-use super::{AccTile, RequantParams, QUAD_A, QUAD_B, WIDE_A, WIDE_B};
+use super::{AccTile, AddNormParams, RequantParams, QUAD_A, QUAD_B, WIDE_A, WIDE_B};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Tile kernel over wide (`i16`-pair) weight panels.
@@ -71,6 +89,17 @@ pub type NibbleKernel = fn(&[[i8; QUAD_A]], &[[u8; QUAD_B]], &mut AccTile);
 /// [`RequantParams::simd_exact`]; `gemm_i8_requant` routes anything outside
 /// that envelope to the scalar reference.
 pub type RequantKernel = fn(&[i32], &[i32], RequantParams, &mut [i8]);
+
+/// `Add & LN` over whole matrices, `kernel(params, sums, a, b, out)`: `a`,
+/// `b` and `out` hold the same number of `params.hidden()`-wide rows of
+/// int8 codes and `sums` is one row of `i32` scratch (an
+/// [`super::AddNormRow`]); row `i` of `out` becomes the layer norm of the
+/// sum of rows `i` of `a` and `b`. SIMD implementations are bit-identical
+/// to [`scalar::add_norm_rows`] for parameter sets inside
+/// [`AddNormParams::simd_exact`]; [`AddNormParams::kernel`] routes anything
+/// outside that envelope to the scalar reference. Panics on any other
+/// combination of lengths.
+pub type AddNormKernel = fn(&AddNormParams, &mut [i32], &[i8], &[i8], &mut [i8]);
 
 /// The instruction-set families a micro-kernel can target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -157,7 +186,7 @@ impl KernelKind {
     }
 }
 
-/// One selectable micro-kernel pair plus its identity.
+/// One selectable row of micro-kernels plus its identity.
 #[derive(Debug)]
 pub struct KernelDispatch {
     /// Which instruction-set family this is.
@@ -170,6 +199,8 @@ pub struct KernelDispatch {
     pub nibble: NibbleKernel,
     /// Requantize epilogue kernel for accumulator row segments.
     pub requant: RequantKernel,
+    /// `Add & LN` kernel over whole matrices.
+    pub add_norm: AddNormKernel,
 }
 
 static SCALAR: KernelDispatch = KernelDispatch {
@@ -178,8 +209,11 @@ static SCALAR: KernelDispatch = KernelDispatch {
     wide: scalar::tile_wide,
     nibble: scalar::tile_nibble,
     requant: scalar::requant_row,
+    add_norm: scalar::add_norm_rows,
 };
 
+// `Add & LN` leans on 64-bit signed multiplies and compares and on a
+// gather, none of which SSE2 has: the SSE2 row runs the scalar one.
 #[cfg(target_arch = "x86_64")]
 static SSE2: KernelDispatch = KernelDispatch {
     kind: KernelKind::Sse2,
@@ -187,6 +221,7 @@ static SSE2: KernelDispatch = KernelDispatch {
     wide: x86::tile_wide_sse2,
     nibble: x86::tile_nibble_sse2,
     requant: x86::requant_row_sse2,
+    add_norm: scalar::add_norm_rows,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -196,10 +231,11 @@ static AVX2: KernelDispatch = KernelDispatch {
     wide: x86::tile_wide_avx2,
     nibble: x86::tile_nibble_avx2,
     requant: x86::requant_row_avx2,
+    add_norm: x86::add_norm_rows_avx2,
 };
 
-// VNNI changes the byte-operand product only: wide panels and the requantize
-// epilogue run on the AVX2 kernels.
+// VNNI changes the byte-operand product only: wide panels, the requantize
+// epilogue and `Add & LN` run on the AVX2 kernels.
 #[cfg(target_arch = "x86_64")]
 static VNNI: KernelDispatch = KernelDispatch {
     kind: KernelKind::Vnni,
@@ -207,11 +243,11 @@ static VNNI: KernelDispatch = KernelDispatch {
     wide: x86::tile_wide_avx2,
     nibble: x86::tile_nibble_vnni,
     requant: x86::requant_row_avx2,
+    add_norm: x86::add_norm_rows_avx2,
 };
 
-// The NEON row reuses the scalar requant epilogue: the epilogue is a small
-// fraction of GEMM time and the aarch64 SIMD variant has not been written
-// yet.
+// The NEON row reuses the scalar requant epilogue and `Add & LN`: the
+// aarch64 SIMD variants have not been written yet.
 #[cfg(target_arch = "aarch64")]
 static NEON: KernelDispatch = KernelDispatch {
     kind: KernelKind::Neon,
@@ -219,6 +255,7 @@ static NEON: KernelDispatch = KernelDispatch {
     wide: neon::tile_wide,
     nibble: neon::tile_nibble,
     requant: scalar::requant_row,
+    add_norm: scalar::add_norm_rows,
 };
 
 /// The dispatch table row for `kind`. Kinds not compiled for this target
@@ -281,7 +318,7 @@ pub fn available() -> Vec<KernelKind> {
         .collect()
 }
 
-/// The process-selected micro-kernel pair. First call resolves from
+/// The process-selected micro-kernel row. First call resolves from
 /// `FQBERT_KERNEL` / CPU detection; afterwards this is one relaxed atomic
 /// load.
 pub fn selected() -> &'static KernelDispatch {

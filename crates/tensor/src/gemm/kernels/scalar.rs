@@ -11,8 +11,16 @@
 //! fixed-size arrays and `as_chunks` splits them into compile-time-sized
 //! pieces, so the hot loops contain no fallible chunking and no panic
 //! paths.
+//!
+//! [`add_norm_rows`] is the `Add & LN` reference: the accelerator's 3-stage
+//! LN pipeline over raw Q16 integers, exact for every [`AddNormParams`].
+//! Its per-element pieces are what a SIMD row finishes a row's tail with,
+//! and [`inv_sqrt_fixed`] is the one Newton inverse square root of the
+//! workspace.
 
-use crate::gemm::{AccTile, RequantParams, NR, QUAD_A, QUAD_B, WIDE_A, WIDE_B};
+use crate::gemm::{
+    AccTile, AddNormParams, RequantParams, ADD_NORM_FRAC_BITS, NR, QUAD_A, QUAD_B, WIDE_A, WIDE_B,
+};
 
 /// Accumulates one tile from wide (`i16`-pair) panels.
 pub fn tile_wide(a: &[[i16; WIDE_A]], b: &[[i16; WIDE_B]], acc: &mut AccTile) {
@@ -82,6 +90,174 @@ pub fn tile_nibble(a: &[[i8; QUAD_A]], b: &[[u8; QUAD_B]], acc: &mut AccTile) {
                     }
                 }
             }
+        }
+    }
+}
+
+/// `wide / 2^shift`, rounded half away from zero and saturated to `i32`.
+/// In `i64` neither the rounding add nor the negation can overflow for an
+/// `i32`-ranged or `i32 × i32` operand.
+fn round_shift(wide: i64, shift: u32) -> i32 {
+    let half = if shift > 0 { 1i64 << (shift - 1) } else { 0 };
+    let rounded = if wide >= 0 {
+        (wide + half) >> shift
+    } else {
+        -((-wide + half) >> shift)
+    };
+    rounded.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32
+}
+
+/// Fixed-point product of two values with `frac_bits` fractional bits,
+/// rounded and saturated.
+fn mul_fixed(a: i32, b: i32, frac_bits: u32) -> i32 {
+    round_shift(i64::from(a) * i64::from(b), frac_bits)
+}
+
+/// `1/sqrt(x)` for a fixed-point `x > 0` with `frac_bits` fractional bits,
+/// by at most `iterations` Newton–Raphson steps `y ← y · (1.5 − 0.5·x·y²)`
+/// in saturating fixed-point arithmetic. A step is a function of `y`
+/// alone, so once an iterate repeats every later one is identical: the
+/// loop stops there, and the result is bit for bit the one the full count
+/// gives.
+///
+/// # Panics
+///
+/// Panics if `x` is not strictly positive.
+pub fn inv_sqrt_fixed(x: i32, frac_bits: u32, iterations: u32) -> i32 {
+    assert!(x > 0, "inverse square root requires a positive input");
+    // Start from a floating-point-free initial guess y0 = 2^(-ceil(log2(x)/2)).
+    //
+    // The ceiling matters: with x = 2^e·m (m in [1, 2)) this guarantees
+    // 0.5·x·y0² < 1, so the first Newton correction `1.5 - 0.5·x·y0²` stays
+    // positive, and every later iterate lands in (0, 1/sqrt(x)] — the basin
+    // of the positive root. A truncating `e/2` guess overshoots for odd
+    // positive e (e.g. x in [3,4) or [12,16)) and Newton then converges to
+    // the *negative* root -1/sqrt(x), sign-flipping the caller's output.
+    // fqlint::allow(narrowing-cast): `leading_zeros()` is at most 32 and
+    // `frac_bits` is a bit-shift amount < 32 — both fit `i32`.
+    let value_log2 = 31 - x.leading_zeros() as i32 - frac_bits as i32;
+    let guess_log2 = -(value_log2 + 1).div_euclid(2);
+    // fqlint::allow(narrowing-cast): `frac_bits` is a bit-shift amount < 32.
+    let mut y = 1i32 << (frac_bits as i32 + guess_log2).clamp(0, 30);
+    // 1.5 is 3 on the one-fraction-bit grid: 98 304 at the layer norm's
+    // Q16, and the integer grid rounds it half away from zero, to 2.
+    let three_halves = match frac_bits.checked_sub(1) {
+        Some(up) => 3i32.saturating_mul(1 << up),
+        None => 2,
+    };
+    let half_x = x / 2;
+    for _ in 0..iterations {
+        let term = mul_fixed(half_x, mul_fixed(y, y, frac_bits), frac_bits);
+        let correction = three_halves.saturating_sub(term);
+        let next = if correction > 0 {
+            mul_fixed(y, correction, frac_bits)
+        } else {
+            // Defensive guard (unreachable with the guess above): back off
+            // towards zero rather than crossing into the negative basin.
+            y / 2
+        };
+        if next == y {
+            break;
+        }
+        y = next;
+    }
+    y
+}
+
+/// Width of the rows an `Add & LN` kernel was handed, after checking what
+/// every kernel relies on: `sums` is one row, and `a`, `b` and `out` are
+/// the same number of whole rows.
+///
+/// # Panics
+///
+/// Panics if they are not — the caller (`AddLayerNorm::apply`) validates
+/// its operands and sizes the row first.
+pub(super) fn add_norm_hidden(
+    params: &AddNormParams,
+    sums: &[i32],
+    a: &[i8],
+    b: &[i8],
+    out: &[i8],
+) -> usize {
+    let hidden = params.gamma.len();
+    assert!(
+        sums.len() == hidden
+            && a.len() == out.len()
+            && b.len() == out.len()
+            && out.len().is_multiple_of(hidden),
+        "add_norm: operands of {} / {} codes, an output of {} and a sum row of {} \
+         are not equal numbers of {hidden}-wide rows",
+        a.len(),
+        b.len(),
+        out.len(),
+        sums.len()
+    );
+    hidden
+}
+
+/// Stage 1, one element: the sum of the two dequantized operands.
+pub(super) fn add_norm_sum(params: &AddNormParams, a: i8, b: i8) -> i32 {
+    let at = |code: i8| usize::from(code.cast_unsigned() ^ 0x80);
+    params.values_a[at(a)].saturating_add(params.values_b[at(b)])
+}
+
+/// Between stages 2 and 3, once per row: `1/sqrt(var + eps)` from the mean
+/// of the squared deviations on the doubled grid (`Σ c² / hidden`).
+pub(super) fn add_norm_inv_std(params: &AddNormParams, mean_square: i128) -> i32 {
+    let var = (mean_square >> ADD_NORM_FRAC_BITS).clamp(0, i128::from(i32::MAX)) as i32;
+    inv_sqrt_fixed(var.saturating_add(params.eps), ADD_NORM_FRAC_BITS, 20)
+}
+
+/// Stage 3, one element: `gamma · c / std + beta` requantized to its
+/// output code, every product rounded and saturated.
+pub(super) fn add_norm_code(c: i32, inv_std: i32, gamma: i32, beta: i32, out_scale: i32) -> i8 {
+    let q = ADD_NORM_FRAC_BITS;
+    let normalised = mul_fixed(mul_fixed(c, inv_std, q), gamma, q).saturating_add(beta);
+    // Round the fixed-point value to the nearest integer code.
+    let code = round_shift(i64::from(mul_fixed(normalised, out_scale, q)), q);
+    code.clamp(i32::from(i8::MIN), i32::from(i8::MAX)) as i8
+}
+
+/// `Add & LN` over whole matrices — the reference every SIMD row is
+/// property-tested against, and what runs outside
+/// [`AddNormParams::simd_exact`]: row `i` of `out` is the layer norm of
+/// the sum of rows `i` of `a` and `b` (see [`super::AddNormKernel`] for the
+/// contract). Every add saturates and the variance is accumulated in
+/// `i128`, so it is exact for every parameter set.
+///
+/// # Panics
+///
+/// Panics unless `sums` is one row and `a`, `b`, `out` are equal numbers
+/// of whole rows.
+pub fn add_norm_rows(params: &AddNormParams, sums: &mut [i32], a: &[i8], b: &[i8], out: &mut [i8]) {
+    let hidden = add_norm_hidden(params, sums, a, b, out);
+    let n = hidden as i64;
+    let rows = a.chunks_exact(hidden).zip(b.chunks_exact(hidden));
+    for (out, (a, b)) in out.chunks_exact_mut(hidden).zip(rows) {
+        // Stage 1: add the two operands and accumulate the mean (a sum of
+        // `i32` values: it would take 2^32 of them to leave `i64`).
+        let mut total = 0i64;
+        for (sum, (&xa, &xb)) in sums.iter_mut().zip(a.iter().zip(b)) {
+            *sum = add_norm_sum(params, xa, xb);
+            total += i64::from(*sum);
+        }
+        // fqlint::allow(narrowing-cast): the mean of `i32` values is itself
+        // in `i32` range.
+        let mean = (total / n) as i32;
+
+        // Stage 2: subtract the mean and accumulate the variance in a wide
+        // integer with 2*frac bits, renormalised once at the end.
+        let mut squares = 0i128;
+        for c in sums.iter_mut() {
+            *c = c.saturating_sub(mean);
+            squares += i128::from(i64::from(*c) * i64::from(*c));
+        }
+        let inv_std = add_norm_inv_std(params, squares / i128::from(n));
+
+        // Stage 3: element-wise gamma/beta and output requantization.
+        let scaled = sums.iter().zip(params.gamma.iter().zip(&params.beta));
+        for (code, (&c, (&gamma, &beta))) in out.iter_mut().zip(scaled) {
+            *code = add_norm_code(c, inv_std, gamma, beta, params.out_scale);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! x86_64 micro-kernels: AVX2 (`_mm256_madd_epi16`) and SSE2 (`pmaddwd`)
-//! accumulator tiles over the k-pair-interleaved wide panels, and the
+//! accumulator tiles over the k-pair-interleaved wide panels, the
 //! byte-operand tiles (`vpmaddubsw`, `vpdpbusd`) over the biased-nibble
-//! k-quad panels.
+//! k-quad panels, the requantize epilogues and the AVX2 `Add & LN`.
 //!
 //! The wide paths broadcast one activation pair `(a0, a1)` into every
 //! 32-bit lane and `madd` it against the panel's interleaved weight pairs:
@@ -34,6 +34,20 @@
 //! zero-extends the decoded bytes to `i16`, regroups them into k-pairs per
 //! column and runs `pmaddwd` against sign-extended activation pairs.
 //!
+//! `Add & LN` ([`add_norm_rows_avx2`]) is the accelerator's 3-stage LN
+//! pipeline eight elements at a time: stage 1 gathers both operands'
+//! dequantized values out of their 256-entry tables and adds them in `i32`
+//! lanes; stage 2 subtracts the mean and squares the deviations with
+//! `vpmuldq` over the even and the odd elements into `i64` lanes; the
+//! Newton inverse square root runs once per row in scalar code; stage 3 is
+//! three `vpmuldq` products, each rounded half away from zero to Q16, on
+//! sign-extended `i64` lanes, and `packs` does the final `i8` clamp. The
+//! reference saturates every product to `i32` and the lanes do not: a
+//! per-row bound (`stage3_fits`) shows no product of the row can, and a row
+//! that fails it — none with calibrated scales — runs stage 3 through the
+//! scalar element function. SSE2 has no signed 64-bit multiply, compare or
+//! gather, so that row runs the scalar one.
+//!
 //! # Safety
 //!
 //! This module is one of the designated unsafe-kernel modules (fqlint R5
@@ -42,25 +56,32 @@
 //! them only after `is_x86_feature_detected!` confirms the feature, and
 //! (b) unaligned SIMD loads/stores (and one unaligned 4-byte read per
 //! activation quad) through raw pointers derived from fixed-size array
-//! references, in-bounds by construction.
+//! references, in-bounds by construction — or, in `Add & LN`, from slices
+//! whose lengths the safe wrapper asserts first — and gathers that index
+//! 256-entry tables with zero-extended bytes.
 
 use super::scalar;
-use crate::gemm::{AccTile, RequantParams, MR, QUAD_A, QUAD_B, WIDE_A, WIDE_B};
+use crate::gemm::{
+    AccTile, AddNormParams, RequantParams, ADD_NORM_FRAC_BITS, MR, QUAD_A, QUAD_B, WIDE_A, WIDE_B,
+};
 use core::arch::x86_64::{
-    __m128i, __m256i, _mm256_add_epi16, _mm256_add_epi32, _mm256_add_epi64, _mm256_and_si256,
-    _mm256_andnot_si256, _mm256_castsi256_si128, _mm256_cmpgt_epi32, _mm256_cvtepi32_epi64,
-    _mm256_dpbusd_avx_epi32, _mm256_dpbusd_epi32, _mm256_extracti128_si256, _mm256_loadu_si256,
-    _mm256_madd_epi16, _mm256_maddubs_epi16, _mm256_mul_epu32, _mm256_or_si256,
-    _mm256_permute4x64_epi64, _mm256_set1_epi16, _mm256_set1_epi32, _mm256_set1_epi64x,
-    _mm256_set1_epi8, _mm256_setzero_si256, _mm256_shuffle_epi32, _mm256_slli_epi64,
-    _mm256_srai_epi32, _mm256_srl_epi64, _mm256_srli_epi16, _mm256_srli_epi64, _mm256_storeu_si256,
-    _mm256_sub_epi64, _mm256_xor_si256, _mm_add_epi32, _mm_add_epi64, _mm_and_si128,
-    _mm_andnot_si128, _mm_cmpgt_epi32, _mm_cmpgt_epi8, _mm_cvtsi128_si32, _mm_cvtsi32_si128,
-    _mm_loadu_si128, _mm_madd_epi16, _mm_mul_epu32, _mm_or_si128, _mm_packs_epi16, _mm_packs_epi32,
-    _mm_set1_epi32, _mm_set1_epi64x, _mm_set1_epi8, _mm_setzero_si128, _mm_shuffle_epi32,
-    _mm_slli_epi64, _mm_srai_epi32, _mm_srl_epi64, _mm_srli_epi16, _mm_srli_epi64,
-    _mm_storel_epi64, _mm_storeu_si128, _mm_sub_epi64, _mm_unpackhi_epi32, _mm_unpackhi_epi8,
-    _mm_unpacklo_epi32, _mm_unpacklo_epi64, _mm_unpacklo_epi8, _mm_xor_si128,
+    __m128i, __m256i, _mm256_abs_epi32, _mm256_add_epi16, _mm256_add_epi32, _mm256_add_epi64,
+    _mm256_and_si256, _mm256_andnot_si256, _mm256_castsi256_si128, _mm256_cmpgt_epi32,
+    _mm256_cmpgt_epi64, _mm256_cvtepi32_epi64, _mm256_cvtepu8_epi32, _mm256_dpbusd_avx_epi32,
+    _mm256_dpbusd_epi32, _mm256_extracti128_si256, _mm256_i32gather_epi32, _mm256_loadu_si256,
+    _mm256_madd_epi16, _mm256_maddubs_epi16, _mm256_max_epi32, _mm256_max_epu32, _mm256_min_epi32,
+    _mm256_mul_epi32, _mm256_mul_epu32, _mm256_or_si256, _mm256_permute4x64_epi64,
+    _mm256_set1_epi16, _mm256_set1_epi32, _mm256_set1_epi64x, _mm256_set1_epi8,
+    _mm256_setzero_si256, _mm256_shuffle_epi32, _mm256_slli_epi64, _mm256_srai_epi32,
+    _mm256_srl_epi64, _mm256_srli_epi16, _mm256_srli_epi64, _mm256_storeu_si256, _mm256_sub_epi32,
+    _mm256_sub_epi64, _mm256_unpacklo_epi64, _mm256_xor_si256, _mm_add_epi32, _mm_add_epi64,
+    _mm_and_si128, _mm_andnot_si128, _mm_cmpgt_epi32, _mm_cmpgt_epi8, _mm_cvtsi128_si32,
+    _mm_cvtsi128_si64, _mm_cvtsi32_si128, _mm_loadl_epi64, _mm_loadu_si128, _mm_madd_epi16,
+    _mm_mul_epu32, _mm_or_si128, _mm_packs_epi16, _mm_packs_epi32, _mm_set1_epi32, _mm_set1_epi64x,
+    _mm_set1_epi8, _mm_setzero_si128, _mm_shuffle_epi32, _mm_slli_epi64, _mm_srai_epi32,
+    _mm_srl_epi64, _mm_srli_epi16, _mm_srli_epi64, _mm_storel_epi64, _mm_storeu_si128,
+    _mm_sub_epi64, _mm_unpackhi_epi32, _mm_unpackhi_epi64, _mm_unpackhi_epi8, _mm_unpacklo_epi32,
+    _mm_unpacklo_epi64, _mm_unpacklo_epi8, _mm_xor_si128,
 };
 
 /// Row `r`'s activation pair `(a0, a1)` packed into one `i32` lane image:
@@ -521,6 +542,251 @@ unsafe fn requant_avx2(acc: &[i32], bias: &[i32], params: RequantParams, out: &m
     scalar::requant_row(&acc[i..len], &bias[i..len], params, &mut out[i..len]);
 }
 
+/// AVX2 `Add & LN` over whole matrices (see [`super::AddNormKernel`]).
+///
+/// Bit-identical to [`scalar::add_norm_rows`] for parameter sets inside
+/// [`AddNormParams::simd_exact`] (the caller's contract —
+/// [`AddNormParams::kernel`] routes anything else to the scalar reference):
+/// there neither the operand add nor the mean subtraction can leave `i32`,
+/// so plain lanes equal the saturating reference, and the squared
+/// deviations sum exactly in `i64` lanes in any order. Stage 3 reproduces
+/// the reference's three rounded, saturating Q16 products on lanes that
+/// cannot saturate when the row's `max |c|` and inverse deviation bound
+/// every intermediate inside `i32` (`stage3_fits`), and through the
+/// scalar element function otherwise. Must only be installed when
+/// `is_x86_feature_detected!("avx2")` holds.
+///
+/// # Panics
+///
+/// Panics unless `sums` is one row and `a`, `b`, `out` are equal numbers
+/// of whole rows.
+// fqlint::allow(unsafe-outside-kernels): designated kernel module; the
+// target-feature call is guarded by runtime AVX2 detection at dispatch
+// installation, and the lengths its loads and stores rely on are asserted
+// by `add_norm_hidden` on the line before.
+pub fn add_norm_rows_avx2(
+    params: &AddNormParams,
+    sums: &mut [i32],
+    a: &[i8],
+    b: &[i8],
+    out: &mut [i8],
+) {
+    debug_assert!(params.simd_exact());
+    debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
+    let hidden = scalar::add_norm_hidden(params, sums, a, b, out);
+    let rows = a.chunks_exact(hidden).zip(b.chunks_exact(hidden));
+    for (out, (a, b)) in out.chunks_exact_mut(hidden).zip(rows) {
+        unsafe { add_norm_row_avx2(params, sums, a, b, out) }
+    }
+}
+
+/// Sum of the four `i64` lanes.
+#[target_feature(enable = "avx2")]
+fn hsum_epi64(v: __m256i) -> i64 {
+    let pair = _mm_add_epi64(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
+    _mm_cvtsi128_si64(_mm_add_epi64(pair, _mm_unpackhi_epi64(pair, pair)))
+}
+
+/// Whether no stage-3 intermediate of a row can saturate: every `|c|` of
+/// the row is at most `max_c`, a rounded Q16 product is at most
+/// `(|x|·|y| + 2^15) >> 16` in magnitude and grows with either factor, so
+/// the four bounds below cover every element.
+fn stage3_fits(params: &AddNormParams, max_c: i64, inv_std: i32) -> bool {
+    let limit = i64::from(i32::MAX);
+    let product = |x: i64, y: i64| (x * y + (1 << 15)) >> ADD_NORM_FRAC_BITS;
+    let scaled = product(max_c, i64::from(inv_std.unsigned_abs()));
+    if scaled > limit {
+        return false;
+    }
+    let weighted = product(scaled, params.gamma_max);
+    if weighted > limit {
+        return false;
+    }
+    let shifted = weighted + params.beta_max;
+    shifted <= limit && product(shifted, i64::from(params.out_scale.unsigned_abs())) <= limit
+}
+
+/// `p / 2^16` rounded half away from zero, for `i64` lanes whose quotient
+/// fits `i32`: `(p + 2^15 − [p < 0]) >> 16`, read from the low dword of
+/// each lane — there the logical shift AVX2 has equals the arithmetic one
+/// it lacks. The high dwords are garbage; `vpmuldq` and the final narrowing
+/// read low dwords only.
+#[target_feature(enable = "avx2")]
+fn round16(p: __m256i) -> __m256i {
+    let half = _mm256_set1_epi64x(1 << 15);
+    let negative = _mm256_cmpgt_epi64(_mm256_setzero_si256(), p);
+    _mm256_srli_epi64::<16>(_mm256_add_epi64(_mm256_add_epi64(p, half), negative))
+}
+
+/// Stage 3 up to the output-scale product for four elements in
+/// sign-extended `i64` lanes: `((c · inv_std) · gamma + beta) · out_scale`,
+/// each product rounded to Q16. The caller has shown no step can saturate
+/// ([`stage3_fits`]); only the low dword of a lane is meaningful.
+#[target_feature(enable = "avx2")]
+fn scale4(
+    c: __m256i,
+    inv_std: __m256i,
+    gamma: __m256i,
+    beta: __m256i,
+    out_scale: __m256i,
+) -> __m256i {
+    let scaled = round16(_mm256_mul_epi32(c, inv_std));
+    let weighted = round16(_mm256_mul_epi32(scaled, gamma));
+    round16(_mm256_mul_epi32(
+        _mm256_add_epi64(weighted, beta),
+        out_scale,
+    ))
+}
+
+/// Stage 3 over the vector part of a row: eight codes per step from the
+/// centred values in `c`; returns how many elements it covered.
+// fqlint::allow(unsafe-outside-kernels): every load reads four `i32` at
+// `i` or `i + 4` and the store writes eight `i8` at `i`, with
+// `i + 8 <= hidden` and all four slices `hidden` long (the caller's
+// contract); AVX2 guaranteed by the wrapper's installation contract.
+#[target_feature(enable = "avx2")]
+unsafe fn add_norm_stage3_avx2(
+    params: &AddNormParams,
+    c: &[i32],
+    inv_std: i32,
+    out: &mut [i8],
+) -> usize {
+    let hidden = out.len();
+    debug_assert!(c.len() == hidden && params.gamma.len() == hidden);
+    debug_assert!(params.beta.len() == hidden);
+    let inv = _mm256_set1_epi64x(i64::from(inv_std));
+    let out_scale = _mm256_set1_epi64x(i64::from(params.out_scale));
+    // Past ±2^24 a value rounds to a code beyond ±128 whatever it is:
+    // clamping there first keeps the rounding add inside `i32` lanes.
+    let (max, min) = (_mm256_set1_epi32(1 << 24), _mm256_set1_epi32(-(1 << 24)));
+    let half = _mm256_set1_epi32(1 << 15);
+    let quad = |i: usize| {
+        let wide =
+            |values: &[i32]| _mm256_cvtepi32_epi64(_mm_loadu_si128(values.as_ptr().add(i).cast()));
+        scale4(
+            wide(c),
+            inv,
+            wide(&params.gamma),
+            wide(&params.beta),
+            out_scale,
+        )
+    };
+    let mut i = 0;
+    while i + 8 <= hidden {
+        // The low dwords of both quads, back in element order.
+        let lo = _mm256_shuffle_epi32::<0x88>(quad(i));
+        let hi = _mm256_shuffle_epi32::<0x88>(quad(i + 4));
+        let scaled = _mm256_permute4x64_epi64::<0xD8>(_mm256_unpacklo_epi64(lo, hi));
+        // Round the fixed-point value to the nearest integer code.
+        let scaled = _mm256_max_epi32(_mm256_min_epi32(scaled, max), min);
+        let negative = _mm256_srai_epi32::<31>(scaled);
+        let codes =
+            _mm256_srai_epi32::<16>(_mm256_add_epi32(_mm256_add_epi32(scaled, half), negative));
+        // Both packs saturate, the second to the `i8` code range.
+        let codes = _mm_packs_epi32(
+            _mm256_castsi256_si128(codes),
+            _mm256_extracti128_si256::<1>(codes),
+        );
+        _mm_storel_epi64(
+            out.as_mut_ptr().add(i).cast(),
+            _mm_packs_epi16(codes, codes),
+        );
+        i += 8;
+    }
+    i
+}
+
+/// One row of [`add_norm_rows_avx2`]: each stage runs eight elements per
+/// step and finishes the row's tail with the scalar row's element
+/// functions.
+// fqlint::allow(unsafe-outside-kernels): loads and stores touch eight
+// codes / sums at `i` with `i + 8 <= hidden`, and `a`, `b`, `out` and
+// `sums` are all `hidden` long (asserted by the wrapper); the gathers index
+// the 256-entry tables with zero-extended bytes; AVX2 guaranteed by the
+// wrapper's installation contract.
+#[target_feature(enable = "avx2")]
+unsafe fn add_norm_row_avx2(
+    params: &AddNormParams,
+    sums: &mut [i32],
+    a: &[i8],
+    b: &[i8],
+    out: &mut [i8],
+) {
+    let hidden = sums.len();
+    debug_assert!(a.len() == hidden && b.len() == hidden && out.len() == hidden);
+    let n = hidden as i64;
+
+    // Stage 1: add the two operands and accumulate the mean.
+    let bias = _mm_set1_epi8(i8::MIN);
+    let operand = |codes: &[i8], values: &[i32; 256], i: usize| {
+        // `code + 128`, as the table index of each of eight codes.
+        let codes = _mm_xor_si128(_mm_loadl_epi64(codes.as_ptr().add(i).cast()), bias);
+        _mm256_i32gather_epi32::<4>(values.as_ptr(), _mm256_cvtepu8_epi32(codes))
+    };
+    let mut totals = _mm256_setzero_si256();
+    let mut i = 0;
+    while i + 8 <= hidden {
+        let sum = _mm256_add_epi32(
+            operand(a, &params.values_a, i),
+            operand(b, &params.values_b, i),
+        );
+        _mm256_storeu_si256(sums.as_mut_ptr().add(i).cast(), sum);
+        let low = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(sum));
+        let high = _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(sum));
+        totals = _mm256_add_epi64(totals, _mm256_add_epi64(low, high));
+        i += 8;
+    }
+    let mut total = hsum_epi64(totals);
+    for ((sum, &xa), &xb) in sums[i..].iter_mut().zip(&a[i..]).zip(&b[i..]) {
+        *sum = scalar::add_norm_sum(params, xa, xb);
+        total += i64::from(*sum);
+    }
+    // fqlint::allow(narrowing-cast): the mean of `i32` values is itself in
+    // `i32` range.
+    let mean = (total / n) as i32;
+
+    // Stage 2: subtract the mean, accumulate the squares (`vpmuldq` over
+    // the even and the odd elements) and track `max |c|` for stage 3.
+    let mean_lanes = _mm256_set1_epi32(mean);
+    let mut squares = _mm256_setzero_si256();
+    let mut max_lanes = _mm256_setzero_si256();
+    let mut i = 0;
+    while i + 8 <= hidden {
+        let at = sums.as_mut_ptr().add(i);
+        let c = _mm256_sub_epi32(_mm256_loadu_si256(at.cast()), mean_lanes);
+        _mm256_storeu_si256(at.cast(), c);
+        let odd = _mm256_srli_epi64::<32>(c);
+        let pair = _mm256_add_epi64(_mm256_mul_epi32(c, c), _mm256_mul_epi32(odd, odd));
+        squares = _mm256_add_epi64(squares, pair);
+        max_lanes = _mm256_max_epu32(max_lanes, _mm256_abs_epi32(c));
+        i += 8;
+    }
+    let mut square_sum = hsum_epi64(squares);
+    let mut lanes = [0u32; 8];
+    _mm256_storeu_si256(lanes.as_mut_ptr().cast(), max_lanes);
+    let mut max_c = lanes.into_iter().max().unwrap_or(0);
+    for c in &mut sums[i..] {
+        *c = c.saturating_sub(mean);
+        square_sum += i64::from(*c) * i64::from(*c);
+        max_c = max_c.max(c.unsigned_abs());
+    }
+    let inv_std = scalar::add_norm_inv_std(params, i128::from(square_sum / n));
+
+    // Stage 3: element-wise gamma/beta and output requantization.
+    // A row whose bound fails takes the scalar element function throughout.
+    let done = if stage3_fits(params, i64::from(max_c), inv_std) {
+        add_norm_stage3_avx2(params, sums, inv_std, out)
+    } else {
+        0
+    };
+    let scaled = sums[done..]
+        .iter()
+        .zip(params.gamma[done..].iter().zip(&params.beta[done..]));
+    for (code, (&c, (&gamma, &beta))) in out[done..].iter_mut().zip(scaled) {
+        *code = scalar::add_norm_code(c, inv_std, gamma, beta, params.out_scale);
+    }
+}
+
 /// Regroups 16 decoded weight bytes — four columns × four reduction steps,
 /// column-major — into the two `pmaddwd` operands of those columns: `i16`
 /// pairs `(k0, k1)` and `(k2, k3)`, one 32-bit lane per column.
@@ -615,6 +881,33 @@ mod tests {
         assert_eq!(I16_QUADS * lane, 30_720);
         assert!(I16_QUADS * lane <= i16::MAX as usize);
         assert!((I16_QUADS + 1) * lane > i16::MAX as usize);
+    }
+
+    /// Whether a row's stage 3 runs on the lanes is decided per row; pin the
+    /// verdict on both regimes.
+    #[test]
+    fn stage3_lanes_are_chosen_by_the_row_bound() {
+        let one = 1i32 << ADD_NORM_FRAC_BITS;
+        let hidden = 24usize;
+        let table = |step: i32| Box::new(std::array::from_fn(|i| (i as i32 - 128) * step));
+        let spread = |i: usize| (i as i32 * 37 % 256 - 128) * (one / 64);
+        let new = |out_scale| {
+            let gamma = (0..hidden).map(spread).collect();
+            let beta = (0..hidden).map(|i| spread(i + 11)).collect();
+            AddNormParams::new(table(one / 20), table(one / 30), gamma, beta, 1, out_scale)
+                .expect("parameters")
+        };
+        let calibrated = new(25 * one);
+        // One outlier in a 768-wide row of calibrated operands: a deviation
+        // of `√768` standard deviations at the largest operand sum.
+        let max_c = i64::from(128 * (one / 20) + 128 * (one / 30));
+        let inv_std = 171_000;
+        assert!(stage3_fits(&calibrated, max_c, inv_std));
+        // A zero-variance row: `1/sqrt(eps)` is 256, its deviations are 0.
+        assert!(stage3_fits(&calibrated, 0, 256 * one));
+        // An output scale that saturated at fold time never fits.
+        assert!(!stage3_fits(&new(i32::MAX), max_c, inv_std));
+        assert!(!stage3_fits(&calibrated, max_c, i32::MAX));
     }
 
     /// The dispatch row prefers the EVEX encoding, so on a CPU with both

@@ -96,18 +96,34 @@
 //! `[0, 255]` — are written straight into the activation-block layout, so
 //! both attention products run on the unchanged `wide` tile kernels and the
 //! requantize kernels (with a zero bias). [`GemmScratch`] owns those
-//! panels, the `MR`-row score block and, in its [`ByteArena`], every `i8`
-//! intermediate of an encoder layer: its three parts are separate public
-//! fields so a caller can borrow them disjointly.
+//! panels, the `MR`-row score block, in its [`ByteArena`] every `i8`
+//! intermediate of an encoder layer and, in its [`AddNormRow`], the one
+//! row of `i32` operand sums `Add & LN` works in: its four parts are
+//! separate public fields so a caller can borrow them disjointly.
+//!
+//! # Add & LN
+//!
+//! The stage between the GEMMs that is not a GEMM has the same shape as
+//! one: [`AddNormParams`] carries a folded `Add & LN` block as plain Q16
+//! integers (two 256-entry operand tables, `gamma`, `beta`, `eps`, the
+//! output scale) the way [`RequantParams`] carries a requantizer, and the
+//! fourth entry of a kernel row ([`kernels::AddNormKernel`]) runs the
+//! accelerator's three LN stages over whole matrices — sum and mean,
+//! centre and variance, then `gamma · c / std + beta` requantized — with
+//! the Newton inverse square root once per row. The scalar row is the
+//! reference and is exact for every parameter set (saturating adds, an
+//! `i128` variance sum); a SIMD row is bit-identical to it inside
+//! [`AddNormParams::simd_exact`], which [`AddNormParams::kernel`] checks.
 //!
 //! # Kernel dispatch
 //!
 //! The per-tile micro-kernel is selected once per process by the
 //! [`kernels`] module: on x86_64 a VNNI row (int4 tiles on `vpdpbusd`,
 //! everything else shared with AVX2), an AVX2 row (`_mm256_madd_epi16`
-//! wide tiles, `_mm256_maddubs_epi16` int4 tiles) and an SSE2 fallback, a
-//! NEON (`smlal`-shaped) path on aarch64, and a portable scalar kernel that
-//! doubles as the property-test reference. Selection uses
+//! wide tiles, `_mm256_maddubs_epi16` int4 tiles, `vpmuldq` `Add & LN`
+//! lanes) and an SSE2 fallback, a NEON (`smlal`-shaped) path on aarch64,
+//! and a portable scalar kernel that doubles as the property-test
+//! reference. Selection uses
 //! `is_x86_feature_detected!` / compile-target gating and can be
 //! overridden with `FQBERT_KERNEL=scalar|sse2|avx2|vnni|neon`; see
 //! [`kernels::selected`].
@@ -645,10 +661,31 @@ impl ByteArena {
     }
 }
 
-/// Every reusable buffer of the integer forward pass, in three
+/// Grow-only row of `i32` operand sums for the `Add & LN` kernels
+/// ([`kernels::AddNormKernel`]): stage 1 writes every element of the row
+/// before a later stage reads it, so a row that served a wider block
+/// carries nothing over.
+#[derive(Debug, Default)]
+pub struct AddNormRow {
+    sums: Vec<i32>,
+}
+
+impl AddNormRow {
+    /// The first `hidden` slots. Their contents are whatever an earlier
+    /// use left there — the kernels overwrite before they read.
+    pub fn sized(&mut self, hidden: usize) -> &mut [i32] {
+        if self.sums.len() < hidden {
+            self.sums.resize(hidden, 0);
+        }
+        &mut self.sums[..hidden]
+    }
+}
+
+/// Every reusable buffer of the integer forward pass, in four
 /// independently borrowable parts: the activation block of the linear
-/// GEMMs, the per-head state of the fused attention pass, and the arena
-/// holding a layer's `i8` intermediates.
+/// GEMMs, the per-head state of the fused attention pass, the arena
+/// holding a layer's `i8` intermediates, and the operand-sum row of
+/// `Add & LN`.
 ///
 /// One scratch serves every projection and every attention head of every
 /// encoder layer in a forward pass. Nothing in it ever shrinks, so after
@@ -664,6 +701,8 @@ pub struct GemmScratch {
     pub attn: AttentionScratch,
     /// Layer intermediates (projection outputs, context, FFN hidden, …).
     pub arena: ByteArena,
+    /// One row of `Add & LN` operand sums.
+    pub norm: AddNormRow,
 }
 
 impl GemmScratch {
@@ -817,6 +856,127 @@ impl RequantParams {
         (0..=1i64 << 30).contains(&self.multiplier)
             && (0..=62).contains(&self.shift)
             && (0..=i32::from(i8::MAX)).contains(&self.clamp)
+    }
+}
+
+/// Fractional bits of every fixed-point value of an `Add & LN` block
+/// ([`AddNormParams`]): `value = raw / 2^16`.
+pub const ADD_NORM_FRAC_BITS: u32 = 16;
+
+/// One `Add & LN` block (paper §III-B, LN core) as the plain integers its
+/// kernels ([`kernels::AddNormKernel`]) compute with — every value on the
+/// Q16 grid ([`ADD_NORM_FRAC_BITS`]) — the way [`RequantParams`] carries a
+/// requantizer, so the tensor crate needs no quant dependency:
+/// `fqbert_quant::QuantizedLayerNorm::fold` makes one from the layer-norm
+/// parameters and the three scales of the block.
+///
+/// The fields are private because the kernels rely on what
+/// [`AddNormParams::new`] checked (`gamma` and `beta` equally long, a
+/// positive `eps`) and on the envelope it computed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AddNormParams {
+    /// Dequantized value of each of the 256 codes operand `a` can take,
+    /// indexed by `code + 128`: an operand is a lookup, not a multiply.
+    values_a: Box<[i32; 256]>,
+    /// The same table for operand `b`.
+    values_b: Box<[i32; 256]>,
+    gamma: Vec<i32>,
+    beta: Vec<i32>,
+    /// Added to the variance; at least one step of the grid.
+    eps: i32,
+    /// Output levels per unit.
+    out_scale: i32,
+    /// [`AddNormParams::simd_exact`], computed once.
+    simd_exact: bool,
+    /// `max |gamma|` and `max |beta|`: with a row's `max |x − mean|` and
+    /// its inverse deviation they bound every stage-3 intermediate, which
+    /// is how a SIMD row knows that nothing in that row can saturate.
+    gamma_max: i64,
+    beta_max: i64,
+}
+
+impl AddNormParams {
+    /// Assembles a block from raw Q16 integers. Any `i32` is accepted for
+    /// the tables, `gamma`, `beta` and `out_scale`: the scalar row is
+    /// exact for all of them and [`AddNormParams::simd_exact`] says
+    /// whether a SIMD row is too.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if `gamma` and `beta` differ
+    /// in length or are empty, and [`TensorError::ValueOutOfRange`] for an
+    /// `eps` below one grid step (the variance may be zero, and the
+    /// inverse square root needs a positive argument).
+    pub fn new(
+        values_a: Box<[i32; 256]>,
+        values_b: Box<[i32; 256]>,
+        gamma: Vec<i32>,
+        beta: Vec<i32>,
+        eps: i32,
+        out_scale: i32,
+    ) -> Result<Self> {
+        if gamma.len() != beta.len() || gamma.is_empty() {
+            return Err(TensorError::ShapeMismatch {
+                op: "add_norm (gamma and beta must be equal-length, non-empty)",
+                lhs: vec![gamma.len()],
+                rhs: vec![beta.len()],
+            });
+        }
+        if eps < 1 {
+            return Err(TensorError::ValueOutOfRange {
+                what: "add_norm eps (at least one Q16 step)",
+                value: i64::from(eps),
+            });
+        }
+        let abs_max = |values: &[i32]| {
+            let max = values.iter().map(|v| v.unsigned_abs()).max();
+            i64::from(max.unwrap_or(0))
+        };
+        // |a + b| <= S and |mean| <= S, so |a + b - mean| <= 2S.
+        let spread = 2 * (abs_max(&values_a[..]) + abs_max(&values_b[..]));
+        // `spread <= 2^33`, so its square fits `u128` with room to spare.
+        let squares = u128::from(spread.unsigned_abs())
+            .pow(2)
+            .saturating_mul(gamma.len() as u128);
+        Ok(Self {
+            simd_exact: spread <= i64::from(i32::MAX) && squares <= i64::MAX as u128,
+            gamma_max: abs_max(&gamma),
+            beta_max: abs_max(&beta),
+            values_a,
+            values_b,
+            gamma,
+            beta,
+            eps,
+            out_scale,
+        })
+    }
+
+    /// Width of the rows this block normalises.
+    pub fn hidden(&self) -> usize {
+        self.gamma.len()
+    }
+
+    /// Whether the SIMD `Add & LN` rows compute this block exactly. With
+    /// `S = max |values_a| + max |values_b|`: `2·S ≤ i32::MAX`, so neither
+    /// the operand add of stage 1 nor the mean subtraction of stage 2 can
+    /// saturate and plain `i32` lanes equal the saturating reference; and
+    /// `hidden · (2·S)² ≤ i64::MAX`, so the variance sum is exact in `i64`
+    /// lanes in any order. Calibrated scales of 15–30 leave about 2²⁰ of
+    /// margin; the edge is an operand scale near 0.3 at hidden 768.
+    /// Anything outside runs [`kernels::scalar::add_norm_rows`], which is
+    /// exact for every parameter set.
+    pub fn simd_exact(&self) -> bool {
+        self.simd_exact
+    }
+
+    /// The `Add & LN` kernel for this block: the process-selected row
+    /// inside its exactness envelope, the scalar reference outside it.
+    pub fn kernel(&self) -> kernels::AddNormKernel {
+        if self.simd_exact {
+            kernels::selected().add_norm
+        } else {
+            kernels::scalar::add_norm_rows
+        }
     }
 }
 
