@@ -9,19 +9,26 @@
 //! row's speedup over scalar and `w4_over_w8` (w8 ns / w4 ns within one
 //! row — the CPU counterpart of a BIM fitting two 8b×4b products in one
 //! 8b×8b slot), then one table of `Add & LN` nanoseconds per 256- and
-//! 768-wide row at calibrated parameters. Run with
+//! 768-wide row at calibrated parameters and one of softmax nanoseconds per
+//! 128- and 512-wide row. Run with
 //! `cargo bench -p fqbert-bench --bench kernel_rows`.
 
 use fqbert_bench::{markdown_table, time_ns};
 use fqbert_core::IntLinear;
 use fqbert_tensor::gemm::kernels::{self, KernelKind};
-use fqbert_tensor::gemm::{AddNormParams, RequantParams, ADD_NORM_FRAC_BITS};
+use fqbert_tensor::gemm::{AddNormParams, RequantParams, SoftmaxParams, ADD_NORM_FRAC_BITS};
 use fqbert_tensor::{GemmScratch, IntTensor, RngSource};
 use std::hint::black_box;
 
 /// Projection shapes swept: rows are packed batch tokens, in/out features
-/// are hidden/intermediate sized.
-const SHAPES: [(usize, usize, usize); 2] = [(64, 128, 512), (128, 256, 256)];
+/// are hidden/intermediate sized. The last two are BERT-base's FFN
+/// projections over 256 tokens, where the panels no longer fit L2.
+const SHAPES: [(usize, usize, usize); 4] = [
+    (64, 128, 512),
+    (128, 256, 256),
+    (256, 768, 3072),
+    (256, 3072, 768),
+];
 
 /// Nanoseconds per forward of `layer` on each available row, after
 /// checking the row's output against the scalar row's.
@@ -145,6 +152,66 @@ fn time_add_norm(hidden: usize) -> Vec<f64> {
         .collect()
 }
 
+/// Nanoseconds per `seq`-wide row of each available row's softmax over 128
+/// rows of scores, checked against the scalar row first: the exponential
+/// table at 8 levels per unit, 255 probability levels.
+fn time_softmax(seq: usize) -> Vec<f64> {
+    const ROWS: usize = 128;
+    let table = std::array::from_fn(|d| ((-(d as f32) / 8.0).exp() * 255.0).round() as u8);
+    let params = SoftmaxParams::new(table, 255).expect("softmax parameters");
+    let scores: Vec<i8> = (0..ROWS * seq)
+        .map(|i| (((i * 2_654_435_761) >> 9) % 97) as i8 - 60)
+        .collect();
+    let run = |kind: KernelKind, out: &mut [u8]| {
+        let softmax = kernels::dispatch_for(kind).softmax;
+        for (scores, probs) in scores.chunks_exact(seq).zip(out.chunks_exact_mut(seq)) {
+            softmax(&params, black_box(scores), probs);
+        }
+    };
+    let mut reference = vec![0u8; ROWS * seq];
+    run(KernelKind::Scalar, &mut reference);
+    kernels::available()
+        .into_iter()
+        .map(|kind| {
+            let mut out = vec![0u8; ROWS * seq];
+            run(kind, &mut out);
+            assert_eq!(
+                out,
+                reference,
+                "softmax must stay bit-identical on {}",
+                kind.name()
+            );
+            time_ns(|| run(kind, &mut out)) / ROWS as f64
+        })
+        .collect()
+}
+
+/// One table of per-row nanoseconds: a pair of columns (time, speedup over
+/// the scalar row) per entry of `columns`.
+fn print_row_table(title: &str, names: [&str; 2], columns: [Vec<f64>; 2]) {
+    let available = kernels::available();
+    let scalar = available
+        .iter()
+        .position(|&kind| kind == KernelKind::Scalar)
+        .expect("the scalar row is always available");
+    let table: Vec<Vec<String>> = available
+        .iter()
+        .enumerate()
+        .map(|(row, kind)| {
+            let mut cells = vec![kind.name().to_string()];
+            for column in &columns {
+                cells.push(format!("{:.0}", column[row]));
+                cells.push(format!("{:.2}", column[scalar] / column[row]));
+            }
+            cells
+        })
+        .collect();
+    println!("{title}");
+    let speedup = "speedup_vs_scalar";
+    let headers = ["kernel", names[0], speedup, names[1], speedup];
+    println!("{}", markdown_table(&headers, &table));
+}
+
 fn main() {
     let mut rng = RngSource::seed_from_u64(7);
     let available = kernels::available();
@@ -193,21 +260,14 @@ fn main() {
         println!("{}", markdown_table(&headers, &table));
     }
 
-    let columns = [time_add_norm(256), time_add_norm(768)];
-    let table: Vec<Vec<String>> = available
-        .iter()
-        .enumerate()
-        .map(|(row, kind)| {
-            let mut cells = vec![kind.name().to_string()];
-            for column in &columns {
-                cells.push(format!("{:.0}", column[row]));
-                cells.push(format!("{:.2}", column[scalar] / column[row]));
-            }
-            cells
-        })
-        .collect();
-    println!("kernel_rows Add & LN, ns per row:");
-    let speedup = "speedup_vs_scalar";
-    let headers = ["kernel", "ln256_ns", speedup, "ln768_ns", speedup];
-    println!("{}", markdown_table(&headers, &table));
+    print_row_table(
+        "kernel_rows Add & LN, ns per row:",
+        ["ln256_ns", "ln768_ns"],
+        [time_add_norm(256), time_add_norm(768)],
+    );
+    print_row_table(
+        "kernel_rows softmax, ns per row:",
+        ["softmax128_ns", "softmax512_ns"],
+        [time_softmax(128), time_softmax(512)],
+    );
 }

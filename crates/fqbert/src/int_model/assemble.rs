@@ -321,6 +321,17 @@ impl IntEncoderLayer {
                 attn_output.in_features()
             )));
         }
+        // The two scales no fold below would refuse: `IntGelu::new`
+        // tabulates whatever `ffn_hidden` it is given (zero or non-finite
+        // makes every entry 0), and the context requantizer is scale-free,
+        // so nothing computes with `v` at all.
+        for (field, scale) in [("ffn_hidden", scales.ffn_hidden), ("v", scales.v)] {
+            if !(scale.is_finite() && scale > 0.0) {
+                return Err(FqBertError::InvalidArgument(format!(
+                    "invalid scale: {field} = {scale} (must be positive and finite)"
+                )));
+            }
+        }
         let gelu = IntGelu::new(scales.ffn_hidden, scales.ffn_hidden);
         // Attention scores: real = acc / (s_q · s_k · √d); codes at s_scores.
         let score_effective = f64::from(scales.scores)

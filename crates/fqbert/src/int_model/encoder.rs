@@ -448,10 +448,7 @@ impl IntEncoderLayer {
                     vh?,
                     score_params,
                     context_params,
-                    |scores, mut probs| {
-                        self.softmax
-                            .apply_row_into(scores, |j, prob| probs.set(j, prob));
-                    },
+                    self.softmax.params(),
                     &mut context[start * width + lo..],
                     width,
                 )?;

@@ -28,9 +28,9 @@
 //!   int8 with a fixed-point [`fqbert_quant::Requantizer`] (Eq. 5);
 //! * attention is fused per `MR`-row block of queries on the GEMM tile
 //!   kernels ([`fqbert_tensor::gemm::attention`]): score tile → requantize →
-//!   the 256-entry [`fqbert_quant::SoftmaxLut`] with max-subtraction →
-//!   context tile → requantize, so the `seq × seq` score matrix never
-//!   exists;
+//!   the 256-entry [`fqbert_quant::SoftmaxLut`] with max-subtraction, as
+//!   the `softmax` entry of the selected kernel row → context tile →
+//!   requantize, so the `seq × seq` score matrix never exists;
 //! * `Add & LN` applies the fixed-point [`fqbert_quant::AddLayerNorm`] its
 //!   [`fqbert_quant::QuantizedLayerNorm`] was folded into at assembly: raw
 //!   Q16 integers handed, like a GEMM's requantizer, to the `add_norm`

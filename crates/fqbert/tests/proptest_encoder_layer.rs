@@ -2,7 +2,8 @@
 //! row-block fused `forward_batch_with_scratch` must equal, bit for bit and
 //! on **every kernel available on this host**, an oracle assembled only from
 //! the public scalar pieces — `IntLinear::forward_naive`,
-//! `matmul_transposed_i32`, `Requantizer::apply`, `SoftmaxLut::apply_matrix`,
+//! `matmul_transposed_i32`, `Requantizer::apply`, `SoftmaxLut::apply_matrix`
+//! / `apply_row` (a division per element),
 //! an `i64` `P · V` loop, `QuantizedLayerNorm::apply_residual` and
 //! `IntGelu::apply` — plus the worst-case vectors the `i32` overflow
 //! argument of the two attention reductions rests on (`gemm` module docs).
@@ -296,9 +297,17 @@ proptest! {
     ) {
         let lut = SoftmaxLut::new(scale, levels).expect("LUT");
         let wide: Vec<i32> = scores.iter().map(|&s| i32::from(s)).collect();
-        let mut got = vec![-1i32; scores.len()];
-        lut.apply_row_into(&scores, |j, prob| got[j] = i32::from(prob));
-        prop_assert_eq!(got, lut.apply_row(&wide));
+        let expected = lut.apply_row(&wide);
+        let widened = |codes: Vec<u8>| codes.into_iter().map(i32::from).collect::<Vec<_>>();
+        for kind in kernels::available() {
+            let mut got = vec![99u8; scores.len()];
+            (kernels::dispatch_for(kind).softmax)(lut.params(), &scores, &mut got);
+            prop_assert_eq!(&widened(got), &expected, "kernel {}", kind.name());
+        }
+        // ... and the selected row, through the LUT's own entry point.
+        let mut got = vec![99u8; scores.len()];
+        lut.apply_row_into(&scores, &mut got);
+        prop_assert_eq!(widened(got), expected);
     }
 
     #[test]
@@ -349,25 +358,28 @@ fn dense_view(t: &IntTensor<i8>, rows: usize, cols: usize) -> StridedView<'_> {
     StridedView::dense(t.as_slice(), rows, cols).expect("dense view")
 }
 
-/// One head through `attend_head` against the scalar composition, with
-/// `prob_of` standing in for the softmax.
+/// One head through `attend_head` on every available kernel against the
+/// scalar composition: `matmul_transposed_i32` → `Requantizer::apply` →
+/// `SoftmaxLut::apply_row` (a division per element) → `i64` `P · V` →
+/// `Requantizer::apply`.
 fn assert_head_matches_scalar(
     attn: &mut AttentionScratch,
     (q, k, v): (&IntTensor<i8>, &IntTensor<i8>, &IntTensor<i8>),
     (score_requant, context_requant): (&Requantizer, &Requantizer),
-    prob_of: impl Fn(i32) -> u8,
+    softmax: &SoftmaxLut,
 ) {
     let (seq, head_dim) = q.as_matrix_dims().expect("head");
     let view = |t| dense_view(t, seq, head_dim);
     let scores = q.matmul_transposed_i32(k).expect("scores");
     let mut expected = vec![0i8; seq * head_dim];
     for i in 0..seq {
+        let row = scores.row(i).iter();
+        let row: Vec<i32> = row.map(|&s| score_requant.apply(i64::from(s))).collect();
+        let probs = softmax.apply_row(&row);
         for d in 0..head_dim {
-            let acc: i64 = (0..seq)
-                .map(|j| {
-                    let score = score_requant.apply(i64::from(scores.row(i)[j]));
-                    i64::from(prob_of(score)) * i64::from(v.row(j)[d])
-                })
+            let products = probs.iter().zip(0..seq);
+            let acc: i64 = products
+                .map(|(&p, j)| i64::from(p) * i64::from(v.row(j)[d]))
                 .sum();
             expected[i * head_dim + d] = context_requant.apply(acc).clamp(-127, 127) as i8;
         }
@@ -381,11 +393,7 @@ fn assert_head_matches_scalar(
             view(v),
             requant_params(score_requant),
             requant_params(context_requant),
-            |scores, mut probs| {
-                for (j, &s) in scores.iter().enumerate() {
-                    probs.set(j, prob_of(i32::from(s)));
-                }
-            },
+            softmax.params(),
             &mut got,
             head_dim,
         )
@@ -402,53 +410,73 @@ fn scores_of_all_minus_128_at_the_deepest_head_do_not_overflow() {
     // the two sides agree, so check the oracle's value is the exact one.
     let mut scratch = harness();
     let seq = MR + 1;
-    let all = |code: i8| IntTensor::from_vec(vec![code; seq * MAX_K], &[seq, MAX_K]).expect("head");
-    let (q, v) = (all(-128), all(-128));
+    // The first row at `first`, the others zero.
+    let head = |first: i8| {
+        let codes = [vec![first; MAX_K], vec![0; (seq - 1) * MAX_K]].concat();
+        IntTensor::from_vec(codes, &[seq, MAX_K]).expect("head")
+    };
+    let q = IntTensor::from_vec(vec![-128i8; seq * MAX_K], &[seq, MAX_K]).expect("head");
     let exact = MAX_K as i64 * 128 * 128;
     assert!(exact <= i64::from(i32::MAX));
     assert_eq!(
         q.matmul_transposed_i32(&q).expect("scores").as_slice()[0],
         exact as i32
     );
-    // A scale that lands the extreme accumulator inside the code range, so
-    // an off-by-anything in it would show.
+    // A scale that lands the extreme accumulator inside the code range —
+    // every query scores 100 against key 0 and 0 against the zero keys — on
+    // a table steep enough there that a score one off is another numerator,
+    // and values and a context scale that carry key 0's probability to the
+    // output unsaturated, so an off-by-anything in the accumulator shows.
     let score_requant = Requantizer::from_scale(100.0 / exact as f64, 8).expect("requantizer");
-    let context_requant =
-        Requantizer::from_scale(1.0 / f64::from(PROB_LEVELS), 8).expect("requantizer");
+    let softmax = SoftmaxLut::new(64.0, PROB_LEVELS).expect("softmax LUT");
+    assert_ne!(softmax.table()[99], softmax.table()[100]);
+    let context_requant = Requantizer::from_scale(0.9 / 127.0, 8).expect("requantizer");
     assert_head_matches_scalar(
         &mut scratch.attn,
-        (&q, &q, &v),
+        (&q, &head(-128), &head(127)),
         (&score_requant, &context_requant),
-        |score| (score + 128) as u8,
+        &softmax,
     );
     // One past the bound is refused rather than computed inexactly.
     let deep = vec![0i8; MAX_K + 1];
     let view = StridedView::dense(&deep, 1, MAX_K + 1).expect("view");
     let params = requant_params(&score_requant);
-    let refused =
-        scratch
-            .attn
-            .attend_head(view, view, view, params, params, |_, _| {}, &mut [0; 0], 0);
+    let refused = scratch.attn.attend_head(
+        view,
+        view,
+        view,
+        params,
+        params,
+        softmax.params(),
+        &mut [0; 0],
+        0,
+    );
     assert!(refused.is_err());
 }
 
 #[test]
 fn context_of_full_probabilities_times_minus_128_does_not_overflow() {
     let mut scratch = harness();
-    // Every product at its extreme (255 · −128 exceeds i16 once paired) over
-    // a sequence that straddles many panels and k-pairs.
+    // A softmax steep enough that a key four codes ahead of the rest takes
+    // the whole probability, 255 — a code that is −1 if anything widens it
+    // as an `i8` — against values of −128, over a sequence that straddles
+    // many panels and k-pairs. (A row of probabilities sums to about 255, so
+    // no softmax puts two extreme products in one k-pair; the tile below
+    // does.)
     let (seq, head_dim) = (8 * NR + 3, 3);
     let q = codes(3, seq, head_dim);
     let v = IntTensor::from_vec(vec![-128i8; seq * head_dim], &[seq, head_dim]).expect("v");
     let score_requant = Requantizer::from_scale(0.01, 8).expect("requantizer");
-    // A scale that keeps −seq·255·128 inside the code range.
-    let context_requant =
-        Requantizer::from_scale(100.0 / (seq as f64 * 255.0 * 128.0), 8).expect("requantizer");
+    let softmax = SoftmaxLut::new(0.5, PROB_LEVELS).expect("softmax LUT");
+    let one_hot = [100, 96, -128, 96];
+    assert_eq!(softmax.apply_row(&one_hot), [255, 0, 0, 0]);
+    // A scale that keeps −255·128 inside the code range.
+    let context_requant = Requantizer::from_scale(100.0 / (255.0 * 128.0), 8).expect("requantizer");
     assert_head_matches_scalar(
         &mut scratch.attn,
         (&q, &q, &v),
         (&score_requant, &context_requant),
-        |_| 255,
+        &softmax,
     );
 
     // The reduction bound itself: MAX_ATTN_SEQ extreme products into one
@@ -488,10 +516,16 @@ fn context_of_full_probabilities_times_minus_128_does_not_overflow() {
     let long = vec![0i8; MAX_ATTN_SEQ + 1];
     let view = StridedView::dense(&long, MAX_ATTN_SEQ + 1, 1).expect("view");
     let params = requant_params(&score_requant);
-    let refused =
-        scratch
-            .attn
-            .attend_head(view, view, view, params, params, |_, _| {}, &mut [0; 0], 1);
+    let refused = scratch.attn.attend_head(
+        view,
+        view,
+        view,
+        params,
+        params,
+        softmax.params(),
+        &mut [0; 0],
+        1,
+    );
     assert!(refused.is_err());
 }
 

@@ -5,7 +5,7 @@
 //! | here (float by nature) | applied in (integers only) |
 //! |---|---|
 //! | [`Requantizer::from_scale`] | [`crate::requant`]: `apply`, `apply_slice` |
-//! | [`SoftmaxLut::new`] | [`crate::softmax_lut`]: `apply_row`, `apply_row_into`, `apply_matrix` |
+//! | [`SoftmaxLut::new`] | [`crate::softmax_lut`]: the oracle `apply_row` / `apply_matrix`; the engine's rows are the `softmax` entry of a kernel row of `fqbert_tensor::gemm::kernels`, computed from the `SoftmaxParams` it stores |
 //! | [`QuantizedLayerNorm`] and its [`QuantizedLayerNorm::fold`] | [`crate::layernorm_q`]: [`AddLayerNorm::apply`], dispatching to a kernel row of `fqbert_tensor::gemm::kernels` |
 //! | [`Fixed::from_f32`], [`Fixed::to_f32`], `Display` | [`crate::fixedpoint`]: the arithmetic, `fixed_inv_sqrt` (a wrapper over the kernels' `inv_sqrt_fixed`) |
 //!
@@ -23,7 +23,7 @@ use crate::requant::{Requantizer, MAX_SHIFT, MULTIPLIER_FRAC_BITS};
 use crate::softmax_lut::{SoftmaxLut, LUT_ENTRIES};
 use crate::{QuantError, Result};
 use fqbert_tensor::gemm::kernels::scalar;
-use fqbert_tensor::gemm::AddNormParams;
+use fqbert_tensor::gemm::{AddNormParams, SoftmaxParams};
 use std::fmt;
 
 impl Fixed {
@@ -138,13 +138,15 @@ impl SoftmaxLut {
                 "out_levels must be in 1..=255, got {out_levels}"
             )));
         }
-        let table = (0..LUT_ENTRIES)
-            .map(|d| {
-                let x = -(d as f32) / input_scale;
-                (x.exp() * 255.0).round().clamp(0.0, 255.0) as u8
-            })
-            .collect();
-        Ok(Self { table, out_levels })
+        let table: [u8; LUT_ENTRIES] = std::array::from_fn(|d| {
+            let x = -(d as f32) / input_scale;
+            (x.exp() * 255.0).round().clamp(0.0, 255.0) as u8
+        });
+        // `table[0]` is `exp(0) · 255 = 255` and `out_levels` was checked
+        // above, so the plain-integer form accepts both.
+        Ok(Self {
+            params: SoftmaxParams::new(table, out_levels)?,
+        })
     }
 }
 

@@ -42,7 +42,10 @@
 //!   (`fqbert_tensor::gemm::AddNormParams`) and its `apply` dispatches to
 //!   the selected kernel row; the three stages' arithmetic and the one
 //!   Newton inverse square root ([`fixedpoint::fixed_inv_sqrt`] wraps it)
-//!   live with those kernels, which the rule covers too.
+//!   live with those kernels, which the rule covers too. [`SoftmaxLut`]
+//!   likewise stores a `fqbert_tensor::gemm::SoftmaxParams`; the row the
+//!   engine runs is the `softmax` entry of the selected kernel row, and
+//!   what stays here is the table and the per-element-division oracle.
 //! * **Float side** — [`fold`] holds every constructor that takes a real
 //!   number ([`Requantizer::from_scale`], [`SoftmaxLut::new`],
 //!   [`QuantizedLayerNorm`] with its [`QuantizedLayerNorm::fold`] and the

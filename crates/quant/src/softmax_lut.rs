@@ -8,51 +8,23 @@
 //! softmax output are both quantized to 8 bits, exactly as in the paper.
 //!
 //! Integer side of the crate (see the crate docs): this file holds the
-//! table and the row evaluation that indexes it; the one place the
-//! exponential is evaluated, [`SoftmaxLut::new`], is in [`crate::fold`].
+//! table — as the plain-integer `fqbert_tensor::gemm::SoftmaxParams` the
+//! kernel rows compute with — and the per-element-division oracle; the one
+//! place the exponential is evaluated, [`SoftmaxLut::new`], is in
+//! [`crate::fold`].
 //!
-//! The row form the engine runs, [`SoftmaxLut::apply_row_into`], divides
-//! once per row — a `2⁴⁸ / denom` reciprocal, then a multiply and a shift
-//! per element, exact up to the attention bound (`RowReciprocal`);
-//! [`SoftmaxLut::apply_row`] keeps the accelerator's division per element
-//! and is the reference it is tested against.
+//! The row form the engine runs is the `softmax` entry of the selected
+//! kernel row (`fqbert_tensor::gemm::kernels`; [`SoftmaxLut::apply_row_into`]
+//! is a call of it): it divides once per row — a `2⁴⁸ / denom` reciprocal,
+//! then a multiply and a shift per element, exact up to the attention bound
+//! (`RowReciprocal`, beside the scalar row). [`SoftmaxLut::apply_row`] keeps
+//! the accelerator's division per element and is the reference the rows are
+//! tested against.
 
-use fqbert_tensor::gemm::MAX_ATTN_SEQ;
+use fqbert_tensor::gemm::{kernels, SoftmaxParams};
 
 /// Number of entries in the exponential lookup table.
-pub const LUT_ENTRIES: usize = 256;
-
-/// The one division of a softmax row: `round(p / denom)` for every scaled
-/// numerator `p = n · levels` of the row as `(p + denom/2) · m >> 48` with
-/// `m = ⌊2⁴⁸ / denom⌋ + 1`.
-///
-/// Exact for `x = p + denom/2 < 2²⁴` and `denom < 2²⁴`: `m · denom = 2⁴⁸ + e`
-/// with `0 < e ≤ denom`, so `x · m / 2⁴⁸` exceeds `x / denom` by
-/// `x · e / (denom · 2⁴⁸) < 1 / denom` — too little to reach the next
-/// integer — as `x · e ≤ x · denom < 2⁴⁸`. A row of `i8` scores has
-/// `255 ≤ denom ≤ 255 ·`[`MAX_ATTN_SEQ`]` = 2²⁴ − 1` and
-/// `x ≤ 255 · 255 + denom/2 < 2²⁴`; and `x · m ≤ (x / denom) · 2⁴⁸ + x <
-/// 2⁵⁶` stays inside `u64`, since `x / denom ≤ 255.5`.
-struct RowReciprocal {
-    half: u64,
-    reciprocal: u64,
-}
-
-impl RowReciprocal {
-    fn new(denom: u64) -> Self {
-        Self {
-            half: denom >> 1,
-            reciprocal: (1u64 << 48) / denom + 1,
-        }
-    }
-
-    /// `round(scaled / denom)` for `scaled = n · levels`, `n ≤ denom`.
-    fn rounded(&self, scaled: u64) -> u8 {
-        // fqlint::allow(narrowing-cast): the numerator is at most `denom`,
-        // so the quotient is at most `out_levels <= 255`.
-        (((scaled + self.half) * self.reciprocal) >> 48) as u8
-    }
-}
+pub const LUT_ENTRIES: usize = fqbert_tensor::gemm::SOFTMAX_ENTRIES;
 
 /// An integer-only softmax evaluator backed by a 256-entry exponential LUT.
 ///
@@ -71,22 +43,27 @@ impl RowReciprocal {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoftmaxLut {
     /// `table[d] ≈ exp(-d / input_scale) · 255`, for the integer difference
-    /// `d` between an element and its row maximum.
-    pub(crate) table: Vec<u8>,
-    /// Maximum output level (e.g. 127 for signed 8-bit probabilities).
-    pub(crate) out_levels: u32,
+    /// `d` between an element and its row maximum, and the maximum output
+    /// level (e.g. 127 for signed 8-bit probabilities).
+    pub(crate) params: SoftmaxParams,
 }
 
 impl SoftmaxLut {
     /// The 256-entry exponential table (for the accelerator's parameter
     /// buffer initialisation).
     pub fn table(&self) -> &[u8] {
-        &self.table
+        self.params.table()
     }
 
     /// Maximum output level (the quantized value representing probability 1).
     pub fn out_levels(&self) -> u32 {
-        self.out_levels
+        self.params.out_levels()
+    }
+
+    /// The table and output level as the kernel rows take them — what
+    /// `AttentionScratch::attend_head` is handed.
+    pub fn params(&self) -> &SoftmaxParams {
+        &self.params
     }
 
     /// Looks up `exp(-(d)/s)` for an integer difference `d ≥ 0`, saturating
@@ -97,7 +74,7 @@ impl SoftmaxLut {
             "difference from the row maximum must be non-negative"
         );
         let idx = diff.clamp(0, (LUT_ENTRIES - 1) as i64) as usize;
-        u32::from(self.table[idx])
+        u32::from(self.params.table()[idx])
     }
 
     /// Applies the integer softmax to one row of quantized scores, returning
@@ -117,54 +94,36 @@ impl SoftmaxLut {
             .collect();
         let denom: u64 = numerators.iter().map(|&n| u64::from(n)).sum();
         let denom = denom.max(1);
+        let levels = u64::from(self.out_levels());
         numerators
             .iter()
             .map(|&n| {
                 // Rounded integer division: (n * out_levels + denom/2) / denom.
                 // fqlint::allow(narrowing-cast): `n <= denom`, so the
                 // quotient is at most `out_levels`, which fits `i32`.
-                ((u64::from(n) * u64::from(self.out_levels) + denom / 2) / denom) as i32
+                ((u64::from(n) * levels + denom / 2) / denom) as i32
             })
             .collect()
     }
 
     /// [`SoftmaxLut::apply_row`] for a row of `i8` scores — what the
-    /// attention requantizer produces — without allocating: probability
-    /// `j` is handed to `emit(j, code)`, which lets the caller store it in
-    /// whatever layout its next stage reads. Bit-identical to `apply_row`
-    /// on the same scores.
+    /// attention requantizer produces — into a caller-owned row of `u8`
+    /// codes, through the `softmax` entry of the process-selected kernel
+    /// row: what `attend_head` runs per query row. Bit-identical to
+    /// `apply_row` on the same scores on every kernel row.
     ///
     /// For `i8` scores the difference from the row maximum lies in
     /// `[0, 255]`, inside the table, so the saturation in
     /// [`SoftmaxLut::exp_lookup`] cannot fire; the maximum itself looks up
     /// `table[0] = 255`, so the denominator is never zero.
     ///
-    /// The row divides once: every element's rounded quotient is a multiply
-    /// and a shift by the row's `RowReciprocal`.
-    ///
     /// # Panics
     ///
-    /// Panics for a row longer than [`MAX_ATTN_SEQ`], the attention bound
-    /// of the engine and the range the reciprocal is exact on.
-    pub fn apply_row_into(&self, scores: &[i8], mut emit: impl FnMut(usize, u8)) {
-        let Some(&max) = scores.iter().max() else {
-            return;
-        };
-        assert!(
-            scores.len() <= MAX_ATTN_SEQ,
-            "softmax row of {} scores exceeds the attention bound {MAX_ATTN_SEQ}",
-            scores.len()
-        );
-        let numerator = |s: i8| {
-            let diff = i16::from(max) - i16::from(s);
-            u64::from(self.table[usize::from(diff.unsigned_abs())])
-        };
-        let denom: u64 = scores.iter().map(|&s| numerator(s)).sum();
-        let divide = RowReciprocal::new(denom);
-        let levels = u64::from(self.out_levels);
-        for (j, &s) in scores.iter().enumerate() {
-            emit(j, divide.rounded(numerator(s) * levels));
-        }
+    /// Panics if `scores` and `out` differ in length, or for a row longer
+    /// than `MAX_ATTN_SEQ`, the attention bound of the engine and the range
+    /// the row reciprocal is exact on.
+    pub fn apply_row_into(&self, scores: &[i8], out: &mut [u8]) {
+        (kernels::selected().softmax)(&self.params, scores, out);
     }
 
     /// Applies the integer softmax to every row of a matrix stored row-major.
@@ -192,6 +151,8 @@ impl SoftmaxLut {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fqbert_tensor::gemm::kernels::scalar::RowReciprocal;
+    use fqbert_tensor::gemm::MAX_ATTN_SEQ;
 
     fn float_softmax(scores: &[f32]) -> Vec<f32> {
         let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -267,8 +228,9 @@ mod tests {
         let lut = SoftmaxLut::new(6.0, 255).unwrap();
         for scores in [vec![], vec![-128i8], vec![127, -128, 0, 127], vec![-5; 9]] {
             let wide: Vec<i32> = scores.iter().map(|&s| i32::from(s)).collect();
-            let mut got = vec![-1i32; scores.len()];
-            lut.apply_row_into(&scores, |j, p| got[j] = i32::from(p));
+            let mut got = vec![99u8; scores.len()];
+            lut.apply_row_into(&scores, &mut got);
+            let got: Vec<i32> = got.into_iter().map(i32::from).collect();
             assert_eq!(got, lut.apply_row(&wide));
         }
     }
@@ -304,12 +266,14 @@ mod tests {
         // the largest a row can have.
         let lut = SoftmaxLut::new(4.0, 255).unwrap();
         let row = vec![7i8; MAX_ATTN_SEQ];
-        let mut codes = Vec::with_capacity(row.len());
-        lut.apply_row_into(&row, |_, p| codes.push(p));
+        let mut codes = vec![0u8; row.len()];
+        lut.apply_row_into(&row, &mut codes);
         let uniform = ((255 * 255 + (255 * row.len() as u64) / 2) / (255 * row.len() as u64)) as u8;
         assert!(codes.iter().all(|&p| p == uniform));
         let too_long = vec![7i8; MAX_ATTN_SEQ + 1];
-        let refused = std::panic::catch_unwind(|| lut.apply_row_into(&too_long, |_, _| {}));
+        let refused = std::panic::catch_unwind(|| {
+            lut.apply_row_into(&too_long, &mut vec![0u8; too_long.len()]);
+        });
         assert!(refused.is_err());
     }
 

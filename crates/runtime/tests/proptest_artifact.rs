@@ -242,16 +242,21 @@ fn a_crc_valid_artifact_with_an_invalid_add_ln_scale_is_refused_at_load() {
         .windows(block.len())
         .position(|w| w == block)
         .expect("layer 0 scale block");
-    // The four scales only `Add & LN` computes with (index in the block).
+    // The four scales only `Add & LN` computes with (index in the block),
+    // then the two no fold looks at: `ffn_hidden`, which the GELU table is
+    // tabulated from (a zero or non-finite one used to load and serve an
+    // all-zero FFN hidden activation), and `v`, which nothing computes with.
     type Patch = fn(&mut LayerScales, f32);
-    let add_ln_scales: [(usize, Patch); 4] = [
+    let checked_scales: [(usize, Patch); 6] = [
         (0, |s, v| s.input = v),
         (5, |s, v| s.attn_output = v),
         (6, |s, v| s.layer_norm = v),
         (8, |s, v| s.ffn_output = v),
+        (7, |s, v| s.ffn_hidden = v),
+        (3, |s, v| s.v = v),
     ];
     let payload_end = bytes.len() - 4;
-    for (index, patch) in add_ln_scales {
+    for (index, patch) in checked_scales {
         for bad in [0.0f32, -1.0, f32::NAN, f32::INFINITY] {
             let mut hostile = bytes.clone();
             hostile[at + 4 * index..at + 4 * index + 4].copy_from_slice(&bad.to_le_bytes());

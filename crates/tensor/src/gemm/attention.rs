@@ -8,20 +8,21 @@
 //!    [`StridedView`]s of the packed projection outputs (no head copies);
 //! 2. for every [`MR`]-row block of `Q`: score tiles on the `wide` kernel →
 //!    the requantize kernel (zero bias) straight to `i8` scores → the
-//!    caller's softmax, one row at a time, writing `u8` probabilities
-//!    directly in the activation-block layout → context tiles against the
-//!    `V` panels → the requantize kernel → `i8` codes at their final
-//!    position of the context matrix.
+//!    `softmax` entry of the selected kernel row, one contiguous row of
+//!    `u8` probabilities per query row → the block's rows interleaved once
+//!    into the activation-block layout → context tiles against the `V`
+//!    panels → the requantize kernel → `i8` codes at their final position
+//!    of the context matrix.
 //!
-//! At most `MR × seq` scores exist at any time; the `seq × seq` matrix is
-//! never materialised. The softmax is a parameter because the lookup table
-//! lives in `fqbert-quant`, which depends on this crate. The bounds that
-//! keep both reductions exact in `i32` are derived in the [`super`] module
-//! docs.
+//! At most `MR × seq` scores and probabilities exist at any time; the
+//! `seq × seq` matrix is never materialised. The softmax arrives as a
+//! plain-integer [`SoftmaxParams`] like the two requantizers, so every
+//! stage of the pass is an entry of one kernel row. The bounds that keep
+//! both reductions exact in `i32` are derived in the [`super`] module docs.
 
 use super::{
     interleave_pairs, kernels, pack_wide_panels, requant_kernel, ActivationBlock, RequantParams,
-    StridedView, MAX_ATTN_SEQ, MAX_K, MR, NR, WIDE_A, WIDE_B,
+    SoftmaxParams, StridedView, MAX_ATTN_SEQ, MAX_K, MR, NR, WIDE_A, WIDE_B,
 };
 use crate::{Result, TensorError};
 
@@ -42,41 +43,47 @@ pub struct AttentionScratch {
     q_block: ActivationBlock,
     /// Requantized scores of the current row block, `MR × seq` row-major.
     scores: Vec<i8>,
-    /// Probabilities of the current row block in activation-block layout.
-    probs: Vec<[i16; WIDE_A]>,
+    /// Probabilities of the current row block, `MR × seq` row-major.
+    probs: Vec<u8>,
+    /// The same probabilities in activation-block layout.
+    prob_pairs: Vec<[i16; WIDE_A]>,
 }
 
-/// One row of the probability block, handed to the softmax to fill.
-#[derive(Debug)]
-pub struct ProbRow<'a> {
-    block: &'a mut [[i16; WIDE_A]],
-    lane: usize,
-}
-
-impl ProbRow<'_> {
-    /// Stores the probability code of key position `col`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col` is not below the sequence length.
-    pub fn set(&mut self, col: usize, prob: u8) {
-        self.block[col / 2][2 * self.lane + col % 2] = i16::from(prob);
+/// Interleaves the `MR` probability rows of a block (`probs`, `MR × seq`
+/// row-major) into the activation-block layout in one pass, every slot
+/// written: `block[pp][2r + t] = probs[r · seq + 2pp + t]`, zero past the
+/// end of an odd-length row.
+fn interleave_rows(probs: &[u8], seq: usize, block: &mut [[i16; WIDE_A]]) {
+    let rows: [&[u8]; MR] = std::array::from_fn(|r| &probs[r * seq..][..seq]);
+    let (pairs, tail) = block.split_at_mut(seq / 2);
+    for (pp, dst) in pairs.iter_mut().enumerate() {
+        for (lane, row) in rows.iter().enumerate() {
+            let pair = &row[2 * pp..2 * pp + 2];
+            dst[2 * lane] = i16::from(pair[0]);
+            dst[2 * lane + 1] = i16::from(pair[1]);
+        }
+    }
+    if let Some(dst) = tail.first_mut() {
+        for (lane, row) in rows.iter().enumerate() {
+            dst[2 * lane] = i16::from(row[seq - 1]);
+            dst[2 * lane + 1] = 0;
+        }
     }
 }
 
 impl AttentionScratch {
     /// Attention of one head over one sequence. `q`, `k` and `v` are the
-    /// head's `[seq, head_dim]` windows; `softmax(scores, probs)` is called
-    /// once per query row with that row's `seq` requantized scores and must
-    /// [`ProbRow::set`] the probability of every key position (positions it
-    /// skips read as zero); `out` starts at the head's first context code
-    /// and is written at `out[r · out_stride + c]` for every query row `r`
-    /// and head dimension `c`.
+    /// head's `[seq, head_dim]` windows; every query row's `seq`
+    /// requantized scores go through the `softmax` entry of the selected
+    /// kernel row; `out` starts at the head's first context code and is
+    /// written at `out[r · out_stride + c]` for every query row `r` and
+    /// head dimension `c`.
     ///
     /// Bit-identical on every kernel to the scalar composition
-    /// `matmul_transposed_i32` → `Requantizer::apply` → softmax → `i64`
-    /// `P · V` → `Requantizer::apply` for parameters produced by a
-    /// `Requantizer` (see the [`super`] module docs).
+    /// `matmul_transposed_i32` → `Requantizer::apply` → the per-element
+    /// division softmax (`SoftmaxLut::apply_row`) → `i64` `P · V` →
+    /// `Requantizer::apply` for parameters produced by a `Requantizer`
+    /// (see the [`super`] module docs).
     ///
     /// # Errors
     ///
@@ -84,14 +91,14 @@ impl AttentionScratch {
     /// shape, `head_dim` exceeds [`MAX_K`], `seq` exceeds [`MAX_ATTN_SEQ`],
     /// or `out` is too short for the last row.
     #[allow(clippy::too_many_arguments)]
-    pub fn attend_head<S: FnMut(&[i8], ProbRow<'_>)>(
+    pub fn attend_head(
         &mut self,
         q: StridedView<'_>,
         k: StridedView<'_>,
         v: StridedView<'_>,
         score_params: RequantParams,
         context_params: RequantParams,
-        mut softmax: S,
+        softmax: &SoftmaxParams,
         out: &mut [i8],
         out_stride: usize,
     ) -> Result<()> {
@@ -136,7 +143,8 @@ impl AttentionScratch {
         }
         pack_wide_panels(&mut self.v, v);
         self.scores.resize(MR * seq, 0);
-        self.probs.resize(seq_pairs, [0i16; WIDE_A]);
+        self.probs.resize(MR * seq, 0);
+        self.prob_pairs.resize(seq_pairs, [0i16; WIDE_A]);
 
         let kernel = kernels::selected();
         let requant_scores = requant_kernel(score_params);
@@ -159,17 +167,19 @@ impl AttentionScratch {
                     );
                 }
             }
-            // Lanes of a short last block and skipped positions read as zero.
-            self.probs.fill([0i16; WIDE_A]);
-            for (lane, scores) in self.scores.chunks_exact(seq).take(rows).enumerate() {
-                let block = &mut self.probs;
-                softmax(scores, ProbRow { block, lane });
+            let score_rows = self.scores.chunks_exact(seq);
+            let prob_rows = self.probs.chunks_exact_mut(seq);
+            for (scores, probs) in score_rows.zip(prob_rows).take(rows) {
+                (kernel.softmax)(softmax, scores, probs);
             }
+            // The rows a short last block lacks read as zero.
+            self.probs[rows * seq..].fill(0);
+            interleave_rows(&self.probs, seq, &mut self.prob_pairs);
             for (p, panel) in self.v.chunks_exact(seq_pairs).enumerate() {
                 let c0 = p * NR;
                 let cols = NR.min(head_dim - c0);
                 let mut acc = [[0i32; NR]; MR];
-                (kernel.wide)(&self.probs, panel, &mut acc);
+                (kernel.wide)(&self.prob_pairs, panel, &mut acc);
                 for (r, row) in acc.iter().enumerate().take(rows) {
                     let at = (r0 + r) * out_stride + c0;
                     requant_context(
@@ -207,9 +217,22 @@ mod tests {
         rounded.clamp(-127, 127) as i64
     }
 
-    /// A stand-in softmax with the real one's range: `128 + score`.
-    fn shifted(score: i8) -> u8 {
-        (i16::from(score) + 128) as u8
+    /// A softmax over an exponential table at 8 levels per unit.
+    fn softmax_params() -> SoftmaxParams {
+        let table = std::array::from_fn(|d| (255.0 * (-(d as f64) / 8.0).exp()).round() as u8);
+        SoftmaxParams::new(table, 255).expect("softmax")
+    }
+
+    /// The accelerator's softmax of one row: a division per element.
+    fn softmax_by_division(params: &SoftmaxParams, scores: &[i64]) -> Vec<i64> {
+        let max = *scores.iter().max().expect("non-empty row");
+        let numerator = |s: i64| i64::from(params.table()[usize::try_from(max - s).unwrap()]);
+        let denom: i64 = scores.iter().map(|&s| numerator(s)).sum();
+        let levels = i64::from(params.out_levels());
+        scores
+            .iter()
+            .map(|&s| (numerator(s) * levels + denom / 2) / denom)
+            .collect()
     }
 
     fn head_view(m: &[i8], width: usize, seq: usize, cols: Range<usize>) -> StridedView<'_> {
@@ -228,14 +251,17 @@ mod tests {
             shift: 37,
             clamp: 127,
         };
+        let softmax = softmax_params();
         let mut scratch = AttentionScratch::default();
         // A scratch that served a larger head first must not leak into a
-        // smaller one; odd and block-straddling shapes exercise the padding.
+        // smaller one; odd and block-straddling shapes exercise the padding
+        // (the short last block after a full one, the odd last k-pair).
         for &(seq, head_dim, heads, head) in &[
             (37usize, 33usize, 3usize, 1usize),
             (5, 8, 2, 1),
             (1, 1, 1, 0),
             (33, 3, 4, 3),
+            (70, 2, 1, 0),
         ] {
             let width = heads * head_dim;
             let fill =
@@ -243,6 +269,22 @@ mod tests {
             let (qm, km, vm) = (fill(1), fill(77), fill(191));
             let lo = head * head_dim;
             let view = |m| head_view(m, width, seq, lo..lo + head_dim);
+            let block = |m| {
+                let rows: Vec<i8> = (0..seq).flat_map(|r| view(m).row(r).to_vec()).collect();
+                IntTensor::from_vec(rows, &[seq, head_dim]).expect("head block")
+            };
+            let (qh, kh, vh) = (block(&qm), block(&km), block(&vm));
+            let scores = qh.matmul_transposed_i32(&kh).expect("scores");
+            let probs: Vec<Vec<i64>> = (0..seq)
+                .map(|i| {
+                    let row = scores.row(i).iter();
+                    let row: Vec<i64> = row.map(|&s| requant(i64::from(s), score_params)).collect();
+                    softmax_by_division(&softmax, &row)
+                })
+                .collect();
+            // On the process-selected kernel row; `proptest_encoder_layer`
+            // drives every available one (forcing a row here would race the
+            // other unit tests of this process).
             let mut out = vec![99i8; seq * width];
             scratch
                 .attend_head(
@@ -251,30 +293,15 @@ mod tests {
                     view(&vm),
                     score_params,
                     context_params,
-                    |scores, mut probs| {
-                        for (j, &s) in scores.iter().enumerate() {
-                            probs.set(j, shifted(s));
-                        }
-                    },
+                    &softmax,
                     &mut out[lo..],
                     width,
                 )
                 .expect("attend");
-
-            let block = |m| {
-                let rows: Vec<i8> = (0..seq).flat_map(|r| view(m).row(r).to_vec()).collect();
-                IntTensor::from_vec(rows, &[seq, head_dim]).expect("head block")
-            };
-            let (qh, kh, vh) = (block(&qm), block(&km), block(&vm));
-            let scores = qh.matmul_transposed_i32(&kh).expect("scores");
-            for i in 0..seq {
+            for (i, probs) in probs.iter().enumerate() {
                 for d in 0..head_dim {
-                    let acc: i64 = (0..seq)
-                        .map(|j| {
-                            let s = requant(i64::from(scores.row(i)[j]), score_params);
-                            i64::from(shifted(s as i8)) * i64::from(vh.row(j)[d])
-                        })
-                        .sum();
+                    let products = probs.iter().zip(0..seq);
+                    let acc: i64 = products.map(|(p, j)| p * i64::from(vh.row(j)[d])).sum();
                     assert_eq!(
                         i64::from(out[i * width + lo + d]),
                         requant(acc, context_params),
@@ -300,10 +327,11 @@ mod tests {
             shift: 30,
             clamp: 127,
         };
+        let softmax = softmax_params();
         let mut scratch = AttentionScratch::default();
         let mut out = vec![0i8; 6 * 4];
         let mut run = |q, k, v, out: &mut [i8], stride| {
-            scratch.attend_head(q, k, v, params, params, |_, _| {}, out, stride)
+            scratch.attend_head(q, k, v, params, params, &softmax, out, stride)
         };
         assert!(run(a, b, a, &mut out, 4).is_err());
         assert!(run(a, a, b, &mut out, 4).is_err());

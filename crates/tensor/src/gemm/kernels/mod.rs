@@ -13,43 +13,58 @@
 //! kernels over panels that already exist, so every row reads the one
 //! layout.
 //!
-//! A row also carries the two element-wise stages that run on the tiles'
-//! output: the requantize epilogue and `Add & LN` ([`AddNormKernel`], the
-//! accelerator's 3-stage LN pipeline). Both are bit-identical to their
-//! scalar reference inside an envelope computed from the parameters
-//! ([`RequantParams::simd_exact`], [`AddNormParams::simd_exact`]);
-//! parameters outside it never reach a SIMD row.
+//! A row also carries the three element-wise stages that run on the tiles'
+//! output: the requantize epilogue, `Add & LN` ([`AddNormKernel`], the
+//! accelerator's 3-stage LN pipeline) and the softmax row
+//! ([`SoftmaxKernel`], its LUT Softmax Core). The first two are
+//! bit-identical to their scalar reference inside an envelope computed from
+//! the parameters ([`RequantParams::simd_exact`],
+//! [`AddNormParams::simd_exact`]); parameters outside it never reach a SIMD
+//! row. The softmax has no envelope: every row is exact for every
+//! [`SoftmaxParams`].
 //!
 //! # Selection
 //!
 //! [`selected`] resolves once per process (lock-free, one relaxed atomic
 //! load on the hot path afterwards):
 //!
-//! 1. If `FQBERT_KERNEL=scalar|sse2|avx2|vnni|neon` is set, that kernel is used
-//!    when available on this CPU; an unavailable or unrecognised request
-//!    falls back to `scalar` (never an error — serving must come up), which
-//!    is visible in telemetry/`list_models` since the kernel name is
-//!    surfaced everywhere.
+//! 1. If `FQBERT_KERNEL=scalar|sse2|avx2|vnni|avx512|neon` is set, that
+//!    kernel is used when available on this CPU; an unavailable or
+//!    unrecognised request falls back to `scalar` (never an error — serving
+//!    must come up), which is visible in telemetry/`list_models` since the
+//!    kernel name is surfaced everywhere.
 //! 2. Otherwise the best available kernel wins — the last available entry
-//!    of [`KernelKind::ALL`]: `vnni` > `avx2` > `sse2` on x86_64 (via
-//!    `is_x86_feature_detected!`), `neon` on aarch64, else `scalar`. The
-//!    `vnni` row is the `avx2` row with the int4 tile on `vpdpbusd`
-//!    (AVX-VNNI, or AVX-512 VNNI + VL) instead of `vpmaddubsw`.
+//!    of [`KernelKind::ALL`]: `avx512` > `vnni` > `avx2` > `sse2` on x86_64
+//!    (via `is_x86_feature_detected!`), `neon` on aarch64, else `scalar`.
+//!    The `vnni` row is the `avx2` row with both tiles on the 256-bit fused
+//!    dot products (`vpdpbusd` / `vpdpwssd`: AVX-VNNI, or AVX-512 VNNI +
+//!    VL); the `avx512` row runs both tiles, the requantize epilogue and
+//!    the softmax row on 512-bit registers and needs `avx512f/bw/dq/vl/
+//!    vnni/vbmi` together — a VNNI part without VBMI stays on `vnni`.
 //!
 //! Tests and benches switch kernels in-process with [`force`].
 //!
 //! # Adding a kernel
 //!
-//! A row has four entries: the two tile functions (`wide` for `i16`
-//! panels, `nibble` for biased-nibble int4 panels), the `requant` epilogue
-//! and `add_norm`. Implement the tiles; any entry may be borrowed from
-//! another row — `vnni` borrows `wide`, `requant` and `add_norm` from
-//! `avx2`; `neon` borrows `requant` and `add_norm`, and `sse2` borrows
-//! `add_norm`, from `scalar`. Add a [`KernelKind`] variant **at its place
-//! in the preference order** — the enum and [`KernelKind::ALL`] list the
-//! kinds in the same, ascending order, which a unit test pins — its
-//! availability check, and its [`KernelDispatch`] row; then the
-//! cross-kernel tests automatically cover it.
+//! A row has five entries: the two tile functions (`wide` for `i16`
+//! panels, `nibble` for biased-nibble int4 panels), the `requant` epilogue,
+//! `add_norm` and `softmax`. Implement the tiles; any entry may be borrowed
+//! from another row:
+//!
+//! | row | `wide` | `nibble` | `requant` | `add_norm` | `softmax` |
+//! |---|---|---|---|---|---|
+//! | `scalar` | own | own | own | own | own |
+//! | `sse2` | own | own | own | `scalar` | `scalar` |
+//! | `avx2` | own | own | own | own | own |
+//! | `vnni` | own | own | `avx2` | `avx2` | `avx2` |
+//! | `avx512` | own | own | own | `avx2` | own |
+//! | `neon` | own | own | `scalar` | `scalar` | `scalar` |
+//!
+//! Add a [`KernelKind`] variant **at its place in the preference order** —
+//! the enum and [`KernelKind::ALL`] list the kinds in the same, ascending
+//! order, which a unit test pins — its availability check, and its
+//! [`KernelDispatch`] row; then the cross-kernel tests automatically cover
+//! it.
 //!
 //! A nibble kernel adds `Σ a·u` over the panel's unsigned `u = w + 8` to
 //! the tile it is given; the driver has already started the tile at
@@ -58,7 +73,13 @@
 //! — stage 3's three rounded, saturating Q16 products included — for every
 //! width (a tail shorter than a vector too), and must write every slot of
 //! the sum row before reading it; `tests/add_norm_kernels.rs` drives every
-//! available row through saturating and non-saturating parameter sets.
+//! available row through saturating and non-saturating parameter sets. A
+//! `softmax` entry must equal [`scalar::softmax_row`] byte for byte on
+//! every [`SoftmaxParams`] and every row length up to `MAX_ATTN_SEQ` (a
+//! tail shorter than a vector, and the empty row, included), write every
+//! slot of its output and nothing else, and panic on mismatched lengths;
+//! `tests/softmax_kernels.rs` drives every available row through every
+//! length around its vector boundaries.
 //!
 //! `unsafe` is allowed only inside `gemm/kernels/*` (fqlint R5
 //! `unsafe-outside-kernels`), and every unsafe item there must carry a
@@ -71,7 +92,7 @@ pub mod neon;
 #[cfg(target_arch = "x86_64")]
 pub mod x86;
 
-use super::{AccTile, AddNormParams, RequantParams, QUAD_A, QUAD_B, WIDE_A, WIDE_B};
+use super::{AccTile, AddNormParams, RequantParams, SoftmaxParams, QUAD_A, QUAD_B, WIDE_A, WIDE_B};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Tile kernel over wide (`i16`-pair) weight panels.
@@ -101,6 +122,15 @@ pub type RequantKernel = fn(&[i32], &[i32], RequantParams, &mut [i8]);
 /// combination of lengths.
 pub type AddNormKernel = fn(&AddNormParams, &mut [i32], &[i8], &[i8], &mut [i8]);
 
+/// The softmax of one row, `kernel(params, scores, out)`: `out[j]` becomes
+/// the probability code of score `j`,
+/// `round(table[max − scores[j]] · out_levels / Σ_i table[max − scores[i]])`.
+/// Every implementation is bit-identical to [`scalar::softmax_row`] for
+/// every [`SoftmaxParams`] and every length up to
+/// [`super::MAX_ATTN_SEQ`]; an empty row is a no-op. Panics if `scores`
+/// and `out` differ in length or exceed that bound.
+pub type SoftmaxKernel = fn(&SoftmaxParams, &[i8], &mut [u8]);
+
 /// The instruction-set families a micro-kernel can target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
@@ -110,9 +140,14 @@ pub enum KernelKind {
     Sse2,
     /// x86_64 256-bit `vpmaddwd` path; int4 panels on `vpmaddubsw`.
     Avx2,
-    /// The AVX2 row with int4 panels on `vpdpbusd` (AVX-VNNI, or
+    /// The AVX2 row with both tiles on the 256-bit fused dot products:
+    /// int4 panels on `vpdpbusd`, wide panels on `vpdpwssd` (AVX-VNNI, or
     /// AVX-512 VNNI + VL).
     Vnni,
+    /// x86_64 512-bit path: both tiles on `zmm` `vpdpbusd` / `vpdpwssd`,
+    /// a `zmm` requantize and a `vpermi2b` softmax row (AVX-512 F, BW, DQ,
+    /// VL, VNNI and VBMI together).
+    Avx512,
     /// aarch64 128-bit `smlal` path.
     Neon,
 }
@@ -121,11 +156,12 @@ impl KernelKind {
     /// Every kind, in declaration order, which is ascending preference
     /// order: [`best_available`] takes the last available entry, and the
     /// stored selection indexes this array by discriminant.
-    pub const ALL: [KernelKind; 5] = [
+    pub const ALL: [KernelKind; 6] = [
         KernelKind::Scalar,
         KernelKind::Sse2,
         KernelKind::Avx2,
         KernelKind::Vnni,
+        KernelKind::Avx512,
         KernelKind::Neon,
     ];
 
@@ -136,6 +172,7 @@ impl KernelKind {
             KernelKind::Sse2 => "sse2",
             KernelKind::Avx2 => "avx2",
             KernelKind::Vnni => "vnni",
+            KernelKind::Avx512 => "avx512",
             KernelKind::Neon => "neon",
         }
     }
@@ -181,6 +218,16 @@ impl KernelKind {
                     false
                 }
             }
+            KernelKind::Avx512 => {
+                #[cfg(target_arch = "x86_64")]
+                {
+                    std::arch::is_x86_feature_detected!("avx2") && x86::avx512_detected()
+                }
+                #[cfg(not(target_arch = "x86_64"))]
+                {
+                    false
+                }
+            }
             KernelKind::Neon => cfg!(target_arch = "aarch64"),
         }
     }
@@ -201,6 +248,8 @@ pub struct KernelDispatch {
     pub requant: RequantKernel,
     /// `Add & LN` kernel over whole matrices.
     pub add_norm: AddNormKernel,
+    /// Softmax kernel over one row of scores.
+    pub softmax: SoftmaxKernel,
 }
 
 static SCALAR: KernelDispatch = KernelDispatch {
@@ -210,10 +259,12 @@ static SCALAR: KernelDispatch = KernelDispatch {
     nibble: scalar::tile_nibble,
     requant: scalar::requant_row,
     add_norm: scalar::add_norm_rows,
+    softmax: scalar::softmax_row,
 };
 
 // `Add & LN` leans on 64-bit signed multiplies and compares and on a
-// gather, none of which SSE2 has: the SSE2 row runs the scalar one.
+// gather, the softmax row on a gather and a signed byte maximum, none of
+// which SSE2 has: the SSE2 row runs the scalar ones.
 #[cfg(target_arch = "x86_64")]
 static SSE2: KernelDispatch = KernelDispatch {
     kind: KernelKind::Sse2,
@@ -222,6 +273,7 @@ static SSE2: KernelDispatch = KernelDispatch {
     nibble: x86::tile_nibble_sse2,
     requant: x86::requant_row_sse2,
     add_norm: scalar::add_norm_rows,
+    softmax: scalar::softmax_row,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -232,22 +284,37 @@ static AVX2: KernelDispatch = KernelDispatch {
     nibble: x86::tile_nibble_avx2,
     requant: x86::requant_row_avx2,
     add_norm: x86::add_norm_rows_avx2,
+    softmax: x86::softmax_row_avx2,
 };
 
-// VNNI changes the byte-operand product only: wide panels, the requantize
-// epilogue and `Add & LN` run on the AVX2 kernels.
+// VNNI changes the two products only: the requantize epilogue, `Add & LN`
+// and the softmax row run on the AVX2 kernels.
 #[cfg(target_arch = "x86_64")]
 static VNNI: KernelDispatch = KernelDispatch {
     kind: KernelKind::Vnni,
     name: "vnni",
-    wide: x86::tile_wide_avx2,
+    wide: x86::tile_wide_vnni,
     nibble: x86::tile_nibble_vnni,
     requant: x86::requant_row_avx2,
     add_norm: x86::add_norm_rows_avx2,
+    softmax: x86::softmax_row_avx2,
 };
 
-// The NEON row reuses the scalar requant epilogue and `Add & LN`: the
-// aarch64 SIMD variants have not been written yet.
+// `Add & LN` is gathers and one inverse square root per row, neither of
+// which doubles with the register width: the AVX-512 row runs the AVX2 one.
+#[cfg(target_arch = "x86_64")]
+static AVX512: KernelDispatch = KernelDispatch {
+    kind: KernelKind::Avx512,
+    name: "avx512",
+    wide: x86::tile_wide_avx512,
+    nibble: x86::tile_nibble_avx512,
+    requant: x86::requant_row_avx512,
+    add_norm: x86::add_norm_rows_avx2,
+    softmax: x86::softmax_row_avx512,
+};
+
+// The NEON row reuses the scalar requant epilogue, `Add & LN` and softmax
+// row: the aarch64 SIMD variants have not been written yet.
 #[cfg(target_arch = "aarch64")]
 static NEON: KernelDispatch = KernelDispatch {
     kind: KernelKind::Neon,
@@ -256,6 +323,7 @@ static NEON: KernelDispatch = KernelDispatch {
     nibble: neon::tile_nibble,
     requant: scalar::requant_row,
     add_norm: scalar::add_norm_rows,
+    softmax: scalar::softmax_row,
 };
 
 /// The dispatch table row for `kind`. Kinds not compiled for this target
@@ -268,6 +336,8 @@ pub fn dispatch_for(kind: KernelKind) -> &'static KernelDispatch {
         KernelKind::Avx2 => &AVX2,
         #[cfg(target_arch = "x86_64")]
         KernelKind::Vnni => &VNNI,
+        #[cfg(target_arch = "x86_64")]
+        KernelKind::Avx512 => &AVX512,
         #[cfg(target_arch = "aarch64")]
         KernelKind::Neon => &NEON,
         _ => &SCALAR,
@@ -355,7 +425,8 @@ mod tests {
         }
         assert_eq!(KernelKind::parse(" avx2 "), Some(KernelKind::Avx2));
         assert_eq!(KernelKind::parse("VNNI"), Some(KernelKind::Vnni));
-        assert_eq!(KernelKind::parse("avx512"), None);
+        assert_eq!(KernelKind::parse("avx512"), Some(KernelKind::Avx512));
+        assert_eq!(KernelKind::parse("avx512f"), None);
     }
 
     /// `SELECTED` stores a discriminant and reads it back through `ALL`,
@@ -368,10 +439,22 @@ mod tests {
             assert_eq!(kind_from_index(kind as usize), kind);
         }
         assert_eq!(Some(&best_available()), available().last());
-        // The byte-operand row outranks the row it borrows the rest from.
+        // A row outranks the rows it borrows entries from, and is only
+        // available where they are.
         assert!((KernelKind::Vnni as usize) > KernelKind::Avx2 as usize);
+        assert!((KernelKind::Avx512 as usize) > KernelKind::Vnni as usize);
         if KernelKind::Vnni.is_available() {
             assert!(KernelKind::Avx2.is_available());
+        }
+        if KernelKind::Avx512.is_available() {
+            assert!(KernelKind::Vnni.is_available());
+            assert!(KernelKind::Avx2.is_available());
+        }
+        assert_eq!(
+            best_available() == KernelKind::Avx512,
+            KernelKind::Avx512.is_available()
+        );
+        if KernelKind::Vnni.is_available() && !KernelKind::Avx512.is_available() {
             assert_eq!(best_available(), KernelKind::Vnni);
         }
     }

@@ -17,9 +17,16 @@
 //! Its per-element pieces are what a SIMD row finishes a row's tail with,
 //! and [`inv_sqrt_fixed`] is the one Newton inverse square root of the
 //! workspace.
+//!
+//! [`softmax_row`] is the softmax reference: the row maximum, one table
+//! pass for the numerators and their sum, one [`RowReciprocal`] and a
+//! multiply-shift per element. A SIMD row evaluates the same integer
+//! expressions in its lanes, so it is bit-identical for every
+//! [`SoftmaxParams`] and needs no envelope.
 
 use crate::gemm::{
-    AccTile, AddNormParams, RequantParams, ADD_NORM_FRAC_BITS, NR, QUAD_A, QUAD_B, WIDE_A, WIDE_B,
+    AccTile, AddNormParams, RequantParams, SoftmaxParams, ADD_NORM_FRAC_BITS, MAX_ATTN_SEQ, NR,
+    QUAD_A, QUAD_B, WIDE_A, WIDE_B,
 };
 
 /// Accumulates one tile from wide (`i16`-pair) panels.
@@ -259,5 +266,103 @@ pub fn add_norm_rows(params: &AddNormParams, sums: &mut [i32], a: &[i8], b: &[i8
         for (code, (&c, (&gamma, &beta))) in out.iter_mut().zip(scaled) {
             *code = add_norm_code(c, inv_std, gamma, beta, params.out_scale);
         }
+    }
+}
+
+/// The one division of a softmax row: `round(p / denom)` for every scaled
+/// numerator `p = n · levels` of the row as `(p + denom/2) · m >> 48` with
+/// `m = ⌊2⁴⁸ / denom⌋ + 1`.
+///
+/// Exact for `x = p + denom/2 < 2²⁴` and `denom < 2²⁴`: `m · denom = 2⁴⁸ + e`
+/// with `0 < e ≤ denom`, so `x · m / 2⁴⁸` exceeds `x / denom` by
+/// `x · e / (denom · 2⁴⁸) < 1 / denom` — too little to reach the next
+/// integer — as `x · e ≤ x · denom < 2⁴⁸`. A row of `i8` scores has
+/// `1 ≤ denom ≤ 255 ·`[`MAX_ATTN_SEQ`]` = 2²⁴ − 1` (`255 ≤ denom` with a
+/// real exponential table, whose first entry is 255) and
+/// `x ≤ 255 · 255 + denom/2 < 2²⁴`; and `x · m ≤ (x / denom) · 2⁴⁸ + x <
+/// 2⁵⁶` stays inside a `u64` lane, since a numerator is one of the terms of
+/// the denominator and so `x / denom ≤ 255.5`.
+#[derive(Debug, Clone, Copy)]
+pub struct RowReciprocal {
+    /// `denom / 2`, the rounding term.
+    pub half: u64,
+    /// `⌊2⁴⁸ / denom⌋ + 1`.
+    pub reciprocal: u64,
+}
+
+impl RowReciprocal {
+    /// The reciprocal of a row's denominator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `denom` is zero.
+    pub fn new(denom: u64) -> Self {
+        Self {
+            half: denom >> 1,
+            reciprocal: (1u64 << 48) / denom + 1,
+        }
+    }
+
+    /// `round(scaled / denom)` for `scaled = n · levels`, `n ≤ denom`.
+    pub fn rounded(&self, scaled: u64) -> u8 {
+        // fqlint::allow(narrowing-cast): the numerator is at most `denom`,
+        // so the quotient is at most `out_levels <= 255`.
+        (((scaled + self.half) * self.reciprocal) >> 48) as u8
+    }
+}
+
+/// Checks what every softmax kernel relies on: one output slot per score
+/// and a row inside the attention bound, the range [`RowReciprocal`] is
+/// exact on.
+///
+/// # Panics
+///
+/// Panics if they differ in length or the row is longer than
+/// [`MAX_ATTN_SEQ`] — `attend_head` sizes both and refuses longer
+/// sequences first.
+pub(super) fn softmax_len(scores: &[i8], out: &[u8]) -> usize {
+    assert!(
+        scores.len() == out.len() && scores.len() <= MAX_ATTN_SEQ,
+        "softmax: a row of {} scores into {} slots (the attention bound is {MAX_ATTN_SEQ})",
+        scores.len(),
+        out.len()
+    );
+    scores.len()
+}
+
+/// The numerator of score `s` in a row whose maximum is `max`: for `i8`
+/// scores the distance lies in `[0, 255]`, inside the table.
+pub(super) fn softmax_numerator(params: &SoftmaxParams, max: i8, s: i8) -> u8 {
+    let distance = i16::from(max) - i16::from(s);
+    params.table[usize::from(distance.unsigned_abs())]
+}
+
+/// The softmax of one row of `i8` scores as `u8` probability codes — the
+/// reference every SIMD row is tested against (see
+/// [`super::SoftmaxKernel`] for the contract): numerators out of the table
+/// by distance from the row maximum, then every
+/// `round(n · out_levels / Σ n)` through the row's one [`RowReciprocal`] —
+/// bit for bit the division per element the accelerator's Softmax Core
+/// does. The maximum itself looks up `table[0] ≠ 0`, so the denominator is
+/// never zero. An empty row is left alone.
+///
+/// # Panics
+///
+/// Panics if `scores` and `out` differ in length or are longer than
+/// [`MAX_ATTN_SEQ`].
+pub fn softmax_row(params: &SoftmaxParams, scores: &[i8], out: &mut [u8]) {
+    softmax_len(scores, out);
+    let Some(&max) = scores.iter().max() else {
+        return;
+    };
+    let mut denom = 0u64;
+    for (n, &s) in out.iter_mut().zip(scores) {
+        *n = softmax_numerator(params, max, s);
+        denom += u64::from(*n);
+    }
+    let divide = RowReciprocal::new(denom);
+    let levels = u64::from(params.out_levels);
+    for n in out.iter_mut() {
+        *n = divide.rounded(u64::from(*n) * levels);
     }
 }

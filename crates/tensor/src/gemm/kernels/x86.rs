@@ -1,14 +1,21 @@
 //! x86_64 micro-kernels: AVX2 (`_mm256_madd_epi16`) and SSE2 (`pmaddwd`)
-//! accumulator tiles over the k-pair-interleaved wide panels, the
-//! byte-operand tiles (`vpmaddubsw`, `vpdpbusd`) over the biased-nibble
-//! k-quad panels, the requantize epilogues and the AVX2 `Add & LN`.
+//! accumulator tiles over the k-pair-interleaved wide panels and their
+//! fused `vpdpwssd` forms (256-bit VNNI, 512-bit AVX-512), the byte-operand
+//! tiles (`vpmaddubsw`, `vpdpbusd`) over the biased-nibble k-quad panels,
+//! the requantize epilogues, the AVX2 `Add & LN` and the AVX2 / AVX-512
+//! softmax rows.
 //!
 //! The wide paths broadcast one activation pair `(a0, a1)` into every
 //! 32-bit lane and `madd` it against the panel's interleaved weight pairs:
 //! lane `j` computes `a0·W[2pp][c+j] + a1·W[2pp+1][c+j]` with exact 32-bit
 //! intermediate products — the identical value the scalar reference sums
 //! for that column, so accumulation is bit-identical (no overflow by the
-//! `MAX_K` pack bound).
+//! `MAX_K` pack bound). **VNNI** and **AVX-512** fuse the `madd` and the
+//! add into `vpdpwssd` — the non-saturating form (never `vpdpwssds`), so a
+//! lane is the same wrapping `i32` sum — and keep the whole tile in
+//! registers while the panel streams past once: a `[i16; 64]` k-pair row
+//! is two `zmm` (columns `0..16 | 16..32`) against eight accumulators, or
+//! four `ymm` against sixteen (EVEX; two passes of eight in VEX).
 //!
 //! The int4 paths never widen a weight. A 32-byte half row of a nibble
 //! panel decodes with `and 0x0F` and `srli 4` + `and` into two vectors of
@@ -25,8 +32,16 @@
 //!   lanes of each column into the `i32` tile.
 //! * **VNNI** issues `vpdpbusd`, the non-saturating form that adds all
 //!   four byte products of a lane straight into the `i32` accumulator.
+//! * **AVX-512** loads the whole 64-byte k-quad row — both half rows — in
+//!   one `zmm` and decodes it with the same three operations, so the low
+//!   nibbles are columns `0..8 | 16..24` (one 256-bit half each) and the
+//!   high nibbles columns `8..16 | 24..32`: two `vpdpbusd` per row and
+//!   k-quad into eight accumulators that hold the tile in that column
+//!   order, un-permuted with 256-bit inserts / extracts once per tile, at
+//!   its load and its store. No lane can saturate: `vpdpbusd` is again the
+//!   non-saturating form, and a lane's true sum fits `i32` by `MAX_K`.
 //!
-//! Both compute `Σ a·(w + 8)` exactly; the driver started the tile at
+//! All compute `Σ a·(w + 8)` exactly; the driver started the tile at
 //! `−8 · Σ a` (see the `gemm` module docs). They are the software image of
 //! the accelerator's 8b×4b mode, where one Bit-split Inner-product Module
 //! fits two 4-bit-weight products in the slot of one 8b×8b product
@@ -48,39 +63,66 @@
 //! scalar element function. SSE2 has no signed 64-bit multiply, compare or
 //! gather, so that row runs the scalar one.
 //!
+//! The softmax rows ([`softmax_row_avx2`], [`softmax_row_avx512`]) are the
+//! scalar row's three passes on lanes: the signed byte maximum; the
+//! numerators `table[max − s]` — the distance is a wrapping byte
+//! subtraction, looked up with `vpgatherdd` on the dword-widened table, or
+//! with two `vpermi2b` over the byte table held in four `zmm` and a blend
+//! on the index's top bit — written to the output row and summed; and
+//! `(n · levels + denom/2) · m >> 48` in `u64` lanes over the even and the
+//! odd elements, the reference's own expression (`x · m < 2⁵⁶` fits a
+//! lane), so no envelope is needed.
+//!
 //! # Safety
 //!
 //! This module is one of the designated unsafe-kernel modules (fqlint R5
 //! `unsafe-outside-kernels`): the only unsafety is (a) calling
 //! `#[target_feature]` functions, sound because the dispatch table installs
-//! them only after `is_x86_feature_detected!` confirms the feature, and
-//! (b) unaligned SIMD loads/stores (and one unaligned 4-byte read per
-//! activation quad) through raw pointers derived from fixed-size array
-//! references, in-bounds by construction — or, in `Add & LN`, from slices
-//! whose lengths the safe wrapper asserts first — and gathers that index
-//! 256-entry tables with zero-extended bytes.
+//! them only after `is_x86_feature_detected!` confirms the feature (the
+//! AVX-512 kernels all enable the one feature set `avx512_detected`
+//! checks), and (b) unaligned SIMD loads/stores (and one unaligned 4-byte
+//! read per activation quad or pair) through raw pointers derived from
+//! fixed-size array references, in-bounds by construction — or, in
+//! `Add & LN`, the requantize epilogues and the softmax rows, from slices
+//! whose lengths the safe wrapper asserts or the loop bounds first, with
+//! AVX-512 tails read and written under a mask of the remaining elements
+//! (masked-off bytes are not accessed) — and gathers that index 256-entry
+//! tables with zero-extended bytes.
 
 use super::scalar;
 use crate::gemm::{
-    AccTile, AddNormParams, RequantParams, ADD_NORM_FRAC_BITS, MR, QUAD_A, QUAD_B, WIDE_A, WIDE_B,
+    AccTile, AddNormParams, RequantParams, SoftmaxParams, ADD_NORM_FRAC_BITS, MR, QUAD_A, QUAD_B,
+    WIDE_A, WIDE_B,
 };
 use core::arch::x86_64::{
-    __m128i, __m256i, _mm256_abs_epi32, _mm256_add_epi16, _mm256_add_epi32, _mm256_add_epi64,
-    _mm256_and_si256, _mm256_andnot_si256, _mm256_castsi256_si128, _mm256_cmpgt_epi32,
-    _mm256_cmpgt_epi64, _mm256_cvtepi32_epi64, _mm256_cvtepu8_epi32, _mm256_dpbusd_avx_epi32,
-    _mm256_dpbusd_epi32, _mm256_extracti128_si256, _mm256_i32gather_epi32, _mm256_loadu_si256,
-    _mm256_madd_epi16, _mm256_maddubs_epi16, _mm256_max_epi32, _mm256_max_epu32, _mm256_min_epi32,
-    _mm256_mul_epi32, _mm256_mul_epu32, _mm256_or_si256, _mm256_permute4x64_epi64,
-    _mm256_set1_epi16, _mm256_set1_epi32, _mm256_set1_epi64x, _mm256_set1_epi8,
-    _mm256_setzero_si256, _mm256_shuffle_epi32, _mm256_slli_epi64, _mm256_srai_epi32,
-    _mm256_srl_epi64, _mm256_srli_epi16, _mm256_srli_epi64, _mm256_storeu_si256, _mm256_sub_epi32,
-    _mm256_sub_epi64, _mm256_unpacklo_epi64, _mm256_xor_si256, _mm_add_epi32, _mm_add_epi64,
-    _mm_and_si128, _mm_andnot_si128, _mm_cmpgt_epi32, _mm_cmpgt_epi8, _mm_cvtsi128_si32,
-    _mm_cvtsi128_si64, _mm_cvtsi32_si128, _mm_loadl_epi64, _mm_loadu_si128, _mm_madd_epi16,
-    _mm_mul_epu32, _mm_or_si128, _mm_packs_epi16, _mm_packs_epi32, _mm_set1_epi32, _mm_set1_epi64x,
-    _mm_set1_epi8, _mm_setzero_si128, _mm_shuffle_epi32, _mm_slli_epi64, _mm_srai_epi32,
-    _mm_srl_epi64, _mm_srli_epi16, _mm_srli_epi64, _mm_storel_epi64, _mm_storeu_si128,
-    _mm_sub_epi64, _mm_unpackhi_epi32, _mm_unpackhi_epi64, _mm_unpackhi_epi8, _mm_unpacklo_epi32,
+    __m128i, __m256i, __m512i, __mmask16, __mmask64, __mmask8, _mm256_abs_epi32, _mm256_add_epi16,
+    _mm256_add_epi32, _mm256_add_epi64, _mm256_and_si256, _mm256_andnot_si256,
+    _mm256_castsi256_si128, _mm256_cmpgt_epi32, _mm256_cmpgt_epi64, _mm256_cvtepi32_epi64,
+    _mm256_cvtepu8_epi32, _mm256_dpbusd_avx_epi32, _mm256_dpbusd_epi32, _mm256_dpwssd_avx_epi32,
+    _mm256_dpwssd_epi32, _mm256_extracti128_si256, _mm256_i32gather_epi32, _mm256_loadu_si256,
+    _mm256_madd_epi16, _mm256_maddubs_epi16, _mm256_maskz_loadu_epi32, _mm256_max_epi32,
+    _mm256_max_epi8, _mm256_max_epu32, _mm256_min_epi32, _mm256_mul_epi32, _mm256_mul_epu32,
+    _mm256_or_si256, _mm256_permute4x64_epi64, _mm256_set1_epi16, _mm256_set1_epi32,
+    _mm256_set1_epi64x, _mm256_set1_epi8, _mm256_setzero_si256, _mm256_shuffle_epi32,
+    _mm256_slli_epi64, _mm256_srai_epi32, _mm256_srl_epi64, _mm256_srli_epi16, _mm256_srli_epi64,
+    _mm256_storeu_si256, _mm256_sub_epi32, _mm256_sub_epi64, _mm256_unpacklo_epi64,
+    _mm256_xor_si256, _mm512_abs_epi64, _mm512_add_epi64, _mm512_and_si512, _mm512_castsi256_si512,
+    _mm512_castsi512_si256, _mm512_cvtepi32_epi64, _mm512_cvtepi32_epi8, _mm512_cvtepi64_epi8,
+    _mm512_cvtepu8_epi32, _mm512_dpbusd_epi32, _mm512_dpwssd_epi32, _mm512_extracti64x4_epi64,
+    _mm512_inserti64x4, _mm512_loadu_si512, _mm512_mask_blend_epi8, _mm512_mask_loadu_epi8,
+    _mm512_mask_storeu_epi8, _mm512_mask_sub_epi64, _mm512_maskz_loadu_epi8, _mm512_maskz_mov_epi8,
+    _mm512_max_epi8, _mm512_min_epu64, _mm512_movepi64_mask, _mm512_movepi8_mask, _mm512_mul_epu32,
+    _mm512_mullo_epi64, _mm512_or_si512, _mm512_permutex2var_epi8, _mm512_reduce_add_epi64,
+    _mm512_sad_epu8, _mm512_set1_epi32, _mm512_set1_epi64, _mm512_set1_epi8, _mm512_setzero_si512,
+    _mm512_slli_epi64, _mm512_srl_epi64, _mm512_srli_epi16, _mm512_srli_epi64, _mm512_storeu_si512,
+    _mm512_sub_epi8, _mm_add_epi32, _mm_add_epi64, _mm_and_si128, _mm_andnot_si128,
+    _mm_cmpgt_epi32, _mm_cmpgt_epi8, _mm_cvtsi128_si32, _mm_cvtsi128_si64, _mm_cvtsi32_si128,
+    _mm_loadl_epi64, _mm_loadu_si128, _mm_madd_epi16, _mm_mask_storeu_epi8, _mm_maskz_loadu_epi8,
+    _mm_max_epi8, _mm_mul_epu32, _mm_or_si128, _mm_packs_epi16, _mm_packs_epi32, _mm_packus_epi16,
+    _mm_packus_epi32, _mm_set1_epi32, _mm_set1_epi64x, _mm_set1_epi8, _mm_setzero_si128,
+    _mm_shuffle_epi32, _mm_slli_epi64, _mm_srai_epi32, _mm_srl_epi64, _mm_srli_epi16,
+    _mm_srli_epi64, _mm_srli_si128, _mm_storel_epi64, _mm_storeu_si128, _mm_sub_epi64,
+    _mm_sub_epi8, _mm_unpackhi_epi32, _mm_unpackhi_epi64, _mm_unpackhi_epi8, _mm_unpacklo_epi32,
     _mm_unpacklo_epi64, _mm_unpacklo_epi8, _mm_xor_si128,
 };
 
@@ -146,6 +188,60 @@ pub fn tile_nibble_vnni(a: &[[i8; QUAD_A]], b: &[[u8; QUAD_B]], acc: &mut AccTil
     } else {
         scalar::tile_nibble(a, b, acc);
     }
+}
+
+/// VNNI tile kernel over wide (`i16`-pair) panels: `vpdpwssd`, in the same
+/// two encodings and under the same installation contract as
+/// [`tile_nibble_vnni`].
+// fqlint::allow(unsafe-outside-kernels): designated kernel module; each
+// target-feature call sits directly behind the runtime detection of its
+// VNNI features, and no CPU has either of them without AVX2.
+pub fn tile_wide_vnni(a: &[[i16; WIDE_A]], b: &[[i16; WIDE_B]], acc: &mut AccTile) {
+    debug_assert!(std::arch::is_x86_feature_detected!("avx2") && vnni_detected());
+    if evex_vnni_detected() {
+        unsafe { wide_vnni_evex(a, b, acc) }
+    } else if std::arch::is_x86_feature_detected!("avxvnni") {
+        unsafe { wide_vnni_vex(a, b, acc) }
+    } else {
+        scalar::tile_wide(a, b, acc);
+    }
+}
+
+/// Whether this CPU has everything the AVX-512 row uses — 512-bit
+/// `vpdpbusd` / `vpdpwssd` (VNNI), byte and word lanes and byte masks (BW),
+/// 64-bit multiplies and sign masks (DQ), masked 128- / 256-bit tails (VL)
+/// and the two-table byte permute (VBMI) on top of F. One check for the
+/// whole row: a part that lacks any of them stays on the `vnni` row.
+pub(super) fn avx512_detected() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512bw")
+        && std::arch::is_x86_feature_detected!("avx512dq")
+        && std::arch::is_x86_feature_detected!("avx512vl")
+        && std::arch::is_x86_feature_detected!("avx512vnni")
+        && std::arch::is_x86_feature_detected!("avx512vbmi")
+}
+
+/// AVX-512 tile kernel over wide (`i16`-pair) panels: `zmm` `vpdpwssd`.
+///
+/// Must only be installed in the dispatch table when `avx512_detected`
+/// holds — [`super::dispatch_for`] and [`super::force`] guarantee that.
+// fqlint::allow(unsafe-outside-kernels): designated kernel module; the
+// target-feature call is guarded by runtime detection of the whole AVX-512
+// feature set at dispatch installation.
+pub fn tile_wide_avx512(a: &[[i16; WIDE_A]], b: &[[i16; WIDE_B]], acc: &mut AccTile) {
+    debug_assert!(avx512_detected());
+    unsafe { wide_avx512(a, b, acc) }
+}
+
+/// AVX-512 tile kernel over biased-nibble (int4) panels: `zmm` `vpdpbusd`.
+///
+/// Same installation contract as [`tile_wide_avx512`].
+// fqlint::allow(unsafe-outside-kernels): designated kernel module; the
+// target-feature call is guarded by runtime detection of the whole AVX-512
+// feature set at dispatch installation.
+pub fn tile_nibble_avx512(a: &[[i8; QUAD_A]], b: &[[u8; QUAD_B]], acc: &mut AccTile) {
+    debug_assert!(avx512_detected());
+    unsafe { nibble_avx512(a, b, acc) }
 }
 
 /// SSE2 tile kernel over wide (`i16`-pair) panels. SSE2 is part of the
@@ -329,6 +425,135 @@ nibble_vnni!(
     _mm256_dpbusd_epi32,
     2
 );
+
+/// Row `r`'s activation pair `(a0, a1)` as one dword, in memory order —
+/// [`pair_lanes`] as a load, the operand `vpdpwssd` broadcasts.
+// fqlint::allow(unsafe-outside-kernels): one unaligned 4-byte read at
+// offset `4r ≤ 12` of a 16-byte array.
+#[inline(always)]
+unsafe fn pair_dword(ap: &[i16; WIDE_A], r: usize) -> i32 {
+    debug_assert!(r < MR);
+    ap.as_ptr().add(2 * r).cast::<i32>().read_unaligned()
+}
+
+/// The `i16` `vpdpwssd` kernels: `$vectors` 8-column vectors of all `MR`
+/// rows stay in `i32` registers while the whole reduction streams past —
+/// the panel is read once per tile instead of once per row — one fused
+/// multiply-add per vector, row and k-pair.
+macro_rules! wide_vnni {
+    ($name:ident, $features:literal, $dpwssd:ident, $vectors:literal) => {
+        // fqlint::allow(unsafe-outside-kernels): loads/stores at constant
+        // offsets below `NR` of `[i32; NR]` rows and below `WIDE_B` of
+        // `[i16; WIDE_B]` panel rows; the features are guaranteed by
+        // `tile_wide_vnni`'s detection.
+        #[target_feature(enable = $features)]
+        unsafe fn $name(a: &[[i16; WIDE_A]], b: &[[i16; WIDE_B]], acc: &mut AccTile) {
+            const VECTORS: usize = $vectors;
+            for pass in 0..4 / VECTORS {
+                let first = 8 * VECTORS * pass;
+                let mut v = [[_mm256_setzero_si256(); VECTORS]; MR];
+                for (row, out) in v.iter_mut().zip(acc.iter()) {
+                    for (i, slot) in row.iter_mut().enumerate() {
+                        *slot = _mm256_loadu_si256(out.as_ptr().add(first + 8 * i).cast());
+                    }
+                }
+                for (ap, bp) in a.iter().zip(b) {
+                    let mut w = [_mm256_setzero_si256(); VECTORS];
+                    for (i, pairs) in w.iter_mut().enumerate() {
+                        *pairs = _mm256_loadu_si256(bp.as_ptr().add(2 * (first + 8 * i)).cast());
+                    }
+                    for (r, row) in v.iter_mut().enumerate() {
+                        let pair = _mm256_set1_epi32(pair_dword(ap, r));
+                        for (slot, pairs) in row.iter_mut().zip(w) {
+                            *slot = $dpwssd(*slot, pair, pairs);
+                        }
+                    }
+                }
+                for (row, out) in v.iter().zip(acc.iter_mut()) {
+                    for (i, slot) in row.iter().enumerate() {
+                        _mm256_storeu_si256(out.as_mut_ptr().add(first + 8 * i).cast(), *slot);
+                    }
+                }
+            }
+        }
+    };
+}
+
+// VEX has 16 vector registers: half the columns (8 accumulators) per pass.
+wide_vnni!(wide_vnni_vex, "avx2,avxvnni", _mm256_dpwssd_avx_epi32, 2);
+// EVEX has 32: the whole tile (16 accumulators) in one pass.
+wide_vnni!(
+    wide_vnni_evex,
+    "avx2,avx512vnni,avx512vl",
+    _mm256_dpwssd_epi32,
+    4
+);
+
+/// The `i16` AVX-512 kernel: the tile is eight `zmm` (columns `0..16` and
+/// `16..32` of each row), a k-pair row of the panel is two, and every row
+/// and k-pair costs one broadcast and two `vpdpwssd`.
+// fqlint::allow(unsafe-outside-kernels): 64-byte loads/stores at offsets 0
+// and 16 of `[i32; NR]` rows and 0 and 32 of `[i16; WIDE_B]` panel rows;
+// the features are guaranteed by the wrapper's installation contract.
+#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl,avx512vnni,avx512vbmi")]
+unsafe fn wide_avx512(a: &[[i16; WIDE_A]], b: &[[i16; WIDE_B]], acc: &mut AccTile) {
+    let mut v = [[_mm512_setzero_si512(); 2]; MR];
+    for (row, out) in v.iter_mut().zip(acc.iter()) {
+        row[0] = _mm512_loadu_si512(out.as_ptr().cast());
+        row[1] = _mm512_loadu_si512(out.as_ptr().add(16).cast());
+    }
+    for (ap, bp) in a.iter().zip(b) {
+        let w0 = _mm512_loadu_si512(bp.as_ptr().cast());
+        let w1 = _mm512_loadu_si512(bp.as_ptr().add(32).cast());
+        for (r, row) in v.iter_mut().enumerate() {
+            let pair = _mm512_set1_epi32(pair_dword(ap, r));
+            row[0] = _mm512_dpwssd_epi32(row[0], pair, w0);
+            row[1] = _mm512_dpwssd_epi32(row[1], pair, w1);
+        }
+    }
+    for (row, out) in v.iter().zip(acc.iter_mut()) {
+        _mm512_storeu_si512(out.as_mut_ptr().cast(), row[0]);
+        _mm512_storeu_si512(out.as_mut_ptr().add(16).cast(), row[1]);
+    }
+}
+
+/// The int4 AVX-512 kernel. One `zmm` load takes both half rows of a
+/// k-quad; its low nibbles are columns `0..8 | 16..24` and its high nibbles
+/// columns `8..16 | 24..32` (one 256-bit half each), so the tile lives in
+/// eight accumulators in that column order — `v[r][0]` and `v[r][1]` —
+/// joined from and split back into the row-major tile once per call.
+// fqlint::allow(unsafe-outside-kernels): 32-byte loads/stores at offsets 0,
+// 8, 16 and 24 of `[i32; NR]` rows, one 64-byte load of a `[u8; QUAD_B]`
+// and one unaligned 4-byte read at offset `4r ≤ 12` of a `[i8; QUAD_A]`;
+// the features are guaranteed by the wrapper's installation contract.
+#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl,avx512vnni,avx512vbmi")]
+unsafe fn nibble_avx512(a: &[[i8; QUAD_A]], b: &[[u8; QUAD_B]], acc: &mut AccTile) {
+    let mask = _mm512_set1_epi8(0x0F);
+    let mut v = [[_mm512_setzero_si512(); 2]; MR];
+    for (row, out) in v.iter_mut().zip(acc.iter()) {
+        let columns = |first: usize| _mm256_loadu_si256(out.as_ptr().add(first).cast());
+        let join = |low, high| _mm512_inserti64x4::<1>(_mm512_castsi256_si512(low), high);
+        row[0] = join(columns(0), columns(16));
+        row[1] = join(columns(8), columns(24));
+    }
+    for (aq, bq) in a.iter().zip(b) {
+        let bytes = _mm512_loadu_si512(bq.as_ptr().cast());
+        let low = _mm512_and_si512(bytes, mask);
+        let high = _mm512_and_si512(_mm512_srli_epi16::<4>(bytes), mask);
+        for (r, row) in v.iter_mut().enumerate() {
+            let quad = _mm512_set1_epi32(aq.as_ptr().add(4 * r).cast::<i32>().read_unaligned());
+            row[0] = _mm512_dpbusd_epi32(row[0], low, quad);
+            row[1] = _mm512_dpbusd_epi32(row[1], high, quad);
+        }
+    }
+    for (row, out) in v.iter().zip(acc.iter_mut()) {
+        let p = out.as_mut_ptr();
+        _mm256_storeu_si256(p.cast(), _mm512_castsi512_si256(row[0]));
+        _mm256_storeu_si256(p.add(8).cast(), _mm512_castsi512_si256(row[1]));
+        _mm256_storeu_si256(p.add(16).cast(), _mm512_extracti64x4_epi64::<1>(row[0]));
+        _mm256_storeu_si256(p.add(24).cast(), _mm512_extracti64x4_epi64::<1>(row[1]));
+    }
+}
 
 /// 128-bit variant of [`wide_avx2`]: eight `pmaddwd` lanes per row.
 // fqlint::allow(unsafe-outside-kernels): loads/stores bounded by the fixed
@@ -540,6 +765,71 @@ unsafe fn requant_avx2(acc: &[i32], bias: &[i32], params: RequantParams, out: &m
         i += 8;
     }
     scalar::requant_row(&acc[i..len], &bias[i..len], params, &mut out[i..len]);
+}
+
+/// AVX-512 requantize epilogue over one accumulator row segment.
+///
+/// Same exactness contract as [`requant_row_sse2`]; must only be installed
+/// when `avx512_detected` holds.
+// fqlint::allow(unsafe-outside-kernels): designated kernel module; the
+// target-feature call is guarded by runtime detection of the whole AVX-512
+// feature set at dispatch installation.
+pub fn requant_row_avx512(acc: &[i32], bias: &[i32], params: RequantParams, out: &mut [i8]) {
+    debug_assert!(params.simd_exact());
+    debug_assert!(avx512_detected());
+    unsafe { requant_avx512(acc, bias, params, out) }
+}
+
+/// AVX-512 requantize loop: eight accumulators per iteration in `i64`
+/// lanes — `|acc + bias| · multiplier` (below 2⁶², so `vpmullq` is exact),
+/// the rounding half, the shift, an unsigned minimum for the clamp and a
+/// masked negation for the sign — narrowed with `vpmovqb`. Whole vectors
+/// run under the all-ones mask, which folds away; the tail runs the same
+/// lanes under a mask of the elements that remain.
+// fqlint::allow(unsafe-outside-kernels): every load and store is masked to
+// the `min(8, len − i)` elements left in `acc`/`bias`/`out`; the features
+// are guaranteed by the wrapper's installation contract.
+#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl,avx512vnni,avx512vbmi")]
+unsafe fn requant_avx512(acc: &[i32], bias: &[i32], params: RequantParams, out: &mut [i8]) {
+    let len = acc.len().min(bias.len()).min(out.len());
+    let mult = _mm512_set1_epi64(params.multiplier);
+    let half = _mm512_set1_epi64(if params.shift > 0 {
+        1i64 << (params.shift - 1)
+    } else {
+        0
+    });
+    let count = _mm_cvtsi32_si128(params.shift);
+    let bound = _mm512_set1_epi64(i64::from(params.clamp));
+    let codes = out.as_mut_ptr();
+    let eight = |i: usize, k: __mmask8| {
+        let v = _mm256_maskz_loadu_epi32(k, acc.as_ptr().add(i));
+        let bv = _mm256_maskz_loadu_epi32(k, bias.as_ptr().add(i));
+        let sum = _mm512_add_epi64(_mm512_cvtepi32_epi64(v), _mm512_cvtepi32_epi64(bv));
+        let product = _mm512_mullo_epi64(_mm512_abs_epi64(sum), mult);
+        // Round half away from zero on the non-negative product; the
+        // logical shift equals the arithmetic one here.
+        let rounded = _mm512_srl_epi64(_mm512_add_epi64(product, half), count);
+        let clamped = _mm512_min_epu64(rounded, bound);
+        let signed = _mm512_mask_sub_epi64(
+            clamped,
+            _mm512_movepi64_mask(sum),
+            _mm512_setzero_si512(),
+            clamped,
+        );
+        _mm_mask_storeu_epi8(
+            codes.add(i),
+            __mmask16::from(k),
+            _mm512_cvtepi64_epi8(signed),
+        );
+    };
+    let mut i = 0;
+    while i + 8 <= len {
+        eight(i, !0);
+        i += 8;
+    }
+    if i < len {
+        eight(i, (1 << (len - i)) - 1);
+    }
 }
 
 /// AVX2 `Add & LN` over whole matrices (see [`super::AddNormKernel`]).
@@ -787,6 +1077,226 @@ unsafe fn add_norm_row_avx2(
     }
 }
 
+/// AVX2 softmax over one row of scores (see [`super::SoftmaxKernel`]):
+/// bit-identical to [`scalar::softmax_row`] for every [`SoftmaxParams`].
+/// Must only be installed when `is_x86_feature_detected!("avx2")` holds.
+///
+/// # Panics
+///
+/// Panics if `scores` and `out` differ in length or are longer than
+/// `MAX_ATTN_SEQ`.
+// fqlint::allow(unsafe-outside-kernels): designated kernel module; the
+// target-feature call is guarded by runtime AVX2 detection at dispatch
+// installation, and the equal lengths its loads and stores rely on are
+// asserted by `softmax_len` on the line before.
+pub fn softmax_row_avx2(params: &SoftmaxParams, scores: &[i8], out: &mut [u8]) {
+    debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
+    if scalar::softmax_len(scores, out) > 0 {
+        unsafe { softmax_avx2(params, scores, out) }
+    }
+}
+
+/// AVX-512 softmax over one row of scores: same contract as
+/// [`softmax_row_avx2`]; must only be installed when `avx512_detected`
+/// holds.
+///
+/// # Panics
+///
+/// Panics if `scores` and `out` differ in length or are longer than
+/// `MAX_ATTN_SEQ`.
+// fqlint::allow(unsafe-outside-kernels): designated kernel module; the
+// target-feature call is guarded by runtime detection of the whole AVX-512
+// feature set at dispatch installation, and the equal lengths its loads and
+// stores rely on are asserted by `softmax_len` on the line before.
+pub fn softmax_row_avx512(params: &SoftmaxParams, scores: &[i8], out: &mut [u8]) {
+    debug_assert!(avx512_detected());
+    if scalar::softmax_len(scores, out) > 0 {
+        unsafe { softmax_avx512(params, scores, out) }
+    }
+}
+
+/// The largest of the sixteen signed bytes.
+#[target_feature(enable = "sse4.1")]
+fn hmax_epi8(v: __m128i) -> i8 {
+    // Byte 0 only ever meets bytes of `v`: the zeros the shifts bring in
+    // stay above it.
+    let v = _mm_max_epi8(v, _mm_srli_si128::<8>(v));
+    let v = _mm_max_epi8(v, _mm_srli_si128::<4>(v));
+    let v = _mm_max_epi8(v, _mm_srli_si128::<2>(v));
+    let v = _mm_max_epi8(v, _mm_srli_si128::<1>(v));
+    _mm_cvtsi128_si32(v).to_le_bytes()[0].cast_signed()
+}
+
+/// One non-empty row of [`softmax_row_avx2`]: each pass runs eight
+/// elements per step (the maximum thirty-two) and finishes the row's tail
+/// with the scalar row's element functions.
+// fqlint::allow(unsafe-outside-kernels): loads and stores touch thirty-two
+// scores or eight scores / numerators at `i` with `i + 32 <= len` /
+// `i + 8 <= len`, and `scores` and `out` are both `len` long (asserted by
+// the wrapper); the gather indexes the 256-entry dword table with
+// zero-extended bytes; AVX2 guaranteed by the wrapper's installation
+// contract.
+#[target_feature(enable = "avx2")]
+unsafe fn softmax_avx2(params: &SoftmaxParams, scores: &[i8], out: &mut [u8]) {
+    let len = scores.len();
+    debug_assert!(len > 0 && out.len() == len);
+
+    // Pass 1: the row maximum.
+    let mut max_lanes = _mm256_set1_epi8(i8::MIN);
+    let mut i = 0;
+    while i + 32 <= len {
+        let s = _mm256_loadu_si256(scores.as_ptr().add(i).cast());
+        max_lanes = _mm256_max_epi8(max_lanes, s);
+        i += 32;
+    }
+    let mut max = hmax_epi8(_mm_max_epi8(
+        _mm256_castsi256_si128(max_lanes),
+        _mm256_extracti128_si256::<1>(max_lanes),
+    ));
+    for &s in &scores[i..] {
+        max = max.max(s);
+    }
+
+    // Pass 2: the numerators, into `out`, and their sum. The distance
+    // `max − s` is in `[0, 255]`: the wrapping byte difference is it.
+    let max_bytes = _mm_set1_epi8(max);
+    let mut sums = _mm256_setzero_si256();
+    let mut i = 0;
+    while i + 8 <= len {
+        let s = _mm_loadl_epi64(scores.as_ptr().add(i).cast());
+        let distance = _mm256_cvtepu8_epi32(_mm_sub_epi8(max_bytes, s));
+        let n = _mm256_i32gather_epi32::<4>(params.wide.as_ptr().cast(), distance);
+        sums = _mm256_add_epi32(sums, n);
+        // At most 255 each, so neither pack saturates.
+        let n = _mm_packus_epi32(_mm256_castsi256_si128(n), _mm256_extracti128_si256::<1>(n));
+        _mm_storel_epi64(out.as_mut_ptr().add(i).cast(), _mm_packus_epi16(n, n));
+        i += 8;
+    }
+    // A lane sums at most `len / 8` numerators: far inside a dword.
+    let mut lanes = [0u32; 8];
+    _mm256_storeu_si256(lanes.as_mut_ptr().cast(), sums);
+    let mut denom: u64 = lanes.into_iter().map(u64::from).sum();
+    for (n, &s) in out[i..].iter_mut().zip(&scores[i..]) {
+        *n = scalar::softmax_numerator(params, max, s);
+        denom += u64::from(*n);
+    }
+
+    // Pass 3: `(n · levels + denom/2) · m >> 48` over the even and the odd
+    // elements in `u64` lanes. `vpmuludq` reads low dwords only, so the
+    // product with `m < 2⁴⁹` is two partial products; their sum is
+    // `x · m < 2⁵⁶`.
+    let divide = scalar::RowReciprocal::new(denom);
+    let levels = _mm256_set1_epi64x(i64::from(params.out_levels));
+    let half = _mm256_set1_epi64x(divide.half.cast_signed());
+    let m_low = _mm256_set1_epi64x(divide.reciprocal.cast_signed());
+    let m_high = _mm256_srli_epi64::<32>(m_low);
+    let quotient = |n: __m256i| {
+        let x = _mm256_add_epi64(_mm256_mul_epu32(n, levels), half);
+        let product = _mm256_add_epi64(
+            _mm256_mul_epu32(x, m_low),
+            _mm256_slli_epi64::<32>(_mm256_mul_epu32(x, m_high)),
+        );
+        _mm256_srli_epi64::<48>(product)
+    };
+    let mut i = 0;
+    while i + 8 <= len {
+        let n = _mm256_cvtepu8_epi32(_mm_loadl_epi64(out.as_ptr().add(i).cast()));
+        let even = quotient(n);
+        let odd = quotient(_mm256_srli_epi64::<32>(n));
+        // Quotients are at most 255: the odd ones slot into the empty high
+        // dwords, which puts all eight back in element order.
+        let q = _mm256_or_si256(even, _mm256_slli_epi64::<32>(odd));
+        let q = _mm_packus_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256::<1>(q));
+        _mm_storel_epi64(out.as_mut_ptr().add(i).cast(), _mm_packus_epi16(q, q));
+        i += 8;
+    }
+    let levels = u64::from(params.out_levels);
+    for n in &mut out[i..] {
+        *n = divide.rounded(u64::from(*n) * levels);
+    }
+}
+
+/// One non-empty row of [`softmax_row_avx512`]: sixty-four scores per step
+/// for the maximum and the numerators, sixteen per step for the quotients,
+/// the last step of each under a mask of the elements that remain.
+// fqlint::allow(unsafe-outside-kernels): every load and store of `scores`
+// and `out` — both `len` long, asserted by the wrapper — is masked to the
+// `min(64, len − i)` / `min(16, len − i)` elements left; the four table
+// loads cover the 256-byte table exactly; the features are guaranteed by
+// the wrapper's installation contract.
+#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl,avx512vnni,avx512vbmi")]
+unsafe fn softmax_avx512(params: &SoftmaxParams, scores: &[i8], out: &mut [u8]) {
+    let len = scores.len();
+    debug_assert!(len > 0 && out.len() == len);
+    let mask64 = |left: usize| -> __mmask64 {
+        if left >= 64 {
+            !0
+        } else {
+            (1 << left) - 1
+        }
+    };
+
+    // Pass 1: the row maximum; lanes past the row read as the minimum.
+    let floor = _mm512_set1_epi8(i8::MIN);
+    let mut max_lanes = floor;
+    for i in (0..len).step_by(64) {
+        let s = _mm512_mask_loadu_epi8(floor, mask64(len - i), scores.as_ptr().add(i));
+        max_lanes = _mm512_max_epi8(max_lanes, s);
+    }
+    let halves = _mm256_max_epi8(
+        _mm512_castsi512_si256(max_lanes),
+        _mm512_extracti64x4_epi64::<1>(max_lanes),
+    );
+    let max = hmax_epi8(_mm_max_epi8(
+        _mm256_castsi256_si128(halves),
+        _mm256_extracti128_si256::<1>(halves),
+    ));
+
+    // Pass 2: the numerators, into `out`, and their sum. The distance
+    // `max − s` is in `[0, 255]`: the wrapping byte difference is it. Bit 6
+    // of an index picks the table of a `vpermi2b`, bit 7 the pair.
+    let table = |quarter: usize| _mm512_loadu_si512(params.table.as_ptr().add(64 * quarter).cast());
+    let tables = [table(0), table(1), table(2), table(3)];
+    let max_bytes = _mm512_set1_epi8(max);
+    let mut sums = _mm512_setzero_si512();
+    for i in (0..len).step_by(64) {
+        let k = mask64(len - i);
+        let s = _mm512_maskz_loadu_epi8(k, scores.as_ptr().add(i));
+        let distance = _mm512_sub_epi8(max_bytes, s);
+        let near = _mm512_permutex2var_epi8(tables[0], distance, tables[1]);
+        let far = _mm512_permutex2var_epi8(tables[2], distance, tables[3]);
+        let n = _mm512_mask_blend_epi8(_mm512_movepi8_mask(distance), near, far);
+        // Lanes past the row add nothing to the denominator.
+        let n = _mm512_maskz_mov_epi8(k, n);
+        sums = _mm512_add_epi64(sums, _mm512_sad_epu8(n, _mm512_setzero_si512()));
+        _mm512_mask_storeu_epi8(out.as_mut_ptr().add(i).cast(), k, n);
+    }
+    let denom = _mm512_reduce_add_epi64(sums).cast_unsigned();
+
+    // Pass 3: `(n · levels + denom/2) · m >> 48` over the even and the odd
+    // elements in `u64` lanes; `x · m < 2⁵⁶`, so `vpmullq` is exact.
+    let divide = scalar::RowReciprocal::new(denom);
+    let levels = _mm512_set1_epi64(i64::from(params.out_levels));
+    let half = _mm512_set1_epi64(divide.half.cast_signed());
+    let m = _mm512_set1_epi64(divide.reciprocal.cast_signed());
+    let quotient = |n: __m512i| {
+        let x = _mm512_add_epi64(_mm512_mul_epu32(n, levels), half);
+        _mm512_srli_epi64::<48>(_mm512_mullo_epi64(x, m))
+    };
+    for i in (0..len).step_by(16) {
+        let left = len - i;
+        let k: __mmask16 = if left >= 16 { !0 } else { (1 << left) - 1 };
+        let at = out.as_mut_ptr().add(i).cast::<i8>();
+        let n = _mm512_cvtepu8_epi32(_mm_maskz_loadu_epi8(k, at));
+        let even = quotient(n);
+        let odd = quotient(_mm512_srli_epi64::<32>(n));
+        // Quotients are at most 255: the odd ones slot into the empty high
+        // dwords, which puts all sixteen back in element order.
+        let q = _mm512_or_si512(even, _mm512_slli_epi64::<32>(odd));
+        _mm_mask_storeu_epi8(at, k, _mm512_cvtepi32_epi8(q));
+    }
+}
+
 /// Regroups 16 decoded weight bytes — four columns × four reduction steps,
 /// column-major — into the two `pmaddwd` operands of those columns: `i16`
 /// pairs `(k0, k1)` and `(k2, k3)`, one 32-bit lane per column.
@@ -912,32 +1422,86 @@ mod tests {
 
     /// The dispatch row prefers the EVEX encoding, so on a CPU with both
     /// the VEX kernel would otherwise never run under test: drive each
-    /// detected encoding directly against the scalar tile.
+    /// detected encoding of both VNNI tiles, and the `zmm` tiles beside
+    /// them, directly against the scalar tiles — at the depths that
+    /// straddle the 8-k-quad boundary and the k-quad tail, on pseudo-random
+    /// codes and on the extreme ones (all-(−128) / all-(+127) activations
+    /// against all-(+7) / all-(−8) nibbles, `u = 15 / 0` in the panel).
     #[test]
     fn both_vnni_encodings_match_the_scalar_tile() {
-        let k_quads = 2 * I16_QUADS + 3;
-        let byte = |i: usize| (i.wrapping_mul(2_654_435_761) >> 11) as u8;
-        let a: Vec<[i8; QUAD_A]> = (0..k_quads)
-            .map(|q| std::array::from_fn(|i| byte(q * QUAD_A + i) as i8))
-            .collect();
-        let b: Vec<[u8; QUAD_B]> = (0..k_quads)
-            .map(|q| std::array::from_fn(|i| byte(7 + q * QUAD_B + i)))
-            .collect();
-        let start: AccTile = std::array::from_fn(|r| [-1000 * r as i32; crate::gemm::NR]);
-        let mut want = start;
-        scalar::tile_nibble(&a, &b, &mut want);
-        type Tile = unsafe fn(&[[i8; QUAD_A]], &[[u8; QUAD_B]], &mut AccTile);
-        let encodings: [(&str, bool, Tile); 2] = [
-            ("vex", is_x86_feature_detected!("avxvnni"), nibble_vnni_vex),
-            ("evex", evex_vnni_detected(), nibble_vnni_evex),
+        type Nibble = unsafe fn(&[[i8; QUAD_A]], &[[u8; QUAD_B]], &mut AccTile);
+        type Wide = unsafe fn(&[[i16; WIDE_A]], &[[i16; WIDE_B]], &mut AccTile);
+        type NibbleOperands = (Vec<[i8; QUAD_A]>, Vec<[u8; QUAD_B]>);
+        type WideOperands = (Vec<[i16; WIDE_A]>, Vec<[i16; WIDE_B]>);
+        let avx2 = is_x86_feature_detected!("avx2");
+        let vex = avx2 && is_x86_feature_detected!("avxvnni");
+        let evex = avx2 && evex_vnni_detected();
+        let nibble_tiles: [(&str, bool, Nibble); 3] = [
+            ("vex", vex, nibble_vnni_vex),
+            ("evex", evex, nibble_vnni_evex),
+            ("zmm", avx512_detected(), nibble_avx512),
         ];
-        for (name, detected, kernel) in encodings {
-            if detected && is_x86_feature_detected!("avx2") {
-                let mut got = start;
-                // fqlint::allow(unsafe-outside-kernels): the kernel's
-                // features were detected on the line above.
-                unsafe { kernel(&a, &b, &mut got) };
-                assert_eq!(got, want, "{name} encoding");
+        let wide_tiles: [(&str, bool, Wide); 3] = [
+            ("vex", vex, wide_vnni_vex),
+            ("evex", evex, wide_vnni_evex),
+            ("zmm", avx512_detected(), wide_avx512),
+        ];
+        let byte = |i: usize| (i.wrapping_mul(2_654_435_761) >> 11) as u8;
+        let start: AccTile = std::array::from_fn(|r| [-1000 * r as i32; crate::gemm::NR]);
+        for depth in [
+            1,
+            I16_QUADS - 1,
+            I16_QUADS,
+            I16_QUADS + 1,
+            2 * I16_QUADS + 3,
+        ] {
+            let random_a = (0..depth).map(|q| std::array::from_fn(|i| byte(q * QUAD_A + i) as i8));
+            let random_b = (0..depth).map(|q| std::array::from_fn(|i| byte(7 + q * QUAD_B + i)));
+            let mut cases: Vec<NibbleOperands> = vec![(random_a.collect(), random_b.collect())];
+            for activation in [i8::MIN, i8::MAX] {
+                for nibbles in [0xFFu8, 0x00] {
+                    cases.push((
+                        vec![[activation; QUAD_A]; depth],
+                        vec![[nibbles; QUAD_B]; depth],
+                    ));
+                }
+            }
+            for (a, b) in &cases {
+                let mut want = start;
+                scalar::tile_nibble(a, b, &mut want);
+                for (name, detected, kernel) in nibble_tiles {
+                    if detected {
+                        let mut got = start;
+                        // fqlint::allow(unsafe-outside-kernels): the
+                        // kernel's features were detected above.
+                        unsafe { kernel(a, b, &mut got) };
+                        assert_eq!(got, want, "{name} nibble tile, {depth} k-quads");
+                    }
+                }
+            }
+
+            // The same depths in k-pairs: pseudo-random `i8`-ranged pairs,
+            // then the attention extremes `255 · −128` and `−128 · −128`.
+            let word = |i: usize| i16::from(byte(i) as i8);
+            let random_a = (0..depth).map(|p| std::array::from_fn(|i| word(3 + p * WIDE_A + i)));
+            let random_b = (0..depth).map(|p| std::array::from_fn(|i| word(11 + p * WIDE_B + i)));
+            let cases: [WideOperands; 3] = [
+                (random_a.collect(), random_b.collect()),
+                (vec![[255; WIDE_A]; depth], vec![[-128; WIDE_B]; depth]),
+                (vec![[-128; WIDE_A]; depth], vec![[-128; WIDE_B]; depth]),
+            ];
+            for (a, b) in &cases {
+                let mut want = start;
+                scalar::tile_wide(a, b, &mut want);
+                for (name, detected, kernel) in wide_tiles {
+                    if detected {
+                        let mut got = start;
+                        // fqlint::allow(unsafe-outside-kernels): the
+                        // kernel's features were detected above.
+                        unsafe { kernel(a, b, &mut got) };
+                        assert_eq!(got, want, "{name} wide tile, {depth} k-pairs");
+                    }
+                }
             }
         }
     }

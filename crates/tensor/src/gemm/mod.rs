@@ -93,13 +93,15 @@
 //! A `Kᵀ` k-pair is two adjacent bytes of one K row. The activation packer
 //! reads through the same view type (a dense matrix is the view whose
 //! stride equals its width), and the softmax probabilities — `u8` codes in
-//! `[0, 255]` — are written straight into the activation-block layout, so
-//! both attention products run on the unchanged `wide` tile kernels and the
-//! requantize kernels (with a zero bias). [`GemmScratch`] owns those
-//! panels, the `MR`-row score block, in its [`ByteArena`] every `i8`
-//! intermediate of an encoder layer and, in its [`AddNormRow`], the one
-//! row of `i32` operand sums `Add & LN` works in: its four parts are
-//! separate public fields so a caller can borrow them disjointly.
+//! `[0, 255]`, one contiguous row per query row out of the `softmax`
+//! kernel — are interleaved into the activation-block layout once per
+//! `MR`-row block, so both attention products run on the unchanged `wide`
+//! tile kernels and the requantize kernels (with a zero bias).
+//! [`GemmScratch`] owns those panels, the `MR`-row score and probability
+//! blocks, in its [`ByteArena`] every `i8` intermediate of an encoder layer
+//! and, in its [`AddNormRow`], the one row of `i32` operand sums `Add & LN`
+//! works in: its four parts are separate public fields so a caller can
+//! borrow them disjointly.
 //!
 //! # Add & LN
 //!
@@ -115,17 +117,32 @@
 //! `i128` variance sum); a SIMD row is bit-identical to it inside
 //! [`AddNormParams::simd_exact`], which [`AddNormParams::kernel`] checks.
 //!
+//! # Softmax
+//!
+//! The other stage between the GEMMs has the same shape again:
+//! [`SoftmaxParams`] carries the softmax of an attention head as plain
+//! integers (the 256-entry exponential table and the output level count),
+//! and the fifth entry of a kernel row ([`kernels::SoftmaxKernel`]) turns
+//! one row of `i8` scores into one contiguous row of `u8` probabilities —
+//! the row maximum, a table pass for the numerators and their sum, one
+//! `2⁴⁸ / denom` reciprocal and a multiply-shift per element. The scalar
+//! row is the reference, itself bit-identical to the division per element
+//! the accelerator's Softmax Core does; a SIMD row evaluates the same
+//! integer expressions in `u64` lanes, so there is no envelope.
+//!
 //! # Kernel dispatch
 //!
 //! The per-tile micro-kernel is selected once per process by the
-//! [`kernels`] module: on x86_64 a VNNI row (int4 tiles on `vpdpbusd`,
+//! [`kernels`] module: on x86_64 an AVX-512 row (both tiles on `zmm`
+//! `vpdpbusd` / `vpdpwssd`, a `zmm` requantize, a `vpermi2b` softmax row),
+//! a VNNI row (the same two fused dot products on 256-bit registers,
 //! everything else shared with AVX2), an AVX2 row (`_mm256_madd_epi16`
 //! wide tiles, `_mm256_maddubs_epi16` int4 tiles, `vpmuldq` `Add & LN`
-//! lanes) and an SSE2 fallback, a NEON (`smlal`-shaped) path on aarch64,
-//! and a portable scalar kernel that doubles as the property-test
-//! reference. Selection uses
+//! lanes, a `vpgatherdd` softmax row) and an SSE2 fallback, a NEON
+//! (`smlal`-shaped) path on aarch64, and a portable scalar kernel that
+//! doubles as the property-test reference. Selection uses
 //! `is_x86_feature_detected!` / compile-target gating and can be
-//! overridden with `FQBERT_KERNEL=scalar|sse2|avx2|vnni|neon`; see
+//! overridden with `FQBERT_KERNEL=scalar|sse2|avx2|vnni|avx512|neon`; see
 //! [`kernels::selected`].
 //!
 //! # Bit-exactness contract
@@ -153,7 +170,8 @@
 //! with `u ≤ 15`, at most `2 · 15 · 128 = 3 840` in magnitude, so it cannot;
 //! the AVX2 kernel adds at most 8 such lanes in `i16` (`8 · 3 840 =
 //! 30 720 ≤ i16::MAX`; 9 would not fit) before widening to `i32`; and the
-//! VNNI kernel uses `vpdpbusd`, the non-saturating form (not `vpdpbusds`).
+//! VNNI and AVX-512 kernels use `vpdpbusd` — and, on wide panels,
+//! `vpdpwssd` — the non-saturating forms (not `vpdpbusds` / `vpdpwssds`).
 //! `tests/proptest_gemm.rs` drives every kernel through all-(−128) and
 //! all-(+127) activations against all-(+7) and all-(−8) weights at the
 //! depths that straddle the 8-k-quad boundary and the k-quad tail.
@@ -977,6 +995,72 @@ impl AddNormParams {
         } else {
             kernels::scalar::add_norm_rows
         }
+    }
+}
+
+/// Entries of the exponential lookup table of a softmax row: one per
+/// distance `max − s` between the row maximum and an `i8` score.
+pub const SOFTMAX_ENTRIES: usize = 256;
+
+/// The softmax of one attention head (paper §III-B, Softmax Core) as the
+/// plain integers its kernels ([`kernels::SoftmaxKernel`]) compute with,
+/// the way [`RequantParams`] carries a requantizer, so the tensor crate
+/// needs no quant dependency: `fqbert_quant::SoftmaxLut::new` tabulates
+/// the exponential and stores one of these.
+///
+/// The fields are private because the kernels rely on what
+/// [`SoftmaxParams::new`] checked: the row maximum looks up `table[0]`, so
+/// a non-zero first entry keeps every denominator positive, and
+/// `out_levels ≤ 255` keeps every probability inside a byte.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SoftmaxParams {
+    /// `table[d]`: the exponential's 8-bit numerator for a score `d` below
+    /// its row maximum.
+    table: [u8; SOFTMAX_ENTRIES],
+    /// The same table one dword per entry — what a `vpgatherdd` row
+    /// indexes, widened once here instead of once per row.
+    wide: Box<[u32; SOFTMAX_ENTRIES]>,
+    /// The code that stands for probability 1.
+    out_levels: u32,
+}
+
+impl SoftmaxParams {
+    /// Assembles a softmax from its numerator table and output level
+    /// count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ValueOutOfRange`] for `out_levels` outside
+    /// `1..=255` or a zero `table[0]` (the numerator of the row maximum:
+    /// with it a row's denominator could be zero).
+    pub fn new(table: [u8; SOFTMAX_ENTRIES], out_levels: u32) -> Result<Self> {
+        if !(1..=255).contains(&out_levels) {
+            return Err(TensorError::ValueOutOfRange {
+                what: "softmax out_levels (1..=255)",
+                value: i64::from(out_levels),
+            });
+        }
+        if table[0] == 0 {
+            return Err(TensorError::ValueOutOfRange {
+                what: "softmax table[0] (the row maximum's numerator, non-zero)",
+                value: 0,
+            });
+        }
+        Ok(Self {
+            wide: Box::new(table.map(u32::from)),
+            table,
+            out_levels,
+        })
+    }
+
+    /// The 256-entry numerator table.
+    pub fn table(&self) -> &[u8; SOFTMAX_ENTRIES] {
+        &self.table
+    }
+
+    /// The code that stands for probability 1.
+    pub fn out_levels(&self) -> u32 {
+        self.out_levels
     }
 }
 
