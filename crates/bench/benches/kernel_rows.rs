@@ -16,8 +16,11 @@
 use fqbert_bench::{markdown_table, time_ns};
 use fqbert_core::IntLinear;
 use fqbert_tensor::gemm::kernels::{self, KernelKind};
-use fqbert_tensor::gemm::{AddNormParams, RequantParams, SoftmaxParams, ADD_NORM_FRAC_BITS};
-use fqbert_tensor::{GemmScratch, IntTensor, RngSource};
+use fqbert_tensor::gemm::{
+    gemm_i8_requant_into, AddNormParams, RequantEpilogue, RequantParams, SoftmaxParams,
+    ADD_NORM_FRAC_BITS,
+};
+use fqbert_tensor::{GemmScratch, IntTensor, PackedWeights, RngSource};
 use std::hint::black_box;
 
 /// Projection shapes swept: rows are packed batch tokens, in/out features
@@ -77,10 +80,11 @@ fn time_requant(rows: usize, outf: usize) -> Vec<f64> {
         clamp: 127,
     };
     assert!(params.simd_exact());
+    let epilogue = RequantEpilogue::new(params);
     let run = |kind: KernelKind, out: &mut [i8]| {
         let requant = kernels::dispatch_for(kind).requant;
         for (acc_row, out_row) in acc.chunks_exact(outf).zip(out.chunks_exact_mut(outf)) {
-            requant(black_box(acc_row), &bias, params, out_row);
+            requant(black_box(acc_row), &bias, &epilogue, out_row);
         }
     };
     let mut reference = vec![0i8; rows * outf];
@@ -99,6 +103,49 @@ fn time_requant(rows: usize, outf: usize) -> Vec<f64> {
             time_ns(|| run(kind, &mut out))
         })
         .collect()
+}
+
+/// Nanoseconds per `rows × inf × outf` w4 projection including its
+/// requantize epilogue — `gemm_i8_requant_into` into a buffer that already
+/// exists, the call the encoder makes per projection — on each available
+/// row, checked against the scalar row first.
+fn time_projection_into(rows: usize, inf: usize, outf: usize) -> Vec<f64> {
+    let codes = |len: usize, salt: usize| (0..len).map(move |i| (i * 2_654_435_761 + salt) >> 9);
+    let weights: Vec<i8> = codes(inf * outf, 3).map(|c| (c % 16) as i8 - 8).collect();
+    let weights = IntTensor::from_vec(weights, &[inf, outf]).expect("weights");
+    let panels = PackedWeights::pack_nibble(&weights).expect("nibble panels");
+    let x: Vec<i8> = codes(rows * inf, 11).map(|c| c as i8).collect();
+    let bias: Vec<i32> = (0..outf).map(|i| (i as i32 * 977) % 3000 - 1500).collect();
+    let params = RequantParams {
+        multiplier: (1 << 30) / 3,
+        shift: 38,
+        clamp: 127,
+    };
+    let mut scratch = GemmScratch::new();
+    let mut run = |out: &mut [i8]| {
+        let (x, pack) = (black_box(&x[..]), &mut scratch.pack);
+        gemm_i8_requant_into(x, rows, &panels, &bias, params, pack, out).expect("projection");
+    };
+    let mut reference = vec![0i8; rows * outf];
+    kernels::force(KernelKind::Scalar);
+    run(&mut reference);
+    let times = kernels::available()
+        .into_iter()
+        .map(|kind| {
+            kernels::force(kind);
+            let mut out = vec![0i8; rows * outf];
+            run(&mut out);
+            assert_eq!(
+                out,
+                reference,
+                "projections must stay bit-identical on {}",
+                kind.name()
+            );
+            time_ns(|| run(&mut out))
+        })
+        .collect();
+    kernels::force(kernels::best_available());
+    times
 }
 
 /// Nanoseconds per `hidden`-wide row of each available row's `Add & LN`
@@ -260,6 +307,14 @@ fn main() {
         println!("{}", markdown_table(&headers, &table));
     }
 
+    print_row_table(
+        "kernel_rows w4 projection incl. requantize (gemm_i8_requant_into), ns per call:",
+        ["128x256x1024_ns", "256x768x3072_ns"],
+        [
+            time_projection_into(128, 256, 1024),
+            time_projection_into(256, 768, 3072),
+        ],
+    );
     print_row_table(
         "kernel_rows Add & LN, ns per row:",
         ["ln256_ns", "ln768_ns"],

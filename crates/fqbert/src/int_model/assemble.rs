@@ -321,11 +321,18 @@ impl IntEncoderLayer {
                 attn_output.in_features()
             )));
         }
-        // The two scales no fold below would refuse: `IntGelu::new`
-        // tabulates whatever `ffn_hidden` it is given (zero or non-finite
-        // makes every entry 0), and the context requantizer is scale-free,
-        // so nothing computes with `v` at all.
-        for (field, scale) in [("ffn_hidden", scales.ffn_hidden), ("v", scales.v)] {
+        // The scales no fold below would refuse: `IntGelu::new` tabulates
+        // whatever `ffn_hidden` it is given (zero or non-finite makes every
+        // entry 0), the context requantizer is scale-free, so nothing
+        // computes with `v` at all, and `q` and `k` reach the score
+        // requantizer only as a product, in which two negative ones cancel.
+        let unfolded = [
+            ("q", scales.q),
+            ("k", scales.k),
+            ("ffn_hidden", scales.ffn_hidden),
+            ("v", scales.v),
+        ];
+        for (field, scale) in unfolded {
             if !(scale.is_finite() && scale > 0.0) {
                 return Err(FqBertError::InvalidArgument(format!(
                     "invalid scale: {field} = {scale} (must be positive and finite)"

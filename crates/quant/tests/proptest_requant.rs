@@ -95,7 +95,7 @@ proptest! {
         out_bits in 2u32..=8,
     ) {
         use fqbert_tensor::gemm::kernels;
-        use fqbert_tensor::gemm::RequantParams;
+        use fqbert_tensor::gemm::{RequantEpilogue, RequantParams};
 
         let scale = mantissa * 2.0f64.powi(scale_exp);
         prop_assume!(scale.is_finite() && scale > 0.0);
@@ -121,9 +121,10 @@ proptest! {
                 rq.apply(i64::from(a) + i64::from(b)).clamp(-127, 127) as i8
             })
             .collect();
+        let epilogue = RequantEpilogue::new(params);
         for kind in kernels::available() {
             let mut got = vec![0i8; len];
-            (kernels::dispatch_for(kind).requant)(&accs, &bias, params, &mut got);
+            (kernels::dispatch_for(kind).requant)(&accs, &bias, &epilogue, &mut got);
             prop_assert_eq!(&got, &expected, "requant diverges on {}", kind.name());
         }
     }

@@ -243,58 +243,73 @@ fn a_crc_valid_artifact_with_an_invalid_add_ln_scale_is_refused_at_load() {
         .position(|w| w == block)
         .expect("layer 0 scale block");
     // The four scales only `Add & LN` computes with (index in the block),
-    // then the two no fold looks at: `ffn_hidden`, which the GELU table is
-    // tabulated from (a zero or non-finite one used to load and serve an
-    // all-zero FFN hidden activation), and `v`, which nothing computes with.
+    // then the four no fold looks at on its own: `ffn_hidden`, which the
+    // GELU table is tabulated from (a zero or non-finite one used to load
+    // and serve an all-zero FFN hidden activation), `v`, which nothing
+    // computes with, and `q` and `k`, which reach the score requantizer
+    // only as a product.
     type Patch = fn(&mut LayerScales, f32);
-    let checked_scales: [(usize, Patch); 6] = [
+    let checked_scales: [(usize, Patch); 8] = [
         (0, |s, v| s.input = v),
         (5, |s, v| s.attn_output = v),
         (6, |s, v| s.layer_norm = v),
         (8, |s, v| s.ffn_output = v),
         (7, |s, v| s.ffn_hidden = v),
         (3, |s, v| s.v = v),
+        (1, |s, v| s.q = v),
+        (2, |s, v| s.k = v),
     ];
-    let payload_end = bytes.len() - 4;
-    for (index, patch) in checked_scales {
+    let mut cases: Vec<(Vec<(usize, Patch)>, f32)> = Vec::new();
+    for field in checked_scales {
         for bad in [0.0f32, -1.0, f32::NAN, f32::INFINITY] {
-            let mut hostile = bytes.clone();
-            hostile[at + 4 * index..at + 4 * index + 4].copy_from_slice(&bad.to_le_bytes());
-            let crc = fqbert_runtime::artifact::crc32(&hostile[8..payload_end]);
-            hostile[payload_end..].copy_from_slice(&crc.to_le_bytes());
-            let msg = ModelArtifact::from_bytes(&hostile)
-                .err()
-                .unwrap_or_else(|| panic!("scale {index} = {bad} loaded"))
-                .to_string();
-            assert!(
-                msg.contains("invalid scale"),
-                "scale {index} = {bad}: {msg}"
-            );
-
-            let mut scales = scales;
-            patch(&mut scales, bad);
-            let assembled = IntEncoderLayer::from_quantized_parts(
-                layer.query.clone(),
-                layer.key.clone(),
-                layer.value.clone(),
-                layer.attn_output.clone(),
-                layer.ffn1.clone(),
-                layer.ffn2.clone(),
-                layer.heads(),
-                layer.query.out_features() / layer.heads(),
-                &scales,
-                layer.attn_layer_norm().clone(),
-                layer.ffn_layer_norm().clone(),
-            );
-            let msg = assembled
-                .err()
-                .unwrap_or_else(|| panic!("scale {index} = {bad} assembled"))
-                .to_string();
-            assert!(
-                msg.contains("invalid scale"),
-                "scale {index} = {bad}: {msg}"
-            );
+            cases.push((vec![field], bad));
         }
+    }
+    // Two negative ones cancel in that product: the layer used to load.
+    cases.push((checked_scales[6..].to_vec(), -1.0));
+    let payload_end = bytes.len() - 4;
+    for (fields, bad) in cases {
+        let index: Vec<usize> = fields.iter().map(|&(index, _)| index).collect();
+        let mut hostile = bytes.clone();
+        for &i in &index {
+            hostile[at + 4 * i..at + 4 * i + 4].copy_from_slice(&bad.to_le_bytes());
+        }
+        let crc = fqbert_runtime::artifact::crc32(&hostile[8..payload_end]);
+        hostile[payload_end..].copy_from_slice(&crc.to_le_bytes());
+        let msg = ModelArtifact::from_bytes(&hostile)
+            .err()
+            .unwrap_or_else(|| panic!("scales {index:?} = {bad} loaded"))
+            .to_string();
+        assert!(
+            msg.contains("invalid scale"),
+            "scales {index:?} = {bad}: {msg}"
+        );
+
+        let mut scales = scales;
+        for (_, patch) in &fields {
+            patch(&mut scales, bad);
+        }
+        let assembled = IntEncoderLayer::from_quantized_parts(
+            layer.query.clone(),
+            layer.key.clone(),
+            layer.value.clone(),
+            layer.attn_output.clone(),
+            layer.ffn1.clone(),
+            layer.ffn2.clone(),
+            layer.heads(),
+            layer.query.out_features() / layer.heads(),
+            &scales,
+            layer.attn_layer_norm().clone(),
+            layer.ffn_layer_norm().clone(),
+        );
+        let msg = assembled
+            .err()
+            .unwrap_or_else(|| panic!("scales {index:?} = {bad} assembled"))
+            .to_string();
+        assert!(
+            msg.contains("invalid scale"),
+            "scales {index:?} = {bad}: {msg}"
+        );
     }
 }
 

@@ -21,7 +21,7 @@
 //! both reductions exact in `i32` are derived in the [`super`] module docs.
 
 use super::{
-    interleave_pairs, kernels, pack_wide_panels, requant_kernel, ActivationBlock, RequantParams,
+    interleave_pairs, kernels, pack_wide_panels, ActivationBlock, RequantEpilogue, RequantParams,
     SoftmaxParams, StridedView, MAX_ATTN_SEQ, MAX_K, MR, NR, WIDE_A, WIDE_B,
 };
 use crate::{Result, TensorError};
@@ -147,8 +147,12 @@ impl AttentionScratch {
         self.prob_pairs.resize(seq_pairs, [0i16; WIDE_A]);
 
         let kernel = kernels::selected();
-        let requant_scores = requant_kernel(score_params);
-        let requant_context = requant_kernel(context_params);
+        let (scores_epilogue, context_epilogue) = (
+            RequantEpilogue::new(score_params),
+            RequantEpilogue::new(context_params),
+        );
+        let requant_scores = scores_epilogue.kernel();
+        let requant_context = context_epilogue.kernel();
         for r0 in (0..seq).step_by(MR) {
             let rows = MR.min(seq - r0);
             let q_block = self.q_block.pack_rows(q, r0, rows);
@@ -162,7 +166,7 @@ impl AttentionScratch {
                     requant_scores(
                         &row[..cols],
                         &ZERO_BIAS[..cols],
-                        score_params,
+                        &scores_epilogue,
                         &mut scores[c0..c0 + cols],
                     );
                 }
@@ -185,7 +189,7 @@ impl AttentionScratch {
                     requant_context(
                         &row[..cols],
                         &ZERO_BIAS[..cols],
-                        context_params,
+                        &context_epilogue,
                         &mut out[at..at + cols],
                     );
                 }

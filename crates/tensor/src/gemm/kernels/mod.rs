@@ -18,7 +18,7 @@
 //! accelerator's 3-stage LN pipeline) and the softmax row
 //! ([`SoftmaxKernel`], its LUT Softmax Core). The first two are
 //! bit-identical to their scalar reference inside an envelope computed from
-//! the parameters ([`RequantParams::simd_exact`],
+//! the parameters ([`super::RequantParams::simd_exact`],
 //! [`AddNormParams::simd_exact`]); parameters outside it never reach a SIMD
 //! row. The softmax has no envelope: every row is exact for every
 //! [`SoftmaxParams`].
@@ -28,19 +28,25 @@
 //! [`selected`] resolves once per process (lock-free, one relaxed atomic
 //! load on the hot path afterwards):
 //!
-//! 1. If `FQBERT_KERNEL=scalar|sse2|avx2|vnni|avx512|neon` is set, that
+//! 1. If `FQBERT_KERNEL=scalar|sse2|avx2|vnni|avx512|amx|neon` is set, that
 //!    kernel is used when available on this CPU; an unavailable or
 //!    unrecognised request falls back to `scalar` (never an error — serving
 //!    must come up), which is visible in telemetry/`list_models` since the
 //!    kernel name is surfaced everywhere.
 //! 2. Otherwise the best available kernel wins — the last available entry
-//!    of [`KernelKind::ALL`]: `avx512` > `vnni` > `avx2` > `sse2` on x86_64
-//!    (via `is_x86_feature_detected!`), `neon` on aarch64, else `scalar`.
-//!    The `vnni` row is the `avx2` row with both tiles on the 256-bit fused
-//!    dot products (`vpdpbusd` / `vpdpwssd`: AVX-VNNI, or AVX-512 VNNI +
-//!    VL); the `avx512` row runs both tiles, the requantize epilogue and
-//!    the softmax row on 512-bit registers and needs `avx512f/bw/dq/vl/
-//!    vnni/vbmi` together — a VNNI part without VBMI stays on `vnni`.
+//!    of [`KernelKind::ALL`]: `amx` > `avx512` > `vnni` > `avx2` > `sse2`
+//!    on x86_64 (via `is_x86_feature_detected!` and CPUID), `neon` on
+//!    aarch64, else `scalar`. The `vnni` row is the `avx2` row with both
+//!    tiles on the 256-bit fused dot products (`vpdpbusd` / `vpdpwssd`:
+//!    AVX-VNNI, or AVX-512 VNNI + VL); the `avx512` row runs both tiles, the
+//!    requantize epilogue and the softmax row on 512-bit registers and
+//!    needs `avx512f/bw/dq/vl/vnni/vbmi` together — a VNNI part without VBMI
+//!    stays on `vnni`; the `amx` row is the `avx512` row with every
+//!    projection on AMX tiles, and is available only where the `avx512` row
+//!    is, the CPU has AMX-TILE and AMX-INT8 (CPUID leaf 7, EDX bits 24 /
+//!    25), the OS saves tile state (XCR0 bits 17 / 18) and Linux granted the
+//!    process the tile data (`arch_prctl`) — one check, resolved once; a
+//!    process that fails any part of it comes up on `avx512`.
 //!
 //! Tests and benches switch kernels in-process with [`force`].
 //!
@@ -51,14 +57,22 @@
 //! `add_norm` and `softmax`. Implement the tiles; any entry may be borrowed
 //! from another row:
 //!
-//! | row | `wide` | `nibble` | `requant` | `add_norm` | `softmax` |
-//! |---|---|---|---|---|---|
-//! | `scalar` | own | own | own | own | own |
-//! | `sse2` | own | own | own | `scalar` | `scalar` |
-//! | `avx2` | own | own | own | own | own |
-//! | `vnni` | own | own | `avx2` | `avx2` | `avx2` |
-//! | `avx512` | own | own | own | `avx2` | own |
-//! | `neon` | own | own | `scalar` | `scalar` | `scalar` |
+//! | row | `wide` | `nibble` | `requant` | `add_norm` | `softmax` | projections |
+//! |---|---|---|---|---|---|---|
+//! | `scalar` | own | own | own | own | own | tiles |
+//! | `sse2` | own | own | own | `scalar` | `scalar` | tiles |
+//! | `avx2` | own | own | own | own | own | tiles |
+//! | `vnni` | own | own | `avx2` | `avx2` | `avx2` | tiles |
+//! | `avx512` | own | own | own | `avx2` | own | tiles |
+//! | `amx` | `avx512` | `avx512` | `avx512` | `avx2` | `avx512` | AMX driver |
+//! | `neon` | own | own | `scalar` | `scalar` | `scalar` | tiles |
+//!
+//! The last column is not an entry: `gemm_drive` runs a projection on the
+//! row's `wide` / `nibble` tiles, except on `amx`, where it hands the whole
+//! projection to `x86::amx` (`tdpbssd` over the same panels; see the
+//! `gemm` module docs) — so the `amx` row's own tile entries serve
+//! attention's two products only. The `avx512` and `amx` rows share one
+//! requantize, on `i32` lanes.
 //!
 //! Add a [`KernelKind`] variant **at its place in the preference order** —
 //! the enum and [`KernelKind::ALL`] list the kinds in the same, ascending
@@ -83,7 +97,8 @@
 //!
 //! `unsafe` is allowed only inside `gemm/kernels/*` (fqlint R5
 //! `unsafe-outside-kernels`), and every unsafe item there must carry a
-//! justified allow annotation.
+//! justified allow annotation — the `asm!` of the AMX driver and its
+//! `arch_prctl` system call included.
 
 pub mod scalar;
 
@@ -92,7 +107,9 @@ pub mod neon;
 #[cfg(target_arch = "x86_64")]
 pub mod x86;
 
-use super::{AccTile, AddNormParams, RequantParams, SoftmaxParams, QUAD_A, QUAD_B, WIDE_A, WIDE_B};
+use super::{
+    AccTile, AddNormParams, RequantEpilogue, SoftmaxParams, QUAD_A, QUAD_B, WIDE_A, WIDE_B,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Tile kernel over wide (`i16`-pair) weight panels.
@@ -105,11 +122,12 @@ pub type NibbleKernel = fn(&[[i8; QUAD_A]], &[[u8; QUAD_B]], &mut AccTile);
 
 /// Requantize epilogue over one accumulator row segment:
 /// `out[j] = clamp(round((acc[j] + bias[j]) · multiplier / 2^shift), ±clamp)`
-/// with round-half-away-from-zero. SIMD implementations are bit-identical
-/// to [`scalar::requant_row`] for parameter sets inside
-/// [`RequantParams::simd_exact`]; `gemm_i8_requant` routes anything outside
-/// that envelope to the scalar reference.
-pub type RequantKernel = fn(&[i32], &[i32], RequantParams, &mut [i8]);
+/// with round-half-away-from-zero, from an epilogue prepared once per GEMM
+/// or attention head. SIMD implementations are bit-identical to
+/// [`scalar::requant_row`] for parameter sets inside
+/// [`super::RequantParams::simd_exact`]; [`RequantEpilogue::kernel`] routes
+/// anything outside that envelope to the scalar reference.
+pub type RequantKernel = fn(&[i32], &[i32], &RequantEpilogue, &mut [i8]);
 
 /// `Add & LN` over whole matrices, `kernel(params, sums, a, b, out)`: `a`,
 /// `b` and `out` hold the same number of `params.hidden()`-wide rows of
@@ -148,6 +166,10 @@ pub enum KernelKind {
     /// a `zmm` requantize and a `vpermi2b` softmax row (AVX-512 F, BW, DQ,
     /// VL, VNNI and VBMI together).
     Avx512,
+    /// The AVX-512 row with every projection on AMX `tdpbssd` tiles
+    /// (AMX-TILE and AMX-INT8, enabled by the OS and granted to the
+    /// process).
+    Amx,
     /// aarch64 128-bit `smlal` path.
     Neon,
 }
@@ -156,12 +178,13 @@ impl KernelKind {
     /// Every kind, in declaration order, which is ascending preference
     /// order: [`best_available`] takes the last available entry, and the
     /// stored selection indexes this array by discriminant.
-    pub const ALL: [KernelKind; 6] = [
+    pub const ALL: [KernelKind; 7] = [
         KernelKind::Scalar,
         KernelKind::Sse2,
         KernelKind::Avx2,
         KernelKind::Vnni,
         KernelKind::Avx512,
+        KernelKind::Amx,
         KernelKind::Neon,
     ];
 
@@ -173,6 +196,7 @@ impl KernelKind {
             KernelKind::Avx2 => "avx2",
             KernelKind::Vnni => "vnni",
             KernelKind::Avx512 => "avx512",
+            KernelKind::Amx => "amx",
             KernelKind::Neon => "neon",
         }
     }
@@ -222,6 +246,16 @@ impl KernelKind {
                 #[cfg(target_arch = "x86_64")]
                 {
                     std::arch::is_x86_feature_detected!("avx2") && x86::avx512_detected()
+                }
+                #[cfg(not(target_arch = "x86_64"))]
+                {
+                    false
+                }
+            }
+            KernelKind::Amx => {
+                #[cfg(target_arch = "x86_64")]
+                {
+                    KernelKind::Avx512.is_available() && x86::amx::detected()
                 }
                 #[cfg(not(target_arch = "x86_64"))]
                 {
@@ -313,6 +347,17 @@ static AVX512: KernelDispatch = KernelDispatch {
     softmax: x86::softmax_row_avx512,
 };
 
+// AMX changes the projections only, and those do not go through a tile
+// entry: `gemm_drive` hands them to `x86::amx::drive` whole. Attention's two
+// products, the requantize epilogue, `Add & LN` and the softmax row are the
+// AVX-512 row's.
+#[cfg(target_arch = "x86_64")]
+static AMX: KernelDispatch = KernelDispatch {
+    kind: KernelKind::Amx,
+    name: "amx",
+    ..AVX512
+};
+
 // The NEON row reuses the scalar requant epilogue, `Add & LN` and softmax
 // row: the aarch64 SIMD variants have not been written yet.
 #[cfg(target_arch = "aarch64")]
@@ -338,6 +383,8 @@ pub fn dispatch_for(kind: KernelKind) -> &'static KernelDispatch {
         KernelKind::Vnni => &VNNI,
         #[cfg(target_arch = "x86_64")]
         KernelKind::Avx512 => &AVX512,
+        #[cfg(target_arch = "x86_64")]
+        KernelKind::Amx => &AMX,
         #[cfg(target_arch = "aarch64")]
         KernelKind::Neon => &NEON,
         _ => &SCALAR,
@@ -426,7 +473,9 @@ mod tests {
         assert_eq!(KernelKind::parse(" avx2 "), Some(KernelKind::Avx2));
         assert_eq!(KernelKind::parse("VNNI"), Some(KernelKind::Vnni));
         assert_eq!(KernelKind::parse("avx512"), Some(KernelKind::Avx512));
+        assert_eq!(KernelKind::parse("AMX"), Some(KernelKind::Amx));
         assert_eq!(KernelKind::parse("avx512f"), None);
+        assert_eq!(KernelKind::parse("amx-int8"), None);
     }
 
     /// `SELECTED` stores a discriminant and reads it back through `ALL`,
@@ -443,6 +492,7 @@ mod tests {
         // available where they are.
         assert!((KernelKind::Vnni as usize) > KernelKind::Avx2 as usize);
         assert!((KernelKind::Avx512 as usize) > KernelKind::Vnni as usize);
+        assert!((KernelKind::Amx as usize) > KernelKind::Avx512 as usize);
         if KernelKind::Vnni.is_available() {
             assert!(KernelKind::Avx2.is_available());
         }
@@ -450,10 +500,16 @@ mod tests {
             assert!(KernelKind::Vnni.is_available());
             assert!(KernelKind::Avx2.is_available());
         }
+        if KernelKind::Amx.is_available() {
+            assert!(KernelKind::Avx512.is_available());
+        }
         assert_eq!(
-            best_available() == KernelKind::Avx512,
-            KernelKind::Avx512.is_available()
+            best_available() == KernelKind::Amx,
+            KernelKind::Amx.is_available()
         );
+        if KernelKind::Avx512.is_available() && !KernelKind::Amx.is_available() {
+            assert_eq!(best_available(), KernelKind::Avx512);
+        }
         if KernelKind::Vnni.is_available() && !KernelKind::Avx512.is_available() {
             assert_eq!(best_available(), KernelKind::Vnni);
         }
@@ -476,6 +532,12 @@ mod tests {
         for kind in KernelKind::ALL.into_iter().filter(|k| !k.is_available()) {
             assert_eq!(resolve(Some(kind.name())), KernelKind::Scalar);
         }
+        let amx = if KernelKind::Amx.is_available() {
+            KernelKind::Amx
+        } else {
+            KernelKind::Scalar
+        };
+        assert_eq!(resolve(Some("amx")), amx);
     }
 
     #[test]

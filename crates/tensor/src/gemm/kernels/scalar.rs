@@ -25,7 +25,7 @@
 //! [`SoftmaxParams`] and needs no envelope.
 
 use crate::gemm::{
-    AccTile, AddNormParams, RequantParams, SoftmaxParams, ADD_NORM_FRAC_BITS, MAX_ATTN_SEQ, NR,
+    AccTile, AddNormParams, RequantEpilogue, SoftmaxParams, ADD_NORM_FRAC_BITS, MAX_ATTN_SEQ, NR,
     QUAD_A, QUAD_B, WIDE_A, WIDE_B,
 };
 
@@ -49,8 +49,10 @@ pub fn tile_wide(a: &[[i16; WIDE_A]], b: &[[i16; WIDE_B]], acc: &mut AccTile) {
 /// exactly like `fqbert_quant::Requantizer::apply` — this is the
 /// bit-exactness reference the SIMD requant kernels are property-tested
 /// against, and the fallback for parameters outside the `i64` SIMD envelope
-/// (`RequantParams::simd_exact`).
-pub fn requant_row(acc: &[i32], bias: &[i32], params: RequantParams, out: &mut [i8]) {
+/// (`RequantParams::simd_exact`). It reads the parameters only, not the
+/// epilogue's saturation start.
+pub fn requant_row(acc: &[i32], bias: &[i32], epilogue: &RequantEpilogue, out: &mut [i8]) {
+    let params = epilogue.params;
     let bound = i128::from(params.clamp.clamp(0, i32::from(i8::MAX)));
     // A shift of 126 already maps every representable product to 0, so
     // clamping keeps the `1 << (shift - 1)` rounding term in range without

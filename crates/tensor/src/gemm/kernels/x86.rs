@@ -3,7 +3,17 @@
 //! fused `vpdpwssd` forms (256-bit VNNI, 512-bit AVX-512), the byte-operand
 //! tiles (`vpmaddubsw`, `vpdpbusd`) over the biased-nibble k-quad panels,
 //! the requantize epilogues, the AVX2 `Add & LN` and the AVX2 / AVX-512
-//! softmax rows.
+//! softmax rows; the `amx` row's projection driver is the submodule
+//! `amx`.
+//!
+//! The AVX-512 requantize ([`requant_row_avx512`], which the `amx` row
+//! shares) runs sixteen elements in `i32` lanes: with `x = acc + bias` it
+//! forms `sign · min(clamp, (min(|x|, x_lim) · M + half) >> shift)`, where
+//! `x_lim` — the first `|x|` that saturates, computed once per GEMM or head
+//! by `RequantEpilogue` — keeps the product of each lane pair's
+//! `vpmuludq` below 2⁶² and the shifted value below 2³². A vector in which
+//! `acc + bias` leaves `i32` (an operand sign the sum lacks) takes eight
+//! `i64` lanes at a time instead; SSE2 and AVX2 always do.
 //!
 //! The wide paths broadcast one activation pair `(a0, a1)` into every
 //! 32-bit lane and `madd` it against the panel's interleaved weight pairs:
@@ -75,23 +85,33 @@
 //!
 //! # Safety
 //!
-//! This module is one of the designated unsafe-kernel modules (fqlint R5
-//! `unsafe-outside-kernels`): the only unsafety is (a) calling
-//! `#[target_feature]` functions, sound because the dispatch table installs
-//! them only after `is_x86_feature_detected!` confirms the feature (the
-//! AVX-512 kernels all enable the one feature set `avx512_detected`
-//! checks), and (b) unaligned SIMD loads/stores (and one unaligned 4-byte
-//! read per activation quad or pair) through raw pointers derived from
-//! fixed-size array references, in-bounds by construction — or, in
-//! `Add & LN`, the requantize epilogues and the softmax rows, from slices
-//! whose lengths the safe wrapper asserts or the loop bounds first, with
-//! AVX-512 tails read and written under a mask of the remaining elements
-//! (masked-off bytes are not accessed) — and gathers that index 256-entry
-//! tables with zero-extended bytes.
+//! This module and `amx` are the designated unsafe-kernel modules of
+//! x86_64 (fqlint R5 `unsafe-outside-kernels`): the only unsafety is (a)
+//! calling `#[target_feature]` functions, sound because the dispatch table
+//! installs them only after `is_x86_feature_detected!` confirms the feature
+//! (the AVX-512 kernels all enable the one feature set `avx512_detected`
+//! checks), and `_xgetbv` only after CPUID reports OSXSAVE; (b) unaligned
+//! SIMD loads/stores (and one unaligned 4-byte read per activation quad or
+//! pair) through raw pointers derived from fixed-size array references,
+//! in-bounds by construction — or, in `Add & LN`, the requantize epilogues
+//! and the softmax rows, from slices whose lengths the safe wrapper asserts
+//! or the loop bounds first, with AVX-512 tails read and written under a
+//! mask of the remaining elements (masked-off bytes are not accessed) — and
+//! gathers that index 256-entry tables with zero-extended bytes; and (c)
+//! the AMX driver's `asm!`: tile instructions, which run only between the
+//! `ldtilecfg` and the `tilerelease` of a guard that is created after an
+//! assertion that the `amx` row is available, whose loads read 16 rows of
+//! 64 bytes that a checked constructor placed inside one live slice and
+//! whose stores write a fixed 32 × 32 `i32` block; and one raw
+//! `arch_prctl` system call (x86-64 Linux ABI: rax, rdi, rsi in, rax out,
+//! rcx and r11 clobbered) that asks for the tile data and writes no user
+//! memory.
+
+pub(in crate::gemm) mod amx;
 
 use super::scalar;
 use crate::gemm::{
-    AccTile, AddNormParams, RequantParams, SoftmaxParams, ADD_NORM_FRAC_BITS, MR, QUAD_A, QUAD_B,
+    AccTile, AddNormParams, RequantEpilogue, SoftmaxParams, ADD_NORM_FRAC_BITS, MR, QUAD_A, QUAD_B,
     WIDE_A, WIDE_B,
 };
 use core::arch::x86_64::{
@@ -106,24 +126,26 @@ use core::arch::x86_64::{
     _mm256_set1_epi64x, _mm256_set1_epi8, _mm256_setzero_si256, _mm256_shuffle_epi32,
     _mm256_slli_epi64, _mm256_srai_epi32, _mm256_srl_epi64, _mm256_srli_epi16, _mm256_srli_epi64,
     _mm256_storeu_si256, _mm256_sub_epi32, _mm256_sub_epi64, _mm256_unpacklo_epi64,
-    _mm256_xor_si256, _mm512_abs_epi64, _mm512_add_epi64, _mm512_and_si512, _mm512_castsi256_si512,
-    _mm512_castsi512_si256, _mm512_cvtepi32_epi64, _mm512_cvtepi32_epi8, _mm512_cvtepi64_epi8,
-    _mm512_cvtepu8_epi32, _mm512_dpbusd_epi32, _mm512_dpwssd_epi32, _mm512_extracti64x4_epi64,
-    _mm512_inserti64x4, _mm512_loadu_si512, _mm512_mask_blend_epi8, _mm512_mask_loadu_epi8,
-    _mm512_mask_storeu_epi8, _mm512_mask_sub_epi64, _mm512_maskz_loadu_epi8, _mm512_maskz_mov_epi8,
-    _mm512_max_epi8, _mm512_min_epu64, _mm512_movepi64_mask, _mm512_movepi8_mask, _mm512_mul_epu32,
+    _mm256_xor_si256, _mm512_abs_epi32, _mm512_abs_epi64, _mm512_add_epi32, _mm512_add_epi64,
+    _mm512_and_si512, _mm512_castsi256_si512, _mm512_castsi512_si256, _mm512_cvtepi32_epi64,
+    _mm512_cvtepi32_epi8, _mm512_cvtepi64_epi8, _mm512_cvtepu8_epi32, _mm512_dpbusd_epi32,
+    _mm512_dpwssd_epi32, _mm512_extracti64x4_epi64, _mm512_inserti64x4, _mm512_loadu_si512,
+    _mm512_mask_blend_epi8, _mm512_mask_loadu_epi8, _mm512_mask_storeu_epi8, _mm512_mask_sub_epi32,
+    _mm512_mask_sub_epi64, _mm512_maskz_loadu_epi32, _mm512_maskz_loadu_epi8,
+    _mm512_maskz_mov_epi8, _mm512_max_epi8, _mm512_min_epu32, _mm512_min_epu64,
+    _mm512_movepi32_mask, _mm512_movepi64_mask, _mm512_movepi8_mask, _mm512_mul_epu32,
     _mm512_mullo_epi64, _mm512_or_si512, _mm512_permutex2var_epi8, _mm512_reduce_add_epi64,
     _mm512_sad_epu8, _mm512_set1_epi32, _mm512_set1_epi64, _mm512_set1_epi8, _mm512_setzero_si512,
     _mm512_slli_epi64, _mm512_srl_epi64, _mm512_srli_epi16, _mm512_srli_epi64, _mm512_storeu_si512,
-    _mm512_sub_epi8, _mm_add_epi32, _mm_add_epi64, _mm_and_si128, _mm_andnot_si128,
-    _mm_cmpgt_epi32, _mm_cmpgt_epi8, _mm_cvtsi128_si32, _mm_cvtsi128_si64, _mm_cvtsi32_si128,
-    _mm_loadl_epi64, _mm_loadu_si128, _mm_madd_epi16, _mm_mask_storeu_epi8, _mm_maskz_loadu_epi8,
-    _mm_max_epi8, _mm_mul_epu32, _mm_or_si128, _mm_packs_epi16, _mm_packs_epi32, _mm_packus_epi16,
-    _mm_packus_epi32, _mm_set1_epi32, _mm_set1_epi64x, _mm_set1_epi8, _mm_setzero_si128,
-    _mm_shuffle_epi32, _mm_slli_epi64, _mm_srai_epi32, _mm_srl_epi64, _mm_srli_epi16,
-    _mm_srli_epi64, _mm_srli_si128, _mm_storel_epi64, _mm_storeu_si128, _mm_sub_epi64,
-    _mm_sub_epi8, _mm_unpackhi_epi32, _mm_unpackhi_epi64, _mm_unpackhi_epi8, _mm_unpacklo_epi32,
-    _mm_unpacklo_epi64, _mm_unpacklo_epi8, _mm_xor_si128,
+    _mm512_sub_epi8, _mm512_xor_si512, _mm_add_epi32, _mm_add_epi64, _mm_and_si128,
+    _mm_andnot_si128, _mm_cmpgt_epi32, _mm_cmpgt_epi8, _mm_cvtsi128_si32, _mm_cvtsi128_si64,
+    _mm_cvtsi32_si128, _mm_loadl_epi64, _mm_loadu_si128, _mm_madd_epi16, _mm_mask_storeu_epi8,
+    _mm_maskz_loadu_epi8, _mm_max_epi8, _mm_mul_epu32, _mm_or_si128, _mm_packs_epi16,
+    _mm_packs_epi32, _mm_packus_epi16, _mm_packus_epi32, _mm_set1_epi32, _mm_set1_epi64x,
+    _mm_set1_epi8, _mm_setzero_si128, _mm_shuffle_epi32, _mm_slli_epi64, _mm_srai_epi32,
+    _mm_srl_epi64, _mm_srli_epi16, _mm_srli_epi64, _mm_srli_si128, _mm_storel_epi64,
+    _mm_storeu_si128, _mm_sub_epi64, _mm_sub_epi8, _mm_unpackhi_epi32, _mm_unpackhi_epi64,
+    _mm_unpackhi_epi8, _mm_unpacklo_epi32, _mm_unpacklo_epi64, _mm_unpacklo_epi8, _mm_xor_si128,
 };
 
 /// Row `r`'s activation pair `(a0, a1)` packed into one `i32` lane image:
@@ -585,16 +607,17 @@ unsafe fn wide_sse2(a: &[[i16; WIDE_A]], b: &[[i16; WIDE_B]], acc: &mut AccTile)
 /// SSE2 requantize epilogue over one accumulator row segment.
 ///
 /// Bit-identical to [`scalar::requant_row`] for parameter sets inside
-/// [`RequantParams::simd_exact`] (the caller's contract — `gemm_i8_requant`
-/// routes anything else to the scalar reference): with
+/// [`crate::gemm::RequantParams::simd_exact`] (the caller's contract —
+/// [`RequantEpilogue::kernel`] routes anything else to the scalar
+/// reference): with
 /// `multiplier ∈ [0, 2^30]` the 64-bit product of `|acc + bias| ≤ 2^32`
 /// never exceeds `2^62`, so adding the rounding half (`≤ 2^61`) stays below
 /// `2^63` and `i64` arithmetic is exact.
 // fqlint::allow(unsafe-outside-kernels): designated kernel module; SSE2 is
 // baseline on x86_64 and all loads/stores are bounded by the slice lengths.
-pub fn requant_row_sse2(acc: &[i32], bias: &[i32], params: RequantParams, out: &mut [i8]) {
-    debug_assert!(params.simd_exact());
-    unsafe { requant_sse2(acc, bias, params, out) }
+pub fn requant_row_sse2(acc: &[i32], bias: &[i32], epilogue: &RequantEpilogue, out: &mut [i8]) {
+    debug_assert!(epilogue.params.simd_exact());
+    unsafe { requant_sse2(acc, bias, epilogue, out) }
 }
 
 /// AVX2 requantize epilogue over one accumulator row segment.
@@ -604,10 +627,10 @@ pub fn requant_row_sse2(acc: &[i32], bias: &[i32], params: RequantParams, out: &
 // fqlint::allow(unsafe-outside-kernels): designated kernel module; the
 // target-feature call is guarded by runtime AVX2 detection at dispatch
 // installation.
-pub fn requant_row_avx2(acc: &[i32], bias: &[i32], params: RequantParams, out: &mut [i8]) {
-    debug_assert!(params.simd_exact());
+pub fn requant_row_avx2(acc: &[i32], bias: &[i32], epilogue: &RequantEpilogue, out: &mut [i8]) {
+    debug_assert!(epilogue.params.simd_exact());
     debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
-    unsafe { requant_avx2(acc, bias, params, out) }
+    unsafe { requant_avx2(acc, bias, epilogue, out) }
 }
 
 /// Requantizes one vector of two non-negative-envelope `i64` sums:
@@ -655,7 +678,8 @@ unsafe fn requant2_sse2(
 // fqlint::allow(unsafe-outside-kernels): loads/stores stay inside
 // `acc`/`bias`/`out` by the `i + 4 <= len` guard; SSE2 is baseline.
 #[target_feature(enable = "sse2")]
-unsafe fn requant_sse2(acc: &[i32], bias: &[i32], params: RequantParams, out: &mut [i8]) {
+unsafe fn requant_sse2(acc: &[i32], bias: &[i32], epilogue: &RequantEpilogue, out: &mut [i8]) {
+    let params = epilogue.params;
     let len = acc.len().min(bias.len()).min(out.len());
     let mult = _mm_set1_epi64x(params.multiplier);
     let half = _mm_set1_epi64x(if params.shift > 0 {
@@ -690,7 +714,7 @@ unsafe fn requant_sse2(acc: &[i32], bias: &[i32], params: RequantParams, out: &m
             .write_unaligned(_mm_cvtsi128_si32(packed));
         i += 4;
     }
-    scalar::requant_row(&acc[i..len], &bias[i..len], params, &mut out[i..len]);
+    scalar::requant_row(&acc[i..len], &bias[i..len], epilogue, &mut out[i..len]);
 }
 
 /// 256-bit variant of [`requant2_sse2`]: four i64 lanes per call.
@@ -726,7 +750,8 @@ unsafe fn requant4_avx2(
 // `acc`/`bias`/`out` by the `i + 8 <= len` guard; AVX2 guaranteed by the
 // wrapper's installation contract.
 #[target_feature(enable = "avx2")]
-unsafe fn requant_avx2(acc: &[i32], bias: &[i32], params: RequantParams, out: &mut [i8]) {
+unsafe fn requant_avx2(acc: &[i32], bias: &[i32], epilogue: &RequantEpilogue, out: &mut [i8]) {
+    let params = epilogue.params;
     let len = acc.len().min(bias.len()).min(out.len());
     let mult = _mm256_set1_epi64x(params.multiplier);
     let half = _mm256_set1_epi64x(if params.shift > 0 {
@@ -764,33 +789,43 @@ unsafe fn requant_avx2(acc: &[i32], bias: &[i32], params: RequantParams, out: &m
         _mm_storel_epi64(out.as_mut_ptr().add(i).cast(), packed);
         i += 8;
     }
-    scalar::requant_row(&acc[i..len], &bias[i..len], params, &mut out[i..len]);
+    scalar::requant_row(&acc[i..len], &bias[i..len], epilogue, &mut out[i..len]);
 }
 
-/// AVX-512 requantize epilogue over one accumulator row segment.
+/// AVX-512 requantize epilogue over one accumulator row segment, shared by
+/// the `avx512` and `amx` rows.
 ///
 /// Same exactness contract as [`requant_row_sse2`]; must only be installed
 /// when `avx512_detected` holds.
 // fqlint::allow(unsafe-outside-kernels): designated kernel module; the
 // target-feature call is guarded by runtime detection of the whole AVX-512
 // feature set at dispatch installation.
-pub fn requant_row_avx512(acc: &[i32], bias: &[i32], params: RequantParams, out: &mut [i8]) {
-    debug_assert!(params.simd_exact());
+pub fn requant_row_avx512(acc: &[i32], bias: &[i32], epilogue: &RequantEpilogue, out: &mut [i8]) {
+    debug_assert!(epilogue.params.simd_exact());
     debug_assert!(avx512_detected());
-    unsafe { requant_avx512(acc, bias, params, out) }
+    unsafe { requant_avx512(acc, bias, epilogue, out) }
 }
 
-/// AVX-512 requantize loop: eight accumulators per iteration in `i64`
-/// lanes — `|acc + bias| · multiplier` (below 2⁶², so `vpmullq` is exact),
-/// the rounding half, the shift, an unsigned minimum for the clamp and a
-/// masked negation for the sign — narrowed with `vpmovqb`. Whole vectors
-/// run under the all-ones mask, which folds away; the tail runs the same
-/// lanes under a mask of the elements that remain.
+/// AVX-512 requantize loop: sixteen accumulators per iteration in `i32`
+/// lanes. `x = acc + bias` wraps nowhere in a vector whose lanes all pass
+/// the sign test below; there `|x|` (`vpabsd`, `2³¹` read unsigned for
+/// `i32::MIN`) is capped at the epilogue's `x_lim`, so one `vpmuludq` per
+/// lane pair forms `min(|x|, x_lim) · multiplier < 2⁶²` exactly, the
+/// rounding half and the shift leave a value below `clamp + 2³⁰ + 1 <
+/// 2³²`, and `vpminud`, a masked negation and `vpmovdb` finish the code. A
+/// vector where `acc + bias` left `i32` runs eight `i64` lanes at a time
+/// instead — `|acc + bias| · multiplier` (below 2⁶², so `vpmullq` is
+/// exact), the rounding half, the shift, `vpminuq` for the clamp, a masked
+/// negation, `vpmovqb`. Whole vectors run under the all-ones mask, which
+/// folds away; the tail runs the same lanes under a mask of the elements
+/// that remain.
 // fqlint::allow(unsafe-outside-kernels): every load and store is masked to
-// the `min(8, len − i)` elements left in `acc`/`bias`/`out`; the features
-// are guaranteed by the wrapper's installation contract.
+// the `min(16, len − i)` elements left in `acc`/`bias`/`out` (the `i64`
+// halves to the same elements); the features are guaranteed by the
+// wrapper's installation contract.
 #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl,avx512vnni,avx512vbmi")]
-unsafe fn requant_avx512(acc: &[i32], bias: &[i32], params: RequantParams, out: &mut [i8]) {
+unsafe fn requant_avx512(acc: &[i32], bias: &[i32], epilogue: &RequantEpilogue, out: &mut [i8]) {
+    let params = epilogue.params;
     let len = acc.len().min(bias.len()).min(out.len());
     let mult = _mm512_set1_epi64(params.multiplier);
     let half = _mm512_set1_epi64(if params.shift > 0 {
@@ -800,35 +835,56 @@ unsafe fn requant_avx512(acc: &[i32], bias: &[i32], params: RequantParams, out: 
     });
     let count = _mm_cvtsi32_si128(params.shift);
     let bound = _mm512_set1_epi64(i64::from(params.clamp));
+    let bound32 = _mm512_set1_epi32(params.clamp);
+    let limit = _mm512_set1_epi32(epilogue.saturates_from().cast_signed());
+    let zero = _mm512_setzero_si512();
     let codes = out.as_mut_ptr();
+    // Round half away from zero on a non-negative product; the logical
+    // shift equals the arithmetic one here.
+    let round = |product: __m512i| _mm512_srl_epi64(_mm512_add_epi64(product, half), count);
     let eight = |i: usize, k: __mmask8| {
         let v = _mm256_maskz_loadu_epi32(k, acc.as_ptr().add(i));
         let bv = _mm256_maskz_loadu_epi32(k, bias.as_ptr().add(i));
         let sum = _mm512_add_epi64(_mm512_cvtepi32_epi64(v), _mm512_cvtepi32_epi64(bv));
-        let product = _mm512_mullo_epi64(_mm512_abs_epi64(sum), mult);
-        // Round half away from zero on the non-negative product; the
-        // logical shift equals the arithmetic one here.
-        let rounded = _mm512_srl_epi64(_mm512_add_epi64(product, half), count);
+        let rounded = round(_mm512_mullo_epi64(_mm512_abs_epi64(sum), mult));
         let clamped = _mm512_min_epu64(rounded, bound);
-        let signed = _mm512_mask_sub_epi64(
-            clamped,
-            _mm512_movepi64_mask(sum),
-            _mm512_setzero_si512(),
-            clamped,
-        );
+        let signed = _mm512_mask_sub_epi64(clamped, _mm512_movepi64_mask(sum), zero, clamped);
         _mm_mask_storeu_epi8(
             codes.add(i),
             __mmask16::from(k),
             _mm512_cvtepi64_epi8(signed),
         );
     };
+    let sixteen = |i: usize, k: __mmask16| {
+        let a = _mm512_maskz_loadu_epi32(k, acc.as_ptr().add(i));
+        let b = _mm512_maskz_loadu_epi32(k, bias.as_ptr().add(i));
+        let x = _mm512_add_epi32(a, b);
+        // `acc + bias` wrapped where both operands share a sign the sum
+        // lacks.
+        let wrapped = _mm512_and_si512(_mm512_xor_si512(a, x), _mm512_xor_si512(b, x));
+        if _mm512_movepi32_mask(wrapped) != 0 {
+            let [low, high] = k.to_le_bytes();
+            eight(i, low);
+            eight(i + 8, high);
+            return;
+        }
+        let magnitude = _mm512_min_epu32(_mm512_abs_epi32(x), limit);
+        let even = round(_mm512_mul_epu32(magnitude, mult));
+        let odd = round(_mm512_mul_epu32(_mm512_srli_epi64::<32>(magnitude), mult));
+        // Both are below 2³²: the odd ones slot into the empty high dwords,
+        // which puts all sixteen back in element order.
+        let rounded = _mm512_or_si512(even, _mm512_slli_epi64::<32>(odd));
+        let clamped = _mm512_min_epu32(rounded, bound32);
+        let signed = _mm512_mask_sub_epi32(clamped, _mm512_movepi32_mask(x), zero, clamped);
+        _mm_mask_storeu_epi8(codes.add(i), k, _mm512_cvtepi32_epi8(signed));
+    };
     let mut i = 0;
-    while i + 8 <= len {
-        eight(i, !0);
-        i += 8;
+    while i + 16 <= len {
+        sixteen(i, !0);
+        i += 16;
     }
     if i < len {
-        eight(i, (1 << (len - i)) - 1);
+        sixteen(i, (1 << (len - i)) - 1);
     }
 }
 

@@ -133,17 +133,59 @@
 //! # Kernel dispatch
 //!
 //! The per-tile micro-kernel is selected once per process by the
-//! [`kernels`] module: on x86_64 an AVX-512 row (both tiles on `zmm`
-//! `vpdpbusd` / `vpdpwssd`, a `zmm` requantize, a `vpermi2b` softmax row),
-//! a VNNI row (the same two fused dot products on 256-bit registers,
-//! everything else shared with AVX2), an AVX2 row (`_mm256_madd_epi16`
-//! wide tiles, `_mm256_maddubs_epi16` int4 tiles, `vpmuldq` `Add & LN`
-//! lanes, a `vpgatherdd` softmax row) and an SSE2 fallback, a NEON
-//! (`smlal`-shaped) path on aarch64, and a portable scalar kernel that
-//! doubles as the property-test reference. Selection uses
-//! `is_x86_feature_detected!` / compile-target gating and can be
-//! overridden with `FQBERT_KERNEL=scalar|sse2|avx2|vnni|avx512|neon`; see
-//! [`kernels::selected`].
+//! [`kernels`] module: on x86_64 an AMX row (the AVX-512 row with every
+//! projection on `tdpbssd` tiles, below), an AVX-512 row (both tiles on
+//! `zmm` `vpdpbusd` / `vpdpwssd`, an `i32`-lane `zmm` requantize, a
+//! `vpermi2b` softmax row), a VNNI row (the same two fused dot products on
+//! 256-bit registers, everything else shared with AVX2), an AVX2 row
+//! (`_mm256_madd_epi16` wide tiles, `_mm256_maddubs_epi16` int4 tiles,
+//! `vpmuldq` `Add & LN` lanes, a `vpgatherdd` softmax row) and an SSE2
+//! fallback, a NEON (`smlal`-shaped) path on aarch64, and a portable scalar
+//! kernel that doubles as the property-test reference. Selection uses
+//! `is_x86_feature_detected!` / CPUID / compile-target gating and can be
+//! overridden with `FQBERT_KERNEL=scalar|sse2|avx2|vnni|avx512|amx|neon`;
+//! see [`kernels::selected`].
+//!
+//! # AMX
+//!
+//! On the `amx` row `gemm_drive` does not walk `MR × NR` tiles: it hands
+//! the whole projection to `kernels::x86::amx`, which runs it as `tdpbssd`
+//! tile products (16 × 64 signed bytes by 16 k-quads × 16 columns into 16
+//! × 16 `i32`) — the CPU's own 2-D multiplier array. Both panel layouts
+//! stay what they are in memory (`resident_bytes` and the artifact do not
+//! change): a panel is decoded once per call into signed-byte `B` tiles —
+//! a nibble k-quad row is `and` / `srli` / `and`, two `vshufi64x2` and `− 8`
+//! away from the two 16-column tiles' rows, so there is no `+8` bias and
+//! no row-sum start on this row; a wide panel narrows to the same rows —
+//! and the `A` tiles are loaded straight from the row-major activations
+//! with stride `k`, so nothing is packed. A block is 2 × 2 `C` tiles (32
+//! rows × 32 columns, one 16-row block at the end of an odd number of
+//! 16-row halves), a k-step of 64 is four `tdpbssd`, and the block goes to
+//! the sink row by row, panel after panel.
+//!
+//! * **Tile configuration.** Palette 1, all eight tiles 16 rows × 64 bytes
+//!   (four `C`, two `A`, two `B`), loaded with `ldtilecfg` when a call
+//!   starts. `tilerelease` runs when the call's tile guard drops — on every
+//!   exit, a panicking sink included — so no tile state outlives a call
+//!   and a thread that is not inside a projection carries none.
+//! * **Permission.** Linux gives a process tile data only after
+//!   `arch_prctl(ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA)`; the row is
+//!   available only where that raw system call succeeded, the CPU reports
+//!   AMX-TILE and AMX-INT8 (CPUID leaf 7, EDX bits 24 / 25) and XCR0 has
+//!   the tile state (bits 17 / 18) — checked once per process. Anywhere
+//!   else (another OS, a refused request, no AMX) the `avx512` row is the
+//!   default, with the same output bits.
+//! * **Padding.** What a 16 × 64-byte tile load would read past a row or
+//!   past the matrix — the k-tail of every whole 16-row half, the last
+//!   ragged half — is staged zero-padded in the [`ActivationBlock`]. It
+//!   must be zero, not merely finite: a padding nibble decodes to `−8`.
+//! * **Alignment.** The decoded panel and the staged rows come out of a
+//!   [`ByteArena`] and the `C` block is a 64-byte-aligned stack array:
+//!   tile loads and stores that straddle cache lines made the sizing
+//!   prototype of this driver 1.2–4× slower and unstable between runs.
+//!   Activation rows are read where they are (unaligned rows cost it 2–8
+//!   %); every intermediate of an encoder layer starts on a cache line
+//!   because [`ByteArena::slices`] aligns every slice.
 //!
 //! # Bit-exactness contract
 //!
@@ -172,9 +214,13 @@
 //! 30 720 ≤ i16::MAX`; 9 would not fit) before widening to `i32`; and the
 //! VNNI and AVX-512 kernels use `vpdpbusd` — and, on wide panels,
 //! `vpdpwssd` — the non-saturating forms (not `vpdpbusds` / `vpdpwssds`).
-//! `tests/proptest_gemm.rs` drives every kernel through all-(−128) and
-//! all-(+127) activations against all-(+7) and all-(−8) weights at the
-//! depths that straddle the 8-k-quad boundary and the k-quad tail.
+//! The AMX driver multiplies the weights themselves (`tdpbssd`, which does
+//! not saturate either), so its sums are the plain `Σ a·w` of the naive
+//! loop. `tests/proptest_gemm.rs` drives every kernel through all-(−128)
+//! and all-(+127) activations against all-(+7) and all-(−8) weights at the
+//! depths that straddle the 8-k-quad boundary and the k-quad tail, and
+//! `tests/amx_edges.rs` does the same around the AMX tiles' 16 rows, 64
+//! reduction steps and 16 columns.
 //!
 //! The two attention reductions rest on the same argument with their own
 //! bounds:
@@ -597,12 +643,15 @@ fn gather_nibble_panels(
 /// k-pair-interleaved and widened to the kernels' `i16` operand width
 /// (`rows[pp][2r + t] = X[r0 + r][2pp + t]`); against nibble panels it
 /// stays bytes, one k-quad of every row per entry
-/// (`quads[q][4r + t] = X[r0 + r][4q + t]`). Neither buffer ever shrinks,
+/// (`quads[q][4r + t] = X[r0 + r][4q + t]`). The `amx` row reads the
+/// activations in place instead and keeps its decoded panel and its
+/// zero-padded staging rows here, on cache lines. No buffer ever shrinks,
 /// so a block reused across projections settles at the deepest one.
 #[derive(Debug, Default)]
 pub struct ActivationBlock {
     rows: Vec<[i16; WIDE_A]>,
     quads: Vec<[i8; QUAD_A]>,
+    lines: ByteArena,
 }
 
 impl ActivationBlock {
@@ -653,28 +702,36 @@ fn interleave_pairs<const W: usize>(src: &[i8], block: &mut [[i16; W]], lane: us
     }
 }
 
+/// Bytes of a cache line: every slice a [`ByteArena`] hands out starts on
+/// one.
+const LINE: usize = 64;
+
 /// Grow-only backing store for the `i8` intermediates of a forward pass:
-/// one call hands out disjoint slices of the sizes asked for, and a store
-/// that has served a shape once serves it again without allocating.
+/// one call hands out disjoint slices of the sizes asked for, each starting
+/// on a 64-byte cache line, and a store that has served a shape once serves
+/// it again without allocating.
 #[derive(Debug, Default)]
 pub struct ByteArena {
     bytes: Vec<i8>,
 }
 
 impl ByteArena {
-    /// `N` disjoint mutable slices of the given lengths. Their contents are
-    /// whatever an earlier use left there — callers overwrite before they
-    /// read.
+    /// `N` disjoint mutable slices of the given lengths, each 64-byte
+    /// aligned. Their contents are whatever an earlier use left there —
+    /// callers overwrite before they read.
     pub fn slices<const N: usize>(&mut self, sizes: [usize; N]) -> [&mut [i8]; N] {
-        let need: usize = sizes.iter().sum();
+        let lines: usize = sizes.iter().map(|len| len.next_multiple_of(LINE)).sum();
+        // One line of slack: the backing need not start on a line.
+        let need = lines + LINE - 1;
         if self.bytes.len() < need {
             self.bytes.resize(need, 0);
         }
-        let mut rest = self.bytes.as_mut_slice();
+        let skew = self.bytes.as_ptr().addr().wrapping_neg() % LINE;
+        let mut rest = &mut self.bytes[skew..];
         sizes.map(|len| {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(len.next_multiple_of(LINE));
             rest = tail;
-            head
+            &mut head[..len]
         })
     }
 }
@@ -730,21 +787,13 @@ impl GemmScratch {
     }
 }
 
-/// The requantize kernel for `params`: the process-selected SIMD kernel
-/// inside its exactness envelope, the 128-bit scalar reference outside it.
-fn requant_kernel(params: RequantParams) -> kernels::RequantKernel {
-    if params.simd_exact() {
-        kernels::selected().requant
-    } else {
-        kernels::scalar::requant_row
-    }
-}
-
 /// Drives the blocked GEMM `x (m×k) · W (k×n)` over the row-major codes
 /// `x` and feeds every finished accumulator row segment to
-/// `sink(row, c0, accs)` in row-block/panel order (`accs[j]` is the
-/// accumulator for column `c0 + j`), through the process-selected
-/// micro-kernel. Handing the epilogue a contiguous segment instead of one
+/// `sink(row, c0, accs)` exactly once (`accs[j]` is the accumulator for
+/// column `c0 + j`, `c0` a multiple of [`NR`]), through the
+/// process-selected kernel row: its tiles in row-block / panel order, or,
+/// on the `amx` row, the AMX driver in panel / row-block order (see the
+/// module docs). Handing the epilogue a contiguous segment instead of one
 /// element at a time is what lets [`gemm_i8_requant_into`] run a SIMD fixup
 /// over it.
 fn gemm_drive<F: FnMut(usize, usize, &[i32])>(
@@ -762,8 +811,13 @@ fn gemm_drive<F: FnMut(usize, usize, &[i32])>(
             rhs: vec![k, n],
         });
     }
-    let x = StridedView::dense(x, m, k)?;
     let kernel = kernels::selected();
+    #[cfg(target_arch = "x86_64")]
+    if kernel.kind == kernels::KernelKind::Amx {
+        kernels::x86::amx::drive(x, m, weights, &mut pack.lines, sink);
+        return Ok(());
+    }
+    let x = StridedView::dense(x, m, k)?;
     for r0 in (0..m).step_by(MR) {
         let rows = MR.min(m - r0);
         // What every accumulator of tile row `r` starts from.
@@ -875,6 +929,71 @@ impl RequantParams {
             && (0..=62).contains(&self.shift)
             && (0..=i32::from(i8::MAX)).contains(&self.clamp)
     }
+}
+
+/// The requantize epilogue of one GEMM or attention head: its
+/// [`RequantParams`] and what a kernel derives from them once per call
+/// rather than once per row segment — the smallest `|acc + bias|` whose
+/// code is already `±clamp` ([`RequantEpilogue::saturates_from`]).
+///
+/// With it a kernel computes `sign · min(clamp, (min(|x|, x_lim) · M +
+/// half) >> shift)` for `x = acc + bias`, which equals the reference for
+/// every `x` — the rounded quotient grows with `|x|`, so every `|x| ≥ x_lim`
+/// saturates — and keeps the product of a 32-bit lane inside 64 bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequantEpilogue {
+    params: RequantParams,
+    saturates_from: u32,
+}
+
+impl RequantEpilogue {
+    /// Prepares `params` for the requantize kernels.
+    pub fn new(params: RequantParams) -> Self {
+        Self {
+            params,
+            saturates_from: saturation_start(params),
+        }
+    }
+
+    /// `x_lim`, the smallest `|acc + bias|` whose code is `±clamp` inside
+    /// [`RequantParams::simd_exact`]: `0` for a zero clamp, `u32::MAX` when
+    /// no `|x| < 2³²` saturates (a zero multiplier among them). Outside the
+    /// envelope, where only the scalar reference runs, it is `u32::MAX`.
+    pub fn saturates_from(&self) -> u32 {
+        self.saturates_from
+    }
+
+    /// The requantize kernel for these parameters: the process-selected
+    /// SIMD kernel inside [`RequantParams::simd_exact`], the 128-bit scalar
+    /// reference outside it.
+    pub fn kernel(&self) -> kernels::RequantKernel {
+        if self.params.simd_exact() {
+            kernels::selected().requant
+        } else {
+            kernels::scalar::requant_row
+        }
+    }
+}
+
+/// The smallest `|x|` with `(|x| · multiplier + half) >> shift ≥ clamp`,
+/// capped at `u32::MAX` (see [`RequantEpilogue::saturates_from`]).
+fn saturation_start(params: RequantParams) -> u32 {
+    if !params.simd_exact() {
+        return u32::MAX;
+    }
+    let clamp = u128::from(params.clamp.unsigned_abs());
+    let multiplier = u128::from(params.multiplier.unsigned_abs());
+    if clamp == 0 {
+        return 0;
+    }
+    if multiplier == 0 {
+        return u32::MAX;
+    }
+    let shift = params.shift.unsigned_abs();
+    let half = if shift > 0 { 1u128 << (shift - 1) } else { 0 };
+    // `clamp ≥ 1`, so the target is at least `half + 1`.
+    let target = (clamp << shift) - half;
+    u32::try_from(target.div_ceil(multiplier)).unwrap_or(u32::MAX)
 }
 
 /// Fractional bits of every fixed-point value of an `Add & LN` block
@@ -1101,10 +1220,16 @@ pub fn gemm_i8_requant_into(
             rhs: vec![m, n],
         });
     }
-    let kernel = requant_kernel(params);
+    let epilogue = RequantEpilogue::new(params);
+    let kernel = epilogue.kernel();
     gemm_drive(x, m, weights, pack, |r, c0, accs| {
         let cols = c0..c0 + accs.len();
-        kernel(accs, &bias[cols.clone()], params, &mut out[r * n..][cols]);
+        kernel(
+            accs,
+            &bias[cols.clone()],
+            &epilogue,
+            &mut out[r * n..][cols],
+        );
     })
 }
 
@@ -1372,6 +1497,26 @@ mod tests {
         };
         let err = gemm_i8_requant(&x, &packed, &[0], params, &mut GemmScratch::new());
         assert!(err.is_err());
+    }
+
+    /// Every slice starts on a cache line, whatever the sizes before it and
+    /// however the backing grew, and the slices are disjoint and as long
+    /// as asked.
+    #[test]
+    fn arena_slices_start_on_cache_lines() {
+        let mut arena = ByteArena::default();
+        for sizes in [[1usize, 63, 64], [0, 0, 1], [200, 7, 4096], [65, 1, 0]] {
+            let slices = arena.slices(sizes);
+            for (slice, len) in slices.iter().zip(sizes) {
+                assert_eq!(slice.len(), len);
+                assert_eq!(slice.as_ptr().addr() % LINE, 0, "sizes {sizes:?}");
+            }
+            let [a, b, c] = slices;
+            a.fill(1);
+            b.fill(2);
+            c.fill(3);
+            assert!(a.iter().all(|&v| v == 1) && b.iter().all(|&v| v == 2));
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 
 use fqbert_tensor::gemm::kernels::{self, KernelKind};
 use fqbert_tensor::gemm::{
-    gemm_i8_i32, gemm_i8_requant, GemmScratch, PackedWeights, RequantParams, MR, NR,
+    gemm_i8_i32, gemm_i8_requant, GemmScratch, PackedWeights, RequantEpilogue, RequantParams, MR,
+    NR,
 };
 use fqbert_tensor::{pack4, IntTensor};
 use proptest::prelude::*;
@@ -174,11 +175,12 @@ proptest! {
                 *slot = v;
             }
         }
+        let epilogue = RequantEpilogue::new(params);
         let mut reference = vec![0i8; len];
-        kernels::scalar::requant_row(&accs, &bias, params, &mut reference);
+        kernels::scalar::requant_row(&accs, &bias, &epilogue, &mut reference);
         for kind in kernels::available() {
             let mut got = vec![0i8; len];
-            (kernels::dispatch_for(kind).requant)(&accs, &bias, params, &mut got);
+            (kernels::dispatch_for(kind).requant)(&accs, &bias, &epilogue, &mut got);
             prop_assert_eq!(&got, &reference, "requant diverges on {}", kind.name());
         }
     }
@@ -210,7 +212,7 @@ proptest! {
             kernels::scalar::requant_row(
                 raw.row(r),
                 &bias,
-                params,
+                &RequantEpilogue::new(params),
                 &mut expected[r * n..(r + 1) * n],
             );
         }
