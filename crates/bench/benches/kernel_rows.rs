@@ -9,16 +9,17 @@
 //! row's speedup over scalar and `w4_over_w8` (w8 ns / w4 ns within one
 //! row — the CPU counterpart of a BIM fitting two 8b×4b products in one
 //! 8b×8b slot), then one table of `Add & LN` nanoseconds per 256- and
-//! 768-wide row at calibrated parameters and one of softmax nanoseconds per
-//! 128- and 512-wide row. Run with
+//! 768-wide row at calibrated parameters, one of softmax nanoseconds per
+//! 128- and 512-wide row and one of attention nanoseconds per head
+//! (`attend_head`) at 16, 32 and 128 tokens of 64 head dimensions. Run with
 //! `cargo bench -p fqbert-bench --bench kernel_rows`.
 
 use fqbert_bench::{markdown_table, time_ns};
 use fqbert_core::IntLinear;
 use fqbert_tensor::gemm::kernels::{self, KernelKind};
 use fqbert_tensor::gemm::{
-    gemm_i8_requant_into, AddNormParams, RequantEpilogue, RequantParams, SoftmaxParams,
-    ADD_NORM_FRAC_BITS,
+    gemm_i8_requant_into, AddNormParams, AttentionScratch, RequantEpilogue, RequantParams,
+    SoftmaxParams, StridedView, ADD_NORM_FRAC_BITS,
 };
 use fqbert_tensor::{GemmScratch, IntTensor, PackedWeights, RngSource};
 use std::hint::black_box;
@@ -233,9 +234,71 @@ fn time_softmax(seq: usize) -> Vec<f64> {
         .collect()
 }
 
+/// Nanoseconds per `attend_head` of one `seq × head_dim` head on each
+/// available row, checked against the scalar row first: the score and
+/// context scales of a calibrated layer, the exponential table at 8 levels
+/// per unit.
+fn time_attention(seq: usize, head_dim: usize) -> Vec<f64> {
+    let table = std::array::from_fn(|d| ((-(d as f32) / 8.0).exp() * 255.0).round() as u8);
+    let softmax = SoftmaxParams::new(table, 255).expect("softmax parameters");
+    let score_params = RequantParams {
+        multiplier: 1 << 30,
+        shift: 39,
+        clamp: 127,
+    };
+    let context_params = RequantParams {
+        multiplier: 1 << 30,
+        shift: 38,
+        clamp: 127,
+    };
+    let codes = |salt: usize| -> Vec<i8> {
+        (0..seq * head_dim)
+            .map(|i| ((i * 2_654_435_761 + salt) >> 9) as i8)
+            .collect()
+    };
+    let (q, k, v) = (codes(1), codes(2), codes(3));
+    let mut scratch = AttentionScratch::default();
+    let mut run = |out: &mut [i8]| {
+        let [q, k, v] =
+            [black_box(&q), &k, &v].map(|m| StridedView::dense(m, seq, head_dim).expect("head"));
+        scratch
+            .attend_head(
+                q,
+                k,
+                v,
+                score_params,
+                context_params,
+                &softmax,
+                out,
+                head_dim,
+            )
+            .expect("attention");
+    };
+    let mut reference = vec![0i8; seq * head_dim];
+    kernels::force(KernelKind::Scalar);
+    run(&mut reference);
+    let times = kernels::available()
+        .into_iter()
+        .map(|kind| {
+            kernels::force(kind);
+            let mut out = vec![0i8; seq * head_dim];
+            run(&mut out);
+            assert_eq!(
+                out,
+                reference,
+                "attention must stay bit-identical on {}",
+                kind.name()
+            );
+            time_ns(|| run(&mut out))
+        })
+        .collect();
+    kernels::force(kernels::best_available());
+    times
+}
+
 /// One table of per-row nanoseconds: a pair of columns (time, speedup over
 /// the scalar row) per entry of `columns`.
-fn print_row_table(title: &str, names: [&str; 2], columns: [Vec<f64>; 2]) {
+fn print_row_table<const N: usize>(title: &str, names: [&str; N], columns: [Vec<f64>; N]) {
     let available = kernels::available();
     let scalar = available
         .iter()
@@ -254,8 +317,10 @@ fn print_row_table(title: &str, names: [&str; 2], columns: [Vec<f64>; 2]) {
         })
         .collect();
     println!("{title}");
-    let speedup = "speedup_vs_scalar";
-    let headers = ["kernel", names[0], speedup, names[1], speedup];
+    let mut headers = vec!["kernel"];
+    for name in names {
+        headers.extend([name, "speedup_vs_scalar"]);
+    }
     println!("{}", markdown_table(&headers, &table));
 }
 
@@ -324,5 +389,14 @@ fn main() {
         "kernel_rows softmax, ns per row:",
         ["softmax128_ns", "softmax512_ns"],
         [time_softmax(128), time_softmax(512)],
+    );
+    print_row_table(
+        "kernel_rows attention (attend_head), ns per head of 64 dimensions:",
+        ["seq16_ns", "seq32_ns", "seq128_ns"],
+        [
+            time_attention(16, 64),
+            time_attention(32, 64),
+            time_attention(128, 64),
+        ],
     );
 }

@@ -90,44 +90,56 @@ fn model(hidden: usize, layers: usize, heads: usize) -> IntBertModel {
 
 #[test]
 fn a_warm_layer_allocates_only_the_tensor_it_returns() {
-    let model = model(32, 1, 4);
-    let layer = &model.layers[0];
-    let seq_lens = [1usize, 5, 33, 12];
-    let total: usize = seq_lens.iter().sum();
-    let x = {
-        let data = (0..total * 32)
-            .map(|i| ((i * 37 + 11) % 255) as i8)
-            .collect();
-        IntTensor::from_vec(data, &[total, 32]).expect("input")
-    };
-    let mut scratch = GemmScratch::new();
-    let (cold, first) =
-        allocations(|| layer.forward_batch_with_scratch(&x, &seq_lens, &mut scratch));
-    let first = first.expect("cold call");
-    let (warm, second) =
-        allocations(|| layer.forward_batch_with_scratch(&x, &seq_lens, &mut scratch));
-    assert_eq!(second.expect("warm call"), first);
-    // An `IntTensor` is its codes plus its dims: the tensor handed back is
-    // all a warm call may allocate.
-    let (tensor, _) = allocations(|| IntTensor::<i8>::zeros(&[total, 32]));
-    assert_eq!(warm, tensor, "warm call allocated beyond its return value");
-    assert!(
-        cold > warm,
-        "the cold call is the one that grows the scratch"
-    );
-    // A smaller batch afterwards fits what is there.
-    let fewer = IntTensor::from_vec(x.as_slice()[..34 * 32].to_vec(), &[34, 32]).expect("input");
-    let (smaller, out) =
-        allocations(|| layer.forward_batch_with_scratch(&fewer, &[33, 1], &mut scratch));
-    out.expect("smaller batch");
-    assert_eq!(smaller, tensor);
+    // Heads of 8 and the paper's heads of 64.
+    for (hidden, heads) in [(32usize, 4usize), (128, 2)] {
+        let model = model(hidden, 1, heads);
+        let layer = &model.layers[0];
+        let seq_lens = [1usize, 5, 33, 12];
+        let total: usize = seq_lens.iter().sum();
+        let x = {
+            let data = (0..total * hidden)
+                .map(|i| ((i * 37 + 11) % 255) as i8)
+                .collect();
+            IntTensor::from_vec(data, &[total, hidden]).expect("input")
+        };
+        let mut scratch = GemmScratch::new();
+        let (cold, first) =
+            allocations(|| layer.forward_batch_with_scratch(&x, &seq_lens, &mut scratch));
+        let first = first.expect("cold call");
+        let (warm, second) =
+            allocations(|| layer.forward_batch_with_scratch(&x, &seq_lens, &mut scratch));
+        assert_eq!(second.expect("warm call"), first);
+        // An `IntTensor` is its codes plus its dims: the tensor handed back
+        // is all a warm call may allocate.
+        let (tensor, _) = allocations(|| IntTensor::<i8>::zeros(&[total, hidden]));
+        assert_eq!(
+            warm, tensor,
+            "warm call at hidden {hidden} allocated beyond its return value"
+        );
+        assert!(
+            cold > warm,
+            "the cold call is the one that grows the scratch"
+        );
+        // A smaller batch afterwards fits what is there.
+        let fewer = x.as_slice()[..34 * hidden].to_vec();
+        let fewer = IntTensor::from_vec(fewer, &[34, hidden]).expect("input");
+        let (smaller, out) =
+            allocations(|| layer.forward_batch_with_scratch(&fewer, &[33, 1], &mut scratch));
+        out.expect("smaller batch");
+        assert_eq!(smaller, tensor);
+    }
 }
 
 #[test]
 fn a_warm_model_allocates_per_example_only() {
     // (hidden, layers, heads), and two batches of three examples with
     // different row counts: none of it may show in the count.
-    let shapes = [(32usize, 1usize, 2usize), (32, 3, 4), (64, 2, 8)];
+    let shapes = [
+        (32usize, 1usize, 2usize),
+        (32, 3, 4),
+        (64, 2, 8),
+        (128, 1, 2),
+    ];
     let short = [example(4, 0), example(6, 1), example(3, 2)];
     let long = [example(33, 3), example(17, 4), example(40, 5)];
     let mut counts = Vec::new();

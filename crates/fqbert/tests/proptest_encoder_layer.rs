@@ -344,9 +344,12 @@ proptest! {
 #[test]
 fn every_block_boundary_and_a_128_token_sequence_in_one_batch() {
     // The paper's shape (4 heads of 64 over 128 tokens) next to the shortest
-    // and every block-straddling length, low-bit and 8-bit weights, and an
-    // odd head dimension that pads both panel directions.
-    let seq_lens = [1, MR - 1, 128, MR + 1, NR - 1, NR + 1];
+    // and every block-straddling length — of the `MR`-row tiles, the
+    // `NR`-wide panels and the AMX driver's 16-row halves and 64-key steps —
+    // low-bit and 8-bit weights, and an odd head dimension that pads both
+    // panel directions.
+    let tiles = [1, MR - 1, 128, MR + 1, NR - 1, NR + 1];
+    let seq_lens = [tiles, [15, 16, 17, 63, 64, 65]].concat();
     for &(heads, head_dim, bits) in &[(4usize, 64usize, 4u32), (3, 33, 8), (2, 1, 2)] {
         let layer = layer(7, heads, head_dim, bits);
         let x = codes(8, seq_lens.iter().sum(), heads * head_dim);

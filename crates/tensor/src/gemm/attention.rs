@@ -1,24 +1,37 @@
-//! Row-block fused attention on the GEMM tile kernels.
+//! Row-block fused attention on the GEMM tile kernels, or on AMX tiles.
 //!
 //! One call to [`AttentionScratch::attend_head`] computes one head's
 //! `requant(softmax(requant(Q · Kᵀ)) · V)` for one sequence — the software
-//! image of the accelerator's Softmax Core sitting between two PE passes:
+//! image of the accelerator's Softmax Core sitting between two PE passes.
+//! The head is read in place through [`StridedView`]s of the packed
+//! projection outputs (no head copies), and it runs in one of two block
+//! shapes:
 //!
-//! 1. `Kᵀ` and `V` are packed once into wide panels, read in place through
-//!    [`StridedView`]s of the packed projection outputs (no head copies);
-//! 2. for every [`MR`]-row block of `Q`: score tiles on the `wide` kernel →
-//!    the requantize kernel (zero bias) straight to `i8` scores → the
-//!    `softmax` entry of the selected kernel row, one contiguous row of
-//!    `u8` probabilities per query row → the block's rows interleaved once
-//!    into the activation-block layout → context tiles against the `V`
-//!    panels → the requantize kernel → `i8` codes at their final position
-//!    of the context matrix.
+//! * **[`MR`]-row blocks on the `wide` tile entry** (every row but `amx`):
+//!   `Kᵀ` and `V` are packed once into wide (`i16`) panels; then for every
+//!   `MR`-row block of `Q`: score tiles on the `wide` kernel → the
+//!   requantize kernel (zero bias) straight to `i8` scores → the `softmax`
+//!   entry of the selected kernel row, one contiguous row of `u8`
+//!   probabilities per query row → the block's rows interleaved once into
+//!   the activation-block layout → context tiles against the `V` panels →
+//!   the requantize kernel → `i8` codes at their final position of the
+//!   context matrix. At most `MR × seq` scores and probabilities exist at
+//!   any time.
+//! * **32-row blocks on AMX tiles** (the `amx` row, `kernels::x86::amx`):
+//!   no byte is widened. `Kᵀ` becomes signed-byte `B` tiles (a dword
+//!   transpose of 16 key rows) and `V` byte `B` tiles (a 4-row interleave)
+//!   once per head; per block of 32 query rows, `tdpbssd` over `Q`'s rows
+//!   as they lie gives the block's scores for every key in one aligned
+//!   `i32` block, the same requantize and softmax entries turn each row
+//!   into `u8` probabilities, and `tdpbusd` takes those rows as its
+//!   unsigned `A` operand against `V`. At most `32 × seq` scores and
+//!   probabilities exist at any time.
 //!
-//! At most `MR × seq` scores and probabilities exist at any time; the
-//! `seq × seq` matrix is never materialised. The softmax arrives as a
+//! The `seq × seq` matrix is never materialised. The softmax arrives as a
 //! plain-integer [`SoftmaxParams`] like the two requantizers, so every
-//! stage of the pass is an entry of one kernel row. The bounds that keep
-//! both reductions exact in `i32` are derived in the [`super`] module docs.
+//! stage of the pass is an entry of one kernel row or a tile product. The
+//! bounds that keep both reductions exact in `i32` are derived in the
+//! [`super`] module docs.
 
 use super::{
     interleave_pairs, kernels, pack_wide_panels, ActivationBlock, RequantEpilogue, RequantParams,
@@ -27,13 +40,14 @@ use super::{
 use crate::{Result, TensorError};
 
 /// Bias operand of the requantize kernels for the two attention products,
-/// which have none.
-const ZERO_BIAS: [i32; NR] = [0; NR];
+/// which have none: as long as the longest row either requantizes.
+static ZERO_BIAS: [i32; MAX_ATTN_SEQ] = [0; MAX_ATTN_SEQ];
 
 /// Reusable state of the fused attention pass: one head's `Kᵀ` and `V`
 /// panels, the `Q` row block, and the `MR`-row score and probability
-/// blocks. Nothing shrinks, so a scratch that has served a
-/// `(seq, head_dim)` once serves it again without allocating.
+/// blocks — or, on the `amx` row, the head's tiles and 32-row blocks.
+/// Nothing shrinks, so a scratch that has served a `(seq, head_dim)` once
+/// serves it again without allocating.
 #[derive(Debug, Default)]
 pub struct AttentionScratch {
     /// `Kᵀ` panels: reduction over `head_dim`, one column per key row.
@@ -41,12 +55,16 @@ pub struct AttentionScratch {
     /// `V` panels: reduction over `seq`, one column per head dimension.
     v: Vec<[i16; WIDE_B]>,
     q_block: ActivationBlock,
-    /// Requantized scores of the current row block, `MR × seq` row-major.
+    /// Requantized scores of the current row block, `MR × seq` row-major
+    /// (one row on the `amx` row).
     scores: Vec<i8>,
     /// Probabilities of the current row block, `MR × seq` row-major.
     probs: Vec<u8>,
     /// The same probabilities in activation-block layout.
     prob_pairs: Vec<[i16; WIDE_A]>,
+    /// The `amx` row's tiles and blocks.
+    #[cfg(target_arch = "x86_64")]
+    amx: kernels::x86::amx::HeadTiles,
 }
 
 /// Interleaves the `MR` probability rows of a block (`probs`, `MR × seq`
@@ -79,11 +97,12 @@ impl AttentionScratch {
     /// written at `out[r · out_stride + c]` for every query row `r` and
     /// head dimension `c`.
     ///
-    /// Bit-identical on every kernel to the scalar composition
-    /// `matmul_transposed_i32` → `Requantizer::apply` → the per-element
-    /// division softmax (`SoftmaxLut::apply_row`) → `i64` `P · V` →
-    /// `Requantizer::apply` for parameters produced by a `Requantizer`
-    /// (see the [`super`] module docs).
+    /// Bit-identical on every kernel — the `amx` row's tile driver
+    /// included — to the scalar composition `matmul_transposed_i32` →
+    /// `Requantizer::apply` → the per-element division softmax
+    /// (`SoftmaxLut::apply_row`) → `i64` `P · V` → `Requantizer::apply` for
+    /// parameters produced by a `Requantizer` (see the [`super`] module
+    /// docs).
     ///
     /// # Errors
     ///
@@ -131,6 +150,32 @@ impl AttentionScratch {
             });
         }
 
+        let kernel = kernels::selected();
+        let (scores_epilogue, context_epilogue) = (
+            RequantEpilogue::new(score_params),
+            RequantEpilogue::new(context_params),
+        );
+        let requant_scores = scores_epilogue.kernel();
+        let requant_context = context_epilogue.kernel();
+        // The `amx` row runs the whole head on tiles, handing this pass the
+        // score rows and the context segments for the same entries.
+        #[cfg(target_arch = "x86_64")]
+        if kernel.kind == kernels::KernelKind::Amx {
+            self.scores.resize(seq, 0);
+            let scores = &mut self.scores;
+            let probabilities = |accs: &[i32], probs: &mut [u8]| {
+                requant_scores(accs, &ZERO_BIAS[..seq], &scores_epilogue, scores);
+                (kernel.softmax)(softmax, scores, probs);
+            };
+            let sink = |r: usize, c0: usize, accs: &[i32]| {
+                let at = r * out_stride + c0;
+                let (bias, out) = (&ZERO_BIAS[..accs.len()], &mut out[at..at + accs.len()]);
+                requant_context(accs, bias, &context_epilogue, out);
+            };
+            kernels::x86::amx::attend(&mut self.amx, [q, k, v], probabilities, sink);
+            return Ok(());
+        }
+
         // Kᵀ as a [head_dim, seq] matrix: its k-pair (2pp, 2pp+1) for key
         // row j is two adjacent bytes of that row.
         let (dim_pairs, seq_pairs) = (head_dim.div_ceil(2), seq.div_ceil(2));
@@ -146,13 +191,6 @@ impl AttentionScratch {
         self.probs.resize(MR * seq, 0);
         self.prob_pairs.resize(seq_pairs, [0i16; WIDE_A]);
 
-        let kernel = kernels::selected();
-        let (scores_epilogue, context_epilogue) = (
-            RequantEpilogue::new(score_params),
-            RequantEpilogue::new(context_params),
-        );
-        let requant_scores = scores_epilogue.kernel();
-        let requant_context = context_epilogue.kernel();
         for r0 in (0..seq).step_by(MR) {
             let rows = MR.min(seq - r0);
             let q_block = self.q_block.pack_rows(q, r0, rows);

@@ -42,7 +42,8 @@
 //!    requantize epilogue and the softmax row on 512-bit registers and
 //!    needs `avx512f/bw/dq/vl/vnni/vbmi` together — a VNNI part without VBMI
 //!    stays on `vnni`; the `amx` row is the `avx512` row with every
-//!    projection on AMX tiles, and is available only where the `avx512` row
+//!    projection and attention head on AMX tiles, and is available only
+//!    where the `avx512` row
 //!    is, the CPU has AMX-TILE and AMX-INT8 (CPUID leaf 7, EDX bits 24 /
 //!    25), the OS saves tile state (XCR0 bits 17 / 18) and Linux granted the
 //!    process the tile data (`arch_prctl`) — one check, resolved once; a
@@ -57,22 +58,26 @@
 //! `add_norm` and `softmax`. Implement the tiles; any entry may be borrowed
 //! from another row:
 //!
-//! | row | `wide` | `nibble` | `requant` | `add_norm` | `softmax` | projections |
+//! | row | `wide` | `nibble` | `requant` | `add_norm` | `softmax` | projections / attention |
 //! |---|---|---|---|---|---|---|
-//! | `scalar` | own | own | own | own | own | tiles |
-//! | `sse2` | own | own | own | `scalar` | `scalar` | tiles |
-//! | `avx2` | own | own | own | own | own | tiles |
-//! | `vnni` | own | own | `avx2` | `avx2` | `avx2` | tiles |
-//! | `avx512` | own | own | own | `avx2` | own | tiles |
-//! | `amx` | `avx512` | `avx512` | `avx512` | `avx2` | `avx512` | AMX driver |
-//! | `neon` | own | own | `scalar` | `scalar` | `scalar` | tiles |
+//! | `scalar` | own | own | own | own | own | tiles / tiles |
+//! | `sse2` | own | own | own | `scalar` | `scalar` | tiles / tiles |
+//! | `avx2` | own | own | own | own | own | tiles / tiles |
+//! | `vnni` | own | own | `avx2` | `avx2` | `avx2` | tiles / tiles |
+//! | `avx512` | own | own | own | `avx2` | own | tiles / tiles |
+//! | `amx` | `avx512` | `avx512` | `avx512` | `avx2` | `avx512` | AMX drivers |
+//! | `neon` | own | own | `scalar` | `scalar` | `scalar` | tiles / tiles |
 //!
 //! The last column is not an entry: `gemm_drive` runs a projection on the
-//! row's `wide` / `nibble` tiles, except on `amx`, where it hands the whole
-//! projection to `x86::amx` (`tdpbssd` over the same panels; see the
-//! `gemm` module docs) — so the `amx` row's own tile entries serve
-//! attention's two products only. The `avx512` and `amx` rows share one
-//! requantize, on `i32` lanes.
+//! row's `wide` / `nibble` tiles and `attend_head` both attention products
+//! on its `wide` tile, except on `amx`, where the first hands the whole
+//! projection and the second the whole head to `x86::amx` (`tdpbssd` over
+//! the same panels; `tdpbssd` and `tdpbusd` over byte tiles of the head;
+//! see the `gemm` module docs). So the `amx` row's `wide` / `nibble`
+//! entries now serve no product: they are the `avx512` row's, kept only
+//! because every row has the two slots. Its `requant` and `softmax`
+//! entries run inside both drivers' blocks. The `avx512` and `amx` rows
+//! share one requantize, on `i32` lanes.
 //!
 //! Add a [`KernelKind`] variant **at its place in the preference order** —
 //! the enum and [`KernelKind::ALL`] list the kinds in the same, ascending
@@ -97,7 +102,7 @@
 //!
 //! `unsafe` is allowed only inside `gemm/kernels/*` (fqlint R5
 //! `unsafe-outside-kernels`), and every unsafe item there must carry a
-//! justified allow annotation — the `asm!` of the AMX driver and its
+//! justified allow annotation — the `asm!` of the AMX drivers and its
 //! `arch_prctl` system call included.
 
 pub mod scalar;
@@ -166,9 +171,9 @@ pub enum KernelKind {
     /// a `zmm` requantize and a `vpermi2b` softmax row (AVX-512 F, BW, DQ,
     /// VL, VNNI and VBMI together).
     Avx512,
-    /// The AVX-512 row with every projection on AMX `tdpbssd` tiles
-    /// (AMX-TILE and AMX-INT8, enabled by the OS and granted to the
-    /// process).
+    /// The AVX-512 row with every projection and attention head on AMX
+    /// `tdpbssd` / `tdpbusd` tiles (AMX-TILE and AMX-INT8, enabled by the
+    /// OS and granted to the process).
     Amx,
     /// aarch64 128-bit `smlal` path.
     Neon,
@@ -347,9 +352,10 @@ static AVX512: KernelDispatch = KernelDispatch {
     softmax: x86::softmax_row_avx512,
 };
 
-// AMX changes the projections only, and those do not go through a tile
-// entry: `gemm_drive` hands them to `x86::amx::drive` whole. Attention's two
-// products, the requantize epilogue, `Add & LN` and the softmax row are the
+// AMX changes the products only, and those do not go through a tile entry:
+// `gemm_drive` hands a projection to `x86::amx::drive` whole and
+// `attend_head` a head to `x86::amx::attend`. The tile entries serve no
+// product; the requantize epilogue, `Add & LN` and the softmax row are the
 // AVX-512 row's.
 #[cfg(target_arch = "x86_64")]
 static AMX: KernelDispatch = KernelDispatch {

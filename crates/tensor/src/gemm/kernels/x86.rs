@@ -3,8 +3,8 @@
 //! fused `vpdpwssd` forms (256-bit VNNI, 512-bit AVX-512), the byte-operand
 //! tiles (`vpmaddubsw`, `vpdpbusd`) over the biased-nibble k-quad panels,
 //! the requantize epilogues, the AVX2 `Add & LN` and the AVX2 / AVX-512
-//! softmax rows; the `amx` row's projection driver is the submodule
-//! `amx`.
+//! softmax rows; the `amx` row's projection and attention drivers are the
+//! submodule `amx`.
 //!
 //! The AVX-512 requantize ([`requant_row_avx512`], which the `amx` row
 //! shares) runs sixteen elements in `i32` lanes: with `x = acc + bias` it
@@ -98,14 +98,14 @@
 //! or the loop bounds first, with AVX-512 tails read and written under a
 //! mask of the remaining elements (masked-off bytes are not accessed) — and
 //! gathers that index 256-entry tables with zero-extended bytes; and (c)
-//! the AMX driver's `asm!`: tile instructions, which run only between the
+//! the AMX drivers' `asm!`: tile instructions, which run only between the
 //! `ldtilecfg` and the `tilerelease` of a guard that is created after an
 //! assertion that the `amx` row is available, whose loads read 16 rows of
 //! 64 bytes that a checked constructor placed inside one live slice and
-//! whose stores write a fixed 32 × 32 `i32` block; and one raw
-//! `arch_prctl` system call (x86-64 Linux ABI: rax, rdi, rsi in, rax out,
-//! rcx and r11 clobbered) that asks for the tile data and writes no user
-//! memory.
+//! whose stores write 16 or 32 rows of 128 bytes that an assertion placed
+//! inside one `i32` slice; and one raw `arch_prctl` system call (x86-64
+//! Linux ABI: rax, rdi, rsi in, rax out, rcx and r11 clobbered) that asks
+//! for the tile data and writes no user memory.
 
 pub(in crate::gemm) mod amx;
 

@@ -96,8 +96,9 @@
 //! `[0, 255]`, one contiguous row per query row out of the `softmax`
 //! kernel — are interleaved into the activation-block layout once per
 //! `MR`-row block, so both attention products run on the unchanged `wide`
-//! tile kernels and the requantize kernels (with a zero bias).
-//! [`GemmScratch`] owns those panels, the `MR`-row score and probability
+//! tile kernels and the requantize kernels (with a zero bias). The `amx`
+//! row lays the same head out as byte tiles instead (see [AMX](#amx)).
+//! [`GemmScratch`] owns those panels and tiles, the score and probability
 //! blocks, in its [`ByteArena`] every `i8` intermediate of an encoder layer
 //! and, in its [`AddNormRow`], the one row of `i32` operand sums `Add & LN`
 //! works in: its four parts are separate public fields so a caller can
@@ -134,7 +135,8 @@
 //!
 //! The per-tile micro-kernel is selected once per process by the
 //! [`kernels`] module: on x86_64 an AMX row (the AVX-512 row with every
-//! projection on `tdpbssd` tiles, below), an AVX-512 row (both tiles on
+//! projection and both attention products on AMX tiles, below), an
+//! AVX-512 row (both tiles on
 //! `zmm` `vpdpbusd` / `vpdpwssd`, an `i32`-lane `zmm` requantize, a
 //! `vpermi2b` softmax row), a VNNI row (the same two fused dot products on
 //! 256-bit registers, everything else shared with AVX2), an AVX2 row
@@ -163,29 +165,53 @@
 //! 16-row halves), a k-step of 64 is four `tdpbssd`, and the block goes to
 //! the sink row by row, panel after panel.
 //!
+//! `attend_head` hands a whole head to the same module's attention driver,
+//! in blocks of 32 query rows, with no byte widened to `i16`:
+//!
+//! * **Scores** are `tdpbssd` with `Q`'s rows as the `A` tiles, read in
+//!   place with the projection output's row stride wherever a whole 16 ×
+//!   64-byte window lies inside the head's view (else staged zero-padded).
+//!   A `B` tile is a dword transpose of 16 `K` rows: `B[q][4j + t] =
+//!   K[j][4q + t]`. The block's accumulators for every key are stored with
+//!   `tilestored` into a grow-only, 64-byte-aligned `i32` block, and the
+//!   kernel row's requantize and softmax entries run over its whole rows.
+//! * **Context** is `tdpbusd`: the softmax's contiguous `u8` rows, padded
+//!   with zeros to a multiple of 64 keys, are its unsigned `A` tiles as they
+//!   stand, and `V` becomes `B` tiles by a 4-row byte interleave, `B[q][4c
+//!   + t] = V[4q + t][c]`.
+//! * **Zero operands.** Every padded product has a zero operand: `B` rows
+//!   past `head_dim` or past `seq`, and probability columns past `seq`, are
+//!   zero, so an in-place `Q` tile may read the next head's bytes.
+//!
+//! Both drivers share the rest:
+//!
 //! * **Tile configuration.** Palette 1, all eight tiles 16 rows × 64 bytes
 //!   (four `C`, two `A`, two `B`), loaded with `ldtilecfg` when a call
 //!   starts. `tilerelease` runs when the call's tile guard drops — on every
 //!   exit, a panicking sink included — so no tile state outlives a call
-//!   and a thread that is not inside a projection carries none.
+//!   and a thread that is not inside a projection or a head carries none.
 //! * **Permission.** Linux gives a process tile data only after
 //!   `arch_prctl(ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA)`; the row is
 //!   available only where that raw system call succeeded, the CPU reports
 //!   AMX-TILE and AMX-INT8 (CPUID leaf 7, EDX bits 24 / 25) and XCR0 has
-//!   the tile state (bits 17 / 18) — checked once per process. Anywhere
-//!   else (another OS, a refused request, no AMX) the `avx512` row is the
-//!   default, with the same output bits.
-//! * **Padding.** What a 16 × 64-byte tile load would read past a row or
-//!   past the matrix — the k-tail of every whole 16-row half, the last
-//!   ragged half — is staged zero-padded in the [`ActivationBlock`]. It
-//!   must be zero, not merely finite: a padding nibble decodes to `−8`.
-//! * **Alignment.** The decoded panel and the staged rows come out of a
-//!   [`ByteArena`] and the `C` block is a 64-byte-aligned stack array:
-//!   tile loads and stores that straddle cache lines made the sizing
+//!   the tile state (bits 17 / 18) — checked once per process, by a pure
+//!   function of those four answers that a unit test drives through every
+//!   refusal. Anywhere else (another OS, a refused request, no AMX) the
+//!   `avx512` row is the default, with the same output bits.
+//! * **Padding.** What a projection's 16 × 64-byte tile load would read
+//!   past a row or past the matrix — the k-tail of every whole 16-row half,
+//!   the last ragged half — is staged zero-padded in the
+//!   [`ActivationBlock`]. It must be zero, not merely finite: a padding
+//!   nibble decodes to `−8`. The attention driver stages `Q`'s last halves
+//!   the same way, in the [`AttentionScratch`].
+//! * **Alignment.** The decoded panel, the attention tiles, the staged
+//!   rows, the probability rows and the score block come out of
+//!   [`LineArena`]s and the 32 × 32 `C` block is a 64-byte-aligned stack
+//!   array: tile loads and stores that straddle cache lines made the sizing
 //!   prototype of this driver 1.2–4× slower and unstable between runs.
 //!   Activation rows are read where they are (unaligned rows cost it 2–8
 //!   %); every intermediate of an encoder layer starts on a cache line
-//!   because [`ByteArena::slices`] aligns every slice.
+//!   because [`LineArena::slices`] aligns every slice.
 //!
 //! # Bit-exactness contract
 //!
@@ -229,12 +255,19 @@
 //!   `head_dim · 128² ≤ i32::MAX` for `head_dim ≤` [`MAX_K`]. The scalar
 //!   reference [`IntTensor::matmul_transposed_i32`] accumulates in `i64`
 //!   and saturates to `i32` at the end; under this bound that saturation
-//!   never fires, so the tile kernels reproduce it bit for bit.
+//!   never fires, so the tile kernels reproduce it bit for bit — on the
+//!   `amx` row `tdpbssd`, with the same non-saturating sum.
 //! * **Context** `P · V` reduces over `seq` with `u8 × i8` products
 //!   (`|p·v| ≤ 255 · 128 = 32 640`, which also fits the `i16` product the
 //!   scalar kernel forms), so `seq · 255 · 128 ≤ i32::MAX` for `seq ≤`
 //!   [`MAX_ATTN_SEQ`]` = 65 793`; the scalar reference sums the same
-//!   products in `i64` without saturation.
+//!   products in `i64` without saturation. On the `amx` row this product
+//!   is `tdpbusd`, which does not saturate either (AMX has no saturating
+//!   form), and `P` must be its **unsigned** operand: a probability of 255
+//!   read as a signed byte is −1. `tests/amx_edges.rs` pins that with a
+//!   one-hot softmax, and a unit test of the driver sums `MAX_ATTN_SEQ`
+//!   products of 255 × −128 on the tiles to exactly `−MAX_ATTN_SEQ · 255 ·
+//!   128`.
 //!
 //! [`attention::AttentionScratch::attend_head`] rejects shapes beyond
 //! either bound. The requantized scores are `i8` codes, so the softmax
@@ -702,34 +735,44 @@ fn interleave_pairs<const W: usize>(src: &[i8], block: &mut [[i16; W]], lane: us
     }
 }
 
-/// Bytes of a cache line: every slice a [`ByteArena`] hands out starts on
+/// Bytes of a cache line: every slice a [`LineArena`] hands out starts on
 /// one.
 const LINE: usize = 64;
 
-/// Grow-only backing store for the `i8` intermediates of a forward pass:
-/// one call hands out disjoint slices of the sizes asked for, each starting
-/// on a 64-byte cache line, and a store that has served a shape once serves
-/// it again without allocating.
+/// Grow-only backing store of plain integers (`i8`, `u8`, `i32`): one call
+/// hands out disjoint slices of the sizes asked for, each starting on a
+/// 64-byte cache line, and a store that has served a shape once serves it
+/// again without allocating.
 #[derive(Debug, Default)]
-pub struct ByteArena {
-    bytes: Vec<i8>,
+pub struct LineArena<T> {
+    items: Vec<T>,
 }
 
-impl ByteArena {
-    /// `N` disjoint mutable slices of the given lengths, each 64-byte
-    /// aligned. Their contents are whatever an earlier use left there —
-    /// callers overwrite before they read.
-    pub fn slices<const N: usize>(&mut self, sizes: [usize; N]) -> [&mut [i8]; N] {
-        let lines: usize = sizes.iter().map(|len| len.next_multiple_of(LINE)).sum();
+/// The arena of the `i8` intermediates of a forward pass.
+pub type ByteArena = LineArena<i8>;
+
+impl<T: Copy + Default> LineArena<T> {
+    /// Elements of one cache line.
+    const PER_LINE: usize = LINE / std::mem::size_of::<T>();
+
+    /// `N` disjoint mutable slices of the given lengths (in elements), each
+    /// 64-byte aligned. Their contents are whatever an earlier use left
+    /// there — callers overwrite before they read.
+    pub fn slices<const N: usize>(&mut self, sizes: [usize; N]) -> [&mut [T]; N] {
+        let per_line = Self::PER_LINE;
+        let lines: usize = sizes.iter().map(|len| len.next_multiple_of(per_line)).sum();
         // One line of slack: the backing need not start on a line.
-        let need = lines + LINE - 1;
-        if self.bytes.len() < need {
-            self.bytes.resize(need, 0);
+        let need = lines + per_line - 1;
+        if self.items.len() < need {
+            self.items.resize(need, T::default());
         }
-        let skew = self.bytes.as_ptr().addr().wrapping_neg() % LINE;
-        let mut rest = &mut self.bytes[skew..];
+        // An element is as aligned as it is long, so the distance to the
+        // next line is a whole number of elements.
+        let skew = self.items.as_ptr().addr().wrapping_neg() % LINE / std::mem::size_of::<T>();
+        let mut rest = &mut self.items[skew..];
         sizes.map(|len| {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(len.next_multiple_of(LINE));
+            let (head, tail) =
+                std::mem::take(&mut rest).split_at_mut(len.next_multiple_of(per_line));
             rest = tail;
             &mut head[..len]
         })
@@ -1516,6 +1559,15 @@ mod tests {
             b.fill(2);
             c.fill(3);
             assert!(a.iter().all(|&v| v == 1) && b.iter().all(|&v| v == 2));
+        }
+        // Wider elements: sizes count elements, lines stay 64 bytes.
+        let mut words = LineArena::<i32>::default();
+        for sizes in [[1usize, 15, 17], [0, 3, 1024], [16, 1, 0]] {
+            let slices = words.slices(sizes);
+            for (slice, len) in slices.iter().zip(sizes) {
+                assert_eq!(slice.len(), len);
+                assert_eq!(slice.as_ptr().addr() % LINE, 0, "sizes {sizes:?}");
+            }
         }
     }
 

@@ -15,10 +15,18 @@
 //! rows turns on: `|acc + bias|` at its saturation start `x_lim` and one
 //! either side, and `acc + bias` outside `i32`, where a vector leaves the
 //! `i32` lanes.
+//!
+//! And attention, every row against the scalar row byte for byte: `seq`
+//! around the AMX driver's 16-row halves, 32-row blocks and 64-key steps,
+//! `head_dim` around its 16-column tiles and 64-step scores, the head the
+//! middle window of a three-head matrix (so in-place `Q` tiles read the
+//! next head's bytes, and the output beside the head must keep its
+//! sentinels), all −128 `Q` / `K` against −128 and +127 `V`, and a one-hot
+//! softmax whose probability 255 is −1 to a signed `A` operand.
 
 use fqbert_tensor::gemm::{
-    gemm_i8_i32, gemm_i8_requant_into, kernels, GemmScratch, PackedWeights, RequantEpilogue,
-    RequantParams,
+    gemm_i8_i32, gemm_i8_requant_into, kernels, AttentionScratch, GemmScratch, PackedWeights,
+    RequantEpilogue, RequantParams, SoftmaxParams, StridedView,
 };
 use fqbert_tensor::IntTensor;
 use proptest::prelude::*;
@@ -177,4 +185,103 @@ fn the_saturation_start_is_the_first_saturating_magnitude() {
     assert_eq!(epilogue(1 << 30, 0, 127).saturates_from(), 1);
     // Out of the SIMD envelope nothing but the scalar row reads it.
     assert_eq!(epilogue(-1, 30, 127).saturates_from(), u32::MAX);
+}
+
+#[test]
+fn every_row_attends_like_the_scalar_row_at_the_amx_block_edges() {
+    const HEADS: usize = 3;
+    const SENTINEL: i8 = 99;
+    // Scores of random codes land around ±127 after `/ 2^9`; a context
+    // accumulator (`|Σ p·v| ≤ 255 · 128`) after `/ 2^8`.
+    let score_params = RequantParams {
+        multiplier: 1 << 30,
+        shift: 39,
+        clamp: 127,
+    };
+    let context_params = RequantParams {
+        multiplier: 1 << 30,
+        shift: 38,
+        clamp: 127,
+    };
+    let exponential = std::array::from_fn(|d| (255.0 * (-(d as f64) / 8.0).exp()).round() as u8);
+    let exponential = SoftmaxParams::new(exponential, 255).expect("softmax");
+    // The row maximum takes everything: 255 where it is unique.
+    let mut one_hot = [0u8; 256];
+    one_hot[0] = 255;
+    let one_hot = SoftmaxParams::new(one_hot, 255).expect("softmax");
+    let mut scratch = AttentionScratch::default();
+    for seq in [1usize, 15, 16, 17, 31, 32, 33, 63, 64, 65, 128, 129] {
+        for head_dim in [1usize, 15, 16, 17, 33, 63, 64, 65, 128] {
+            let width = HEADS * head_dim;
+            let head = head_dim..2 * head_dim;
+            let random =
+                |salt| -> Vec<i8> { (0..seq * width).map(|i| pseudo(i, salt) as i8).collect() };
+            // The middle head at `code`, the others random.
+            let with_head = |code: i8, salt| {
+                let mut m = random(salt);
+                for row in m.chunks_exact_mut(width) {
+                    row[head.clone()].fill(code);
+                }
+                m
+            };
+            let cases = [
+                ("random", random(1), random(2), random(3), &exponential),
+                (
+                    "-128 by -128",
+                    with_head(-128, 1),
+                    with_head(-128, 2),
+                    with_head(-128, 3),
+                    &exponential,
+                ),
+                (
+                    "-128 by +127",
+                    with_head(-128, 1),
+                    with_head(-128, 2),
+                    with_head(127, 3),
+                    &exponential,
+                ),
+                (
+                    "one-hot by -128",
+                    random(1),
+                    random(2),
+                    with_head(-128, 3),
+                    &one_hot,
+                ),
+                ("one-hot", random(1), random(2), random(3), &one_hot),
+            ];
+            for (what, q, k, v, softmax) in cases {
+                let shape = format!("{what} at seq {seq}, head_dim {head_dim}");
+                let view = |m| StridedView::new(m, width, 0..seq, head.clone()).expect("head");
+                let mut attend = |kind| {
+                    kernels::force(kind);
+                    let mut out = vec![SENTINEL; seq * width];
+                    scratch
+                        .attend_head(
+                            view(&q),
+                            view(&k),
+                            view(&v),
+                            score_params,
+                            context_params,
+                            softmax,
+                            &mut out[head.start..],
+                            width,
+                        )
+                        .expect("attend");
+                    out
+                };
+                let reference = attend(kernels::KernelKind::Scalar);
+                for (i, &code) in reference.iter().enumerate() {
+                    let inside = head.contains(&(i % width));
+                    assert!(
+                        inside || code == SENTINEL,
+                        "{shape}: wrote beside the head at {i}"
+                    );
+                }
+                for kind in kernels::available() {
+                    assert!(attend(kind) == reference, "{shape} on {}", kind.name());
+                }
+            }
+        }
+    }
+    kernels::force(kernels::best_available());
 }
