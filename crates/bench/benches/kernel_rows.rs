@@ -9,7 +9,8 @@
 //! row's speedup over scalar and `w4_over_w8` (w8 ns / w4 ns within one
 //! row — the CPU counterpart of a BIM fitting two 8b×4b products in one
 //! 8b×8b slot), then one table of `Add & LN` nanoseconds per 256- and
-//! 768-wide row at calibrated parameters, one of softmax nanoseconds per
+//! 768-wide row at calibrated parameters, one of byte-table (GELU)
+//! nanoseconds per 128 × 1024 block, one of softmax nanoseconds per
 //! 128- and 512-wide row and one of attention nanoseconds per head
 //! (`attend_head`) at 16, 32 and 128 tokens of 64 head dimensions. Run with
 //! `cargo bench -p fqbert-bench --bench kernel_rows`.
@@ -156,11 +157,10 @@ fn time_projection_into(rows: usize, inf: usize, outf: usize) -> Vec<f64> {
 fn time_add_norm(hidden: usize) -> Vec<f64> {
     const ROWS: usize = 128;
     let one = 1i32 << ADD_NORM_FRAC_BITS;
-    let table = |step: i32| Box::new(std::array::from_fn(|i| (i as i32 - 128) * step));
     let param = |i: usize, salt: usize| ((i * 37 + salt) % 256) as i32 - 128;
     let params = AddNormParams::new(
-        table(one / 20),
-        table(one / 30),
+        one / 20,
+        one / 30,
         (0..hidden).map(|i| param(i, 3) * (one / 64)).collect(),
         (0..hidden).map(|i| param(i, 101) * (one / 64)).collect(),
         1,
@@ -196,6 +196,36 @@ fn time_add_norm(hidden: usize) -> Vec<f64> {
                 kind.name()
             );
             time_ns(|| add_norm(&params, &mut sums, black_box(&a), &b, &mut out)) / ROWS as f64
+        })
+        .collect()
+}
+
+/// Nanoseconds per `rows × cols` block of each available row's byte-table
+/// lookup (the GELU pass over an FFN1 output), checked against the scalar
+/// row first: a table that is no simple function of its index, every code
+/// in the block.
+fn time_table(rows: usize, cols: usize) -> Vec<f64> {
+    let table: [i8; 256] = std::array::from_fn(|i| ((i * 167 + 91) % 256) as u8 as i8);
+    let codes: Vec<i8> = (0..rows * cols)
+        .map(|i| ((i * 2_654_435_761) >> 9) as i8)
+        .collect();
+    let mut reference = codes.clone();
+    (kernels::dispatch_for(KernelKind::Scalar).table)(&table, &mut reference);
+    kernels::available()
+        .into_iter()
+        .map(|kind| {
+            let lookup = kernels::dispatch_for(kind).table;
+            let mut block = codes.clone();
+            lookup(&table, &mut block);
+            assert_eq!(
+                block,
+                reference,
+                "the table lookup must stay bit-identical on {}",
+                kind.name()
+            );
+            // In place: every timed call maps the block through the table
+            // once more, which costs what the first call did.
+            time_ns(|| lookup(&table, black_box(&mut block)))
         })
         .collect()
 }
@@ -384,6 +414,11 @@ fn main() {
         "kernel_rows Add & LN, ns per row:",
         ["ln256_ns", "ln768_ns"],
         [time_add_norm(256), time_add_norm(768)],
+    );
+    print_row_table(
+        "kernel_rows table lookup (GELU), ns per 128 x 1024 block:",
+        ["table_128x1024_ns"],
+        [time_table(128, 1024)],
     );
     print_row_table(
         "kernel_rows softmax, ns per row:",

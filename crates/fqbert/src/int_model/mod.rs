@@ -35,9 +35,14 @@
 //!   [`fqbert_quant::QuantizedLayerNorm`] was folded into at assembly: raw
 //!   Q16 integers handed, like a GEMM's requantizer, to the `add_norm`
 //!   entry of the selected kernel row (`fqbert_tensor::gemm::kernels` —
-//!   eight elements per step on AVX2, bit-identical to the scalar row);
+//!   eight elements per step on AVX2, stages 1 and 2 as one pass of integer
+//!   code moments on AVX-512, bit-identical to the scalar row);
 //! * GELU uses a 256-entry int8→int8 lookup table (the paper fuses it with
-//!   FFN1; a table is the standard HLS realisation).
+//!   FFN1; a table is the standard HLS realisation), applied in place over
+//!   FFN1's output by the `table` entry of the selected kernel row — 64
+//!   codes per two `vpermi2b` on AVX-512, bit-identical to the scalar row's
+//!   byte loop. (Fusing it into FFN1's requantize was measured slower than
+//!   the two passes.)
 //!
 //! The engine is the functional reference executed by the accelerator
 //! simulator in `fqbert-accel`.

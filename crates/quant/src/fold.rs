@@ -249,24 +249,17 @@ impl QuantizedLayerNorm {
                 return Err(QuantError::InvalidScale(s));
             }
         }
-        // An operand code takes 256 values, so its dequantized value on the
-        // internal grid is tabulated instead of multiplied out per element.
-        let dequantized = |scale: f32| -> Box<[i32; 256]> {
-            let inv = Fixed::from_f32(1.0 / scale, INTERNAL_FRAC_BITS);
-            let mut code = i32::from(i8::MIN);
-            Box::new([(); 256].map(|()| {
-                let value = Fixed::from_raw(code, 0)
-                    .rescale(INTERNAL_FRAC_BITS)
-                    .mul(inv);
-                code += 1;
-                value.raw()
-            }))
-        };
+        // An operand code dequantizes to `code · (1 / scale)` on the
+        // internal grid: `Fixed::from_raw(code, 0).rescale(Q).mul(inv)`
+        // shifts the code up by `Q` bits and the product back down by as
+        // many, dropping no bit, so it is `code.saturating_mul(inv.raw())` —
+        // one grid step per operand is the whole dequantization.
+        let step = |scale: f32| Fixed::from_f32(1.0 / scale, INTERNAL_FRAC_BITS).raw();
         // At least one step of the grid, so `var + eps` is positive.
         let eps = self.eps.max(1.0 / (1 << INTERNAL_FRAC_BITS) as f32);
         let params = AddNormParams::new(
-            dequantized(scale_a),
-            dequantized(scale_b),
+            step(scale_a),
+            step(scale_b),
             to_internal(&self.gamma),
             to_internal(&self.beta),
             Fixed::from_f32(eps, INTERNAL_FRAC_BITS).raw(),
@@ -301,5 +294,88 @@ impl QuantizedLayerNorm {
         let hidden = folded.check_rows(&out, a, b)?;
         scalar::add_norm_rows(&folded.params, &mut vec![0; hidden], a, b, &mut out);
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The operand table `fold` used to build: every code multiplied out
+    /// through [`Fixed`].
+    fn table(scale: f32) -> [i32; 256] {
+        let inv = Fixed::from_f32(1.0 / scale, INTERNAL_FRAC_BITS);
+        std::array::from_fn(|i| {
+            let code = i as i32 - 128;
+            Fixed::from_raw(code, 0)
+                .rescale(INTERNAL_FRAC_BITS)
+                .mul(inv)
+                .raw()
+        })
+    }
+
+    /// Operand scales from 1e-3 to 1e3 levels per unit, eight per decade;
+    /// below about 0.0039 a step is past `2³¹ / 128` and `±128 · step`
+    /// saturates.
+    fn scales() -> impl Iterator<Item = f32> {
+        (-24..=24).map(|e| 10f32.powf(e as f32 / 8.0))
+    }
+
+    #[test]
+    fn an_operand_table_is_its_code_times_one_step() {
+        let mut saturated = 0;
+        for scale in scales() {
+            let step = Fixed::from_f32(1.0 / scale, INTERNAL_FRAC_BITS).raw();
+            for (i, &value) in table(scale).iter().enumerate() {
+                let code = i as i32 - 128;
+                assert_eq!(
+                    value,
+                    code.saturating_mul(step),
+                    "scale {scale}, code {code}"
+                );
+            }
+            saturated += usize::from(step.checked_mul(-128).is_none());
+        }
+        assert!(saturated > 0, "the sweep must reach saturating steps");
+    }
+
+    /// The SIMD envelope `AddNormParams::new` computes from two steps is the
+    /// one the two tables gave: `S = max |table_a| + max |table_b|`, inside
+    /// when `2·S ≤ i32::MAX` and `hidden · (2·S)² ≤ i64::MAX`.
+    #[test]
+    fn the_envelope_from_steps_is_the_envelope_from_tables() {
+        let ln = |hidden: usize| {
+            QuantizedLayerNorm::from_codes(vec![32; hidden], vec![0; hidden], 1e-5).expect("ln")
+        };
+        let reach = |scale: f32| {
+            let max = table(scale).iter().map(|v| v.unsigned_abs()).max();
+            u128::from(max.expect("256 entries"))
+        };
+        let (mut inside, mut outside) = (0, 0);
+        for hidden in [1usize, 256, 768, 4096] {
+            let ln = ln(hidden);
+            for scale_a in scales() {
+                for scale_b in scales().step_by(5) {
+                    let spread = 2 * (reach(scale_a) + reach(scale_b));
+                    let from_tables = spread <= i32::MAX as u128
+                        && spread.pow(2) * hidden as u128 <= i64::MAX as u128;
+                    let folded = ln.fold(scale_a, scale_b, 25.0).expect("fold");
+                    assert_eq!(
+                        folded.params.simd_exact(),
+                        from_tables,
+                        "scales {scale_a}, {scale_b} at hidden {hidden}"
+                    );
+                    if from_tables {
+                        inside += 1;
+                    } else {
+                        outside += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            inside > 0 && outside > 0,
+            "{inside} inside, {outside} outside"
+        );
     }
 }

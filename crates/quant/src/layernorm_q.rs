@@ -12,11 +12,15 @@
 //! [`AddLayerNorm`] is that block with its three scales folded in: plain
 //! Q16 integers ([`AddNormParams`] — the accelerator's parameter buffer)
 //! handed, like every GEMM stage's parameters, to a kernel row of
-//! `fqbert_tensor::gemm::kernels`. The arithmetic of the three stages lives
-//! there and nowhere else: the scalar row
-//! (`kernels::scalar::add_norm_rows`, with the Newton–Raphson inverse
-//! square root beside it) is the reference, the SIMD rows are bit-identical
-//! to it inside [`AddNormParams::simd_exact`].
+//! `fqbert_tensor::gemm::kernels`. An operand code dequantizes to the code
+//! times one grid step per operand, so stage 1 is `a · step_a + b · step_b`
+//! and, inside the SIMD envelope, the row's mean and variance are exact
+//! integer functions of the code moments `Σa`, `Σb`, `Σa²`, `Σab`, `Σb²` —
+//! which is how the `avx512` row runs stages 1 and 2 as one pass. The
+//! arithmetic of the three stages lives in the kernel rows and nowhere
+//! else: the scalar row (`kernels::scalar::add_norm_rows`, with the
+//! Newton–Raphson inverse square root beside it) is the reference, the
+//! SIMD rows are bit-identical to it inside [`AddNormParams::simd_exact`].
 //!
 //! Integer side of the crate (see the crate docs): this file holds the
 //! folded block and its dispatching [`AddLayerNorm::apply`]; the stored
@@ -33,8 +37,8 @@ pub(crate) const INTERNAL_FRAC_BITS: u32 = ADD_NORM_FRAC_BITS;
 
 /// One `Add & LN` block with its three scales folded in: what
 /// [`crate::QuantizedLayerNorm::fold`] makes, once, of the layer-norm
-/// parameters, the scales of the two operands and the output scale — two
-/// 256-entry tables of dequantized operand values, `gamma` / `beta`, the
+/// parameters, the scales of the two operands and the output scale — the
+/// grid step of each operand's code (`1 / scale`), `gamma` / `beta`, the
 /// epsilon and the output scale, all raw integers on the Q16 grid. It is
 /// applied any number of times and holds no state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -195,7 +199,7 @@ mod tests {
 
     /// The pipeline as first written: one row, every stage multiplied out
     /// through [`Fixed`] into per-stage vectors. Kept as the oracle for the
-    /// folded, tabulated, allocation-free kernels — it shares no arithmetic
+    /// folded, allocation-free kernels — it shares no arithmetic
     /// with them but the Newton iteration. The variance sum is `i128`: at
     /// operand scales far below 1 it does not fit `i64`.
     fn reference_residual(

@@ -13,15 +13,16 @@
 //! kernels over panels that already exist, so every row reads the one
 //! layout.
 //!
-//! A row also carries the three element-wise stages that run on the tiles'
+//! A row also carries the four element-wise stages that run on the tiles'
 //! output: the requantize epilogue, `Add & LN` ([`AddNormKernel`], the
-//! accelerator's 3-stage LN pipeline) and the softmax row
-//! ([`SoftmaxKernel`], its LUT Softmax Core). The first two are
-//! bit-identical to their scalar reference inside an envelope computed from
-//! the parameters ([`super::RequantParams::simd_exact`],
-//! [`AddNormParams::simd_exact`]); parameters outside it never reach a SIMD
-//! row. The softmax has no envelope: every row is exact for every
-//! [`SoftmaxParams`].
+//! accelerator's 3-stage LN pipeline), the softmax row ([`SoftmaxKernel`],
+//! its LUT Softmax Core) and a 256-entry byte table applied in place
+//! ([`TableKernel`], GELU). The first two are bit-identical to their scalar
+//! reference inside an envelope computed from the parameters
+//! ([`super::RequantParams::simd_exact`], [`AddNormParams::simd_exact`]);
+//! parameters outside it never reach a SIMD row. The softmax and the table
+//! have no envelope: every row is exact for every [`SoftmaxParams`] and
+//! every table.
 //!
 //! # Selection
 //!
@@ -53,20 +54,20 @@
 //!
 //! # Adding a kernel
 //!
-//! A row has five entries: the two tile functions (`wide` for `i16`
+//! A row has six entries: the two tile functions (`wide` for `i16`
 //! panels, `nibble` for biased-nibble int4 panels), the `requant` epilogue,
-//! `add_norm` and `softmax`. Implement the tiles; any entry may be borrowed
-//! from another row:
+//! `add_norm`, `softmax` and `table`. Implement the tiles; any entry may be
+//! borrowed from another row:
 //!
-//! | row | `wide` | `nibble` | `requant` | `add_norm` | `softmax` | projections / attention |
-//! |---|---|---|---|---|---|---|
-//! | `scalar` | own | own | own | own | own | tiles / tiles |
-//! | `sse2` | own | own | own | `scalar` | `scalar` | tiles / tiles |
-//! | `avx2` | own | own | own | own | own | tiles / tiles |
-//! | `vnni` | own | own | `avx2` | `avx2` | `avx2` | tiles / tiles |
-//! | `avx512` | own | own | own | `avx2` | own | tiles / tiles |
-//! | `amx` | `avx512` | `avx512` | `avx512` | `avx2` | `avx512` | AMX drivers |
-//! | `neon` | own | own | `scalar` | `scalar` | `scalar` | tiles / tiles |
+//! | row | `wide` | `nibble` | `requant` | `add_norm` | `softmax` | `table` | projections / attention |
+//! |---|---|---|---|---|---|---|---|
+//! | `scalar` | own | own | own | own | own | own | tiles / tiles |
+//! | `sse2` | own | own | own | `scalar` | `scalar` | `scalar` | tiles / tiles |
+//! | `avx2` | own | own | own | own | own | `scalar` | tiles / tiles |
+//! | `vnni` | own | own | `avx2` | `avx2` | `avx2` | `scalar` | tiles / tiles |
+//! | `avx512` | own | own | own | own | own | own | tiles / tiles |
+//! | `amx` | `avx512` | `avx512` | `avx512` | `avx512` | `avx512` | `avx512` | AMX drivers |
+//! | `neon` | own | own | `scalar` | `scalar` | `scalar` | `scalar` | tiles / tiles |
 //!
 //! The last column is not an entry: `gemm_drive` runs a projection on the
 //! row's `wide` / `nibble` tiles and `attend_head` both attention products
@@ -77,7 +78,8 @@
 //! entries now serve no product: they are the `avx512` row's, kept only
 //! because every row has the two slots. Its `requant` and `softmax`
 //! entries run inside both drivers' blocks. The `avx512` and `amx` rows
-//! share one requantize, on `i32` lanes.
+//! share one requantize, on `i32` lanes, one `Add & LN` (stages 1 and 2 as
+//! one pass of integer moments) and one `vpermi2b` table lookup.
 //!
 //! Add a [`KernelKind`] variant **at its place in the preference order** —
 //! the enum and [`KernelKind::ALL`] list the kinds in the same, ascending
@@ -98,7 +100,11 @@
 //! tail shorter than a vector, and the empty row, included), write every
 //! slot of its output and nothing else, and panic on mismatched lengths;
 //! `tests/softmax_kernels.rs` drives every available row through every
-//! length around its vector boundaries.
+//! length around its vector boundaries. A `table` entry must equal
+//! [`scalar::table_row`] byte for byte on every table and every run of
+//! codes (the empty one included) and write nothing outside that run;
+//! `tests/table_kernels.rs` drives every available row through every
+//! length up to 130 at odd offsets, with sentinels on both sides.
 //!
 //! `unsafe` is allowed only inside `gemm/kernels/*` (fqlint R5
 //! `unsafe-outside-kernels`), and every unsafe item there must carry a
@@ -153,6 +159,12 @@ pub type AddNormKernel = fn(&AddNormParams, &mut [i32], &[i8], &[i8], &mut [i8])
 /// [`super::MAX_ATTN_SEQ`]; an empty row is a no-op. Panics if `scores`
 /// and `out` differ in length or exceed that bound.
 pub type SoftmaxKernel = fn(&SoftmaxParams, &[i8], &mut [u8]);
+
+/// A 256-entry byte table applied in place, `kernel(table, codes)`: every
+/// `codes[j]` becomes `table[codes[j] + 128]` — GELU's lookup table. Every
+/// implementation is bit-identical to [`scalar::table_row`] for every table
+/// and every length, and touches no byte outside `codes`.
+pub type TableKernel = fn(&[i8; 256], &mut [i8]);
 
 /// The instruction-set families a micro-kernel can target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -289,6 +301,8 @@ pub struct KernelDispatch {
     pub add_norm: AddNormKernel,
     /// Softmax kernel over one row of scores.
     pub softmax: SoftmaxKernel,
+    /// Byte-table lookup over a run of codes, in place.
+    pub table: TableKernel,
 }
 
 static SCALAR: KernelDispatch = KernelDispatch {
@@ -299,11 +313,13 @@ static SCALAR: KernelDispatch = KernelDispatch {
     requant: scalar::requant_row,
     add_norm: scalar::add_norm_rows,
     softmax: scalar::softmax_row,
+    table: scalar::table_row,
 };
 
-// `Add & LN` leans on 64-bit signed multiplies and compares and on a
-// gather, the softmax row on a gather and a signed byte maximum, none of
-// which SSE2 has: the SSE2 row runs the scalar ones.
+// `Add & LN` leans on 32- and 64-bit signed multiplies and 64-bit
+// compares, the softmax row on a gather and a signed byte maximum and the
+// table lookup on a byte permute, none of which SSE2 has: the SSE2 row runs
+// the scalar ones.
 #[cfg(target_arch = "x86_64")]
 static SSE2: KernelDispatch = KernelDispatch {
     kind: KernelKind::Sse2,
@@ -313,6 +329,7 @@ static SSE2: KernelDispatch = KernelDispatch {
     requant: x86::requant_row_sse2,
     add_norm: scalar::add_norm_rows,
     softmax: scalar::softmax_row,
+    table: scalar::table_row,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -324,10 +341,12 @@ static AVX2: KernelDispatch = KernelDispatch {
     requant: x86::requant_row_avx2,
     add_norm: x86::add_norm_rows_avx2,
     softmax: x86::softmax_row_avx2,
+    table: scalar::table_row,
 };
 
 // VNNI changes the two products only: the requantize epilogue, `Add & LN`
-// and the softmax row run on the AVX2 kernels.
+// and the softmax row run on the AVX2 kernels, the table lookup on the
+// scalar one.
 #[cfg(target_arch = "x86_64")]
 static VNNI: KernelDispatch = KernelDispatch {
     kind: KernelKind::Vnni,
@@ -337,10 +356,9 @@ static VNNI: KernelDispatch = KernelDispatch {
     requant: x86::requant_row_avx2,
     add_norm: x86::add_norm_rows_avx2,
     softmax: x86::softmax_row_avx2,
+    table: scalar::table_row,
 };
 
-// `Add & LN` is gathers and one inverse square root per row, neither of
-// which doubles with the register width: the AVX-512 row runs the AVX2 one.
 #[cfg(target_arch = "x86_64")]
 static AVX512: KernelDispatch = KernelDispatch {
     kind: KernelKind::Avx512,
@@ -348,15 +366,16 @@ static AVX512: KernelDispatch = KernelDispatch {
     wide: x86::tile_wide_avx512,
     nibble: x86::tile_nibble_avx512,
     requant: x86::requant_row_avx512,
-    add_norm: x86::add_norm_rows_avx2,
+    add_norm: x86::add_norm_rows_avx512,
     softmax: x86::softmax_row_avx512,
+    table: x86::table_row_avx512,
 };
 
 // AMX changes the products only, and those do not go through a tile entry:
 // `gemm_drive` hands a projection to `x86::amx::drive` whole and
 // `attend_head` a head to `x86::amx::attend`. The tile entries serve no
-// product; the requantize epilogue, `Add & LN` and the softmax row are the
-// AVX-512 row's.
+// product; the requantize epilogue, `Add & LN`, the softmax row and the
+// table lookup are the AVX-512 row's.
 #[cfg(target_arch = "x86_64")]
 static AMX: KernelDispatch = KernelDispatch {
     kind: KernelKind::Amx,
@@ -364,8 +383,8 @@ static AMX: KernelDispatch = KernelDispatch {
     ..AVX512
 };
 
-// The NEON row reuses the scalar requant epilogue, `Add & LN` and softmax
-// row: the aarch64 SIMD variants have not been written yet.
+// The NEON row reuses the scalar requant epilogue, `Add & LN`, softmax row
+// and table lookup: the aarch64 SIMD variants have not been written yet.
 #[cfg(target_arch = "aarch64")]
 static NEON: KernelDispatch = KernelDispatch {
     kind: KernelKind::Neon,
@@ -375,6 +394,7 @@ static NEON: KernelDispatch = KernelDispatch {
     requant: scalar::requant_row,
     add_norm: scalar::add_norm_rows,
     softmax: scalar::softmax_row,
+    table: scalar::table_row,
 };
 
 /// The dispatch table row for `kind`. Kinds not compiled for this target

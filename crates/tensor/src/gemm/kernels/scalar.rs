@@ -15,14 +15,17 @@
 //! [`add_norm_rows`] is the `Add & LN` reference: the accelerator's 3-stage
 //! LN pipeline over raw Q16 integers, exact for every [`AddNormParams`].
 //! Its per-element pieces are what a SIMD row finishes a row's tail with,
-//! and [`inv_sqrt_fixed`] is the one Newton inverse square root of the
-//! workspace.
+//! [`RowMoments`] is the exact algebra that turns one pass of integer
+//! moments into the reference's mean and variance, and [`inv_sqrt_fixed`]
+//! is the one Newton inverse square root of the workspace.
 //!
 //! [`softmax_row`] is the softmax reference: the row maximum, one table
 //! pass for the numerators and their sum, one [`RowReciprocal`] and a
 //! multiply-shift per element. A SIMD row evaluates the same integer
 //! expressions in its lanes, so it is bit-identical for every
 //! [`SoftmaxParams`] and needs no envelope.
+//!
+//! [`table_row`] is the byte-table reference (GELU): one lookup per code.
 
 use crate::gemm::{
     AccTile, AddNormParams, RequantEpilogue, SoftmaxParams, ADD_NORM_FRAC_BITS, MAX_ATTN_SEQ, NR,
@@ -204,10 +207,66 @@ pub(super) fn add_norm_hidden(
     hidden
 }
 
-/// Stage 1, one element: the sum of the two dequantized operands.
+/// Stage 1, one element: the sum of the two dequantized operands, each
+/// its code times its step.
 pub(super) fn add_norm_sum(params: &AddNormParams, a: i8, b: i8) -> i32 {
-    let at = |code: i8| usize::from(code.cast_unsigned() ^ 0x80);
-    params.values_a[at(a)].saturating_add(params.values_b[at(b)])
+    let value = |code: i8, step: i32| i32::from(code).saturating_mul(step);
+    value(a, params.step_a).saturating_add(value(b, params.step_b))
+}
+
+/// Stages 1 and 2 of one row as integer moments: the sums `Σa`, `Σb`,
+/// `Σa²`, `Σab`, `Σb²` over the row's two code rows, and the largest and
+/// smallest element of its sum row `s = a · step_a + b · step_b`. Every
+/// field is an exact integer, so a pass may accumulate them in any order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct RowMoments {
+    pub(super) sum_a: i64,
+    pub(super) sum_b: i64,
+    pub(super) sum_aa: i64,
+    pub(super) sum_ab: i64,
+    pub(super) sum_bb: i64,
+    pub(super) s_max: i32,
+    pub(super) s_min: i32,
+}
+
+/// What stage 3 needs of a row: the reference's mean, its inverse
+/// deviation and `max |s − mean|` — the bound that decides whether a SIMD
+/// row's stage-3 lanes can saturate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct RowStats {
+    pub(super) mean: i32,
+    pub(super) inv_std: i32,
+    pub(super) max_c: i64,
+}
+
+impl RowMoments {
+    /// The row's statistics, exactly as [`add_norm_rows`] computes them,
+    /// for a block inside [`AddNormParams::simd_exact`] — there no operand,
+    /// sum or deviation saturates, so `Σs = step_a·Σa + step_b·Σb`, the
+    /// mean is the reference's truncating division of it, and
+    /// `Σ(s − mean)² = Σs² − 2·mean·Σs + n·mean²` with `Σs²` expanded over
+    /// the three code moments. With `|step| < 2³¹` and `|Σab| < 2³⁵` at
+    /// [`crate::gemm::MAX_ADD_NORM_HIDDEN`] every term is below `2¹⁰⁰`, far
+    /// inside `i128`.
+    pub(super) fn stats(&self, params: &AddNormParams, hidden: usize) -> RowStats {
+        let n = hidden as i128;
+        let (step_a, step_b) = (i128::from(params.step_a), i128::from(params.step_b));
+        let total = step_a * i128::from(self.sum_a) + step_b * i128::from(self.sum_b);
+        let mean = total / n;
+        let squares_of_sums = step_a * step_a * i128::from(self.sum_aa)
+            + 2 * step_a * step_b * i128::from(self.sum_ab)
+            + step_b * step_b * i128::from(self.sum_bb);
+        let squares = squares_of_sums - 2 * mean * total + n * mean * mean;
+        let reach = (i128::from(self.s_max) - mean).max(mean - i128::from(self.s_min));
+        RowStats {
+            // fqlint::allow(narrowing-cast): the mean of `i32` values is
+            // itself in `i32` range.
+            mean: mean as i32,
+            inv_std: add_norm_inv_std(params, squares / n),
+            // Inside the envelope a deviation is at most `i32::MAX`.
+            max_c: i64::try_from(reach).unwrap_or(i64::MAX),
+        }
+    }
 }
 
 /// Between stages 2 and 3, once per row: `1/sqrt(var + eps)` from the mean
@@ -268,6 +327,15 @@ pub fn add_norm_rows(params: &AddNormParams, sums: &mut [i32], a: &[i8], b: &[i8
         for (code, (&c, (&gamma, &beta))) in out.iter_mut().zip(scaled) {
             *code = add_norm_code(c, inv_std, gamma, beta, params.out_scale);
         }
+    }
+}
+
+/// The byte-table reference (see [`super::TableKernel`]): every code
+/// becomes `table[code + 128]`. The index is a byte and the table has 256
+/// entries, so the lookup carries no bounds check.
+pub fn table_row(table: &[i8; 256], codes: &mut [i8]) {
+    for code in codes {
+        *code = table[usize::from(code.cast_unsigned() ^ 0x80)];
     }
 }
 
@@ -366,5 +434,104 @@ pub fn softmax_row(params: &SoftmaxParams, scores: &[i8], out: &mut [u8]) {
     let levels = u64::from(params.out_levels);
     for n in out.iter_mut() {
         *n = divide.rounded(u64::from(*n) * levels);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The moments of one row, summed element by element.
+    fn moments(params: &AddNormParams, a: &[i8], b: &[i8]) -> RowMoments {
+        let mut m = RowMoments {
+            sum_a: 0,
+            sum_b: 0,
+            sum_aa: 0,
+            sum_ab: 0,
+            sum_bb: 0,
+            s_max: i32::MIN,
+            s_min: i32::MAX,
+        };
+        for (&x, &y) in a.iter().zip(b) {
+            let (x, y) = (i64::from(x), i64::from(y));
+            m.sum_a += x;
+            m.sum_b += y;
+            m.sum_aa += x * x;
+            m.sum_ab += x * y;
+            m.sum_bb += y * y;
+        }
+        for (&x, &y) in a.iter().zip(b) {
+            let s = add_norm_sum(params, x, y);
+            m.s_max = m.s_max.max(s);
+            m.s_min = m.s_min.min(s);
+        }
+        m
+    }
+
+    /// The reference's own stages 1 and 2 on one row.
+    fn direct(params: &AddNormParams, a: &[i8], b: &[i8]) -> RowStats {
+        let n = a.len() as i64;
+        let sums: Vec<i32> = a
+            .iter()
+            .zip(b)
+            .map(|(&x, &y)| add_norm_sum(params, x, y))
+            .collect();
+        let mean = (sums.iter().map(|&s| i64::from(s)).sum::<i64>() / n) as i32;
+        let centred: Vec<i32> = sums.iter().map(|s| s.saturating_sub(mean)).collect();
+        let squares: i128 = centred.iter().map(|&c| i128::from(c) * i128::from(c)).sum();
+        RowStats {
+            mean,
+            inv_std: add_norm_inv_std(params, squares / i128::from(n)),
+            max_c: centred
+                .iter()
+                .map(|c| i64::from(c.unsigned_abs()))
+                .max()
+                .unwrap_or(0),
+        }
+    }
+
+    /// One pass of moments gives the reference's mean, inverse deviation
+    /// and `max |c|` on every row inside the envelope: rows whose mean is
+    /// far from zero (so `n · mean²` matters), rows whose widest deviation
+    /// is below the mean (so `s_min` matters), constant rows, and steps of
+    /// both signs up to the envelope's edge.
+    #[test]
+    fn one_pass_of_moments_gives_the_reference_statistics() {
+        let byte = |i: usize| (i.wrapping_mul(2_654_435_761) >> 13) as u8 as i8;
+        for hidden in [1usize, 2, 17, 256, 768] {
+            let rows: Vec<(Vec<i8>, Vec<i8>)> = vec![
+                (
+                    (0..hidden).map(byte).collect(),
+                    (0..hidden).map(|i| byte(i + 7)).collect(),
+                ),
+                (
+                    vec![100; hidden],
+                    (0..hidden).map(|i| byte(i) / 8 + 90).collect(),
+                ),
+                (
+                    (0..hidden)
+                        .map(|i| if i == 3 % hidden { -128 } else { 1 })
+                        .collect(),
+                    vec![0; hidden],
+                ),
+                (vec![-128; hidden], vec![127; hidden]),
+            ];
+            let edge = i32::try_from(((i64::MAX / hidden as i64) as f64).sqrt() as i64 / 1024)
+                .expect("step")
+                .min(i32::MAX / 1024);
+            for (step_a, step_b) in [(3277, 2185), (-5000, 700), (edge, -edge), (1, 0)] {
+                let params =
+                    AddNormParams::new(step_a, step_b, vec![1; hidden], vec![0; hidden], 1, 1)
+                        .expect("parameters");
+                assert!(params.simd_exact(), "steps {step_a}, {step_b} at {hidden}");
+                for (a, b) in &rows {
+                    assert_eq!(
+                        moments(&params, a, b).stats(&params, hidden),
+                        direct(&params, a, b),
+                        "steps {step_a}, {step_b} at {hidden}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -60,9 +60,9 @@
 //! column and runs `pmaddwd` against sign-extended activation pairs.
 //!
 //! `Add & LN` ([`add_norm_rows_avx2`]) is the accelerator's 3-stage LN
-//! pipeline eight elements at a time: stage 1 gathers both operands'
-//! dequantized values out of their 256-entry tables and adds them in `i32`
-//! lanes; stage 2 subtracts the mean and squares the deviations with
+//! pipeline eight elements at a time: stage 1 sign-extends both operands'
+//! codes, multiplies them by their grid steps (`vpmulld`) and adds them in
+//! `i32` lanes; stage 2 subtracts the mean and squares the deviations with
 //! `vpmuldq` over the even and the odd elements into `i64` lanes; the
 //! Newton inverse square root runs once per row in scalar code; stage 3 is
 //! three `vpmuldq` products, each rounded half away from zero to Q16, on
@@ -70,8 +70,20 @@
 //! reference saturates every product to `i32` and the lanes do not: a
 //! per-row bound (`stage3_fits`) shows no product of the row can, and a row
 //! that fails it — none with calibrated scales — runs stage 3 through the
-//! scalar element function. SSE2 has no signed 64-bit multiply, compare or
-//! gather, so that row runs the scalar one.
+//! scalar element function. SSE2 has no signed 32-bit multiply or 64-bit
+//! compare, so that row runs the scalar one.
+//!
+//! The AVX-512 `Add & LN` ([`add_norm_rows_avx512`], which the `amx` row
+//! shares) makes stages 1 and 2 one pass over the codes: per 32 codes of
+//! each operand, sign-extended to words, five `vpdpwssd` accumulate `Σa`,
+//! `Σb` (against ones), `Σa²`, `Σab` and `Σb²`, while `vpmulld` writes the
+//! sum row `s = a · step_a + b · step_b` and `vpmaxsd` / `vpminsd` track its
+//! extremes. The reference's mean, `Σ(s − mean)²` and `max |s − mean|`
+//! follow from those in exact `i128` algebra (`scalar::RowMoments`), so no
+//! pass re-reads the row for the variance. Stage 3 is the AVX2 row's three
+//! rounded products on eight `i64` lanes per `zmm`, rounding with the
+//! arithmetic `vpsraq` and narrowing with the saturating `vpmovsqb`, under a
+//! mask for the row's tail.
 //!
 //! The softmax rows ([`softmax_row_avx2`], [`softmax_row_avx512`]) are the
 //! scalar row's three passes on lanes: the signed byte maximum; the
@@ -81,7 +93,9 @@
 //! on the index's top bit — written to the output row and summed; and
 //! `(n · levels + denom/2) · m >> 48` in `u64` lanes over the even and the
 //! odd elements, the reference's own expression (`x · m < 2⁵⁶` fits a
-//! lane), so no envelope is needed.
+//! lane), so no envelope is needed. The AVX-512 table row
+//! ([`table_row_avx512`], GELU) is the same `vpermi2b` lookup over 64
+//! codes per step, indexed by `code ^ 0x80`.
 //!
 //! # Safety
 //!
@@ -93,11 +107,12 @@
 //! checks), and `_xgetbv` only after CPUID reports OSXSAVE; (b) unaligned
 //! SIMD loads/stores (and one unaligned 4-byte read per activation quad or
 //! pair) through raw pointers derived from fixed-size array references,
-//! in-bounds by construction — or, in `Add & LN`, the requantize epilogues
-//! and the softmax rows, from slices whose lengths the safe wrapper asserts
-//! or the loop bounds first, with AVX-512 tails read and written under a
-//! mask of the remaining elements (masked-off bytes are not accessed) — and
-//! gathers that index 256-entry tables with zero-extended bytes; and (c)
+//! in-bounds by construction — or, in `Add & LN`, the requantize epilogues,
+//! the softmax rows and the table lookup, from slices whose lengths the
+//! safe wrapper asserts or the loop bounds first, with AVX-512 tails read
+//! and written under a mask of the remaining elements (masked-off bytes are
+//! not accessed) — and the AVX2 softmax's gathers, which index a 256-entry
+//! table with zero-extended bytes; and (c)
 //! the AMX drivers' `asm!`: tile instructions, which run only between the
 //! `ldtilecfg` and the `tilerelease` of a guard that is created after an
 //! assertion that the `amx` row is available, whose loads read 16 rows of
@@ -115,37 +130,42 @@ use crate::gemm::{
     WIDE_A, WIDE_B,
 };
 use core::arch::x86_64::{
-    __m128i, __m256i, __m512i, __mmask16, __mmask64, __mmask8, _mm256_abs_epi32, _mm256_add_epi16,
-    _mm256_add_epi32, _mm256_add_epi64, _mm256_and_si256, _mm256_andnot_si256,
+    __m128i, __m256i, __m512i, __mmask16, __mmask32, __mmask64, __mmask8, _mm256_abs_epi32,
+    _mm256_add_epi16, _mm256_add_epi32, _mm256_add_epi64, _mm256_and_si256, _mm256_andnot_si256,
     _mm256_castsi256_si128, _mm256_cmpgt_epi32, _mm256_cmpgt_epi64, _mm256_cvtepi32_epi64,
-    _mm256_cvtepu8_epi32, _mm256_dpbusd_avx_epi32, _mm256_dpbusd_epi32, _mm256_dpwssd_avx_epi32,
-    _mm256_dpwssd_epi32, _mm256_extracti128_si256, _mm256_i32gather_epi32, _mm256_loadu_si256,
-    _mm256_madd_epi16, _mm256_maddubs_epi16, _mm256_maskz_loadu_epi32, _mm256_max_epi32,
-    _mm256_max_epi8, _mm256_max_epu32, _mm256_min_epi32, _mm256_mul_epi32, _mm256_mul_epu32,
-    _mm256_or_si256, _mm256_permute4x64_epi64, _mm256_set1_epi16, _mm256_set1_epi32,
-    _mm256_set1_epi64x, _mm256_set1_epi8, _mm256_setzero_si256, _mm256_shuffle_epi32,
-    _mm256_slli_epi64, _mm256_srai_epi32, _mm256_srl_epi64, _mm256_srli_epi16, _mm256_srli_epi64,
-    _mm256_storeu_si256, _mm256_sub_epi32, _mm256_sub_epi64, _mm256_unpacklo_epi64,
-    _mm256_xor_si256, _mm512_abs_epi32, _mm512_abs_epi64, _mm512_add_epi32, _mm512_add_epi64,
-    _mm512_and_si512, _mm512_castsi256_si512, _mm512_castsi512_si256, _mm512_cvtepi32_epi64,
-    _mm512_cvtepi32_epi8, _mm512_cvtepi64_epi8, _mm512_cvtepu8_epi32, _mm512_dpbusd_epi32,
-    _mm512_dpwssd_epi32, _mm512_extracti64x4_epi64, _mm512_inserti64x4, _mm512_loadu_si512,
-    _mm512_mask_blend_epi8, _mm512_mask_loadu_epi8, _mm512_mask_storeu_epi8, _mm512_mask_sub_epi32,
-    _mm512_mask_sub_epi64, _mm512_maskz_loadu_epi32, _mm512_maskz_loadu_epi8,
-    _mm512_maskz_mov_epi8, _mm512_max_epi8, _mm512_min_epu32, _mm512_min_epu64,
-    _mm512_movepi32_mask, _mm512_movepi64_mask, _mm512_movepi8_mask, _mm512_mul_epu32,
-    _mm512_mullo_epi64, _mm512_or_si512, _mm512_permutex2var_epi8, _mm512_reduce_add_epi64,
-    _mm512_sad_epu8, _mm512_set1_epi32, _mm512_set1_epi64, _mm512_set1_epi8, _mm512_setzero_si512,
-    _mm512_slli_epi64, _mm512_srl_epi64, _mm512_srli_epi16, _mm512_srli_epi64, _mm512_storeu_si512,
-    _mm512_sub_epi8, _mm512_xor_si512, _mm_add_epi32, _mm_add_epi64, _mm_and_si128,
-    _mm_andnot_si128, _mm_cmpgt_epi32, _mm_cmpgt_epi8, _mm_cvtsi128_si32, _mm_cvtsi128_si64,
-    _mm_cvtsi32_si128, _mm_loadl_epi64, _mm_loadu_si128, _mm_madd_epi16, _mm_mask_storeu_epi8,
-    _mm_maskz_loadu_epi8, _mm_max_epi8, _mm_mul_epu32, _mm_or_si128, _mm_packs_epi16,
-    _mm_packs_epi32, _mm_packus_epi16, _mm_packus_epi32, _mm_set1_epi32, _mm_set1_epi64x,
-    _mm_set1_epi8, _mm_setzero_si128, _mm_shuffle_epi32, _mm_slli_epi64, _mm_srai_epi32,
-    _mm_srl_epi64, _mm_srli_epi16, _mm_srli_epi64, _mm_srli_si128, _mm_storel_epi64,
-    _mm_storeu_si128, _mm_sub_epi64, _mm_sub_epi8, _mm_unpackhi_epi32, _mm_unpackhi_epi64,
-    _mm_unpackhi_epi8, _mm_unpacklo_epi32, _mm_unpacklo_epi64, _mm_unpacklo_epi8, _mm_xor_si128,
+    _mm256_cvtepi8_epi32, _mm256_cvtepu8_epi32, _mm256_dpbusd_avx_epi32, _mm256_dpbusd_epi32,
+    _mm256_dpwssd_avx_epi32, _mm256_dpwssd_epi32, _mm256_extracti128_si256, _mm256_i32gather_epi32,
+    _mm256_loadu_si256, _mm256_madd_epi16, _mm256_maddubs_epi16, _mm256_maskz_loadu_epi32,
+    _mm256_maskz_loadu_epi8, _mm256_max_epi32, _mm256_max_epi8, _mm256_max_epu32, _mm256_min_epi32,
+    _mm256_mul_epi32, _mm256_mul_epu32, _mm256_mullo_epi32, _mm256_or_si256,
+    _mm256_permute4x64_epi64, _mm256_set1_epi16, _mm256_set1_epi32, _mm256_set1_epi64x,
+    _mm256_set1_epi8, _mm256_setzero_si256, _mm256_shuffle_epi32, _mm256_slli_epi64,
+    _mm256_srai_epi32, _mm256_srl_epi64, _mm256_srli_epi16, _mm256_srli_epi64, _mm256_storeu_si256,
+    _mm256_sub_epi32, _mm256_sub_epi64, _mm256_unpacklo_epi64, _mm256_xor_si256, _mm512_abs_epi32,
+    _mm512_abs_epi64, _mm512_add_epi32, _mm512_add_epi64, _mm512_and_si512, _mm512_castsi256_si512,
+    _mm512_castsi512_si256, _mm512_cvtepi16_epi32, _mm512_cvtepi32_epi64, _mm512_cvtepi32_epi8,
+    _mm512_cvtepi64_epi8, _mm512_cvtepi8_epi16, _mm512_cvtepu8_epi32, _mm512_cvtsepi64_epi8,
+    _mm512_dpbusd_epi32, _mm512_dpwssd_epi32, _mm512_extracti64x4_epi64, _mm512_inserti64x4,
+    _mm512_loadu_si512, _mm512_mask_blend_epi8, _mm512_mask_loadu_epi8, _mm512_mask_max_epi32,
+    _mm512_mask_min_epi32, _mm512_mask_storeu_epi32, _mm512_mask_storeu_epi8,
+    _mm512_mask_sub_epi32, _mm512_mask_sub_epi64, _mm512_maskz_loadu_epi32,
+    _mm512_maskz_loadu_epi8, _mm512_maskz_mov_epi8, _mm512_max_epi8, _mm512_min_epu32,
+    _mm512_min_epu64, _mm512_movepi32_mask, _mm512_movepi64_mask, _mm512_movepi8_mask,
+    _mm512_mul_epi32, _mm512_mul_epu32, _mm512_mullo_epi32, _mm512_mullo_epi64, _mm512_or_si512,
+    _mm512_permutex2var_epi8, _mm512_reduce_add_epi64, _mm512_reduce_max_epi32,
+    _mm512_reduce_min_epi32, _mm512_sad_epu8, _mm512_set1_epi16, _mm512_set1_epi32,
+    _mm512_set1_epi64, _mm512_set1_epi8, _mm512_setzero_si512, _mm512_slli_epi64,
+    _mm512_srai_epi64, _mm512_srl_epi64, _mm512_srli_epi16, _mm512_srli_epi64, _mm512_storeu_si512,
+    _mm512_sub_epi64, _mm512_sub_epi8, _mm512_xor_si512, _mm_add_epi32, _mm_add_epi64,
+    _mm_and_si128, _mm_andnot_si128, _mm_cmpgt_epi32, _mm_cmpgt_epi8, _mm_cvtsi128_si32,
+    _mm_cvtsi128_si64, _mm_cvtsi32_si128, _mm_loadl_epi64, _mm_loadu_si128, _mm_madd_epi16,
+    _mm_mask_storeu_epi8, _mm_maskz_loadu_epi8, _mm_max_epi8, _mm_mul_epu32, _mm_or_si128,
+    _mm_packs_epi16, _mm_packs_epi32, _mm_packus_epi16, _mm_packus_epi32, _mm_set1_epi32,
+    _mm_set1_epi64x, _mm_set1_epi8, _mm_setzero_si128, _mm_shuffle_epi32, _mm_slli_epi64,
+    _mm_srai_epi32, _mm_srl_epi64, _mm_srli_epi16, _mm_srli_epi64, _mm_srli_si128,
+    _mm_storel_epi64, _mm_storeu_si128, _mm_sub_epi64, _mm_sub_epi8, _mm_unpackhi_epi32,
+    _mm_unpackhi_epi64, _mm_unpackhi_epi8, _mm_unpacklo_epi32, _mm_unpacklo_epi64,
+    _mm_unpacklo_epi8, _mm_xor_si128,
 };
 
 /// Row `r`'s activation pair `(a0, a1)` packed into one `i32` lane image:
@@ -1047,9 +1067,8 @@ unsafe fn add_norm_stage3_avx2(
 /// functions.
 // fqlint::allow(unsafe-outside-kernels): loads and stores touch eight
 // codes / sums at `i` with `i + 8 <= hidden`, and `a`, `b`, `out` and
-// `sums` are all `hidden` long (asserted by the wrapper); the gathers index
-// the 256-entry tables with zero-extended bytes; AVX2 guaranteed by the
-// wrapper's installation contract.
+// `sums` are all `hidden` long (asserted by the wrapper); AVX2 guaranteed
+// by the wrapper's installation contract.
 #[target_feature(enable = "avx2")]
 unsafe fn add_norm_row_avx2(
     params: &AddNormParams,
@@ -1063,19 +1082,14 @@ unsafe fn add_norm_row_avx2(
     let n = hidden as i64;
 
     // Stage 1: add the two operands and accumulate the mean.
-    let bias = _mm_set1_epi8(i8::MIN);
-    let operand = |codes: &[i8], values: &[i32; 256], i: usize| {
-        // `code + 128`, as the table index of each of eight codes.
-        let codes = _mm_xor_si128(_mm_loadl_epi64(codes.as_ptr().add(i).cast()), bias);
-        _mm256_i32gather_epi32::<4>(values.as_ptr(), _mm256_cvtepu8_epi32(codes))
+    let operand = |codes: &[i8], step: i32, i: usize| {
+        let codes = _mm256_cvtepi8_epi32(_mm_loadl_epi64(codes.as_ptr().add(i).cast()));
+        _mm256_mullo_epi32(codes, _mm256_set1_epi32(step))
     };
     let mut totals = _mm256_setzero_si256();
     let mut i = 0;
     while i + 8 <= hidden {
-        let sum = _mm256_add_epi32(
-            operand(a, &params.values_a, i),
-            operand(b, &params.values_b, i),
-        );
+        let sum = _mm256_add_epi32(operand(a, params.step_a, i), operand(b, params.step_b, i));
         _mm256_storeu_si256(sums.as_mut_ptr().add(i).cast(), sum);
         let low = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(sum));
         let high = _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(sum));
@@ -1130,6 +1144,196 @@ unsafe fn add_norm_row_avx2(
         .zip(params.gamma[done..].iter().zip(&params.beta[done..]));
     for (code, (&c, (&gamma, &beta))) in out[done..].iter_mut().zip(scaled) {
         *code = scalar::add_norm_code(c, inv_std, gamma, beta, params.out_scale);
+    }
+}
+
+/// AVX-512 `Add & LN` over whole matrices (see [`super::AddNormKernel`]),
+/// shared by the `avx512` and `amx` rows.
+///
+/// Same exactness contract as [`add_norm_rows_avx2`]: inside
+/// [`AddNormParams::simd_exact`] no operand, sum or deviation saturates, so
+/// the integer moments of a row's codes give the reference's mean and
+/// variance exactly ([`scalar::RowMoments::stats`]), and stage 3 runs on
+/// lanes wherever `stage3_fits` says none of its products can saturate.
+/// Must only be installed when `avx512_detected` holds.
+///
+/// # Panics
+///
+/// Panics unless `sums` is one row and `a`, `b`, `out` are equal numbers
+/// of whole rows.
+// fqlint::allow(unsafe-outside-kernels): designated kernel module; the
+// target-feature call is guarded by runtime detection of the whole AVX-512
+// feature set at dispatch installation, and the lengths its loads and
+// stores rely on are asserted by `add_norm_hidden` on the line before.
+pub fn add_norm_rows_avx512(
+    params: &AddNormParams,
+    sums: &mut [i32],
+    a: &[i8],
+    b: &[i8],
+    out: &mut [i8],
+) {
+    debug_assert!(params.simd_exact());
+    debug_assert!(avx512_detected());
+    let hidden = scalar::add_norm_hidden(params, sums, a, b, out);
+    let rows = a.chunks_exact(hidden).zip(b.chunks_exact(hidden));
+    for (out, (a, b)) in out.chunks_exact_mut(hidden).zip(rows) {
+        unsafe { add_norm_row_avx512(params, sums, a, b, out) }
+    }
+}
+
+/// The sum of sixteen `i32` lanes, in `i64`.
+#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl,avx512vnni,avx512vbmi")]
+fn hsum_epi32_wide(v: __m512i) -> i64 {
+    let low = _mm512_cvtepi32_epi64(_mm512_castsi512_si256(v));
+    let high = _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64::<1>(v));
+    _mm512_reduce_add_epi64(_mm512_add_epi64(low, high))
+}
+
+/// One row of [`add_norm_rows_avx512`]: the moment pass, the row's
+/// statistics, then stage 3 on lanes or, for a row whose bound fails,
+/// through the scalar element function.
+// fqlint::allow(unsafe-outside-kernels): `a`, `b`, `out` and `sums` are all
+// `hidden` long (asserted by the wrapper), which is what the two passes'
+// masked loads and stores rely on; the features are guaranteed by the
+// wrapper's installation contract.
+#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl,avx512vnni,avx512vbmi")]
+unsafe fn add_norm_row_avx512(
+    params: &AddNormParams,
+    sums: &mut [i32],
+    a: &[i8],
+    b: &[i8],
+    out: &mut [i8],
+) {
+    let hidden = sums.len();
+    debug_assert!(a.len() == hidden && b.len() == hidden && out.len() == hidden);
+    let stats = add_norm_moments_avx512(params, sums, a, b).stats(params, hidden);
+    if stage3_fits(params, stats.max_c, stats.inv_std) {
+        add_norm_stage3_avx512(params, sums, stats, out);
+    } else {
+        let scaled = sums.iter().zip(params.gamma.iter().zip(&params.beta));
+        for (code, (&s, (&gamma, &beta))) in out.iter_mut().zip(scaled) {
+            let c = s.saturating_sub(stats.mean);
+            *code = scalar::add_norm_code(c, stats.inv_std, gamma, beta, params.out_scale);
+        }
+    }
+}
+
+/// Stages 1 and 2 of one row in one pass over its codes, 32 per step (the
+/// last step under a mask of the codes that remain, masked-off codes read
+/// as zero and add nothing): the sum row into `sums`, its extremes, and the
+/// five code moments by `vpdpwssd` over sign-extended words. A moment lane
+/// takes two products of at most `2¹⁴` per step, which
+/// [`crate::gemm::MAX_ADD_NORM_HIDDEN`] keeps inside `i32`; `|a · step_a +
+/// b · step_b| ≤ i32::MAX / 2` inside the envelope, so `vpmulld` and the
+/// add are exact.
+// fqlint::allow(unsafe-outside-kernels): every load of `a` / `b` and store
+// of `sums` — all `hidden` long, asserted by the public wrapper — is masked
+// to the `min(32, hidden − i)` elements left; the features are guaranteed
+// by the wrapper's installation contract.
+#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl,avx512vnni,avx512vbmi")]
+unsafe fn add_norm_moments_avx512(
+    params: &AddNormParams,
+    sums: &mut [i32],
+    a: &[i8],
+    b: &[i8],
+) -> scalar::RowMoments {
+    let hidden = sums.len();
+    let (step_a, step_b) = (
+        _mm512_set1_epi32(params.step_a),
+        _mm512_set1_epi32(params.step_b),
+    );
+    let ones = _mm512_set1_epi16(1);
+    let [mut sum_a, mut sum_b, mut sum_aa, mut sum_ab, mut sum_bb] = [_mm512_setzero_si512(); 5];
+    let (mut s_max, mut s_min) = (_mm512_set1_epi32(i32::MIN), _mm512_set1_epi32(i32::MAX));
+    for i in (0..hidden).step_by(32) {
+        let left = hidden - i;
+        let k: __mmask32 = if left >= 32 { !0 } else { (1 << left) - 1 };
+        let wa = _mm512_cvtepi8_epi16(_mm256_maskz_loadu_epi8(k, a.as_ptr().add(i)));
+        let wb = _mm512_cvtepi8_epi16(_mm256_maskz_loadu_epi8(k, b.as_ptr().add(i)));
+        sum_a = _mm512_dpwssd_epi32(sum_a, wa, ones);
+        sum_b = _mm512_dpwssd_epi32(sum_b, wb, ones);
+        sum_aa = _mm512_dpwssd_epi32(sum_aa, wa, wa);
+        sum_ab = _mm512_dpwssd_epi32(sum_ab, wa, wb);
+        sum_bb = _mm512_dpwssd_epi32(sum_bb, wb, wb);
+        // The sum row, sixteen dwords at a time.
+        let low = |words: __m512i| _mm512_cvtepi16_epi32(_mm512_castsi512_si256(words));
+        let high = |words: __m512i| _mm512_cvtepi16_epi32(_mm512_extracti64x4_epi64::<1>(words));
+        for (first, ea, eb) in [(0, low(wa), low(wb)), (16, high(wa), high(wb))] {
+            if first >= left {
+                break;
+            }
+            let kh: __mmask16 = if left - first >= 16 {
+                !0
+            } else {
+                (1 << (left - first)) - 1
+            };
+            let s = _mm512_add_epi32(
+                _mm512_mullo_epi32(ea, step_a),
+                _mm512_mullo_epi32(eb, step_b),
+            );
+            _mm512_mask_storeu_epi32(sums.as_mut_ptr().add(i + first), kh, s);
+            s_max = _mm512_mask_max_epi32(s_max, kh, s_max, s);
+            s_min = _mm512_mask_min_epi32(s_min, kh, s_min, s);
+        }
+    }
+    scalar::RowMoments {
+        sum_a: hsum_epi32_wide(sum_a),
+        sum_b: hsum_epi32_wide(sum_b),
+        sum_aa: hsum_epi32_wide(sum_aa),
+        sum_ab: hsum_epi32_wide(sum_ab),
+        sum_bb: hsum_epi32_wide(sum_bb),
+        s_max: _mm512_reduce_max_epi32(s_max),
+        s_min: _mm512_reduce_min_epi32(s_min),
+    }
+}
+
+/// Stage 3 of one row on eight sign-extended `i64` lanes per step (the
+/// last under a mask): `c = s − mean`, then `((c · inv_std) · gamma + beta)
+/// · out_scale` with each `vpmuldq` product rounded half away from zero to
+/// Q16 as `(p + 2¹⁵ − [p < 0]) >> 16` on the arithmetic `vpsraq`, the code
+/// rounded the same way and narrowed by the saturating `vpmovsqb` — the
+/// reference's `i8` clamp. The caller has shown no product can saturate
+/// ([`stage3_fits`]), so every factor `vpmuldq` reads is the exact value
+/// in the low dword.
+// fqlint::allow(unsafe-outside-kernels): every load of `sums`, `gamma`,
+// `beta` and store of `out` — all `hidden` long (the wrapper's assertion
+// and `AddNormParams::new`'s) — is masked to the `min(8, hidden − i)`
+// elements left; the features are guaranteed by the wrapper's installation
+// contract.
+#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl,avx512vnni,avx512vbmi")]
+unsafe fn add_norm_stage3_avx512(
+    params: &AddNormParams,
+    sums: &[i32],
+    stats: scalar::RowStats,
+    out: &mut [i8],
+) {
+    let hidden = out.len();
+    debug_assert!(sums.len() == hidden && params.gamma.len() == hidden);
+    debug_assert!(params.beta.len() == hidden);
+    let mean = _mm512_set1_epi64(i64::from(stats.mean));
+    let inv = _mm512_set1_epi64(i64::from(stats.inv_std));
+    let out_scale = _mm512_set1_epi64(i64::from(params.out_scale));
+    let half = _mm512_set1_epi64(1 << 15);
+    let round = |p: __m512i| {
+        let negative = _mm512_srai_epi64::<63>(p);
+        _mm512_srai_epi64::<16>(_mm512_add_epi64(_mm512_add_epi64(p, half), negative))
+    };
+    for i in (0..hidden).step_by(8) {
+        let left = hidden - i;
+        let k: __mmask8 = if left >= 8 { !0 } else { (1 << left) - 1 };
+        let wide = |values: &[i32]| {
+            _mm512_cvtepi32_epi64(_mm256_maskz_loadu_epi32(k, values.as_ptr().add(i)))
+        };
+        let c = _mm512_sub_epi64(wide(sums), mean);
+        let scaled = round(_mm512_mul_epi32(c, inv));
+        let weighted = round(_mm512_mul_epi32(scaled, wide(&params.gamma)));
+        let shifted = _mm512_add_epi64(weighted, wide(&params.beta));
+        let code = round(round(_mm512_mul_epi32(shifted, out_scale)));
+        _mm_mask_storeu_epi8(
+            out.as_mut_ptr().add(i),
+            __mmask16::from(k),
+            _mm512_cvtsepi64_epi8(code),
+        );
     }
 }
 
@@ -1272,25 +1476,48 @@ unsafe fn softmax_avx2(params: &SoftmaxParams, scores: &[i8], out: &mut [u8]) {
     }
 }
 
+/// The mask of the first `min(64, left)` byte lanes.
+fn mask64(left: usize) -> __mmask64 {
+    if left >= 64 {
+        !0
+    } else {
+        (1 << left) - 1
+    }
+}
+
+/// A 256-byte table in four `zmm`, 64 entries each — the operands of
+/// [`lookup_bytes`].
+// fqlint::allow(unsafe-outside-kernels): four 64-byte loads at offsets 0,
+// 64, 128 and 192 of `table`, which every caller takes from a 256-byte
+// array; the features are guaranteed by the callers' installation
+// contract.
+#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl,avx512vnni,avx512vbmi")]
+unsafe fn byte_quarters(table: *const u8) -> [__m512i; 4] {
+    [0, 1, 2, 3].map(|quarter| _mm512_loadu_si512(table.add(64 * quarter).cast()))
+}
+
+/// `table[index]` for 64 byte indices at once, the table held in four
+/// `zmm` ([`byte_quarters`]): bit 6 of an index picks the table of a
+/// `vpermi2b`, bit 7 the pair.
+#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl,avx512vnni,avx512vbmi")]
+fn lookup_bytes(quarters: &[__m512i; 4], index: __m512i) -> __m512i {
+    let near = _mm512_permutex2var_epi8(quarters[0], index, quarters[1]);
+    let far = _mm512_permutex2var_epi8(quarters[2], index, quarters[3]);
+    _mm512_mask_blend_epi8(_mm512_movepi8_mask(index), near, far)
+}
+
 /// One non-empty row of [`softmax_row_avx512`]: sixty-four scores per step
 /// for the maximum and the numerators, sixteen per step for the quotients,
 /// the last step of each under a mask of the elements that remain.
 // fqlint::allow(unsafe-outside-kernels): every load and store of `scores`
 // and `out` — both `len` long, asserted by the wrapper — is masked to the
-// `min(64, len − i)` / `min(16, len − i)` elements left; the four table
-// loads cover the 256-byte table exactly; the features are guaranteed by
-// the wrapper's installation contract.
+// `min(64, len − i)` / `min(16, len − i)` elements left; the table is a
+// 256-byte array; the features are guaranteed by the wrapper's
+// installation contract.
 #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl,avx512vnni,avx512vbmi")]
 unsafe fn softmax_avx512(params: &SoftmaxParams, scores: &[i8], out: &mut [u8]) {
     let len = scores.len();
     debug_assert!(len > 0 && out.len() == len);
-    let mask64 = |left: usize| -> __mmask64 {
-        if left >= 64 {
-            !0
-        } else {
-            (1 << left) - 1
-        }
-    };
 
     // Pass 1: the row maximum; lanes past the row read as the minimum.
     let floor = _mm512_set1_epi8(i8::MIN);
@@ -1309,19 +1536,14 @@ unsafe fn softmax_avx512(params: &SoftmaxParams, scores: &[i8], out: &mut [u8]) 
     ));
 
     // Pass 2: the numerators, into `out`, and their sum. The distance
-    // `max − s` is in `[0, 255]`: the wrapping byte difference is it. Bit 6
-    // of an index picks the table of a `vpermi2b`, bit 7 the pair.
-    let table = |quarter: usize| _mm512_loadu_si512(params.table.as_ptr().add(64 * quarter).cast());
-    let tables = [table(0), table(1), table(2), table(3)];
+    // `max − s` is in `[0, 255]`: the wrapping byte difference is it.
+    let tables = byte_quarters(params.table.as_ptr());
     let max_bytes = _mm512_set1_epi8(max);
     let mut sums = _mm512_setzero_si512();
     for i in (0..len).step_by(64) {
         let k = mask64(len - i);
         let s = _mm512_maskz_loadu_epi8(k, scores.as_ptr().add(i));
-        let distance = _mm512_sub_epi8(max_bytes, s);
-        let near = _mm512_permutex2var_epi8(tables[0], distance, tables[1]);
-        let far = _mm512_permutex2var_epi8(tables[2], distance, tables[3]);
-        let n = _mm512_mask_blend_epi8(_mm512_movepi8_mask(distance), near, far);
+        let n = lookup_bytes(&tables, _mm512_sub_epi8(max_bytes, s));
         // Lanes past the row add nothing to the denominator.
         let n = _mm512_maskz_mov_epi8(k, n);
         sums = _mm512_add_epi64(sums, _mm512_sad_epu8(n, _mm512_setzero_si512()));
@@ -1350,6 +1572,37 @@ unsafe fn softmax_avx512(params: &SoftmaxParams, scores: &[i8], out: &mut [u8]) 
         // dwords, which puts all sixteen back in element order.
         let q = _mm512_or_si512(even, _mm512_slli_epi64::<32>(odd));
         _mm_mask_storeu_epi8(at, k, _mm512_cvtepi32_epi8(q));
+    }
+}
+
+/// AVX-512 byte-table lookup in place (see [`super::TableKernel`]), shared
+/// by the `avx512` and `amx` rows: bit-identical to [`scalar::table_row`]
+/// for every table and length. Must only be installed when
+/// `avx512_detected` holds.
+// fqlint::allow(unsafe-outside-kernels): designated kernel module; the
+// target-feature call is guarded by runtime detection of the whole AVX-512
+// feature set at dispatch installation.
+pub fn table_row_avx512(table: &[i8; 256], codes: &mut [i8]) {
+    debug_assert!(avx512_detected());
+    unsafe { table_avx512(table, codes) }
+}
+
+/// [`table_row_avx512`]: 64 codes per step, `code ^ 0x80` as the index of
+/// [`lookup_bytes`], the last step under a mask of the codes that remain.
+// fqlint::allow(unsafe-outside-kernels): every load and store of `codes` is
+// masked to the `min(64, len − i)` codes left at `i < len` (masked-off
+// bytes are not accessed); the table is a 256-byte array; the features are
+// guaranteed by the wrapper's installation contract.
+#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl,avx512vnni,avx512vbmi")]
+unsafe fn table_avx512(table: &[i8; 256], codes: &mut [i8]) {
+    let quarters = byte_quarters(table.as_ptr().cast());
+    let bias = _mm512_set1_epi8(i8::MIN);
+    let len = codes.len();
+    for i in (0..len).step_by(64) {
+        let k = mask64(len - i);
+        let at = codes.as_mut_ptr().add(i);
+        let index = _mm512_xor_si512(_mm512_maskz_loadu_epi8(k, at), bias);
+        _mm512_mask_storeu_epi8(at, k, lookup_bytes(&quarters, index));
     }
 }
 
@@ -1455,13 +1708,11 @@ mod tests {
     fn stage3_lanes_are_chosen_by_the_row_bound() {
         let one = 1i32 << ADD_NORM_FRAC_BITS;
         let hidden = 24usize;
-        let table = |step: i32| Box::new(std::array::from_fn(|i| (i as i32 - 128) * step));
         let spread = |i: usize| (i as i32 * 37 % 256 - 128) * (one / 64);
         let new = |out_scale| {
             let gamma = (0..hidden).map(spread).collect();
             let beta = (0..hidden).map(|i| spread(i + 11)).collect();
-            AddNormParams::new(table(one / 20), table(one / 30), gamma, beta, 1, out_scale)
-                .expect("parameters")
+            AddNormParams::new(one / 20, one / 30, gamma, beta, 1, out_scale).expect("parameters")
         };
         let calibrated = new(25 * one);
         // One outlier in a 768-wide row of calibrated operands: a deviation

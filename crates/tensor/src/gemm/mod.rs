@@ -108,15 +108,26 @@
 //!
 //! The stage between the GEMMs that is not a GEMM has the same shape as
 //! one: [`AddNormParams`] carries a folded `Add & LN` block as plain Q16
-//! integers (two 256-entry operand tables, `gamma`, `beta`, `eps`, the
-//! output scale) the way [`RequantParams`] carries a requantizer, and the
-//! fourth entry of a kernel row ([`kernels::AddNormKernel`]) runs the
+//! integers (the grid step of each operand's code, `gamma`, `beta`, `eps`,
+//! the output scale) the way [`RequantParams`] carries a requantizer, and
+//! the fourth entry of a kernel row ([`kernels::AddNormKernel`]) runs the
 //! accelerator's three LN stages over whole matrices — sum and mean,
 //! centre and variance, then `gamma · c / std + beta` requantized — with
 //! the Newton inverse square root once per row. The scalar row is the
-//! reference and is exact for every parameter set (saturating adds, an
-//! `i128` variance sum); a SIMD row is bit-identical to it inside
-//! [`AddNormParams::simd_exact`], which [`AddNormParams::kernel`] checks.
+//! reference and is exact for every parameter set (saturating multiplies
+//! and adds, an `i128` variance sum); a SIMD row is bit-identical to it
+//! inside [`AddNormParams::simd_exact`], which [`AddNormParams::kernel`]
+//! checks. There the `avx512` row runs stages 1 and 2 as one pass: the sum
+//! row, its extremes and the integer moments `Σa`, `Σb`, `Σa²`, `Σab`,
+//! `Σb²` of the codes, from which the mean and `Σ(s − mean)²` follow
+//! exactly in `i128`.
+//!
+//! # Table lookups
+//!
+//! GELU is a 256-entry `i8 → i8` table, and the sixth entry of a kernel
+//! row ([`kernels::TableKernel`]) applies one in place to a run of codes:
+//! the scalar row indexes it per byte, the `avx512` row looks up 64 codes
+//! per step with two `vpermi2b` and a blend, as its softmax does.
 //!
 //! # Softmax
 //!
@@ -138,10 +149,11 @@
 //! projection and both attention products on AMX tiles, below), an
 //! AVX-512 row (both tiles on
 //! `zmm` `vpdpbusd` / `vpdpwssd`, an `i32`-lane `zmm` requantize, a
-//! `vpermi2b` softmax row), a VNNI row (the same two fused dot products on
-//! 256-bit registers, everything else shared with AVX2), an AVX2 row
-//! (`_mm256_madd_epi16` wide tiles, `_mm256_maddubs_epi16` int4 tiles,
-//! `vpmuldq` `Add & LN` lanes, a `vpgatherdd` softmax row) and an SSE2
+//! one-pass-moment `Add & LN`, `vpermi2b` softmax and table rows), a VNNI
+//! row (the same two fused dot products on 256-bit registers, everything
+//! else shared with AVX2), an AVX2 row (`_mm256_madd_epi16` wide tiles,
+//! `_mm256_maddubs_epi16` int4 tiles, `vpmulld` / `vpmuldq` `Add & LN`
+//! lanes, a `vpgatherdd` softmax row) and an SSE2
 //! fallback, a NEON (`smlal`-shaped) path on aarch64, and a portable scalar
 //! kernel that doubles as the property-test reference. Selection uses
 //! `is_x86_feature_detected!` / CPUID / compile-target gating and can be
@@ -1043,6 +1055,14 @@ fn saturation_start(params: RequantParams) -> u32 {
 /// ([`AddNormParams`]): `value = raw / 2^16`.
 pub const ADD_NORM_FRAC_BITS: u32 = 16;
 
+/// The widest row an `Add & LN` block normalises. The `avx512` row sums the
+/// squares and cross products of a row's codes with `vpdpwssd` over 32
+/// sign-extended codes per step, so an `i32` lane takes two products of at
+/// most `128² = 2¹⁴` per step: `2 · ⌈hidden / 32⌉ · 2¹⁴ ≤ i32::MAX` holds
+/// up to `2²¹ − 32` and a lane wraps one step later.
+/// [`AddNormParams::new`] refuses wider blocks.
+pub const MAX_ADD_NORM_HIDDEN: usize = (1 << 21) - 32;
+
 /// One `Add & LN` block (paper §III-B, LN core) as the plain integers its
 /// kernels ([`kernels::AddNormKernel`]) compute with — every value on the
 /// Q16 grid ([`ADD_NORM_FRAC_BITS`]) — the way [`RequantParams`] carries a
@@ -1051,15 +1071,16 @@ pub const ADD_NORM_FRAC_BITS: u32 = 16;
 /// parameters and the three scales of the block.
 ///
 /// The fields are private because the kernels rely on what
-/// [`AddNormParams::new`] checked (`gamma` and `beta` equally long, a
-/// positive `eps`) and on the envelope it computed.
+/// [`AddNormParams::new`] checked (`gamma` and `beta` equally long, at most
+/// [`MAX_ADD_NORM_HIDDEN`] wide, a positive `eps`) and on the envelope it
+/// computed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AddNormParams {
-    /// Dequantized value of each of the 256 codes operand `a` can take,
-    /// indexed by `code + 128`: an operand is a lookup, not a multiply.
-    values_a: Box<[i32; 256]>,
-    /// The same table for operand `b`.
-    values_b: Box<[i32; 256]>,
+    /// The grid value of one code step of operand `a`: code `c` stands for
+    /// `c.saturating_mul(step_a)`, so an operand is one multiply.
+    step_a: i32,
+    /// The same step for operand `b`.
+    step_b: i32,
     gamma: Vec<i32>,
     beta: Vec<i32>,
     /// Added to the variance; at least one step of the grid.
@@ -1077,19 +1098,20 @@ pub struct AddNormParams {
 
 impl AddNormParams {
     /// Assembles a block from raw Q16 integers. Any `i32` is accepted for
-    /// the tables, `gamma`, `beta` and `out_scale`: the scalar row is
-    /// exact for all of them and [`AddNormParams::simd_exact`] says
+    /// the two operand steps, `gamma`, `beta` and `out_scale`: the scalar
+    /// row is exact for all of them and [`AddNormParams::simd_exact`] says
     /// whether a SIMD row is too.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `gamma` and `beta` differ
-    /// in length or are empty, and [`TensorError::ValueOutOfRange`] for an
-    /// `eps` below one grid step (the variance may be zero, and the
-    /// inverse square root needs a positive argument).
+    /// in length or are empty, and [`TensorError::ValueOutOfRange`] for a
+    /// width past [`MAX_ADD_NORM_HIDDEN`] or an `eps` below one grid step
+    /// (the variance may be zero, and the inverse square root needs a
+    /// positive argument).
     pub fn new(
-        values_a: Box<[i32; 256]>,
-        values_b: Box<[i32; 256]>,
+        step_a: i32,
+        step_b: i32,
         gamma: Vec<i32>,
         beta: Vec<i32>,
         eps: i32,
@@ -1102,6 +1124,12 @@ impl AddNormParams {
                 rhs: vec![beta.len()],
             });
         }
+        if gamma.len() > MAX_ADD_NORM_HIDDEN {
+            return Err(TensorError::ValueOutOfRange {
+                what: "add_norm hidden (at most MAX_ADD_NORM_HIDDEN = 2^21 - 32)",
+                value: i64::try_from(gamma.len()).unwrap_or(i64::MAX),
+            });
+        }
         if eps < 1 {
             return Err(TensorError::ValueOutOfRange {
                 what: "add_norm eps (at least one Q16 step)",
@@ -1112,8 +1140,13 @@ impl AddNormParams {
             let max = values.iter().map(|v| v.unsigned_abs()).max();
             i64::from(max.unwrap_or(0))
         };
+        // The largest operand magnitude: `|c · step|` grows with `|c|` and
+        // saturating keeps the order, so the two ends of the code range
+        // cover all 256 codes.
+        let reach =
+            |step: i32| abs_max(&[i8::MIN, i8::MAX].map(|c| i32::from(c).saturating_mul(step)));
         // |a + b| <= S and |mean| <= S, so |a + b - mean| <= 2S.
-        let spread = 2 * (abs_max(&values_a[..]) + abs_max(&values_b[..]));
+        let spread = 2 * (reach(step_a) + reach(step_b));
         // `spread <= 2^33`, so its square fits `u128` with room to spare.
         let squares = u128::from(spread.unsigned_abs())
             .pow(2)
@@ -1122,8 +1155,8 @@ impl AddNormParams {
             simd_exact: spread <= i64::from(i32::MAX) && squares <= i64::MAX as u128,
             gamma_max: abs_max(&gamma),
             beta_max: abs_max(&beta),
-            values_a,
-            values_b,
+            step_a,
+            step_b,
             gamma,
             beta,
             eps,
@@ -1137,14 +1170,16 @@ impl AddNormParams {
     }
 
     /// Whether the SIMD `Add & LN` rows compute this block exactly. With
-    /// `S = max |values_a| + max |values_b|`: `2·S ≤ i32::MAX`, so neither
-    /// the operand add of stage 1 nor the mean subtraction of stage 2 can
-    /// saturate and plain `i32` lanes equal the saturating reference; and
-    /// `hidden · (2·S)² ≤ i64::MAX`, so the variance sum is exact in `i64`
-    /// lanes in any order. Calibrated scales of 15–30 leave about 2²⁰ of
-    /// margin; the edge is an operand scale near 0.3 at hidden 768.
-    /// Anything outside runs [`kernels::scalar::add_norm_rows`], which is
-    /// exact for every parameter set.
+    /// `S = max |c · step_a| + max |c · step_b|` over the codes `c`:
+    /// `2·S ≤ i32::MAX`, so neither the operand sum `a · step_a + b ·
+    /// step_b` nor the mean subtraction can saturate and plain `i32` lanes
+    /// equal the saturating reference; and `hidden · (2·S)² ≤ i64::MAX`, so
+    /// the `avx2` row's variance sum is exact in `i64` lanes in any order
+    /// (the `avx512` row forms it from exact integer moments in `i128`).
+    /// Calibrated scales of 15–30 leave about 2²⁰ of margin; the edge is an
+    /// operand scale near 0.3 at hidden 768. Anything outside runs
+    /// [`kernels::scalar::add_norm_rows`], which is exact for every
+    /// parameter set.
     pub fn simd_exact(&self) -> bool {
         self.simd_exact
     }
