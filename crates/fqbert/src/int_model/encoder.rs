@@ -366,6 +366,7 @@ impl IntEncoderLayer {
             attn,
             arena,
             norm,
+            ..
         } = scratch;
         let mut buffers = arena.slices(self.buffer_sizes(total));
         let (x, out_rows) = (x.as_slice(), out.as_mut_slice());

@@ -3,14 +3,41 @@
 //! `[CLS]` row per sequence. In between [`IntBertModel`] only moves int8
 //! codes through [`IntEncoderLayer`]s, in one model-level forward body that
 //! both logits entry points call.
+//!
+//! The embedding is one pass per sequence that writes codes straight into
+//! the caller's buffer (the scratch arena's hidden state, on the forward
+//! path), in three phases:
+//!
+//! 1. *Sums.* `word + position + segment` per element, into the scratch's
+//!    one float buffer (`GemmScratch::embed`).
+//! 2. *Statistics.* The mean and `Σ (x − mean)²` of [`LANES`] rows side by
+//!    side, one lane per row. A lane is the sequential left fold
+//!    `Iterator::sum` performs on its row, from the same start value and in
+//!    the same order, so every lane ends on the bits a one-row fold would;
+//!    the lanes only break the one dependency chain a row's fold is into
+//!    eight independent ones. The last rows of a sequence (fewer than
+//!    [`LANES`]) take the one-lane fold.
+//! 3. *Normalize and quantize.* `((x − mean) · inv_std · γ + β) · scale`
+//!    per element in [`Tensor::layer_norm`]'s operation order, with no
+//!    fused multiply-add, then [`code_of`]: `round`, `clamp` and `as i8`
+//!    without a libm call, exact on every `f32`.
+//!
+//! So the codes are bit-identical to the float composition this replaced —
+//! a zeroed [`Tensor`] of sums, [`Tensor::layer_norm`], then
+//! `(v * scale).round().clamp(-127.0, 127.0) as i8` per element — while
+//! the reductions run as eight independent chains instead of one, and
+//! phase 3 vectorizes on the baseline x86-64 target.
 
 use super::encoder::IntEncoderLayer;
 use crate::{FqBertError, Result};
 use fqbert_bert::BertConfig;
 use fqbert_quant::LayerBits;
-use fqbert_tensor::gemm::GemmScratch;
+use fqbert_tensor::gemm::{GemmScratch, LineArena};
 use fqbert_tensor::{IntTensor, Tensor};
 use std::sync::Arc;
+
+/// Rows whose layer-norm statistics phase 2 folds side by side.
+pub(super) const LANES: usize = 8;
 
 /// The float state of the model's CPU side: the three embedding tables and
 /// their layer norm, the classifier head, and the scale at which the
@@ -189,11 +216,30 @@ impl IntBertModel {
     /// Computes the float (CPU-side) embeddings and quantizes them to int8
     /// codes for the encoder — the float→int8 entry point of the model.
     ///
+    /// A wrapper over the forward path's embedding body (the three phases
+    /// of the module docs): it allocates the tensor it returns and one
+    /// sequence's float sums, nothing per row. The codes are bit-identical
+    /// to `layer_norm` over the summed tables followed by
+    /// `(v * scale).round().clamp(-127.0, 127.0) as i8`.
+    ///
     /// # Errors
     ///
     /// Returns an error for empty or overlong sequences or out-of-vocabulary
     /// ids.
     pub fn embed(&self, token_ids: &[usize], segment_ids: &[usize]) -> Result<IntTensor<i8>> {
+        let seq = self.checked_len(token_ids, segment_ids)?;
+        let mut codes = vec![0i8; seq * self.config.hidden];
+        self.embed_into(
+            token_ids,
+            segment_ids,
+            &mut LineArena::default(),
+            &mut codes,
+        )?;
+        Ok(IntTensor::from_vec(codes, &[seq, self.config.hidden])?)
+    }
+
+    /// Length of a sequence the embedding accepts.
+    fn checked_len(&self, token_ids: &[usize], segment_ids: &[usize]) -> Result<usize> {
         if token_ids.is_empty() || token_ids.len() > self.config.max_len {
             return Err(FqBertError::InvalidArgument(format!(
                 "sequence length {} out of range 1..={}",
@@ -206,49 +252,108 @@ impl IntBertModel {
                 "segment ids must match token ids in length".to_string(),
             ));
         }
+        Ok(token_ids.len())
+    }
+
+    /// The one embedding body: writes the codes of one sequence into
+    /// `codes[..seq · hidden]`, its table sums into `sums`.
+    fn embed_into(
+        &self,
+        token_ids: &[usize],
+        segment_ids: &[usize],
+        sums: &mut LineArena<f32>,
+        codes: &mut [i8],
+    ) -> Result<()> {
+        let seq = self.checked_len(token_ids, segment_ids)?;
         let hidden = self.config.hidden;
-        let seq = token_ids.len();
-        let mut emb = Tensor::zeros(&[seq, hidden]);
-        for (i, (&tok, &seg)) in token_ids.iter().zip(segment_ids.iter()).enumerate() {
+        let host = &self.host;
+        let (gamma, beta) = (
+            host.embedding_gamma.as_slice(),
+            host.embedding_beta.as_slice(),
+        );
+        if gamma.len() != hidden || beta.len() != hidden {
+            return Err(FqBertError::InvalidArgument(format!(
+                "embedding layer norm of widths {} / {} on hidden {hidden}",
+                gamma.len(),
+                beta.len()
+            )));
+        }
+        let [sums] = sums.slices([seq * hidden]);
+        let codes = &mut codes[..seq * hidden];
+
+        // Phase 1: the table sums.
+        let ids = token_ids.iter().zip(segment_ids);
+        for (i, ((&tok, &seg), row)) in ids.zip(sums.chunks_exact_mut(hidden)).enumerate() {
             if tok >= self.config.vocab_size || seg >= self.config.type_vocab_size {
                 return Err(FqBertError::InvalidArgument(format!(
                     "token id {tok} or segment id {seg} out of range"
                 )));
             }
-            let word = self.host.word_embeddings.row(tok);
-            let position = self.host.position_embeddings.row(i);
-            let segment = self.host.segment_embeddings.row(seg);
-            let sums = word.iter().zip(position).zip(segment);
-            for (e, ((&w, &p), &s)) in emb.row_mut(i).iter_mut().zip(sums) {
+            let word = host.word_embeddings.row(tok);
+            let position = host.position_embeddings.row(i);
+            let segment = host.segment_embeddings.row(seg);
+            for (e, ((&w, &p), &s)) in row.iter_mut().zip(word.iter().zip(position).zip(segment)) {
                 *e = w + p + s;
             }
         }
-        let normed = emb.layer_norm(
-            &self.host.embedding_gamma,
-            &self.host.embedding_beta,
-            self.config.layer_norm_eps,
-        )?;
-        let scale = self.host.embedding_out_scale;
-        let data: Vec<i8> = normed
-            .as_slice()
-            .iter()
-            .map(|&v| (v * scale).round().clamp(-127.0, 127.0) as i8)
-            .collect();
-        Ok(IntTensor::from_vec(data, &[seq, hidden])?)
+
+        // Phases 2 and 3, `LANES` rows at a time, then the rest one by one.
+        let norm = EmbedNorm {
+            gamma,
+            beta,
+            eps: self.config.layer_norm_eps,
+            scale: host.embedding_out_scale,
+        };
+        let whole = seq / LANES * LANES * hidden;
+        let block = LANES * hidden;
+        for (rows, out) in sums[..whole]
+            .chunks_exact(block)
+            .zip(codes.chunks_exact_mut(block))
+        {
+            norm.rows::<LANES>(rows, out);
+        }
+        let tail = sums[whole..].chunks_exact(hidden);
+        for (row, out) in tail.zip(codes[whole..].chunks_exact_mut(hidden)) {
+            norm.rows::<1>(row, out);
+        }
+        Ok(())
     }
 
     /// The CPU-side task head — the int8→float exit point of the model:
-    /// dequantizes one `[CLS]` row once and runs the float classifier on it.
+    /// dequantizes one `[CLS]` row and runs the float classifier on it,
+    /// straight into the returned logits. Bit-identical to
+    /// `Tensor::matmul` then `add_bias` on the dequantized row: sums start
+    /// at `+0.0`, a zero input is skipped as `matmul` skips it, the inputs
+    /// are taken in `k` order, and the bias comes last.
     fn classify(&self, cls: &[i8]) -> Result<Vec<f32>> {
         let out_scale = self
             .layers
             .last()
             .map_or(self.host.embedding_out_scale, |l| l.output_scale());
-        let cls: Vec<f32> = cls.iter().map(|&c| c as f32 / out_scale).collect();
-        let logits = Tensor::from_vec(cls, &[1, self.config.hidden])?
-            .matmul(&self.host.classifier_weight)?
-            .add_bias(&self.host.classifier_bias)?;
-        Ok(logits.into_vec())
+        let (weight, bias) = (&self.host.classifier_weight, &self.host.classifier_bias);
+        let (k, classes) = weight.as_matrix_dims()?;
+        if k != cls.len() || classes == 0 || bias.numel() != classes {
+            return Err(FqBertError::InvalidArgument(format!(
+                "classifier {:?} + {:?} on a {}-wide row",
+                weight.dims(),
+                bias.dims(),
+                cls.len()
+            )));
+        }
+        let mut logits = vec![0.0f32; classes];
+        for (&c, w_row) in cls.iter().zip(weight.as_slice().chunks_exact(classes)) {
+            let a = f32::from(c) / out_scale;
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &w) in logits.iter_mut().zip(w_row) {
+                *o += a * w;
+            }
+        }
+        for (o, &b) in logits.iter_mut().zip(bias.as_slice()) {
+            *o += b;
+        }
+        Ok(logits)
     }
 
     /// The one model-level forward body: embeds every `(token_ids,
@@ -280,6 +385,7 @@ impl IntBertModel {
             attn,
             arena,
             norm,
+            embed,
         } = scratch;
         let mut sizes = [0usize; 10];
         sizes[..2].fill(total * hidden);
@@ -291,8 +397,8 @@ impl IntBertModel {
         let [mut hidden_states, mut next, mut buffers @ ..] = arena.slices(sizes);
         let mut start = 0usize;
         for (token_ids, segment_ids) in sequences {
-            let emb = self.embed(token_ids, segment_ids)?;
-            hidden_states[start * hidden..][..emb.numel()].copy_from_slice(emb.as_slice());
+            let codes = &mut hidden_states[start * hidden..];
+            self.embed_into(token_ids, segment_ids, embed, codes)?;
             start += token_ids.len();
         }
         for layer in &self.layers {
@@ -358,6 +464,98 @@ impl IntBertModel {
         });
         self.logits_of(trimmed, scratch)
     }
+}
+
+/// Mean and inverse standard deviation of one row, as
+/// [`Tensor::layer_norm`] computes them.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct RowStats {
+    pub(super) mean: f32,
+    pub(super) inv_std: f32,
+}
+
+/// Phase 2 over the `R` rows of `rows` (row-major, each `rows.len() / R`
+/// wide), side by side: lane `r` folds row `r` left to right from the start
+/// value of `Iterator::sum`, so its `mean` and `inv_std` carry the bits of
+/// `row.iter().sum::<f32>() / n`, `Σ (x − mean)² / n` summed the same way,
+/// and `1 / (var + eps).sqrt()`.
+pub(super) fn row_stats<const R: usize>(rows: &[f32], eps: f32) -> [RowStats; R] {
+    let hidden = rows.len() / R;
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &rows[r * hidden..][..hidden]);
+    let start: f32 = std::iter::empty::<f32>().sum();
+    let n = hidden as f32;
+    let mut sum = [start; R];
+    for j in 0..hidden {
+        for (acc, row) in sum.iter_mut().zip(&rows) {
+            *acc += row[j];
+        }
+    }
+    let mean = sum.map(|s| s / n);
+    let mut squares = [start; R];
+    for j in 0..hidden {
+        for ((acc, row), &m) in squares.iter_mut().zip(&rows).zip(&mean) {
+            let d = row[j] - m;
+            *acc += d * d;
+        }
+    }
+    std::array::from_fn(|r| RowStats {
+        mean: mean[r],
+        inv_std: 1.0 / (squares[r] / n + eps).sqrt(),
+    })
+}
+
+/// The embedding layer norm's parameters and the scale its output is
+/// quantized at.
+struct EmbedNorm<'a> {
+    gamma: &'a [f32],
+    beta: &'a [f32],
+    eps: f32,
+    scale: f32,
+}
+
+impl EmbedNorm<'_> {
+    /// Phases 2 and 3 over `R` rows of sums: their statistics, then their
+    /// codes.
+    fn rows<const R: usize>(&self, rows: &[f32], codes: &mut [i8]) {
+        let hidden = self.gamma.len();
+        let stats = row_stats::<R>(rows, self.eps);
+        let rows = rows
+            .chunks_exact(hidden)
+            .zip(codes.chunks_exact_mut(hidden));
+        for ((row, out), RowStats { mean, inv_std }) in rows.zip(stats) {
+            let params = self.gamma.iter().zip(self.beta);
+            for ((code, &x), (&g, &b)) in out.iter_mut().zip(row).zip(params) {
+                *code = code_of(((x - mean) * inv_std * g + b) * self.scale);
+            }
+        }
+    }
+}
+
+/// `y.round().clamp(-127.0, 127.0) as i8` — round half away from zero,
+/// saturate, `NaN` to 0 — on every `f32`, with no libm call, so a loop of
+/// it vectorizes on SSE2:
+///
+/// * clamping first changes nothing: rounding is monotone and ±127 are
+///   integers;
+/// * `round(y)` is `trunc(|y| + 0.49999997)` with `y`'s sign, LLVM's own
+///   lowering of `llvm.round` (adding ½ itself would carry `0.49999997`
+///   up to 1: `0.99999997` is a tie that rounds to even);
+/// * below 2²³, `a + 2²³` holds `a` rounded to the nearest integer in its
+///   low mantissa bits, and one compare turns that into `trunc(a)`;
+/// * the sign goes on as two's complement of a mask, not a select.
+pub(super) fn code_of(y: f32) -> i8 {
+    const TWO_23: f32 = 8_388_608.0;
+    let y = if y.is_nan() {
+        0.0
+    } else {
+        y.clamp(-127.0, 127.0)
+    };
+    let a = y.abs() + 0.5f32.next_down();
+    let biased = a + TWO_23;
+    let nearest = (biased.to_bits() - TWO_23.to_bits()) as i32;
+    let whole = nearest - i32::from(biased - TWO_23 > a);
+    let negative = (y.to_bits() as i32) >> 31;
+    ((whole ^ negative) - negative) as i8
 }
 
 /// Number of non-padding tokens of an encoded example.

@@ -18,8 +18,10 @@
 //!   into codes, requantizers, lookup tables and `Add & LN` blocks (and
 //!   refuse an invalid scale there), the scale structs and their accessors.
 //! * `host.rs` — **the CPU side, float by the paper's design.**
-//!   [`IntBertModel`], its [`HostSide`] tensors, the embedding, the
-//!   classifier head and the two logits entry points.
+//!   [`IntBertModel`], its [`HostSide`] tensors, the embedding (table sums,
+//!   a layer norm folded eight rows side by side, and a libm-free
+//!   quantize, bit-identical to the float composition), the classifier
+//!   head and the two logits entry points.
 //!
 //! What the encoder computes:
 //!
@@ -51,8 +53,12 @@
 //! [`fqbert_tensor::gemm::GemmScratch`]: a layer keeps its intermediates in
 //! buffers the scratch owns (GELU in place, `Add & LN`'s operand sums in
 //! the scratch's one `i32` row), and the model ping-pongs the
-//! hidden state between two such buffers across layers — so a forward pass
-//! on a shape the scratch has seen allocates only what it returns.
+//! hidden state between two such buffers across layers. The embedding
+//! sums one sequence's tables in the scratch's one float buffer and writes
+//! its codes straight into the first of them, and the classifier writes
+//! each sequence's logits straight into the row it returns — so a forward
+//! pass on a shape the scratch has seen allocates only its outer `Vec`,
+//! one logits row per sequence and the list of sequence lengths.
 
 mod assemble;
 mod encoder;

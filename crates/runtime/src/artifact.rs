@@ -50,11 +50,13 @@
 //! artifacts loaded with one cache share identical tensors. Any truncation,
 //! bit flip or unsupported version is rejected at load time
 //! ([`RuntimeError::Artifact`]) — and so is a CRC-valid file whose contents
-//! do not fit together: shapes that disagree with the config, and every
-//! scale a stage is folded from (a projection's three, the attention score
-//! scales, the four `Add & LN` computes with). Each is looked at exactly
-//! once, by the constructor that folds it, so a zero, negative, `NaN` or
-//! infinite one fails the load, never a request.
+//! do not fit together: shapes that disagree with the config, a `NaN` or
+//! infinite value anywhere in the seven CPU-side tensors, an embedding
+//! output scale or layer-norm `eps` that is not finite and positive, and
+//! every scale a stage is folded from (a projection's three, the attention
+//! score scales, the four `Add & LN` computes with). Each encoder scale is
+//! looked at exactly once, by the constructor that folds it, so a zero,
+//! negative, `NaN` or infinite one fails the load, never a request.
 
 use crate::tensor_cache::{LoadStats, TensorCache};
 use crate::{Result, RuntimeError};
@@ -222,6 +224,9 @@ impl ModelArtifact {
         // Shape-check every CPU-side tensor against the config so a
         // CRC-valid but structurally inconsistent artifact is rejected here
         // instead of panicking later inside the inference engine.
+        // The embedding and the head compute with every value of them, so
+        // a non-finite one is refused here too, as are the two scalars the
+        // embedding's layer norm and quantize take.
         let (v, h, c) = (config.vocab_size, config.hidden, config.num_classes);
         for (name, tensor, expected) in [
             ("word embeddings", &word, vec![v, h]),
@@ -236,6 +241,22 @@ impl ModelArtifact {
                 return Err(RuntimeError::Artifact(format!(
                     "{name} shape {:?} disagrees with config (expected {expected:?})",
                     tensor.dims()
+                )));
+            }
+            let values = tensor.as_slice().iter();
+            if let Some((at, value)) = values.enumerate().find(|(_, v)| !v.is_finite()) {
+                return Err(RuntimeError::Artifact(format!(
+                    "{name}: non-finite value {value} at element {at}"
+                )));
+            }
+        }
+        for (name, value) in [
+            ("embedding output scale", embedding_out_scale),
+            ("layer norm eps", config.layer_norm_eps),
+        ] {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(RuntimeError::Artifact(format!(
+                    "{name} {value} is not finite and positive"
                 )));
             }
         }

@@ -313,6 +313,85 @@ fn a_crc_valid_artifact_with_an_invalid_add_ln_scale_is_refused_at_load() {
     }
 }
 
+/// `bytes` with the `f32` at `at` replaced by `value` and the CRC
+/// recomputed, so only a check of the value itself can refuse it.
+fn patched(bytes: &[u8], at: usize, value: f32) -> Vec<u8> {
+    let mut hostile = bytes.to_vec();
+    hostile[at..at + 4].copy_from_slice(&value.to_le_bytes());
+    let payload_end = hostile.len() - 4;
+    let crc = fqbert_runtime::artifact::crc32(&hostile[8..payload_end]);
+    hostile[payload_end..].copy_from_slice(&crc.to_le_bytes());
+    hostile
+}
+
+fn assert_refused(hostile: &[u8], name: &str, what: &str) {
+    let msg = ModelArtifact::from_bytes(hostile)
+        .err()
+        .unwrap_or_else(|| panic!("{name} = {what} loaded"))
+        .to_string();
+    assert!(msg.contains(name), "{name} = {what}: {msg}");
+}
+
+#[test]
+fn a_crc_valid_artifact_with_a_non_finite_host_value_is_refused_at_load() {
+    let (original, bytes) = artifact();
+    let names = [
+        "word embeddings",
+        "position embeddings",
+        "segment embeddings",
+        "embedding gamma",
+        "embedding beta",
+        "classifier weight",
+        "classifier bias",
+    ];
+    for (name, tensor) in names.iter().zip(original.model.shared_float_tensors()) {
+        // The tensor as the writer encodes it: rank, dims, then values.
+        let mut block = (tensor.dims().len() as u32).to_le_bytes().to_vec();
+        for &d in tensor.dims() {
+            block.extend_from_slice(&(d as u64).to_le_bytes());
+        }
+        let header = block.len();
+        block.extend(tensor.as_slice().iter().flat_map(|v| v.to_le_bytes()));
+        let at = bytes
+            .windows(block.len())
+            .position(|w| w == block)
+            .unwrap_or_else(|| panic!("{name} in the file"))
+            + header;
+        for element in [0, tensor.numel() - 1] {
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let hostile = patched(bytes, at + 4 * element, bad);
+                assert_refused(&hostile, name, &format!("{bad} at {element}"));
+            }
+        }
+    }
+
+    // The payload opens with the task tag and the config's eight `u64`s;
+    // the config's `eps` and then the embedding output scale follow.
+    let config = original.model.config();
+    let eps_at = 8 + 1 + 8 * 8;
+    let scale_at = eps_at + 4;
+    assert_eq!(bytes[eps_at..scale_at], config.layer_norm_eps.to_le_bytes());
+    assert_eq!(
+        bytes[scale_at..scale_at + 4],
+        original.model.embedding_out_scale().to_le_bytes()
+    );
+    for (name, at) in [
+        ("layer norm eps", eps_at),
+        ("embedding output scale", scale_at),
+    ] {
+        for bad in [
+            0.0f32,
+            -0.0,
+            -1.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ] {
+            assert_refused(&patched(bytes, at, bad), name, &bad.to_string());
+        }
+    }
+}
+
 #[test]
 fn file_round_trip_via_engine() {
     use fqbert_runtime::{BackendKind, EngineBuilder};
