@@ -17,7 +17,7 @@
 //!   is the constraint, simulated cycles the objective.
 //! * [`sensitivity::profile`] — per-site accuracy degradation, the descent
 //!   order of the greedy phase.
-//! * [`search`] — greedy descent from uniform w8 plus seeded evolutionary
+//! * [`search()`] — greedy descent from uniform w8 plus seeded evolutionary
 //!   refinement; returns the feasible optimum and the full accuracy ×
 //!   cycles Pareto front.
 //!

@@ -23,7 +23,7 @@ use fqbert_core::{convert, IntBertModel, QatHook};
 use fqbert_nlp::Example;
 use fqbert_quant::QuantConfig;
 use fqbert_quant::{LayerBits, QuantizedLayerNorm, Requantizer, SoftmaxLut};
-use fqbert_tensor::gemm::kernels;
+use fqbert_tensor::gemm::kernels::{self, Products};
 use fqbert_tensor::gemm::{
     AttentionScratch, GemmScratch, RequantParams, StridedView, MAX_ATTN_SEQ, MAX_K, MR, NR, WIDE_A,
     WIDE_B,
@@ -483,8 +483,10 @@ fn context_of_full_probabilities_times_minus_128_does_not_overflow() {
     );
 
     // The reduction bound itself: MAX_ATTN_SEQ extreme products into one
-    // accumulator, on every tile kernel. (A whole head of that length is
-    // seq² work; one tile reaches the same accumulator.)
+    // accumulator, on every row whose products are tiles. (A whole head of
+    // that length is seq² work; one tile reaches the same accumulator. The
+    // AMX engine's bound is its unit test
+    // `context_tiles_are_exact_at_the_attention_bound`.)
     let pairs = MAX_ATTN_SEQ.div_ceil(2);
     let mut probs = vec![[255i16; WIDE_A]; pairs];
     let mut values = vec![[-128i16; WIDE_B]; pairs];
@@ -508,8 +510,11 @@ fn context_of_full_probabilities_times_minus_128_does_not_overflow() {
         "MAX_ATTN_SEQ is the last exact length"
     );
     for kind in kernels::available() {
+        let Products::Tiles { wide, .. } = kernels::dispatch_for(kind).products else {
+            continue;
+        };
         let mut acc = [[0i32; NR]; MR];
-        (kernels::dispatch_for(kind).wide)(&probs, &values, &mut acc);
+        wide(&probs, &values, &mut acc);
         assert!(
             acc.iter().flatten().all(|&a| i64::from(a) == exact),
             "kernel {}",

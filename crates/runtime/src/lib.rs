@@ -48,7 +48,7 @@
 //!
 //! # Telemetry
 //!
-//! Every [`Engine`](engine::Engine) records into a
+//! Every [`Engine`] records into a
 //! [`fqbert_telemetry::Registry`] (re-exported as [`telemetry`]): batch and
 //! sequence counters, a `classify_us` latency histogram with
 //! p50/p95/p99 estimation, per-shard timings and an in-flight-shard gauge.

@@ -4,28 +4,30 @@
 //! `requant(softmax(requant(Q · Kᵀ)) · V)` for one sequence — the software
 //! image of the accelerator's Softmax Core sitting between two PE passes.
 //! The head is read in place through [`StridedView`]s of the packed
-//! projection outputs (no head copies), and it runs in one of two block
+//! projection outputs (no head copies). `attend_head` builds the pass's
+//! two stages once — `probabilities`, which requantizes one query row's
+//! `seq` score accumulators to `i8` and runs the selected row's `softmax`
+//! entry over them into one contiguous row of `u8` codes, and the sink,
+//! which requantizes a context segment to `i8` codes at their final
+//! position of the context matrix — and hands both to the product engine
+//! of the selected kernel row, which runs the head in one of two block
 //! shapes:
 //!
-//! * **[`MR`]-row blocks on the `wide` tile entry** (every row but `amx`):
+//! * **[`MR`]-row blocks on the `wide` tile kernel** (every tile row):
 //!   `Kᵀ` and `V` are packed once into wide (`i16`) panels; then for every
-//!   `MR`-row block of `Q`: score tiles on the `wide` kernel → the
-//!   requantize kernel (zero bias) straight to `i8` scores → the `softmax`
-//!   entry of the selected kernel row, one contiguous row of `u8`
-//!   probabilities per query row → the block's rows interleaved once into
-//!   the activation-block layout → context tiles against the `V` panels →
-//!   the requantize kernel → `i8` codes at their final position of the
-//!   context matrix. At most `MR × seq` scores and probabilities exist at
-//!   any time.
+//!   `MR`-row block of `Q`: score tiles on the `wide` kernel into an
+//!   `MR × seq` block of `i32` accumulators → `probabilities` over each of
+//!   its rows, each row's codes interleaved into its lane of the
+//!   activation-block layout → context tiles against the `V` panels → the
+//!   sink. At most `MR × seq` scores and probabilities exist at any time.
 //! * **32-row blocks on AMX tiles** (the `amx` row, `kernels::x86::amx`):
 //!   no byte is widened. `Kᵀ` becomes signed-byte `B` tiles (a dword
 //!   transpose of 16 key rows) and `V` byte `B` tiles (a 4-row interleave)
 //!   once per head; per block of 32 query rows, `tdpbssd` over `Q`'s rows
 //!   as they lie gives the block's scores for every key in one aligned
-//!   `i32` block, the same requantize and softmax entries turn each row
-//!   into `u8` probabilities, and `tdpbusd` takes those rows as its
-//!   unsigned `A` operand against `V`. At most `32 × seq` scores and
-//!   probabilities exist at any time.
+//!   `i32` block, `probabilities` turns each row into `u8` codes, and
+//!   `tdpbusd` takes those rows as its unsigned `A` operand against `V`.
+//!   At most `32 × seq` scores and probabilities exist at any time.
 //!
 //! The `seq × seq` matrix is never materialised. The softmax arrives as a
 //! plain-integer [`SoftmaxParams`] like the two requantizers, so every
@@ -33,9 +35,10 @@
 //! bounds that keep both reductions exact in `i32` are derived in the
 //! [`super`] module docs.
 
+use super::kernels::{self, Products, WideKernel};
 use super::{
-    interleave_pairs, kernels, pack_wide_panels, ActivationBlock, RequantEpilogue, RequantParams,
-    SoftmaxParams, StridedView, MAX_ATTN_SEQ, MAX_K, MR, NR, WIDE_A, WIDE_B,
+    interleave_pairs, pack_wide_panels, tile_panels, ActivationBlock, RequantEpilogue,
+    RequantParams, SoftmaxParams, StridedView, MAX_ATTN_SEQ, MAX_K, MR, NR, WIDE_A, WIDE_B,
 };
 use crate::{Result, TensorError};
 
@@ -43,49 +46,86 @@ use crate::{Result, TensorError};
 /// which have none: as long as the longest row either requantizes.
 static ZERO_BIAS: [i32; MAX_ATTN_SEQ] = [0; MAX_ATTN_SEQ];
 
-/// Reusable state of the fused attention pass: one head's `Kᵀ` and `V`
-/// panels, the `Q` row block, and the `MR`-row score and probability
-/// blocks — or, on the `amx` row, the head's tiles and 32-row blocks.
-/// Nothing shrinks, so a scratch that has served a `(seq, head_dim)` once
-/// serves it again without allocating.
+/// Reusable state of the fused attention pass: one query row's requantized
+/// scores and the buffers of both product engines. Nothing shrinks, so a
+/// scratch that has served a `(seq, head_dim)` once serves it again without
+/// allocating.
 #[derive(Debug, Default)]
 pub struct AttentionScratch {
-    /// `Kᵀ` panels: reduction over `head_dim`, one column per key row.
-    kt: Vec<[i16; WIDE_B]>,
-    /// `V` panels: reduction over `seq`, one column per head dimension.
-    v: Vec<[i16; WIDE_B]>,
-    q_block: ActivationBlock,
-    /// Requantized scores of the current row block, `MR × seq` row-major
-    /// (one row on the `amx` row).
+    /// The requantized scores of one query row, the softmax's input.
     scores: Vec<i8>,
-    /// Probabilities of the current row block, `MR × seq` row-major.
-    probs: Vec<u8>,
-    /// The same probabilities in activation-block layout.
-    prob_pairs: Vec<[i16; WIDE_A]>,
+    /// The tile engine's panels and blocks.
+    tiles: HeadPanels,
     /// The `amx` row's tiles and blocks.
     #[cfg(target_arch = "x86_64")]
     amx: kernels::x86::amx::HeadTiles,
 }
 
-/// Interleaves the `MR` probability rows of a block (`probs`, `MR × seq`
-/// row-major) into the activation-block layout in one pass, every slot
-/// written: `block[pp][2r + t] = probs[r · seq + 2pp + t]`, zero past the
-/// end of an odd-length row.
-fn interleave_rows(probs: &[u8], seq: usize, block: &mut [[i16; WIDE_A]]) {
-    let rows: [&[u8]; MR] = std::array::from_fn(|r| &probs[r * seq..][..seq]);
-    let (pairs, tail) = block.split_at_mut(seq / 2);
-    for (pp, dst) in pairs.iter_mut().enumerate() {
-        for (lane, row) in rows.iter().enumerate() {
-            let pair = &row[2 * pp..2 * pp + 2];
-            dst[2 * lane] = i16::from(pair[0]);
-            dst[2 * lane + 1] = i16::from(pair[1]);
+/// The grow-only buffers of [`attend_tiles`]. What one head leaves in
+/// them never reaches the next head's output: the probability lanes a
+/// later row does not overwrite only meet discarded rows or zero `V`
+/// padding.
+#[derive(Debug, Default)]
+struct HeadPanels {
+    /// `Kᵀ` panels: reduction over `head_dim`, one column per key row.
+    kt: Vec<[i16; WIDE_B]>,
+    /// `V` panels: reduction over `seq`, one column per head dimension.
+    v: Vec<[i16; WIDE_B]>,
+    q_block: ActivationBlock,
+    /// Score accumulators of the current row block, `MR × seq` row-major.
+    scores: Vec<i32>,
+    /// The probabilities of one query row.
+    probs: Vec<u8>,
+    /// The current row block's probabilities in activation-block layout.
+    prob_pairs: Vec<[i16; WIDE_A]>,
+}
+
+/// The tile engine's attention of one non-empty head, under the contract of
+/// `x86::amx::attend`: `q`, `k` and `v` are the head's `[seq, head_dim]`
+/// windows; for every query row, in order, `probabilities(accs, probs)`
+/// turns its `seq` score accumulators into its `seq` probability codes, and
+/// every context accumulator row segment goes to `sink(row, c0, accs)` once
+/// (`accs[j]` is head dimension `c0 + j`, `c0` a multiple of [`NR`]). Both
+/// products run on `wide`.
+fn attend_tiles(
+    scratch: &mut HeadPanels,
+    [q, k, v]: [StridedView<'_>; 3],
+    wide: WideKernel,
+    mut probabilities: impl FnMut(&[i32], &mut [u8]),
+    mut sink: impl FnMut(usize, usize, &[i32]),
+) {
+    let (seq, head_dim) = (q.rows(), q.cols());
+    // Kᵀ as a [head_dim, seq] matrix: its k-pair (2pp, 2pp+1) for key
+    // row j is two adjacent bytes of that row.
+    let (kt, dim_pairs) = (&mut scratch.kt, head_dim.div_ceil(2));
+    kt.clear();
+    kt.resize(seq.div_ceil(NR) * dim_pairs, [0i16; WIDE_B]);
+    for (p, panel) in kt.chunks_exact_mut(dim_pairs).enumerate() {
+        for j in 0..NR.min(seq - p * NR) {
+            interleave_pairs(k.row(p * NR + j), panel, j);
         }
     }
-    if let Some(dst) = tail.first_mut() {
-        for (lane, row) in rows.iter().enumerate() {
-            dst[2 * lane] = i16::from(row[seq - 1]);
-            dst[2 * lane + 1] = 0;
+    pack_wide_panels(&mut scratch.v, v);
+    scratch.scores.resize(MR * seq, 0);
+    scratch.probs.resize(seq, 0);
+    scratch.prob_pairs.resize(seq.div_ceil(2), [0i16; WIDE_A]);
+
+    for r0 in (0..seq).step_by(MR) {
+        let rows = MR.min(seq - r0);
+        let block = scratch.q_block.pack_rows(q, r0, rows);
+        let (kt, scores) = (&scratch.kt, &mut scratch.scores);
+        tile_panels(wide, block, kt, seq, [0; MR], 0..rows, |r, c0, accs| {
+            scores[r * seq + c0..][..accs.len()].copy_from_slice(accs)
+        });
+        // Lanes past `rows`, and the second slot of an odd row's last
+        // pair, keep what an earlier row left: probabilities, which only
+        // meet discarded rows or zero `V` padding.
+        for (r, accs) in scratch.scores.chunks_exact(seq).take(rows).enumerate() {
+            probabilities(accs, &mut scratch.probs);
+            interleave_pairs(&scratch.probs, &mut scratch.prob_pairs, r);
         }
+        let (pairs, v) = (&scratch.prob_pairs, &scratch.v);
+        tile_panels(wide, pairs, v, head_dim, [0; MR], r0..r0 + rows, &mut sink);
     }
 }
 
@@ -142,7 +182,11 @@ impl AttentionScratch {
         if seq == 0 || head_dim == 0 {
             return Ok(());
         }
-        if head_dim > out_stride || (seq - 1) * out_stride + head_dim > out.len() {
+        // Where the last row's context ends; `None` is past any slice.
+        let end = (seq - 1)
+            .checked_mul(out_stride)
+            .and_then(|start| start.checked_add(head_dim));
+        if head_dim > out_stride || end.is_none_or(|end| end > out.len()) {
             return Err(TensorError::ShapeMismatch {
                 op: "attend_head (context window)",
                 lhs: vec![out.len(), out_stride],
@@ -151,87 +195,28 @@ impl AttentionScratch {
         }
 
         let kernel = kernels::selected();
-        let (scores_epilogue, context_epilogue) = (
-            RequantEpilogue::new(score_params),
-            RequantEpilogue::new(context_params),
-        );
+        let scores_epilogue = RequantEpilogue::new(score_params);
+        let context_epilogue = RequantEpilogue::new(context_params);
         let requant_scores = scores_epilogue.kernel();
         let requant_context = context_epilogue.kernel();
-        // The `amx` row runs the whole head on tiles, handing this pass the
-        // score rows and the context segments for the same entries.
-        #[cfg(target_arch = "x86_64")]
-        if kernel.kind == kernels::KernelKind::Amx {
-            self.scores.resize(seq, 0);
-            let scores = &mut self.scores;
-            let probabilities = |accs: &[i32], probs: &mut [u8]| {
-                requant_scores(accs, &ZERO_BIAS[..seq], &scores_epilogue, scores);
-                (kernel.softmax)(softmax, scores, probs);
-            };
-            let sink = |r: usize, c0: usize, accs: &[i32]| {
-                let at = r * out_stride + c0;
-                let (bias, out) = (&ZERO_BIAS[..accs.len()], &mut out[at..at + accs.len()]);
-                requant_context(accs, bias, &context_epilogue, out);
-            };
-            kernels::x86::amx::attend(&mut self.amx, [q, k, v], probabilities, sink);
-            return Ok(());
-        }
-
-        // Kᵀ as a [head_dim, seq] matrix: its k-pair (2pp, 2pp+1) for key
-        // row j is two adjacent bytes of that row.
-        let (dim_pairs, seq_pairs) = (head_dim.div_ceil(2), seq.div_ceil(2));
-        self.kt.clear();
-        self.kt.resize(seq.div_ceil(NR) * dim_pairs, [0i16; WIDE_B]);
-        for (p, panel) in self.kt.chunks_exact_mut(dim_pairs).enumerate() {
-            for j in 0..NR.min(seq - p * NR) {
-                interleave_pairs(k.row(p * NR + j), panel, j);
+        self.scores.resize(seq, 0);
+        let scores = &mut self.scores;
+        let probabilities = |accs: &[i32], probs: &mut [u8]| {
+            requant_scores(accs, &ZERO_BIAS[..seq], &scores_epilogue, scores);
+            (kernel.softmax)(softmax, scores, probs);
+        };
+        let sink = |r: usize, c0: usize, accs: &[i32]| {
+            let at = r * out_stride + c0;
+            let (bias, out) = (&ZERO_BIAS[..accs.len()], &mut out[at..at + accs.len()]);
+            requant_context(accs, bias, &context_epilogue, out);
+        };
+        let head = [q, k, v];
+        match kernel.products {
+            Products::Tiles { wide, .. } => {
+                attend_tiles(&mut self.tiles, head, wide, probabilities, sink)
             }
-        }
-        pack_wide_panels(&mut self.v, v);
-        self.scores.resize(MR * seq, 0);
-        self.probs.resize(MR * seq, 0);
-        self.prob_pairs.resize(seq_pairs, [0i16; WIDE_A]);
-
-        for r0 in (0..seq).step_by(MR) {
-            let rows = MR.min(seq - r0);
-            let q_block = self.q_block.pack_rows(q, r0, rows);
-            for (p, panel) in self.kt.chunks_exact(dim_pairs).enumerate() {
-                let c0 = p * NR;
-                let cols = NR.min(seq - c0);
-                let mut acc = [[0i32; NR]; MR];
-                (kernel.wide)(q_block, panel, &mut acc);
-                let score_rows = self.scores.chunks_exact_mut(seq);
-                for (row, scores) in acc.iter().zip(score_rows).take(rows) {
-                    requant_scores(
-                        &row[..cols],
-                        &ZERO_BIAS[..cols],
-                        &scores_epilogue,
-                        &mut scores[c0..c0 + cols],
-                    );
-                }
-            }
-            let score_rows = self.scores.chunks_exact(seq);
-            let prob_rows = self.probs.chunks_exact_mut(seq);
-            for (scores, probs) in score_rows.zip(prob_rows).take(rows) {
-                (kernel.softmax)(softmax, scores, probs);
-            }
-            // The rows a short last block lacks read as zero.
-            self.probs[rows * seq..].fill(0);
-            interleave_rows(&self.probs, seq, &mut self.prob_pairs);
-            for (p, panel) in self.v.chunks_exact(seq_pairs).enumerate() {
-                let c0 = p * NR;
-                let cols = NR.min(head_dim - c0);
-                let mut acc = [[0i32; NR]; MR];
-                (kernel.wide)(&self.prob_pairs, panel, &mut acc);
-                for (r, row) in acc.iter().enumerate().take(rows) {
-                    let at = (r0 + r) * out_stride + c0;
-                    requant_context(
-                        &row[..cols],
-                        &ZERO_BIAS[..cols],
-                        &context_epilogue,
-                        &mut out[at..at + cols],
-                    );
-                }
-            }
+            #[cfg(target_arch = "x86_64")]
+            Products::Amx => kernels::x86::amx::attend(&mut self.amx, head, probabilities, sink),
         }
         Ok(())
     }
@@ -240,24 +225,12 @@ impl AttentionScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[cfg(target_arch = "x86_64")]
+    use crate::gemm::kernels::x86::amx;
+    use crate::gemm::tests::{pseudo, pseudo4, requant};
+    use crate::gemm::PackedWeights;
     use crate::IntTensor;
     use std::ops::Range;
-
-    fn pseudo(i: usize) -> i8 {
-        (((i as i64 * 2654435761) >> 7) % 255 - 127) as i8
-    }
-
-    /// `round-half-away(acc · multiplier / 2^shift)` clamped to ±127.
-    fn requant(acc: i64, params: RequantParams) -> i64 {
-        let product = i128::from(acc) * i128::from(params.multiplier);
-        let half = 1i128 << (params.shift - 1);
-        let rounded = if product >= 0 {
-            (product + half) >> params.shift
-        } else {
-            -((-product + half) >> params.shift)
-        };
-        rounded.clamp(-127, 127) as i64
-    }
 
     /// A softmax over an exponential table at 8 levels per unit.
     fn softmax_params() -> SoftmaxParams {
@@ -266,9 +239,9 @@ mod tests {
     }
 
     /// The accelerator's softmax of one row: a division per element.
-    fn softmax_by_division(params: &SoftmaxParams, scores: &[i64]) -> Vec<i64> {
+    fn softmax_by_division(params: &SoftmaxParams, scores: &[i8]) -> Vec<i64> {
         let max = *scores.iter().max().expect("non-empty row");
-        let numerator = |s: i64| i64::from(params.table()[usize::try_from(max - s).unwrap()]);
+        let numerator = |s: i8| i64::from(params.table()[usize::from(max.abs_diff(s))]);
         let denom: i64 = scores.iter().map(|&s| numerator(s)).sum();
         let levels = i64::from(params.out_levels());
         scores
@@ -320,7 +293,7 @@ mod tests {
             let probs: Vec<Vec<i64>> = (0..seq)
                 .map(|i| {
                     let row = scores.row(i).iter();
-                    let row: Vec<i64> = row.map(|&s| requant(i64::from(s), score_params)).collect();
+                    let row: Vec<i8> = row.map(|&s| requant(i64::from(s), score_params)).collect();
                     softmax_by_division(&softmax, &row)
                 })
                 .collect();
@@ -345,7 +318,7 @@ mod tests {
                     let products = probs.iter().zip(0..seq);
                     let acc: i64 = products.map(|(p, j)| p * i64::from(vh.row(j)[d])).sum();
                     assert_eq!(
-                        i64::from(out[i * width + lo + d]),
+                        out[i * width + lo + d],
                         requant(acc, context_params),
                         "({seq},{head_dim}) at ({i},{d})"
                     );
@@ -364,6 +337,7 @@ mod tests {
         let m = vec![0i8; 6 * 4];
         let a = StridedView::dense(&m, 6, 4).unwrap();
         let b = StridedView::dense(&m[..20], 5, 4).unwrap();
+        let two_rows = StridedView::dense(&[0; 2 * 64], 2, 64).unwrap();
         let params = RequantParams {
             multiplier: 1 << 30,
             shift: 30,
@@ -380,5 +354,78 @@ mod tests {
         assert!(run(a, a, a, &mut out[..23], 4).is_err());
         assert!(run(a, a, a, &mut out, 3).is_err());
         assert!(run(a, a, a, &mut out, 4).is_ok());
+        // A stride that puts the last row past any slice is refused, not
+        // wrapped around to an index inside `out`.
+        assert!(run(two_rows, two_rows, two_rows, &mut [0; 100], usize::MAX).is_err());
+    }
+
+    /// The contract both product engines share, on every engine a row of
+    /// this host names (called directly: forcing a row would race the other
+    /// unit tests of this process): the sink sees every `(row, c0)` exactly
+    /// once, `c0` a multiple of `NR`, with `min(NR, n − c0)` accumulators,
+    /// and `probabilities` runs once per query row, in order, with `seq`
+    /// accumulators.
+    #[test]
+    fn both_engines_hand_every_segment_over_once() {
+        const SIZES: [usize; 11] = [1, 3, 4, 5, 15, 16, 17, 31, 32, 33, 65];
+        const WIDTHS: [usize; 5] = [1, 31, 32, 33, 64];
+        // The projections' depth: a whole AMX k-step and a tail, an odd
+        // number of k-pairs and a k-quad tail.
+        const K: usize = 70;
+        // Zeroes `seen`, then checks every segment's shape and counts it in
+        // `seen[row · ⌈n / NR⌉ + c0 / NR]`.
+        fn counting(seen: &mut [u32], n: usize) -> impl FnMut(usize, usize, &[i32]) + '_ {
+            seen.fill(0);
+            move |row, c0, accs| {
+                assert_eq!((c0 % NR, accs.len()), (0, NR.min(n - c0)), "({row}, {c0})");
+                seen[row * n.div_ceil(NR) + c0 / NR] += 1;
+            }
+        }
+        let mut scratch = crate::gemm::GemmScratch::new();
+        for kind in kernels::available() {
+            let products = kernels::dispatch_for(kind).products;
+            for (m, n) in SIZES.into_iter().flat_map(|m| WIDTHS.map(|n| (m, n))) {
+                let shape = format!("{} at ({m}, {n})", kind.name());
+                let x: Vec<i8> = (0..m * K).map(pseudo).collect();
+                let w = IntTensor::from_vec((0..K * n).map(pseudo4).collect(), &[K, n]).unwrap();
+                let mut seen = vec![0; m * n.div_ceil(NR)];
+                for weights in [PackedWeights::pack(&w), PackedWeights::pack_nibble(&w)] {
+                    let (weights, pack) = (weights.expect("panels"), &mut scratch.pack);
+                    let sink = counting(&mut seen, n);
+                    match products {
+                        Products::Tiles { wide, nibble } => {
+                            crate::gemm::drive_tiles(&x, m, &weights, pack, wide, nibble, sink)
+                        }
+                        #[cfg(target_arch = "x86_64")]
+                        Products::Amx => amx::drive(&x, m, &weights, &mut pack.lines, sink),
+                    }
+                    assert!(seen.iter().all(|&c| c == 1), "drive {shape}: {seen:?}");
+                }
+
+                // Query row `r`'s every score is `r`: `q[r] = (r, 0, …)` and
+                // `k[j] = (1, 0, …)`, which serves as `v` too.
+                let first = |i: usize| i8::from(i.is_multiple_of(n));
+                let q: Vec<i8> = (0..m * n).map(|i| (i / n) as i8 * first(i)).collect();
+                let k: Vec<i8> = (0..m * n).map(first).collect();
+                let (q, k) = (head_view(&q, n, m, 0..n), head_view(&k, n, m, 0..n));
+                let mut next = 0;
+                let probabilities = |accs: &[i32], probs: &mut [u8]| {
+                    assert_eq!((accs.len(), probs.len()), (m, m), "{shape}");
+                    assert!(accs.iter().all(|&acc| acc == next), "{shape}: row {next}");
+                    probs.fill(1);
+                    next += 1;
+                };
+                let (attn, sink) = (&mut scratch.attn, counting(&mut seen, n));
+                match products {
+                    Products::Tiles { wide, .. } => {
+                        attend_tiles(&mut attn.tiles, [q, k, k], wide, probabilities, sink)
+                    }
+                    #[cfg(target_arch = "x86_64")]
+                    Products::Amx => amx::attend(&mut attn.amx, [q, k, k], probabilities, sink),
+                }
+                assert_eq!(next, m as i32, "attend {shape}: query rows");
+                assert!(seen.iter().all(|&c| c == 1), "attend {shape}: {seen:?}");
+            }
+        }
     }
 }

@@ -1,28 +1,29 @@
-//! Micro-kernel dispatch: one process-wide selection of the SIMD tile
-//! kernels the blocked GEMM runs on.
+//! Micro-kernel dispatch: one process-wide selection of the kernel row the
+//! integer forward pass runs on.
 //!
-//! Every kernel computes the same `MR × NR` accumulator tile update from an
+//! A row names its product engine ([`Products`]). On the tile engine every
+//! kernel computes the same `MR × NR` accumulator tile update from an
 //! activation block and a weight panel — `i16` k-pairs against wide panels,
 //! byte k-quads against biased-nibble panels (see the `gemm` module docs
 //! for the layouts) — and is **bit-identical** to the scalar reference:
 //! absent `i32` overflow — excluded by the `MAX_K` pack bound — integer
 //! accumulation is exact in any order, so lane-parallel SIMD sums equal the
-//! sequential reduction bit for bit. The cross-kernel property tests in
-//! `tests/proptest_gemm.rs` pin this for every kernel the host can run.
+//! sequential reduction bit for bit; the AMX engine's tile products are
+//! exact by the same argument. The cross-kernel property tests in
+//! `tests/proptest_gemm.rs` pin this for every row the host can run.
 //! Panels are built once and never depend on the kernel: [`force`] switches
-//! kernels over panels that already exist, so every row reads the one
-//! layout.
+//! rows over panels that already exist, so every row reads the one layout.
 //!
-//! A row also carries the four element-wise stages that run on the tiles'
-//! output: the requantize epilogue, `Add & LN` ([`AddNormKernel`], the
-//! accelerator's 3-stage LN pipeline), the softmax row ([`SoftmaxKernel`],
-//! its LUT Softmax Core) and a 256-entry byte table applied in place
-//! ([`TableKernel`], GELU). The first two are bit-identical to their scalar
-//! reference inside an envelope computed from the parameters
-//! ([`super::RequantParams::simd_exact`], [`AddNormParams::simd_exact`]);
-//! parameters outside it never reach a SIMD row. The softmax and the table
-//! have no envelope: every row is exact for every [`SoftmaxParams`] and
-//! every table.
+//! A row also carries the four element-wise stages that run on the
+//! products' output: the requantize epilogue, `Add & LN`
+//! ([`AddNormKernel`], the accelerator's 3-stage LN pipeline), the softmax
+//! row ([`SoftmaxKernel`], its LUT Softmax Core) and a 256-entry byte table
+//! applied in place ([`TableKernel`], GELU). The first two are
+//! bit-identical to their scalar reference inside an envelope computed
+//! from the parameters ([`super::RequantParams::simd_exact`],
+//! [`AddNormParams::simd_exact`]); parameters outside it never reach a SIMD
+//! row. The softmax and the table have no envelope: every row is exact for
+//! every [`SoftmaxParams`] and every table.
 //!
 //! # Selection
 //!
@@ -54,38 +55,40 @@
 //!
 //! # Adding a kernel
 //!
-//! A row has six entries: the two tile functions (`wide` for `i16`
-//! panels, `nibble` for biased-nibble int4 panels), the `requant` epilogue,
-//! `add_norm`, `softmax` and `table`. Implement the tiles; any entry may be
-//! borrowed from another row:
+//! A row has five entries: `products`, the `requant` epilogue, `add_norm`,
+//! `softmax` and `table`. A tile row's `products` are its two tile
+//! functions (`wide` for `i16` panels, `nibble` for biased-nibble int4
+//! panels); implement them, and borrow any element-wise entry from another
+//! row:
 //!
-//! | row | `wide` | `nibble` | `requant` | `add_norm` | `softmax` | `table` | projections / attention |
-//! |---|---|---|---|---|---|---|---|
-//! | `scalar` | own | own | own | own | own | own | tiles / tiles |
-//! | `sse2` | own | own | own | `scalar` | `scalar` | `scalar` | tiles / tiles |
-//! | `avx2` | own | own | own | own | own | `scalar` | tiles / tiles |
-//! | `vnni` | own | own | `avx2` | `avx2` | `avx2` | `scalar` | tiles / tiles |
-//! | `avx512` | own | own | own | own | own | own | tiles / tiles |
-//! | `amx` | `avx512` | `avx512` | `avx512` | `avx512` | `avx512` | `avx512` | AMX drivers |
-//! | `neon` | own | own | `scalar` | `scalar` | `scalar` | `scalar` | tiles / tiles |
+//! | row | `products` | `requant` | `add_norm` | `softmax` | `table` |
+//! |---|---|---|---|---|---|
+//! | `scalar` | own tiles | own | own | own | own |
+//! | `sse2` | own tiles | own | `scalar` | `scalar` | `scalar` |
+//! | `avx2` | own tiles | own | own | own | `scalar` |
+//! | `vnni` | own tiles | `avx2` | `avx2` | `avx2` | `scalar` |
+//! | `avx512` | own tiles | own | own | own | own |
+//! | `amx` | AMX | `avx512` | `avx512` | `avx512` | `avx512` |
+//! | `neon` | own tiles | `scalar` | `scalar` | `scalar` | `scalar` |
 //!
-//! The last column is not an entry: `gemm_drive` runs a projection on the
-//! row's `wide` / `nibble` tiles and `attend_head` both attention products
-//! on its `wide` tile, except on `amx`, where the first hands the whole
-//! projection and the second the whole head to `x86::amx` (`tdpbssd` over
-//! the same panels; `tdpbssd` and `tdpbusd` over byte tiles of the head;
-//! see the `gemm` module docs). So the `amx` row's `wide` / `nibble`
-//! entries now serve no product: they are the `avx512` row's, kept only
-//! because every row has the two slots. Its `requant` and `softmax`
-//! entries run inside both drivers' blocks. The `avx512` and `amx` rows
-//! share one requantize, on `i32` lanes, one `Add & LN` (stages 1 and 2 as
-//! one pass of integer moments) and one `vpermi2b` table lookup.
+//! `gemm_drive` and `attend_head` validate a product, build its stage
+//! closures — the projection's requantize sink; attention's
+//! `probabilities` (score requantize, then the row's `softmax`) and its
+//! context-requantize sink — and hand them to the engine the row names:
+//! the tile engine's `MR`-row blocks, or `x86::amx`'s whole projection and
+//! whole head (`tdpbssd` over the same panels; `tdpbssd` and `tdpbusd`
+//! over byte tiles of the head; see the `gemm` module docs). So the `amx`
+//! row's `requant` and `softmax` run inside the AMX blocks. The `avx512`
+//! and `amx` rows share one requantize, on `i32` lanes, one `Add & LN`
+//! (stages 1 and 2 as one pass of integer moments) and one `vpermi2b`
+//! table lookup.
 //!
 //! Add a [`KernelKind`] variant **at its place in the preference order** —
 //! the enum and [`KernelKind::ALL`] list the kinds in the same, ascending
 //! order, which a unit test pins — its availability check, and its
-//! [`KernelDispatch`] row; then the cross-kernel tests automatically cover
-//! it.
+//! [`KernelDispatch`] row; then the cross-kernel tests and the engines'
+//! contract test (every `(row, c0)` to the sink exactly once, every query
+//! row to `probabilities` once and in order) automatically cover it.
 //!
 //! A nibble kernel adds `Σ a·u` over the panel's unsigned `u = w + 8` to
 //! the tile it is given; the driver has already started the tile at
@@ -114,9 +117,9 @@
 pub mod scalar;
 
 #[cfg(target_arch = "aarch64")]
-pub mod neon;
+pub(crate) mod neon;
 #[cfg(target_arch = "x86_64")]
-pub mod x86;
+pub(crate) mod x86;
 
 use super::{
     AccTile, AddNormParams, RequantEpilogue, SoftmaxParams, QUAD_A, QUAD_B, WIDE_A, WIDE_B,
@@ -130,6 +133,28 @@ pub type WideKernel = fn(&[[i16; WIDE_A]], &[[i16; WIDE_B]], &mut AccTile);
 /// activation block: adds `Σ a · (w + 8)` to a tile the driver started at
 /// `−8 · Σ a`.
 pub type NibbleKernel = fn(&[[i8; QUAD_A]], &[[u8; QUAD_B]], &mut AccTile);
+
+/// The engine that runs a row's products — every projection and both
+/// attention products. `gemm_drive` and `attend_head` match it once per
+/// projection or head and hand the whole product, with its stage closures,
+/// to the engine it names; both engines feed every accumulator row segment
+/// to the same `sink(row, c0, accs)` and, in attention, every query row's
+/// `seq` score accumulators to the same `probabilities(accs, probs)`.
+#[derive(Debug, Clone, Copy)]
+pub enum Products {
+    /// `MR × NR` accumulator tiles over the packed panels: a projection
+    /// runs on `wide` or `nibble`, both attention products on `wide`.
+    Tiles {
+        /// Tile kernel for wide (`i16`) weight panels.
+        wide: WideKernel,
+        /// Tile kernel for nibble-packed (int4) weight panels.
+        nibble: NibbleKernel,
+    },
+    /// AMX `tdpbssd` / `tdpbusd` tiles: `x86::amx` takes every projection
+    /// and every head whole.
+    #[cfg(target_arch = "x86_64")]
+    Amx,
+}
 
 /// Requantize epilogue over one accumulator row segment:
 /// `out[j] = clamp(round((acc[j] + bias[j]) · multiplier / 2^shift), ±clamp)`
@@ -229,57 +254,19 @@ impl KernelKind {
     pub fn is_available(self) -> bool {
         match self {
             KernelKind::Scalar => true,
-            KernelKind::Sse2 => {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    std::arch::is_x86_feature_detected!("sse2")
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                {
-                    false
-                }
-            }
-            KernelKind::Avx2 => {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    std::arch::is_x86_feature_detected!("avx2")
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                {
-                    false
-                }
-            }
-            KernelKind::Vnni => {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    std::arch::is_x86_feature_detected!("avx2") && x86::vnni_detected()
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                {
-                    false
-                }
-            }
-            KernelKind::Avx512 => {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    std::arch::is_x86_feature_detected!("avx2") && x86::avx512_detected()
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                {
-                    false
-                }
-            }
-            KernelKind::Amx => {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    KernelKind::Avx512.is_available() && x86::amx::detected()
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                {
-                    false
-                }
-            }
+            #[cfg(target_arch = "x86_64")]
+            KernelKind::Sse2 => std::arch::is_x86_feature_detected!("sse2"),
+            #[cfg(target_arch = "x86_64")]
+            KernelKind::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            KernelKind::Vnni => KernelKind::Avx2.is_available() && x86::vnni_detected(),
+            #[cfg(target_arch = "x86_64")]
+            KernelKind::Avx512 => KernelKind::Avx2.is_available() && x86::avx512_detected(),
+            #[cfg(target_arch = "x86_64")]
+            KernelKind::Amx => KernelKind::Avx512.is_available() && x86::amx::detected(),
             KernelKind::Neon => cfg!(target_arch = "aarch64"),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
         }
     }
 }
@@ -291,10 +278,8 @@ pub struct KernelDispatch {
     pub kind: KernelKind,
     /// Stable name surfaced in telemetry, wire frames and logs.
     pub name: &'static str,
-    /// Tile kernel for wide (`i16`) weight panels.
-    pub wide: WideKernel,
-    /// Tile kernel for nibble-packed (int4) weight panels.
-    pub nibble: NibbleKernel,
+    /// The engine of every projection and both attention products.
+    pub products: Products,
     /// Requantize epilogue kernel for accumulator row segments.
     pub requant: RequantKernel,
     /// `Add & LN` kernel over whole matrices.
@@ -305,11 +290,15 @@ pub struct KernelDispatch {
     pub table: TableKernel,
 }
 
+/// The products of a row whose tile functions are `wide` and `nibble`.
+const fn tiles(wide: WideKernel, nibble: NibbleKernel) -> Products {
+    Products::Tiles { wide, nibble }
+}
+
 static SCALAR: KernelDispatch = KernelDispatch {
     kind: KernelKind::Scalar,
     name: "scalar",
-    wide: scalar::tile_wide,
-    nibble: scalar::tile_nibble,
+    products: tiles(scalar::tile_wide, scalar::tile_nibble),
     requant: scalar::requant_row,
     add_norm: scalar::add_norm_rows,
     softmax: scalar::softmax_row,
@@ -324,20 +313,16 @@ static SCALAR: KernelDispatch = KernelDispatch {
 static SSE2: KernelDispatch = KernelDispatch {
     kind: KernelKind::Sse2,
     name: "sse2",
-    wide: x86::tile_wide_sse2,
-    nibble: x86::tile_nibble_sse2,
+    products: tiles(x86::tile_wide_sse2, x86::tile_nibble_sse2),
     requant: x86::requant_row_sse2,
-    add_norm: scalar::add_norm_rows,
-    softmax: scalar::softmax_row,
-    table: scalar::table_row,
+    ..SCALAR
 };
 
 #[cfg(target_arch = "x86_64")]
 static AVX2: KernelDispatch = KernelDispatch {
     kind: KernelKind::Avx2,
     name: "avx2",
-    wide: x86::tile_wide_avx2,
-    nibble: x86::tile_nibble_avx2,
+    products: tiles(x86::tile_wide_avx2, x86::tile_nibble_avx2),
     requant: x86::requant_row_avx2,
     add_norm: x86::add_norm_rows_avx2,
     softmax: x86::softmax_row_avx2,
@@ -351,35 +336,28 @@ static AVX2: KernelDispatch = KernelDispatch {
 static VNNI: KernelDispatch = KernelDispatch {
     kind: KernelKind::Vnni,
     name: "vnni",
-    wide: x86::tile_wide_vnni,
-    nibble: x86::tile_nibble_vnni,
-    requant: x86::requant_row_avx2,
-    add_norm: x86::add_norm_rows_avx2,
-    softmax: x86::softmax_row_avx2,
-    table: scalar::table_row,
+    products: tiles(x86::tile_wide_vnni, x86::tile_nibble_vnni),
+    ..AVX2
 };
 
 #[cfg(target_arch = "x86_64")]
 static AVX512: KernelDispatch = KernelDispatch {
     kind: KernelKind::Avx512,
     name: "avx512",
-    wide: x86::tile_wide_avx512,
-    nibble: x86::tile_nibble_avx512,
+    products: tiles(x86::tile_wide_avx512, x86::tile_nibble_avx512),
     requant: x86::requant_row_avx512,
     add_norm: x86::add_norm_rows_avx512,
     softmax: x86::softmax_row_avx512,
     table: x86::table_row_avx512,
 };
 
-// AMX changes the products only, and those do not go through a tile entry:
-// `gemm_drive` hands a projection to `x86::amx::drive` whole and
-// `attend_head` a head to `x86::amx::attend`. The tile entries serve no
-// product; the requantize epilogue, `Add & LN`, the softmax row and the
-// table lookup are the AVX-512 row's.
+// AMX changes the products only: the requantize epilogue, `Add & LN`, the
+// softmax row and the table lookup are the AVX-512 row's.
 #[cfg(target_arch = "x86_64")]
 static AMX: KernelDispatch = KernelDispatch {
     kind: KernelKind::Amx,
     name: "amx",
+    products: Products::Amx,
     ..AVX512
 };
 
@@ -389,12 +367,8 @@ static AMX: KernelDispatch = KernelDispatch {
 static NEON: KernelDispatch = KernelDispatch {
     kind: KernelKind::Neon,
     name: "neon",
-    wide: neon::tile_wide,
-    nibble: neon::tile_nibble,
-    requant: scalar::requant_row,
-    add_norm: scalar::add_norm_rows,
-    softmax: scalar::softmax_row,
-    table: scalar::table_row,
+    products: tiles(neon::tile_wide, neon::tile_nibble),
+    ..SCALAR
 };
 
 /// The dispatch table row for `kind`. Kinds not compiled for this target

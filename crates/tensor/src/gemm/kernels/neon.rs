@@ -35,7 +35,7 @@ use core::arch::aarch64::{
 // fqlint::allow(unsafe-outside-kernels): designated kernel module; NEON is
 // baseline on aarch64 and the loads/stores are in-bounds by the fixed
 // array types.
-pub fn tile_wide(a: &[[i16; WIDE_A]], b: &[[i16; WIDE_B]], acc: &mut AccTile) {
+pub(super) fn tile_wide(a: &[[i16; WIDE_A]], b: &[[i16; WIDE_B]], acc: &mut AccTile) {
     unsafe { wide_neon(a, b, acc) }
 }
 
@@ -43,7 +43,7 @@ pub fn tile_wide(a: &[[i16; WIDE_A]], b: &[[i16; WIDE_B]], acc: &mut AccTile) {
 // fqlint::allow(unsafe-outside-kernels): designated kernel module; NEON is
 // baseline on aarch64 and the loads/stores are in-bounds by the fixed
 // array types.
-pub fn tile_nibble(a: &[[i8; QUAD_A]], b: &[[u8; QUAD_B]], acc: &mut AccTile) {
+pub(super) fn tile_nibble(a: &[[i8; QUAD_A]], b: &[[u8; QUAD_B]], acc: &mut AccTile) {
     unsafe { nibble_neon(a, b, acc) }
 }
 

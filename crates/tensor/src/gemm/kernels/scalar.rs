@@ -15,7 +15,7 @@
 //! [`add_norm_rows`] is the `Add & LN` reference: the accelerator's 3-stage
 //! LN pipeline over raw Q16 integers, exact for every [`AddNormParams`].
 //! Its per-element pieces are what a SIMD row finishes a row's tail with,
-//! [`RowMoments`] is the exact algebra that turns one pass of integer
+//! `RowMoments` is the exact algebra that turns one pass of integer
 //! moments into the reference's mean and variance, and [`inv_sqrt_fixed`]
 //! is the one Newton inverse square root of the workspace.
 //!

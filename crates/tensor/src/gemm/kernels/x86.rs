@@ -184,7 +184,7 @@ fn pair_lanes(ap: &[i16; WIDE_A], r: usize) -> i32 {
 // fqlint::allow(unsafe-outside-kernels): designated kernel module; the
 // target-feature call is guarded by runtime AVX2 detection at dispatch
 // installation.
-pub fn tile_wide_avx2(a: &[[i16; WIDE_A]], b: &[[i16; WIDE_B]], acc: &mut AccTile) {
+pub(super) fn tile_wide_avx2(a: &[[i16; WIDE_A]], b: &[[i16; WIDE_B]], acc: &mut AccTile) {
     debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
     unsafe { wide_avx2(a, b, acc) }
 }
@@ -195,7 +195,7 @@ pub fn tile_wide_avx2(a: &[[i16; WIDE_A]], b: &[[i16; WIDE_B]], acc: &mut AccTil
 // fqlint::allow(unsafe-outside-kernels): designated kernel module; the
 // target-feature call is guarded by runtime AVX2 detection at dispatch
 // installation.
-pub fn tile_nibble_avx2(a: &[[i8; QUAD_A]], b: &[[u8; QUAD_B]], acc: &mut AccTile) {
+pub(super) fn tile_nibble_avx2(a: &[[i8; QUAD_A]], b: &[[u8; QUAD_B]], acc: &mut AccTile) {
     debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
     unsafe { nibble_avx2(a, b, acc) }
 }
@@ -221,7 +221,7 @@ pub(super) fn vnni_detected() -> bool {
 // fqlint::allow(unsafe-outside-kernels): designated kernel module; each
 // target-feature call sits directly behind the runtime detection of its
 // VNNI features, and no CPU has either of them without AVX2.
-pub fn tile_nibble_vnni(a: &[[i8; QUAD_A]], b: &[[u8; QUAD_B]], acc: &mut AccTile) {
+pub(super) fn tile_nibble_vnni(a: &[[i8; QUAD_A]], b: &[[u8; QUAD_B]], acc: &mut AccTile) {
     debug_assert!(std::arch::is_x86_feature_detected!("avx2") && vnni_detected());
     if evex_vnni_detected() {
         unsafe { nibble_vnni_evex(a, b, acc) }
@@ -238,7 +238,7 @@ pub fn tile_nibble_vnni(a: &[[i8; QUAD_A]], b: &[[u8; QUAD_B]], acc: &mut AccTil
 // fqlint::allow(unsafe-outside-kernels): designated kernel module; each
 // target-feature call sits directly behind the runtime detection of its
 // VNNI features, and no CPU has either of them without AVX2.
-pub fn tile_wide_vnni(a: &[[i16; WIDE_A]], b: &[[i16; WIDE_B]], acc: &mut AccTile) {
+pub(super) fn tile_wide_vnni(a: &[[i16; WIDE_A]], b: &[[i16; WIDE_B]], acc: &mut AccTile) {
     debug_assert!(std::arch::is_x86_feature_detected!("avx2") && vnni_detected());
     if evex_vnni_detected() {
         unsafe { wide_vnni_evex(a, b, acc) }
@@ -270,7 +270,7 @@ pub(super) fn avx512_detected() -> bool {
 // fqlint::allow(unsafe-outside-kernels): designated kernel module; the
 // target-feature call is guarded by runtime detection of the whole AVX-512
 // feature set at dispatch installation.
-pub fn tile_wide_avx512(a: &[[i16; WIDE_A]], b: &[[i16; WIDE_B]], acc: &mut AccTile) {
+pub(super) fn tile_wide_avx512(a: &[[i16; WIDE_A]], b: &[[i16; WIDE_B]], acc: &mut AccTile) {
     debug_assert!(avx512_detected());
     unsafe { wide_avx512(a, b, acc) }
 }
@@ -281,7 +281,7 @@ pub fn tile_wide_avx512(a: &[[i16; WIDE_A]], b: &[[i16; WIDE_B]], acc: &mut AccT
 // fqlint::allow(unsafe-outside-kernels): designated kernel module; the
 // target-feature call is guarded by runtime detection of the whole AVX-512
 // feature set at dispatch installation.
-pub fn tile_nibble_avx512(a: &[[i8; QUAD_A]], b: &[[u8; QUAD_B]], acc: &mut AccTile) {
+pub(super) fn tile_nibble_avx512(a: &[[i8; QUAD_A]], b: &[[u8; QUAD_B]], acc: &mut AccTile) {
     debug_assert!(avx512_detected());
     unsafe { nibble_avx512(a, b, acc) }
 }
@@ -291,7 +291,7 @@ pub fn tile_nibble_avx512(a: &[[i8; QUAD_A]], b: &[[u8; QUAD_B]], acc: &mut AccT
 // fqlint::allow(unsafe-outside-kernels): designated kernel module; SSE2 is
 // baseline on x86_64 and the loads/stores are in-bounds by the fixed array
 // types.
-pub fn tile_wide_sse2(a: &[[i16; WIDE_A]], b: &[[i16; WIDE_B]], acc: &mut AccTile) {
+pub(super) fn tile_wide_sse2(a: &[[i16; WIDE_A]], b: &[[i16; WIDE_B]], acc: &mut AccTile) {
     unsafe { wide_sse2(a, b, acc) }
 }
 
@@ -299,7 +299,7 @@ pub fn tile_wide_sse2(a: &[[i16; WIDE_A]], b: &[[i16; WIDE_B]], acc: &mut AccTil
 // fqlint::allow(unsafe-outside-kernels): designated kernel module; SSE2 is
 // baseline on x86_64 and the loads/stores are in-bounds by the fixed array
 // types.
-pub fn tile_nibble_sse2(a: &[[i8; QUAD_A]], b: &[[u8; QUAD_B]], acc: &mut AccTile) {
+pub(super) fn tile_nibble_sse2(a: &[[i8; QUAD_A]], b: &[[u8; QUAD_B]], acc: &mut AccTile) {
     unsafe { nibble_sse2(a, b, acc) }
 }
 
@@ -635,9 +635,9 @@ unsafe fn wide_sse2(a: &[[i16; WIDE_A]], b: &[[i16; WIDE_B]], acc: &mut AccTile)
 /// `2^63` and `i64` arithmetic is exact.
 // fqlint::allow(unsafe-outside-kernels): designated kernel module; SSE2 is
 // baseline on x86_64 and all loads/stores are bounded by the slice lengths.
-pub fn requant_row_sse2(acc: &[i32], bias: &[i32], epilogue: &RequantEpilogue, out: &mut [i8]) {
-    debug_assert!(epilogue.params.simd_exact());
-    unsafe { requant_sse2(acc, bias, epilogue, out) }
+pub(super) fn requant_row_sse2(acc: &[i32], bias: &[i32], ep: &RequantEpilogue, out: &mut [i8]) {
+    debug_assert!(ep.params.simd_exact());
+    unsafe { requant_sse2(acc, bias, ep, out) }
 }
 
 /// AVX2 requantize epilogue over one accumulator row segment.
@@ -647,10 +647,10 @@ pub fn requant_row_sse2(acc: &[i32], bias: &[i32], epilogue: &RequantEpilogue, o
 // fqlint::allow(unsafe-outside-kernels): designated kernel module; the
 // target-feature call is guarded by runtime AVX2 detection at dispatch
 // installation.
-pub fn requant_row_avx2(acc: &[i32], bias: &[i32], epilogue: &RequantEpilogue, out: &mut [i8]) {
-    debug_assert!(epilogue.params.simd_exact());
+pub(super) fn requant_row_avx2(acc: &[i32], bias: &[i32], ep: &RequantEpilogue, out: &mut [i8]) {
+    debug_assert!(ep.params.simd_exact());
     debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
-    unsafe { requant_avx2(acc, bias, epilogue, out) }
+    unsafe { requant_avx2(acc, bias, ep, out) }
 }
 
 /// Requantizes one vector of two non-negative-envelope `i64` sums:
@@ -820,10 +820,10 @@ unsafe fn requant_avx2(acc: &[i32], bias: &[i32], epilogue: &RequantEpilogue, ou
 // fqlint::allow(unsafe-outside-kernels): designated kernel module; the
 // target-feature call is guarded by runtime detection of the whole AVX-512
 // feature set at dispatch installation.
-pub fn requant_row_avx512(acc: &[i32], bias: &[i32], epilogue: &RequantEpilogue, out: &mut [i8]) {
-    debug_assert!(epilogue.params.simd_exact());
+pub(super) fn requant_row_avx512(acc: &[i32], bias: &[i32], ep: &RequantEpilogue, out: &mut [i8]) {
+    debug_assert!(ep.params.simd_exact());
     debug_assert!(avx512_detected());
-    unsafe { requant_avx512(acc, bias, epilogue, out) }
+    unsafe { requant_avx512(acc, bias, ep, out) }
 }
 
 /// AVX-512 requantize loop: sixteen accumulators per iteration in `i32`
@@ -930,7 +930,7 @@ unsafe fn requant_avx512(acc: &[i32], bias: &[i32], epilogue: &RequantEpilogue, 
 // target-feature call is guarded by runtime AVX2 detection at dispatch
 // installation, and the lengths its loads and stores rely on are asserted
 // by `add_norm_hidden` on the line before.
-pub fn add_norm_rows_avx2(
+pub(super) fn add_norm_rows_avx2(
     params: &AddNormParams,
     sums: &mut [i32],
     a: &[i8],
@@ -1153,7 +1153,7 @@ unsafe fn add_norm_row_avx2(
 /// Same exactness contract as [`add_norm_rows_avx2`]: inside
 /// [`AddNormParams::simd_exact`] no operand, sum or deviation saturates, so
 /// the integer moments of a row's codes give the reference's mean and
-/// variance exactly ([`scalar::RowMoments::stats`]), and stage 3 runs on
+/// variance exactly (`scalar::RowMoments::stats`), and stage 3 runs on
 /// lanes wherever `stage3_fits` says none of its products can saturate.
 /// Must only be installed when `avx512_detected` holds.
 ///
@@ -1165,7 +1165,7 @@ unsafe fn add_norm_row_avx2(
 // target-feature call is guarded by runtime detection of the whole AVX-512
 // feature set at dispatch installation, and the lengths its loads and
 // stores rely on are asserted by `add_norm_hidden` on the line before.
-pub fn add_norm_rows_avx512(
+pub(super) fn add_norm_rows_avx512(
     params: &AddNormParams,
     sums: &mut [i32],
     a: &[i8],
@@ -1349,7 +1349,7 @@ unsafe fn add_norm_stage3_avx512(
 // target-feature call is guarded by runtime AVX2 detection at dispatch
 // installation, and the equal lengths its loads and stores rely on are
 // asserted by `softmax_len` on the line before.
-pub fn softmax_row_avx2(params: &SoftmaxParams, scores: &[i8], out: &mut [u8]) {
+pub(super) fn softmax_row_avx2(params: &SoftmaxParams, scores: &[i8], out: &mut [u8]) {
     debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
     if scalar::softmax_len(scores, out) > 0 {
         unsafe { softmax_avx2(params, scores, out) }
@@ -1368,7 +1368,7 @@ pub fn softmax_row_avx2(params: &SoftmaxParams, scores: &[i8], out: &mut [u8]) {
 // target-feature call is guarded by runtime detection of the whole AVX-512
 // feature set at dispatch installation, and the equal lengths its loads and
 // stores rely on are asserted by `softmax_len` on the line before.
-pub fn softmax_row_avx512(params: &SoftmaxParams, scores: &[i8], out: &mut [u8]) {
+pub(super) fn softmax_row_avx512(params: &SoftmaxParams, scores: &[i8], out: &mut [u8]) {
     debug_assert!(avx512_detected());
     if scalar::softmax_len(scores, out) > 0 {
         unsafe { softmax_avx512(params, scores, out) }
@@ -1582,7 +1582,7 @@ unsafe fn softmax_avx512(params: &SoftmaxParams, scores: &[i8], out: &mut [u8]) 
 // fqlint::allow(unsafe-outside-kernels): designated kernel module; the
 // target-feature call is guarded by runtime detection of the whole AVX-512
 // feature set at dispatch installation.
-pub fn table_row_avx512(table: &[i8; 256], codes: &mut [i8]) {
+pub(super) fn table_row_avx512(table: &[i8; 256], codes: &mut [i8]) {
     debug_assert!(avx512_detected());
     unsafe { table_avx512(table, codes) }
 }

@@ -94,10 +94,10 @@
 //! reads through the same view type (a dense matrix is the view whose
 //! stride equals its width), and the softmax probabilities — `u8` codes in
 //! `[0, 255]`, one contiguous row per query row out of the `softmax`
-//! kernel — are interleaved into the activation-block layout once per
-//! `MR`-row block, so both attention products run on the unchanged `wide`
-//! tile kernels and the requantize kernels (with a zero bias). The `amx`
-//! row lays the same head out as byte tiles instead (see [AMX](#amx)).
+//! kernel — are interleaved into the activation-block layout row by row,
+//! so both attention products run on the unchanged `wide` tile kernels and
+//! the requantize kernels (with a zero bias). The `amx` row lays the same
+//! head out as byte tiles instead (see [AMX](#amx)).
 //! [`GemmScratch`] owns those panels and tiles, the score and probability
 //! blocks, in its [`ByteArena`] every `i8` intermediate of an encoder layer
 //! and, in its [`AddNormRow`], the one row of `i32` operand sums `Add & LN`
@@ -144,10 +144,9 @@
 //!
 //! # Kernel dispatch
 //!
-//! The per-tile micro-kernel is selected once per process by the
-//! [`kernels`] module: on x86_64 an AMX row (the AVX-512 row with every
-//! projection and both attention products on AMX tiles, below), an
-//! AVX-512 row (both tiles on
+//! The kernel row is selected once per process by the [`kernels`] module:
+//! on x86_64 an AMX row (the AVX-512 row with every projection and both
+//! attention products on AMX tiles, below), an AVX-512 row (both tiles on
 //! `zmm` `vpdpbusd` / `vpdpwssd`, an `i32`-lane `zmm` requantize, a
 //! one-pass-moment `Add & LN`, `vpermi2b` softmax and table rows), a VNNI
 //! row (the same two fused dot products on 256-bit registers, everything
@@ -160,12 +159,33 @@
 //! overridden with `FQBERT_KERNEL=scalar|sse2|avx2|vnni|avx512|amx|neon`;
 //! see [`kernels::selected`].
 //!
+//! A row names its product engine in one entry, [`kernels::Products`]:
+//! `Tiles { wide, nibble }` or `Amx`. Both engines keep one contract, so
+//! `gemm_drive` and `attend_head` each validate once, build their stage
+//! closures once and `match` once, per projection or head:
+//!
+//! * **`drive(x, m, weights, scratch, sink)`** — a projection; every
+//!   accumulator row segment goes to `sink(row, c0, accs)` exactly once,
+//!   `c0` a multiple of [`NR`] and `accs` its `min(NR, n − c0)` columns. The
+//!   tile engine also takes the row's `wide` and `nibble` kernels and walks
+//!   [`MR`]-row blocks against every panel; the AMX engine is below.
+//! * **`attend(scratch, [q, k, v], probabilities, sink)`** — one head;
+//!   `probabilities(accs, probs)` runs once per query row, in order, and
+//!   turns its `seq` score accumulators into its `seq` probability codes,
+//!   and every context segment goes to `sink` exactly once under the same
+//!   rule. The tile engine also takes the `wide` kernel.
+//!
+//! The tile engine writes its panel loop once — start the tile, call the
+//! tile kernel, hand its rows to the sink — and runs the projection and
+//! both attention products through it. A unit test drives both engines of
+//! every available row through this contract directly.
+//!
 //! # AMX
 //!
 //! On the `amx` row `gemm_drive` does not walk `MR × NR` tiles: it hands
-//! the whole projection to `kernels::x86::amx`, which runs it as `tdpbssd`
-//! tile products (16 × 64 signed bytes by 16 k-quads × 16 columns into 16
-//! × 16 `i32`) — the CPU's own 2-D multiplier array. Both panel layouts
+//! the whole projection to `kernels::x86::amx::drive`, which runs it as
+//! `tdpbssd` tile products (16 × 64 signed bytes by 16 k-quads × 16
+//! columns into 16 × 16 `i32`) — the CPU's own 2-D multiplier array. Both panel layouts
 //! stay what they are in memory (`resident_bytes` and the artifact do not
 //! change): a panel is decoded once per call into signed-byte `B` tiles —
 //! a nibble k-quad row is `and` / `srli` / `and`, two `vshufi64x2` and `− 8`
@@ -177,16 +197,17 @@
 //! 16-row halves), a k-step of 64 is four `tdpbssd`, and the block goes to
 //! the sink row by row, panel after panel.
 //!
-//! `attend_head` hands a whole head to the same module's attention driver,
-//! in blocks of 32 query rows, with no byte widened to `i16`:
+//! `attend_head` hands a whole head, with its `probabilities` and sink, to
+//! the same module's `attend`, in blocks of 32 query rows, with no byte
+//! widened to `i16`:
 //!
 //! * **Scores** are `tdpbssd` with `Q`'s rows as the `A` tiles, read in
 //!   place with the projection output's row stride wherever a whole 16 ×
 //!   64-byte window lies inside the head's view (else staged zero-padded).
 //!   A `B` tile is a dword transpose of 16 `K` rows: `B[q][4j + t] =
 //!   K[j][4q + t]`. The block's accumulators for every key are stored with
-//!   `tilestored` into a grow-only, 64-byte-aligned `i32` block, and the
-//!   kernel row's requantize and softmax entries run over its whole rows.
+//!   `tilestored` into a grow-only, 64-byte-aligned `i32` block, and
+//!   `probabilities` runs over its whole rows.
 //! * **Context** is `tdpbusd`: the softmax's contiguous `u8` rows, padded
 //!   with zeros to a multiple of 64 keys, are its unsigned `A` tiles as they
 //!   stand, and `V` becomes `B` tiles by a 4-row byte interleave, `B[q][4c
@@ -292,6 +313,7 @@ pub mod kernels;
 pub use attention::AttentionScratch;
 
 use crate::{IntTensor, Result, TensorError};
+use kernels::{NibbleKernel, Products, WideKernel};
 use std::ops::Range;
 
 /// Width (output columns) of one packed weight panel and of the micro-kernel
@@ -738,12 +760,18 @@ impl ActivationBlock {
 /// Spreads `src` over lane `lane` of consecutive k-pair rows, widened to
 /// `i16`: `block[pp][2·lane + t] = src[2pp + t]`. An odd tail leaves its
 /// second slot untouched.
-fn interleave_pairs<const W: usize>(src: &[i8], block: &mut [[i16; W]], lane: usize) {
-    for (pair, dst) in src.chunks(2).zip(block) {
-        dst[2 * lane] = i16::from(pair[0]);
-        if let Some(&odd) = pair.get(1) {
-            dst[2 * lane + 1] = i16::from(odd);
-        }
+fn interleave_pairs<T: Copy + Into<i16>, const W: usize>(
+    src: &[T],
+    block: &mut [[i16; W]],
+    lane: usize,
+) {
+    let (pairs, tail) = src.as_chunks::<2>();
+    for (&[even, odd], dst) in pairs.iter().zip(&mut *block) {
+        dst[2 * lane] = even.into();
+        dst[2 * lane + 1] = odd.into();
+    }
+    if let (Some(&last), Some(dst)) = (tail.first(), block.get_mut(pairs.len())) {
+        dst[2 * lane] = last.into();
     }
 }
 
@@ -851,18 +879,17 @@ impl GemmScratch {
 /// Drives the blocked GEMM `x (m×k) · W (k×n)` over the row-major codes
 /// `x` and feeds every finished accumulator row segment to
 /// `sink(row, c0, accs)` exactly once (`accs[j]` is the accumulator for
-/// column `c0 + j`, `c0` a multiple of [`NR`]), through the
-/// process-selected kernel row: its tiles in row-block / panel order, or,
-/// on the `amx` row, the AMX driver in panel / row-block order (see the
-/// module docs). Handing the epilogue a contiguous segment instead of one
-/// element at a time is what lets [`gemm_i8_requant_into`] run a SIMD fixup
-/// over it.
+/// column `c0 + j`, `c0` a multiple of [`NR`]), on the product engine of
+/// the process-selected kernel row: [`drive_tiles`] or the AMX driver (see
+/// the module docs). Handing the epilogue a contiguous segment instead of
+/// one element at a time is what lets [`gemm_i8_requant_into`] run a SIMD
+/// fixup over it.
 fn gemm_drive<F: FnMut(usize, usize, &[i32])>(
     x: &[i8],
     m: usize,
     weights: &PackedWeights,
     pack: &mut ActivationBlock,
-    mut sink: F,
+    sink: F,
 ) -> Result<()> {
     let (k, n) = (weights.k, weights.n);
     if m.checked_mul(k) != Some(x.len()) {
@@ -872,42 +899,71 @@ fn gemm_drive<F: FnMut(usize, usize, &[i32])>(
             rhs: vec![k, n],
         });
     }
-    let kernel = kernels::selected();
-    #[cfg(target_arch = "x86_64")]
-    if kernel.kind == kernels::KernelKind::Amx {
-        kernels::x86::amx::drive(x, m, weights, &mut pack.lines, sink);
-        return Ok(());
+    match kernels::selected().products {
+        Products::Tiles { wide, nibble } => drive_tiles(x, m, weights, pack, wide, nibble, sink),
+        #[cfg(target_arch = "x86_64")]
+        Products::Amx => kernels::x86::amx::drive(x, m, weights, &mut pack.lines, sink),
     }
-    let x = StridedView::dense(x, m, k)?;
+    Ok(())
+}
+
+/// The tile engine's projection, under the contract of [`gemm_drive`]:
+/// every [`MR`]-row block of `x`, packed into `pack`, against every panel
+/// on the `wide` or the `nibble` tile kernel.
+///
+/// # Panics
+///
+/// Panics unless `x` holds `m · weights.k()` codes.
+fn drive_tiles(
+    x: &[i8],
+    m: usize,
+    weights: &PackedWeights,
+    pack: &mut ActivationBlock,
+    wide: WideKernel,
+    nibble: NibbleKernel,
+    mut sink: impl FnMut(usize, usize, &[i32]),
+) {
+    let n = weights.n;
+    let x = StridedView::dense(x, m, weights.k).expect("m rows of k codes");
     for r0 in (0..m).step_by(MR) {
         let rows = MR.min(m - r0);
-        // What every accumulator of tile row `r` starts from.
-        let start = match &weights.store {
-            PanelStore::Wide(_) => {
-                pack.pack_rows(x, r0, rows);
-                [0i32; MR]
+        let block_rows = r0..r0 + rows;
+        match &weights.store {
+            PanelStore::Wide(data) => {
+                let block = pack.pack_rows(x, r0, rows);
+                tile_panels(wide, block, data, n, [0; MR], block_rows, &mut sink);
             }
-            PanelStore::Nibble(_) => pack.pack_quads(x, r0, rows),
-        };
-        for (p, c0) in (0..n).step_by(NR).enumerate() {
-            let mut acc = start.map(|s| [s; NR]);
-            match &weights.store {
-                PanelStore::Wide(data) => {
-                    let k_pairs = pack.rows.len();
-                    (kernel.wide)(&pack.rows, &data[p * k_pairs..][..k_pairs], &mut acc);
-                }
-                PanelStore::Nibble(data) => {
-                    let k_quads = pack.quads.len();
-                    (kernel.nibble)(&pack.quads, &data[p * k_quads..][..k_quads], &mut acc);
-                }
-            }
-            let cols = NR.min(n - c0);
-            for (r, row) in acc.iter().enumerate().take(rows) {
-                sink(r0 + r, c0, &row[..cols]);
+            PanelStore::Nibble(data) => {
+                let start = pack.pack_quads(x, r0, rows);
+                tile_panels(nibble, &pack.quads, data, n, start, block_rows, &mut sink);
             }
         }
     }
-    Ok(())
+}
+
+/// One activation block `a` against every panel of an `n`-column operand,
+/// `a.len()` rows per panel: each tile starts at `start[r]` in row `r`,
+/// runs `tile`, and hands its first `rows.len()` rows to
+/// `sink(row, c0, accs)`, numbered from `rows.start`, `accs` the
+/// `min(NR, n − c0)` columns from `c0`. The one panel loop of the tile
+/// engine — projections and both attention products.
+fn tile_panels<A, B>(
+    tile: fn(&[A], &[B], &mut AccTile),
+    a: &[A],
+    panels: &[B],
+    n: usize,
+    start: [i32; MR],
+    rows: Range<usize>,
+    mut sink: impl FnMut(usize, usize, &[i32]),
+) {
+    for (p, c0) in (0..n).step_by(NR).enumerate() {
+        let mut acc = start.map(|s| [s; NR]);
+        tile(a, &panels[p * a.len()..][..a.len()], &mut acc);
+        let cols = NR.min(n - c0);
+        for (r, row) in rows.clone().zip(&acc) {
+            sink(r, c0, &row[..cols]);
+        }
+    }
 }
 
 /// Rows of the matrix `x`, after checking its width against the packed `k`.
@@ -940,16 +996,10 @@ pub fn gemm_i8_i32(
     let m = checked_rows(x, weights)?;
     let n = weights.n;
     let mut out = IntTensor::<i32>::zeros(&[m, n]);
-    let slice = out.as_mut_slice();
-    gemm_drive(
-        x.as_slice(),
-        m,
-        weights,
-        &mut scratch.pack,
-        |r, c0, accs| {
-            slice[r * n + c0..r * n + c0 + accs.len()].copy_from_slice(accs);
-        },
-    )?;
+    let (slice, pack) = (out.as_mut_slice(), &mut scratch.pack);
+    gemm_drive(x.as_slice(), m, weights, pack, |r, c0, accs| {
+        slice[r * n + c0..][..accs.len()].copy_from_slice(accs)
+    })?;
     Ok(out)
 }
 
@@ -1346,12 +1396,25 @@ mod tests {
         IntTensor::from_vec(data, dims).expect("shape")
     }
 
-    fn pseudo(i: usize) -> i8 {
+    pub(super) fn pseudo(i: usize) -> i8 {
         (((i as i64 * 2654435761) >> 7) % 255 - 127) as i8
     }
 
-    fn pseudo4(i: usize) -> i8 {
+    pub(super) fn pseudo4(i: usize) -> i8 {
         (((i as i64 * 2654435761) >> 9) % 16 - 8) as i8
+    }
+
+    /// `round-half-away(acc · multiplier / 2^shift)` clamped to ±127, in
+    /// `i128`.
+    pub(super) fn requant(acc: i64, params: RequantParams) -> i8 {
+        let product = i128::from(acc) * i128::from(params.multiplier);
+        let half = 1i128 << (params.shift - 1);
+        let rounded = if product >= 0 {
+            (product + half) >> params.shift
+        } else {
+            -((-product + half) >> params.shift)
+        };
+        rounded.clamp(-127, 127) as i8
     }
 
     #[test]
@@ -1538,17 +1601,6 @@ mod tests {
             clamp: 127,
         };
         assert!(params.simd_exact());
-        let reference = |acc: i32, bias: i32| -> i8 {
-            let sum = i64::from(acc) + i64::from(bias);
-            let product = i128::from(sum) * i128::from(params.multiplier);
-            let half = 1i128 << (params.shift - 1);
-            let rounded = if product >= 0 {
-                (product + half) >> params.shift
-            } else {
-                -((-product + half) >> params.shift)
-            };
-            rounded.clamp(-127, 127) as i8
-        };
         for &(m, k, n) in &[(1usize, 1usize, 1usize), (3, 5, 7), (9, 33, 21)] {
             let x = tensor_i8((0..m * k).map(pseudo).collect(), &[m, k]);
             let w = tensor_i8((0..k * n).map(|i| pseudo(i + 99)).collect(), &[k, n]);
@@ -1561,7 +1613,7 @@ mod tests {
                 for (c, &b) in bias.iter().enumerate() {
                     assert_eq!(
                         fused.as_slice()[r * n + c],
-                        reference(raw.as_slice()[r * n + c], b),
+                        requant(i64::from(raw.as_slice()[r * n + c]) + i64::from(b), params),
                         "({m},{k},{n}) at ({r},{c})"
                     );
                 }
