@@ -100,6 +100,16 @@ impl EncodedBatch {
         self.examples.get(self.start..self.end).unwrap_or(&[])
     }
 
+    /// The encoded examples by value: moved out when this batch is the only
+    /// owner of its storage, copied when the storage is shared.
+    pub fn into_examples(self) -> Vec<Example> {
+        let len = self.len();
+        match Arc::try_unwrap(self.examples) {
+            Ok(examples) => examples.into_iter().skip(self.start).take(len).collect(),
+            Err(shared) => shared.get(self.start..self.end).unwrap_or(&[]).to_vec(),
+        }
+    }
+
     /// Number of sequences in the batch.
     pub fn len(&self) -> usize {
         self.end - self.start
@@ -208,6 +218,24 @@ mod tests {
         assert_ne!(shard, batch);
         // Empty views are representable and report empty.
         assert!(batch.shard(1..1).is_empty());
+    }
+
+    #[test]
+    fn into_examples_moves_sole_storage_and_copies_shared_views() {
+        let batch = EncodedBatch::from_texts(&tokenizer(), &["good movie", "bad", "movie"]);
+        let expected = batch.examples().to_vec();
+        // A view into shared storage copies exactly its own sequences.
+        let shard = batch.shard(1..3);
+        assert_eq!(shard.clone().into_examples(), &expected[1..3]);
+        drop(batch);
+        // Once a shard is the only owner, its view moves out.
+        assert_eq!(shard.into_examples(), &expected[1..3]);
+        // A whole batch with one owner hands its examples over uncopied.
+        let batch = EncodedBatch::from_examples(expected.clone());
+        let tokens = batch.examples()[0].token_ids.as_ptr();
+        let moved = batch.into_examples();
+        assert_eq!(moved, expected);
+        assert_eq!(moved[0].token_ids.as_ptr(), tokens);
     }
 
     #[test]

@@ -9,18 +9,21 @@
 //! ```
 //!
 //! Models come from `name=backend:path[#threads=N]` specs (backend is `int`
-//! or `sim`) given as arguments and/or one per line in `--config FILE`
-//! (`#` comments allowed). `--threads N` shards every model's batches
-//! across `N` worker threads (`0` = auto-detect); a per-spec `#threads=`
-//! suffix overrides it for that model. `--max-queue N` bounds each model's
-//! request queue to `N` sequences (default 1024, `0` = unbounded):
-//! submissions past the bound are answered with a `server_overloaded`
-//! error frame instead of growing the backlog. `--stats-interval SECS`
-//! prints a telemetry summary line per model every `SECS` seconds (`0`,
-//! the default, disables it); the same data is live over the wire via
-//! `{"cmd":"stats"}`. `--cache N` sizes the idempotent response cache
-//! (default 128 responses, `0` turns replay off; identical in-flight
-//! requests still coalesce). The server runs until a client sends
+//! or `sim`) given as arguments and/or one per line in `--config FILE` (`#`
+//! comments allowed). Batching is work-conserving: a model's free worker
+//! flushes whatever is pending, up to `--max-batch N` sequences (default
+//! 16). `--max-delay-ms MS` (default 0) opts into holding a window open
+//! until the oldest request has waited `MS` ms. `--threads N` shards every
+//! model's batches across `N` worker threads (`0` = auto-detect); a
+//! per-spec `#threads=` suffix overrides it for that model. `--max-queue N`
+//! bounds each model's request queue to `N` sequences (default 1024, `0` =
+//! unbounded): submissions past the bound are answered with a
+//! `server_overloaded` error frame instead of growing the backlog.
+//! `--stats-interval SECS` prints a telemetry summary line per model every
+//! `SECS` seconds (`0`, the default, disables it); the same data is live
+//! over the wire via `{"cmd":"stats"}`. `--cache N` sizes the idempotent
+//! response cache (default 128 responses, `0` turns replay off; identical
+//! in-flight requests still coalesce). The server runs until a client sends
 //! `{"cmd":"shutdown"}`.
 
 use fqbert_serve::{registry, BatchPolicy, ModelRegistry, ModelSpec, Server, ServerConfig};
@@ -30,7 +33,10 @@ fn usage() -> ! {
     eprintln!(
         "usage: fqbert-serve [--listen ADDR] [--max-batch N] [--max-delay-ms MS] \
          [--max-queue N] [--cache N] [--stats-interval SECS] [--threads N] \
-         [--config FILE] [name=backend:path[#threads=N] ...]"
+         [--config FILE] [name=backend:path[#threads=N] ...]\n\
+         \n  --max-batch N      sequences per flush (default 16)\
+         \n  --max-delay-ms MS  hold a window open up to MS ms \
+         (default 0: flush as soon as the worker is free)"
     );
     std::process::exit(2);
 }
@@ -152,11 +158,18 @@ fn main() {
     });
 
     println!("fqbert-serve listening on {}", server.local_addr());
-    println!(
-        "batching: up to {} sequences or {:.1} ms per flush",
-        policy.max_batch,
-        policy.max_delay.as_secs_f64() * 1e3
-    );
+    if policy.max_delay.is_zero() {
+        println!(
+            "batching: work-conserving, up to {} sequences per flush",
+            policy.max_batch
+        );
+    } else {
+        println!(
+            "batching: up to {} sequences per flush, holding a window up to {:.1} ms",
+            policy.max_batch,
+            policy.max_delay.as_secs_f64() * 1e3
+        );
+    }
     for info in infos {
         println!(
             "  model {:<16} task {:<7} backend {:<5} precision {:<6} bits {:<12} threads {} \

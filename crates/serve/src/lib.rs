@@ -11,8 +11,9 @@
 //!    strings ([`ModelSpec`]: `name=backend:path`, with
 //!    `BackendKind: FromStr` parsing the backend).
 //! 2. [`BatchQueue`] implements dynamic batching: one worker thread per
-//!    model collects in-flight requests up to a max-batch/max-delay window
-//!    ([`BatchPolicy`]) and flushes them through a single
+//!    model takes in-flight requests the moment it is free, up to a
+//!    max-batch window (work-conserving; a max-delay hold is opt-in,
+//!    [`BatchPolicy`]), and flushes them through a single
 //!    `classify_scored` call, returning results through per-request
 //!    response channels ([`Ticket`]). Queued results are bit-identical to
 //!    calling `classify_batch` directly on the same inputs.

@@ -2,13 +2,18 @@
 //! `classify_scored` call.
 //!
 //! A [`BatchQueue`] owns one worker thread. Callers submit pre-encoded
-//! examples and get a [`Ticket`] back; the worker collects in-flight
-//! requests until either `max_batch` sequences are queued or the oldest
-//! request has waited `max_delay`, then merges them into a single
-//! [`EncodedBatch`] and runs one engine call for the whole window. Results
-//! are split back per request and delivered through each ticket's channel.
-//! A request may carry a deadline ([`BatchQueue::submit_with_deadline`]):
-//! if it expires while the request is still queued, the request resolves to
+//! examples and get a [`Ticket`] back. By default the queue is
+//! work-conserving: the moment the worker is free it flushes whatever is
+//! pending, up to `max_batch` sequences, so a lone request on an idle queue
+//! is served at once, and requests that arrive while a flush runs merge
+//! into the next window. [`BatchPolicy::max_delay`] is an opt-in hold: with
+//! it set, a window stays open until `max_batch` sequences are queued or
+//! the oldest request has waited `max_delay`. Either way the window's
+//! requests are moved into a single [`EncodedBatch`] and served by one
+//! engine call. Results are split back per request and delivered through
+//! each ticket's channel. A request may carry a deadline
+//! ([`BatchQueue::submit_with_deadline`]): if it expires while the request
+//! is still queued, the request resolves to
 //! [`ServeError::DeadlineExceeded`] instead of occupying a flush slot.
 //!
 //! Batched and one-at-a-time inference are bit-identical in every backend
@@ -20,19 +25,27 @@ use fqbert_nlp::Example;
 use fqbert_runtime::{BatchCost, EncodedBatch, Engine, Scored};
 use fqbert_telemetry::{Counter, Gauge, Histogram, Registry, Scope};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// When a queue flushes: after `max_batch` sequences are waiting, or once
-/// the oldest request has waited `max_delay`, whichever comes first.
+/// When a queue flushes. By default the queue is work-conserving: a free
+/// worker flushes whatever is pending, up to `max_batch` sequences. With an
+/// opt-in `max_delay` hold it flushes after `max_batch` sequences are
+/// waiting, or once the oldest request has waited `max_delay`, whichever
+/// comes first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Flush as soon as this many sequences are queued. A single request
     /// larger than `max_batch` flushes alone (requests are never split).
     pub max_batch: usize,
-    /// Flush once the oldest queued request has waited this long.
+    /// An opt-in hold: keep a window open until the oldest queued request
+    /// has waited this long (or `max_batch` sequences are queued). Zero, the
+    /// default, means flush as soon as the worker is free; requests that
+    /// arrive while a flush runs still merge, up to `max_batch`, into the
+    /// next window.
     pub max_delay: Duration,
     /// Admission bound: a submission that would push the queue past this
     /// many queued sequences is shed immediately with
@@ -63,11 +76,12 @@ impl BatchPolicy {
     }
 }
 
+/// Work-conserving: up to 16 sequences per flush, no hold, unbounded queue.
 impl Default for BatchPolicy {
     fn default() -> Self {
         Self {
             max_batch: 16,
-            max_delay: Duration::from_millis(2),
+            max_delay: Duration::ZERO,
             max_queue: usize::MAX,
         }
     }
@@ -228,6 +242,76 @@ struct QueueInner {
     telemetry: Arc<Registry>,
 }
 
+impl QueueInner {
+    fn new(engine: Arc<Engine>, policy: BatchPolicy, scope: &Scope) -> Self {
+        Self {
+            engine,
+            policy: BatchPolicy {
+                max_batch: policy.max_batch.max(1),
+                ..policy
+            },
+            state: Mutex::new(QueueState {
+                pending: VecDeque::new(),
+                queued_sequences: 0,
+                shutdown: false,
+            }),
+            cond: Condvar::new(),
+            metrics: QueueMetrics::new(scope),
+            telemetry: Arc::clone(scope.registry()),
+        }
+    }
+
+    /// Queues one request and wakes the worker, returning `true`; or
+    /// answers it through `reply` at once and returns `false` — an empty
+    /// request with an empty response, one after shutdown with
+    /// [`ServeError::ShuttingDown`], one past `max_queue` with
+    /// [`ServeError::ServerOverloaded`].
+    fn admit(
+        &self,
+        examples: Vec<Example>,
+        deadline: Option<Duration>,
+        reply: mpsc::Sender<Result<TicketResponse>>,
+    ) -> bool {
+        if examples.is_empty() {
+            let _ = reply.send(Ok(TicketResponse {
+                results: Vec::new(),
+                cost: None,
+                flushed_batch: 0,
+                wait: Duration::ZERO,
+                cached: false,
+            }));
+            return false;
+        }
+        let mut state = lock_clean(&self.state);
+        if state.shutdown {
+            drop(state);
+            let _ = reply.send(Err(ServeError::ShuttingDown));
+            return false;
+        }
+        // Admission control: a request that would push the backlog past
+        // `max_queue` sequences is shed now, while it is cheap — before
+        // encoding work, queue growth, or a doomed multi-window wait.
+        if state.queued_sequences.saturating_add(examples.len()) > self.policy.max_queue {
+            drop(state);
+            self.metrics.shed.inc();
+            let _ = reply.send(Err(ServeError::ServerOverloaded));
+            return false;
+        }
+        let enqueued = Instant::now();
+        state.queued_sequences += examples.len();
+        self.metrics.depth.add(examples.len() as i64);
+        state.pending.push_back(PendingRequest {
+            examples,
+            enqueued,
+            deadline: deadline.map(|d| enqueued + d),
+            reply,
+        });
+        drop(state);
+        self.cond.notify_all();
+        true
+    }
+}
+
 /// A dynamic batching queue over one engine, with one worker thread.
 pub struct BatchQueue {
     inner: Arc<QueueInner>,
@@ -245,22 +329,7 @@ impl BatchQueue {
     /// (metric names become `<scope>.queue.*`) — how a server pools several
     /// model queues into one registry.
     pub fn start_scoped(engine: Arc<Engine>, policy: BatchPolicy, scope: &Scope) -> Self {
-        let inner = Arc::new(QueueInner {
-            engine,
-            policy: BatchPolicy {
-                max_batch: policy.max_batch.max(1),
-                max_delay: policy.max_delay,
-                max_queue: policy.max_queue,
-            },
-            state: Mutex::new(QueueState {
-                pending: VecDeque::new(),
-                queued_sequences: 0,
-                shutdown: false,
-            }),
-            cond: Condvar::new(),
-            metrics: QueueMetrics::new(scope),
-            telemetry: Arc::clone(scope.registry()),
-        });
+        let inner = Arc::new(QueueInner::new(engine, policy, scope));
         // If the OS refuses a thread the queue starts in degraded mode:
         // submissions are served inline on the caller's thread (see
         // `ensure_worker`) instead of failing construction.
@@ -313,43 +382,9 @@ impl BatchQueue {
         deadline: Option<Duration>,
     ) -> Ticket {
         let (tx, rx) = mpsc::channel();
-        if examples.is_empty() {
-            let _ = tx.send(Ok(TicketResponse {
-                results: Vec::new(),
-                cost: None,
-                flushed_batch: 0,
-                wait: Duration::ZERO,
-                cached: false,
-            }));
-            return Ticket { rx };
+        if self.inner.admit(examples, deadline, tx) {
+            self.ensure_worker();
         }
-        let mut state = lock_clean(&self.inner.state);
-        if state.shutdown {
-            drop(state);
-            let _ = tx.send(Err(ServeError::ShuttingDown));
-            return Ticket { rx };
-        }
-        // Admission control: a request that would push the backlog past
-        // `max_queue` sequences is shed now, while it is cheap — before
-        // encoding work, queue growth, or a doomed multi-window wait.
-        if state.queued_sequences.saturating_add(examples.len()) > self.inner.policy.max_queue {
-            drop(state);
-            self.inner.metrics.shed.inc();
-            let _ = tx.send(Err(ServeError::ServerOverloaded));
-            return Ticket { rx };
-        }
-        let enqueued = Instant::now();
-        state.queued_sequences += examples.len();
-        self.inner.metrics.depth.add(examples.len() as i64);
-        state.pending.push_back(PendingRequest {
-            examples,
-            enqueued,
-            deadline: deadline.map(|d| enqueued + d),
-            reply: tx,
-        });
-        drop(state);
-        self.inner.cond.notify_all();
-        self.ensure_worker();
         Ticket { rx }
     }
 
@@ -519,11 +554,12 @@ struct WorkerStep {
 /// Waits for the next flush window (or expiry batch) under the state lock.
 ///
 /// The window stays open until the batch fills, the oldest request's delay
-/// budget expires, or shutdown asks for an immediate drain. Waits are cut
-/// short at the earliest per-request deadline; when requests expire the
-/// step returns at once with an empty window so the caller can deliver
-/// their errors promptly — at the deadline, not at the next window close —
-/// and then re-enter.
+/// budget expires (at once under the default zero `max_delay`, so a free
+/// worker takes whatever is pending), or shutdown asks for an immediate
+/// drain. Waits are cut short at the earliest per-request deadline; when
+/// requests expire the step returns at once with an empty window so the
+/// caller can deliver their errors promptly — at the deadline, not at the
+/// next window close — and then re-enter.
 fn next_step(inner: &QueueInner) -> WorkerStep {
     let mut expired = Vec::new();
     let mut state = lock_clean(&inner.state);
@@ -622,7 +658,7 @@ fn drain_inline(inner: &QueueInner) {
 
 /// Runs one merged engine call for `window` and routes the split results
 /// back through each request's channel.
-fn flush_window(inner: &QueueInner, window: Vec<PendingRequest>) {
+fn flush_window(inner: &QueueInner, mut window: Vec<PendingRequest>) {
     let flush_start = Instant::now();
     let flushed_batch: usize = window.iter().map(|r| r.examples.len()).sum();
     let metrics = &inner.metrics;
@@ -643,18 +679,22 @@ fn flush_window(inner: &QueueInner, window: Vec<PendingRequest>) {
     // single-request retries — when this function returns.
     let _flush_span = metrics.flush_us.start_timer();
 
-    let merged: Vec<Example> = window
-        .iter()
-        .flat_map(|r| r.examples.iter().cloned())
+    // Move every request's examples into the one merged batch; `spans[i]`
+    // is request `i`'s range of it.
+    let mut examples = Vec::with_capacity(flushed_batch);
+    let spans: Vec<Range<usize>> = window
+        .iter_mut()
+        .map(|request| {
+            let start = examples.len();
+            examples.append(&mut request.examples);
+            start..examples.len()
+        })
         .collect();
+    let merged = EncodedBatch::from_examples(examples);
     // A panic inside the engine must cost exactly this window, not the
     // worker thread: catch it and turn it into per-request
     // `internal_error` responses.
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        inner
-            .engine
-            .classify_scored(&EncodedBatch::from_examples(merged))
-    }));
+    let outcome = catch_unwind(AssertUnwindSafe(|| inner.engine.classify_scored(&merged)));
     let result = match outcome {
         Ok(result) => result,
         Err(_) => {
@@ -669,8 +709,8 @@ fn flush_window(inner: &QueueInner, window: Vec<PendingRequest>) {
     match result {
         Ok(output) => {
             let mut results = output.results.into_iter();
-            for request in window {
-                let own: Vec<Scored> = results.by_ref().take(request.examples.len()).collect();
+            for (request, span) in window.into_iter().zip(spans) {
+                let own: Vec<Scored> = results.by_ref().take(span.len()).collect();
                 let cost = sum_costs(&own);
                 let _ = request.reply.send(Ok(TicketResponse {
                     results: own,
@@ -684,8 +724,8 @@ fn flush_window(inner: &QueueInner, window: Vec<PendingRequest>) {
         Err(_) if window.len() > 1 => {
             // One bad sequence (e.g. all-padding) must not poison the
             // window: retry each request alone so only the offender fails.
-            for request in window {
-                let batch = EncodedBatch::from_examples(request.examples.clone());
+            for (request, span) in window.into_iter().zip(spans) {
+                let batch = merged.shard(span);
                 let retry = catch_unwind(AssertUnwindSafe(|| inner.engine.classify_scored(&batch)));
                 let response = match retry {
                     Ok(result) => result.map_err(ServeError::from).map(|output| {
@@ -693,7 +733,7 @@ fn flush_window(inner: &QueueInner, window: Vec<PendingRequest>) {
                         TicketResponse {
                             results: output.results,
                             cost,
-                            flushed_batch: request.examples.len(),
+                            flushed_batch: batch.len(),
                             wait: flush_start.duration_since(request.enqueued),
                             cached: false,
                         }
@@ -727,4 +767,84 @@ fn sum_costs(results: &[Scored]) -> Option<BatchCost> {
         }
     }
     total
+}
+
+#[cfg(test)]
+mod tests {
+    //! `next_step` driven directly on a queue with no worker thread: no
+    //! sleep or wall-clock bound decides these.
+
+    use super::*;
+    use fqbert_bert::{BertConfig, BertModel};
+    use fqbert_nlp::{TaskKind, Vocab};
+    use fqbert_runtime::{BackendKind, EngineBuilder};
+
+    /// A queue under `policy` whose worker never runs; `next_step` never
+    /// reaches its engine, so the cheapest one (float, untrained) serves.
+    fn idle_queue(policy: BatchPolicy) -> QueueInner {
+        let vocab = Vocab::from_tokens(["a", "b"]);
+        let model = BertModel::new(
+            BertConfig::tiny(vocab.len(), 8, TaskKind::Sst2.num_classes()),
+            1,
+        );
+        let engine = EngineBuilder::new(TaskKind::Sst2)
+            .vocab(vocab, 8)
+            .backend(BackendKind::Float)
+            .build(&model)
+            .expect("float engine");
+        QueueInner::new(Arc::new(engine), policy, &Scope::detached(""))
+    }
+
+    /// Queues one request of `sequences` sequences without a deadline.
+    fn admit(queue: &QueueInner, sequences: usize) {
+        let example = Example {
+            token_ids: vec![2, 3],
+            segment_ids: vec![0, 0],
+            attention_mask: vec![1, 1],
+            label: 0,
+        };
+        let (reply, _rx) = mpsc::channel();
+        assert!(queue.admit(vec![example; sequences], None, reply));
+    }
+
+    /// The request sizes of the next window `next_step` hands out.
+    fn next_window(queue: &QueueInner) -> Vec<usize> {
+        let step = next_step(queue);
+        assert!(step.expired.is_empty());
+        step.window
+            .expect("a window, not an exit")
+            .iter()
+            .map(|request| request.examples.len())
+            .collect()
+    }
+
+    #[test]
+    fn default_policy_serves_a_lone_request_on_the_first_pass() {
+        assert_eq!(BatchPolicy::default().max_delay, Duration::ZERO);
+        let queue = idle_queue(BatchPolicy::default());
+        admit(&queue, 1);
+        assert_eq!(next_window(&queue), vec![1]);
+        assert_eq!(lock_clean(&queue.state).queued_sequences, 0);
+    }
+
+    #[test]
+    fn pending_requests_merge_up_to_max_batch() {
+        let queue = idle_queue(BatchPolicy::default());
+        assert_eq!(queue.policy.max_batch, 16);
+        for _ in 0..5 {
+            admit(&queue, 4);
+        }
+        assert_eq!(next_window(&queue), vec![4, 4, 4, 4]);
+        assert_eq!(next_window(&queue), vec![4]);
+        assert!(lock_clean(&queue.state).pending.is_empty());
+    }
+
+    #[test]
+    fn a_request_larger_than_max_batch_flushes_alone() {
+        let queue = idle_queue(BatchPolicy::default());
+        admit(&queue, 20);
+        admit(&queue, 1);
+        assert_eq!(next_window(&queue), vec![20]);
+        assert_eq!(next_window(&queue), vec![1]);
+    }
 }

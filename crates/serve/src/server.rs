@@ -496,6 +496,6 @@ fn classify_on_queue(
         }
     };
     queue
-        .submit_with_deadline(batch.examples().to_vec(), deadline)
+        .submit_with_deadline(batch.into_examples(), deadline)
         .wait()
 }
