@@ -9,7 +9,7 @@
 //! Trains the task baseline (honouring `FQBERT_QUICK`), calibrates it on
 //! dev examples, runs the mixed-precision search, prints the accuracy ×
 //! cycles Pareto front, and (with `--out`) saves the winning model as a
-//! standard v2 artifact that `fqbert-serve` loads unchanged.
+//! standard artifact that `fqbert-serve` loads unchanged.
 
 use fqbert_accel::AcceleratorConfig;
 use fqbert_autotune::{search, Autotuner, SearchSettings};

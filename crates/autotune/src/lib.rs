@@ -22,7 +22,7 @@
 //!   cycles Pareto front.
 //!
 //! The winning model is a standard [`fqbert_runtime::ModelArtifact`] (the
-//! v2 format already stores per-linear widths), so it loads and serves
+//! format already stores per-linear widths), so it loads and serves
 //! through the existing engine and registry unchanged.
 
 pub mod config;

@@ -23,7 +23,7 @@ use fqbert_nlp::Example;
 use fqbert_quant::LAYER_SITES;
 
 /// The weight widths the search explores, narrowest first. These are the
-/// widths the v2 artifact format packs natively (≤ 4 bits nibble-packed,
+/// widths the artifact format packs natively (≤ 4 bits nibble-packed,
 /// 8 bits byte-per-code) and the BIM executes (≤ 4 bits at full rate,
 /// wider nibble-split at half rate).
 pub const SEARCH_WIDTHS: [u32; 3] = [2, 4, 8];
@@ -181,11 +181,12 @@ impl Autotuner {
                 reference.ffn_layer_norm().clone(),
             )?);
         }
-        // Every candidate shares the bank's float tensors: cloning the
-        // host side clones seven `Arc`s, not the embedding tables.
+        // Every candidate shares the bank's tables: cloning the host side
+        // clones four `Arc`s and the small layer norm, not the embedding
+        // tables.
         Ok(IntBertModel::from_parts(
             cfg,
-            base.host().clone(),
+            base.host.clone(),
             layers,
             config.max_bits(),
         ))

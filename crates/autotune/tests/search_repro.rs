@@ -115,19 +115,21 @@ fn assembled_models_match_direct_conversion_and_report_their_bits() {
 
 #[test]
 fn assembled_candidates_share_the_banks_float_tensors() {
-    // The embedding tables are most of a small model's bytes; a search
-    // assembles hundreds of candidates and must not copy them once each.
+    // The embedding code tables are a large share of a small model's
+    // bytes; a search assembles hundreds of candidates and must not copy
+    // them, or the float head, once each.
     let t = tuner(7);
     let mixed = t.assemble(&"284448/444444".parse().expect("parse"));
     let uniform = t.assemble(&BitConfig::uniform(2, 8));
     let (mixed, uniform) = (mixed.expect("mixed"), uniform.expect("uniform"));
-    for (a, b) in mixed
-        .shared_float_tensors()
-        .into_iter()
-        .zip(uniform.shared_float_tensors())
-    {
-        assert!(Arc::ptr_eq(a, b), "a candidate copied a float tensor");
-    }
+    let (a, b) = (&mixed.host, &uniform.host);
+    assert!(Arc::ptr_eq(&a.embedding.word, &b.embedding.word));
+    assert!(Arc::ptr_eq(
+        &a.embedding.position_segment,
+        &b.embedding.position_segment
+    ));
+    assert!(Arc::ptr_eq(&a.classifier_weight, &b.classifier_weight));
+    assert!(Arc::ptr_eq(&a.classifier_bias, &b.classifier_bias));
 }
 
 #[test]

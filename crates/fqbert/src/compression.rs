@@ -4,7 +4,8 @@
 //! weights go to 4 bits while biases, layer-norm parameters and scale factors
 //! stay at higher precision. [`CompressionReport`] reproduces that accounting
 //! for any model/bit-width combination, counting every parameter category
-//! explicitly.
+//! explicitly — the embedding as the integer engine ships it: an 8-bit word
+//! table and an 8-bit table of every position×segment sum, one scale each.
 
 use fqbert_bert::BertModel;
 use fqbert_quant::QuantConfig;
@@ -23,8 +24,12 @@ pub struct CompressionReport {
     /// Bytes of the quantized encoder matrices alone.
     pub quantized_matrix_bytes: u64,
     /// Bytes of parameters kept at high precision (biases, layer norms,
-    /// embeddings, classifier, per-tensor scale factors).
+    /// classifier, per-tensor scale factors) plus the embedding.
     pub high_precision_bytes: u64,
+    /// Bytes of the embedding tables: the word and position×segment code
+    /// tables and their two scales when weights are quantized (what the
+    /// artifact stores), the three `f32` tables otherwise.
+    pub embedding_bytes: u64,
     /// Number of per-tensor scale factors stored.
     pub scale_factors: usize,
 }
@@ -32,9 +37,11 @@ pub struct CompressionReport {
 impl CompressionReport {
     /// Computes the report for `model` quantized according to `config`.
     ///
-    /// Embedding tables and the classifier stay in float (they run on the CPU
-    /// in the paper's partitioning); encoder matrices take `weight_bits` bits
-    /// each; biases take 32 bits; layer-norm parameters take
+    /// With weights quantized, the embedding is a `vocab × hidden` table of
+    /// 8-bit word codes and a `(max_len · type_vocab) × hidden` table of
+    /// 8-bit codes of the position + segment sums, one 32-bit scale each;
+    /// the classifier stays in float; encoder matrices take `weight_bits`
+    /// bits each; biases take 32 bits; layer-norm parameters take
     /// `layer_norm_bits`; every quantized tensor carries one 32-bit scale.
     pub fn for_model(model: &BertModel, config: &QuantConfig) -> Self {
         let cfg = model.config();
@@ -73,7 +80,12 @@ impl CompressionReport {
         let quantized_matrix_bytes = (matrix_params * u64::from(weight_bits)).div_ceil(8);
         let bias_bytes = bias_params * 4;
         let ln_bytes = (ln_params * u64::from(ln_bits)).div_ceil(8);
-        let embedding_bytes = embedding_params * 4;
+        let embedding_bytes = if config.quantize_weights_activations {
+            let position_segment = (cfg.max_len * cfg.type_vocab_size) as u64 * h;
+            cfg.vocab_size as u64 * h + position_segment + 2 * 4
+        } else {
+            embedding_params * 4
+        };
         let classifier_bytes = classifier_params * 4;
         let scale_bytes = scale_factors as u64 * 4;
         let high_precision_bytes =
@@ -87,6 +99,7 @@ impl CompressionReport {
             quantized_bytes,
             quantized_matrix_bytes,
             high_precision_bytes,
+            embedding_bytes,
             scale_factors,
         }
     }
@@ -97,8 +110,7 @@ impl CompressionReport {
     }
 
     /// Compression ratio of the encoder weight matrices alone — the quantity
-    /// the paper's 7.94× refers to (weights only, excluding the CPU-side
-    /// embeddings).
+    /// the paper's 7.94× refers to (weights only, excluding the embeddings).
     pub fn encoder_weight_ratio(&self) -> f64 {
         let matrix_params_fp32 =
             self.quantized_matrix_bytes as f64 * 32.0 / self.weight_bits as f64;
@@ -107,7 +119,7 @@ impl CompressionReport {
 
     /// Encoder-level compression ratio including the high-precision
     /// parameters that must ship with the encoder (biases, layer norms,
-    /// scale factors) but excluding the CPU-side embeddings and classifier.
+    /// scale factors) but excluding the embeddings and the classifier.
     pub fn encoder_ratio(&self, model: &BertModel) -> f64 {
         let cfg = model.config();
         let h = cfg.hidden as u64;
@@ -166,8 +178,8 @@ mod tests {
 
     #[test]
     fn whole_model_ratio_is_below_encoder_ratio() {
-        // Embeddings stay in float, so the whole-model ratio must be lower
-        // than the encoder-only ratio.
+        // Embeddings are 8-bit and the head float, so the whole-model ratio
+        // must be lower than the 4-bit encoder-only ratio.
         let model = BertModel::new(BertConfig::tiny(500, 32, 2), 0);
         let report = CompressionReport::for_model(&model, &QuantConfig::fq_bert());
         assert!(report.ratio() < report.encoder_ratio(&model));

@@ -7,7 +7,7 @@
 //! (Eq. 3); weight scales and clips are recomputed from the final weights
 //! (Eq. 2).
 
-use crate::int_model::{HostSide, IntBertModel, IntEncoderLayer, LayerScales};
+use crate::int_model::{HostSide, IntBertModel, IntEmbedding, IntEncoderLayer, LayerScales};
 use crate::qat::QatHook;
 use crate::{FqBertError, Result};
 use fqbert_bert::{BertModel, Site, SiteKind};
@@ -92,14 +92,16 @@ pub fn convert_mixed(
         .max()
         .unwrap_or(quant_cfg.weight_bits);
     let host = HostSide {
-        word_embeddings: Arc::new(model.word_embeddings.clone()),
-        position_embeddings: Arc::new(model.position_embeddings.clone()),
-        segment_embeddings: Arc::new(model.segment_embeddings.clone()),
-        embedding_gamma: Arc::new(model.embedding_layer_norm.gamma.clone()),
-        embedding_beta: Arc::new(model.embedding_layer_norm.beta.clone()),
+        embedding: IntEmbedding::from_float(
+            &model.word_embeddings,
+            &model.position_embeddings,
+            &model.segment_embeddings,
+            &model.embedding_layer_norm,
+            cfg.layer_norm_eps,
+            embedding_out_scale,
+        )?,
         classifier_weight: Arc::new(model.classifier.weight.clone()),
         classifier_bias: Arc::new(model.classifier.bias.clone()),
-        embedding_out_scale,
     };
     Ok(IntBertModel::from_parts(cfg, host, layers, headline_bits))
 }

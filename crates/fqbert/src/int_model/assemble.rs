@@ -7,9 +7,10 @@
 //! scale structs `encoder.rs` stores whole, and their accessors, live here
 //! so that file never has to name a float.
 
+use super::embedding::IntEmbedding;
 use super::encoder::{nibble_packed, IntEncoderLayer, IntGelu, IntLinear};
 use crate::{FqBertError, Result};
-use fqbert_bert::layers::{EncoderLayerParams, Linear};
+use fqbert_bert::layers::{EncoderLayerParams, LayerNormParams, Linear};
 use fqbert_quant::{
     quantize_bias, tune_clip_threshold, LayerBits, QuantParams, QuantizedLayerNorm, Requantizer,
     SoftmaxLut,
@@ -385,5 +386,131 @@ impl IntEncoderLayer {
     /// input.
     pub fn output_scale(&self) -> f32 {
         self.scales.layer_norm
+    }
+}
+
+/// The three scales (levels per unit) the embedding's `Add & LN` is folded
+/// from: the word table's, the position×segment table's and the encoder
+/// input's.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) struct EmbeddingScales {
+    word: f32,
+    position_segment: f32,
+    pub(super) output: f32,
+}
+
+impl IntEmbedding {
+    /// Quantizes the float embedding: the word table to 8-bit codes at one
+    /// scale (`127 / max |w|`), the sums `position[p] + segment[s]` to one
+    /// `(max_len · type_vocab) × hidden` table of 8-bit codes at another,
+    /// and the layer norm to its stored codes ([`QuantizedLayerNorm`]),
+    /// folded with both table scales and `output_scale` — the encoder's
+    /// input scale — as every encoder `Add & LN` is.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if a table has no dynamic range, the tables and
+    /// the layer norm disagree in width, or `output_scale` is invalid.
+    pub(crate) fn from_float(
+        word: &Tensor,
+        position: &Tensor,
+        segment: &Tensor,
+        layer_norm: &LayerNormParams,
+        eps: f32,
+        output_scale: f32,
+    ) -> Result<Self> {
+        let (_, hidden) = word.as_matrix_dims()?;
+        let (max_len, position_hidden) = position.as_matrix_dims()?;
+        let (segments, segment_hidden) = segment.as_matrix_dims()?;
+        if position_hidden != hidden || segment_hidden != hidden {
+            return Err(FqBertError::InvalidArgument(format!(
+                "embedding tables of widths {hidden} / {position_hidden} / {segment_hidden}"
+            )));
+        }
+        let mut sums = Vec::with_capacity(max_len * segments * hidden);
+        for p in 0..max_len {
+            for s in 0..segments {
+                let rows = position.row(p).iter().zip(segment.row(s));
+                sums.extend(rows.map(|(&x, &y)| x + y));
+            }
+        }
+        let position_segment = Tensor::from_vec(sums, &[max_len * segments, hidden])?;
+        let codes = |table: &Tensor| -> Result<(Arc<IntTensor<i8>>, f32)> {
+            let params = QuantParams::for_weights(table, 8, None)?;
+            Ok((Arc::new(params.quantize_tensor_i8(table)), params.scale()))
+        };
+        let (word, word_scale) = codes(word)?;
+        let (position_segment, position_segment_scale) = codes(&position_segment)?;
+        let layer_norm = QuantizedLayerNorm::from_float(
+            layer_norm.gamma.as_slice(),
+            layer_norm.beta.as_slice(),
+            eps,
+        )?;
+        Self::from_quantized_parts(
+            word,
+            word_scale,
+            position_segment,
+            position_segment_scale,
+            segments,
+            layer_norm,
+            output_scale,
+        )
+    }
+
+    /// Assembles the embedding from its stored parts (the inverse of its
+    /// tables and accessors) — the one place it is put together, used by
+    /// the converter and when loading model artifacts: `word` is `[vocab,
+    /// hidden]` codes at `word_scale` levels per unit, `position_segment`
+    /// `[max_len · segments, hidden]` codes at `position_segment_scale`.
+    /// The `Add & LN` block is folded here, deterministically, so an
+    /// embedding rebuilt from its own accessors computes bit-identical
+    /// codes.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the tables are not matrices as wide as the layer
+    /// norm, the position×segment rows are not a whole number of
+    /// `segments`, or a scale is not positive and finite.
+    pub fn from_quantized_parts(
+        word: Arc<IntTensor<i8>>,
+        word_scale: f32,
+        position_segment: Arc<IntTensor<i8>>,
+        position_segment_scale: f32,
+        segments: usize,
+        layer_norm: QuantizedLayerNorm,
+        output_scale: f32,
+    ) -> Result<Self> {
+        let hidden = layer_norm.hidden();
+        let fits = |table: &IntTensor<i8>, whole: usize| match *table.dims() {
+            [rows, width] => width == hidden && rows > 0 && rows % whole == 0,
+            _ => false,
+        };
+        if segments == 0 || !fits(&word, 1) || !fits(&position_segment, segments) {
+            return Err(FqBertError::InvalidArgument(format!(
+                "embedding tables {:?} (word) and {:?} (position x {segments} segments) \
+                 do not fit a layer norm of width {hidden}",
+                word.dims(),
+                position_segment.dims()
+            )));
+        }
+        let add_norm = layer_norm.fold(word_scale, position_segment_scale, output_scale)?;
+        Ok(Self {
+            word,
+            position_segment,
+            segments,
+            layer_norm,
+            add_norm,
+            scales: EmbeddingScales {
+                word: word_scale,
+                position_segment: position_segment_scale,
+                output: output_scale,
+            },
+        })
+    }
+
+    /// Levels per unit of the word codes and of the position×segment
+    /// codes, in that order.
+    pub fn table_scales(&self) -> [f32; 2] {
+        [self.scales.word, self.scales.position_segment]
     }
 }

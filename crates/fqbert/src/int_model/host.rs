@@ -1,80 +1,45 @@
-//! The CPU side of §III-A, float by the paper's design: the embedding
-//! lookup quantizes once into the encoder, the task head dequantizes one
-//! `[CLS]` row per sequence. In between [`IntBertModel`] only moves int8
-//! codes through [`IntEncoderLayer`]s, in one model-level forward body that
-//! both logits entry points call.
-//!
-//! The embedding is one pass per sequence that writes codes straight into
-//! the caller's buffer (the scratch arena's hidden state, on the forward
-//! path), in three phases:
-//!
-//! 1. *Sums.* `word + position + segment` per element, into the scratch's
-//!    one float buffer (`GemmScratch::embed`).
-//! 2. *Statistics.* The mean and `Σ (x − mean)²` of [`LANES`] rows side by
-//!    side, one lane per row. A lane is the sequential left fold
-//!    `Iterator::sum` performs on its row, from the same start value and in
-//!    the same order, so every lane ends on the bits a one-row fold would;
-//!    the lanes only break the one dependency chain a row's fold is into
-//!    eight independent ones. The last rows of a sequence (fewer than
-//!    [`LANES`]) take the one-lane fold.
-//! 3. *Normalize and quantize.* `((x − mean) · inv_std · γ + β) · scale`
-//!    per element in [`Tensor::layer_norm`]'s operation order, with no
-//!    fused multiply-add, then [`code_of`]: `round`, `clamp` and `as i8`
-//!    without a libm call, exact on every `f32`.
-//!
-//! So the codes are bit-identical to the float composition this replaced —
-//! a zeroed [`Tensor`] of sums, [`Tensor::layer_norm`], then
-//! `(v * scale).round().clamp(-127.0, 127.0) as i8` per element — while
-//! the reductions run as eight independent chains instead of one, and
-//! phase 3 vectorizes on the baseline x86-64 target.
+//! The model around the encoder: [`IntBertModel`] joins the integer
+//! embedding ([`IntEmbedding`], `embedding.rs`), the encoder layers and the
+//! task head in one model-level forward body that both logits entry points
+//! call. Token ids go in and int8 codes come out of the embedding; the
+//! encoder moves only int8 codes; the head dequantizes one `[CLS]` row per
+//! sequence and stays float: `hidden × classes` weights, the one float
+//! stage of a request.
 
+use super::embedding::IntEmbedding;
 use super::encoder::IntEncoderLayer;
 use crate::{FqBertError, Result};
 use fqbert_bert::BertConfig;
 use fqbert_quant::LayerBits;
-use fqbert_tensor::gemm::{GemmScratch, LineArena};
+use fqbert_tensor::gemm::{AddNormRow, ByteArena, GemmScratch};
 use fqbert_tensor::{IntTensor, Tensor};
 use std::sync::Arc;
 
-/// Rows whose layer-norm statistics phase 2 folds side by side.
-pub(super) const LANES: usize = 8;
-
-/// The float state of the model's CPU side: the three embedding tables and
-/// their layer norm, the classifier head, and the scale at which the
-/// embedding output crosses into the encoder.
+/// What runs around the encoder: the integer embedding and the float
+/// classifier head.
 ///
-/// The tensors are held behind [`Arc`] so identical tensors can be shared
-/// across models — w4 and w8 variants of one task reuse one copy of the
-/// embeddings via the loader's content-hash dedup, the autotuner's
-/// candidates share their base model's — and so cloning never copies them.
-/// Equality still compares tensor contents (`Arc<T>: PartialEq` compares
-/// the pointees).
+/// The tables and tensors are held behind [`Arc`] so identical ones can be
+/// shared across models — w4 and w8 variants of one task reuse one copy
+/// via the loader's content-hash dedup, the autotuner's candidates share
+/// their base model's — and so cloning never copies them. Equality still
+/// compares contents (`Arc<T>: PartialEq` compares the pointees).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HostSide {
-    /// Word-embedding table `[vocab, hidden]`.
-    pub word_embeddings: Arc<Tensor>,
-    /// Positional-embedding table `[max_len, hidden]`.
-    pub position_embeddings: Arc<Tensor>,
-    /// Segment-embedding table `[type_vocab, hidden]`.
-    pub segment_embeddings: Arc<Tensor>,
-    /// Gamma of the embedding layer norm.
-    pub embedding_gamma: Arc<Tensor>,
-    /// Beta of the embedding layer norm.
-    pub embedding_beta: Arc<Tensor>,
+    /// The integer embedding: code tables and their folded `Add & LN`.
+    pub embedding: IntEmbedding,
     /// Classifier weight `[hidden, classes]`.
     pub classifier_weight: Arc<Tensor>,
     /// Classifier bias `[classes]`.
     pub classifier_bias: Arc<Tensor>,
-    /// Scale at which the embedding output is handed to the encoder.
-    pub embedding_out_scale: f32,
 }
 
-/// The complete integer FQ-BERT model: float CPU-side embedding/classifier
-/// ([`HostSide`]) plus the integer encoder stack.
+/// The complete integer FQ-BERT model: the integer embedding and the
+/// float classifier head ([`HostSide`]) around the integer encoder stack.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntBertModel {
     config: BertConfig,
-    host: HostSide,
+    /// The embedding and the classifier head.
+    pub host: HostSide,
     /// Quantized encoder layers.
     pub layers: Vec<IntEncoderLayer>,
     weight_bits: u32,
@@ -97,41 +62,18 @@ impl IntBertModel {
         }
     }
 
-    /// The float CPU side of the model.
-    pub fn host(&self) -> &HostSide {
-        &self.host
-    }
-
-    /// The model's seven float tensors (embedding tables, embedding
-    /// layer-norm parameters, classifier weight and bias), as shared
-    /// handles in the order the artifact stores them. Used by loaders for
-    /// content-hash dedup accounting.
-    pub fn shared_float_tensors(&self) -> [&Arc<Tensor>; 7] {
-        [
-            &self.host.word_embeddings,
-            &self.host.position_embeddings,
-            &self.host.segment_embeddings,
-            &self.host.embedding_gamma,
-            &self.host.embedding_beta,
-            &self.host.classifier_weight,
-            &self.host.classifier_bias,
-        ]
-    }
-
-    /// Bytes of weight storage currently resident for this model: the seven
-    /// float tensors (each counted once per model, even when the `Arc` is
-    /// shared with another model — cross-model sharing is accounted at the
-    /// registry level via [`IntBertModel::shared_float_tensors`]) plus the
-    /// integer storage of every encoder layer, whose GEMM panels count
-    /// from the first forward pass that builds them (see
-    /// [`super::IntLinear::resident_bytes`]).
+    /// Bytes of weight storage currently resident for this model, every
+    /// table a request reads: the embedding's two code tables and its
+    /// folded `Add & LN` block, the float head, and the integer storage of
+    /// every encoder layer, whose GEMM panels count from the first forward
+    /// pass that builds them (see [`super::IntLinear::resident_bytes`]).
+    /// Tables shared with another model are counted once per model;
+    /// cross-model sharing is accounted by the loader's dedup statistics.
     pub fn resident_bytes(&self) -> usize {
-        let floats: usize = self
-            .shared_float_tensors()
-            .iter()
-            .map(|t| std::mem::size_of_val(t.as_slice()))
-            .sum();
-        floats
+        let head = [&self.host.classifier_weight, &self.host.classifier_bias]
+            .map(|t| std::mem::size_of_val(t.as_slice()));
+        self.host.embedding.resident_bytes()
+            + head.iter().sum::<usize>()
             + self
                 .layers
                 .iter()
@@ -200,7 +142,7 @@ impl IntBertModel {
 
     /// Scale at which the embedding output is handed to the encoder.
     pub fn embedding_out_scale(&self) -> f32 {
-        self.host.embedding_out_scale
+        self.host.embedding.scales.output
     }
 
     /// Classifier weight `[hidden, classes]` (float, CPU-side).
@@ -213,29 +155,31 @@ impl IntBertModel {
         &self.host.classifier_bias
     }
 
-    /// Computes the float (CPU-side) embeddings and quantizes them to int8
-    /// codes for the encoder — the float→int8 entry point of the model.
+    /// Embeds one sequence into int8 codes for the encoder — the entry
+    /// point of the model: each token's word and position×segment code
+    /// rows through the folded embedding `Add & LN`.
     ///
-    /// A wrapper over the forward path's embedding body (the three phases
-    /// of the module docs): it allocates the tensor it returns and one
-    /// sequence's float sums, nothing per row. The codes are bit-identical
-    /// to `layer_norm` over the summed tables followed by
-    /// `(v * scale).round().clamp(-127.0, 127.0) as i8`.
+    /// A wrapper over the forward path's embedding body: it allocates the
+    /// tensor it returns and the two gathered operands, which the forward
+    /// path keeps in its scratch arena.
     ///
     /// # Errors
     ///
     /// Returns an error for empty or overlong sequences or out-of-vocabulary
     /// ids.
     pub fn embed(&self, token_ids: &[usize], segment_ids: &[usize]) -> Result<IntTensor<i8>> {
-        let seq = self.checked_len(token_ids, segment_ids)?;
-        let mut codes = vec![0i8; seq * self.config.hidden];
-        self.embed_into(
-            token_ids,
-            segment_ids,
-            &mut LineArena::default(),
+        let n = self.checked_len(token_ids, segment_ids)? * self.config.hidden;
+        let mut codes = vec![0i8; n];
+        self.host.embedding.embed_into(
+            std::iter::once((token_ids, segment_ids)),
+            ByteArena::default().slices([n, n]),
+            &mut AddNormRow::default(),
             &mut codes,
         )?;
-        Ok(IntTensor::from_vec(codes, &[seq, self.config.hidden])?)
+        Ok(IntTensor::from_vec(
+            codes,
+            &[token_ids.len(), self.config.hidden],
+        )?)
     }
 
     /// Length of a sequence the embedding accepts.
@@ -255,70 +199,6 @@ impl IntBertModel {
         Ok(token_ids.len())
     }
 
-    /// The one embedding body: writes the codes of one sequence into
-    /// `codes[..seq · hidden]`, its table sums into `sums`.
-    fn embed_into(
-        &self,
-        token_ids: &[usize],
-        segment_ids: &[usize],
-        sums: &mut LineArena<f32>,
-        codes: &mut [i8],
-    ) -> Result<()> {
-        let seq = self.checked_len(token_ids, segment_ids)?;
-        let hidden = self.config.hidden;
-        let host = &self.host;
-        let (gamma, beta) = (
-            host.embedding_gamma.as_slice(),
-            host.embedding_beta.as_slice(),
-        );
-        if gamma.len() != hidden || beta.len() != hidden {
-            return Err(FqBertError::InvalidArgument(format!(
-                "embedding layer norm of widths {} / {} on hidden {hidden}",
-                gamma.len(),
-                beta.len()
-            )));
-        }
-        let [sums] = sums.slices([seq * hidden]);
-        let codes = &mut codes[..seq * hidden];
-
-        // Phase 1: the table sums.
-        let ids = token_ids.iter().zip(segment_ids);
-        for (i, ((&tok, &seg), row)) in ids.zip(sums.chunks_exact_mut(hidden)).enumerate() {
-            if tok >= self.config.vocab_size || seg >= self.config.type_vocab_size {
-                return Err(FqBertError::InvalidArgument(format!(
-                    "token id {tok} or segment id {seg} out of range"
-                )));
-            }
-            let word = host.word_embeddings.row(tok);
-            let position = host.position_embeddings.row(i);
-            let segment = host.segment_embeddings.row(seg);
-            for (e, ((&w, &p), &s)) in row.iter_mut().zip(word.iter().zip(position).zip(segment)) {
-                *e = w + p + s;
-            }
-        }
-
-        // Phases 2 and 3, `LANES` rows at a time, then the rest one by one.
-        let norm = EmbedNorm {
-            gamma,
-            beta,
-            eps: self.config.layer_norm_eps,
-            scale: host.embedding_out_scale,
-        };
-        let whole = seq / LANES * LANES * hidden;
-        let block = LANES * hidden;
-        for (rows, out) in sums[..whole]
-            .chunks_exact(block)
-            .zip(codes.chunks_exact_mut(block))
-        {
-            norm.rows::<LANES>(rows, out);
-        }
-        let tail = sums[whole..].chunks_exact(hidden);
-        for (row, out) in tail.zip(codes[whole..].chunks_exact_mut(hidden)) {
-            norm.rows::<1>(row, out);
-        }
-        Ok(())
-    }
-
     /// The CPU-side task head — the int8→float exit point of the model:
     /// dequantizes one `[CLS]` row and runs the float classifier on it,
     /// straight into the returned logits. Bit-identical to
@@ -329,7 +209,7 @@ impl IntBertModel {
         let out_scale = self
             .layers
             .last()
-            .map_or(self.host.embedding_out_scale, |l| l.output_scale());
+            .map_or(self.embedding_out_scale(), |l| l.output_scale());
         let (weight, bias) = (&self.host.classifier_weight, &self.host.classifier_bias);
         let (k, classes) = weight.as_matrix_dims()?;
         if k != cls.len() || classes == 0 || bias.numel() != classes {
@@ -357,9 +237,10 @@ impl IntBertModel {
     }
 
     /// The one model-level forward body: embeds every `(token_ids,
-    /// segment_ids)` sequence into the scratch arena, packed row-wise, runs
-    /// the encoder layers over the whole pack — the hidden state
-    /// ping-ponging between two arena buffers, the eight layer
+    /// segment_ids)` sequence into the scratch arena, packed row-wise, in
+    /// one `Add & LN` call — its two gathered operands in arena buffers the
+    /// layers use later — runs the encoder layers over the whole pack — the
+    /// hidden state ping-ponging between two arena buffers, the eight layer
     /// intermediates shared by every layer — and classifies the `[CLS]` row
     /// of each sequence.
     fn logits_of<'a>(
@@ -377,6 +258,9 @@ impl IntBertModel {
         if seq_lens.is_empty() {
             return Ok(Vec::new());
         }
+        for (token_ids, segment_ids) in sequences.clone() {
+            self.checked_len(token_ids, segment_ids)?;
+        }
         let hidden = self.config.hidden;
         let total: usize = seq_lens.iter().sum();
 
@@ -385,22 +269,22 @@ impl IntBertModel {
             attn,
             arena,
             norm,
-            embed,
         } = scratch;
+        // The hidden state, the next one and the first layer intermediate
+        // each hold the whole pack: the embedding gathers its two operands
+        // into the latter two.
         let mut sizes = [0usize; 10];
-        sizes[..2].fill(total * hidden);
+        sizes[..3].fill(total * hidden);
         for layer in &self.layers {
             for (size, need) in sizes[2..].iter_mut().zip(layer.buffer_sizes(total)) {
                 *size = need.max(*size);
             }
         }
         let [mut hidden_states, mut next, mut buffers @ ..] = arena.slices(sizes);
-        let mut start = 0usize;
-        for (token_ids, segment_ids) in sequences {
-            let codes = &mut hidden_states[start * hidden..];
-            self.embed_into(token_ids, segment_ids, embed, codes)?;
-            start += token_ids.len();
-        }
+        let operands = [&mut *next, &mut *buffers[0]];
+        self.host
+            .embedding
+            .embed_into(sequences, operands, norm, hidden_states)?;
         for layer in &self.layers {
             layer.forward_rows(
                 hidden_states,
@@ -464,98 +348,6 @@ impl IntBertModel {
         });
         self.logits_of(trimmed, scratch)
     }
-}
-
-/// Mean and inverse standard deviation of one row, as
-/// [`Tensor::layer_norm`] computes them.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct RowStats {
-    pub(super) mean: f32,
-    pub(super) inv_std: f32,
-}
-
-/// Phase 2 over the `R` rows of `rows` (row-major, each `rows.len() / R`
-/// wide), side by side: lane `r` folds row `r` left to right from the start
-/// value of `Iterator::sum`, so its `mean` and `inv_std` carry the bits of
-/// `row.iter().sum::<f32>() / n`, `Σ (x − mean)² / n` summed the same way,
-/// and `1 / (var + eps).sqrt()`.
-pub(super) fn row_stats<const R: usize>(rows: &[f32], eps: f32) -> [RowStats; R] {
-    let hidden = rows.len() / R;
-    let rows: [&[f32]; R] = std::array::from_fn(|r| &rows[r * hidden..][..hidden]);
-    let start: f32 = std::iter::empty::<f32>().sum();
-    let n = hidden as f32;
-    let mut sum = [start; R];
-    for j in 0..hidden {
-        for (acc, row) in sum.iter_mut().zip(&rows) {
-            *acc += row[j];
-        }
-    }
-    let mean = sum.map(|s| s / n);
-    let mut squares = [start; R];
-    for j in 0..hidden {
-        for ((acc, row), &m) in squares.iter_mut().zip(&rows).zip(&mean) {
-            let d = row[j] - m;
-            *acc += d * d;
-        }
-    }
-    std::array::from_fn(|r| RowStats {
-        mean: mean[r],
-        inv_std: 1.0 / (squares[r] / n + eps).sqrt(),
-    })
-}
-
-/// The embedding layer norm's parameters and the scale its output is
-/// quantized at.
-struct EmbedNorm<'a> {
-    gamma: &'a [f32],
-    beta: &'a [f32],
-    eps: f32,
-    scale: f32,
-}
-
-impl EmbedNorm<'_> {
-    /// Phases 2 and 3 over `R` rows of sums: their statistics, then their
-    /// codes.
-    fn rows<const R: usize>(&self, rows: &[f32], codes: &mut [i8]) {
-        let hidden = self.gamma.len();
-        let stats = row_stats::<R>(rows, self.eps);
-        let rows = rows
-            .chunks_exact(hidden)
-            .zip(codes.chunks_exact_mut(hidden));
-        for ((row, out), RowStats { mean, inv_std }) in rows.zip(stats) {
-            let params = self.gamma.iter().zip(self.beta);
-            for ((code, &x), (&g, &b)) in out.iter_mut().zip(row).zip(params) {
-                *code = code_of(((x - mean) * inv_std * g + b) * self.scale);
-            }
-        }
-    }
-}
-
-/// `y.round().clamp(-127.0, 127.0) as i8` — round half away from zero,
-/// saturate, `NaN` to 0 — on every `f32`, with no libm call, so a loop of
-/// it vectorizes on SSE2:
-///
-/// * clamping first changes nothing: rounding is monotone and ±127 are
-///   integers;
-/// * `round(y)` is `trunc(|y| + 0.49999997)` with `y`'s sign, LLVM's own
-///   lowering of `llvm.round` (adding ½ itself would carry `0.49999997`
-///   up to 1: `0.99999997` is a tie that rounds to even);
-/// * below 2²³, `a + 2²³` holds `a` rounded to the nearest integer in its
-///   low mantissa bits, and one compare turns that into `trunc(a)`;
-/// * the sign goes on as two's complement of a mask, not a select.
-pub(super) fn code_of(y: f32) -> i8 {
-    const TWO_23: f32 = 8_388_608.0;
-    let y = if y.is_nan() {
-        0.0
-    } else {
-        y.clamp(-127.0, 127.0)
-    };
-    let a = y.abs() + 0.5f32.next_down();
-    let biased = a + TWO_23;
-    let nearest = (biased.to_bits() - TWO_23.to_bits()) as i32;
-    let whole = nearest - i32::from(biased - TWO_23 > a);
-    let negative = (y.to_bits() as i32) >> 31;
-    ((whole ^ negative) - negative) as i8
 }
 
 /// Number of non-padding tokens of an encoded example.

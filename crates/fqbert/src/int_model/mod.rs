@@ -1,27 +1,34 @@
 //! The integer-only FQ-BERT inference engine.
 //!
 //! The paper partitions the system in §III-A: the embedding lookup and the
-//! small task head run in floating point "on the CPU", while the whole
-//! encoder stack — every intermediate result included — runs on integers
-//! only, the part the FPGA accelerator executes. The three files of this
-//! module *are* that partition:
+//! small task head run "on the CPU", while the whole encoder stack — every
+//! intermediate result included — runs on integers only, the part the FPGA
+//! accelerator executes. FQ-BERT quantizes every parameter, so here the
+//! embedding is integer too: from token id to the `[CLS]` codes a request
+//! touches no float, and only the `hidden × classes` task head
+//! dequantizes. The files of
+//! this module draw that line:
 //!
 //! * `encoder.rs` — **the accelerator side.** [`IntLinear`], [`IntGelu`],
 //!   [`IntEncoderLayer`] and everything that runs between codes in and
-//!   codes out. It is the only file of this crate fqlint's `float-escape`
-//!   rule covers, and it carries no suppression: the structs hold scale
-//!   *types* ([`LayerScales`]) as metadata, never a float, and the forward
-//!   pass reads no scale at all, so a float on the encoder path is a
-//!   finding with no precedent near it.
+//!   codes out. The forward pass reads no scale at all: the structs hold
+//!   scale *types* ([`LayerScales`]) as metadata, never a float.
+//! * `embedding.rs` — **the embedding, in integers.** [`IntEmbedding`]:
+//!   each token's row of the 8-bit word table and of the 8-bit
+//!   position×segment table, gathered into two scratch buffers, then one
+//!   call of the embedding's folded `Add & LN` over the whole batch — the
+//!   encoder's own block, on the selected kernel row.
 //! * `assemble.rs` — **conversion and load time, float by nature.** The
 //!   constructors that fold float weights and calibrated scales, once,
 //!   into codes, requantizers, lookup tables and `Add & LN` blocks (and
 //!   refuse an invalid scale there), the scale structs and their accessors.
-//! * `host.rs` — **the CPU side, float by the paper's design.**
-//!   [`IntBertModel`], its [`HostSide`] tensors, the embedding (table sums,
-//!   a layer norm folded eight rows side by side, and a libm-free
-//!   quantize, bit-identical to the float composition), the classifier
-//!   head and the two logits entry points.
+//! * `host.rs` — [`IntBertModel`], its [`HostSide`] (the embedding and the
+//!   float classifier head), the head itself and the two logits entry
+//!   points.
+//!
+//! fqlint's `float-escape` rule covers `encoder.rs` and `embedding.rs`,
+//! neither with a suppression, so a float on the request path before the
+//! head is a finding with no precedent near it.
 //!
 //! What the encoder computes:
 //!
@@ -54,18 +61,20 @@
 //! buffers the scratch owns (GELU in place, `Add & LN`'s operand sums in
 //! the scratch's one `i32` row), and the model ping-pongs the
 //! hidden state between two such buffers across layers. The embedding
-//! sums one sequence's tables in the scratch's one float buffer and writes
-//! its codes straight into the first of them, and the classifier writes
-//! each sequence's logits straight into the row it returns — so a forward
-//! pass on a shape the scratch has seen allocates only its outer `Vec`,
-//! one logits row per sequence and the list of sequence lengths.
+//! gathers its two operands into two more of them and writes its codes
+//! straight into the first, and the classifier writes each sequence's
+//! logits straight into the row it returns — so a forward pass on a shape
+//! the scratch has seen allocates only its outer `Vec`, one logits row per
+//! sequence and the list of sequence lengths.
 
 mod assemble;
+mod embedding;
 mod encoder;
 mod host;
 #[cfg(test)]
 mod tests;
 
 pub use assemble::LayerScales;
+pub use embedding::IntEmbedding;
 pub use encoder::{IntEncoderLayer, IntGelu, IntLinear};
 pub use host::{HostSide, IntBertModel};

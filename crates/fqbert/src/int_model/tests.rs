@@ -1,4 +1,3 @@
-use super::host::{code_of, row_stats, RowStats, LANES};
 use super::*;
 use crate::{FqBertError, Result};
 use fqbert_quant::LayerBits;
@@ -168,124 +167,6 @@ fn assert_geometry_rejected(result: Result<IntEncoderLayer>) {
             )
         }
         other => panic!("expected InvalidArgument, got {other:?}"),
-    }
-}
-
-/// `Tensor::layer_norm`'s statistics of one row.
-fn reference_stats(row: &[f32], eps: f32) -> RowStats {
-    let n = row.len() as f32;
-    let mean = row.iter().sum::<f32>() / n;
-    let var = row.iter().map(|&x| (x - mean) * (x - mean)).sum::<f32>() / n;
-    RowStats {
-        mean,
-        inv_std: 1.0 / (var + eps).sqrt(),
-    }
-}
-
-fn stats_bits(stats: RowStats) -> [u32; 2] {
-    [stats.mean.to_bits(), stats.inv_std.to_bits()]
-}
-
-#[test]
-fn row_stats_carry_the_reference_bits_in_every_lane() {
-    let mut rng = RngSource::seed_from_u64(31);
-    for hidden in [1usize, 7, 8, 9, 16, 17, 64, 256, 768] {
-        let mut rows = rng.normal_tensor(&[LANES, hidden], 0.3, 2.0).into_vec();
-        // Rows whose statistics hang on the fold's start value and order:
-        // all −0.0 (a +0.0 start would give +0.0), constant (var = 0),
-        // ±1e30 (Σ (x − mean)² overflows), and widely spread magnitudes.
-        let specials: [&dyn Fn(usize) -> f32; 4] = [
-            &|_| -0.0,
-            &|_| 0.1,
-            &|j| if j % 2 == 0 { 1e30 } else { -1e30 },
-            &|j| (j as f32 - 3.5) * 10f32.powi((j % 9) as i32 - 4),
-        ];
-        for (r, value) in specials.iter().enumerate() {
-            for (j, x) in rows[r * hidden..][..hidden].iter_mut().enumerate() {
-                *x = value(j);
-            }
-        }
-        for eps in [1e-5f32, 1e-12] {
-            let lanes = row_stats::<LANES>(&rows, eps);
-            for (r, (row, lane)) in rows.chunks_exact(hidden).zip(lanes).enumerate() {
-                let want = stats_bits(reference_stats(row, eps));
-                assert_eq!(stats_bits(lane), want, "hidden {hidden}, lane {r}");
-                let [one] = row_stats::<1>(row, eps);
-                assert_eq!(stats_bits(one), want, "hidden {hidden}, row {r}");
-            }
-        }
-    }
-}
-
-/// The composition [`code_of`] replaces.
-fn reference_code(y: f32) -> i8 {
-    y.round().clamp(-127.0, 127.0) as i8
-}
-
-fn assert_code(y: f32) {
-    assert_eq!(
-        code_of(y),
-        reference_code(y),
-        "y = {y:e} (bits {:#010x})",
-        y.to_bits()
-    );
-}
-
-#[test]
-fn code_of_rounds_clamps_and_casts_as_the_reference_does() {
-    // Every f32 within 64 ulps of each integer and half-integer in
-    // [−130, 130].
-    for twice in -260i16..=260 {
-        let centre = f32::from(twice) / 2.0;
-        let (mut up, mut down) = (centre, centre);
-        assert_code(centre);
-        for _ in 0..64 {
-            (up, down) = (up.next_up(), down.next_down());
-            assert_code(up);
-            assert_code(down);
-        }
-    }
-    // Zeros, infinities, NaNs and the subnormal edges.
-    let tiny = f32::from_bits(1);
-    for y in [
-        0.0,
-        -0.0,
-        f32::INFINITY,
-        f32::NEG_INFINITY,
-        f32::NAN,
-        -f32::NAN,
-        f32::from_bits(0x7fc0_0001),
-        f32::from_bits(0xffbf_ffff),
-        tiny,
-        -tiny,
-        f32::MIN_POSITIVE,
-        -f32::MIN_POSITIVE,
-        f32::MIN_POSITIVE.next_down(),
-        -f32::MIN_POSITIVE.next_down(),
-        f32::MAX,
-        f32::MIN,
-        0.5f32.next_down(),
-        -0.5f32.next_down(),
-    ] {
-        assert_code(y);
-    }
-    // 10⁶ seeded bit patterns.
-    let mut rng = RngSource::seed_from_u64(37);
-    for _ in 0..1_000_000 {
-        assert_code(f32::from_bits(rng.next_u64() as u32));
-    }
-}
-
-/// Every one of the 2³² bit patterns (≈ 30 s in release; CI's verify job
-/// runs it with `--ignored`).
-#[test]
-#[ignore]
-fn code_of_agrees_with_the_reference_on_every_f32() {
-    for bits in 0..=u32::MAX {
-        let y = f32::from_bits(bits);
-        if code_of(y) != reference_code(y) {
-            assert_code(y);
-        }
     }
 }
 

@@ -152,9 +152,9 @@ impl QatHook {
             return None;
         }
         match site.kind {
-            // The embedding tables stay on the CPU in the paper's system
-            // partitioning, but their outputs are still quantized; we keep
-            // the tables themselves in float.
+            // The embedding tables train in float; conversion quantizes
+            // them to 8-bit codes at one scale per table (and their output,
+            // like every activation, to the calibrated scale).
             SiteKind::EmbeddingTable => None,
             _ => Some(self.config.weight_bits),
         }

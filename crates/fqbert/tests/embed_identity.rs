@@ -1,102 +1,155 @@
-//! The embedding against the float composition it replaced, bit for bit.
+//! The integer embedding against a scalar oracle, bit for bit, under every
+//! available kernel row.
 //!
-//! `IntBertModel::embed` (and the forward path's body it wraps) sums the
-//! three tables, folds each row's layer-norm statistics eight rows side by
-//! side, and quantizes without a libm call. The oracle here is the old
-//! composition verbatim: a zeroed `Tensor` of sums, `Tensor::layer_norm`,
-//! then `(v * scale).round().clamp(-127.0, 127.0) as i8`. Every code must
-//! be equal, for every sequence length of every width, on random tables
-//! and on hand-built ones that put `y` on each rounding tie, past both
-//! clamps, on `±0.49999997`, `−0.0`, constant rows, rows of `±1e30` and
-//! sums that overflow to infinity. The per-row `mean` / `inv_std` bits are
-//! pinned by the unit tests of `int_model` (`row_stats`).
+//! `IntBertModel::embed` (and the forward path's body it wraps) gathers each
+//! token's word and position×segment code rows into two buffers and applies
+//! the embedding's folded `Add & LN` to the whole batch at once, on the
+//! selected kernel row. The oracle here is one token at a time: the same two
+//! rows picked out of the tables by hand, then
+//! `QuantizedLayerNorm::apply_residual` — fold the three scales, then the
+//! **scalar** row, whatever kernel is selected. Every code must be equal,
+//! for every sequence length of every width and under every row of
+//! `kernels::available()`, on random tables and on hand-built ones: constant
+//! rows (zero variance), rows at both ends of the code range, and scales so
+//! small that the operand sums saturate `i32` (outside the SIMD envelope, so
+//! the scalar row runs). Batch logits go through the forward path's arena
+//! and are checked against the float head applied to the oracle's `[CLS]`
+//! codes.
 
 use fqbert_bert::BertConfig;
-use fqbert_core::int_model::HostSide;
+use fqbert_core::int_model::{HostSide, IntEmbedding};
 use fqbert_core::IntBertModel;
 use fqbert_nlp::Example;
-use fqbert_tensor::{GemmScratch, RngSource, Tensor};
+use fqbert_quant::QuantizedLayerNorm;
+use fqbert_tensor::gemm::kernels;
+use fqbert_tensor::{GemmScratch, IntTensor, RngSource, Tensor};
 use std::sync::Arc;
 
 const EPS: f32 = 1e-5;
 
-/// The float composition the embedding replaced.
-fn oracle(host: &HostSide, tokens: &[usize], segments: &[usize]) -> Vec<i8> {
-    let hidden = host.embedding_gamma.numel();
-    let mut emb = Tensor::zeros(&[tokens.len(), hidden]);
-    for (i, (&tok, &seg)) in tokens.iter().zip(segments).enumerate() {
-        let word = host.word_embeddings.row(tok);
-        let position = host.position_embeddings.row(i);
-        let segment = host.segment_embeddings.row(seg);
-        for (e, ((&w, &p), &s)) in emb
-            .row_mut(i)
-            .iter_mut()
-            .zip(word.iter().zip(position).zip(segment))
-        {
-            *e = w + p + s;
-        }
+/// The embedding one token at a time: gather, then the one-row oracle of
+/// `Add & LN` on the scalar row.
+fn oracle(model: &IntBertModel, tokens: &[usize], segments: &[usize]) -> Vec<i8> {
+    let embedding = &model.host.embedding;
+    let [word_scale, position_segment_scale] = embedding.table_scales();
+    let type_vocab = model.config().type_vocab_size;
+    let mut codes = Vec::new();
+    for (position, (&token, &segment)) in tokens.iter().zip(segments).enumerate() {
+        let row = embedding
+            .layer_norm()
+            .apply_residual(
+                embedding.word.row(token),
+                word_scale,
+                embedding
+                    .position_segment
+                    .row(position * type_vocab + segment),
+                position_segment_scale,
+                model.embedding_out_scale(),
+            )
+            .expect("oracle row");
+        codes.extend(row);
     }
-    let normed = emb
-        .layer_norm(&host.embedding_gamma, &host.embedding_beta, EPS)
-        .expect("layer norm");
-    let scale = host.embedding_out_scale;
-    normed
-        .as_slice()
-        .iter()
-        .map(|&v| (v * scale).round().clamp(-127.0, 127.0) as i8)
-        .collect()
+    codes
 }
 
 /// The float head the engine's classifier replaced, on one `[CLS]` row.
-fn oracle_head(host: &HostSide, cls: &[i8]) -> Vec<f32> {
+fn oracle_head(model: &IntBertModel, cls: &[i8]) -> Vec<f32> {
     let row = cls
         .iter()
-        .map(|&c| c as f32 / host.embedding_out_scale)
+        .map(|&c| c as f32 / model.embedding_out_scale())
         .collect();
     Tensor::from_vec(row, &[1, cls.len()])
-        .and_then(|row| row.matmul(&host.classifier_weight))
-        .and_then(|logits| logits.add_bias(&host.classifier_bias))
+        .and_then(|row| row.matmul(model.classifier_weight()))
+        .and_then(|logits| logits.add_bias(model.classifier_bias()))
         .expect("head")
         .into_vec()
 }
 
-/// A model of no encoder layers over `host`: its logits are the head on
-/// each sequence's embedded `[CLS]` row.
-fn model(host: HostSide, max_len: usize, type_vocab_size: usize) -> IntBertModel {
+/// The tables of one embedding: `[vocab, hidden]` word codes,
+/// `[max_len · segments, hidden]` position×segment codes, and the scales.
+struct Tables {
+    word: Vec<i8>,
+    position_segment: Vec<i8>,
+    max_len: usize,
+    segments: usize,
+    /// Word, position×segment and output scale.
+    scales: [f32; 3],
+}
+
+/// A model of no encoder layers over `tables` and a layer norm of
+/// `gamma` / `beta`: its logits are the head on each sequence's embedded
+/// `[CLS]` row.
+fn model(tables: Tables, gamma: &[f32], beta: &[f32]) -> IntBertModel {
+    let hidden = gamma.len();
+    let Tables {
+        word,
+        position_segment,
+        max_len,
+        segments,
+        scales: [word_scale, position_segment_scale, output_scale],
+    } = tables;
+    let vocab = word.len() / hidden;
+    let codes = |codes: Vec<i8>, rows: usize| {
+        Arc::new(IntTensor::from_vec(codes, &[rows, hidden]).expect("table"))
+    };
+    let layer_norm = QuantizedLayerNorm::from_float(gamma, beta, EPS).expect("layer norm");
+    let embedding = IntEmbedding::from_quantized_parts(
+        codes(word, vocab),
+        word_scale,
+        codes(position_segment, max_len * segments),
+        position_segment_scale,
+        segments,
+        layer_norm,
+        output_scale,
+    )
+    .expect("embedding");
+    let mut rng = RngSource::seed_from_u64(hidden as u64);
+    let host = HostSide {
+        embedding,
+        classifier_weight: Arc::new(rng.normal_tensor(&[hidden, 3], 0.0, 0.1)),
+        classifier_bias: Arc::new(rng.normal_tensor(&[3], 0.0, 0.1)),
+    };
     let config = BertConfig {
-        vocab_size: host.word_embeddings.dims()[0],
-        hidden: host.embedding_gamma.numel(),
+        vocab_size: vocab,
+        hidden,
         layers: 0,
         heads: 1,
         intermediate: 1,
         max_len,
-        type_vocab_size,
-        num_classes: host.classifier_bias.numel(),
+        type_vocab_size: segments,
+        num_classes: 3,
         layer_norm_eps: EPS,
     };
     IntBertModel::from_parts(config, host, Vec::new(), 4)
 }
 
-/// Random tables of the given width, rows of `vocab` words, `max_len`
-/// positions and `segments` segment embeddings, and a head of 3 classes.
-fn random_host(
+/// `n` codes spread over the whole `i8` range.
+fn random_codes(rng: &mut RngSource, n: usize) -> Vec<i8> {
+    (0..n).map(|_| rng.next_u64() as i8).collect()
+}
+
+/// Random code tables of the given width: `vocab` words, `max_len`
+/// positions and `segments` segment ids.
+fn random_tables(
     rng: &mut RngSource,
     hidden: usize,
     [vocab, max_len, segments]: [usize; 3],
-    scale: f32,
-) -> HostSide {
-    let mut table =
-        |dims: &[usize], mean: f32, std: f32| Arc::new(rng.normal_tensor(dims, mean, std));
-    HostSide {
-        word_embeddings: table(&[vocab, hidden], 0.0, 0.5),
-        position_embeddings: table(&[max_len, hidden], 0.0, 0.3),
-        segment_embeddings: table(&[segments, hidden], 0.0, 0.2),
-        embedding_gamma: table(&[hidden], 1.0, 0.3),
-        embedding_beta: table(&[hidden], 0.0, 0.2),
-        classifier_weight: table(&[hidden, 3], 0.0, 0.1),
-        classifier_bias: table(&[3], 0.0, 0.1),
-        embedding_out_scale: scale,
+    scales: [f32; 3],
+) -> Tables {
+    Tables {
+        word: random_codes(rng, vocab * hidden),
+        position_segment: random_codes(rng, max_len * segments * hidden),
+        max_len,
+        segments,
+        scales,
     }
+}
+
+/// Layer-norm parameters around `γ = 1`, `β = 0`.
+fn random_norm(rng: &mut RngSource, hidden: usize) -> (Vec<f32>, Vec<f32>) {
+    let gamma = rng.normal_tensor(&[hidden], 1.0, 0.3).into_vec();
+    let beta = rng.normal_tensor(&[hidden], 0.0, 0.2).into_vec();
+    (gamma, beta)
 }
 
 /// Token and segment ids of one sequence: a walk over the vocabulary and
@@ -107,29 +160,17 @@ fn ids(len: usize, vocab: usize, segments: usize) -> (Vec<usize>, Vec<usize>) {
     (tokens, segs)
 }
 
-/// Every length `1..=max_len` through `embed` against the oracle, then the
-/// whole set as one batch through the forward path's arena (twice, in two
-/// orders, on one scratch) against the oracle head on the oracle's
-/// `[CLS]` rows.
+/// Under every available kernel row: every length `1..=max_len` through
+/// `embed` against the oracle, then the whole set as one batch through the
+/// forward path's arena (twice, in two orders, on one scratch) against the
+/// oracle head on the oracle's `[CLS]` rows.
 fn assert_identical(name: &str, model: &IntBertModel) {
     let config = model.config();
-    let host = model.host();
     let mut examples = Vec::new();
+    let mut want_codes = Vec::new();
     for len in 1..=config.max_len {
         let (tokens, segs) = ids(len, config.vocab_size, config.type_vocab_size);
-        let want = oracle(host, &tokens, &segs);
-        let got = model.embed(&tokens, &segs).expect("embed");
-        assert_eq!(got.dims(), [len, config.hidden]);
-        if let Some(at) = want.iter().zip(got.as_slice()).position(|(w, g)| w != g) {
-            panic!(
-                "{name}, hidden {}, length {len}: code {at} (row {}, column {}) is {} not {}",
-                config.hidden,
-                at / config.hidden,
-                at % config.hidden,
-                got.as_slice()[at],
-                want[at]
-            );
-        }
+        want_codes.push(oracle(model, &tokens, &segs));
         examples.push(Example {
             attention_mask: vec![1; len],
             token_ids: tokens,
@@ -137,172 +178,131 @@ fn assert_identical(name: &str, model: &IntBertModel) {
             label: 0,
         });
     }
-    let want: Vec<Vec<u32>> = examples
+    let want_logits: Vec<Vec<u32>> = want_codes
         .iter()
-        .map(|ex| {
-            let codes = oracle(host, &ex.token_ids, &ex.segment_ids);
-            let logits = oracle_head(host, &codes[..config.hidden]);
+        .map(|codes| {
+            let logits = oracle_head(model, &codes[..config.hidden]);
             logits.iter().map(|v| v.to_bits()).collect()
         })
         .collect();
     let mut scratch = GemmScratch::new();
-    for reversed in [false, true] {
-        let (mut batch, mut want) = (examples.clone(), want.clone());
-        if reversed {
-            batch.reverse();
-            want.reverse();
+    for kind in kernels::available() {
+        kernels::force(kind);
+        let kernel = kind.name();
+        for (ex, want) in examples.iter().zip(&want_codes) {
+            let (len, hidden) = (ex.token_ids.len(), config.hidden);
+            let got = model.embed(&ex.token_ids, &ex.segment_ids).expect("embed");
+            assert_eq!(got.dims(), [len, hidden]);
+            if let Some(at) = want.iter().zip(got.as_slice()).position(|(w, g)| w != g) {
+                panic!(
+                    "{name}, {kernel}, hidden {hidden}, length {len}: code {at} \
+                     (row {}, column {}) is {} not {}",
+                    at / hidden,
+                    at % hidden,
+                    got.as_slice()[at],
+                    want[at]
+                );
+            }
         }
-        let got: Vec<Vec<u32>> = model
-            .logits_batch_with_scratch(&batch, &mut scratch)
-            .expect("logits")
-            .iter()
-            .map(|logits| logits.iter().map(|v| v.to_bits()).collect())
-            .collect();
-        assert_eq!(got, want, "{name}, hidden {}: batch logits", config.hidden);
+        for reversed in [false, true] {
+            let (mut batch, mut want) = (examples.clone(), want_logits.clone());
+            if reversed {
+                batch.reverse();
+                want.reverse();
+            }
+            let got: Vec<Vec<u32>> = model
+                .logits_batch_with_scratch(&batch, &mut scratch)
+                .expect("logits")
+                .iter()
+                .map(|logits| logits.iter().map(|v| v.to_bits()).collect())
+                .collect();
+            let hidden = config.hidden;
+            assert_eq!(got, want, "{name}, {kernel}, hidden {hidden}: batch logits");
+        }
     }
+    kernels::force(kernels::best_available());
 }
 
 #[test]
 fn random_tables_of_every_width_and_length() {
     let mut rng = RngSource::seed_from_u64(29);
     for hidden in [1usize, 7, 8, 9, 16, 17, 64, 256, 768] {
-        // 7.3: no code saturates; 40: both clamps are common.
-        for scale in [7.3f32, 40.0] {
-            let host = random_host(&mut rng, hidden, [50, 40, 3], scale);
-            assert_identical("random", &model(host, 40, 3));
+        // Table scales of converted models (hundreds of levels per unit)
+        // and of calibrated activations (tens); an output scale of 7.3
+        // saturates no code, one of 40 saturates many.
+        for scales in [[600.0f32, 350.0, 7.3], [40.0, 25.0, 40.0]] {
+            let (gamma, beta) = random_norm(&mut rng, hidden);
+            let tables = random_tables(&mut rng, hidden, [50, 40, 3], scales);
+            assert_identical("random", &model(tables, &gamma, &beta));
         }
     }
 }
 
 #[test]
-fn rows_far_from_zero_pin_the_fold_order() {
-    // Word rows of 1000 + N(0, 0.01): a row's sum rounds at ulp(1000 ·
-    // hidden), so a fold in any other order lands on another mean, an
-    // ulp of which is a visible share of σ — and the codes move with it.
-    let mut rng = RngSource::seed_from_u64(41);
-    for hidden in [16usize, 64, 256, 768] {
-        let mut host = random_host(&mut rng, hidden, [50, 40, 3], 40.0);
-        host.word_embeddings = Arc::new(rng.normal_tensor(&[50, hidden], 1000.0, 0.01));
-        assert_identical("far from zero", &model(host, 40, 3));
-    }
-}
-
-/// Hand-built tables of width 256 and 2 segments over random sums: every
-/// code is `β · scale` rounded when `γ = 0`, whatever the statistics.
-fn hand_built(gamma: Vec<f32>, beta: Vec<f32>, scale: f32) -> IntBertModel {
-    let mut rng = RngSource::seed_from_u64(5);
-    let hidden = gamma.len();
-    let mut host = random_host(&mut rng, hidden, [8, 16, 2], scale);
-    host.embedding_gamma = Arc::new(Tensor::from_vec(gamma, &[hidden]).expect("gamma"));
-    host.embedding_beta = Arc::new(Tensor::from_vec(beta, &[hidden]).expect("beta"));
-    model(host, 16, 2)
-}
-
-#[test]
-fn every_rounding_tie_and_the_values_beside_one_half() {
-    let below_half = 0.5f32.next_down();
-    assert_eq!(below_half, 0.499_999_97);
-    // y = k + 0.5 for every k in -127..=126, then y = ±0.49999997.
-    let ties = |step: f32| {
-        let mut beta: Vec<f32> = (-127i16..=126)
-            .map(|k| (f32::from(k) + 0.5) / step)
-            .collect();
-        beta.extend([below_half / step, -below_half / step]);
-        beta
-    };
-    // One grid step of 1 (β is y itself) and of ½ (β · 0.5 is y exactly).
-    for step in [1.0f32, 0.5] {
-        let model = hand_built(vec![0.0; 256], ties(step), step);
-        assert_identical("ties", &model);
-    }
-    // The ties on every other column, normalized values between them.
-    let gamma = (0..256)
-        .map(|j| if j % 2 == 0 { 0.0 } else { 0.75 })
-        .collect();
-    assert_identical("ties, live gamma", &hand_built(gamma, ties(1.0), 1.0));
-}
-
-#[test]
-fn both_clamps_infinities_and_negative_zero() {
-    let edges = [
-        1000.0f32,
-        -1000.0,
-        127.5,
-        -127.5,
-        127.499_99,
-        -127.499_99,
-        126.5,
-        -126.5,
-        3e38,
-        -3e38,
-        f32::MAX,
-        -0.0,
-        -0.3,
-        0.3,
-    ];
-    let beta: Vec<f32> = (0..256).map(|j| edges[j % edges.len()]).collect();
-    // A scale of 10 takes ±3e38 and f32::MAX to ±∞.
-    for scale in [1.0f32, 10.0] {
-        assert_identical("clamps", &hand_built(vec![0.0; 256], beta.clone(), scale));
-    }
-    // −0.0 as the result of `(x − mean) · inv_std · γ + β` itself: a −0
-    // product plus a −0 β, on a negative γ as well.
-    let gamma = (0..256)
-        .map(|j| if j % 3 == 0 { -0.0 } else { 0.0 })
-        .collect();
-    assert_identical("negative zero", &hand_built(gamma, vec![-0.0; 256], 3.0));
-}
-
-/// A model whose word rows are `rows` (each of one repeated value or a
-/// listed pattern), over position and segment tables of `filler`.
-fn table_rows(rows: &[Vec<f32>], filler: f32, scale: f32) -> IntBertModel {
-    let mut rng = RngSource::seed_from_u64(17);
-    let hidden = rows[0].len();
-    let mut host = random_host(&mut rng, hidden, [rows.len(), 16, 2], scale);
-    let word: Vec<f32> = rows.concat();
-    host.word_embeddings = Arc::new(Tensor::from_vec(word, &[rows.len(), hidden]).expect("word"));
-    host.position_embeddings = Arc::new(Tensor::full(&[16, hidden], filler));
-    host.segment_embeddings = Arc::new(Tensor::full(&[2, hidden], filler));
-    model(host, 16, 2)
-}
-
-#[test]
 fn constant_rows_huge_rows_and_overflowing_sums() {
     for hidden in [9usize, 256] {
-        let constant = |c: f32| vec![c; hidden];
-        let alternating = |c: f32| {
+        let mut rng = RngSource::seed_from_u64(17);
+        let constant = |c: i8| vec![c; hidden];
+        let alternating = |c: i8| {
             (0..hidden)
-                .map(|j| if j % 2 == 0 { c } else { -c })
-                .collect::<Vec<f32>>()
+                .map(|j| if j % 2 == 0 { c } else { c.saturating_neg() })
+                .collect::<Vec<i8>>()
         };
-        let mut spike = vec![0.0f32; hidden];
-        spike[hidden / 2] = 1e30;
-        let rows = vec![
-            // var = 0 exactly: the sum of `hidden` copies is exact.
-            constant(3.0),
-            constant(-0.0),
-            constant(0.0),
-            // var tiny but not zero: the sum rounds.
-            constant(0.1),
-            constant(1e-30),
-            constant(12_345.678),
-            // Σ (x − mean)² overflows: inv_std = 0.
-            constant(1e30),
-            constant(-1e30),
-            alternating(1e30),
+        let mut spike = vec![0i8; hidden];
+        spike[hidden / 2] = 127;
+        // Word rows: zero variance (constant, and a constant sum with a
+        // constant position row), both ends of the code range, a lone
+        // outlier.
+        let rows = [
+            constant(0),
+            constant(3),
+            constant(-128),
+            constant(127),
+            alternating(127),
+            alternating(-128),
             spike,
         ];
-        // Position and segment rows of −0.0 keep an all −0.0 word row
-        // all −0.0, and leave every other sum at its word value.
-        assert_identical("constant and huge rows", &table_rows(&rows, -0.0, 40.0));
+        let word = rows.concat();
+        let (gamma, beta) = random_norm(&mut rng, hidden);
+        for position_segment in [vec![0i8; 16 * 2 * hidden], vec![-128; 16 * 2 * hidden]] {
+            // Scales of converted tables; tens of levels per unit; and
+            // scales so small that a code's grid step saturates `i32`.
+            for scales in [
+                [600.0f32, 350.0, 40.0],
+                [20.0, 30.0, 7.3],
+                [1e-6, 1e-5, 40.0],
+            ] {
+                let tables = Tables {
+                    word: word.clone(),
+                    position_segment: position_segment.clone(),
+                    max_len: 16,
+                    segments: 2,
+                    scales,
+                };
+                let model = model(tables, &gamma, &beta);
+                assert_identical("constant and extreme rows", &model);
+            }
+        }
+    }
+}
 
-        // Sums past f32::MAX: an infinite mean, NaN differences, codes 0.
-        let rows = vec![
-            constant(3e38),
-            constant(-3e38),
-            alternating(3e38),
-            constant(1.0),
-        ];
-        assert_identical("overflowing sums", &table_rows(&rows, 3e38, 40.0));
+#[test]
+fn tokens_segments_and_lengths_outside_the_tables_are_refused() {
+    let mut rng = RngSource::seed_from_u64(3);
+    let (gamma, beta) = random_norm(&mut rng, 8);
+    let tables = random_tables(&mut rng, 8, [10, 6, 2], [600.0, 350.0, 40.0]);
+    let model = model(tables, &gamma, &beta);
+    for (tokens, segments) in [
+        (vec![1, 10], vec![0, 0]),
+        (vec![1, 2], vec![0, 2]),
+        (vec![1, 2], vec![0, usize::MAX]),
+        (vec![1; 7], vec![0; 7]),
+        (vec![], vec![]),
+        (vec![1, 2], vec![0]),
+    ] {
+        assert!(
+            model.embed(&tokens, &segments).is_err(),
+            "{tokens:?} / {segments:?}"
+        );
     }
 }

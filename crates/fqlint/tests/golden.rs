@@ -180,11 +180,14 @@ fn unsafe_rule_distinguishes_kernel_modules() {
 #[test]
 fn policy_matches_layout() {
     // The workspace policy map: which rules run where.
-    // The paper's §III-A boundary is drawn with files: the encoder
-    // datapath is covered, the float-by-design sides of the same module
+    // The integer/float boundary is drawn with files: from token ids to
+    // the `[CLS]` codes, the integer embedding and the encoder datapath
+    // are covered; conversion and the float task head, in the same module,
     // are not (and so need no suppressions).
-    let rs = fqlint::rules_for_path("crates/fqbert/src/int_model/encoder.rs");
-    assert!(rs.float_escape && !rs.panic_path);
+    for integer_side in ["embedding.rs", "encoder.rs"] {
+        let rs = fqlint::rules_for_path(&format!("crates/fqbert/src/int_model/{integer_side}"));
+        assert!(rs.float_escape && !rs.panic_path, "{integer_side}");
+    }
     for float_side in ["assemble.rs", "host.rs", "mod.rs"] {
         let rs = fqlint::rules_for_path(&format!("crates/fqbert/src/int_model/{float_side}"));
         assert!(!rs.float_escape && rs.unsafe_outside_kernels);

@@ -1,28 +1,36 @@
 //! Versioned binary model artifacts: `quantize once → serve many`.
 //!
 //! An artifact captures everything needed to serve a quantized model without
-//! retraining or recalibrating: the integer encoder (weight codes, bias
+//! retraining or recalibrating: the integer embedding (8-bit word and
+//! position×segment code tables with their scales, the embedding
+//! layer-norm parameter codes), the integer encoder (weight codes, bias
 //! codes, per-layer activation scales, layer-norm parameter codes), the
-//! float CPU-side tensors (embedding tables, classifier head), the task,
-//! and the tokenizer vocabulary. Loading reconstructs an
-//! [`IntBertModel`] whose outputs are **bit-identical** to the saved model:
-//! all derived state (requantizers, softmax LUT, GELU table, the folded
-//! `Add & LN` blocks) is a deterministic function of the stored scales and
-//! is rebuilt by the same constructors the converter uses.
+//! float classifier head, the task, and the tokenizer vocabulary. Loading
+//! reconstructs an [`IntBertModel`] whose outputs are **bit-identical** to
+//! the saved model: all derived state (requantizers, softmax LUT, GELU
+//! table, the folded `Add & LN` blocks of the embedding and the encoder) is
+//! a deterministic function of the stored scales and is rebuilt by the same
+//! constructors the converter uses.
 //!
-//! # Format (version 2, the only version)
+//! # Format (version 3, the only version)
 //!
 //! Little-endian throughout:
 //!
 //! ```text
 //! magic      b"FQBT"
-//! version    u32              (2; anything else is rejected by number)
-//! payload    ...              (task, config, tensors, layers, vocab)
+//! version    u32              (3; anything else is rejected by number)
+//! payload    ...              (task, config, embedding, head, layers, vocab)
 //! checksum   u32              CRC-32 (IEEE) of the payload bytes
 //! ```
 //!
 //! Scalars are `u64`/`u32`/`f32-as-bits`; tensors are a rank-prefixed dim
 //! list followed by raw element data; strings are length-prefixed UTF-8.
+//! After the config come the embedding output scale and the headline weight
+//! width, then the embedding: the word table (its scale, then `[vocab,
+//! hidden]` codes, one byte each), the position×segment table (its scale,
+//! then `[max_len · type_vocab, hidden]` codes; row `p · type_vocab + s`
+//! holds position `p` plus segment `s`) and the embedding layer norm; then
+//! the classifier weight and bias as `f32` tensors.
 //! Each encoder layer stores its head count, **nine** per-layer activation
 //! scales — `input`, `q`, `k`, `v` (one per attention projection), `scores`,
 //! `attn_output`, `layer_norm`, `ffn_hidden`, `ffn_output` — six quantized
@@ -30,11 +38,9 @@
 //! bit-width, three scales (weight/input/output), the weight code tensor and
 //! the `i32` bias tensor; weight tensors of **at most 4 bits** store two
 //! codes per byte (low nibble first, see [`fqbert_tensor::pack4`]), while
-//! wider weights stay one code per byte. Measured against the retired
-//! one-byte-per-code encoding: a w4 artifact is 0.536× the size on an
-//! encoder-dominated shape (hidden 128, intermediate 512, 4 layers:
-//! 453 739 vs 846 923 bytes) and 0.636× on the tiny serving model, whose
-//! float embedding tables weigh more.
+//! wider weights stay one code per byte. On a model of vocabulary 999,
+//! hidden 256, 128 positions and 2 segments the embedding is 321 280 bytes
+//! of codes; the three float tables would be 1 157 120.
 //!
 //! # One decoder, and where the bytes live after load
 //!
@@ -45,23 +51,24 @@
 //! [`IntLinear`] keeps `(buffer, offset)` of its encoded weight matrix —
 //! that encoding is the only form weights take outside the GEMM panels,
 //! which each linear builds from it on first forward pass — and the writer
-//! copies those encoded bytes back out verbatim. The float tensors are
-//! decoded into owned storage and interned through a [`TensorCache`], so
-//! artifacts loaded with one cache share identical tensors. Any truncation,
-//! bit flip or unsupported version is rejected at load time
-//! ([`RuntimeError::Artifact`]) — and so is a CRC-valid file whose contents
-//! do not fit together: shapes that disagree with the config, a `NaN` or
-//! infinite value anywhere in the seven CPU-side tensors, an embedding
-//! output scale or layer-norm `eps` that is not finite and positive, and
-//! every scale a stage is folded from (a projection's three, the attention
-//! score scales, the four `Add & LN` computes with). Each encoder scale is
-//! looked at exactly once, by the constructor that folds it, so a zero,
-//! negative, `NaN` or infinite one fails the load, never a request.
+//! copies those encoded bytes back out verbatim. The embedding code tables
+//! and the head's float tensors are decoded into owned storage and
+//! interned through a [`TensorCache`], so artifacts loaded with one cache
+//! share identical tables. Any truncation, bit flip or unsupported version
+//! is rejected at load time ([`RuntimeError::Artifact`]) — and so is a
+//! CRC-valid file whose contents do not fit together: shapes that disagree
+//! with the config, a `NaN` or infinite value in the head, an embedding
+//! output scale, code-table scale or layer-norm `eps` that is not finite
+//! and positive, and every scale a stage is folded from (a projection's
+//! three, the attention score scales, the four `Add & LN` computes with).
+//! Each scale is looked at exactly once, by the constructor that folds it,
+//! so a zero, negative, `NaN` or infinite one fails the load, never a
+//! request.
 
 use crate::tensor_cache::{LoadStats, TensorCache};
 use crate::{Result, RuntimeError};
 use fqbert_bert::BertConfig;
-use fqbert_core::int_model::{HostSide, LayerScales};
+use fqbert_core::int_model::{HostSide, IntEmbedding, LayerScales};
 use fqbert_core::{IntBertModel, IntEncoderLayer, IntLinear};
 use fqbert_nlp::{TaskKind, Tokenizer, Vocab};
 use fqbert_quant::QuantizedLayerNorm;
@@ -75,7 +82,7 @@ pub const MAGIC: &[u8; 4] = b"FQBT";
 const PAYLOAD_OFFSET: usize = 8;
 /// The artifact format version: what [`ModelArtifact::to_bytes`] emits and
 /// the only one the loader accepts.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 /// A deserialized model artifact: the quantized model plus everything needed
 /// to serve it.
@@ -139,9 +146,9 @@ impl ModelArtifact {
     /// Deserialises an artifact from a shared byte buffer without copying
     /// or unpacking weight tensors: each encoder linear holds
     /// `(buffer, offset)` into `bytes` and builds its GEMM panels straight
-    /// from the encoded nibbles/codes on first forward pass. Float tensors
-    /// (embedding tables, classifier head) are interned through `cache`, so
-    /// identical tensors across artifacts loaded with the same cache share
+    /// from the encoded nibbles/codes on first forward pass. The embedding
+    /// code tables and the classifier head are interned through `cache`, so
+    /// identical tables across artifacts loaded with the same cache share
     /// one allocation; the returned [`LoadStats`] says how much was shared.
     ///
     /// # Errors
@@ -161,9 +168,18 @@ impl ModelArtifact {
         write_config(&mut payload, self.model.config());
         payload.f32(self.model.embedding_out_scale());
         payload.u32(self.model.weight_bits());
-        for t in self.model.shared_float_tensors() {
-            write_tensor(&mut payload, t);
-        }
+        let host = &self.model.host;
+        let embedding = &host.embedding;
+        let [word_scale, position_segment_scale] = embedding.table_scales();
+        write_code_table(&mut payload, word_scale, &embedding.word);
+        write_code_table(
+            &mut payload,
+            position_segment_scale,
+            &embedding.position_segment,
+        );
+        write_layer_norm(&mut payload, embedding.layer_norm());
+        write_tensor(&mut payload, &host.classifier_weight);
+        write_tensor(&mut payload, &host.classifier_bias);
         payload.u64(self.model.layers.len() as u64);
         for layer in &self.model.layers {
             write_layer(&mut payload, layer);
@@ -180,7 +196,7 @@ impl ModelArtifact {
     }
 
     /// The one decoder: weight tensors become references into `bytes`,
-    /// float tensors are interned through `cache`.
+    /// the tables around the encoder are interned through `cache`.
     fn parse(bytes: &Arc<[u8]>, cache: &mut TensorCache) -> Result<(Self, LoadStats)> {
         if bytes.len() < 12 {
             return Err(RuntimeError::Artifact("file too short".to_string()));
@@ -214,35 +230,46 @@ impl ModelArtifact {
         let config = read_config(&mut r)?;
         let embedding_out_scale = r.f32()?;
         let weight_bits = r.u32()?;
-        let word = read_tensor(&mut r)?;
-        let pos = read_tensor(&mut r)?;
-        let seg = read_tensor(&mut r)?;
-        let gamma = read_tensor(&mut r)?;
-        let beta = read_tensor(&mut r)?;
+        let (word_scale, word) = read_code_table(&mut r)?;
+        let (position_segment_scale, position_segment) = read_code_table(&mut r)?;
+        let layer_norm = read_layer_norm(&mut r)?;
         let cls_w = read_tensor(&mut r)?;
         let cls_b = read_tensor(&mut r)?;
-        // Shape-check every CPU-side tensor against the config so a
-        // CRC-valid but structurally inconsistent artifact is rejected here
-        // instead of panicking later inside the inference engine.
-        // The embedding and the head compute with every value of them, so
-        // a non-finite one is refused here too, as are the two scalars the
-        // embedding's layer norm and quantize take.
+        // Shape-check every table around the encoder against the config
+        // so a CRC-valid but structurally inconsistent artifact is rejected
+        // here instead of failing later inside the inference engine. The
+        // head computes with every value of its two tensors, so a
+        // non-finite one is refused here too, as are the scalars the
+        // embedding's `Add & LN` is folded from.
         let (v, h, c) = (config.vocab_size, config.hidden, config.num_classes);
-        for (name, tensor, expected) in [
-            ("word embeddings", &word, vec![v, h]),
-            ("position embeddings", &pos, vec![config.max_len, h]),
-            ("segment embeddings", &seg, vec![config.type_vocab_size, h]),
-            ("embedding gamma", &gamma, vec![h]),
-            ("embedding beta", &beta, vec![h]),
-            ("classifier weight", &cls_w, vec![h, c]),
-            ("classifier bias", &cls_b, vec![c]),
+        let positions = config
+            .max_len
+            .checked_mul(config.type_vocab_size)
+            .ok_or_else(|| {
+                RuntimeError::Artifact(format!(
+                    "{} positions x {} segments overflow usize",
+                    config.max_len, config.type_vocab_size
+                ))
+            })?;
+        let layer_norm_width = [layer_norm.hidden()];
+        for (name, dims, expected) in [
+            ("word codes", word.dims(), vec![v, h]),
+            (
+                "position x segment codes",
+                position_segment.dims(),
+                vec![positions, h],
+            ),
+            ("embedding layer norm", layer_norm_width.as_slice(), vec![h]),
+            ("classifier weight", cls_w.dims(), vec![h, c]),
+            ("classifier bias", cls_b.dims(), vec![c]),
         ] {
-            if tensor.dims() != expected.as_slice() {
+            if dims != expected.as_slice() {
                 return Err(RuntimeError::Artifact(format!(
-                    "{name} shape {:?} disagrees with config (expected {expected:?})",
-                    tensor.dims()
+                    "{name} shape {dims:?} disagrees with config (expected {expected:?})"
                 )));
             }
+        }
+        for (name, tensor) in [("classifier weight", &cls_w), ("classifier bias", &cls_b)] {
             let values = tensor.as_slice().iter();
             if let Some((at, value)) = values.enumerate().find(|(_, v)| !v.is_finite()) {
                 return Err(RuntimeError::Artifact(format!(
@@ -252,6 +279,8 @@ impl ModelArtifact {
         }
         for (name, value) in [
             ("embedding output scale", embedding_out_scale),
+            ("word code scale", word_scale),
+            ("position x segment code scale", position_segment_scale),
             ("layer norm eps", config.layer_norm_eps),
         ] {
             if !(value.is_finite() && value > 0.0) {
@@ -260,29 +289,40 @@ impl ModelArtifact {
                 )));
             }
         }
-        // Intern the CPU-side float tensors through the dedup cache:
-        // identical tensors across artifacts — the embedding tables and
+        // Intern the tables around the encoder through the dedup cache:
+        // identical tables across artifacts — the embedding codes and
         // classifier heads of w4/w8 variants of one task — collapse onto
         // one shared allocation.
         let mut stats = LoadStats::default();
-        let mut intern = |t: Tensor| {
-            let nbytes = std::mem::size_of_val(t.as_slice());
-            let (arc, shared) = cache.intern(t);
-            if shared {
-                stats.shared_tensors += 1;
-                stats.shared_bytes += nbytes;
-            }
-            arc
-        };
-        let host = HostSide {
-            word_embeddings: intern(word),
-            position_embeddings: intern(pos),
-            segment_embeddings: intern(seg),
-            embedding_gamma: intern(gamma),
-            embedding_beta: intern(beta),
-            classifier_weight: intern(cls_w),
-            classifier_bias: intern(cls_b),
+        let sizes = [v * h, positions * h, 4 * cls_w.numel(), 4 * cls_b.numel()];
+        let (word, word_shared) = cache.intern_codes(word);
+        let (position_segment, position_segment_shared) = cache.intern_codes(position_segment);
+        let (classifier_weight, weight_shared) = cache.intern(cls_w);
+        let (classifier_bias, bias_shared) = cache.intern(cls_b);
+        let shared = [
+            word_shared,
+            position_segment_shared,
+            weight_shared,
+            bias_shared,
+        ];
+        for (nbytes, _) in sizes.into_iter().zip(shared).filter(|(_, shared)| *shared) {
+            stats.shared_tensors += 1;
+            stats.shared_bytes += nbytes;
+        }
+        let embedding = IntEmbedding::from_quantized_parts(
+            word,
+            word_scale,
+            position_segment,
+            position_segment_scale,
+            config.type_vocab_size,
+            layer_norm,
             embedding_out_scale,
+        )
+        .map_err(|e| RuntimeError::Artifact(format!("invalid embedding: {e}")))?;
+        let host = HostSide {
+            embedding,
+            classifier_weight,
+            classifier_bias,
         };
         let num_layers = r.u64()? as usize;
         if num_layers != config.layers {
@@ -291,7 +331,9 @@ impl ModelArtifact {
                 config.layers
             )));
         }
-        let mut layers = Vec::with_capacity(num_layers);
+        // No capacity up front: the count is only as trustworthy as the
+        // config it matched, and each layer below must parse first.
+        let mut layers = Vec::new();
         for _ in 0..num_layers {
             layers.push(read_layer(&mut r, &config, bytes)?);
         }
@@ -526,6 +568,26 @@ fn read_tensor(r: &mut Reader<'_>) -> Result<Tensor> {
         .map_err(|e| RuntimeError::Artifact(format!("inconsistent tensor: {e}")))
 }
 
+/// Writes one 8-bit code table: its scale, then the tensor — rank, dims
+/// and one byte per code.
+fn write_code_table(w: &mut Writer, scale: f32, t: &IntTensor<i8>) {
+    w.f32(scale);
+    w.u32(t.dims().len() as u32);
+    for &d in t.dims() {
+        w.u64(d as u64);
+    }
+    w.buf.extend(t.as_slice().iter().map(|&c| c as u8));
+}
+
+fn read_code_table(r: &mut Reader<'_>) -> Result<(f32, IntTensor<i8>)> {
+    let scale = r.f32()?;
+    let (dims, numel) = read_dims(r, 1)?;
+    let codes = r.take(numel)?.iter().map(|&b| b as i8).collect();
+    let table = IntTensor::from_vec(codes, &dims)
+        .map_err(|e| RuntimeError::Artifact(format!("inconsistent code table: {e}")))?;
+    Ok((scale, table))
+}
+
 fn write_i32_tensor(w: &mut Writer, t: &IntTensor<i32>) {
     w.u32(t.dims().len() as u32);
     for &d in t.dims() {
@@ -668,10 +730,11 @@ fn read_layer(r: &mut Reader<'_>, cfg: &BertConfig, shared: &Arc<[u8]>) -> Resul
     let ffn2 = read_linear(r, shared)?;
     let attn_ln = read_layer_norm(r)?;
     let ffn_ln = read_layer_norm(r)?;
-    if heads == 0 || !cfg.hidden.is_multiple_of(heads) {
+    // The config was validated: its head count divides the hidden width.
+    if heads != cfg.heads {
         return Err(RuntimeError::Artifact(format!(
-            "heads {heads} does not divide hidden {}",
-            cfg.hidden
+            "layer of {heads} heads in a config of {} heads",
+            cfg.heads
         )));
     }
     // Shape-check the quantized parts against the config before assembling
@@ -733,7 +796,8 @@ fn write_vocab(w: &mut Writer, vocab: &Vocab) {
 
 fn read_vocab(r: &mut Reader<'_>) -> Result<Vocab> {
     let n = r.u64()? as usize;
-    if n > r.buf.len() {
+    // Every word takes at least its 8-byte length prefix.
+    if n > (r.buf.len() - r.pos) / 8 {
         return Err(RuntimeError::Artifact(format!(
             "vocabulary of {n} words cannot fit the remaining payload"
         )));
@@ -743,16 +807,15 @@ fn read_vocab(r: &mut Reader<'_>) -> Result<Vocab> {
         let raw = r.len_prefixed()?;
         words.push(
             std::str::from_utf8(raw)
-                .map_err(|e| RuntimeError::Artifact(format!("non-UTF-8 vocab entry: {e}")))?
-                .to_string(),
+                .map_err(|e| RuntimeError::Artifact(format!("non-UTF-8 vocab entry: {e}")))?,
         );
     }
     Ok(Vocab::from_tokens(words))
 }
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) over a byte slice,
-/// table-driven: artifacts are dominated by float embedding tables, so the
-/// checksum runs over megabytes on the serving startup path.
+/// table-driven: the checksum runs over every byte of the file — megabytes
+/// on a BERT-base-width model — on the serving startup path.
 pub fn crc32(data: &[u8]) -> u32 {
     static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
     let table = TABLE.get_or_init(|| {

@@ -338,8 +338,9 @@ impl Engine {
     }
 
     /// Bytes of model weight storage currently resident for this engine's
-    /// quantized model (0 for the float backend): the seven float tensors
-    /// plus every layer's bias and GEMM panel storage. Grows as layers
+    /// quantized model (0 for the float backend): the embedding's code
+    /// tables and folded layer norm, the float head, plus every layer's
+    /// bias and GEMM panel storage. Grows as layers
     /// build their panels on first use.
     pub fn resident_bytes(&self) -> usize {
         self.backend
@@ -797,7 +798,8 @@ impl EngineBuilder {
     /// their on-disk encoding behind it and each linear builds its GEMM
     /// panels on first use, so cold start does not pay for packing every
     /// layer up front. Use [`EngineBuilder::load_shared_bytes`] to share
-    /// the buffer, and dedup float tensors, across several loaded models.
+    /// the buffer, and dedup the embedding and head tables, across several
+    /// loaded models.
     ///
     /// The artifact supplies the task and tokenizer; the builder's task is
     /// overridden by the artifact's. The float backend cannot be built from
@@ -814,10 +816,11 @@ impl EngineBuilder {
 
     /// As [`EngineBuilder::load`], from an already-loaded artifact byte
     /// buffer — so several registry entries pointing at the same artifact
-    /// file share one read and one backing buffer — interning float tensors
-    /// through a caller-owned [`TensorCache`] so identical tensors across
-    /// models loaded with the same cache (embedding tables and classifier
-    /// heads of w4/w8 variants of one task) share one allocation. The
+    /// file share one read and one backing buffer — interning the tables
+    /// around the encoder through a caller-owned [`TensorCache`] so
+    /// identical ones across models loaded with the same cache (embedding
+    /// code tables and classifier heads of w4/w8 variants of one task)
+    /// share one allocation. The
     /// engine's [`Engine::load_stats`] reports what was shared.
     ///
     /// # Errors

@@ -64,8 +64,9 @@
 //! shared byte buffer: every quantized linear refers to its encoded weight
 //! bytes inside it (≤4-bit codes two per byte) and builds its GEMM panels
 //! from them on first use — the same form, and the same constructor, a
-//! freshly converted model uses — while float tensors are interned through
-//! a [`TensorCache`] so variants of one task share them. Loading rebuilds
+//! freshly converted model uses — while the embedding code tables and the
+//! float head are interned through a [`TensorCache`] so variants of one
+//! task share them. Loading rebuilds
 //! all derived state (requantizers, LUTs) deterministically, so a reloaded
 //! model produces bit-identical logits and re-saves byte-identical files —
 //! guaranteed by property tests.

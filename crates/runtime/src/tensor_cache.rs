@@ -1,41 +1,33 @@
-//! Content-hash interning of float model tensors: load once, share
-//! everywhere.
+//! Content-hash interning of model tables: load once, share everywhere.
 //!
 //! Dense multi-model serving loads several variants of one task — w4 and w8
-//! encoders over the *same* embedding tables, layer-norm parameters and
-//! classifier head. A [`TensorCache`] deduplicates those tensors at load
-//! time: each candidate is hashed over its exact bit content (FNV-1a over
-//! dims and element bit patterns), and a hash hit is confirmed by full
-//! bitwise comparison before the existing [`Arc`] is handed out — a hash
-//! collision can never alias two different tensors. The cache holds strong
-//! references, so interned tensors stay live for the cache's lifetime; a
-//! registry keeps one cache per process and drops it with the registry.
+//! encoders over the *same* embedding code tables and classifier head. A
+//! [`TensorCache`] deduplicates those tables at load time: each candidate is
+//! hashed over its exact bit content (FNV-1a over dims and element bit
+//! patterns), and a hash hit is confirmed by full bitwise comparison before
+//! the existing [`Arc`] is handed out — a hash collision can never alias
+//! two different tables. The cache holds strong references, so interned
+//! tables stay live for the cache's lifetime; a registry keeps one cache
+//! per process and drops it with the registry.
 
-use fqbert_tensor::Tensor;
+use fqbert_tensor::{IntTensor, Tensor};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Dedup statistics of one artifact load.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LoadStats {
-    /// Tensors that resolved to an already-interned copy.
+    /// Tables that resolved to an already-interned copy.
     pub shared_tensors: usize,
-    /// Bytes those shared tensors would have occupied if loaded privately.
+    /// Bytes those shared tables would have occupied if loaded privately.
     pub shared_bytes: usize,
 }
 
-impl LoadStats {
-    /// Accumulates another load's statistics into this one.
-    pub fn absorb(&mut self, other: LoadStats) {
-        self.shared_tensors += other.shared_tensors;
-        self.shared_bytes += other.shared_bytes;
-    }
-}
-
-/// Content-addressed intern table for float tensors.
+/// Content-addressed intern table for float tensors and 8-bit code tables.
 #[derive(Debug, Default)]
 pub struct TensorCache {
-    buckets: HashMap<u64, Vec<Arc<Tensor>>>,
+    floats: HashMap<u64, Vec<Arc<Tensor>>>,
+    codes: HashMap<u64, Vec<Arc<IntTensor<i8>>>>,
 }
 
 impl TensorCache {
@@ -48,47 +40,41 @@ impl TensorCache {
     /// bit-identical tensor was interned before (second return `true`),
     /// otherwise caches this one and returns it (second return `false`).
     pub fn intern(&mut self, tensor: Tensor) -> (Arc<Tensor>, bool) {
-        let hash = content_hash(&tensor);
-        let bucket = self.buckets.entry(hash).or_default();
-        if let Some(existing) = bucket.iter().find(|t| bitwise_eq(t, &tensor)) {
-            return (Arc::clone(existing), true);
-        }
-        let fresh = Arc::new(tensor);
-        bucket.push(Arc::clone(&fresh));
-        (fresh, false)
+        let bits = tensor
+            .as_slice()
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes());
+        let hash = content_hash(tensor.dims(), bits);
+        intern_in(self.floats.entry(hash).or_default(), tensor, bitwise_eq)
     }
 
-    /// Number of distinct tensors interned.
-    pub fn len(&self) -> usize {
-        self.buckets.values().map(Vec::len).sum()
-    }
-
-    /// Whether the cache holds no tensors.
-    pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
+    /// [`TensorCache::intern`] for a table of 8-bit codes.
+    pub fn intern_codes(&mut self, table: IntTensor<i8>) -> (Arc<IntTensor<i8>>, bool) {
+        let bits = table.as_slice().iter().map(|&c| c as u8);
+        let hash = content_hash(table.dims(), bits);
+        intern_in(self.codes.entry(hash).or_default(), table, |a, b| a == b)
     }
 }
 
-/// FNV-1a (64-bit) over the tensor's shape and exact element bit patterns.
-fn content_hash(t: &Tensor) -> u64 {
+/// The bucket's entry equal to `item` under `same`, or `item` added to it.
+fn intern_in<T>(bucket: &mut Vec<Arc<T>>, item: T, same: fn(&T, &T) -> bool) -> (Arc<T>, bool) {
+    if let Some(existing) = bucket.iter().find(|t| same(t, &item)) {
+        return (Arc::clone(existing), true);
+    }
+    let fresh = Arc::new(item);
+    bucket.push(Arc::clone(&fresh));
+    (fresh, false)
+}
+
+/// FNV-1a (64-bit) over a table's shape and the bytes of its elements'
+/// exact bit patterns.
+fn content_hash(dims: &[usize], bytes: impl Iterator<Item = u8>) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    let mut eat = |byte: u8| {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(PRIME);
-    };
-    for &d in t.dims() {
-        for byte in (d as u64).to_le_bytes() {
-            eat(byte);
-        }
-    }
-    for &v in t.as_slice() {
-        for byte in v.to_bits().to_le_bytes() {
-            eat(byte);
-        }
-    }
-    hash
+    let shape = dims.iter().flat_map(|&d| (d as u64).to_le_bytes());
+    shape.chain(bytes).fold(OFFSET, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(PRIME)
+    })
 }
 
 /// Exact bit equality — unlike float `==`, distinguishes `-0.0` from `0.0`
@@ -106,6 +92,12 @@ fn bitwise_eq(a: &Tensor, b: &Tensor) -> bool {
 mod tests {
     use super::*;
 
+    /// Number of distinct tables interned.
+    fn interned(cache: &TensorCache) -> usize {
+        let floats: usize = cache.floats.values().map(Vec::len).sum();
+        floats + cache.codes.values().map(Vec::len).sum::<usize>()
+    }
+
     fn tensor(data: &[f32], dims: &[usize]) -> Tensor {
         Tensor::from_vec(data.to_vec(), dims).expect("valid tensor")
     }
@@ -118,7 +110,7 @@ mod tests {
         assert!(!shared_a);
         assert!(shared_b);
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.len(), 1);
+        assert_eq!(interned(&cache), 1);
     }
 
     #[test]
@@ -131,7 +123,7 @@ mod tests {
         assert!(!shared_c);
         assert!(!Arc::ptr_eq(&a, &b));
         assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(cache.len(), 3);
+        assert_eq!(interned(&cache), 3);
     }
 
     #[test]
@@ -147,5 +139,22 @@ mod tests {
         let (_, _) = cache.intern(tensor(&[f32::NAN], &[1]));
         let (_, shared_nan) = cache.intern(tensor(&[f32::NAN], &[1]));
         assert!(shared_nan);
+    }
+
+    #[test]
+    fn code_tables_share_by_content_and_stay_apart_from_floats() {
+        let mut cache = TensorCache::new();
+        let codes = |data: &[i8], dims: &[usize]| {
+            IntTensor::from_vec(data.to_vec(), dims).expect("valid table")
+        };
+        let (a, shared_a) = cache.intern_codes(codes(&[1, -2, 3, 4], &[2, 2]));
+        let (b, shared_b) = cache.intern_codes(codes(&[1, -2, 3, 4], &[2, 2]));
+        let (_, shared_c) = cache.intern_codes(codes(&[1, -2, 3, 4], &[4, 1]));
+        let (_, shared_d) = cache.intern_codes(codes(&[1, -2, 3, 5], &[2, 2]));
+        assert!(!shared_a && shared_b && !shared_c && !shared_d);
+        assert!(Arc::ptr_eq(&a, &b));
+        let (_, shared_float) = cache.intern(tensor(&[1.0, 2.0], &[2]));
+        assert!(!shared_float);
+        assert_eq!(interned(&cache), 4);
     }
 }

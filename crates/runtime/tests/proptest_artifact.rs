@@ -2,7 +2,7 @@
 //! reproduce bit-identical logits, and any tampering must be rejected.
 
 use fqbert_bert::{BertConfig, BertModel};
-use fqbert_core::{convert, IntBertModel, QatHook};
+use fqbert_core::{convert, CompressionReport, IntBertModel, QatHook};
 use fqbert_nlp::{Example, TaskKind, Tokenizer, Vocab};
 use fqbert_quant::QuantConfig;
 use fqbert_runtime::{EncodedBatch, InferenceBackend, IntBackend, ModelArtifact};
@@ -118,11 +118,13 @@ proptest! {
 #[test]
 fn version_mismatch_is_rejected_with_versions_named() {
     let (_, bytes) = artifact();
-    // A future version (v3 for the current v2 writer), the retired
-    // version 1 and the never-issued version 0 must all trip the gate; the
-    // version word sits outside the checksummed payload, so this
-    // specifically exercises the version gate rather than the CRC.
-    for bad_version in [fqbert_runtime::artifact::VERSION + 1, 1, 0] {
+    // A future version (v4 for the current v3 writer), the retired
+    // versions 2 (float embedding tables) and 1 and the never-issued
+    // version 0 must all trip the gate; the version word sits outside the
+    // checksummed payload, so this specifically exercises the version gate
+    // rather than the CRC.
+    assert_eq!(fqbert_runtime::artifact::VERSION, 3);
+    for bad_version in [fqbert_runtime::artifact::VERSION + 1, 2, 1, 0] {
         let mut wrong = bytes.clone();
         wrong[4..8].copy_from_slice(&bad_version.to_le_bytes());
         let msg = ModelArtifact::from_bytes(&wrong)
@@ -136,11 +138,34 @@ fn version_mismatch_is_rejected_with_versions_named() {
 }
 
 #[test]
+fn compression_report_counts_the_embedding_tables_the_artifact_ships() {
+    let (original, bytes) = artifact();
+    let model = BertModel::new(original.model.config().clone(), 11);
+    let report = CompressionReport::for_model(&model, &QuantConfig::fq_bert());
+    let embedding = &original.model.host.embedding;
+    let tables = [&embedding.word, &embedding.position_segment];
+    let mut shipped = 0;
+    for (scale, table) in embedding.table_scales().into_iter().zip(tables) {
+        // The section as the writer encodes it: the scale, the rank and
+        // dims (shape, fixed by the config), then one byte per code.
+        let mut section = scale.to_le_bytes().to_vec();
+        section.extend_from_slice(&(table.dims().len() as u32).to_le_bytes());
+        for &d in table.dims() {
+            section.extend_from_slice(&(d as u64).to_le_bytes());
+        }
+        section.extend(table.as_slice().iter().map(|&c| c as u8));
+        assert!(bytes.windows(section.len()).any(|w| w == section));
+        shipped += 4 + table.numel();
+    }
+    assert_eq!(report.embedding_bytes, shipped as u64);
+}
+
+#[test]
 fn w4_artifacts_are_at_most_55_percent_of_the_unpacked_encoding() {
     // An encoder-dominated architecture (the regime real checkpoints live
     // in — BERT-base encoder weights dwarf the embedding tables at this
     // vocabulary size). The tiny shared fixture keeps the proptests fast
-    // but its float embeddings blunt the ratio; this one isolates it.
+    // but its embedding tables blunt the ratio; this one isolates it.
     let artifact = build_artifact(
         QuantConfig::fq_bert(),
         BertConfig {
@@ -156,7 +181,7 @@ fn w4_artifacts_are_at_most_55_percent_of_the_unpacked_encoding() {
         },
         13,
     );
-    let v2 = artifact.to_bytes();
+    let packed = artifact.to_bytes();
     // Storing one byte per code would cost every ≤4-bit linear
     // another ⌊k·n/2⌋ bytes on top of its nibble-packed encoding.
     let unpacked_extra: usize = artifact
@@ -168,14 +193,14 @@ fn w4_artifacts_are_at_most_55_percent_of_the_unpacked_encoding() {
         .map(|linear| linear.in_features() * linear.out_features() / 2)
         .sum();
     assert!(unpacked_extra > 0);
-    let unpacked = v2.len() + unpacked_extra;
+    let unpacked = packed.len() + unpacked_extra;
     assert!(
-        (v2.len() as f64) <= 0.55 * unpacked as f64,
+        (packed.len() as f64) <= 0.55 * unpacked as f64,
         "w4 artifact ({} bytes) must be at most 55% of its unpacked encoding ({unpacked} bytes)",
-        v2.len(),
+        packed.len(),
     );
     // The packed encoding still reconstructs the model bit-identically.
-    let reloaded = ModelArtifact::from_bytes(&v2).expect("packed round trip");
+    let reloaded = ModelArtifact::from_bytes(&packed).expect("packed round trip");
     let examples = vec![Example {
         token_ids: vec![2, 7, 11, 6, 3],
         segment_ids: vec![0; 5],
@@ -191,8 +216,8 @@ fn w4_artifacts_are_at_most_55_percent_of_the_unpacked_encoding() {
 
 #[test]
 fn w8_artifacts_round_trip_through_the_unpacked_path() {
-    // 8-bit weights stay one code per byte at v2; the round trip must be
-    // just as bit-exact as the packed 4-bit path.
+    // 8-bit weights stay one code per byte; the round trip must be just as
+    // bit-exact as the packed 4-bit path.
     let artifact = build_artifact(QuantConfig::w8a8(), BertConfig::tiny(28, MAX_LEN, 2), 17);
     let reloaded = ModelArtifact::from_bytes(&artifact.to_bytes()).expect("round trip");
     assert_eq!(reloaded.model.weight_bits(), 8);
@@ -335,16 +360,12 @@ fn assert_refused(hostile: &[u8], name: &str, what: &str) {
 #[test]
 fn a_crc_valid_artifact_with_a_non_finite_host_value_is_refused_at_load() {
     let (original, bytes) = artifact();
-    let names = [
-        "word embeddings",
-        "position embeddings",
-        "segment embeddings",
-        "embedding gamma",
-        "embedding beta",
-        "classifier weight",
-        "classifier bias",
+    let host = &original.model.host;
+    let head = [
+        ("classifier weight", &host.classifier_weight),
+        ("classifier bias", &host.classifier_bias),
     ];
-    for (name, tensor) in names.iter().zip(original.model.shared_float_tensors()) {
+    for (name, tensor) in head {
         // The tensor as the writer encodes it: rank, dims, then values.
         let mut block = (tensor.dims().len() as u32).to_le_bytes().to_vec();
         for &d in tensor.dims() {
@@ -366,18 +387,28 @@ fn a_crc_valid_artifact_with_a_non_finite_host_value_is_refused_at_load() {
     }
 
     // The payload opens with the task tag and the config's eight `u64`s;
-    // the config's `eps` and then the embedding output scale follow.
+    // the config's `eps`, the embedding output scale and the weight width
+    // follow, then the word table (its scale, rank, two dims, one byte per
+    // code) and the position×segment table's scale.
     let config = original.model.config();
     let eps_at = 8 + 1 + 8 * 8;
     let scale_at = eps_at + 4;
-    assert_eq!(bytes[eps_at..scale_at], config.layer_norm_eps.to_le_bytes());
-    assert_eq!(
-        bytes[scale_at..scale_at + 4],
-        original.model.embedding_out_scale().to_le_bytes()
-    );
+    let word_scale_at = scale_at + 8;
+    let position_segment_scale_at = word_scale_at + 4 + 4 + 16 + host.embedding.word.numel();
+    let [word_scale, position_segment_scale] = host.embedding.table_scales();
+    for (at, value) in [
+        (eps_at, config.layer_norm_eps),
+        (scale_at, original.model.embedding_out_scale()),
+        (word_scale_at, word_scale),
+        (position_segment_scale_at, position_segment_scale),
+    ] {
+        assert_eq!(bytes[at..at + 4], value.to_le_bytes());
+    }
     for (name, at) in [
         ("layer norm eps", eps_at),
         ("embedding output scale", scale_at),
+        ("word code scale", word_scale_at),
+        ("position x segment code scale", position_segment_scale_at),
     ] {
         for bad in [
             0.0f32,

@@ -1,8 +1,8 @@
 //! Property tests of the artifact load path: a loaded model must be
 //! bit-identical to the converter-built model that produced its bytes at
 //! every weight bit-width, every loaded projection must agree with the
-//! naive reference, dedup must actually share float tensors across
-//! variants, residency must grow by exactly the panels a forward pass
+//! naive reference, dedup must actually share the embedding code tables
+//! and the float head across variants, residency must grow by exactly the panels a forward pass
 //! builds, and `save ∘ load ∘ save` must be byte-identical.
 
 use fqbert_bert::{BertConfig, BertModel};
@@ -24,9 +24,9 @@ fn logits(model: &IntBertModel, examples: &[Example]) -> Vec<Vec<f32>> {
 }
 
 /// Builds a calibrated quantized artifact with per-layer bit-widths from
-/// one shared float model, so every variant carries identical float tensors
-/// (embedding tables, classifier head) — exactly the multi-variant serving
-/// scenario the dedup cache exists for.
+/// one shared float model, so every variant carries identical tables
+/// (embedding codes, float classifier head) — exactly the multi-variant
+/// serving scenario the dedup cache exists for.
 fn build_artifact(bits: &[LayerBits]) -> ModelArtifact {
     let config = BertConfig::tiny(28, MAX_LEN, 2);
     let words: Vec<String> = (0..config.vocab_size - 4)
@@ -183,19 +183,27 @@ fn variants_of_one_task_share_their_float_tensors() {
     let (first, stats_first) = ModelArtifact::from_shared_bytes(&w4, &mut cache).expect("w4");
     assert_eq!(stats_first.shared_tensors, 0);
     let (second, stats_second) = ModelArtifact::from_shared_bytes(&w8, &mut cache).expect("w8");
-    // Both variants came from one float model: all seven CPU-side tensors
-    // (embeddings, layer-norm parameters, classifier) dedup onto the copies
-    // the w4 load interned.
-    assert_eq!(stats_second.shared_tensors, 7);
-    assert!(stats_second.shared_bytes > 0);
-    for (a, b) in first
-        .model
-        .shared_float_tensors()
-        .iter()
-        .zip(second.model.shared_float_tensors())
-    {
-        assert!(Arc::ptr_eq(a, b), "variants must share one allocation");
+    // Both variants came from one float model: the two embedding code
+    // tables and the two float head tensors dedup onto the copies the w4
+    // load interned.
+    assert_eq!(stats_second.shared_tensors, 4);
+    let (a, b) = (&first.model.host, &second.model.host);
+    let tables = [&a.embedding.word, &a.embedding.position_segment]
+        .into_iter()
+        .zip([&b.embedding.word, &b.embedding.position_segment]);
+    let head = [&a.classifier_weight, &a.classifier_bias]
+        .into_iter()
+        .zip([&b.classifier_weight, &b.classifier_bias]);
+    let mut bytes = 0;
+    for (x, y) in tables {
+        assert!(Arc::ptr_eq(x, y), "variants must share one code table");
+        bytes += x.numel();
     }
+    for (x, y) in head {
+        assert!(Arc::ptr_eq(x, y), "variants must share one head tensor");
+        bytes += 4 * x.numel();
+    }
+    assert_eq!(stats_second.shared_bytes, bytes);
     // What the sharing buys: per-model sums count the interned tensors
     // twice, so the pair's true footprint is the sum minus the shared
     // bytes, and it stays under 0.8x of two independent loads.

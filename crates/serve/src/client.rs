@@ -76,11 +76,12 @@ pub struct ClientModelInfo {
     /// GEMM micro-kernel serving the engine (`vnni`, `avx2`, `sse2`, `neon`,
     /// `scalar`).
     pub kernel: String,
-    /// Bytes of materialized weight panels plus shared float tensors
-    /// resident for this model.
+    /// Bytes of materialized weight panels plus the shared embedding and
+    /// head tables resident for this model.
     pub resident_bytes: usize,
-    /// Float tensors this model shares with previously loaded models via
-    /// the registry's content-hash dedup cache.
+    /// Tables (embedding codes, head tensors) this model shares with
+    /// previously loaded models via the registry's content-hash dedup
+    /// cache.
     pub shared_tensors: usize,
 }
 

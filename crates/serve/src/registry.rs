@@ -132,9 +132,9 @@ pub struct ModelInfo {
     /// `scalar`) — the runtime-dispatch choice, or the `FQBERT_KERNEL`
     /// override.
     pub kernel: String,
-    /// Bytes of model state currently resident for this engine: float
-    /// tensors (counted once per model even when deduped) plus every
-    /// weight panel and bias materialized so far. Grows as lazily loaded
+    /// Bytes of model state currently resident for this engine: the
+    /// embedding and head tables (counted once per model even when
+    /// deduped) plus every weight panel and bias materialized so far. Grows as lazily loaded
     /// layers run their first forward.
     pub resident_bytes: usize,
     /// Tensors this model shares with previously loaded ones through the
@@ -168,8 +168,8 @@ impl ModelRegistry {
     /// so two specs naming the same artifact (even through different
     /// spellings or symlinks) share one read and one backing buffer. On top
     /// of that, all specs load through one registry-wide [`TensorCache`],
-    /// so bit-identical float tensors *across different* artifacts (the
-    /// embedding tables and classifier heads of w4/w8 variants of one task)
+    /// so bit-identical tables *across different* artifacts (the embedding
+    /// code tables and classifier heads of w4/w8 variants of one task)
     /// dedup onto a single allocation — each engine's
     /// [`Engine::load_stats`] records what it shared.
     ///

@@ -39,9 +39,10 @@ fn registry_collapses_shared_paths_and_dedups_float_tensors() {
 
     // The second spec spells the same file with a redundant `.` component:
     // path canonicalization must collapse both onto one file read, and the
-    // registry-wide dedup cache must then share every float tensor. The w8
+    // registry-wide dedup cache must then share every interned table: the
+    // two embedding code tables and the two float head tensors. The w8
     // variant lives in its own file but derives from the same float model,
-    // so its float tensors dedup too.
+    // so its tables dedup too.
     let alias = dir.join(".").join("sst2_w4.fqbt");
     let specs = [
         ModelSpec {
@@ -75,12 +76,12 @@ fn registry_collapses_shared_paths_and_dedups_float_tensors() {
         "the first load has nothing to share against"
     );
     assert_eq!(
-        infos["w4-alias"].shared_tensors, 7,
-        "an aliased path must share all seven float tensors"
+        infos["w4-alias"].shared_tensors, 4,
+        "an aliased path must share both code tables and both head tensors"
     );
     assert_eq!(
-        infos["w8"].shared_tensors, 7,
-        "a second bit-width of one float model must share its float tensors"
+        infos["w8"].shared_tensors, 4,
+        "a second bit-width of one float model must share its tables"
     );
     for info in infos.values() {
         assert!(

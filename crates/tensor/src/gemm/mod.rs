@@ -779,9 +779,8 @@ fn interleave_pairs<T: Copy + Into<i16>, const W: usize>(
 /// one.
 const LINE: usize = 64;
 
-/// Grow-only backing store of plain numbers (`i8`, `u8`, `i32`, and the
-/// embedding's float sums): one call hands
-/// out disjoint slices of the sizes asked for, each starting on a 64-byte
+/// Grow-only backing store of plain numbers (`i8`, `u8`, `i32`): one call
+/// hands out disjoint slices of the sizes asked for, each starting on a 64-byte
 /// cache line, and a store that has served a shape once serves it again
 /// without allocating.
 #[derive(Debug, Default)]
@@ -840,11 +839,11 @@ impl AddNormRow {
     }
 }
 
-/// Every reusable buffer of the integer forward pass, in five
+/// Every reusable buffer of the integer forward pass, in four
 /// independently borrowable parts: the activation block of the linear
 /// GEMMs, the per-head state of the fused attention pass, the arena
-/// holding a layer's `i8` intermediates, the operand-sum row of
-/// `Add & LN`, and the embedding's table sums.
+/// holding a layer's `i8` intermediates (and the embedding's gathered
+/// code rows), and the operand-sum row of `Add & LN`.
 ///
 /// One scratch serves every projection and every attention head of every
 /// encoder layer in a forward pass. Nothing in it ever shrinks, so after
@@ -862,11 +861,6 @@ pub struct GemmScratch {
     pub arena: ByteArena,
     /// One row of `Add & LN` operand sums.
     pub norm: AddNormRow,
-    /// One sequence's embedding table sums (`word + position + segment`
-    /// per element), the input of the CPU-side embedding layer norm. The
-    /// model embeds one sequence at a time, so it grows to `max_len ×
-    /// hidden` at most, whatever the batch.
-    pub embed: crate::tensor::FloatArena,
 }
 
 impl GemmScratch {

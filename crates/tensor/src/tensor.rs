@@ -1,14 +1,7 @@
 //! Dense row-major `f32` tensor.
 
-use crate::gemm::LineArena;
 use crate::{Result, Shape, TensorError};
 use std::fmt;
-
-/// Grow-only `f32` rows starting on cache lines: the one float buffer of a
-/// [`crate::GemmScratch`], where the CPU-side embedding sums a sequence's
-/// three table rows before its layer norm. Its element type is spelled
-/// here, beside [`Tensor`], because the `gemm` module is integer-only.
-pub(crate) type FloatArena = LineArena<f32>;
 
 /// A dense, row-major tensor of `f32` values.
 ///

@@ -6,8 +6,16 @@ use fqbert_bench::ExperimentConfig;
 use fqbert_quant::QuantConfig;
 use fqbert_runtime::{BackendKind, EncodedBatch, EngineBuilder, InferenceBackend};
 use fqbert_tensor::GemmScratch;
+use std::sync::OnceLock;
 
-fn quick_task() -> (fqbert_bench::TrainedTask, fqbert_core::QatHook) {
+/// The trained SST-2 task and its QAT hook, trained once per test binary
+/// and shared by every test (each only reads it).
+fn quick_task() -> &'static (fqbert_bench::TrainedTask, fqbert_core::QatHook) {
+    static TASK: OnceLock<(fqbert_bench::TrainedTask, fqbert_core::QatHook)> = OnceLock::new();
+    TASK.get_or_init(train_quick_task)
+}
+
+fn train_quick_task() -> (fqbert_bench::TrainedTask, fqbert_core::QatHook) {
     let mut config = ExperimentConfig::quick();
     config.sst2.train_size = 280;
     config.sst2.dev_size = 80;
@@ -33,13 +41,13 @@ fn all_three_backends_serve_through_one_trait() {
     let dev = &task.dataset.dev;
 
     let float_engine = task
-        .engine_with_hook(BackendKind::Float, &hook)
+        .engine_with_hook(BackendKind::Float, hook)
         .expect("float engine");
     let int_engine = task
-        .engine_with_hook(BackendKind::Int, &hook)
+        .engine_with_hook(BackendKind::Int, hook)
         .expect("int engine");
     let sim_engine = task
-        .engine_with_hook(BackendKind::Sim, &hook)
+        .engine_with_hook(BackendKind::Sim, hook)
         .expect("sim engine");
 
     // Trait-object access: every backend is driven identically.
@@ -101,7 +109,7 @@ fn batched_inference_is_bit_identical_to_one_at_a_time() {
     let (task, hook) = quick_task();
     let dev = &task.dataset.dev[..24];
     for kind in [BackendKind::Float, BackendKind::Int] {
-        let engine = task.engine_with_hook(kind, &hook).expect("engine");
+        let engine = task.engine_with_hook(kind, hook).expect("engine");
         let batched = engine
             .classify_batch(&EncodedBatch::from_examples(dev.to_vec()))
             .expect("batched");
@@ -137,13 +145,13 @@ fn sharded_execution_matches_serial_on_a_trained_model() {
             .engine_builder()
             .backend(kind)
             .threads(1)
-            .build_with_hook(&task.model, &hook)
+            .build_with_hook(&task.model, hook)
             .expect("serial engine");
         let parallel = task
             .engine_builder()
             .backend(kind)
             .threads(4)
-            .build_with_hook(&task.model, &hook)
+            .build_with_hook(&task.model, hook)
             .expect("parallel engine");
         assert_eq!(serial.threads(), 1);
         assert_eq!(parallel.threads(), 4);
@@ -174,10 +182,10 @@ fn sharded_execution_matches_serial_on_a_trained_model() {
 fn all_padding_sequence_is_a_clean_error_not_a_panic() {
     let (task, hook) = quick_task();
     let int_engine = task
-        .engine_with_hook(BackendKind::Int, &hook)
+        .engine_with_hook(BackendKind::Int, hook)
         .expect("int engine");
     let sim_engine = task
-        .engine_with_hook(BackendKind::Sim, &hook)
+        .engine_with_hook(BackendKind::Sim, hook)
         .expect("sim engine");
 
     // One valid example plus one whose attention mask is all padding —
@@ -220,7 +228,7 @@ fn blocked_gemm_logits_match_naive_projection_path() {
     let (task, hook) = quick_task();
     let dev = &task.dataset.dev[..8];
     let int_engine = task
-        .engine_with_hook(BackendKind::Int, &hook)
+        .engine_with_hook(BackendKind::Int, hook)
         .expect("int engine");
     let model = int_engine
         .backend()
@@ -269,7 +277,7 @@ fn artifact_round_trip_preserves_predictions_exactly() {
     let (task, hook) = quick_task();
     let dev = &task.dataset.dev;
     let int_engine = task
-        .engine_with_hook(BackendKind::Int, &hook)
+        .engine_with_hook(BackendKind::Int, hook)
         .expect("int engine");
 
     let path = std::env::temp_dir().join("fqbert_integration_runtime.fqbt");
@@ -304,7 +312,7 @@ fn builder_rejects_inconsistent_configurations() {
     let (task, hook) = quick_task();
     // Missing tokenizer.
     let err = EngineBuilder::new(task.dataset.task)
-        .build_with_hook(&task.model, &hook)
+        .build_with_hook(&task.model, hook)
         .expect_err("missing tokenizer must fail");
     assert!(err.to_string().contains("tokenizer"), "{err}");
     // Integer backend without calibration or hook.
@@ -334,7 +342,7 @@ fn scored_classification_adds_labels_scores_and_costs_without_touching_logits() 
     let (task, hook) = quick_task();
     let dev = &task.dataset.dev[..12];
     let sim_engine = std::sync::Arc::new(
-        task.engine_with_hook(BackendKind::Sim, &hook)
+        task.engine_with_hook(BackendKind::Sim, hook)
             .expect("sim engine"),
     );
     let batch = EncodedBatch::from_examples(dev.to_vec());
@@ -395,7 +403,7 @@ fn backend_kind_strings_match_backend_names() {
     // so config files, CLI flags and wire responses all agree.
     let (task, hook) = quick_task();
     for kind in BackendKind::ALL {
-        let engine = task.engine_with_hook(kind, &hook).expect("engine");
+        let engine = task.engine_with_hook(kind, hook).expect("engine");
         assert_eq!(engine.backend().name(), kind.to_string());
         assert_eq!(
             kind.to_string().parse::<BackendKind>().expect("parse"),
